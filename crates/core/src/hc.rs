@@ -7,9 +7,11 @@
 //! first-improvement as good as steepest-descent and much faster), until a
 //! local minimum or a budget is reached. Candidates are evaluated through
 //! the read-only [`ScheduleState::probe_move`] gain kernel; the state is
-//! mutated only for accepted moves.
+//! mutated only for accepted moves. A node that
+//! [`ScheduleState::may_improve`] proves stuck is skipped without a probe,
+//! which changes no decision — only how fast a converged region is swept.
 
-use crate::state::{ProcWindow, ScheduleState};
+use crate::state::ScheduleState;
 use bsp_dag::NodeId;
 use std::time::{Duration, Instant};
 
@@ -58,16 +60,29 @@ pub fn hill_climb_from(
     cfg: &HillClimbConfig,
     floor: u32,
 ) -> HillClimbStats {
-    let stats = hill_climb_from_inner(state, cfg, floor);
+    let mut visits = Visits::default();
+    let stats = hill_climb_from_inner(state, cfg, floor, &mut visits);
     // One flush per run: the sweeps themselves stay counter-free.
-    crate::obs::ls_metrics().moves.add(stats.accepted as u64);
+    let m = crate::obs::ls_metrics();
+    m.moves.add(stats.accepted as u64);
+    m.visits.add(visits.total);
+    m.pruned.add(visits.pruned);
     stats
+}
+
+/// Per-run tally of node visits (one per neighbourhood attempt) and of
+/// those [`ScheduleState::may_improve`] ruled out before any probe.
+#[derive(Default)]
+struct Visits {
+    total: u64,
+    pruned: u64,
 }
 
 fn hill_climb_from_inner(
     state: &mut ScheduleState<'_>,
     cfg: &HillClimbConfig,
     floor: u32,
+    visits: &mut Visits,
 ) -> HillClimbStats {
     let deadline = cfg.time_limit.map(|t| Instant::now() + t);
     let max_moves = cfg.max_moves.unwrap_or(usize::MAX);
@@ -106,7 +121,7 @@ fn hill_climb_from_inner(
             // move several times across sweeps; within the sweep we retry
             // the same node after a success, matching greedy descent).
             loop {
-                match try_improve_node(state, v, p, floor) {
+                match try_improve_node(state, v, p, floor, visits) {
                     true => {
                         accepted += 1;
                         improved_this_sweep = true;
@@ -131,35 +146,44 @@ fn hill_climb_from_inner(
 }
 
 /// Attempts the neighbourhood of `v`; probes candidates read-only and
-/// applies the first improving move. Steps are pre-filtered with
+/// applies the first improving move. A node that
+/// [`ScheduleState::may_improve`] rules out is skipped without a single
+/// probe — exactly the nodes on which every probe below would fail, so
+/// the accepted-move sequence is unchanged (debug builds probe them
+/// anyway and assert it). Steps are pre-filtered with
 /// [`ScheduleState::valid_procs`], preserving the `(s, q)` probe order.
 /// Steps below `floor` are never probed (committed-prefix protection).
-fn try_improve_node(state: &mut ScheduleState<'_>, v: NodeId, p: u32, floor: u32) -> bool {
+fn try_improve_node(
+    state: &mut ScheduleState<'_>,
+    v: NodeId,
+    p: u32,
+    floor: u32,
+    visits: &mut Visits,
+) -> bool {
+    visits.total += 1;
+    let pruned = !state.may_improve(v);
+    if pruned {
+        visits.pruned += 1;
+        if !cfg!(debug_assertions) {
+            return false;
+        }
+    }
     let (cur_p, cur_s) = (state.proc(v), state.step(v));
     let lo = cur_s.saturating_sub(1).max(floor);
     let hi = cur_s + 1;
     for s in lo..=hi {
-        let try_one = |state: &mut ScheduleState<'_>, q: u32| {
-            if (q, s) != (cur_p, cur_s) && state.probe_move(v, q, s) < 0 {
+        for q in state.valid_procs(v, s).procs(p) {
+            if (q, s) == (cur_p, cur_s) {
+                continue;
+            }
+            let delta = state.probe_move(v, q, s);
+            debug_assert!(
+                !(pruned && delta < 0),
+                "may_improve({v}) ruled out an improving move to ({q}, {s}): {delta}"
+            );
+            if delta < 0 {
                 state.apply_move(v, q, s);
-                true
-            } else {
-                false
-            }
-        };
-        match state.valid_procs(v, s) {
-            ProcWindow::None => {}
-            ProcWindow::Only(q) => {
-                if try_one(state, q) {
-                    return true;
-                }
-            }
-            ProcWindow::All => {
-                for q in 0..p {
-                    if try_one(state, q) {
-                        return true;
-                    }
-                }
+                return true;
             }
         }
     }

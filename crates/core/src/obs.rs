@@ -4,8 +4,10 @@
 //! flush once per scan/call with a single relaxed `fetch_add`, so the
 //! counters cost nothing measurable (the `obs_overhead` bench guards
 //! this). Exposed series: `bsp_ls_probes_total` (gain-kernel probes),
-//! `bsp_ls_scans_total` (full neighbourhood scans) and
-//! `bsp_ls_moves_total` (accepted moves).
+//! `bsp_ls_scans_total` (full neighbourhood scans),
+//! `bsp_ls_moves_total` (accepted moves), `bsp_ls_visits_total`
+//! (hill-climbing node visits) and `bsp_ls_pruned_total` (visits that
+//! `ScheduleState::may_improve` skipped without a probe).
 
 use std::sync::OnceLock;
 
@@ -13,6 +15,8 @@ pub(crate) struct LsMetrics {
     pub probes: bsp_obs::Counter,
     pub scans: bsp_obs::Counter,
     pub moves: bsp_obs::Counter,
+    pub visits: bsp_obs::Counter,
+    pub pruned: bsp_obs::Counter,
 }
 
 pub(crate) fn ls_metrics() -> &'static LsMetrics {
@@ -23,6 +27,8 @@ pub(crate) fn ls_metrics() -> &'static LsMetrics {
             probes: reg.counter("bsp_ls_probes_total", &[]),
             scans: reg.counter("bsp_ls_scans_total", &[]),
             moves: reg.counter("bsp_ls_moves_total", &[]),
+            visits: reg.counter("bsp_ls_visits_total", &[]),
+            pruned: reg.counter("bsp_ls_pruned_total", &[]),
         }
     })
 }

@@ -322,6 +322,16 @@ pub enum ProcWindow {
 }
 
 impl ProcWindow {
+    /// The admitted processors of a `p`-processor machine, ascending.
+    #[inline]
+    pub fn procs(self, p: u32) -> std::ops::Range<u32> {
+        match self {
+            ProcWindow::All => 0..p,
+            ProcWindow::Only(q) => q..q + 1,
+            ProcWindow::None => 0..0,
+        }
+    }
+
     /// Intersects the window with "must be on processor `q`".
     #[inline]
     fn narrow(self, q: u32) -> ProcWindow {
@@ -535,6 +545,112 @@ impl<'a> ScheduleState<'a> {
         true
     }
 
+    /// Whether phase `e` can get cheaper by losing or shrinking a transfer
+    /// between processors `a` and `b`: the phase computes nothing (so its
+    /// latency charge hangs on its transfers alone), or one of the two
+    /// cells attains the row's positive h-relation maximum.
+    #[inline]
+    fn phase_is_hot(&self, e: u32, a: u32, b: u32) -> bool {
+        let m = &self.meta[e as usize];
+        let top = m.htop.vals[0];
+        let row = e as usize * self.machine.p();
+        let h = |x: u32| {
+            let c = &self.slots[row + x as usize];
+            c.send.max(c.recv)
+        };
+        m.nodes == 0 || (top > 0 && (h(a) == top || h(b) == top))
+    }
+
+    /// Whether some transfer of `u`'s value that a move of a consumer at
+    /// `(consumer_proc, ·)` could remove sits in a hot phase
+    /// ([`ScheduleState::phase_is_hot`]): the transfer into the consumer's
+    /// own bucket, and every transfer into another bucket that starts
+    /// after `earliest` (the consumer, arriving there no earlier than
+    /// `earliest`, could only then pull it forward).
+    #[inline]
+    fn pred_transfer_is_hot(&self, u: NodeId, consumer_proc: u32, earliest: u32) -> bool {
+        let pu = self.proc[u as usize];
+        let (lo, hi) = self.cons_range(u);
+        let mut i = lo;
+        while i < hi {
+            let (q, m) = self.cons[i];
+            i = self.bucket_end(i, hi, q);
+            if q != pu && (q == consumer_proc || m > earliest) && self.phase_is_hot(m - 1, pu, q) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// An exact *necessary* condition for `v` to have an improving move in
+    /// the hill-climbing neighbourhood (any processor, supersteps
+    /// `τ(v) − 1 ..= τ(v) + 1`): `false` guarantees that every valid
+    /// [`ScheduleState::probe_move`] of `v` in that window is `≥ 0`, so a
+    /// sweep may skip all of its `≤ 3·P` probes. `O(deg)` over the
+    /// existing tables — `v`'s consumer buckets plus one walk over each
+    /// predecessor's bucket heads — and read-only.
+    ///
+    /// **Why it is exact.** The cost is `Σ_s [max_p work + g · max_p
+    /// max(send, recv) + ℓ · nonempty]`, and every term is monotone in its
+    /// cells. A move therefore lowers the total only if it lowers some
+    /// superstep's term, which takes one of three events: a work row
+    /// maximum drops, an h-relation row maximum drops, or a superstep
+    /// empties. Each can only happen at a cell the move *decrements*, and
+    /// a single-node move decrements exactly one work cell and the send /
+    /// receive cells of the transfers it removes or shrinks. The rules
+    /// below enumerate those cells, one per branch of
+    /// [`ScheduleState::probe_move_in`]; if none can lower its row, no
+    /// delta is negative. The test is one-sided: `true` promises nothing.
+    ///
+    /// 1. *Emptiness of `τ(v)`:* `v` is the only node of its superstep, so
+    ///    moving it away may drop the step's latency charge (the `dnodes`
+    ///    bookkeeping of probe step 1).
+    /// 2. *Work:* `w(v) > 0` and `v`'s work cell is the **unique** maximum
+    ///    of its row. Only that one work cell is ever decremented (probe
+    ///    step 1), so a tied maximum cannot drop.
+    /// 3. *Producer re-sourcing:* for a remote consumer bucket `(q ≠ π(v),
+    ///    min step m)` of `v`, phase `m − 1` is hot for `(π(v), q)`. Moving
+    ///    `v` off `π(v)` removes that transfer (`q == p_new`) or re-sources
+    ///    it (probe step 2), which lowers `π(v)`'s send cell and — on NUMA
+    ///    machines, when the new source is closer (`dr < 0`) — `q`'s
+    ///    receive cell.
+    /// 4. *Consumer buckets (`pred_mins` remove / insert):* for a
+    ///    predecessor `u` and a remote bucket `(q ≠ π(u), min step m)` of
+    ///    `u`, phase `m − 1` is hot for `(π(u), q)` and either `q == π(v)`
+    ///    (taking `v` out of its own bucket, or moving it earlier within
+    ///    it, may shift that bucket's minimum: the *remove* half of probe
+    ///    step 3) or `m > max(τ(v) − 1, τ(u) + 1)` (`v`, landing on `q` no
+    ///    earlier than that, would become the bucket's new minimum and
+    ///    pull the transfer forward: the *insert* half).
+    ///
+    /// "Hot" also covers *emptiness through transfers*: a phase without
+    /// nodes stays charged `ℓ` only by its transfer count, so removing a
+    /// transfer from it — even a zero-volume one — may empty it.
+    pub fn may_improve(&self, v: NodeId) -> bool {
+        let (pv, sv) = (self.proc[v as usize], self.step[v as usize]);
+        let meta = &self.meta[sv as usize];
+        if meta.nodes == 1 {
+            return true;
+        }
+        let work = self.slots[sv as usize * self.machine.p() + pv as usize].work;
+        if self.dag.work(v) > 0 && work == meta.wtop.vals[0] && meta.wtop.vals[1] < work {
+            return true;
+        }
+        let (lo, hi) = self.cons_range(v);
+        let mut i = lo;
+        while i < hi {
+            let (q, m) = self.cons[i];
+            i = self.bucket_end(i, hi, q);
+            if q != pv && self.phase_is_hot(m - 1, pv, q) {
+                return true;
+            }
+        }
+        self.dag.predecessors(v).iter().any(|&u| {
+            let earliest = sv.saturating_sub(1).max(self.step[u as usize] + 1);
+            self.pred_transfer_is_hot(u, pv, earliest)
+        })
+    }
+
     /// `v`'s slice bounds in the consumer arena.
     #[inline]
     fn cons_range(&self, v: NodeId) -> (usize, usize) {
@@ -559,6 +675,19 @@ impl<'a> ScheduleState<'a> {
             lo + i
         } else {
             lo + sl.partition_point(|&(b, _)| b < q)
+        }
+    }
+
+    /// Index one past the last entry of bucket `q`, which starts at or
+    /// before `i` in a consumer slice ending at `hi`. Linear over short
+    /// tails, binary-searched over long ones.
+    #[inline]
+    fn bucket_end(&self, i: usize, hi: usize, q: u32) -> usize {
+        let sl = &self.cons[i..hi];
+        if sl.len() <= 16 {
+            i + sl.iter().take_while(|e| e.0 == q).count()
+        } else {
+            i + sl.partition_point(|e| e.0 <= q)
         }
     }
 
@@ -1030,6 +1159,49 @@ impl<'a> ScheduleState<'a> {
         self.n_steps = want;
     }
 
+    /// Squeezes out the empty supersteps at or above `floor` in place —
+    /// those that compute no node and carry no lazy transfer — preserving
+    /// the order of the rest; supersteps below `floor` (an online
+    /// runtime's committed prefix) keep their index even when empty. The
+    /// resulting state is the one [`ScheduleState::new`] would build from
+    /// the compacted assignment, and the cost is unchanged (an empty
+    /// superstep costs 0). `O(n + m + S·P)`, and free of any pass over
+    /// the schedule when nothing is empty.
+    pub fn compact_from(&mut self, floor: u32) {
+        let is_empty = |m: &StepMeta| m.nodes == 0 && m.comm == 0;
+        let floor = (floor as usize).min(self.n_steps);
+        if !self.meta[floor..].iter().any(is_empty) {
+            return;
+        }
+        let p = self.machine.p();
+        let mut remap = vec![0u32; self.n_steps];
+        let mut next = floor;
+        for s in 0..self.n_steps {
+            if s < floor {
+                remap[s] = s as u32;
+                continue;
+            }
+            remap[s] = next as u32;
+            if !is_empty(&self.meta[s]) {
+                self.meta[next] = self.meta[s];
+                self.slots.copy_within(s * p..(s + 1) * p, next * p);
+                next += 1;
+            }
+        }
+        // Keep one (empty) superstep when nothing is left, as `new` does.
+        let kept = next.max(1);
+        self.meta.truncate(kept);
+        self.slots.truncate(kept * p);
+        self.n_steps = kept;
+        for s in &mut self.step {
+            *s = remap[*s as usize];
+        }
+        // The remap is monotone, so every consumer slice stays sorted.
+        for e in &mut self.cons {
+            e.1 = remap[e.1 as usize];
+        }
+    }
+
     /// Rescans superstep `s`, refreshing its cached cost and [`TopK`]
     /// row maxima in one `O(P)` pass.
     fn refresh_step(&mut self, s: usize) {
@@ -1057,6 +1229,7 @@ impl<'a> ScheduleState<'a> {
 mod tests {
     use super::*;
     use bsp_dag::DagBuilder;
+    use bsp_schedule::compact::compact_lazy;
 
     fn diamond() -> Dag {
         let mut b = DagBuilder::new();
@@ -1163,6 +1336,36 @@ mod tests {
         let c = st.apply_move(3, 0, 5);
         assert_eq!(c, st.recomputed_cost());
         assert!(st.n_steps() >= 6);
+    }
+
+    #[test]
+    fn compact_from_keeps_committed_gaps() {
+        let mut b = DagBuilder::new();
+        let u = b.add_node(1, 1);
+        let v = b.add_node(1, 1);
+        b.add_edge(u, v).unwrap();
+        let dag = b.build().unwrap();
+        let machine = BspParams::new(2, 1, 5);
+        // u committed in step 1 (step 0 dispatched empty), v tentative in 9.
+        let sched = BspSchedule::from_parts(vec![0, 0], vec![1, 9]);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        let before = st.cost();
+        st.compact_from(2);
+        // Committed steps 0 and 1 survive untouched; 9 pulls down to the
+        // frontier.
+        assert_eq!(st.snapshot().steps(), &[1, 2]);
+        assert_eq!((st.cost(), st.recomputed_cost()), (before, before));
+        // Floor 0 is plain `compact_lazy`, transfer phases included.
+        let cross = BspSchedule::from_parts(vec![0, 1], vec![2, 7]);
+        let mut st = ScheduleState::new(&dag, &machine, &cross);
+        st.compact_from(0);
+        assert_eq!(st.snapshot(), compact_lazy(&dag, &cross));
+        assert_eq!(st.snapshot().steps(), &[0, 2]);
+        assert_eq!(st.cost(), st.recomputed_cost());
+        // The compacted state still probes and applies exactly.
+        let (before, delta) = (st.cost() as i64, st.probe_move(1, 0, 0));
+        assert_eq!(st.apply_move(1, 0, 0) as i64 - before, delta);
+        assert_eq!(st.cost(), st.recomputed_cost());
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::state::ScheduleState;
 use bsp_dag::topo::TopoInfo;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
-use bsp_schedule::compact::{compact_lazy, compact_lazy_from};
+use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::prefix::PrefixViolation;
 use bsp_schedule::solve::SolveCx;
@@ -102,11 +102,15 @@ pub fn warm_start_from_map(
             assign[new as usize] = Some((proc, base.step(old as NodeId)));
         }
     }
-    let placed = place_new_nodes(dag, machine, &assign);
-    compact_lazy(dag, &repair_precedence(dag, &placed))
+    let topo = TopoInfo::new(dag);
+    let placed = place_new_nodes(dag, &topo, machine, &assign);
+    let repaired = repair_precedence_from(dag, &topo, &placed, 0).expect("floor 0 commits nothing");
+    compact_lazy(dag, &repaired)
 }
 
-/// Greedy list insertion for unplaced nodes: in topological order, each
+/// Greedy list insertion for unplaced nodes: in topological order (`topo`
+/// must be `dag`'s [`TopoInfo`]; a re-plan computes it once for this and
+/// [`repair_precedence_from`]), each
 /// `None` slot gets the earliest superstep after its placed predecessors
 /// and the processor minimizing a cost-model score — the NUMA-weighted
 /// communication from its predecessors (`g · Σ c(u)·λ(π(u), q)`) plus
@@ -120,14 +124,12 @@ pub fn warm_start_from_map(
 /// re-checked here).
 pub fn place_new_nodes(
     dag: &Dag,
+    topo: &TopoInfo,
     machine: &BspParams,
     assign: &[Option<(u32, u32)>],
 ) -> BspSchedule {
     debug_assert_eq!(assign.len(), dag.n());
     let p = machine.p() as u32;
-    let topo = TopoInfo::new(dag);
-    let mut order: Vec<NodeId> = dag.nodes().collect();
-    order.sort_unstable_by_key(|&v| (topo.position[v as usize], v));
 
     let mut proc = vec![0u32; dag.n()];
     let mut step = vec![0u32; dag.n()];
@@ -153,7 +155,7 @@ pub fn place_new_nodes(
         }
     }
 
-    for &v in &order {
+    for &v in &topo.order {
         if placed[v as usize] {
             continue;
         }
@@ -193,23 +195,7 @@ pub fn place_new_nodes(
 /// change, nodes only move later, and the pass visits each edge once, so
 /// the result is valid (lazily) and deterministic.
 pub fn repair_precedence(dag: &Dag, sched: &BspSchedule) -> BspSchedule {
-    let topo = TopoInfo::new(dag);
-    let mut order: Vec<NodeId> = dag.nodes().collect();
-    order.sort_unstable_by_key(|&v| (topo.position[v as usize], v));
-    let mut step: Vec<u32> = sched.steps().to_vec();
-    for &v in &order {
-        let mut s = step[v as usize];
-        for &u in dag.predecessors(v) {
-            let min = if sched.proc(u) == sched.proc(v) {
-                step[u as usize]
-            } else {
-                step[u as usize] + 1
-            };
-            s = s.max(min);
-        }
-        step[v as usize] = s;
-    }
-    BspSchedule::from_parts(sched.procs().to_vec(), step)
+    repair_precedence_from(dag, &TopoInfo::new(dag), sched, 0).expect("floor 0 commits nothing")
 }
 
 /// [`repair_precedence`] for online schedules with a committed prefix:
@@ -220,17 +206,15 @@ pub fn repair_precedence(dag: &Dag, sched: &BspSchedule) -> BspSchedule {
 /// frozen assignment breaks) cannot be repaired by delay and is returned
 /// as the typed [`PrefixViolation`] instead. Nodes with `τ(v) < floor`
 /// count as committed; `floor == 0` is exactly [`repair_precedence`]
-/// (and never fails).
+/// (and never fails). `topo` must be `dag`'s [`TopoInfo`].
 pub fn repair_precedence_from(
     dag: &Dag,
+    topo: &TopoInfo,
     sched: &BspSchedule,
     floor: u32,
 ) -> Result<BspSchedule, PrefixViolation> {
-    let topo = TopoInfo::new(dag);
-    let mut order: Vec<NodeId> = dag.nodes().collect();
-    order.sort_unstable_by_key(|&v| (topo.position[v as usize], v));
     let mut step: Vec<u32> = sched.steps().to_vec();
-    for &v in &order {
+    for &v in &topo.order {
         let committed = step[v as usize] < floor;
         let mut s = step[v as usize];
         for &u in dag.predecessors(v) {
@@ -257,15 +241,20 @@ pub fn repair_precedence_from(
     Ok(BspSchedule::from_parts(sched.procs().to_vec(), step))
 }
 
-/// What [`solve_warm_suffix`] did: the pipeline result plus the
-/// hill-climbing counters (the per-arrival work-budget evidence an online
-/// runtime records).
+/// What [`solve_warm_suffix`] did.
 #[derive(Debug, Clone)]
 pub struct SuffixOutcome {
-    /// The re-optimized schedule, lazy Γ and cost.
-    pub result: PipelineResult,
-    /// Accepted-move counters of the suffix hill climb.
+    /// The re-optimized, compacted assignment (its Γ is the lazy one).
+    pub sched: BspSchedule,
+    /// Its lazy-Γ cost.
+    pub cost: u64,
+    /// Cost of `initial`, before hill climbing.
+    pub init_cost: u64,
+    /// Accepted-move counters of the suffix hill climb (the per-arrival
+    /// work-budget evidence an online runtime records).
     pub hc: HillClimbStats,
+    /// Wall-clock time of the call.
+    pub elapsed: std::time::Duration,
 }
 
 /// The incremental warm entry point for online re-planning: re-optimizes
@@ -273,13 +262,16 @@ pub struct SuffixOutcome {
 /// under `cx`'s work budget, leaving the committed prefix untouched.
 ///
 /// `initial` must be lazily valid (the output of
-/// [`repair_precedence_from`] + [`compact_lazy_from`]). The stages mirror
-/// [`solve_warm_pipeline`] — `warm-init` then `hc` — but hill climbing is
-/// floor-restricted ([`hill_climb_from`]), compaction preserves committed
-/// superstep indices, and the communication schedule stays lazy (the
-/// suffix is still tentative; Γ is finalized at dispatch time). The
-/// monotone contract carries over: the result never costs more than
-/// `initial`, and an expired budget returns `initial` as-is.
+/// [`repair_precedence_from`]); it need not be compacted. The stages
+/// mirror [`solve_warm_pipeline`] — `warm-init` then `hc` — but hill
+/// climbing is floor-restricted ([`hill_climb_from`]), compaction
+/// preserves committed superstep indices, and the communication schedule
+/// stays lazy (the suffix is still tentative; Γ is finalized at dispatch
+/// time). One [`ScheduleState`] serves the whole call: both costs are read
+/// from it and both compactions ([`ScheduleState::compact_from`]) happen
+/// inside it, so no lazy Γ is ever materialized here. The monotone
+/// contract carries over: the result never costs more than `initial`, and
+/// an expired budget returns `initial`, compacted.
 pub fn solve_warm_suffix(
     dag: &Dag,
     machine: &BspParams,
@@ -291,47 +283,34 @@ pub fn solve_warm_suffix(
     let began = std::time::Instant::now();
     let _span = bsp_obs::trace::global().span("pipeline/warm-suffix", "pipeline");
     cx.begin("warm-init");
-    let mut sched = initial.clone();
-    let init_cost = lazy_cost(dag, machine, &sched);
+    let mut st = ScheduleState::new(dag, machine, initial);
+    st.compact_from(floor);
+    let init_cost = st.cost();
     cx.improved(init_cost);
     cx.end(init_cost, false);
 
-    let mut cost = init_cost;
-    let mut hc_stats = HillClimbStats {
+    let mut hc = HillClimbStats {
         accepted: 0,
         local_minimum: false,
     };
-
     if !cx.check_expired() {
         cx.begin("hc");
         let c = clamped_for_warm(cfg, cx);
-        let mut st = ScheduleState::new(dag, machine, &sched);
-        hc_stats = hill_climb_from(&mut st, &c.hc, floor);
-        let cand = compact_lazy_from(dag, &st.snapshot(), floor);
-        let cand_cost = lazy_cost(dag, machine, &cand);
-        if cand_cost < cost {
-            cost = cand_cost;
-            sched = cand;
-            cx.improved(cand_cost);
+        hc = hill_climb_from(&mut st, &c.hc, floor);
+        st.compact_from(floor);
+        if st.cost() < init_cost {
+            cx.improved(st.cost());
         }
         let truncated = cx.expired();
-        cx.end(cost, truncated);
+        cx.end(st.cost(), truncated);
     }
 
-    let comm = CommSchedule::lazy(dag, &sched);
     SuffixOutcome {
-        result: PipelineResult {
-            sched,
-            comm,
-            cost,
-            init_cost,
-            best_init: crate::pipeline::Initializer::BspG,
-            hc_cost: cost,
-            part_cost: cost,
-            ilp_cost: cost,
-            elapsed: began.elapsed(),
-        },
-        hc: hc_stats,
+        sched: st.snapshot(),
+        cost: st.cost(),
+        init_cost,
+        hc,
+        elapsed: began.elapsed(),
     }
 }
 
@@ -436,7 +415,8 @@ mod tests {
         let dag = chain3();
         let machine = BspParams::new(2, 1, 1);
         // Only node 0 placed (on proc 1); 1 and 2 are "new".
-        let placed = place_new_nodes(&dag, &machine, &[Some((1, 0)), None, None]);
+        let topo = TopoInfo::new(&dag);
+        let placed = place_new_nodes(&dag, &topo, &machine, &[Some((1, 0)), None, None]);
         assert_eq!(placed.step(1), 1);
         assert_eq!(placed.step(2), 2);
         assert!(validate_lazy(&dag, 2, &repair_precedence(&dag, &placed)).is_ok());
@@ -447,13 +427,14 @@ mod tests {
         let dag = chain3();
         // Node 0 committed (step 0); nodes 1, 2 tentative but too early.
         let broken = BspSchedule::from_parts(vec![0, 1, 0], vec![0, 1, 1]);
-        let fixed = repair_precedence_from(&dag, &broken, 1).unwrap();
+        let topo = TopoInfo::new(&dag);
+        let fixed = repair_precedence_from(&dag, &topo, &broken, 1).unwrap();
         assert_eq!(fixed.step(0), 0);
         assert_eq!(fixed.step(2), 2);
         assert!(validate_lazy(&dag, 2, &fixed).is_ok());
         // floor 0 agrees with the unconstrained repair.
         assert_eq!(
-            repair_precedence_from(&dag, &broken, 0).unwrap(),
+            repair_precedence_from(&dag, &topo, &broken, 0).unwrap(),
             repair_precedence(&dag, &broken)
         );
     }
@@ -461,18 +442,19 @@ mod tests {
     #[test]
     fn repair_precedence_from_rejects_committed_conflicts() {
         let dag = chain3();
+        let topo = TopoInfo::new(&dag);
         use bsp_schedule::prefix::PrefixViolation;
         // Node 1 committed at step 0 but its producer 0 is tentative.
         let sched = BspSchedule::from_parts(vec![0, 0, 0], vec![1, 0, 2]);
         assert_eq!(
-            repair_precedence_from(&dag, &sched, 1),
+            repair_precedence_from(&dag, &topo, &sched, 1),
             Err(PrefixViolation::ProducerTentative { from: 0, to: 1 })
         );
         // Both committed, cross-processor in the same superstep: the
         // frozen consumer would need delaying.
         let sched = BspSchedule::from_parts(vec![0, 1, 0], vec![0, 0, 3]);
         assert_eq!(
-            repair_precedence_from(&dag, &sched, 1),
+            repair_precedence_from(&dag, &topo, &sched, 1),
             Err(PrefixViolation::EdgeViolation {
                 from: 0,
                 to: 1,
@@ -509,17 +491,19 @@ mod tests {
             ..Default::default()
         };
         let out = solve_warm_suffix(&dag, &machine, &initial, floor, &cfg, &mut cx);
-        assert!(out.result.cost <= start_cost);
-        assert!(validate_lazy(&dag, 4, &out.result.sched).is_ok());
+        assert_eq!(out.init_cost, start_cost);
+        assert!(out.cost <= out.init_cost);
+        assert_eq!(out.cost, lazy_cost(&dag, &machine, &out.sched));
+        assert!(validate_lazy(&dag, 4, &out.sched).is_ok());
         for v in dag.nodes() {
             if initial.step(v) < floor {
-                assert_eq!(out.result.sched.proc(v), initial.proc(v), "node {v}");
-                assert_eq!(out.result.sched.step(v), initial.step(v), "node {v}");
+                assert_eq!(out.sched.proc(v), initial.proc(v), "node {v}");
+                assert_eq!(out.sched.step(v), initial.step(v), "node {v}");
             } else {
-                assert!(out.result.sched.step(v) >= floor, "node {v}");
+                assert!(out.sched.step(v) >= floor, "node {v}");
             }
         }
-        assert!(bsp_schedule::prefix::validate_prefix(&dag, 4, &out.result.sched, floor).is_ok());
+        assert!(bsp_schedule::prefix::validate_prefix(&dag, 4, &out.sched, floor).is_ok());
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! costs of steepest descent, tabu search, and simulated annealing on
 //! fixed instances; the expected values were recorded from the
 //! pre-probe (apply/revert, BTreeMap-bucket) implementation and must
-//! never drift.
+//! never drift. Greedy `hill_climb` is pinned too (final cost and
+//! accepted-move count, recorded before sweep pruning): `may_improve` may
+//! only skip nodes whose every probe fails.
 
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_core::hc::HillClimbConfig;
+use bsp_core::hc::{hill_climb, HillClimbConfig};
 use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::{best_move, hill_climb_steepest};
@@ -94,6 +96,33 @@ fn pinned_erdos_instance_costs() {
     let (dag, machine) = erdos_instance();
     // Recorded from the pre-probe apply/revert kernel (PR 4 tree).
     assert_eq!(final_costs(&dag, &machine), (328, 208, 137));
+}
+
+/// Final cost and accepted-move count of greedy first-improvement
+/// [`hill_climb`] from the spread start, run to its local minimum.
+fn hill_climb_outcome(dag: &Dag, machine: &BspParams) -> (u64, usize) {
+    let start = spread_start(dag, machine.p() as u32);
+    let mut st = ScheduleState::new(dag, machine, &start);
+    let stats = hill_climb(
+        &mut st,
+        &HillClimbConfig {
+            max_moves: None,
+            time_limit: None,
+        },
+    );
+    assert!(stats.local_minimum);
+    (st.cost(), stats.accepted)
+}
+
+/// Recorded at the commit before sweep pruning (`may_improve`): the
+/// filter may only skip nodes whose probes all fail, so neither number
+/// may move.
+#[test]
+fn pinned_hill_climb_outcomes() {
+    let (dag, machine) = layered_instance();
+    assert_eq!(hill_climb_outcome(&dag, &machine), (179, 26));
+    let (dag, machine) = erdos_instance();
+    assert_eq!(hill_climb_outcome(&dag, &machine), (295, 40));
 }
 
 /// Steepest descent with probing must pick the *identical move sequence*

@@ -6,7 +6,7 @@
 //! 2. every algorithm's output is a valid BSP schedule;
 //! 3. every refinement stage is monotone (never returns something worse).
 
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::hc::{hill_climb, hill_climb_from, HillClimbConfig};
 use bsp_core::hccs::{optimize_comm_schedule, CommHillClimbConfig};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, stage_graph, MultilevelConfig};
@@ -14,7 +14,7 @@ use bsp_core::reference::RefScheduleState;
 use bsp_core::state::{ProcWindow, ScheduleState};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::is_topological_order;
-use bsp_dag::{Dag, TopoInfo};
+use bsp_dag::{Dag, DagBuilder, TopoInfo};
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::validity::{validate, validate_lazy};
@@ -133,6 +133,170 @@ fn probe_contract(
     Ok(())
 }
 
+/// Machines for the sweep-pruning properties: `P` from 1 up (so `P = 1`
+/// and `P < TOP_K = 4` rows are covered), uniform or NUMA tree / ring.
+fn arb_prune_machine() -> impl Strategy<Value = BspParams> {
+    (0usize..5, 1u64..6, 0u64..8, 0usize..3).prop_map(|(pe, g, l, kind)| {
+        let p = [1usize, 2, 3, 4, 8][pe];
+        let m = BspParams::new(p, g, l);
+        match kind {
+            1 if p.is_power_of_two() && p >= 2 => {
+                m.with_numa(NumaTopology::binary_tree(p, 2 + g % 3))
+            }
+            2 if p >= 2 => m.with_numa(NumaTopology::ring(p)),
+            _ => m,
+        }
+    })
+}
+
+/// `dag` with about a quarter of its nodes' work and a quarter of their
+/// communication weights set to zero (the generators only draw `≥ 1`).
+fn with_zeroed_weights(dag: &Dag, seed: u64) -> Dag {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x2e20);
+    let mut b = DagBuilder::new();
+    for v in dag.nodes() {
+        let work = if rng.gen_bool(0.25) { 0 } else { dag.work(v) };
+        let comm = if rng.gen_bool(0.25) { 0 } else { dag.comm(v) };
+        b.add_node(work, comm);
+    }
+    for (u, v) in dag.edges() {
+        b.add_edge(u, v).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Soundness of the sweep filter at the current state: a node that
+/// `may_improve` rules out has no negative probe anywhere in the
+/// hill-climbing neighbourhood. Returns how many nodes were ruled out.
+fn pruned_nodes_have_no_improving_move(
+    st: &ScheduleState<'_>,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
+    let mut pruned = 0;
+    for v in st.dag().nodes() {
+        if st.may_improve(v) {
+            continue;
+        }
+        pruned += 1;
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1)..=cur.1 + 1 {
+            for q in st.valid_procs(v, s).procs(st.p()) {
+                if (q, s) == cur {
+                    continue;
+                }
+                let delta = st.probe_move(v, q, s);
+                prop_assert!(
+                    delta >= 0,
+                    "pruned node {} improves by {} at ({}, {})",
+                    v,
+                    delta,
+                    q,
+                    s
+                );
+            }
+        }
+    }
+    Ok(pruned)
+}
+
+fn prune_soundness(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let p = machine.p() as u32;
+    let sched = random_valid_assignment(dag, p, seed);
+    let mut st = ScheduleState::new(dag, machine, &sched);
+    pruned_nodes_have_no_improving_move(&st)?;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x50fd);
+    for _ in 0..30 {
+        let v = rng.gen_range(0..dag.n() as u32);
+        let q = rng.gen_range(0..p);
+        let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
+        if st.is_move_valid(v, q, s) {
+            st.apply_move(v, q, s);
+            pruned_nodes_have_no_improving_move(&st)?;
+        }
+    }
+    // At a local minimum every node fails all its probes; the filter must
+    // still never contradict one (and here it has the most to rule out).
+    let floor = rng.gen_range(0..3);
+    hill_climb_from(
+        &mut st,
+        &HillClimbConfig {
+            max_moves: None,
+            time_limit: None,
+        },
+        floor,
+    );
+    pruned_nodes_have_no_improving_move(&st)?;
+    Ok(())
+}
+
+/// The hill-climbing loop of `bsp_core::hc` without the `may_improve`
+/// filter — the reference the pruned sweep must reproduce move for move.
+fn hill_climb_unpruned(st: &mut ScheduleState<'_>, max_moves: usize, floor: u32) -> (usize, bool) {
+    fn try_node(st: &mut ScheduleState<'_>, v: u32, floor: u32) -> bool {
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1).max(floor)..=cur.1 + 1 {
+            for q in st.valid_procs(v, s).procs(st.p()) {
+                if (q, s) != cur && st.probe_move(v, q, s) < 0 {
+                    st.apply_move(v, q, s);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+    let mut accepted = 0;
+    loop {
+        let mut improved = false;
+        for v in 0..st.n() as u32 {
+            if accepted >= max_moves {
+                return (accepted, false);
+            }
+            if st.step(v) < floor {
+                continue;
+            }
+            while try_node(st, v, floor) {
+                accepted += 1;
+                improved = true;
+                if accepted >= max_moves {
+                    return (accepted, false);
+                }
+            }
+        }
+        if !improved {
+            return (accepted, true);
+        }
+    }
+}
+
+fn prune_equivalence(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+    max_moves: Option<usize>,
+    floor: u32,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let sched = random_valid_assignment(dag, machine.p() as u32, seed);
+    let mut pruned = ScheduleState::new(dag, machine, &sched);
+    let mut reference = ScheduleState::new(dag, machine, &sched);
+    let cfg = HillClimbConfig {
+        max_moves,
+        time_limit: None,
+    };
+    let stats = hill_climb_from(&mut pruned, &cfg, floor);
+    let (accepted, local_minimum) =
+        hill_climb_unpruned(&mut reference, max_moves.unwrap_or(usize::MAX), floor);
+    prop_assert_eq!(
+        (stats.accepted, stats.local_minimum),
+        (accepted, local_minimum)
+    );
+    prop_assert_eq!(pruned.snapshot(), reference.snapshot());
+    prop_assert_eq!(pruned.cost(), reference.cost());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -209,6 +373,51 @@ proptest! {
         prop_assert!(st.cost() <= before);
         prop_assert_eq!(st.cost(), st.recomputed_cost());
         prop_assert!(validate_lazy(&dag, machine.p(), &st.snapshot()).is_ok());
+    }
+
+    /// Sweep pruning is sound on layered DAGs (with zero-work and
+    /// zero-comm nodes): `!may_improve(v)` ⇒ every probe of `v` is `≥ 0`,
+    /// on random schedules, after random move sequences and at a local
+    /// minimum.
+    #[test]
+    fn may_improve_is_sound_layered(
+        dag in arb_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        prune_soundness(&dag, &machine, seed)?;
+        prune_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+    }
+
+    /// The same on Erdős–Rényi DAGs.
+    #[test]
+    fn may_improve_is_sound_erdos(
+        dag in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        prune_soundness(&dag, &machine, seed)?;
+        prune_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+    }
+
+    /// The pruned hill climb equals the unpruned reference loop in
+    /// accepted moves, `local_minimum` and final assignment — with and
+    /// without a move cap, with and without a committed floor.
+    #[test]
+    fn pruned_hill_climb_equals_unpruned_reference(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+        cap in 0usize..40,
+        floor in 0u32..4,
+    ) {
+        // `cap == 0` stands for "no cap".
+        let cap = (cap > 0).then_some(cap);
+        for dag in [layered, erdos] {
+            prune_equivalence(&dag, &machine, seed, cap, floor)?;
+            prune_equivalence(&with_zeroed_weights(&dag, seed), &machine, seed, cap, floor)?;
+        }
     }
 
     /// Initializers always produce valid schedules covering all nodes.

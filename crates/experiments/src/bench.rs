@@ -477,6 +477,8 @@ mod tests {
                 p50_us: 650,
                 p99_us: 1900,
                 nanos: 37_000_000,
+                hc_visits: 5200,
+                hc_pruned: 4100,
             }],
             metrics: vec![bsp_serve::MetricWire {
                 name: "bsp_serve_requests_total{method=\"solve\"}".to_string(),

@@ -8,7 +8,9 @@
 //! with `--order <name>`), replayed with the default per-arrival work
 //! budget (override with `--budget-ms`), and reported as one
 //! [`OnlineRun`] row: final online cost, cold-solve cost, their ratio
-//! (×1000, integer), and p50/p99 per-arrival re-planning latency. With
+//! (×1000, integer), p50/p99 per-arrival re-planning latency, and how many
+//! of the replay's hill-climbing node visits sweep pruning skipped
+//! (`bsp_ls_pruned_total` / `bsp_ls_visits_total` over the replay). With
 //! `--check` the command fails if any ratio exceeds the acceptance
 //! threshold — the regression gate the CI `online-smoke` job runs. The
 //! same rows fill the `online` section of the `bench` JSON report
@@ -57,6 +59,11 @@ pub struct OnlineRun {
     pub p99_us: u64,
     /// Whole-trace replay wall-clock, nanoseconds.
     pub nanos: u64,
+    /// Hill-climbing node visits over the replay (`bsp_ls_visits_total`).
+    pub hc_visits: u64,
+    /// Visits `ScheduleState::may_improve` skipped without a probe
+    /// (`bsp_ls_pruned_total`).
+    pub hc_pruned: u64,
 }
 
 /// Default instance specs: one per catalogue corner that the online
@@ -105,6 +112,8 @@ pub fn online_bench_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
         ocfg.budget_per_arrival = Duration::from_millis(ms);
     }
 
+    let visits = bsp_obs::global().counter("bsp_ls_visits_total", &[]);
+    let pruned = bsp_obs::global().counter("bsp_ls_pruned_total", &[]);
     let mut out = Vec::new();
     for (spec, insts) in resolve_instance_groups(&inst_specs) {
         for inst in insts {
@@ -128,6 +137,7 @@ pub fn online_bench_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     seed: 7,
                 };
                 let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
+                let (visits0, pruned0) = (visits.get(), pruned.get());
                 let t0 = Instant::now();
                 let outcome = replay(&trace, &inst.machine, &ocfg)
                     .unwrap_or_else(|e| panic!("online replay of {}: {e}", inst.name));
@@ -151,6 +161,8 @@ pub fn online_bench_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     p50_us,
                     p99_us,
                     nanos,
+                    hc_visits: visits.get() - visits0,
+                    hc_pruned: pruned.get() - pruned0,
                 });
             }
         }
@@ -187,12 +199,22 @@ pub fn online(cfg: &RunConfig) {
 /// Shared table printer for `online` and the `bench` online section.
 pub fn print_online_runs(runs: &[OnlineRun]) {
     println!(
-        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>8} {:>8}",
-        "instance", "order", "n", "reveals", "replans", "online", "cold", "ratio", "p50", "p99"
+        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>8} {:>8} {:>20}",
+        "instance",
+        "order",
+        "n",
+        "reveals",
+        "replans",
+        "online",
+        "cold",
+        "ratio",
+        "p50",
+        "p99",
+        "pruned/visits"
     );
     for r in runs {
         println!(
-            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>5} us {:>5} us",
+            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>5} us {:>5} us {:>20}",
             truncated(&r.instance, 44),
             r.order,
             r.n,
@@ -204,6 +226,12 @@ pub fn print_online_runs(runs: &[OnlineRun]) {
             r.cost_ratio_x1000 % 1000,
             r.p50_us,
             r.p99_us,
+            format!(
+                "{}/{} {:>3}%",
+                r.hc_pruned,
+                r.hc_visits,
+                r.hc_pruned * 100 / r.hc_visits.max(1)
+            ),
         );
     }
 }
@@ -236,6 +264,8 @@ mod tests {
             p50_us: 800,
             p99_us: 2400,
             nanos: 42_000_000,
+            hc_visits: 9000,
+            hc_pruned: 8100,
         };
         let text = serde::json::to_string(&run);
         let back: OnlineRun = serde::json::from_str(&text).expect("run parses back");

@@ -3,12 +3,11 @@
 
 use bsp_core::hccs::optimize_comm_schedule_threaded;
 use bsp_core::pipeline::PipelineConfig;
-use bsp_core::{place_new_nodes, repair_precedence_from, solve_warm_suffix};
-use bsp_dag::{Dag, DagBuilder, NodeId};
+use bsp_core::{place_new_nodes, repair_precedence_from, solve_warm_suffix, SuffixOutcome};
+use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_instance::trace::{ArrivalEvent, ArrivalTrace, MAX_REVEAL_DELAY};
 use bsp_instance::{apply_edits, DagEdit, EditError};
 use bsp_model::BspParams;
-use bsp_schedule::compact::compact_lazy_from;
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::prefix::{validate_prefix, PrefixViolation};
 use bsp_schedule::solve::{Budget, SolveCx, SolveRequest};
@@ -469,7 +468,9 @@ impl OnlineScheduler {
                 self.sched.step(old as NodeId),
             ));
         }
-        let mut placed = place_new_nodes(&out.dag, &self.machine, &assign);
+        // One topological order serves placement and repair.
+        let topo = TopoInfo::new(&out.dag);
+        let mut placed = place_new_nodes(&out.dag, &topo, &self.machine, &assign);
         // New nodes may never land below the frontier: dispatched
         // supersteps cannot gain work.
         for &v in &out.added {
@@ -481,41 +482,24 @@ impl OnlineScheduler {
         while self.recent.len() > self.cfg.reveal_guard {
             self.recent.pop_front();
         }
-        let repaired = repair_precedence_from(&out.dag, &placed, self.frontier).map_err(|v| {
-            self.poisoned = true;
-            OnlineError::CommitConflict(v)
-        })?;
-        let initial = compact_lazy_from(&out.dag, &repaired, self.frontier);
+        let repaired =
+            repair_precedence_from(&out.dag, &topo, &placed, self.frontier).map_err(|v| {
+                self.poisoned = true;
+                OnlineError::CommitConflict(v)
+            })?;
 
-        // The per-arrival work budget, enforced through the anytime
-        // SolveCx contract: deadline + accepted-move cap, both scaled by
-        // the batch's arrival count.
         let units = pending.arrivals.max(1) as u32;
-        let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units).without_ilp();
-        if let Some(m) = self.cfg.moves_per_arrival {
-            budget = budget.with_max_stage_moves(m * units as usize);
-        }
-        let req = SolveRequest::new(&out.dag, &self.machine).with_budget(budget);
-        let mut cx = SolveCx::new("online", &req);
-        let suffix = solve_warm_suffix(
-            &out.dag,
-            &self.machine,
-            &initial,
-            self.frontier,
-            &self.cfg.pipeline,
-            &mut cx,
-        );
-        let truncated = cx.check_expired();
+        let (suffix, truncated) = self.solve_suffix(&out.dag, &repaired, units);
 
         self.dag = out.dag;
-        self.sched = suffix.result.sched;
+        self.sched = suffix.sched;
         self.advance_frontier();
 
         let report = BatchReport {
             batch: self.stats.replans,
             arrivals: pending.arrivals,
             reveals: pending.reveals,
-            cost: suffix.result.cost,
+            cost: suffix.cost,
             supersteps: self.sched.n_supersteps(),
             frontier: self.frontier,
             hc_moves: suffix.hc.accepted as u64,
@@ -528,6 +512,29 @@ impl OnlineScheduler {
             validate_prefix(&self.dag, self.machine.p(), &self.sched, self.frontier).is_ok()
         );
         Ok(report)
+    }
+
+    /// Re-optimizes the tentative suffix of `initial` under the work
+    /// budget of `units` arrivals, enforced through the anytime `SolveCx`
+    /// contract: deadline + accepted-move cap, both scaled by `units`.
+    /// Also returns whether the budget cut the hill climb short.
+    fn solve_suffix(&self, dag: &Dag, initial: &BspSchedule, units: u32) -> (SuffixOutcome, bool) {
+        let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units).without_ilp();
+        if let Some(m) = self.cfg.moves_per_arrival {
+            budget = budget.with_max_stage_moves(m * units as usize);
+        }
+        let req = SolveRequest::new(dag, &self.machine).with_budget(budget);
+        let mut cx = SolveCx::new("online", &req);
+        let suffix = solve_warm_suffix(
+            dag,
+            &self.machine,
+            initial,
+            self.frontier,
+            &self.cfg.pipeline,
+            &mut cx,
+        );
+        let truncated = cx.check_expired();
+        (suffix, truncated)
     }
 
     /// Advances the commit frontier: trail the last superstep by
@@ -562,27 +569,13 @@ impl OnlineScheduler {
         if self.dag.n() > 0 {
             let t0 = Instant::now();
             let units = self.cfg.batch_size.max(1) as u32;
-            let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units).without_ilp();
-            if let Some(m) = self.cfg.moves_per_arrival {
-                budget = budget.with_max_stage_moves(m * units as usize);
-            }
-            let req = SolveRequest::new(&self.dag, &self.machine).with_budget(budget);
-            let mut cx = SolveCx::new("online", &req);
-            let suffix = solve_warm_suffix(
-                &self.dag,
-                &self.machine,
-                &self.sched,
-                self.frontier,
-                &self.cfg.pipeline,
-                &mut cx,
-            );
-            let truncated = cx.check_expired();
-            self.sched = suffix.result.sched;
+            let (suffix, truncated) = self.solve_suffix(&self.dag, &self.sched, units);
+            self.sched = suffix.sched;
             let report = BatchReport {
                 batch: self.stats.replans,
                 arrivals: 0,
                 reveals: 0,
-                cost: suffix.result.cost,
+                cost: suffix.cost,
                 supersteps: self.sched.n_supersteps(),
                 frontier: self.frontier,
                 hc_moves: suffix.hc.accepted as u64,

@@ -248,3 +248,71 @@ fn empty_stream_finalizes_cleanly() {
     assert_eq!(outcome.dag.n(), 0);
     assert_eq!(outcome.cost, 0);
 }
+
+/// FNV-1a over the little-endian bytes of `π ‖ τ`.
+fn fnv_assignment(sched: &bsp_schedule::BspSchedule) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &x in sched.procs().iter().chain(sched.steps()) {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Replays captured at the commit before sweep pruning and the re-plan
+/// restructuring (PR 14's parent): `(cost, fnv(π ‖ τ), Σ hc_moves,
+/// replans)` per `(instance, order)`, identical at 1 and 4 threads. Only
+/// the move cap binds, so every number repeats on any machine.
+#[test]
+fn pinned_replays_are_bit_identical() {
+    let numa = "bsp?p=4&g=2&numa=tree&delta=3";
+    let specs = [
+        "spmv?n=40&q=0.25&seed=5 @ bsp?p=8&g=2&l=5".to_string(),
+        format!("stencil?width=12&steps=8 @ {numa}"),
+        format!("erdos?n=120&q=0.05&seed=5 @ {numa}"),
+    ];
+    let registry = bsp_instance::InstanceRegistry::standard();
+    let mut got = Vec::new();
+    for spec in &specs {
+        let inst = registry.generate_one(spec, 0).unwrap();
+        for order in [ArrivalOrder::Topological, ArrivalOrder::ShuffledReady] {
+            let tcfg = TraceConfig {
+                order,
+                seed: 7,
+                ..TraceConfig::default()
+            };
+            let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
+            let mut per_thread = Vec::new();
+            for threads in [1usize, 4] {
+                let mut cfg = OnlineConfig::default();
+                cfg.budget_per_arrival = Duration::from_secs(60);
+                cfg.pipeline.threads = threads;
+                let out = replay(&trace, &inst.machine, &cfg).unwrap();
+                let moves: u64 = out.stats.batches.iter().map(|b| b.hc_moves).sum();
+                per_thread.push((
+                    out.cost,
+                    fnv_assignment(&out.sched),
+                    moves,
+                    out.stats.replans,
+                ));
+            }
+            assert_eq!(
+                per_thread[0], per_thread[1],
+                "{spec} {order}: threads changed the replay"
+            );
+            got.push(per_thread[0]);
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            (318, 0x41da6ce333c057f1, 55, 62),
+            (305, 0x755ad525a7284f87, 133, 62),
+            (288, 0x4fee9991a4147e25, 0, 15),
+            (234, 0xcb9cbcd5528a1921, 49, 15),
+            (546, 0xa2be9cbe54d7fa51, 165, 16),
+            (595, 0x045d4b441b092d21, 168, 16),
+        ]
+    );
+}

@@ -53,41 +53,6 @@ pub fn compact_lazy(dag: &Dag, sched: &BspSchedule) -> BspSchedule {
     compact(dag, sched, &comm).0
 }
 
-/// [`compact_lazy`] restricted to the tentative suffix: supersteps below
-/// `frontier` are *committed* (already dispatched by an online runtime) and
-/// keep their index even when empty; only empty supersteps at
-/// `frontier` and above are squeezed out. `frontier == 0` is exactly
-/// [`compact_lazy`].
-pub fn compact_lazy_from(dag: &Dag, sched: &BspSchedule, frontier: u32) -> BspSchedule {
-    let comm = CommSchedule::lazy(dag, sched);
-    let comp_steps = sched.n_supersteps();
-    let comm_steps = comm.max_step().map_or(0, |s| s + 1);
-    let n_steps = (comp_steps.max(comm_steps).max(frontier)) as usize;
-    let mut used = vec![false; n_steps];
-    for v in dag.nodes() {
-        used[sched.step(v) as usize] = true;
-    }
-    for e in comm.entries() {
-        used[e.step as usize] = true;
-    }
-    let mut remap = vec![0u32; n_steps];
-    let mut next = frontier;
-    for (s, &u) in used.iter().enumerate() {
-        if (s as u32) < frontier {
-            remap[s] = s as u32;
-            continue;
-        }
-        remap[s] = next;
-        if u {
-            next += 1;
-        }
-    }
-    BspSchedule::from_parts(
-        sched.procs().to_vec(),
-        sched.steps().iter().map(|&s| remap[s as usize]).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,26 +95,6 @@ mod tests {
         let (cs, cc) = compact(&dag, &sched, &comm);
         assert_eq!(cs, sched);
         assert_eq!(cc, comm);
-    }
-
-    #[test]
-    fn compact_lazy_from_keeps_committed_gaps() {
-        let mut b = DagBuilder::new();
-        let u = b.add_node(1, 1);
-        let v = b.add_node(1, 1);
-        b.add_edge(u, v).unwrap();
-        let dag = b.build().unwrap();
-        // u committed in step 1 (step 0 dispatched empty), v tentative in 9.
-        let sched = BspSchedule::from_parts(vec![0, 0], vec![1, 9]);
-        let c = compact_lazy_from(&dag, &sched, 2);
-        // Committed steps 0 and 1 survive untouched; 9 pulls down to the
-        // frontier.
-        assert_eq!(c.steps(), &[1, 2]);
-        // frontier 0 degenerates to plain compact_lazy.
-        assert_eq!(
-            compact_lazy_from(&dag, &sched, 0),
-            compact_lazy(&dag, &sched)
-        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered with a typed error frame.
     Server {
-        /// One of [`codes`](crate::protocol::codes).
+        /// One of [`codes`].
         code: String,
         /// Human-readable detail.
         message: String,
