@@ -1,12 +1,15 @@
 //! BL-EST list scheduler (paper §4.1): select the ready node with the
 //! largest *bottom level* (longest outgoing work path), assign it to the
-//! processor offering the earliest start time.
+//! processor offering the earliest start time. The ready nodes sit in a
+//! max-heap that [`ListState::place`] feeds (see [`crate::list`]).
 
 use crate::list::{CommModel, ListState};
 use bsp_dag::topo::{bottom_level, TopoInfo};
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 use bsp_schedule::{BspSchedule, ClassicalSchedule};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Runs BL-EST and returns the classical schedule (mean-λ delays, the
 /// paper's baseline configuration).
@@ -21,12 +24,14 @@ pub fn blest_schedule_with(dag: &Dag, machine: &BspParams, model: CommModel) -> 
     let topo = TopoInfo::new(dag);
     let bl = bottom_level(dag, &topo);
     let mut st = ListState::with_model(dag, machine, model);
+    // Highest bottom level first; ties to the smaller id.
+    let mut ready = BinaryHeap::new();
     for _ in 0..dag.n() {
-        let ready = st.ready_nodes();
-        // Highest bottom level first; ties to the smaller id.
-        let &v = ready
-            .iter()
-            .max_by_key(|&&v| (bl[v as usize], std::cmp::Reverse(v)))
+        while let Some(v) = st.pop_ready() {
+            ready.push((bl[v as usize], Reverse(v)));
+        }
+        let (_, Reverse(v)) = ready
+            .pop()
             .expect("ready set cannot be empty while nodes remain");
         let (q, t) = st.best_proc(v);
         st.place(v, q, t);

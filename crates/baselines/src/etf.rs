@@ -1,17 +1,33 @@
 //! ETF (Earliest Task First) list scheduler (paper §4.1): among all ready
 //! (node, processor) pairs pick the one with the earliest start time; ties
-//! broken by the larger bottom level, then the smaller node id.
+//! broken by the larger bottom level, then the smaller processor, then the
+//! smaller node id. Heap-driven: see the event-loop section of
+//! [`crate::list`] for the two queues per processor and why their tops
+//! hold the same pick a scan of every ready pair would make.
 
 use crate::list::{CommModel, ListState};
 use bsp_dag::topo::{bottom_level, TopoInfo};
-use bsp_dag::Dag;
+use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::{BspSchedule, ClassicalSchedule};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Runs ETF and returns the classical schedule (mean-λ delays, the paper's
 /// baseline configuration).
 pub fn etf_schedule(dag: &Dag, machine: &BspParams) -> ClassicalSchedule {
     etf_schedule_with(dag, machine, CommModel::MeanLambda)
+}
+
+/// The ready nodes as one processor sees them, split by what their start
+/// there waits for. Entries of nodes placed elsewhere stay until they
+/// surface.
+#[derive(Default, Clone)]
+struct ProcQueues {
+    /// `(data_ready, ¬bl, v)`: data arrives after the processor is free.
+    future: BinaryHeap<Reverse<(u64, u64, NodeId)>>,
+    /// `(¬bl, v)`: data is there, the node starts when the processor is free.
+    waiting: BinaryHeap<Reverse<(u64, NodeId)>>,
 }
 
 /// Runs ETF under an explicit EST communication model. With
@@ -21,19 +37,50 @@ pub fn etf_schedule_with(dag: &Dag, machine: &BspParams, model: CommModel) -> Cl
     let topo = TopoInfo::new(dag);
     let bl = bottom_level(dag, &topo);
     let mut st = ListState::with_model(dag, machine, model);
+    let mut queues = vec![ProcQueues::default(); machine.p()];
     for _ in 0..dag.n() {
-        let ready = st.ready_nodes();
-        let mut best: Option<(u64, u64, u32, bsp_dag::NodeId)> = None; // (est, -bl, proc, node)
-        for &v in &ready {
-            let (q, t) = st.best_proc(v);
-            let key = (t, u64::MAX - bl[v as usize], q, v);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
+        while let Some(v) = st.pop_ready() {
+            let neg_bl = u64::MAX - bl[v as usize];
+            for (q, on_q) in queues.iter_mut().enumerate() {
+                let arrives = st.data_ready(v, q as u32);
+                if arrives > st.proc_free(q as u32) {
+                    on_q.future.push(Reverse((arrives, neg_bl, v)));
+                } else {
+                    on_q.waiting.push(Reverse((neg_bl, v)));
+                }
             }
         }
-        let (_, _, q, v) = best.expect("ready set cannot be empty while nodes remain");
-        let t = st.est(v, q);
+        let mut best: Option<(u64, u64, u32, NodeId)> = None; // (est, -bl, proc, node)
+        for (q, on_q) in queues.iter_mut().enumerate() {
+            let q = q as u32;
+            while on_q.future.peek().is_some_and(|e| st.is_placed(e.0 .2)) {
+                on_q.future.pop();
+            }
+            while on_q.waiting.peek().is_some_and(|e| st.is_placed(e.0 .1)) {
+                on_q.waiting.pop();
+            }
+            let tops = [
+                on_q.future.peek().map(|&Reverse((t, b, v))| (t, b, q, v)),
+                on_q.waiting
+                    .peek()
+                    .map(|&Reverse((b, v))| (st.proc_free(q), b, q, v)),
+            ];
+            best = tops.into_iter().flatten().chain(best).min();
+        }
+        let (t, _, q, v) = best.expect("ready set cannot be empty while nodes remain");
         st.place(v, q, t);
+        // `q` is busy for longer now: what its new free time has overtaken
+        // waits for the processor, no longer for data.
+        let on_q = &mut queues[q as usize];
+        while let Some(&Reverse((arrives, neg_bl, w))) = on_q.future.peek() {
+            if arrives > st.proc_free(q) {
+                break;
+            }
+            on_q.future.pop();
+            if !st.is_placed(w) {
+                on_q.waiting.push(Reverse((neg_bl, w)));
+            }
+        }
     }
     st.finish()
 }

@@ -14,6 +14,47 @@
 //!   factors would also be possible"): the delay uses the *actual*
 //!   coefficient `λ(π(u), q)` of the producer/candidate pair, making the
 //!   list scheduler hierarchy-aware.
+//!
+//! # The event loop
+//!
+//! Neither scheduler ever rescans the graph. [`ListState::place`] is the
+//! only event: it fixes `(π(v), start(v))`, raises `proc_free[π(v)]` and
+//! releases the successors whose last predecessor it placed onto the ready
+//! frontier, which the scheduler drains with `pop_ready` into its own
+//! priority queues. A node is released once, and from then on its
+//! `data_ready(v, q)` — the time its inputs have reached `q` — is a
+//! constant, because all its predecessors are placed and a placement is
+//! never revised. Only `est(v, q) = max(data_ready(v, q), proc_free[q])`
+//! still moves, and only upwards: `place(v, q, t)` has `t ≥ proc_free[q]`
+//! (an EST is capped below by it) and work is non-negative, so
+//! `proc_free[q]` is monotone.
+//!
+//! BL-EST pops a max-heap on `(bl, Reverse(id))` and asks `best_proc` for
+//! the popped node alone. ETF ([`crate::etf`]) wants the minimum of
+//! `(est, ¬bl, q, v)` over all ready (node, processor) *pairs* and keeps
+//! two min-heaps per processor `q`: *future*, keyed `(data_ready(v, q),
+//! ¬bl, v)`, for ready nodes whose data arrives after `proc_free[q]` (their
+//! EST is `data_ready`, a constant), and *waiting*, keyed `(¬bl, v)`, for
+//! those that only wait for the processor (their EST is `proc_free[q]`,
+//! the same for all of them). When `place` raises `proc_free[q]`, entries
+//! of `future[q]` it has overtaken move to `waiting[q]`; monotonicity
+//! means none ever moves back. (An entry exactly at the boundary,
+//! `data_ready = proc_free[q]`, reads the same key from either heap, so
+//! which side of it holds the entry is immaterial.) Entries of placed
+//! nodes are dropped when they surface. The pick is the least of the
+//! ≤ 2P heap tops: O(P) per pick, and every entry is pushed, moved and
+//! popped at most once, O((n + m) · P · log n) overall.
+//!
+//! That pair-minimum is the scan loop's node-minimum of `(min_q est, ¬bl,
+//! argmin q, v)`, component by component: the least `est` over pairs is
+//! the least over nodes of each node's least `est`; `¬bl` does not depend
+//! on `q`, so among pairs at that `est` the larger bottom level wins
+//! exactly as it does among nodes; among the pairs of one node at its
+//! least `est`, `q` before `v` picks the smallest such processor, which
+//! is `best_proc`'s tie-break; and `v` last separates distinct nodes that
+//! tie on everything else by the smaller id. Every `ClassicalSchedule` is
+//! therefore bit-identical to the scan loops' (kept as the reference in
+//! `tests/reference/`).
 
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
@@ -36,17 +77,20 @@ pub struct ListState<'a> {
     machine: &'a BspParams,
     model: CommModel,
     /// Per-unit cross-processor delay multiplier `g · λ̄` (mean-λ model).
-    pub comm_factor: f64,
-    /// Earliest free time of each processor.
-    pub proc_free: Vec<u64>,
+    comm_factor: f64,
+    /// Earliest free time of each processor; never falls.
+    proc_free: Vec<u64>,
     /// Assigned processor per node (undefined until scheduled).
-    pub proc: Vec<u32>,
+    proc: Vec<u32>,
     /// Start time per node.
-    pub start: Vec<u64>,
+    start: Vec<u64>,
     /// Whether the node has been placed.
-    pub placed: Vec<bool>,
+    placed: Vec<bool>,
     /// Remaining unplaced predecessors per node.
-    pub remaining_preds: Vec<u32>,
+    remaining_preds: Vec<u32>,
+    /// Ready frontier: nodes whose last predecessor has been placed (the
+    /// sources at first) and that `pop_ready` has not handed out yet.
+    released: Vec<NodeId>,
 }
 
 impl<'a> ListState<'a> {
@@ -68,14 +112,25 @@ impl<'a> ListState<'a> {
             start: vec![0; n],
             placed: vec![false; n],
             remaining_preds: (0..n).map(|v| dag.in_degree(v as NodeId) as u32).collect(),
+            released: dag.sources(),
         }
     }
 
-    /// Ready nodes: unplaced with all predecessors placed.
-    pub fn ready_nodes(&self) -> Vec<NodeId> {
-        (0..self.dag.n() as NodeId)
-            .filter(|&v| !self.placed[v as usize] && self.remaining_preds[v as usize] == 0)
-            .collect()
+    /// Takes one node off the ready frontier (in no particular order):
+    /// each node is handed out exactly once, after its last predecessor
+    /// was placed.
+    pub(crate) fn pop_ready(&mut self) -> Option<NodeId> {
+        self.released.pop()
+    }
+
+    /// Whether `v` has been placed.
+    pub(crate) fn is_placed(&self, v: NodeId) -> bool {
+        self.placed[v as usize]
+    }
+
+    /// Earliest free time of processor `q`.
+    pub(crate) fn proc_free(&self, q: u32) -> u64 {
+        self.proc_free[q as usize]
     }
 
     /// Delay for shipping `c` units from processor `src` to `dst`.
@@ -88,10 +143,10 @@ impl<'a> ListState<'a> {
         }
     }
 
-    /// EST of `v` on processor `q`: data-ready time (predecessor finishes
-    /// plus cross-processor delays) capped below by the processor's free
-    /// time.
-    pub fn est(&self, v: NodeId, q: u32) -> u64 {
+    /// Time at which every input of the ready node `v` has reached
+    /// processor `q`: predecessor finishes plus cross-processor delays.
+    /// Constant from the moment `v` is ready.
+    pub(crate) fn data_ready(&self, v: NodeId, q: u32) -> u64 {
         let mut ready = 0u64;
         for &u in self.dag.predecessors(v) {
             debug_assert!(self.placed[u as usize]);
@@ -103,7 +158,13 @@ impl<'a> ListState<'a> {
             };
             ready = ready.max(arrive);
         }
-        ready.max(self.proc_free[q as usize])
+        ready
+    }
+
+    /// EST of `v` on processor `q`: the time its data is ready there,
+    /// capped below by the processor's free time.
+    pub fn est(&self, v: NodeId, q: u32) -> u64 {
+        self.data_ready(v, q).max(self.proc_free[q as usize])
     }
 
     /// The processor with minimal EST for `v` (ties to the smaller index)
@@ -119,15 +180,20 @@ impl<'a> ListState<'a> {
         best
     }
 
-    /// Places `v` on `q` at time `t`, updating readiness bookkeeping.
+    /// Places `v` on `q` at its EST `t` and releases the successors this
+    /// leaves without unplaced predecessors.
     pub fn place(&mut self, v: NodeId, q: u32, t: u64) {
         debug_assert!(!self.placed[v as usize]);
+        debug_assert_eq!(t, self.est(v, q));
         self.placed[v as usize] = true;
         self.proc[v as usize] = q;
         self.start[v as usize] = t;
         self.proc_free[q as usize] = t + self.dag.work(v);
         for &w in self.dag.successors(v) {
             self.remaining_preds[w as usize] -= 1;
+            if self.remaining_preds[w as usize] == 0 {
+                self.released.push(w);
+            }
         }
     }
 
@@ -238,10 +304,14 @@ mod tests {
         let dag = b.build().unwrap();
         let machine = BspParams::new(2, 1, 0);
         let mut st = ListState::new(&dag, &machine);
-        assert_eq!(st.ready_nodes(), vec![0, 1]);
+        // The frontier starts as the sources and hands each node out once.
+        assert_eq!(st.pop_ready(), Some(1));
+        assert_eq!(st.pop_ready(), Some(0));
+        assert_eq!(st.pop_ready(), None);
         st.place(0, 0, 0);
-        assert_eq!(st.ready_nodes(), vec![1]);
+        assert_eq!(st.pop_ready(), None); // node 2 still waits for node 1
         st.place(1, 1, 0);
-        assert_eq!(st.ready_nodes(), vec![2]);
+        assert_eq!(st.pop_ready(), Some(2));
+        assert_eq!(st.pop_ready(), None);
     }
 }

@@ -76,11 +76,7 @@ impl ClassicalSchedule {
         // nodes (the database weight rule gives `w = indeg − 1 = 0` to
         // every chain node) let a predecessor share its successor's start
         // time, and id-order ties would then stall the scan below.
-        let topo = bsp_dag::TopoInfo::new(dag);
-        let mut pos = vec![0u32; n];
-        for (idx, &v) in topo.order.iter().enumerate() {
-            pos[v as usize] = idx as u32;
-        }
+        let pos = bsp_dag::TopoInfo::new(dag).position;
         let mut order: Vec<NodeId> = (0..n as NodeId).collect();
         order.sort_by_key(|&v| (self.start[v as usize], pos[v as usize]));
 

@@ -438,3 +438,83 @@ fn budget_deadline_reaches_the_pipeline_stages() {
     // The ILP stage can never run with an expired budget.
     assert!(out.stages.iter().all(|st| st.stage != "ilp"));
 }
+
+/// FNV-1a over the little-endian bytes of `π ‖ τ`.
+fn fnv_assignment(sched: &BspSchedule) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &x in sched.procs().iter().chain(sched.steps()) {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(cost, fnv(π ‖ τ))` of every list-baseline spelling, captured with the
+/// Θ(n²) scan loops (PR 15's parent) that the event-driven ETF and BL-EST
+/// replaced: the heap-driven loops must reproduce every schedule bit for
+/// bit. `bl-est/mem` runs on the same machine bounded at the instance's
+/// smallest repairable capacity.
+#[test]
+fn pinned_list_baseline_schedules_are_bit_identical() {
+    let instances = [
+        "spmv?n=60&q=0.2&seed=5 @ bsp?p=8&g=2&l=5",
+        "sptrsv?n=60&q=0.15&seed=5 @ bsp?p=4&g=3&l=5&numa=tree&delta=3",
+        "layered?layers=8&width=12&q=0.3&seed=7 @ bsp?p=4&g=2&l=5&numa=tree&delta=3",
+    ];
+    let registry = Registry::standard();
+    let mut got = Vec::new();
+    for spec in instances {
+        let inst = bsp_sched::instances().generate_one(spec, 0).unwrap();
+        let bounded = inst
+            .machine
+            .clone()
+            .with_memory(MemorySpec::new(min_repairable_capacity(&inst.dag)));
+        for sched_spec in [
+            "bl-est",
+            "etf",
+            "bl-est?numa=on",
+            "etf?numa=on",
+            "bl-est/mem",
+        ] {
+            let machine = if sched_spec.ends_with("/mem") {
+                &bounded
+            } else {
+                &inst.machine
+            };
+            let out = registry
+                .get(sched_spec)
+                .unwrap()
+                .solve(&SolveRequest::new(&inst.dag, machine));
+            let r = &out.result;
+            assert!(
+                validate(&inst.dag, machine.p(), &r.sched, &r.comm).is_ok(),
+                "{sched_spec} invalid on {spec}"
+            );
+            got.push((out.total(), fnv_assignment(&out.result.sched)));
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            // spmv, uniform P = 8: per-pair λ degenerates to the mean.
+            (1131, 0x58f7d044e26ef5d2),
+            (1026, 0x2071f61f7f3f0aee),
+            (1131, 0x58f7d044e26ef5d2),
+            (1026, 0x2071f61f7f3f0aee),
+            (1259, 0xaf1c763e2377ddf7),
+            // sptrsv, binary-tree NUMA P = 4.
+            (1893, 0x836d7676b88f5e9f),
+            (1605, 0x8d4ba25003f56731),
+            (1790, 0xbe846ee4961cc131),
+            (1775, 0x88c15363e591c69f),
+            (2287, 0xf3ee8a403f72d00b),
+            // layered, binary-tree NUMA P = 4.
+            (1053, 0x1179edf88125c916),
+            (979, 0x14a4cfffd266f57d),
+            (829, 0xfade92a9e8d107a7),
+            (834, 0x5844abcd483ac9d6),
+            (1729, 0x948f3ca7919a671a),
+        ]
+    );
+}
