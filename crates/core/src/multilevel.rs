@@ -13,6 +13,19 @@
 //! As in the paper, the algorithm is run for coarsening ratios 30% and 15%
 //! and the cheaper result is kept, and the communication-schedule
 //! optimizers are applied once at the end on the original DAG.
+//!
+//! Both halves walk the contraction log once. [`coarsen`] asks
+//! [`MutableDag`] which edges are contractable — every candidate refresh
+//! and every re-verification before a contraction — and each of those
+//! searches is bounded by the topological order `MutableDag` keeps valid
+//! across contractions, so it costs the region between an edge's endpoints
+//! instead of everything below its tail. [`Uncoarsening`] applies the log
+//! to one `MutableDag` and then undoes it entry by entry from that graph's
+//! journal (`bsp_dag::contraction` explains why the inverse is exact): a
+//! chunk costs one stage — extract the dense graph, refine, write the
+//! schedule back — where rebuilding each stage from the original DAG cost
+//! the whole log prefix, O(L²) contractions for a log of length L. Memory
+//! is the graph plus its journal; no stage outlives its chunk.
 
 use crate::hc::{hill_climb, HillClimbConfig};
 use crate::state::ScheduleState;
@@ -51,7 +64,7 @@ impl Default for MultilevelConfig {
 }
 
 /// One recorded contraction: `merged` was merged into `kept`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Contraction {
     /// Surviving node (original id space).
     pub kept: NodeId,
@@ -122,69 +135,109 @@ fn ranked_candidates(m: &MutableDag) -> Vec<(NodeId, NodeId)> {
     out
 }
 
-/// Builds the coarse [`Dag`] after applying `log[..k]`, together with the
-/// original-to-coarse node mapping.
-pub fn stage_graph(dag: &Dag, log: &[Contraction]) -> (Dag, Vec<Option<NodeId>>) {
-    let mut m = MutableDag::from_dag(dag);
-    for c in log {
-        m.contract_edge(c.kept, c.merged);
-    }
-    m.compact()
+/// The un-coarsening walk over one contraction log: the graph at the
+/// current stage and the schedule projected onto it.
+///
+/// Built at the coarsest stage (`log` applied in full), it moves towards the
+/// original DAG by undoing journal entries of its one [`MutableDag`], so a
+/// stage costs its own size — no stage is rebuilt from the original DAG,
+/// and no earlier stage is kept. The schedule lives in original-id space
+/// (only live nodes' entries mean anything), which makes projection a copy:
+/// a revived node takes `(π, τ)` of the node it had been merged into.
+pub struct Uncoarsening {
+    m: MutableDag,
+    sched: BspSchedule,
 }
 
-/// Representative (surviving original id) of every node after `log`.
-fn representatives(n: usize, log: &[Contraction]) -> Vec<NodeId> {
-    let mut parent: Vec<NodeId> = (0..n as NodeId).collect();
-    fn find(parent: &mut [NodeId], v: NodeId) -> NodeId {
-        if parent[v as usize] != v {
-            let r = find(parent, parent[v as usize]);
-            parent[v as usize] = r;
+impl Uncoarsening {
+    /// Applies `log` to a copy of `dag`. The schedule starts all-zero;
+    /// [`Uncoarsening::adopt`] one for the coarsest stage before walking.
+    pub fn new(dag: &Dag, log: &[Contraction]) -> Self {
+        let mut m = MutableDag::from_dag(dag);
+        for c in log {
+            m.contract_edge(c.kept, c.merged);
         }
-        parent[v as usize]
+        Uncoarsening {
+            m,
+            sched: BspSchedule::zeroed(dag.n()),
+        }
     }
-    for c in log {
-        let r = find(&mut parent, c.kept);
-        parent[c.merged as usize] = r;
+
+    /// Contractions not yet undone; 0 once the stage is the original DAG.
+    pub fn remaining(&self) -> usize {
+        self.sched.n() - self.m.n_alive()
     }
-    (0..n as NodeId).map(|v| find(&mut parent, v)).collect()
+
+    /// Undoes up to `count` contractions, latest first. Each revived node
+    /// inherits its processor and superstep from the node it was merged
+    /// into — valid on the finer stage because the coarser one was a DAG.
+    pub fn undo(&mut self, count: usize) {
+        for _ in 0..count {
+            let Some((kept, merged)) = self.m.uncontract() else {
+                break;
+            };
+            self.sched
+                .set(merged, self.sched.proc(kept), self.sched.step(kept));
+        }
+    }
+
+    /// The current stage as a dense [`Dag`] (live nodes in id order).
+    pub fn stage(&self) -> Dag {
+        self.m.compact().0
+    }
+
+    /// The schedule of the current stage, indexed like [`Uncoarsening::stage`].
+    pub fn projected(&self) -> BspSchedule {
+        let live = || self.m.live_nodes();
+        BspSchedule::from_parts(
+            live().map(|v| self.sched.proc(v)).collect(),
+            live().map(|v| self.sched.step(v)).collect(),
+        )
+    }
+
+    /// Takes over `sched`, a schedule of the current stage.
+    pub fn adopt(&mut self, sched: &BspSchedule) {
+        for (id, v) in self.m.live_nodes().enumerate() {
+            let id = id as NodeId;
+            self.sched.set(v, sched.proc(id), sched.step(id));
+        }
+    }
 }
 
 /// Runs the full multilevel scheme for a single coarsening `log`, given a
 /// base scheduler for the coarse graph. Returns the refined assignment on
 /// the original DAG.
+///
+/// `expired` is polled once per chunk of un-contractions; after its first
+/// `true` the remaining chunks are projected but no longer refined, which
+/// still yields a valid schedule.
 pub fn multilevel_with_log(
     dag: &Dag,
     machine: &BspParams,
     log: &[Contraction],
     cfg: &MultilevelConfig,
     base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
+    expired: &mut dyn FnMut() -> bool,
 ) -> BspSchedule {
     // Solve on the fully coarsened graph.
-    let (coarse, _) = stage_graph(dag, log);
+    let mut walk = Uncoarsening::new(dag, log);
+    let coarse = walk.stage();
     let coarse_sched = base(&coarse, machine);
     debug_assert!(coarse_sched.respects_precedence_lazy(&coarse));
+    walk.adopt(&coarse_sched);
 
-    // Walk back towards the original graph, refining every chunk.
-    let mut prev_k = log.len();
-    let mut prev_sched = coarse_sched;
-    while prev_k > 0 {
-        let k = prev_k.saturating_sub(cfg.refine_interval);
-        let (stage, stage_map) = stage_graph(dag, &log[..k]);
-        // Project: each stage-k node inherits from its representative at
-        // stage prev_k.
-        let reps = representatives(dag.n(), &log[..prev_k]);
-        let (_, prev_map) = stage_graph(dag, &log[..prev_k]);
-        let mut proc = vec![0u32; stage.n()];
-        let mut step = vec![0u32; stage.n()];
-        for orig in dag.nodes() {
-            if let Some(sid) = stage_map[orig as usize] {
-                let rep = reps[orig as usize];
-                let pid = prev_map[rep as usize].expect("representative must be alive");
-                proc[sid as usize] = prev_sched.proc(pid);
-                step[sid as usize] = prev_sched.step(pid);
-            }
+    // Walk back towards the original graph, refining every chunk. An
+    // interval of 0 would never advance; it means 1.
+    let interval = cfg.refine_interval.max(1);
+    while walk.remaining() > 0 {
+        walk.undo(interval);
+        if expired() {
+            // Out of budget: project the rest of the way down, unrefined.
+            walk.undo(walk.remaining());
+            break;
         }
-        let projected = BspSchedule::from_parts(proc, step);
+        let stage = walk.stage();
+        let projected = walk.projected();
         debug_assert!(projected.respects_precedence_lazy(&stage));
         let mut st = ScheduleState::new(&stage, machine, &projected);
         hill_climb(
@@ -194,20 +247,21 @@ pub fn multilevel_with_log(
                 time_limit: None,
             },
         );
-        prev_sched = st.snapshot();
-        prev_k = k;
+        walk.adopt(&st.snapshot());
     }
-    compact_lazy(dag, &prev_sched)
+    compact_lazy(dag, &walk.projected())
 }
 
 /// Full multilevel scheduler: tries every configured coarsening ratio and
 /// returns the assignment with the lowest lazy cost. `base` schedules the
-/// coarse DAG (the paper uses the Figure-3 pipeline without `ILPcs`).
+/// coarse DAG (the paper uses the Figure-3 pipeline without `ILPcs`);
+/// `expired` stops the refinement as in [`multilevel_with_log`].
 pub fn multilevel_schedule(
     dag: &Dag,
     machine: &BspParams,
     cfg: &MultilevelConfig,
     base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
+    expired: &mut dyn FnMut() -> bool,
 ) -> BspSchedule {
     // Coarsen once to the smallest ratio; larger ratios are prefixes.
     let min_ratio = cfg.ratios.iter().copied().fold(f64::INFINITY, f64::min);
@@ -218,7 +272,7 @@ pub fn multilevel_schedule(
     for &ratio in &cfg.ratios {
         let target = ((dag.n() as f64) * ratio).ceil() as usize;
         let k = full_log.len().min(dag.n().saturating_sub(target));
-        let sched = multilevel_with_log(dag, machine, &full_log[..k], cfg, base);
+        let sched = multilevel_with_log(dag, machine, &full_log[..k], cfg, base, expired);
         let cost = lazy_cost(dag, machine, &sched);
         if best.as_ref().is_none_or(|(c, _)| cost < *c) {
             best = Some((cost, sched));
@@ -247,38 +301,87 @@ mod tests {
         )
     }
 
+    fn bspg(d: &Dag, m: &BspParams) -> BspSchedule {
+        crate::init::bspg::bspg_schedule(d, m)
+    }
+
     #[test]
     fn coarsen_reaches_target_and_stays_acyclic() {
         let dag = sample(1);
         let log = coarsen(&dag, dag.n() / 4, &MultilevelConfig::default());
         assert!(dag.n() - log.len() <= dag.n() / 4 + 1);
-        let (coarse, _) = stage_graph(&dag, &log);
+        let coarse = Uncoarsening::new(&dag, &log).stage();
         let topo = TopoInfo::new(&coarse);
         assert!(bsp_dag::topo::is_topological_order(&coarse, &topo.order));
         assert_eq!(coarse.total_work(), dag.total_work());
     }
 
     #[test]
-    fn representatives_follow_contraction_chains() {
+    fn walk_ends_on_the_original_dag() {
         let dag = sample(2);
         let log = coarsen(&dag, dag.n() / 3, &MultilevelConfig::default());
-        let reps = representatives(dag.n(), &log);
-        let (_, map) = stage_graph(&dag, &log);
-        for v in dag.nodes() {
-            assert!(
-                map[reps[v as usize] as usize].is_some(),
-                "rep of {v} must be alive"
-            );
-        }
+        let mut walk = Uncoarsening::new(&dag, &log);
+        assert_eq!(walk.remaining(), log.len());
+        walk.undo(log.len() - 1);
+        assert_eq!(walk.remaining(), 1);
+        walk.undo(5);
+        assert_eq!(walk.remaining(), 0);
+        assert_eq!(walk.stage(), dag);
     }
 
     #[test]
     fn multilevel_produces_valid_schedules() {
         let dag = sample(3);
         let machine = BspParams::new(4, 5, 5);
-        let mut base = |d: &Dag, m: &BspParams| crate::init::bspg::bspg_schedule(d, m);
-        let sched = multilevel_schedule(&dag, &machine, &MultilevelConfig::default(), &mut base);
+        let sched = multilevel_schedule(
+            &dag,
+            &machine,
+            &MultilevelConfig::default(),
+            &mut bspg,
+            &mut || false,
+        );
         assert!(validate_lazy(&dag, 4, &sched).is_ok());
+    }
+
+    /// `refine_interval: 0` used to leave the walk where it stood forever.
+    #[test]
+    fn zero_refine_interval_means_one() {
+        let dag = sample(5);
+        let machine = BspParams::new(4, 5, 5);
+        let run = |refine_interval| {
+            let cfg = MultilevelConfig {
+                refine_interval,
+                ..MultilevelConfig::default()
+            };
+            multilevel_schedule(&dag, &machine, &cfg, &mut bspg, &mut || false)
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    /// Out of budget from the start: every chunk is projected, none is
+    /// refined — the result is the coarse schedule carried down unchanged,
+    /// and the probe is not asked again once it has fired.
+    #[test]
+    fn expired_walk_only_projects() {
+        let dag = sample(6);
+        let machine = BspParams::new(4, 20, 10);
+        let log = coarsen(&dag, dag.n() / 3, &MultilevelConfig::default());
+        let run = |refine_moves, expired: &mut dyn FnMut() -> bool| {
+            let cfg = MultilevelConfig {
+                refine_moves,
+                ..MultilevelConfig::default()
+            };
+            multilevel_with_log(&dag, &machine, &log, &cfg, &mut bspg, expired)
+        };
+        let mut polls = 0;
+        let cut_short = run(100, &mut || {
+            polls += 1;
+            true
+        });
+        assert_eq!(polls, 1);
+        assert!(validate_lazy(&dag, 4, &cut_short).is_ok());
+        assert_eq!(cut_short, run(0, &mut || false));
+        assert_ne!(cut_short, run(100, &mut || false));
     }
 
     #[test]
@@ -289,7 +392,7 @@ mod tests {
         let machine = BspParams::new(4, 20, 10);
         let trivial = dag.total_work() + machine.l();
         let mut base = |d: &Dag, m: &BspParams| {
-            let s = crate::init::bspg::bspg_schedule(d, m);
+            let s = bspg(d, m);
             let mut st = ScheduleState::new(d, m, &s);
             hill_climb(
                 &mut st,
@@ -300,7 +403,13 @@ mod tests {
             );
             st.snapshot()
         };
-        let sched = multilevel_schedule(&dag, &machine, &MultilevelConfig::default(), &mut base);
+        let sched = multilevel_schedule(
+            &dag,
+            &machine,
+            &MultilevelConfig::default(),
+            &mut base,
+            &mut || false,
+        );
         assert!(validate_lazy(&dag, 4, &sched).is_ok());
         let cost = lazy_cost(&dag, &machine, &sched);
         assert!(

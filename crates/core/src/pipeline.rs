@@ -363,7 +363,9 @@ pub fn solve_multilevel_pipeline(
         let mut inner = SolveCx::new("pipeline/multilevel/base", &req);
         solve_base_pipeline(d, m, cfg, &mut inner).sched
     };
-    let sched = multilevel_schedule(dag, machine, ml, &mut base);
+    // The walk polls the same clock between chunks: past the deadline (or
+    // a cancelled token) it only projects the rest of the way down.
+    let sched = multilevel_schedule(dag, machine, ml, &mut base, &mut || cx.expired());
     let init_cost = lazy_cost(dag, machine, &sched);
     cx.improved(init_cost);
     ml_span.finish();

@@ -7,16 +7,22 @@
 //! pre-probe (apply/revert, BTreeMap-bucket) implementation and must
 //! never drift. Greedy `hill_climb` is pinned too (final cost and
 //! accepted-move count, recorded before sweep pruning): `may_improve` may
-//! only skip nodes whose every probe fails.
+//! only skip nodes whose every probe fails. The multilevel scheduler is
+//! pinned last: contraction logs and whole-pipeline schedules, recorded
+//! from the walk that rebuilt every stage from the original DAG and the
+//! per-edge unbounded contractability search.
 
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::multilevel::{coarsen, MultilevelConfig};
+use bsp_core::pipeline::{schedule_dag_multilevel, PipelineConfig};
 use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::{best_move, hill_climb_steepest};
 use bsp_core::tabu::{tabu_search, TabuConfig};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::{Dag, TopoInfo};
+use bsp_instance::InstanceRegistry;
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::BspSchedule;
 
@@ -123,6 +129,107 @@ fn pinned_hill_climb_outcomes() {
     assert_eq!(hill_climb_outcome(&dag, &machine), (179, 26));
     let (dag, machine) = erdos_instance();
     assert_eq!(hill_climb_outcome(&dag, &machine), (295, 40));
+}
+
+fn fnv64(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.into_iter().flat_map(u32::to_le_bytes) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The NUMA reference instances of the benchmark's `offline-refine`
+/// workload that run the multilevel pipeline, at the grammar's default
+/// seed.
+const MULTILEVEL_INSTANCES: [&str; 4] = [
+    "stencil?width=40&steps=20 @ bsp?p=8&numa=tree&delta=3",
+    "erdos?n=300&q=0.03 @ bsp?p=16&numa=sockets&sockets=2&delta=4",
+    "butterfly?k=6 @ bsp?p=8&numa=tree&delta=3",
+    "cg?n=20&k=3 @ bsp?p=8&numa=tree&delta=3",
+];
+
+fn instance(spec: &str) -> (Dag, BspParams) {
+    let inst = InstanceRegistry::standard()
+        .generate_one(spec, 0)
+        .expect("pinned spec parses");
+    (inst.dag, inst.machine)
+}
+
+/// `(len, fnv(kept‖merged …))` of the contraction log down to `ratio·n`.
+fn coarsen_pin(dag: &Dag, ratio: f64) -> (usize, u64) {
+    let target = (dag.n() as f64 * ratio).ceil() as usize;
+    let log = coarsen(dag, target, &MultilevelConfig::default());
+    let words = log.iter().flat_map(|c| [c.kept, c.merged]);
+    (log.len(), fnv64(words))
+}
+
+/// `(cost, fnv(π‖τ))` of `pipeline/multilevel?ilp=off` run to convergence
+/// (no clock shapes the schedule), for the given coarsening ratios.
+fn multilevel_pin(dag: &Dag, machine: &BspParams, ratios: &[f64]) -> (u64, u64) {
+    let mut cfg = PipelineConfig::default();
+    cfg.enable_ilp = false;
+    cfg.hc.time_limit = Some(std::time::Duration::from_secs(600));
+    cfg.hccs.time_limit = Some(std::time::Duration::from_secs(600));
+    let ml = MultilevelConfig {
+        ratios: ratios.to_vec(),
+        ..MultilevelConfig::default()
+    };
+    let r = schedule_dag_multilevel(dag, machine, &cfg, &ml);
+    let words = r.sched.procs().iter().chain(r.sched.steps()).copied();
+    (r.cost, fnv64(words))
+}
+
+/// Recorded at the commit before the journaled un-coarsening walk and the
+/// order-bounded contractability search: neither may change which edges
+/// are contracted, in which order, or any stage the refinement sees.
+#[test]
+fn pinned_contraction_logs() {
+    let expected = [
+        [(588, 7986114498813674981), (714, 6947464799060701290)],
+        [(210, 13791077571182208024), (255, 7674237222086846335)],
+        [(313, 4520639363158632237), (380, 8259923342503659217)],
+        [(313, 10393287711874710411), (380, 5029321381773581290)],
+    ];
+    for (spec, want) in MULTILEVEL_INSTANCES.iter().zip(expected) {
+        let (dag, _) = instance(spec);
+        assert_eq!(
+            [coarsen_pin(&dag, 0.3), coarsen_pin(&dag, 0.15)],
+            want,
+            "{spec}"
+        );
+    }
+    // n = 3 000: the size at which the per-edge unbounded search needed
+    // 7.6 s in a release build for the 30 % log alone.
+    let (dag, _) = instance("layered?layers=30&width=100&q=0.04 @ bsp?p=8");
+    assert_eq!(
+        [coarsen_pin(&dag, 0.3), coarsen_pin(&dag, 0.15)],
+        [(2100, 1553310927253052926), (2550, 1001314597233540123)]
+    );
+}
+
+/// Recorded at the same commit as [`pinned_contraction_logs`]: the
+/// single-ratio pipeline the benchmark runs and the paper's default
+/// two-ratio one.
+#[test]
+fn pinned_multilevel_schedules() {
+    let expected = [
+        [(1053, 15731222259943574515), (1053, 15731222259943574515)],
+        [(1018, 12730393514590397640), (1018, 12730393514590397640)],
+        [(228, 637969882999523089), (217, 4175358337466175412)],
+        [(1442, 12092943975474073138), (1407, 11133713151806062743)],
+    ];
+    for (spec, want) in MULTILEVEL_INSTANCES.iter().zip(expected) {
+        let (dag, machine) = instance(spec);
+        assert_eq!(
+            [
+                multilevel_pin(&dag, &machine, &[0.3]),
+                multilevel_pin(&dag, &machine, &[0.3, 0.15]),
+            ],
+            want,
+            "{spec}"
+        );
+    }
 }
 
 /// Steepest descent with probing must pick the *identical move sequence*

@@ -9,7 +9,7 @@
 use bsp_core::hc::{hill_climb, hill_climb_from, HillClimbConfig};
 use bsp_core::hccs::{optimize_comm_schedule, CommHillClimbConfig};
 use bsp_core::init::{bspg_schedule, source_schedule};
-use bsp_core::multilevel::{coarsen, multilevel_schedule, stage_graph, MultilevelConfig};
+use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
 use bsp_core::reference::RefScheduleState;
 use bsp_core::state::{ProcWindow, ScheduleState};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
@@ -454,11 +454,11 @@ proptest! {
         let target = ((dag.n() as f64) * keep) as usize;
         let log = coarsen(&dag, target.max(1), &MultilevelConfig::default());
         for k in [log.len() / 2, log.len()] {
-            let (stage, map) = stage_graph(&dag, &log[..k]);
+            let stage = Uncoarsening::new(&dag, &log[..k]).stage();
             let topo = TopoInfo::new(&stage);
             prop_assert!(is_topological_order(&stage, &topo.order));
             prop_assert_eq!(stage.total_work(), dag.total_work());
-            prop_assert_eq!(map.iter().filter(|m| m.is_some()).count(), stage.n());
+            prop_assert_eq!(stage.n(), dag.n() - k);
         }
     }
 
@@ -500,7 +500,7 @@ proptest! {
             st.snapshot()
         };
         let cfg = MultilevelConfig { ratios: vec![0.3], ..Default::default() };
-        let sched = multilevel_schedule(&dag, &machine, &cfg, &mut base);
+        let sched = multilevel_schedule(&dag, &machine, &cfg, &mut base, &mut || false);
         prop_assert!(validate_lazy(&dag, machine.p(), &sched).is_ok());
     }
 

@@ -6,8 +6,58 @@
 //! work and the communication weights. Contracting only contractable edges
 //! guarantees the graph stays acyclic at every step, so each intermediate
 //! graph admits a valid BSP schedule.
+//!
+//! # The journal and its inverse
+//!
+//! Un-coarsening walks the contractions back one at a time, so
+//! [`MutableDag::contract_edge`] journals exactly what it destroys and
+//! [`MutableDag::uncontract`] undoes the latest entry. Merging `v` into `u`
+//! loses three things: `v`'s adjacency sets; for every neighbour `x` of
+//! `v`, whether the redirected edge between `x` and `u` is *new* or was
+//! already there (both `x → v` and `x → u` existed and collapsed into
+//! one); and the positions of the nodes the topological order had to move
+//! (below). An entry holds `v`'s predecessors and successors, each with
+//! that one bit, and the moved nodes with their old positions. Weights need
+//! no entry: `v`'s own weights stay in place while it is dead, so the
+//! inverse subtracts them from `u` again.
+//!
+//! The inverse is exact because entries are undone strictly last-in
+//! first-out: when an entry is popped, every later contraction has been
+//! undone already, so the graph is the one `contract_edge` left behind and
+//! the entry describes its whole difference to the graph before.
+//! Redirected edges that were new are removed, the ones that pre-existed
+//! stay, `v` gets its sets back, `u → v` returns and every moved node
+//! returns to its position. Memory is one entry per contraction — never a
+//! snapshot of the graph.
+//!
+//! # The order, and why it cannot be reused across a contraction
+//!
+//! A contractability search looks for `v` among the descendants of `u`'s
+//! other successors. A topological numbering strictly increases along
+//! every edge, so a node numbered at or above `v` cannot reach `v`, and
+//! the search never expands one: it stays between `u` and `v` instead of
+//! running to the sinks. But a numbering is only valid for the graph it
+//! was computed on. Merging `v` into `u` hands the merged node `v`'s
+//! ancestors *and* `u`'s descendants; ancestors of `v` numbered above `u`
+//! and descendants of `u` numbered below `v` sit on the wrong side of
+//! whichever number it keeps, and a search bounded by the old numbering
+//! would miss paths through it — calling an edge contractable that closes
+//! a cycle.
+//!
+//! So `MutableDag` owns one numbering, `ord`, and `contract_edge` repairs
+//! it (Pearce & Kelly's dynamic topological order, applied to a merge):
+//! with `F` = `u` and its descendants numbered below `v`, and `B` = `v`
+//! and its ancestors numbered above `u` — disjoint exactly when the edge is
+//! contractable — the numbers these nodes hold are redistributed among
+//! them, all of `B` first, then all of `F`, each in its old relative
+//! order. Nothing outside `F ∪ B` moves, so the repair costs what the
+//! region between `u` and `v` costs, not the graph. Every search, at any
+//! point of a coarsening, is bounded by a numbering valid for the graph it
+//! runs on.
 
 use crate::graph::{Dag, NodeId};
+use crate::topo::TopoInfo;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// Adjacency-set DAG representation with node removal by merging.
@@ -23,25 +73,89 @@ pub struct MutableDag {
     comm: Vec<u64>,
     alive: Vec<bool>,
     n_alive: usize,
+    /// Topological position of every live node in the current graph:
+    /// distinct, and `ord[x] < ord[y]` for every edge `x → y`.
+    ord: Vec<u32>,
+    journal: Vec<Undo>,
+    scratch: RefCell<Search>,
+}
+
+/// What one contraction destroyed (see the module docs).
+#[derive(Debug, Clone)]
+struct Undo {
+    kept: NodeId,
+    merged: NodeId,
+    /// `merged`'s predecessors other than `kept`, each with whether the
+    /// redirected edge `p → kept` was new.
+    preds: Vec<(NodeId, bool)>,
+    /// `merged`'s successors, each with whether `kept → s` was new.
+    succs: Vec<(NodeId, bool)>,
+    /// The nodes whose position changed, each with its old one.
+    moved: Vec<(NodeId, u32)>,
+}
+
+/// Visit marks of the contractability searches: a node is visited in the
+/// current search iff its stamp equals `epoch`, so starting a search is one
+/// increment instead of a cleared (or freshly allocated) array.
+#[derive(Debug, Clone, Default)]
+struct Search {
+    stamp: Vec<u32>,
+    /// Same stamping, for "seen as the successor of an expanded node".
+    reached: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+}
+
+impl Search {
+    fn begin(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.reached.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.stack.clear();
+    }
+
+    /// Marks `v`; `true` if this search had not seen it yet.
+    fn visit(&mut self, v: NodeId) -> bool {
+        let fresh = self.stamp[v as usize] != self.epoch;
+        self.stamp[v as usize] = self.epoch;
+        fresh
+    }
 }
 
 impl MutableDag {
     /// Builds a mutable copy of `dag`.
     pub fn from_dag(dag: &Dag) -> Self {
         let n = dag.n();
-        let mut succ = vec![BTreeSet::new(); n];
-        let mut pred = vec![BTreeSet::new(); n];
-        for (u, v) in dag.edges() {
-            succ[u as usize].insert(v);
-            pred[v as usize].insert(u);
+        // Level-major, ids ascending within a level: the searches between
+        // two nodes then stay within the levels between them.
+        let mut ord = vec![0u32; n];
+        let by_level = TopoInfo::new(dag).level_sets().into_iter().flatten();
+        for (i, v) in by_level.enumerate() {
+            ord[v as usize] = i as u32;
         }
         MutableDag {
-            succ,
-            pred,
+            succ: dag
+                .nodes()
+                .map(|v| dag.successors(v).iter().copied().collect())
+                .collect(),
+            pred: dag
+                .nodes()
+                .map(|v| dag.predecessors(v).iter().copied().collect())
+                .collect(),
             work: dag.work_weights().to_vec(),
             comm: dag.comm_weights().to_vec(),
             alive: vec![true; n],
             n_alive: n,
+            ord,
+            journal: Vec::new(),
+            scratch: RefCell::new(Search {
+                stamp: vec![0; n],
+                reached: vec![0; n],
+                ..Search::default()
+            }),
         }
     }
 
@@ -93,54 +207,152 @@ impl MutableDag {
 
     /// Whether edge `(u, v)` is contractable: `v` must not be reachable from
     /// `u` through any path other than the direct edge. Implemented as a DFS
-    /// from the other successors of `u`; worst case O(E), matching the
-    /// paper's implementation notes (Appendix A.5).
+    /// from the other successors of `u` that expands only nodes ordered
+    /// before `v` — later ones cannot reach it — so it costs the region of
+    /// the graph between `u` and `v` rather than the paper's worst case O(E)
+    /// (Appendix A.5), and allocates nothing.
     pub fn is_contractable(&self, u: NodeId, v: NodeId) -> bool {
-        if !self.alive[u as usize] || !self.alive[v as usize] || !self.succ[u as usize].contains(&v)
-        {
-            return false;
+        self.alive[u as usize]
+            && self.alive[v as usize]
+            && self.succ[u as usize].contains(&v)
+            && self.no_other_path(u, v, &mut self.scratch.borrow_mut())
+    }
+
+    /// Every contractable edge in deterministic (ascending) order: the
+    /// edges [`MutableDag::is_contractable`] accepts, found with one search
+    /// per node instead of one per edge. From all successors of `u` at
+    /// once, an edge `(u, v)` has a second path exactly if `v` turns up as
+    /// the successor of an expanded node; only nodes ordered before the
+    /// last head still in doubt are expanded.
+    pub fn contractable_edges(&self) -> Vec<(NodeId, NodeId)> {
+        let mut search = self.scratch.borrow_mut();
+        let search = &mut *search;
+        let at = |y: NodeId| self.ord[y as usize];
+        let mut out = Vec::new();
+        // Heads still in doubt, last in order at the back. One with a
+        // single predecessor has no second path and never enters.
+        let mut open: Vec<NodeId> = Vec::new();
+        for u in self.live_nodes() {
+            let succs = &self.succ[u as usize];
+            search.begin();
+            open.clear();
+            open.extend(succs.iter().filter(|&&v| self.pred[v as usize].len() > 1));
+            open.sort_unstable_by_key(|&v| at(v));
+            if let Some(&last) = open.last() {
+                let mut bound = at(last);
+                for &w in succs {
+                    if at(w) < bound && search.visit(w) {
+                        search.stack.push(w);
+                    }
+                }
+                while let Some(x) = search.stack.pop() {
+                    if at(x) >= bound {
+                        continue;
+                    }
+                    for &y in &self.succ[x as usize] {
+                        search.reached[y as usize] = search.epoch;
+                        if at(y) < bound && search.visit(y) {
+                            search.stack.push(y);
+                        }
+                    }
+                    while open
+                        .last()
+                        .is_some_and(|&h| search.reached[h as usize] == search.epoch)
+                    {
+                        open.pop();
+                    }
+                    match open.last() {
+                        Some(&h) => bound = at(h),
+                        None => break,
+                    }
+                }
+            }
+            let reached = |v: NodeId| search.reached[v as usize] == search.epoch;
+            out.extend(succs.iter().filter(|&&v| !reached(v)).map(|&v| (u, v)));
         }
+        out
+    }
+
+    /// Whether the existing edge `(u, v)` is the only path from `u` to `v`.
+    fn no_other_path(&self, u: NodeId, v: NodeId, search: &mut Search) -> bool {
         // Fast path: if v's only predecessor is u there can be no other path.
         if self.pred[v as usize].len() == 1 {
             return true;
         }
-        let mut visited = vec![false; self.alive.len()];
-        let mut stack: Vec<NodeId> = self.succ[u as usize]
-            .iter()
-            .copied()
-            .filter(|&w| w != v)
-            .collect();
-        for &w in &stack {
-            visited[w as usize] = true;
-        }
-        while let Some(x) = stack.pop() {
-            if x == v {
-                return false;
+        let before_v = |y: NodeId| self.ord[y as usize] < self.ord[v as usize];
+        search.begin();
+        for &w in &self.succ[u as usize] {
+            if before_v(w) && search.visit(w) {
+                search.stack.push(w);
             }
+        }
+        while let Some(x) = search.stack.pop() {
             for &y in &self.succ[x as usize] {
                 if y == v {
                     return false;
                 }
-                if !visited[y as usize] {
-                    visited[y as usize] = true;
-                    stack.push(y);
+                if before_v(y) && search.visit(y) {
+                    search.stack.push(y);
                 }
             }
         }
         true
     }
 
-    /// Every contractable edge in deterministic (ascending) order.
-    pub fn contractable_edges(&self) -> Vec<(NodeId, NodeId)> {
-        self.live_edges()
-            .into_iter()
-            .filter(|&(u, v)| self.is_contractable(u, v))
-            .collect()
+    /// Makes `ord` valid for the graph with the contractable edge `(u, v)`
+    /// merged (see the module docs) and returns the nodes it moved with
+    /// their old positions.
+    fn reorder_for_merge(&mut self, u: NodeId, v: NodeId) -> Vec<(NodeId, u32)> {
+        let (lo, hi) = (self.ord[u as usize], self.ord[v as usize]);
+        let after_v = |s: &NodeId| *s == v || self.ord[*s as usize] > hi;
+        if self.succ[u as usize].iter().all(after_v) {
+            // Every other successor of u already follows v: the merged node
+            // can take v's place.
+            self.ord[u as usize] = hi;
+            return vec![(u, lo)];
+        }
+        let search = self.scratch.get_mut();
+        search.begin();
+        // B: v and its ancestors ordered after u …
+        let mut region = Vec::new();
+        search.stack.push(v);
+        while let Some(x) = search.stack.pop() {
+            region.push(x);
+            for &y in &self.pred[x as usize] {
+                if self.ord[y as usize] > lo && search.visit(y) {
+                    search.stack.push(y);
+                }
+            }
+        }
+        let n_b = region.len();
+        // … then F: u and its descendants ordered before v.
+        search.stack.push(u);
+        while let Some(x) = search.stack.pop() {
+            region.push(x);
+            for &y in &self.succ[x as usize] {
+                if self.ord[y as usize] < hi && search.visit(y) {
+                    search.stack.push(y);
+                }
+            }
+        }
+        region[..n_b].sort_unstable_by_key(|&x| self.ord[x as usize]);
+        region[n_b..].sort_unstable_by_key(|&x| self.ord[x as usize]);
+        let mut slots: Vec<u32> = region.iter().map(|&x| self.ord[x as usize]).collect();
+        slots.sort_unstable();
+        let mut moved = Vec::new();
+        for (&x, &slot) in region.iter().zip(&slots) {
+            let old = std::mem::replace(&mut self.ord[x as usize], slot);
+            if old != slot {
+                moved.push((x, old));
+            }
+        }
+        moved
     }
 
     /// Contracts the edge `(u, v)`: merges `v` into `u`, summing work and
     /// communication weights and unioning adjacency (paper A.5: both weight
     /// kinds are summed; the summed `c` is an upper bound on real traffic).
+    /// The change is journaled for [`MutableDag::uncontract`].
     ///
     /// # Panics
     /// Panics if the edge does not exist between live nodes. Contractability
@@ -156,33 +368,104 @@ impl MutableDag {
             self.is_contractable(u, v),
             "contracting ({u},{v}) would create a cycle"
         );
+        let moved = self.reorder_for_merge(u, v);
         let (ui, vi) = (u as usize, v as usize);
         self.succ[ui].remove(&v);
         self.pred[vi].remove(&u);
         // Redirect v's predecessors to u.
-        let preds: Vec<NodeId> = self.pred[vi].iter().copied().collect();
-        for p in preds {
+        let mut preds = Vec::with_capacity(self.pred[vi].len());
+        for p in std::mem::take(&mut self.pred[vi]) {
             self.succ[p as usize].remove(&v);
-            if p != u {
-                self.succ[p as usize].insert(u);
+            let new = self.succ[p as usize].insert(u);
+            if new {
                 self.pred[ui].insert(p);
             }
+            preds.push((p, new));
         }
         // Redirect v's successors to come from u.
-        let succs: Vec<NodeId> = self.succ[vi].iter().copied().collect();
-        for s in succs {
+        let mut succs = Vec::with_capacity(self.succ[vi].len());
+        for s in std::mem::take(&mut self.succ[vi]) {
             self.pred[s as usize].remove(&v);
-            if s != u {
-                self.pred[s as usize].insert(u);
+            let new = self.pred[s as usize].insert(u);
+            if new {
                 self.succ[ui].insert(s);
             }
+            succs.push((s, new));
         }
-        self.succ[vi].clear();
-        self.pred[vi].clear();
         self.work[ui] += self.work[vi];
         self.comm[ui] += self.comm[vi];
         self.alive[vi] = false;
         self.n_alive -= 1;
+        debug_assert!(
+            self.ordered_around(u) && moved.iter().all(|&(x, _)| self.ordered_around(x)),
+            "merging ({u},{v}) left the order invalid"
+        );
+        self.journal.push(Undo {
+            kept: u,
+            merged: v,
+            preds,
+            succs,
+            moved,
+        });
+    }
+
+    /// Whether `x` sits after its predecessors and before its successors
+    /// (trivially so while it is dead and has neither).
+    fn ordered_around(&self, x: NodeId) -> bool {
+        let at = self.ord[x as usize];
+        self.pred[x as usize]
+            .iter()
+            .all(|&p| self.ord[p as usize] < at)
+            && self.succ[x as usize]
+                .iter()
+                .all(|&s| at < self.ord[s as usize])
+    }
+
+    /// Undoes the most recent contraction not yet undone and returns its
+    /// `(kept, merged)` pair, or `None` once the graph is back to the one
+    /// it was built from. The exact inverse of
+    /// [`MutableDag::contract_edge`]: adjacency, weights and liveness are
+    /// restored to the state before that call (and so is the order the
+    /// searches rely on).
+    pub fn uncontract(&mut self) -> Option<(NodeId, NodeId)> {
+        let Undo {
+            kept: u,
+            merged: v,
+            preds,
+            succs,
+            moved,
+        } = self.journal.pop()?;
+        let (ui, vi) = (u as usize, v as usize);
+        for &(p, new) in &preds {
+            if new {
+                self.succ[p as usize].remove(&u);
+                self.pred[ui].remove(&p);
+            }
+            self.succ[p as usize].insert(v);
+        }
+        for &(s, new) in &succs {
+            if new {
+                self.pred[s as usize].remove(&u);
+                self.succ[ui].remove(&s);
+            }
+            self.pred[s as usize].insert(v);
+        }
+        self.pred[vi] = preds.into_iter().map(|(p, _)| p).collect();
+        self.pred[vi].insert(u);
+        self.succ[vi] = succs.into_iter().map(|(s, _)| s).collect();
+        self.succ[ui].insert(v);
+        self.work[ui] -= self.work[vi];
+        self.comm[ui] -= self.comm[vi];
+        self.alive[vi] = true;
+        self.n_alive += 1;
+        for (x, old) in moved {
+            self.ord[x as usize] = old;
+        }
+        debug_assert!(
+            self.ordered_around(u) && self.ordered_around(v),
+            "undoing ({u},{v}) left the order invalid"
+        );
+        Some((u, v))
     }
 
     /// Extracts a dense [`Dag`] of the live nodes together with the mapping
@@ -314,6 +597,52 @@ mod tests {
             }
             assert!(rb.build().is_ok());
         }
+    }
+
+    #[test]
+    fn uncontract_keeps_edges_that_predate_the_redirect() {
+        // 0 -> 1 -> 2 -> 3 with 0 -> 2 and 1 -> 3: contracting (1, 2)
+        // collapses 0 -> 2 onto the existing 0 -> 1, and 2 -> 3 onto 1 -> 3.
+        let mut b = DagBuilder::new();
+        for w in 1..=4 {
+            b.add_node(w, 10 * w);
+        }
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)] {
+            b.add_edge(u, v).unwrap();
+        }
+        let dag = b.build().unwrap();
+        let mut m = MutableDag::from_dag(&dag);
+        m.contract_edge(1, 2);
+        assert_eq!(m.live_edges(), [(0, 1), (1, 3)]);
+        assert_eq!(m.uncontract(), Some((1, 2)));
+        assert_eq!(m.uncontract(), None);
+        assert_eq!((m.work(1), m.comm(1)), (2, 20));
+        assert_eq!(m.compact().0, dag);
+    }
+
+    #[test]
+    fn uncontract_walks_a_merge_chain_back() {
+        // Chain 0 -> 1 -> 2 -> 3 folded into its head: node 1 is merged
+        // away after it has itself absorbed node 2.
+        let mut b = DagBuilder::new();
+        for w in 1..=4 {
+            b.add_node(w, w);
+        }
+        for v in 0..3 {
+            b.add_edge(v, v + 1).unwrap();
+        }
+        let dag = b.build().unwrap();
+        let mut m = MutableDag::from_dag(&dag);
+        for (u, v) in [(1, 2), (0, 1), (0, 3)] {
+            m.contract_edge(u, v);
+        }
+        assert_eq!((m.n_alive(), m.work(0)), (1, 10));
+        assert_eq!(m.uncontract(), Some((0, 3)));
+        assert_eq!(m.uncontract(), Some((0, 1)));
+        assert_eq!((m.work(0), m.work(1)), (1, 5));
+        assert_eq!(m.live_edges(), [(0, 1), (1, 3)]);
+        assert_eq!(m.uncontract(), Some((1, 2)));
+        assert_eq!(m.compact().0, dag);
     }
 
     #[test]

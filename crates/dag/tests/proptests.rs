@@ -3,8 +3,9 @@
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::{bottom_level, is_topological_order, top_level};
 use bsp_dag::traversal::{reaches, reaches_pruned, weakly_connected_components};
-use bsp_dag::{hyperdag, MutableDag, TopoInfo};
+use bsp_dag::{hyperdag, MutableDag, NodeId, TopoInfo};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_dag() -> impl Strategy<Value = bsp_dag::Dag> {
     (0u64..1000, 1usize..6, 1usize..7, 0.05f64..0.9).prop_map(|(seed, layers, width, p)| {
@@ -24,6 +25,71 @@ fn arb_dag() -> impl Strategy<Value = bsp_dag::Dag> {
 fn arb_dense_dag() -> impl Strategy<Value = bsp_dag::Dag> {
     (0u64..1000, 1usize..25, 0.0f64..0.5)
         .prop_map(|(seed, n, p)| random_order_dag(seed, n, p, 9, 5))
+}
+
+/// Either shape: layered DAGs contract along chains, dense ones are full
+/// of parallel edges for a merge to collapse.
+fn arb_any_dag() -> impl Strategy<Value = bsp_dag::Dag> {
+    (arb_dag(), arb_dense_dag(), proptest::bool::ANY)
+        .prop_map(|(layered, dense, pick)| if pick { layered } else { dense })
+}
+
+/// Everything observable about a [`MutableDag`], dead nodes included.
+fn state_of(m: &MutableDag, n: usize) -> Vec<(bool, u64, u64, BTreeSet<NodeId>, BTreeSet<NodeId>)> {
+    (0..n as NodeId)
+        .map(|v| {
+            (
+                m.is_alive(v),
+                m.work(v),
+                m.comm(v),
+                m.successors(v).clone(),
+                m.predecessors(v).clone(),
+            )
+        })
+        .collect()
+}
+
+/// Contractability by definition, knowing nothing of any order: an
+/// exhaustive search for `v` from `u`'s other successors.
+fn no_second_path(m: &MutableDag, u: NodeId, v: NodeId) -> bool {
+    let mut stack: Vec<NodeId> = m
+        .successors(u)
+        .iter()
+        .copied()
+        .filter(|&w| w != v)
+        .collect();
+    let mut seen: BTreeSet<NodeId> = stack.iter().copied().collect();
+    while let Some(x) = stack.pop() {
+        for &y in m.successors(x) {
+            if y == v {
+                return false;
+            }
+            if seen.insert(y) {
+                stack.push(y);
+            }
+        }
+    }
+    true
+}
+
+/// `contractable_edges` and `is_contractable` against the definition.
+fn check_contractability(m: &MutableDag) -> Result<(), proptest::test_runner::TestCaseError> {
+    let expected: Vec<(NodeId, NodeId)> = m
+        .live_edges()
+        .into_iter()
+        .filter(|&(u, v)| no_second_path(m, u, v))
+        .collect();
+    prop_assert_eq!(&m.contractable_edges(), &expected);
+    for (u, v) in m.live_edges() {
+        prop_assert_eq!(
+            m.is_contractable(u, v),
+            expected.contains(&(u, v)),
+            "({}, {})",
+            u,
+            v
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -103,6 +169,65 @@ proptest! {
         // Mapping covers exactly the live nodes.
         let live = map.iter().filter(|x| x.is_some()).count();
         prop_assert_eq!(live, c.n());
+    }
+
+    /// Contractions undone in reverse restore every intermediate graph
+    /// exactly: adjacency, weights, liveness. Random picks on dense DAGs
+    /// merge into already-merged nodes and collapse parallel edges.
+    #[test]
+    fn uncontract_is_the_exact_inverse(
+        dag in arb_any_dag(),
+        picks in proptest::collection::vec(0usize..1000, 0..20),
+    ) {
+        let mut m = MutableDag::from_dag(&dag);
+        let mut states = vec![state_of(&m, dag.n())];
+        let mut log = Vec::new();
+        for pick in picks {
+            let edges = m.contractable_edges();
+            if edges.is_empty() {
+                break;
+            }
+            let (u, v) = edges[pick % edges.len()];
+            m.contract_edge(u, v);
+            log.push((u, v));
+            states.push(state_of(&m, dag.n()));
+        }
+        while let Some(undone) = m.uncontract() {
+            states.pop();
+            prop_assert_eq!(Some(undone), log.pop());
+            prop_assert_eq!(&state_of(&m, dag.n()), states.last().unwrap());
+            prop_assert_eq!(m.n_alive(), dag.n() - log.len());
+        }
+        prop_assert!(log.is_empty());
+        prop_assert_eq!(m.compact().0, dag);
+    }
+
+    /// The order-bounded searches agree with the exhaustive one on the
+    /// graphs where a stale or broken order would show: after contractions,
+    /// and again after some of them are undone.
+    #[test]
+    fn bounded_contractability_matches_exhaustive_search(
+        dag in arb_any_dag(),
+        picks in proptest::collection::vec(0usize..1000, 0..16),
+        undo in 0usize..8,
+    ) {
+        let mut m = MutableDag::from_dag(&dag);
+        check_contractability(&m)?;
+        for pick in picks {
+            let edges = m.contractable_edges();
+            if edges.is_empty() {
+                break;
+            }
+            let (u, v) = edges[pick % edges.len()];
+            m.contract_edge(u, v);
+            check_contractability(&m)?;
+        }
+        for _ in 0..undo {
+            if m.uncontract().is_none() {
+                break;
+            }
+            check_contractability(&m)?;
+        }
     }
 
     #[test]
