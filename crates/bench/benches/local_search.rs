@@ -22,10 +22,20 @@
 //! [`hill_climb`] over a schedule that is already a local minimum — with
 //! sweep pruning ([`ScheduleState::may_improve`], `pruned`) against the
 //! same sweep probing every node (`unpruned`), after asserting that both
-//! certify the minimum and move nothing. Reproduce with
+//! certify the minimum and move nothing. `hc_converge/*` times a whole
+//! climb from the BSPg schedule to its local minimum — many sweeps, each
+//! revisiting the nodes the last one proved stuck — with the production
+//! loop (`certified`: failure certificates skip a node while nothing its
+//! probes read has changed) against the same loop without them
+//! (`uncertified`), after asserting equal moves and end states and
+//! printing sweeps and probes of both. Reproduce with
 //! `cargo bench -p bsp-bench --bench local_search`; the `bench` experiment
 //! (`cargo run -p bsp-experiments --release -- bench --json …`) records the
 //! same comparison into `BENCH_*.json`.
+
+// The reference hill-climbing loop the core proptests hold production to.
+#[path = "../../core/tests/hc_reference/mod.rs"]
+mod hc_reference;
 
 use bsp_bench::{kernel_scan_configs, machine, numa_machine, spread_schedule};
 use bsp_core::hc::{hill_climb, HillClimbConfig};
@@ -152,5 +162,74 @@ fn bench_hc_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scan, bench_single_move, bench_hc_sweep);
+/// The hill-climbing loop with the `may_improve` filter but no failure
+/// certificates: every sweep re-probes each node the filter lets through.
+fn climb_without_certificates(st: &mut ScheduleState<'_>) -> hc_reference::ReferenceClimb {
+    hc_reference::hill_climb_reference(st, usize::MAX, 0, |st, v| st.may_improve(v))
+}
+
+/// A whole climb, first sweep to last: what a cold pipeline solve spends
+/// nearly all of its time in.
+fn bench_hc_converge(c: &mut Criterion) {
+    let cfg = HillClimbConfig {
+        max_moves: None,
+        time_limit: None,
+    };
+    let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
+    let mut g = c.benchmark_group("local_search/hc_converge");
+    g.sample_size(10);
+    for (name, dag, p) in kernel_scan_configs(true) {
+        let m = if name.starts_with("erdos") {
+            numa_machine(p as usize, 3)
+        } else {
+            machine(p as usize, 3)
+        };
+        let start = bspg_schedule(&dag, &m);
+        // Certified ≡ uncertified: same moves, same minimum.
+        let mut with = ScheduleState::new(&dag, &m, &start);
+        let before = probes_total.get();
+        let stats = hill_climb(&mut with, &cfg);
+        let probes_with = probes_total.get() - before;
+        let mut without = ScheduleState::new(&dag, &m, &start);
+        let plain = climb_without_certificates(&mut without);
+        let (accepted, sweeps, probes_without) = (plain.accepted, plain.sweeps, plain.probes);
+        assert_eq!(
+            (stats.accepted, stats.local_minimum),
+            (accepted, plain.local_minimum),
+            "{name}"
+        );
+        assert!(plain.local_minimum, "{name}");
+        assert_eq!(
+            with.snapshot(),
+            without.snapshot(),
+            "{name}: end states differ"
+        );
+        println!(
+            "local_search/hc_converge: {name} n = {}, {accepted} moves in {sweeps} sweeps, \
+             probes {probes_with} with certificates / {probes_without} without",
+            dag.n()
+        );
+        g.bench_function(BenchmarkId::new("certified", name), |b| {
+            b.iter(|| {
+                let mut st = ScheduleState::new(&dag, &m, &start);
+                black_box(hill_climb(&mut st, &cfg))
+            })
+        });
+        g.bench_function(BenchmarkId::new("uncertified", name), |b| {
+            b.iter(|| {
+                let mut st = ScheduleState::new(&dag, &m, &start);
+                black_box(climb_without_certificates(&mut st))
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_scan,
+    bench_single_move,
+    bench_hc_sweep,
+    bench_hc_converge
+);
 criterion_main!(benches);

@@ -7,9 +7,18 @@
 //! first-improvement as good as steepest-descent and much faster), until a
 //! local minimum or a budget is reached. Candidates are evaluated through
 //! the read-only [`ScheduleState::probe_move`] gain kernel; the state is
-//! mutated only for accepted moves. A node that
-//! [`ScheduleState::may_improve`] proves stuck is skipped without a probe,
-//! which changes no decision — only how fast a converged region is swept.
+//! mutated only for accepted moves.
+//!
+//! A sweep costs what can still move. A node that
+//! [`ScheduleState::may_improve`] proves stuck is skipped without a probe;
+//! a node whose neighbourhood an earlier sweep probed in vain is skipped
+//! while its *failure certificate* holds ([`ScheduleState::certified`]:
+//! nothing those probes read has changed). Both skip only nodes with no
+//! improving move, which changes no decision — the accepted-move sequence,
+//! every move cap and every result are those of the plain loop. A
+//! certificate lives for one [`hill_climb_from`] call: it was issued under
+//! that call's floor, and the call voids all earlier ones on entry. The
+//! wall clock is read on every 64th visit, the first included.
 
 use crate::state::ScheduleState;
 use bsp_dag::NodeId;
@@ -67,16 +76,33 @@ pub fn hill_climb_from(
     m.moves.add(stats.accepted as u64);
     m.visits.add(visits.total);
     m.pruned.add(visits.pruned);
+    m.certified.add(visits.certified);
+    m.hc_probes.add(visits.probes);
     stats
 }
 
-/// Per-run tally of node visits (one per neighbourhood attempt) and of
-/// those [`ScheduleState::may_improve`] ruled out before any probe.
+/// Per-run tally of node visits (one per neighbourhood attempt), of those
+/// [`ScheduleState::may_improve`] ruled out before any probe, of those a
+/// failure certificate ruled out after it, and of the probes the rest
+/// cost (a release build's: the ones debug builds add to check the two
+/// filters are not counted).
 #[derive(Default)]
 struct Visits {
+    probes: u64,
     total: u64,
     pruned: u64,
+    certified: u64,
 }
+
+/// The sweep reads the clock on every `POLL_STRIDE`-th visit, the first
+/// included (so an expired budget still returns before any work). A
+/// visit costs between a few dozen nanoseconds (skipped) and `3·P` probes
+/// of `O(deg)` each (once more per move it accepts), so the deadline is
+/// overshot by at most `64 · 3·P · O(deg)` probe steps plus the moves
+/// accepted meanwhile — microseconds on sparse graphs, more around hub
+/// nodes or on wide machines — while a converged sweep, nearly all skips,
+/// no longer spends a quarter of its time in `Instant::now()`.
+const POLL_STRIDE: u32 = 64;
 
 fn hill_climb_from_inner(
     state: &mut ScheduleState<'_>,
@@ -84,55 +110,46 @@ fn hill_climb_from_inner(
     floor: u32,
     visits: &mut Visits,
 ) -> HillClimbStats {
-    let deadline = cfg.time_limit.map(|t| Instant::now() + t);
+    // A limit too large to be a representable instant is no limit.
+    let deadline = cfg.time_limit.and_then(|t| Instant::now().checked_add(t));
     let max_moves = cfg.max_moves.unwrap_or(usize::MAX);
     let n = state.dag().n() as u32;
     let p = state.machine().p() as u32;
     let mut accepted = 0usize;
+    let stopped = |accepted| HillClimbStats {
+        accepted,
+        local_minimum: false,
+    };
 
-    if n == 0 {
-        return HillClimbStats {
-            accepted: 0,
-            local_minimum: true,
-        };
-    }
-
+    // Certificates live for this call only: they speak about this floor.
+    state.void_certificates();
+    let mut until_poll = 0u32;
     loop {
         let mut improved_this_sweep = false;
         for v in 0..n as NodeId {
             if accepted >= max_moves {
-                return HillClimbStats {
-                    accepted,
-                    local_minimum: false,
-                };
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return HillClimbStats {
-                        accepted,
-                        local_minimum: false,
-                    };
-                }
+                return stopped(accepted);
             }
             if state.step(v) < floor {
                 continue;
             }
+            if let Some(d) = deadline {
+                if until_poll == 0 {
+                    if Instant::now() >= d {
+                        return stopped(accepted);
+                    }
+                    until_poll = POLL_STRIDE;
+                }
+                until_poll -= 1;
+            }
             // Try moves for v until none improves (a node can profitably
             // move several times across sweeps; within the sweep we retry
             // the same node after a success, matching greedy descent).
-            loop {
-                match try_improve_node(state, v, p, floor, visits) {
-                    true => {
-                        accepted += 1;
-                        improved_this_sweep = true;
-                        if accepted >= max_moves {
-                            return HillClimbStats {
-                                accepted,
-                                local_minimum: false,
-                            };
-                        }
-                    }
-                    false => break,
+            while try_improve_node(state, v, p, floor, visits) {
+                accepted += 1;
+                improved_this_sweep = true;
+                if accepted >= max_moves {
+                    return stopped(accepted);
                 }
             }
         }
@@ -146,11 +163,15 @@ fn hill_climb_from_inner(
 }
 
 /// Attempts the neighbourhood of `v`; probes candidates read-only and
-/// applies the first improving move. A node that
-/// [`ScheduleState::may_improve`] rules out is skipped without a single
-/// probe — exactly the nodes on which every probe below would fail, so
-/// the accepted-move sequence is unchanged (debug builds probe them
-/// anyway and assert it). Steps are pre-filtered with
+/// applies the first improving move. Two exact filters skip a node
+/// without a single probe — exactly nodes on which every probe below
+/// would fail, so the accepted-move sequence is unchanged (debug builds
+/// probe them anyway and assert it): [`ScheduleState::may_improve`]
+/// (nothing in the current tables *can* improve), then, for a node that
+/// passes it, [`ScheduleState::certified`] (an earlier sweep of this
+/// call probed the whole neighbourhood, found nothing, and nothing those
+/// probes read has changed since). A scan that comes up empty issues
+/// the certificate. Steps are pre-filtered with
 /// [`ScheduleState::valid_procs`], preserving the `(s, q)` probe order.
 /// Steps below `floor` are never probed (committed-prefix protection).
 fn try_improve_node(
@@ -162,11 +183,12 @@ fn try_improve_node(
 ) -> bool {
     visits.total += 1;
     let pruned = !state.may_improve(v);
-    if pruned {
-        visits.pruned += 1;
-        if !cfg!(debug_assertions) {
-            return false;
-        }
+    let certified = !pruned && state.certified(v);
+    visits.pruned += pruned as u64;
+    visits.certified += certified as u64;
+    let stuck = pruned || certified;
+    if stuck && !cfg!(debug_assertions) {
+        return false;
     }
     let (cur_p, cur_s) = (state.proc(v), state.step(v));
     let lo = cur_s.saturating_sub(1).max(floor);
@@ -177,15 +199,24 @@ fn try_improve_node(
                 continue;
             }
             let delta = state.probe_move(v, q, s);
+            visits.probes += !stuck as u64;
             debug_assert!(
-                !(pruned && delta < 0),
-                "may_improve({v}) ruled out an improving move to ({q}, {s}): {delta}"
+                !(stuck && delta < 0),
+                "{} ruled out an improving move of {v} to ({q}, {s}): {delta}",
+                if pruned {
+                    "may_improve"
+                } else {
+                    "a certificate"
+                }
             );
             if delta < 0 {
                 state.apply_move(v, q, s);
                 return true;
             }
         }
+    }
+    if !stuck {
+        state.certify(v);
     }
     false
 }
@@ -318,6 +349,40 @@ mod tests {
             },
         );
         assert!(stats.accepted <= 3);
+    }
+
+    #[test]
+    fn unrepresentable_time_limit_is_no_limit() {
+        // `Instant::now() + Duration::MAX` used to panic.
+        let dag = random_layered_dag(2, LayeredConfig::default());
+        let machine = BspParams::new(4, 2, 3);
+        let sched = BspSchedule::zeroed(dag.n());
+        let cfg = |time_limit| HillClimbConfig {
+            max_moves: None,
+            time_limit,
+        };
+        let mut a = ScheduleState::new(&dag, &machine, &sched);
+        let mut b = ScheduleState::new(&dag, &machine, &sched);
+        let stats = hill_climb(&mut a, &cfg(Some(Duration::MAX)));
+        assert!(stats.local_minimum);
+        assert_eq!(stats, hill_climb(&mut b, &cfg(None)));
+        assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn expired_time_limit_returns_before_any_move() {
+        // The clock is read on the first visit, not the 64th.
+        let dag = random_layered_dag(2, LayeredConfig::default());
+        let machine = BspParams::new(4, 2, 3);
+        let mut st = ScheduleState::new(&dag, &machine, &BspSchedule::zeroed(dag.n()));
+        let stats = hill_climb(
+            &mut st,
+            &HillClimbConfig {
+                max_moves: None,
+                time_limit: Some(Duration::ZERO),
+            },
+        );
+        assert_eq!((stats.accepted, stats.local_minimum), (0, false));
     }
 
     #[test]

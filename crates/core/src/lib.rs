@@ -69,8 +69,8 @@ pub use pipeline::{
     schedule_dag, schedule_dag_multilevel, EscapeSearch, PipelineConfig, PipelineResult,
 };
 pub use schedulers::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
-pub use state::ScheduleState;
+pub use state::{ScheduleState, ScheduleTables};
 pub use warm::{
-    place_new_nodes, repair_precedence, repair_precedence_from, solve_warm_pipeline,
-    solve_warm_suffix, warm_start_from_map, SuffixOutcome,
+    place_appended, place_new_nodes, repair_precedence, repair_precedence_from,
+    solve_warm_pipeline, solve_warm_suffix, warm_start_from_map, SuffixOutcome,
 };

@@ -3,11 +3,14 @@
 //! The hot loops (probe scans, greedy sweeps) tally into locals and
 //! flush once per scan/call with a single relaxed `fetch_add`, so the
 //! counters cost nothing measurable (the `obs_overhead` bench guards
-//! this). Exposed series: `bsp_ls_probes_total` (gain-kernel probes),
-//! `bsp_ls_scans_total` (full neighbourhood scans),
-//! `bsp_ls_moves_total` (accepted moves), `bsp_ls_visits_total`
-//! (hill-climbing node visits) and `bsp_ls_pruned_total` (visits that
-//! `ScheduleState::may_improve` skipped without a probe).
+//! this). Exposed series: `bsp_ls_probes_total` (gain-kernel probes of
+//! the full-scan kernels), `bsp_ls_scans_total` (full neighbourhood
+//! scans), `bsp_ls_moves_total` (accepted moves), `bsp_ls_visits_total`
+//! (hill-climbing node visits), `bsp_ls_pruned_total` (visits that
+//! `ScheduleState::may_improve` skipped without a probe),
+//! `bsp_ls_certified_total` (visits that passed it and were skipped on a
+//! standing failure certificate, `ScheduleState::certified`) and
+//! `bsp_ls_hc_probes_total` (the probes the remaining visits cost).
 
 use std::sync::OnceLock;
 
@@ -17,6 +20,8 @@ pub(crate) struct LsMetrics {
     pub moves: bsp_obs::Counter,
     pub visits: bsp_obs::Counter,
     pub pruned: bsp_obs::Counter,
+    pub certified: bsp_obs::Counter,
+    pub hc_probes: bsp_obs::Counter,
 }
 
 pub(crate) fn ls_metrics() -> &'static LsMetrics {
@@ -29,6 +34,8 @@ pub(crate) fn ls_metrics() -> &'static LsMetrics {
             moves: reg.counter("bsp_ls_moves_total", &[]),
             visits: reg.counter("bsp_ls_visits_total", &[]),
             pruned: reg.counter("bsp_ls_pruned_total", &[]),
+            certified: reg.counter("bsp_ls_certified_total", &[]),
+            hc_probes: reg.counter("bsp_ls_hc_probes_total", &[]),
         }
     })
 }

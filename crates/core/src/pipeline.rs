@@ -137,7 +137,7 @@ pub fn schedule_dag(dag: &Dag, machine: &BspParams, cfg: &PipelineConfig) -> Pip
 /// `cfg` with the remaining solve budget folded into every stage's own
 /// wall-clock/move limits and the ILP master switch. Re-evaluated before
 /// each stage, so earlier stages shrink the budgets of later ones.
-fn clamped(cfg: &PipelineConfig, cx: &SolveCx<'_>) -> PipelineConfig {
+pub(crate) fn clamped(cfg: &PipelineConfig, cx: &SolveCx<'_>) -> PipelineConfig {
     let mut c = cfg.clone();
     c.hc.max_moves = cx.clamp_moves(cfg.hc.max_moves);
     c.hc.time_limit = cx.clamp_time(cfg.hc.time_limit);
@@ -148,12 +148,6 @@ fn clamped(cfg: &PipelineConfig, cx: &SolveCx<'_>) -> PipelineConfig {
     }
     c.enable_ilp = cx.ilp_enabled(cfg.enable_ilp);
     c
-}
-
-/// [`clamped`] for the warm-start pipeline (`crate::warm`), which shares
-/// the budget-folding behaviour but lives in another module.
-pub(crate) fn clamped_for_warm(cfg: &PipelineConfig, cx: &SolveCx<'_>) -> PipelineConfig {
-    clamped(cfg, cx)
 }
 
 /// Runs the Figure-3 pipeline under `cx`'s budget clock: stages `init`,

@@ -50,7 +50,24 @@
 //! they actually accept. Scans pre-filter candidate steps with
 //! [`ScheduleState::valid_procs`] — one `O(deg)` pass per `(node, step)`
 //! replaces `P` per-candidate validity checks.
+//!
+//! # Tables, stamps and certificates
+//!
+//! Everything above lives in [`ScheduleTables`], which borrows nothing;
+//! [`ScheduleState`] is a `(&Dag, &BspParams)` view over it. A caller that
+//! grows its DAG between two uses — the online runtime — detaches the
+//! tables, appends to the graph and re-attaches them
+//! ([`ScheduleState::attach_appended`]), paying for the batch instead of a
+//! rebuild.
+//!
+//! Every mutation stamps a counter onto the superstep rows and the nodes
+//! it changed. A sweep that probed a node's whole neighbourhood in vain
+//! records the counter ([`ScheduleState::certify`]); while nothing those
+//! probes read carries a newer stamp the node is provably still stuck
+//! ([`ScheduleState::certified`], which lists the read set branch by
+//! branch), and the next sweep skips it.
 
+use bsp_dag::graph::append_to_csr;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::cost::lazy_cost;
@@ -69,7 +86,7 @@ const TOP_K: usize = 4;
 /// changing a few cells without rescanning all `P` processors: the first
 /// cached entry whose processor did *not* change still bounds the
 /// unchanged side of the row exactly.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TopK {
     vals: [u64; TOP_K],
     procs: [u32; TOP_K],
@@ -127,7 +144,7 @@ impl TopK {
 /// there plus the λ-weighted volume the processor sends and receives in
 /// that superstep's communication phase. Interleaved so a probed cell costs
 /// one cache fetch instead of three (separate work/send/recv arrays).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
     work: u64,
     send: u64,
@@ -137,7 +154,7 @@ struct Slot {
 /// Interleaved per-superstep metadata: the node / transfer counts that
 /// decide the latency charge, the cached step cost, and the cached [`TopK`]
 /// row maxima for work and the h-relation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StepMeta {
     /// Cached `Cwork + g·Ccomm + ℓ·[nonempty]` of this superstep.
     cost: u64,
@@ -343,14 +360,26 @@ impl ProcWindow {
     }
 }
 
-/// Mutable schedule with O(degree)-amortized single-node moves, read-only
-/// move probing, and an incrementally maintained total cost under the lazy
-/// communication model.
-pub struct ScheduleState<'a> {
-    dag: &'a Dag,
-    machine: &'a BspParams,
-    proc: Vec<u32>,
-    step: Vec<u32>,
+/// Placeholder consumer entry [`ScheduleState::attach_appended`] puts in
+/// the arena slots of consumers it has not inserted yet. It sorts after
+/// every real `(proc, step)` pair and belongs to no processor's bucket.
+const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// Everything a [`ScheduleState`] stores that borrows neither the DAG nor
+/// the machine: the assignment, the per-superstep tables, the consumer
+/// arena, the change stamps and the probe scratch. A caller that has to
+/// *mutate* the DAG between two uses of one state — the online runtime,
+/// which appends every arrival batch to its graph — keeps the tables
+/// across the mutation: [`ScheduleState::detach`], grow the DAG,
+/// [`ScheduleState::attach_appended`]. Nothing is recomputed for the nodes
+/// that were already there.
+///
+/// Two tables compare equal when they describe the same schedule state
+/// (assignment, superstep rows with their cached maxima and costs,
+/// consumer arena); stamps, certificates and scratch are not compared.
+#[derive(Debug, Default)]
+pub struct ScheduleTables {
+    sched: BspSchedule,
     n_steps: usize,
     /// `slots[s*P + p]`: interleaved work / λ-weighted send / receive of
     /// processor `p` in superstep `s` — one cache fetch per probed cell.
@@ -363,6 +392,20 @@ pub struct ScheduleState<'a> {
     /// multiset of `(proc, step)` placements of `v`'s successors.
     cons: Vec<(u32, u32)>,
     cons_off: Vec<u32>,
+    /// Mutation counter behind the stamps below: every `apply_move`,
+    /// renumbering `compact_from` and `attach_appended` takes the next
+    /// value. See [`ScheduleState::certified`].
+    clock: u64,
+    /// `row_stamp[s]`: clock of the last mutation that changed anything in
+    /// superstep row `s` (a slot, a count, the cached maxima or cost).
+    row_stamp: Vec<u64>,
+    /// `node_stamp[v]`: clock of the last mutation that changed `v`'s own
+    /// placement or an entry of `v`'s consumer slice.
+    node_stamp: Vec<u64>,
+    /// `cert[v]`: clock at which `v`'s neighbourhood was last found to hold
+    /// no improving move; void when below `cert_floor`.
+    cert: Vec<u64>,
+    cert_floor: u64,
     /// Scratch: steps whose cached cost must be refreshed after a move.
     touched: Vec<u32>,
     /// Scratch for read-only probing (allocation-free after warm-up). A
@@ -372,10 +415,65 @@ pub struct ScheduleState<'a> {
     probe: Mutex<ProbeScratch>,
 }
 
+impl PartialEq for ScheduleTables {
+    fn eq(&self, o: &Self) -> bool {
+        self.sched == o.sched
+            && self.n_steps == o.n_steps
+            && self.slots == o.slots
+            && self.meta == o.meta
+            && self.total == o.total
+            && self.cons == o.cons
+            && self.cons_off == o.cons_off
+    }
+}
+
+impl ScheduleTables {
+    /// Number of nodes the tables cover.
+    pub fn n(&self) -> usize {
+        self.sched.n()
+    }
+
+    /// The assignment the tables describe.
+    pub fn schedule(&self) -> &BspSchedule {
+        &self.sched
+    }
+
+    /// `max τ(v) + 1` (0 without nodes), read off the superstep rows: the
+    /// last row that computes a node. Equals
+    /// [`BspSchedule::n_supersteps`] of [`ScheduleTables::schedule`]
+    /// without the pass over `n`.
+    pub fn n_supersteps(&self) -> u32 {
+        self.meta
+            .iter()
+            .rposition(|m| m.nodes > 0)
+            .map_or(0, |s| s as u32 + 1)
+    }
+
+    /// Work assigned to processor `q` in superstep `s` (0 beyond the
+    /// allocated rows).
+    pub(crate) fn work(&self, s: u32, q: u32) -> u64 {
+        let p = self.slots.len() / self.n_steps.max(1);
+        self.slots
+            .get(s as usize * p + q as usize)
+            .map_or(0, |c| c.work)
+    }
+}
+
+/// Mutable schedule with O(degree)-amortized single-node moves, read-only
+/// move probing, and an incrementally maintained total cost under the lazy
+/// communication model: a `(&Dag, &BspParams)` view over
+/// [`ScheduleTables`].
+pub struct ScheduleState<'a> {
+    dag: &'a Dag,
+    machine: &'a BspParams,
+    t: ScheduleTables,
+}
+
 impl<'a> ScheduleState<'a> {
     /// Builds the state from an assignment. The assignment must satisfy
     /// [`BspSchedule::respects_precedence_lazy`].
     pub fn new(dag: &'a Dag, machine: &'a BspParams, sched: &BspSchedule) -> Self {
+        bsp_dag::calls::note("ScheduleState::new");
         assert_eq!(sched.n(), dag.n());
         debug_assert!(sched.respects_precedence_lazy(dag));
         let p = machine.p();
@@ -388,36 +486,42 @@ impl<'a> ScheduleState<'a> {
         let mut st = ScheduleState {
             dag,
             machine,
-            proc: sched.procs().to_vec(),
-            step: sched.steps().to_vec(),
-            n_steps,
-            slots: vec![Slot::default(); n_steps * p],
-            meta: vec![StepMeta::EMPTY; n_steps],
-            total: 0,
-            cons: Vec::with_capacity(dag.m()),
-            cons_off,
-            touched: Vec::new(),
-            probe: Mutex::new(ProbeScratch::default()),
+            t: ScheduleTables {
+                sched: sched.clone(),
+                n_steps,
+                slots: vec![Slot::default(); n_steps * p],
+                meta: vec![StepMeta::EMPTY; n_steps],
+                total: 0,
+                cons: Vec::with_capacity(dag.m()),
+                cons_off,
+                clock: 1,
+                row_stamp: vec![0; n_steps],
+                node_stamp: vec![0; dag.n()],
+                cert: vec![0; dag.n()],
+                cert_floor: 1,
+                touched: Vec::new(),
+                probe: Mutex::new(ProbeScratch::default()),
+            },
         };
         for v in dag.nodes() {
-            let (pv, sv) = (st.proc[v as usize], st.step[v as usize]);
-            st.slots[sv as usize * p + pv as usize].work += dag.work(v);
-            st.meta[sv as usize].nodes += 1;
+            let (pv, sv) = (sched.proc(v), sched.step(v));
+            st.t.slots[sv as usize * p + pv as usize].work += dag.work(v);
+            st.t.meta[sv as usize].nodes += 1;
             for &w in dag.successors(v) {
-                st.cons.push((st.proc[w as usize], st.step[w as usize]));
+                st.t.cons.push((sched.proc(w), sched.step(w)));
             }
-            let (lo, hi) = (st.cons_off[v as usize] as usize, st.cons.len());
-            st.cons[lo..hi].sort_unstable();
+            let (lo, hi) = (st.t.cons_off[v as usize] as usize, st.t.cons.len());
+            st.t.cons[lo..hi].sort_unstable();
         }
         // Materialize lazy transfers: one per non-empty cross-processor
         // bucket, in the phase before the bucket's earliest consumer step.
         for v in dag.nodes() {
-            let pv = st.proc[v as usize];
+            let pv = sched.proc(v);
             let (lo, hi) = st.cons_range(v);
             let mut i = lo;
             while i < hi {
-                let (q, m) = st.cons[i];
-                while i < hi && st.cons[i].0 == q {
+                let (q, m) = st.t.cons[i];
+                while i < hi && st.t.cons[i].0 == q {
                     i += 1;
                 }
                 if q != pv {
@@ -425,16 +529,99 @@ impl<'a> ScheduleState<'a> {
                 }
             }
         }
-        st.touched.clear();
-        for s in 0..st.n_steps {
+        st.t.touched.clear();
+        for s in 0..st.t.n_steps {
             st.refresh_step(s);
-            st.total += st.meta[s].cost;
+            st.t.total += st.t.meta[s].cost;
         }
         st
     }
 
+    /// Re-attaches tables that [`ScheduleState::detach`] released, to a
+    /// DAG that has since grown by [`Dag::append`] (or not at all, with an
+    /// empty `placed`): the tables cover nodes `0..tables.n()`, `dag` has
+    /// `placed.len()` more, and `placed[i]` is the `(processor, superstep)`
+    /// of node `tables.n() + i`. The machine must be the one the tables
+    /// were built for, and the whole assignment lazily valid.
+    ///
+    /// The resulting tables equal the ones [`ScheduleState::new`] builds
+    /// from that assignment, for work proportional to the batch and its
+    /// edges plus one block move of the consumer arena (the successor
+    /// CSR's own shift, [`append_to_csr`]): each new node's work lands in
+    /// its slot, each new consumer is inserted into its producers' sorted
+    /// slices, and a lazy transfer moves only where the newcomer became
+    /// its bucket's earliest consumer. Only the rows so touched are
+    /// refreshed and stamped, together with the new nodes and their
+    /// producers (whose slices changed).
+    pub fn attach_appended(
+        dag: &'a Dag,
+        machine: &'a BspParams,
+        mut tables: ScheduleTables,
+        placed: &[(u32, u32)],
+    ) -> Self {
+        let n0 = tables.n();
+        assert_eq!(n0 + placed.len(), dag.n());
+        assert_eq!(tables.slots.len(), tables.n_steps * machine.p());
+        let mut gained: Vec<(NodeId, (u32, u32))> = (n0 as NodeId..dag.n() as NodeId)
+            .flat_map(|x| dag.predecessors(x).iter().map(|&u| (u, VACANT)))
+            .collect();
+        gained.sort_unstable_by_key(|&(u, _)| u);
+        append_to_csr(&mut tables.cons_off, &mut tables.cons, dag.n(), &gained);
+        tables.node_stamp.resize(dag.n(), 0);
+        tables.cert.resize(dag.n(), 0);
+        tables.clock += 1;
+        tables.touched.clear();
+        let mut st = ScheduleState {
+            dag,
+            machine,
+            t: tables,
+        };
+        for (x, &(q, s)) in (n0 as NodeId..).zip(placed) {
+            st.insert_appended(x, q, s);
+        }
+        st.refresh_touched();
+        debug_assert_eq!(st.t.cons.len(), dag.m());
+        st
+    }
+
+    /// Places appended node `x` — the next unplaced id, whose arena slots
+    /// in its producers' slices are still [`VACANT`] — at `(q, s)`.
+    fn insert_appended(&mut self, x: NodeId, q: u32, s: u32) {
+        debug_assert_eq!(x as usize, self.t.sched.n());
+        let (dag, p, now) = (self.dag, self.machine.p(), self.t.clock);
+        self.ensure_steps(s as usize + 1);
+        self.t.sched.push(q, s);
+        self.t.slots[s as usize * p + q as usize].work += dag.work(x);
+        self.t.meta[s as usize].nodes += 1;
+        self.t.touched.push(s);
+        self.t.node_stamp[x as usize] = now;
+        for &u in dag.predecessors(x) {
+            let pu = self.t.sched.proc(u);
+            let before = self.bucket_min(u, q);
+            self.slice_retarget(u, VACANT, (q, s));
+            self.t.node_stamp[u as usize] = now;
+            if q != pu && before.is_none_or(|m| s < m) {
+                if let Some(m) = before {
+                    self.remove_transfer(u, pu, q, m - 1);
+                }
+                self.add_transfer(u, pu, q, s - 1);
+            }
+        }
+    }
+
+    /// Releases the tables, e.g. to mutate the DAG they were borrowed
+    /// against (see [`ScheduleTables`]).
+    pub fn detach(self) -> ScheduleTables {
+        self.t
+    }
+
+    /// The lifetime-free half of the state.
+    pub fn tables(&self) -> &ScheduleTables {
+        &self.t
+    }
+
     /// Underlying DAG.
-    pub fn dag(&self) -> &Dag {
+    pub fn dag(&self) -> &'a Dag {
         self.dag
     }
 
@@ -451,36 +638,36 @@ impl<'a> ScheduleState<'a> {
     }
 
     /// Machine parameters.
-    pub fn machine(&self) -> &BspParams {
+    pub fn machine(&self) -> &'a BspParams {
         self.machine
     }
 
     /// Current total cost (lazy communication model).
     #[inline]
     pub fn cost(&self) -> u64 {
-        self.total
+        self.t.total
     }
 
     /// Current processor of `v`.
     #[inline]
     pub fn proc(&self, v: NodeId) -> u32 {
-        self.proc[v as usize]
+        self.t.sched.proc(v)
     }
 
     /// Current superstep of `v`.
     #[inline]
     pub fn step(&self, v: NodeId) -> u32 {
-        self.step[v as usize]
+        self.t.sched.step(v)
     }
 
     /// Number of allocated supersteps (including possibly empty ones).
     pub fn n_steps(&self) -> usize {
-        self.n_steps
+        self.t.n_steps
     }
 
     /// Snapshot of the current assignment.
     pub fn snapshot(&self) -> BspSchedule {
-        BspSchedule::from_parts(self.proc.clone(), self.step.clone())
+        self.t.sched.clone()
     }
 
     /// Which processors admit a valid move of `v` into superstep `s`, in one
@@ -493,24 +680,24 @@ impl<'a> ScheduleState<'a> {
     pub fn valid_procs(&self, v: NodeId, s: u32) -> ProcWindow {
         let mut w = ProcWindow::All;
         for &u in self.dag.predecessors(v) {
-            let su = self.step[u as usize];
+            let su = self.t.sched.step(u);
             if su > s {
                 return ProcWindow::None;
             }
             if su == s {
-                w = match w.narrow(self.proc[u as usize]) {
+                w = match w.narrow(self.t.sched.proc(u)) {
                     ProcWindow::None => return ProcWindow::None,
                     nw => nw,
                 };
             }
         }
         for &x in self.dag.successors(v) {
-            let sx = self.step[x as usize];
+            let sx = self.t.sched.step(x);
             if sx < s {
                 return ProcWindow::None;
             }
             if sx == s {
-                w = match w.narrow(self.proc[x as usize]) {
+                w = match w.narrow(self.t.sched.proc(x)) {
                     ProcWindow::None => return ProcWindow::None,
                     nw => nw,
                 };
@@ -523,20 +710,20 @@ impl<'a> ScheduleState<'a> {
     /// under the lazy communication model.
     pub fn is_move_valid(&self, v: NodeId, p_new: u32, s_new: u32) -> bool {
         for &u in self.dag.predecessors(v) {
-            let ok = if self.proc[u as usize] == p_new {
-                self.step[u as usize] <= s_new
+            let ok = if self.t.sched.proc(u) == p_new {
+                self.t.sched.step(u) <= s_new
             } else {
-                self.step[u as usize] < s_new
+                self.t.sched.step(u) < s_new
             };
             if !ok {
                 return false;
             }
         }
         for &w in self.dag.successors(v) {
-            let ok = if self.proc[w as usize] == p_new {
-                s_new <= self.step[w as usize]
+            let ok = if self.t.sched.proc(w) == p_new {
+                s_new <= self.t.sched.step(w)
             } else {
-                s_new < self.step[w as usize]
+                s_new < self.t.sched.step(w)
             };
             if !ok {
                 return false;
@@ -551,11 +738,11 @@ impl<'a> ScheduleState<'a> {
     /// cells attains the row's positive h-relation maximum.
     #[inline]
     fn phase_is_hot(&self, e: u32, a: u32, b: u32) -> bool {
-        let m = &self.meta[e as usize];
+        let m = &self.t.meta[e as usize];
         let top = m.htop.vals[0];
         let row = e as usize * self.machine.p();
         let h = |x: u32| {
-            let c = &self.slots[row + x as usize];
+            let c = &self.t.slots[row + x as usize];
             c.send.max(c.recv)
         };
         m.nodes == 0 || (top > 0 && (h(a) == top || h(b) == top))
@@ -569,11 +756,11 @@ impl<'a> ScheduleState<'a> {
     /// `earliest`, could only then pull it forward).
     #[inline]
     fn pred_transfer_is_hot(&self, u: NodeId, consumer_proc: u32, earliest: u32) -> bool {
-        let pu = self.proc[u as usize];
+        let pu = self.t.sched.proc(u);
         let (lo, hi) = self.cons_range(u);
         let mut i = lo;
         while i < hi {
-            let (q, m) = self.cons[i];
+            let (q, m) = self.t.cons[i];
             i = self.bucket_end(i, hi, q);
             if q != pu && (q == consumer_proc || m > earliest) && self.phase_is_hot(m - 1, pu, q) {
                 return true;
@@ -627,36 +814,122 @@ impl<'a> ScheduleState<'a> {
     /// nodes stays charged `ℓ` only by its transfer count, so removing a
     /// transfer from it — even a zero-volume one — may empty it.
     pub fn may_improve(&self, v: NodeId) -> bool {
-        let (pv, sv) = (self.proc[v as usize], self.step[v as usize]);
-        let meta = &self.meta[sv as usize];
+        let (pv, sv) = (self.t.sched.proc(v), self.t.sched.step(v));
+        let meta = &self.t.meta[sv as usize];
         if meta.nodes == 1 {
             return true;
         }
-        let work = self.slots[sv as usize * self.machine.p() + pv as usize].work;
+        let work = self.t.slots[sv as usize * self.machine.p() + pv as usize].work;
         if self.dag.work(v) > 0 && work == meta.wtop.vals[0] && meta.wtop.vals[1] < work {
             return true;
         }
         let (lo, hi) = self.cons_range(v);
         let mut i = lo;
         while i < hi {
-            let (q, m) = self.cons[i];
+            let (q, m) = self.t.cons[i];
             i = self.bucket_end(i, hi, q);
             if q != pv && self.phase_is_hot(m - 1, pv, q) {
                 return true;
             }
         }
         self.dag.predecessors(v).iter().any(|&u| {
-            let earliest = sv.saturating_sub(1).max(self.step[u as usize] + 1);
+            let earliest = sv.saturating_sub(1).max(self.t.sched.step(u) + 1);
             self.pred_transfer_is_hot(u, pv, earliest)
         })
+    }
+
+    /// Voids every certificate issued so far. A certificate speaks about
+    /// the probes of *one* sweep loop — one floor, one neighbourhood — so
+    /// that loop calls this on entry.
+    pub fn void_certificates(&mut self) {
+        self.t.clock += 1;
+        self.t.cert_floor = self.t.clock;
+    }
+
+    /// Records that every probe of `v`'s hill-climbing neighbourhood just
+    /// came back `≥ 0` (a *failure certificate*). See
+    /// [`ScheduleState::certified`].
+    #[inline]
+    pub fn certify(&mut self, v: NodeId) {
+        self.t.cert[v as usize] = self.t.clock;
+    }
+
+    /// Whether `v` holds a failure certificate ([`ScheduleState::certify`])
+    /// that is still good: nothing a probe of `v` into supersteps
+    /// `τ(v) − 1 ..= τ(v) + 1` reads has changed since it was issued, so
+    /// each of those probes would return exactly what it returned then —
+    /// no improvement — and a sweep may skip them all. `O(deg(v) +
+    /// Σ_{u ∈ pred(v)} outdeg(u))` over contiguous slices, against `≤ 3·P`
+    /// probes of that order each.
+    ///
+    /// **The stamps.** Every mutation (`apply_move`, a renumbering
+    /// `compact_from`, `attach_appended`) takes the next value of a
+    /// counter and writes it onto what it changed: every superstep row of
+    /// its `touched` list — a row is on that list whenever one of its
+    /// slots or counts changed, which is the only way its cached maxima
+    /// and cost change — and every node whose placement *or consumer
+    /// slice* changed: the moved (or appended) node, and each of its
+    /// predecessors, whose slices hold its `(proc, step)` entry. Growing
+    /// the step table stamps nothing: a fresh row reads as the empty row
+    /// a probe saw in its place before.
+    ///
+    /// **Why the read set is complete.** A certificate issued at clock `c`
+    /// holds iff none of the following carries a stamp `> c`; one line
+    /// per thing a probe reads:
+    ///
+    /// * [`ScheduleState::valid_procs`] reads `(π, τ)` of `v`'s
+    ///   predecessors and successors: a predecessor that moved carries
+    ///   its own stamp; a successor that moved rewrote its entry in `v`'s
+    ///   slice and stamped `v`.
+    /// * `probe_move_in` step 1 (work, node counts) reads rows `τ(v)` and
+    ///   `s_new ∈ τ(v) − 1 ..= τ(v) + 1`.
+    /// * step 2 (producer re-sourcing) reads `v`'s consumer slice — stamp
+    ///   of `v` — and, per bucket with earliest step `m`, row `m − 1`:
+    ///   the rows `s − 1` over the entries `(·, s)` of `v`'s slice.
+    /// * step 3 (`pred_mins`, both halves) reads, per predecessor `u`,
+    ///   `π(u)` and `u`'s consumer slice — stamp of `u` — and moves a
+    ///   transfer between phases `m − 1`, where `m` is a bucket minimum
+    ///   `pred_mins` can return — the rows `s − 1` over the entries of
+    ///   `u`'s slice — or `s_new` itself: rows `τ(v) − 2 ..= τ(v)`.
+    /// * `eval_probe` / `rescan_adjusted` read slots, counts, cached
+    ///   maxima and cost of exactly the rows named above, and rows at or
+    ///   beyond the table as empty.
+    /// * `weighted`, `g`, `ℓ`, `λ` and the DAG never change.
+    ///
+    /// So: the stamps of `v` and of each predecessor, rows `τ(v) − 2 ..=
+    /// τ(v) + 1`, and row `s − 1` for every entry of `v`'s slice and of
+    /// each predecessor's slice. A renumbering stamps every row, `τ(v)`
+    /// among them. A floor only removes probes, so a certificate issued
+    /// under a floor is good under that floor.
+    pub fn certified(&self, v: NodeId) -> bool {
+        let t = &self.t;
+        let c = t.cert[v as usize];
+        if c < t.cert_floor {
+            return false;
+        }
+        if c == t.clock {
+            return true; // nothing at all has happened since
+        }
+        let row_is_newer = |r: u32| t.row_stamp.get(r as usize).is_some_and(|&at| at > c);
+        let slice_is_newer = |x: NodeId| {
+            let (lo, hi) = self.cons_range(x);
+            t.node_stamp[x as usize] > c
+                || t.cons[lo..hi]
+                    .iter()
+                    .any(|&(_, s)| s > 0 && row_is_newer(s - 1))
+        };
+        let sv = t.sched.step(v);
+        !((sv.saturating_sub(2)..=sv + 1).any(row_is_newer)
+            || slice_is_newer(v)
+            || self.dag.predecessors(v).iter().any(|&u| slice_is_newer(u)))
     }
 
     /// `v`'s slice bounds in the consumer arena.
     #[inline]
     fn cons_range(&self, v: NodeId) -> (usize, usize) {
         (
-            self.cons_off[v as usize] as usize,
-            self.cons_off[v as usize + 1] as usize,
+            self.t.cons_off[v as usize] as usize,
+            self.t.cons_off[v as usize + 1] as usize,
         )
     }
 
@@ -666,7 +939,7 @@ impl<'a> ScheduleState<'a> {
     #[inline]
     fn bucket_start(&self, v: NodeId, q: u32) -> usize {
         let (lo, hi) = self.cons_range(v);
-        let sl = &self.cons[lo..hi];
+        let sl = &self.t.cons[lo..hi];
         if sl.len() <= 16 {
             let mut i = 0;
             while i < sl.len() && sl[i].0 < q {
@@ -683,7 +956,7 @@ impl<'a> ScheduleState<'a> {
     /// tails, binary-searched over long ones.
     #[inline]
     fn bucket_end(&self, i: usize, hi: usize, q: u32) -> usize {
-        let sl = &self.cons[i..hi];
+        let sl = &self.t.cons[i..hi];
         if sl.len() <= 16 {
             i + sl.iter().take_while(|e| e.0 == q).count()
         } else {
@@ -696,7 +969,7 @@ impl<'a> ScheduleState<'a> {
     fn bucket_min(&self, v: NodeId, q: u32) -> Option<u32> {
         let i = self.bucket_start(v, q);
         let (_, hi) = self.cons_range(v);
-        (i < hi && self.cons[i].0 == q).then(|| self.cons[i].1)
+        (i < hi && self.t.cons[i].0 == q).then(|| self.t.cons[i].1)
     }
 
     /// λ-weighted volume of one transfer of `v`'s value from `src` to `dst`.
@@ -723,25 +996,25 @@ impl<'a> ScheduleState<'a> {
         if hi - lo > 16 {
             // Long slice: two binary searches beat walking the whole slice.
             let i = self.bucket_start(u, q_rm);
-            if i < hi && self.cons[i].0 == q_rm {
-                rm_head = Some(self.cons[i].1);
-                if i + 1 < hi && self.cons[i + 1].0 == q_rm {
-                    rm_second = Some(self.cons[i + 1].1);
+            if i < hi && self.t.cons[i].0 == q_rm {
+                rm_head = Some(self.t.cons[i].1);
+                if i + 1 < hi && self.t.cons[i + 1].0 == q_rm {
+                    rm_second = Some(self.t.cons[i + 1].1);
                 }
             }
             if q_ins == q_rm {
                 ins_head = rm_head;
             } else {
                 let j = self.bucket_start(u, q_ins);
-                if j < hi && self.cons[j].0 == q_ins {
-                    ins_head = Some(self.cons[j].1);
+                if j < hi && self.t.cons[j].0 == q_ins {
+                    ins_head = Some(self.t.cons[j].1);
                 }
             }
         } else {
             let hi_proc = q_rm.max(q_ins);
             let mut i = lo;
             while i < hi {
-                let (b, s) = self.cons[i];
+                let (b, s) = self.t.cons[i];
                 if b > hi_proc {
                     break;
                 }
@@ -777,6 +1050,7 @@ impl<'a> ScheduleState<'a> {
     /// deg + 2` touched supersteps.
     pub fn probe_move(&self, v: NodeId, p_new: u32, s_new: u32) -> i64 {
         let mut scratch = self
+            .t
             .probe
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -790,7 +1064,7 @@ impl<'a> ScheduleState<'a> {
     /// of the state and the move — independent of which scratch is passed —
     /// so sequential and parallel scans see bit-identical deltas.
     pub fn probe_move_in(&self, sc: &mut ProbeScratch, v: NodeId, p_new: u32, s_new: u32) -> i64 {
-        let (p_old, s_old) = (self.proc[v as usize], self.step[v as usize]);
+        let (p_old, s_old) = (self.t.sched.proc(v), self.t.sched.step(v));
         if p_old == p_new && s_old == s_new {
             return 0;
         }
@@ -809,8 +1083,8 @@ impl<'a> ScheduleState<'a> {
             let (lo, hi) = self.cons_range(v);
             let mut i = lo;
             while i < hi {
-                let (q, m) = self.cons[i];
-                while i < hi && self.cons[i].0 == q {
+                let (q, m) = self.t.cons[i];
+                while i < hi && self.t.cons[i].0 == q {
                     i += 1;
                 }
                 if q == p_old {
@@ -833,7 +1107,7 @@ impl<'a> ScheduleState<'a> {
         // 3. Consumer side: each predecessor's bucket minima may shift,
         //    moving (or creating / destroying) its lazy transfer.
         for &u in self.dag.predecessors(v) {
-            let pu = self.proc[u as usize];
+            let pu = self.t.sched.proc(u);
             if p_old == p_new {
                 if p_old == pu {
                     continue; // local consumer stays local: no transfer
@@ -890,10 +1164,10 @@ impl<'a> ScheduleState<'a> {
         for ei in 0..sc.steps.len() {
             let e = sc.steps[ei];
             let s = e.step as usize;
-            let in_range = s < self.n_steps;
+            let in_range = s < self.t.n_steps;
             let row = s * p;
             let m = if in_range {
-                self.meta[s]
+                self.t.meta[s]
             } else {
                 StepMeta::EMPTY
             };
@@ -908,7 +1182,7 @@ impl<'a> ScheduleState<'a> {
                 let c = sc.cells[i as usize];
                 let q = c.proc as usize;
                 let b = if in_range {
-                    self.slots[row + q]
+                    self.t.slots[row + q]
                 } else {
                     Slot::default()
                 };
@@ -981,7 +1255,7 @@ impl<'a> ScheduleState<'a> {
                 (0, 0, 0)
             };
             let b = if in_range {
-                self.slots[row + q]
+                self.t.slots[row + q]
             } else {
                 Slot::default()
             };
@@ -1002,20 +1276,21 @@ impl<'a> ScheduleState<'a> {
     /// step-table growth when `s_new` exceeds every step seen so far.
     pub fn apply_move(&mut self, v: NodeId, p_new: u32, s_new: u32) -> u64 {
         let p = self.machine.p();
-        let (p_old, s_old) = (self.proc[v as usize], self.step[v as usize]);
+        let (p_old, s_old) = (self.t.sched.proc(v), self.t.sched.step(v));
         if p_old == p_new && s_old == s_new {
-            return self.total;
+            return self.t.total;
         }
         self.ensure_steps(s_new as usize + 1);
-        self.touched.clear();
+        self.t.touched.clear();
+        self.t.clock += 1;
 
         // 1. Producer side: drop v's outgoing transfers under the old π(v).
         if p_old != p_new {
             let (lo, hi) = self.cons_range(v);
             let mut i = lo;
             while i < hi {
-                let (q, m) = self.cons[i];
-                while i < hi && self.cons[i].0 == q {
+                let (q, m) = self.t.cons[i];
+                while i < hi && self.t.cons[i].0 == q {
                     i += 1;
                 }
                 if q != p_old {
@@ -1030,25 +1305,26 @@ impl<'a> ScheduleState<'a> {
         let dag = self.dag;
         for &u in dag.predecessors(v) {
             self.retarget_consumer(u, p_old, s_old, p_new, s_new);
+            self.t.node_stamp[u as usize] = self.t.clock;
         }
 
         // 3. Work movement.
-        self.slots[s_old as usize * p + p_old as usize].work -= dag.work(v);
-        self.meta[s_old as usize].nodes -= 1;
-        self.slots[s_new as usize * p + p_new as usize].work += dag.work(v);
-        self.meta[s_new as usize].nodes += 1;
-        self.touched.push(s_old);
-        self.touched.push(s_new);
-        self.proc[v as usize] = p_new;
-        self.step[v as usize] = s_new;
+        self.t.slots[s_old as usize * p + p_old as usize].work -= dag.work(v);
+        self.t.meta[s_old as usize].nodes -= 1;
+        self.t.slots[s_new as usize * p + p_new as usize].work += dag.work(v);
+        self.t.meta[s_new as usize].nodes += 1;
+        self.t.touched.push(s_old);
+        self.t.touched.push(s_new);
+        self.t.sched.set(v, p_new, s_new);
+        self.t.node_stamp[v as usize] = self.t.clock;
 
         // 4. Producer side: re-add v's outgoing transfers under the new π(v).
         if p_old != p_new {
             let (lo, hi) = self.cons_range(v);
             let mut i = lo;
             while i < hi {
-                let (q, m) = self.cons[i];
-                while i < hi && self.cons[i].0 == q {
+                let (q, m) = self.t.cons[i];
+                while i < hi && self.t.cons[i].0 == q {
                     i += 1;
                 }
                 if q != p_new {
@@ -1057,26 +1333,34 @@ impl<'a> ScheduleState<'a> {
             }
         }
 
-        // 5. Refresh cached step costs.
-        let mut touched = std::mem::take(&mut self.touched);
+        self.refresh_touched();
+        self.t.total
+    }
+
+    /// Refreshes the cached cost and row maxima of every superstep in
+    /// `touched` — each row the current mutation changed a slot or a count
+    /// of — folds the differences into the total, and stamps those rows
+    /// with the mutation's clock.
+    fn refresh_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.t.touched);
         touched.sort_unstable();
         touched.dedup();
         for &s in &touched {
             let s = s as usize;
-            self.total -= self.meta[s].cost;
+            self.t.total -= self.t.meta[s].cost;
             self.refresh_step(s);
-            self.total += self.meta[s].cost;
+            self.t.total += self.t.meta[s].cost;
+            self.t.row_stamp[s] = self.t.clock;
         }
         touched.clear();
-        self.touched = touched;
-        self.total
+        self.t.touched = touched;
     }
 
     /// Moves consumer `v` of producer `u` from `(p_old, s_old)` to
     /// `(p_new, s_new)` in `u`'s consumer multiset, shifting `u`'s lazy
     /// transfers when a bucket minimum changes.
     fn retarget_consumer(&mut self, u: NodeId, p_old: u32, s_old: u32, p_new: u32, s_new: u32) {
-        let pu = self.proc[u as usize];
+        let pu = self.t.sched.proc(u);
         let old_min_before = self.bucket_min(u, p_old);
         let new_min_before = self.bucket_min(u, p_new);
         self.slice_retarget(u, (p_old, s_old), (p_new, s_new));
@@ -1117,7 +1401,7 @@ impl<'a> ScheduleState<'a> {
     /// positions (the slice length is fixed at `out_degree(u)`).
     fn slice_retarget(&mut self, u: NodeId, old: (u32, u32), new: (u32, u32)) {
         let (lo, hi) = self.cons_range(u);
-        let sl = &mut self.cons[lo..hi];
+        let sl = &mut self.t.cons[lo..hi];
         let i = sl.partition_point(|&e| e < old);
         debug_assert!(sl[i] == old, "retargeting an unrecorded consumer entry");
         let j = sl.partition_point(|&e| e < new);
@@ -1134,29 +1418,40 @@ impl<'a> ScheduleState<'a> {
         let p = self.machine.p();
         self.ensure_steps(phase as usize + 1);
         let weighted = self.weighted(v, src, dst);
-        self.slots[phase as usize * p + src as usize].send += weighted;
-        self.slots[phase as usize * p + dst as usize].recv += weighted;
-        self.meta[phase as usize].comm += 1;
-        self.touched.push(phase);
+        self.t.slots[phase as usize * p + src as usize].send += weighted;
+        self.t.slots[phase as usize * p + dst as usize].recv += weighted;
+        self.t.meta[phase as usize].comm += 1;
+        self.t.touched.push(phase);
     }
 
     fn remove_transfer(&mut self, v: NodeId, src: u32, dst: u32, phase: u32) {
         let p = self.machine.p();
         let weighted = self.weighted(v, src, dst);
-        self.slots[phase as usize * p + src as usize].send -= weighted;
-        self.slots[phase as usize * p + dst as usize].recv -= weighted;
-        self.meta[phase as usize].comm -= 1;
-        self.touched.push(phase);
+        self.t.slots[phase as usize * p + src as usize].send -= weighted;
+        self.t.slots[phase as usize * p + dst as usize].recv -= weighted;
+        self.t.meta[phase as usize].comm -= 1;
+        self.t.touched.push(phase);
     }
 
     fn ensure_steps(&mut self, want: usize) {
-        if want <= self.n_steps {
+        if want <= self.t.n_steps {
             return;
         }
         let p = self.machine.p();
-        self.slots.resize(want * p, Slot::default());
-        self.meta.resize(want, StepMeta::EMPTY);
-        self.n_steps = want;
+        self.t.slots.resize(want * p, Slot::default());
+        // The cached maxima of an all-zero row as `refresh_step` writes
+        // them, so a grown table equals a freshly built one.
+        let zeros = TopK::scan(std::iter::repeat_n(0, p));
+        let blank = StepMeta {
+            wtop: zeros,
+            htop: zeros,
+            ..StepMeta::EMPTY
+        };
+        self.t.meta.resize(want, blank);
+        // A new row holds what a probe read there before it existed:
+        // nothing. Its stamp stays 0 until something lands in it.
+        self.t.row_stamp.resize(want, 0);
+        self.t.n_steps = want;
     }
 
     /// Squeezes out the empty supersteps at or above `floor` in place —
@@ -1169,35 +1464,42 @@ impl<'a> ScheduleState<'a> {
     /// the schedule when nothing is empty.
     pub fn compact_from(&mut self, floor: u32) {
         let is_empty = |m: &StepMeta| m.nodes == 0 && m.comm == 0;
-        let floor = (floor as usize).min(self.n_steps);
-        if !self.meta[floor..].iter().any(is_empty) {
+        let floor = (floor as usize).min(self.t.n_steps);
+        if !self.t.meta[floor..].iter().any(is_empty) {
             return;
         }
         let p = self.machine.p();
-        let mut remap = vec![0u32; self.n_steps];
+        let mut remap = vec![0u32; self.t.n_steps];
         let mut next = floor;
-        for s in 0..self.n_steps {
+        for s in 0..self.t.n_steps {
             if s < floor {
                 remap[s] = s as u32;
                 continue;
             }
             remap[s] = next as u32;
-            if !is_empty(&self.meta[s]) {
-                self.meta[next] = self.meta[s];
-                self.slots.copy_within(s * p..(s + 1) * p, next * p);
+            if !is_empty(&self.t.meta[s]) {
+                self.t.meta[next] = self.t.meta[s];
+                self.t.slots.copy_within(s * p..(s + 1) * p, next * p);
                 next += 1;
             }
         }
         // Keep one (empty) superstep when nothing is left, as `new` does.
         let kept = next.max(1);
-        self.meta.truncate(kept);
-        self.slots.truncate(kept * p);
-        self.n_steps = kept;
-        for s in &mut self.step {
+        self.t.meta.truncate(kept);
+        self.t.slots.truncate(kept * p);
+        self.t.n_steps = kept;
+        // Every row at or above the first gap now holds another row's
+        // contents, and every node there another superstep: one stamp on
+        // all rows voids whatever was certified before (a node's own row
+        // is always among the rows its certificate reads).
+        self.t.clock += 1;
+        self.t.row_stamp.truncate(kept);
+        self.t.row_stamp.fill(self.t.clock);
+        for s in self.t.sched.steps_mut() {
             *s = remap[*s as usize];
         }
         // The remap is monotone, so every consumer slice stays sorted.
-        for e in &mut self.cons {
+        for e in &mut self.t.cons {
             e.1 = remap[e.1 as usize];
         }
     }
@@ -1207,9 +1509,13 @@ impl<'a> ScheduleState<'a> {
     fn refresh_step(&mut self, s: usize) {
         let p = self.machine.p();
         let row = s * p;
-        let wt = TopK::scan(self.slots[row..row + p].iter().map(|b| b.work));
-        let ht = TopK::scan(self.slots[row..row + p].iter().map(|b| b.send.max(b.recv)));
-        let m = &mut self.meta[s];
+        let wt = TopK::scan(self.t.slots[row..row + p].iter().map(|b| b.work));
+        let ht = TopK::scan(
+            self.t.slots[row..row + p]
+                .iter()
+                .map(|b| b.send.max(b.recv)),
+        );
+        let m = &mut self.t.meta[s];
         let nonempty = m.nodes > 0 || m.comm > 0;
         m.cost = wt.vals[0]
             + self.machine.g() * ht.vals[0]
@@ -1366,6 +1672,105 @@ mod tests {
         let (before, delta) = (st.cost() as i64, st.probe_move(1, 0, 0));
         assert_eq!(st.apply_move(1, 0, 0) as i64 - before, delta);
         assert_eq!(st.cost(), st.recomputed_cost());
+    }
+
+    /// Some probe of `v`'s hill-climbing neighbourhood is negative.
+    fn improves(st: &ScheduleState<'_>, v: NodeId) -> bool {
+        let cur = (st.proc(v), st.step(v));
+        (cur.1.saturating_sub(1)..=cur.1 + 1).any(|s| {
+            st.valid_procs(v, s)
+                .procs(st.p())
+                .any(|q| (q, s) != cur && st.probe_move(v, q, s) < 0)
+        })
+    }
+
+    #[test]
+    fn certificate_stands_until_something_it_reads_changes() {
+        // u0, u1 → v; z and w pad rows 2 and 1; a → b is a third party
+        // whose only contact with v is superstep row 0 = τ(v) − 2.
+        let mut b = DagBuilder::new();
+        let u0 = b.add_node(1, 3);
+        let u1 = b.add_node(1, 2);
+        let v = b.add_node(2, 1);
+        let _z = b.add_node(2, 1);
+        let _w = b.add_node(3, 1);
+        let a = b.add_node(1, 4);
+        let c = b.add_node(1, 1);
+        let far = b.add_node(1, 1);
+        b.add_edge(u0, v).unwrap();
+        b.add_edge(u1, v).unwrap();
+        b.add_edge(a, c).unwrap();
+        let dag = b.build().unwrap();
+        let machine = BspParams::new(3, 1, 0);
+        // u0, u1, v, z, w, a, c, far
+        let sched =
+            BspSchedule::from_parts(vec![0, 1, 0, 2, 2, 2, 2, 1], vec![0, 0, 2, 2, 1, 0, 1, 6]);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        st.void_certificates();
+        assert!(!st.certified(v), "nothing is certified before it is probed");
+        assert!(!improves(&st, v));
+        st.certify(v);
+        assert!(st.certified(v));
+
+        // A move in rows v never reads leaves the certificate standing …
+        st.apply_move(far, 0, 7);
+        assert!(st.certified(v) && !improves(&st, v));
+        // … and one that puts a transfer into phase 0 — where v's move to
+        // (p1, 1) would put u0's — voids it: the move is now free there.
+        st.apply_move(a, 1, 0);
+        assert!(!st.certified(v), "row τ(v) − 2 is part of the read set");
+        assert!(improves(&st, v), "and it mattered");
+        assert_eq!(st.cost(), st.recomputed_cost());
+
+        // Renumbering voids everything that was certified before it.
+        let stuck: Vec<NodeId> = dag.nodes().filter(|&x| !improves(&st, x)).collect();
+        assert!(!stuck.is_empty());
+        stuck.iter().for_each(|&x| st.certify(x));
+        st.apply_move(far, 0, 9);
+        assert!(stuck.iter().all(|&x| x == far || st.certified(x)));
+        st.compact_from(0);
+        assert!(stuck.iter().all(|&x| !st.certified(x)));
+    }
+
+    #[test]
+    fn appending_a_consumer_voids_its_siblings_certificates() {
+        // u → v, y on p1; a → b keeps phase 4 busy on the cells u's
+        // transfer would use, e → f keeps phase 2 busy on the other two;
+        // w pads v's row, so v leaving it drops no maximum.
+        let mut b = DagBuilder::new();
+        let u = b.add_node(1, 3);
+        let v = b.add_node(1, 1);
+        let y = b.add_node(1, 1);
+        let a = b.add_node(1, 2);
+        let bb = b.add_node(1, 1);
+        let e = b.add_node(1, 4);
+        let f = b.add_node(1, 1);
+        let _w = b.add_node(1, 1);
+        for (from, to) in [(u, v), (u, y), (a, bb), (e, f)] {
+            b.add_edge(from, to).unwrap();
+        }
+        let mut dag = b.build().unwrap();
+        let machine = BspParams::new(2, 1, 0);
+        // u, v, y, a, b, e, f, w
+        let sched =
+            BspSchedule::from_parts(vec![0, 1, 1, 0, 1, 1, 0, 0], vec![0, 1, 5, 4, 5, 2, 3, 1]);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        st.void_certificates();
+        // Pulling v over to u's processor would push u's transfer from
+        // phase 0 to phase 4, on top of a's: no gain.
+        assert!(!improves(&st, v));
+        st.certify(v);
+        let tables = st.detach();
+
+        // x consumes u from (p1, 3): not the earliest consumer there, so
+        // no transfer moves and only row 3 — which v never reads — is
+        // touched. But with v gone, u's transfer would now land in phase
+        // 2, under e's, for free.
+        dag.append(&[(1, 1, &[u])]).unwrap();
+        let st = ScheduleState::attach_appended(&dag, &machine, tables, &[(1, 3)]);
+        assert!(st.tables() == ScheduleState::new(&dag, &machine, &st.snapshot()).tables());
+        assert!(!st.certified(v), "u's slice changed under v's certificate");
+        assert!(improves(&st, v), "and it mattered");
     }
 
     #[test]

@@ -67,8 +67,8 @@
 use crate::hc::{hill_climb, hill_climb_from, HillClimbStats};
 use crate::hccs::optimize_comm_schedule_threaded;
 use crate::memrepair::repair_memory_with;
-use crate::pipeline::{clamped_for_warm, PipelineConfig, PipelineResult};
-use crate::state::ScheduleState;
+use crate::pipeline::{clamped, PipelineConfig, PipelineResult};
+use crate::state::{ScheduleState, ScheduleTables};
 use bsp_dag::topo::TopoInfo;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
@@ -77,6 +77,7 @@ use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::prefix::PrefixViolation;
 use bsp_schedule::solve::SolveCx;
 use bsp_schedule::{BspSchedule, CommSchedule};
+use std::collections::BTreeMap;
 
 /// Transplants `base` (a schedule of the *pre-edit* DAG) onto the edited
 /// `dag`: surviving nodes keep their assignment through `node_map`
@@ -106,6 +107,31 @@ pub fn warm_start_from_map(
     let placed = place_new_nodes(dag, &topo, machine, &assign);
     let repaired = repair_precedence_from(dag, &topo, &placed, 0).expect("floor 0 commits nothing");
     compact_lazy(dag, &repaired)
+}
+
+/// The processor list insertion gives a new node `v` in a superstep whose
+/// per-processor work is `row`: the one minimizing a cost-model score —
+/// the NUMA-weighted communication from its predecessors (`g · Σ
+/// c(u)·λ(π(u), q)`, `π(u)` read through `proc_of`) plus the work already
+/// there plus `w(v)` — tie-broken by processor id.
+fn cheapest_proc(
+    dag: &Dag,
+    machine: &BspParams,
+    v: NodeId,
+    row: &[u64],
+    proc_of: impl Fn(NodeId) -> u32,
+) -> u32 {
+    let numa = machine.numa();
+    (0..machine.p() as u32)
+        .min_by_key(|&q| {
+            let comm: u64 = dag
+                .predecessors(v)
+                .iter()
+                .map(|&u| dag.comm(u) * numa.lambda(proc_of(u) as usize, q as usize))
+                .sum();
+            (row[q as usize] + dag.work(v) + machine.g() * comm, q)
+        })
+        .unwrap_or(0)
 }
 
 /// Greedy list insertion for unplaced nodes: in topological order (`topo`
@@ -169,24 +195,68 @@ pub fn place_new_nodes(
             .max()
             .unwrap_or(0);
         ensure_step(&mut work, s);
-        let row = &work[s as usize];
-        let numa = machine.numa();
-        let q = (0..p)
-            .min_by_key(|&q| {
-                let comm: u64 = dag
-                    .predecessors(v)
-                    .iter()
-                    .map(|&u| dag.comm(u) * numa.lambda(proc[u as usize] as usize, q as usize))
-                    .sum();
-                (row[q as usize] + dag.work(v) + machine.g() * comm, q)
-            })
-            .unwrap_or(0);
+        let q = cheapest_proc(dag, machine, v, &work[s as usize], |u| proc[u as usize]);
         proc[v as usize] = q;
         step[v as usize] = s;
         placed[v as usize] = true;
         work[s as usize][q as usize] += dag.work(v);
     }
     BspSchedule::from_parts(proc, step)
+}
+
+/// What [`place_new_nodes`], the frontier clamp and
+/// [`repair_precedence_from`] together give the nodes an append-only
+/// batch added — `tables.n()..dag.n()`, every one consuming smaller ids
+/// only — without a pass over the rest: the `(processor, superstep)` of
+/// each, in id order, ready for [`ScheduleState::attach_appended`].
+///
+/// Id order is a topological order of the batch, and a new node has no
+/// consumer among the old ones, so the old nodes' assignment (lazily
+/// valid, the state `tables` describes) is not revisited: list insertion
+/// reads each superstep's work from the tables' rows, plus what the
+/// batch itself has placed so far; then every new node is lifted to
+/// `floor` (a dispatched superstep cannot gain work) and delayed behind
+/// its producers exactly as the repair pass would.
+pub fn place_appended(
+    dag: &Dag,
+    machine: &BspParams,
+    tables: &ScheduleTables,
+    floor: u32,
+) -> Vec<(u32, u32)> {
+    let n0 = tables.n();
+    let base = tables.schedule();
+    let mut placed: Vec<(u32, u32)> = Vec::with_capacity(dag.n() - n0);
+    let at = |placed: &[(u32, u32)], u: NodeId| match (u as usize).checked_sub(n0) {
+        None => (base.proc(u), base.step(u)),
+        Some(i) => placed[i],
+    };
+    // Work the batch itself has put into a superstep so far, per processor.
+    let mut added: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    let mut row = vec![0u64; machine.p()];
+    for v in n0 as NodeId..dag.n() as NodeId {
+        let s = dag
+            .predecessors(v)
+            .iter()
+            .map(|&u| at(&placed, u).1 + 1)
+            .max()
+            .unwrap_or(0);
+        let extra = added.entry(s).or_insert_with(|| vec![0; machine.p()]);
+        for (q, w) in row.iter_mut().enumerate() {
+            *w = tables.work(s, q as u32) + extra[q];
+        }
+        let q = cheapest_proc(dag, machine, v, &row, |u| at(&placed, u).0);
+        extra[q as usize] += dag.work(v);
+        placed.push((q, s));
+    }
+    for v in n0 as NodeId..dag.n() as NodeId {
+        let (q, s) = placed[v as usize - n0];
+        let after_producers = dag.predecessors(v).iter().map(|&u| {
+            let (pu, su) = at(&placed, u);
+            su + u32::from(pu != q)
+        });
+        placed[v as usize - n0].1 = after_producers.fold(s.max(floor), u32::max);
+    }
+    placed
 }
 
 /// Restores lazy-Γ precedence by delaying nodes: one topological pass
@@ -213,6 +283,7 @@ pub fn repair_precedence_from(
     sched: &BspSchedule,
     floor: u32,
 ) -> Result<BspSchedule, PrefixViolation> {
+    bsp_dag::calls::note("repair_precedence_from");
     let mut step: Vec<u32> = sched.steps().to_vec();
     for &v in &topo.order {
         let committed = step[v as usize] < floor;
@@ -241,14 +312,13 @@ pub fn repair_precedence_from(
     Ok(BspSchedule::from_parts(sched.procs().to_vec(), step))
 }
 
-/// What [`solve_warm_suffix`] did.
+/// What [`solve_warm_suffix`] did; the re-optimized assignment is in the
+/// state it was given.
 #[derive(Debug, Clone)]
 pub struct SuffixOutcome {
-    /// The re-optimized, compacted assignment (its Γ is the lazy one).
-    pub sched: BspSchedule,
-    /// Its lazy-Γ cost.
+    /// Lazy-Γ cost afterwards.
     pub cost: u64,
-    /// Cost of `initial`, before hill climbing.
+    /// Cost of the state as given (compacted), before hill climbing.
     pub init_cost: u64,
     /// Accepted-move counters of the suffix hill climb (the per-arrival
     /// work-budget evidence an online runtime records).
@@ -258,24 +328,25 @@ pub struct SuffixOutcome {
 }
 
 /// The incremental warm entry point for online re-planning: re-optimizes
-/// the *tentative suffix* (supersteps `floor` and above) of `initial`
-/// under `cx`'s work budget, leaving the committed prefix untouched.
+/// the *tentative suffix* (supersteps `floor` and above) of the schedule
+/// in `st` under `cx`'s work budget, leaving the committed prefix
+/// untouched.
 ///
-/// `initial` must be lazily valid (the output of
-/// [`repair_precedence_from`]); it need not be compacted. The stages
-/// mirror [`solve_warm_pipeline`] — `warm-init` then `hc` — but hill
-/// climbing is floor-restricted ([`hill_climb_from`]), compaction
-/// preserves committed superstep indices, and the communication schedule
-/// stays lazy (the suffix is still tentative; Γ is finalized at dispatch
-/// time). One [`ScheduleState`] serves the whole call: both costs are read
-/// from it and both compactions ([`ScheduleState::compact_from`]) happen
-/// inside it, so no lazy Γ is ever materialized here. The monotone
-/// contract carries over: the result never costs more than `initial`, and
-/// an expired budget returns `initial`, compacted.
+/// `st` holds a lazily valid assignment — built by [`ScheduleState::new`]
+/// from the output of [`repair_precedence_from`], or kept from the last
+/// re-plan and extended by [`ScheduleState::attach_appended`]; it need not
+/// be compacted. The stages mirror [`solve_warm_pipeline`] — `warm-init`
+/// then `hc` — but hill climbing is floor-restricted
+/// ([`hill_climb_from`]), compaction preserves committed superstep
+/// indices, and the communication schedule stays lazy (the suffix is
+/// still tentative; Γ is finalized at dispatch time). The one state
+/// serves the whole call: both costs are read from it and both
+/// compactions ([`ScheduleState::compact_from`]) happen inside it, so no
+/// lazy Γ is ever materialized here. The monotone contract carries over:
+/// the result never costs more than what came in, and an expired budget
+/// leaves that, compacted.
 pub fn solve_warm_suffix(
-    dag: &Dag,
-    machine: &BspParams,
-    initial: &BspSchedule,
+    st: &mut ScheduleState<'_>,
     floor: u32,
     cfg: &PipelineConfig,
     cx: &mut SolveCx<'_>,
@@ -283,7 +354,6 @@ pub fn solve_warm_suffix(
     let began = std::time::Instant::now();
     let _span = bsp_obs::trace::global().span("pipeline/warm-suffix", "pipeline");
     cx.begin("warm-init");
-    let mut st = ScheduleState::new(dag, machine, initial);
     st.compact_from(floor);
     let init_cost = st.cost();
     cx.improved(init_cost);
@@ -295,8 +365,8 @@ pub fn solve_warm_suffix(
     };
     if !cx.check_expired() {
         cx.begin("hc");
-        let c = clamped_for_warm(cfg, cx);
-        hc = hill_climb_from(&mut st, &c.hc, floor);
+        let c = clamped(cfg, cx);
+        hc = hill_climb_from(st, &c.hc, floor);
         st.compact_from(floor);
         if st.cost() < init_cost {
             cx.improved(st.cost());
@@ -306,7 +376,6 @@ pub fn solve_warm_suffix(
     }
 
     SuffixOutcome {
-        sched: st.snapshot(),
         cost: st.cost(),
         init_cost,
         hc,
@@ -351,7 +420,7 @@ pub fn solve_warm_pipeline(
     // Stage 2 — local re-optimization with the probe kernel.
     if !cx.check_expired() {
         cx.begin("hc");
-        let c = clamped_for_warm(cfg, cx);
+        let c = clamped(cfg, cx);
         let mut st = ScheduleState::new(dag, machine, &sched);
         hill_climb(&mut st, &c.hc);
         let cand = compact_lazy(dag, &st.snapshot());
@@ -490,20 +559,22 @@ mod tests {
             enable_ilp: false,
             ..Default::default()
         };
-        let out = solve_warm_suffix(&dag, &machine, &initial, floor, &cfg, &mut cx);
+        let mut st = ScheduleState::new(&dag, &machine, &initial);
+        let out = solve_warm_suffix(&mut st, floor, &cfg, &mut cx);
+        let sched = st.snapshot();
         assert_eq!(out.init_cost, start_cost);
         assert!(out.cost <= out.init_cost);
-        assert_eq!(out.cost, lazy_cost(&dag, &machine, &out.sched));
-        assert!(validate_lazy(&dag, 4, &out.sched).is_ok());
+        assert_eq!(out.cost, lazy_cost(&dag, &machine, &sched));
+        assert!(validate_lazy(&dag, 4, &sched).is_ok());
         for v in dag.nodes() {
             if initial.step(v) < floor {
-                assert_eq!(out.sched.proc(v), initial.proc(v), "node {v}");
-                assert_eq!(out.sched.step(v), initial.step(v), "node {v}");
+                assert_eq!(sched.proc(v), initial.proc(v), "node {v}");
+                assert_eq!(sched.step(v), initial.step(v), "node {v}");
             } else {
-                assert!(out.sched.step(v) >= floor, "node {v}");
+                assert!(sched.step(v) >= floor, "node {v}");
             }
         }
-        assert!(bsp_schedule::prefix::validate_prefix(&dag, 4, &out.sched, floor).is_ok());
+        assert!(bsp_schedule::prefix::validate_prefix(&dag, 4, &sched, floor).is_ok());
     }
 
     #[test]
@@ -523,7 +594,8 @@ mod tests {
             enable_ilp: false,
             ..Default::default()
         };
-        let out = solve_warm_suffix(&dag, &machine, &initial, 0, &cfg, &mut cx);
+        let mut st = ScheduleState::new(&dag, &machine, &initial);
+        let out = solve_warm_suffix(&mut st, 0, &cfg, &mut cx);
         assert!(out.hc.accepted <= 3);
     }
 

@@ -1,0 +1,78 @@
+//! The hill-climbing loop of `bsp_core::hc` without its exact filters —
+//! the reference the production sweep must reproduce move for move
+//! (`proptests.rs`), and the "without certificates" side of the
+//! `local_search/hc_converge` bench, which `#[path]`-includes this file.
+
+use bsp_core::state::ScheduleState;
+use bsp_dag::NodeId;
+
+/// What [`hill_climb_reference`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReferenceClimb {
+    pub accepted: usize,
+    pub local_minimum: bool,
+    pub sweeps: u32,
+    pub probes: u64,
+}
+
+/// Sweeps the nodes at or above `floor` in id order, applying the first
+/// improving move of each node's neighbourhood (and retrying the node)
+/// until a sweep accepts nothing or `max_moves` moves are accepted.
+/// `may_try(st, v)` gates a node's scan: `|_, _| true` is the plain loop
+/// (neither `may_improve` nor failure certificates),
+/// `|st, v| st.may_improve(v)` the loop with the first filter only.
+pub fn hill_climb_reference(
+    st: &mut ScheduleState<'_>,
+    max_moves: usize,
+    floor: u32,
+    may_try: impl Fn(&ScheduleState<'_>, NodeId) -> bool,
+) -> ReferenceClimb {
+    let mut out = ReferenceClimb {
+        accepted: 0,
+        local_minimum: false,
+        sweeps: 0,
+        probes: 0,
+    };
+    let try_node = |st: &mut ScheduleState<'_>, v: NodeId, probes: &mut u64| {
+        if !may_try(st, v) {
+            return false;
+        }
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1).max(floor)..=cur.1 + 1 {
+            for q in st.valid_procs(v, s).procs(st.p()) {
+                if (q, s) == cur {
+                    continue;
+                }
+                *probes += 1;
+                if st.probe_move(v, q, s) < 0 {
+                    st.apply_move(v, q, s);
+                    return true;
+                }
+            }
+        }
+        false
+    };
+    loop {
+        out.sweeps += 1;
+        let mut improved = false;
+        for v in 0..st.n() as NodeId {
+            if out.accepted >= max_moves {
+                return out;
+            }
+            if st.step(v) < floor {
+                continue;
+            }
+            while try_node(st, v, &mut out.probes) {
+                out.accepted += 1;
+                improved = true;
+                if out.accepted >= max_moves {
+                    return out;
+                }
+            }
+        }
+        if !improved {
+            out.local_minimum = true;
+            return out;
+        }
+    }
+}

@@ -6,19 +6,23 @@
 //! 2. every algorithm's output is a valid BSP schedule;
 //! 3. every refinement stage is monotone (never returns something worse).
 
+mod hc_reference;
+
 use bsp_core::hc::{hill_climb, hill_climb_from, HillClimbConfig};
 use bsp_core::hccs::{optimize_comm_schedule, CommHillClimbConfig};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
 use bsp_core::reference::RefScheduleState;
 use bsp_core::state::{ProcWindow, ScheduleState};
+use bsp_core::{place_appended, place_new_nodes, repair_precedence_from};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::is_topological_order;
-use bsp_dag::{Dag, DagBuilder, TopoInfo};
+use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::validity::{validate, validate_lazy};
 use bsp_schedule::BspSchedule;
+use hc_reference::hill_climb_reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,23 +181,8 @@ fn pruned_nodes_have_no_improving_move(
             continue;
         }
         pruned += 1;
-        let cur = (st.proc(v), st.step(v));
-        for s in cur.1.saturating_sub(1)..=cur.1 + 1 {
-            for q in st.valid_procs(v, s).procs(st.p()) {
-                if (q, s) == cur {
-                    continue;
-                }
-                let delta = st.probe_move(v, q, s);
-                prop_assert!(
-                    delta >= 0,
-                    "pruned node {} improves by {} at ({}, {})",
-                    v,
-                    delta,
-                    q,
-                    s
-                );
-            }
-        }
+        let found = has_improving_probe(st, v);
+        prop_assert!(found.is_none(), "pruned node {} improves: {:?}", v, found);
     }
     Ok(pruned)
 }
@@ -232,43 +221,192 @@ fn prune_soundness(
     Ok(())
 }
 
-/// The hill-climbing loop of `bsp_core::hc` without the `may_improve`
-/// filter — the reference the pruned sweep must reproduce move for move.
-fn hill_climb_unpruned(st: &mut ScheduleState<'_>, max_moves: usize, floor: u32) -> (usize, bool) {
-    fn try_node(st: &mut ScheduleState<'_>, v: u32, floor: u32) -> bool {
-        let cur = (st.proc(v), st.step(v));
-        for s in cur.1.saturating_sub(1).max(floor)..=cur.1 + 1 {
-            for q in st.valid_procs(v, s).procs(st.p()) {
-                if (q, s) != cur && st.probe_move(v, q, s) < 0 {
-                    st.apply_move(v, q, s);
-                    return true;
-                }
+/// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
+/// neighbourhood, if there is one.
+fn has_improving_probe(st: &ScheduleState<'_>, v: NodeId) -> Option<(u32, u32, i64)> {
+    let tau = st.step(v);
+    for s in tau.saturating_sub(1)..=tau + 1 {
+        for q in st.valid_procs(v, s).procs(st.p()) {
+            // The null move probes as 0.
+            let delta = st.probe_move(v, q, s);
+            if delta < 0 {
+                return Some((q, s, delta));
             }
-        }
-        false
-    }
-    let mut accepted = 0;
-    loop {
-        let mut improved = false;
-        for v in 0..st.n() as u32 {
-            if accepted >= max_moves {
-                return (accepted, false);
-            }
-            if st.step(v) < floor {
-                continue;
-            }
-            while try_node(st, v, floor) {
-                accepted += 1;
-                improved = true;
-                if accepted >= max_moves {
-                    return (accepted, false);
-                }
-            }
-        }
-        if !improved {
-            return (accepted, true);
         }
     }
+    None
+}
+
+/// Issues a failure certificate to every node that has no improving probe.
+fn certify_stuck_nodes(st: &mut ScheduleState<'_>) {
+    for v in 0..st.n() as NodeId {
+        if has_improving_probe(st, v).is_none() {
+            st.certify(v);
+        }
+    }
+}
+
+/// Soundness of the certificates at the current state: a node whose
+/// certificate still stands has no improving probe. Returns how many
+/// stand.
+fn certified_nodes_have_no_improving_move(
+    st: &ScheduleState<'_>,
+    after: &str,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
+    let mut standing = 0;
+    for v in 0..st.n() as NodeId {
+        if st.certified(v) {
+            standing += 1;
+            let found = has_improving_probe(st, v);
+            prop_assert!(
+                found.is_none(),
+                "after {}: certified node {} improves: {:?}",
+                after,
+                v,
+                found
+            );
+        }
+    }
+    Ok(standing)
+}
+
+/// Certificates under random mutations: certify every stuck node, then
+/// apply random valid moves (improving or not), now and then squeeze out
+/// the empty supersteps or re-certify; after every mutation each
+/// certificate that still stands must be true.
+fn certificate_soundness(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let p = machine.p() as u32;
+    let sched = random_valid_assignment(dag, p, seed);
+    let mut st = ScheduleState::new(dag, machine, &sched);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xce27);
+    // Start from a partly converged schedule, where certificates are many.
+    hill_climb(
+        &mut st,
+        &HillClimbConfig {
+            max_moves: Some(rng.gen_range(0..30)),
+            time_limit: None,
+        },
+    );
+    st.void_certificates();
+    prop_assert_eq!(certified_nodes_have_no_improving_move(&st, "voiding")?, 0);
+    certify_stuck_nodes(&mut st);
+    for _ in 0..40 {
+        let v = rng.gen_range(0..dag.n() as u32);
+        let q = rng.gen_range(0..p);
+        let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
+        if st.is_move_valid(v, q, s) {
+            st.apply_move(v, q, s);
+            certified_nodes_have_no_improving_move(&st, "a move")?;
+        }
+        match rng.gen_range(0..8) {
+            0 => {
+                st.compact_from(rng.gen_range(0..3));
+                certified_nodes_have_no_improving_move(&st, "compaction")?;
+            }
+            1 => certify_stuck_nodes(&mut st),
+            _ => {}
+        }
+    }
+    prop_assert_eq!(st.cost(), st.recomputed_cost());
+    Ok(())
+}
+
+/// The node-id prefix `0..k` of a DAG whose edges ascend in id.
+fn prefix_of(dag: &Dag, k: usize) -> Dag {
+    dag.induced_subgraph(&(0..k as NodeId).collect::<Vec<_>>())
+        .0
+}
+
+/// Grows a state batch by batch the way the online append path does and
+/// checks, after every batch, that (a) `place_appended` puts the new
+/// nodes where `place_new_nodes` + frontier clamp +
+/// `repair_precedence_from` put them, (b) the appended tables equal the
+/// ones `ScheduleState::new` builds from the same assignment, (c) the
+/// certificates issued before the batch that still stand are true.
+/// Between batches the state takes random moves and compactions, so the
+/// tables being extended are lived-in ones.
+fn append_equivalence(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+    cut: usize,
+    batch: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert!(
+        dag.edges().all(|(u, v)| u < v),
+        "generators number along edges"
+    );
+    let p = machine.p() as u32;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xa99e);
+    let mut at = cut.min(dag.n());
+    let mut graph = prefix_of(dag, at);
+    let start = random_valid_assignment(&graph, p, seed);
+    let mut tables = ScheduleState::new(&graph, machine, &start).detach();
+    while at < dag.n() {
+        let to = (at + batch).min(dag.n());
+        let old = tables.schedule().clone();
+        let floor = rng.gen_range(0..=old.n_supersteps());
+        graph = prefix_of(dag, to);
+
+        // (a) against the general path.
+        let placed = place_appended(&graph, machine, &tables, floor);
+        let mut assign: Vec<Option<(u32, u32)>> = (0..at as NodeId)
+            .map(|v| Some((old.proc(v), old.step(v))))
+            .collect();
+        assign.resize(to, None);
+        let topo = TopoInfo::new(&graph);
+        let mut general = place_new_nodes(&graph, &topo, machine, &assign);
+        for v in at as NodeId..to as NodeId {
+            if general.step(v) < floor {
+                general.set(v, general.proc(v), floor);
+            }
+        }
+        let general = repair_precedence_from(&graph, &topo, &general, floor).unwrap();
+        let appended: Vec<(u32, u32)> = (at as NodeId..to as NodeId)
+            .map(|v| (general.proc(v), general.step(v)))
+            .collect();
+        prop_assert_eq!(&placed, &appended, "placement of nodes {}..{}", at, to);
+        prop_assert_eq!(&general.procs()[..at], old.procs());
+        prop_assert_eq!(&general.steps()[..at], old.steps());
+
+        // (b) + (c).
+        let mut st = ScheduleState::attach_appended(&graph, machine, tables, &placed);
+        let fresh = ScheduleState::new(&graph, machine, &general);
+        prop_assert!(
+            st.tables() == fresh.tables(),
+            "tables after appending {}..{}",
+            at,
+            to
+        );
+        prop_assert_eq!(st.cost(), st.recomputed_cost());
+        certified_nodes_have_no_improving_move(&st, "an append")?;
+
+        // Live in the state a little before the next batch.
+        st.void_certificates();
+        certify_stuck_nodes(&mut st);
+        for _ in 0..rng.gen_range(0..6) {
+            let v = rng.gen_range(0..to as u32);
+            let q = rng.gen_range(0..p);
+            let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
+            if st.is_move_valid(v, q, s) {
+                st.apply_move(v, q, s);
+            }
+        }
+        st.compact_from(rng.gen_range(0..=st.tables().n_supersteps()));
+        prop_assert_eq!(st.tables().n_supersteps(), st.snapshot().n_supersteps());
+        let lived_in = ScheduleState::new(&graph, machine, &st.snapshot());
+        prop_assert!(
+            st.tables() == lived_in.tables(),
+            "tables after moves and compaction"
+        );
+        tables = st.detach();
+        at = to;
+    }
+    Ok(())
 }
 
 fn prune_equivalence(
@@ -286,11 +424,16 @@ fn prune_equivalence(
         time_limit: None,
     };
     let stats = hill_climb_from(&mut pruned, &cfg, floor);
-    let (accepted, local_minimum) =
-        hill_climb_unpruned(&mut reference, max_moves.unwrap_or(usize::MAX), floor);
+    // The plain loop: neither `may_improve` nor failure certificates.
+    let plain = hill_climb_reference(
+        &mut reference,
+        max_moves.unwrap_or(usize::MAX),
+        floor,
+        |_, _| true,
+    );
     prop_assert_eq!(
         (stats.accepted, stats.local_minimum),
-        (accepted, local_minimum)
+        (plain.accepted, plain.local_minimum)
     );
     prop_assert_eq!(pruned.snapshot(), reference.snapshot());
     prop_assert_eq!(pruned.cost(), reference.cost());
@@ -400,9 +543,44 @@ proptest! {
         prune_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
     }
 
-    /// The pruned hill climb equals the unpruned reference loop in
-    /// accepted moves, `local_minimum` and final assignment — with and
-    /// without a move cap, with and without a committed floor.
+    /// A failure certificate that still stands is true: after random
+    /// moves, compactions and re-certifications, no certified node has an
+    /// improving probe (zero-weight nodes and NUMA machines included).
+    #[test]
+    fn certificates_are_sound(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        for dag in [layered, erdos] {
+            certificate_soundness(&dag, &machine, seed)?;
+            certificate_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+        }
+    }
+
+    /// The append path of the online re-plan: placements equal the
+    /// general path's, appended tables equal freshly built ones, and
+    /// certificates survive an append only where they stay true.
+    #[test]
+    fn appended_state_equals_a_rebuilt_one(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+        cut in 0usize..12,
+        batch in 1usize..9,
+    ) {
+        for dag in [layered, erdos] {
+            append_equivalence(&dag, &machine, seed, cut, batch)?;
+            append_equivalence(&with_zeroed_weights(&dag, seed), &machine, seed, cut, batch)?;
+        }
+    }
+
+    /// The hill climb with both filters — `may_improve` and the failure
+    /// certificates — equals the unfiltered reference loop in accepted
+    /// moves, `local_minimum` and final assignment, move for move — with
+    /// and without a move cap, with and without a committed floor.
     #[test]
     fn pruned_hill_climb_equals_unpruned_reference(
         layered in arb_dag(),

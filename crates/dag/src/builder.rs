@@ -91,6 +91,7 @@ impl DagBuilder {
 
     /// Finalizes the DAG, verifying acyclicity.
     pub fn build(self) -> Result<Dag, DagError> {
+        crate::calls::note("DagBuilder::build");
         let n = self.work.len();
         // Kahn's algorithm over the (possibly duplicated) edge multiset.
         let mut indeg = vec![0u32; n];

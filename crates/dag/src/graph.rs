@@ -1,5 +1,7 @@
-//! Immutable CSR-backed DAG with node weights.
+//! CSR-backed DAG with node weights: immutable but for [`Dag::append`],
+//! which grows it by nodes that only consume.
 
+use crate::builder::DagError;
 use serde::{Deserialize, Serialize};
 
 /// Node identifier. DAGs in this framework are bounded well below `u32::MAX`
@@ -70,6 +72,61 @@ impl Dag {
             work,
             comm,
         }
+    }
+
+    /// Appends a batch of nodes in place: node `i` of `nodes` — a `(work,
+    /// comm, predecessors)` triple — receives id `n() + i`, and each of its
+    /// predecessors must be a smaller id (an existing node or an earlier
+    /// node of the batch). The result is the `Dag` a [`crate::DagBuilder`]
+    /// rebuild of the old edges plus the new ones would give, field for
+    /// field: predecessor lists are sorted and deduplicated as the builder
+    /// does. No edge list is sorted, no Kahn pass and no cycle search runs
+    /// — an edge into a fresh largest id cannot close a cycle. The
+    /// predecessor CSR is only pushed to; the successor CSR is shifted once
+    /// for the whole batch, from the smallest producer that gained a
+    /// consumer ([`append_to_csr`]). Allocates in proportion to the batch.
+    ///
+    /// Fails, leaving the graph untouched, if a predecessor is not a
+    /// smaller id.
+    pub fn append(&mut self, nodes: &[(u64, u64, &[NodeId])]) -> Result<(), DagError> {
+        let n0 = self.n();
+        for (i, &(_, _, preds)) in nodes.iter().enumerate() {
+            let id = (n0 + i) as NodeId;
+            if let Some(&u) = preds.iter().find(|&&u| u >= id) {
+                return Err(if u == id {
+                    DagError::SelfLoop(u)
+                } else {
+                    DagError::UnknownNode(u)
+                });
+            }
+        }
+        let mut gained: Vec<(NodeId, NodeId)> = Vec::new();
+        for (i, &(work, comm, preds)) in nodes.iter().enumerate() {
+            let lo = self.pred.len();
+            self.pred.extend_from_slice(preds);
+            self.pred[lo..].sort_unstable();
+            let mut keep = lo;
+            for j in lo..self.pred.len() {
+                if j == lo || self.pred[j] != self.pred[keep - 1] {
+                    self.pred[keep] = self.pred[j];
+                    keep += 1;
+                }
+            }
+            self.pred.truncate(keep);
+            self.pred_offsets.push(keep as u32);
+            self.work.push(work);
+            self.comm.push(comm);
+            let id = (n0 + i) as NodeId;
+            gained.extend(self.pred[lo..].iter().map(|&u| (u, id)));
+        }
+        gained.sort_unstable();
+        append_to_csr(
+            &mut self.succ_offsets,
+            &mut self.succ,
+            self.work.len(),
+            &gained,
+        );
+        Ok(())
     }
 
     /// Number of nodes.
@@ -195,6 +252,56 @@ impl Dag {
     }
 }
 
+/// Grows a CSR adjacency in place to `n` rows, appending the entries of
+/// `gained` — `(row, value)` pairs sorted by row — to the *end* of their
+/// rows, in the order given. Rows may be existing ones or new ones (which
+/// start empty). One backward pass moves each block of untouched rows with
+/// a single `memmove`, and nothing below the smallest row that gained an
+/// entry is touched, so a batch that extends recent rows costs its own
+/// size, not the array's.
+///
+/// This is the successor-side step of [`Dag::append`]; it is public
+/// because a structure that mirrors the successor CSR row for row (the
+/// consumer arena of `bsp_core`'s `ScheduleState`) has to grow the same way.
+pub fn append_to_csr<T: Copy>(
+    offsets: &mut Vec<u32>,
+    data: &mut Vec<T>,
+    n: usize,
+    gained: &[(NodeId, T)],
+) {
+    debug_assert!(gained.windows(2).all(|w| w[0].0 <= w[1].0));
+    debug_assert!(gained.last().is_none_or(|&(u, _)| (u as usize) < n));
+    let Some(&(_, fill)) = gained.first() else {
+        let end = data.len() as u32;
+        offsets.resize(n + 1, end);
+        return;
+    };
+    // New rows start out empty at the old end; the pass below shifts them.
+    let mut end = data.len();
+    offsets.resize(n + 1, end as u32);
+    data.resize(end + gained.len(), fill);
+    // `e`: entries of `gained` still to place, all in rows ≤ the current
+    // one; `top`: `offsets[..=top]` are still in old coordinates; `end`:
+    // old end of the rows that have not moved yet.
+    let (mut e, mut top) = (gained.len(), n);
+    while e > 0 {
+        let u = gained[e - 1].0 as usize;
+        let j = gained[..e].partition_point(|&(r, _)| (r as usize) < u);
+        // Rows u+1..=top start after all `e` remaining entries; row `u`
+        // keeps its old entries where the `j` entries of lower rows put
+        // them and takes `gained[j..e]` right behind.
+        let start = offsets[u + 1] as usize;
+        data.copy_within(start..end, start + e);
+        for (slot, &(_, x)) in data[start + j..start + e].iter_mut().zip(&gained[j..e]) {
+            *slot = x;
+        }
+        for o in &mut offsets[u + 1..=top] {
+            *o += e as u32;
+        }
+        (top, end, e) = (u, start, j);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::DagBuilder;
@@ -263,6 +370,32 @@ mod tests {
         assert_eq!(map[2], None);
         assert!(sub.has_edge(0, 1));
         assert!(sub.has_edge(1, 2));
+    }
+
+    #[test]
+    fn append_equals_a_rebuild_and_rejects_forward_references() {
+        let mut d = diamond();
+        // Node 4 consumes 0 and (twice) 3; node 5 consumes 4 of the batch.
+        d.append(&[(7, 1, &[3, 0, 3]), (8, 2, &[4]), (9, 3, &[])])
+            .unwrap();
+        let mut b = DagBuilder::new();
+        for (w, c) in [(1, 2), (2, 3), (3, 4), (4, 5), (7, 1), (8, 2), (9, 3)] {
+            b.add_node(w, c);
+        }
+        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (3, 4), (4, 5)] {
+            b.add_edge(u, v).unwrap();
+        }
+        assert_eq!(d, b.build().unwrap());
+        assert_eq!(d.successors(0), &[1, 2, 4]);
+        assert_eq!(d.predecessors(4), &[0, 3]);
+
+        let before = d.clone();
+        assert_eq!(
+            d.append(&[(1, 1, &[]), (1, 1, &[9])]),
+            Err(crate::DagError::UnknownNode(9))
+        );
+        assert_eq!(d.append(&[(1, 1, &[7])]), Err(crate::DagError::SelfLoop(7)));
+        assert_eq!(d, before, "a rejected batch leaves the graph untouched");
     }
 
     #[test]

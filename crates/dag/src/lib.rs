@@ -37,6 +37,8 @@
 
 pub mod analysis;
 pub mod builder;
+#[doc(hidden)]
+pub mod calls;
 pub mod contraction;
 pub mod graph;
 pub mod hyperdag;

@@ -23,6 +23,7 @@ pub struct TopoInfo {
 impl TopoInfo {
     /// Computes ordering info for `dag`.
     pub fn new(dag: &Dag) -> Self {
+        crate::calls::note("TopoInfo::new");
         let n = dag.n();
         let mut indeg: Vec<u32> = (0..n).map(|v| dag.in_degree(v as NodeId) as u32).collect();
         // Min-heap on node id for determinism.

@@ -3,7 +3,7 @@
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::{bottom_level, is_topological_order, top_level};
 use bsp_dag::traversal::{reaches, reaches_pruned, weakly_connected_components};
-use bsp_dag::{hyperdag, MutableDag, NodeId, TopoInfo};
+use bsp_dag::{hyperdag, DagBuilder, MutableDag, NodeId, TopoInfo};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -249,4 +249,52 @@ proptest! {
             prop_assert_eq!(contractable, !reaches(&without, u, v));
         }
     }
+    /// `Dag::append` equals the `DagBuilder` rebuild, CSR array for CSR
+    /// array, after every batch: a DAG whose edges ascend in id is cut at
+    /// a random node, and the rest arrives in batches of random sizes
+    /// with each predecessor list reversed and partly duplicated.
+    #[test]
+    fn append_equals_the_builder_rebuild(
+        dag in arb_any_dag(),
+        cut in 0usize..40,
+        sizes in proptest::collection::vec(1usize..9, 1..12),
+        dup in 0usize..3,
+    ) {
+        prop_assert!(dag.edges().all(|(u, v)| u < v), "generators number along edges");
+        let n = dag.n();
+        let prefix = |k: usize| dag.induced_subgraph(&(0..k as NodeId).collect::<Vec<_>>()).0;
+        let mut at = cut.min(n);
+        let mut grown = prefix(at);
+        let mut sizes = sizes.into_iter().cycle();
+        while at < n {
+            let to = (at + sizes.next().unwrap()).min(n);
+            let preds: Vec<Vec<NodeId>> = (at..to)
+                .map(|v| {
+                    let mut p: Vec<NodeId> = dag.predecessors(v as NodeId).to_vec();
+                    p.reverse();
+                    let again: Vec<NodeId> = p.iter().copied().take(dup).collect();
+                    p.extend(again);
+                    p
+                })
+                .collect();
+            let batch: Vec<(u64, u64, &[NodeId])> = (at..to)
+                .zip(&preds)
+                .map(|(v, p)| (dag.work(v as NodeId), dag.comm(v as NodeId), p.as_slice()))
+                .collect();
+            grown.append(&batch).unwrap();
+            at = to;
+            prop_assert_eq!(&grown, &prefix(at), "after appending up to {}", at);
+        }
+        prop_assert_eq!(&grown, &dag);
+        // The same through the builder, to pin the comparison itself.
+        let mut b = DagBuilder::new();
+        for v in dag.nodes() {
+            b.add_node(dag.work(v), dag.comm(v));
+        }
+        for (u, v) in dag.edges() {
+            b.add_edge(u, v).unwrap();
+        }
+        prop_assert_eq!(&grown, &b.build().unwrap());
+    }
+
 }

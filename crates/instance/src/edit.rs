@@ -226,6 +226,7 @@ impl Working {
 /// `remove_node` id shifts, and [`EditOutcome::added`] lists the surviving
 /// `add_node` nodes.
 pub fn apply_edits(dag: &Dag, edits: &[DagEdit]) -> Result<EditOutcome, EditError> {
+    bsp_dag::calls::note("apply_edits");
     let mut w = Working {
         work: dag.work_weights().to_vec(),
         comm: dag.comm_weights().to_vec(),
@@ -569,6 +570,73 @@ mod tests {
             ),
             Err(EditError::WouldCycle { edit: 0 })
         );
+    }
+
+    #[test]
+    fn later_edits_see_what_earlier_ones_of_the_batch_did() {
+        // The duplicate and cycle checks of an edit see the graph as the
+        // earlier edits of the same batch left it.
+        let dag = diamond();
+        let add = |from, to| DagEdit::AddEdge { from, to };
+        let cases: [(&[DagEdit], Result<(), EditError>); 6] = [
+            // An edge added by the batch is a duplicate the second time …
+            (
+                &[add(1, 2), add(1, 2)],
+                Err(EditError::DuplicateEdge {
+                    edit: 1,
+                    from: 1,
+                    to: 2,
+                }),
+            ),
+            // … and closes cycles: 1 → 2 then 2 → 1.
+            (
+                &[add(1, 2), add(2, 1)],
+                Err(EditError::WouldCycle { edit: 1 }),
+            ),
+            // So does an edge a new node brought: 3 → 4, then 4 → 0.
+            (
+                &[
+                    add(1, 2),
+                    DagEdit::AddNode {
+                        work: 1,
+                        comm: 1,
+                        preds: vec![3],
+                        succs: vec![],
+                    },
+                    add(4, 0),
+                ],
+                Err(EditError::WouldCycle { edit: 2 }),
+            ),
+            // A removed edge is gone: it can come back, and
+            // no longer carries a path (with 1 → 3 cut, 3 → 1 is fine —
+            // after which 1 → 2 would close 2 → 3 → 1).
+            (
+                &[
+                    add(1, 2),
+                    DagEdit::RemoveEdge { from: 1, to: 2 },
+                    DagEdit::RemoveEdge { from: 1, to: 3 },
+                    add(3, 1),
+                    add(1, 2),
+                ],
+                Err(EditError::WouldCycle { edit: 4 }),
+            ),
+            (
+                &[add(1, 2), DagEdit::RemoveEdge { from: 1, to: 2 }, add(1, 2)],
+                Ok(()),
+            ),
+            // Removing a node renumbers: old 2 → 3 is 1 → 2 afterwards.
+            (
+                &[add(1, 2), DagEdit::RemoveNode { node: 1 }, add(1, 2)],
+                Err(EditError::DuplicateEdge {
+                    edit: 2,
+                    from: 1,
+                    to: 2,
+                }),
+            ),
+        ];
+        for (edits, want) in cases {
+            assert_eq!(apply_edits(&dag, edits).map(|_| ()), want, "{edits:?}");
+        }
     }
 
     #[test]

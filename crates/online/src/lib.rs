@@ -13,16 +13,39 @@
 //! * a **tentative suffix** — everything at the frontier and above, free
 //!   to be rewritten when new work arrives.
 //!
-//! Each arrival batch becomes a [`DagEdit`](bsp_instance::DagEdit) list
-//! and re-planning reuses the warm-start machinery of `bsp_core::warm`:
-//! transplant the surviving assignment, list-insert the new nodes (never
-//! below the frontier), precedence-repair the suffix
-//! ([`bsp_core::repair_precedence_from`]), then floor-restricted
-//! hill climbing ([`bsp_core::solve_warm_suffix`]) under a *per-arrival
-//! work budget* enforced through the anytime
-//! [`SolveCx`](bsp_schedule::solve::SolveCx) contract — a wall-clock
-//! deadline plus an accepted-move cap, both proportional to the number of
-//! arrivals in the batch.
+//! Re-planning reuses the warm-start machinery of `bsp_core::warm`:
+//! list-insert the new nodes (never below the frontier), delay them
+//! behind their producers, then floor-restricted hill climbing
+//! ([`bsp_core::solve_warm_suffix`]) under a *per-arrival work budget*
+//! enforced through the anytime [`SolveCx`](bsp_schedule::solve::SolveCx)
+//! contract — a wall-clock deadline plus an accepted-move cap, both
+//! proportional to the number of arrivals in the batch.
+//!
+//! **A re-plan costs what arrived.** Internal node ids are arrival order,
+//! and an arrival consumes only nodes that arrived before it, so every
+//! edge an arrival brings ascends in id. The scheduler keeps its graph
+//! and its `ScheduleState` tables between re-plans and integrates a batch
+//! along one of two paths ([`scheduler`] has the details):
+//!
+//! * a batch of arrivals only — every batch of a trace without late
+//!   reveals — is *appended*: [`Dag::append`](bsp_dag::Dag::append) grows
+//!   the graph in place, [`bsp_core::place_appended`] places the batch,
+//!   [`ScheduleState::attach_appended`](bsp_core::ScheduleState::attach_appended)
+//!   extends the tables. No graph rebuild, topological sort, repair pass
+//!   or state construction runs, and nothing proportional to `n` is
+//!   allocated;
+//! * a batch that reveals an edge takes the general path: the batch
+//!   becomes a [`DagEdit`](bsp_instance::DagEdit) list,
+//!   [`apply_edits`](bsp_instance::apply_edits) rebuilds the graph, the
+//!   surviving assignment is transplanted, list insertion and
+//!   [`bsp_core::repair_precedence_from`] run over a topological order and
+//!   a fresh state is built — a reveal may point anywhere, even from a
+//!   later arrival to an earlier one. The arrival-only batches after it
+//!   append again.
+//!
+//! The two paths produce the same graph, schedule and report, batch for
+//! batch (`tests/equivalence.rs` drives the scheduler against the
+//! rebuild-every-batch one it replaced).
 //!
 //! Two invariants hold at every event (and are proptested):
 //!

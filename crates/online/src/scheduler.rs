@@ -1,9 +1,54 @@
 //! The event-driven arrival runtime: [`OnlineScheduler`] and
 //! [`replay`].
+//!
+//! # A re-plan costs what arrived
+//!
+//! The scheduler owns its graph and its schedule state across re-plans:
+//! a [`Dag`] and the [`ScheduleTables`] of the last re-plan (assignment,
+//! superstep rows, consumer arena — everything a `ScheduleState` holds
+//! that does not borrow the graph). A batch takes one of two paths:
+//!
+//! * **Append path** — the batch holds arrivals only. An arrival
+//!   consumes nodes that arrived before it, so every new edge runs into a
+//!   fresh largest id: [`Dag::append`] pushes the nodes onto the graph in
+//!   place (no edge list, sort, Kahn pass or cycle search — such an edge
+//!   cannot close a cycle), [`place_appended`] gives them the processor
+//!   and superstep that list insertion, the frontier clamp and the repair
+//!   pass would (id order *is* a topological order of the batch, and no
+//!   old node consumes a new one, so nothing old is revisited), and
+//!   [`ScheduleState::attach_appended`] extends the kept tables by them.
+//!   None of `apply_edits`, `DagBuilder::build`, `TopoInfo::new`,
+//!   `repair_precedence_from` or `ScheduleState::new` runs (a test counts
+//!   them), and nothing proportional to `n` is allocated.
+//! * **General path** — the batch reveals an edge. It is yesterday's
+//!   re-plan and stays the one way any other edit is applied:
+//!   [`apply_edits`] rebuilds the graph, survivors keep their assignment,
+//!   [`place_new_nodes`] and [`repair_precedence_from`] run over a
+//!   topological order, and a fresh `ScheduleState` is built. The
+//!   append path is tested against it batch for batch
+//!   (`tests/equivalence.rs`).
+//!
+//! **The monotone-id invariant.** Internal ids are arrival order, and an
+//! arrival consumes earlier arrivals only, so within an arrival-only
+//! batch id order is a topological order and no old node consumes a
+//! new one — that is all the append path relies on. A reveal may point
+//! anywhere (a hand-written trace may reveal an edge from a later arrival
+//! to an earlier one), which is why a batch holding one takes the general
+//! path and its [`TopoInfo::new`]. No session ever leaves the append
+//! path: whatever the old edges look like, the nodes of an arrival-only
+//! batch come last among themselves in ascending id in `TopoInfo::new`'s
+//! smallest-id-first order, and that relative order is all the general
+//! path's placement and repair take from it.
+//!
+//! Both paths then run the one floor-restricted hill climb
+//! ([`solve_warm_suffix`]) on the state and keep its tables.
 
 use bsp_core::hccs::optimize_comm_schedule_threaded;
 use bsp_core::pipeline::PipelineConfig;
-use bsp_core::{place_new_nodes, repair_precedence_from, solve_warm_suffix, SuffixOutcome};
+use bsp_core::{
+    place_appended, place_new_nodes, repair_precedence_from, solve_warm_suffix, ScheduleState,
+    ScheduleTables, SuffixOutcome,
+};
 use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_instance::trace::{ArrivalEvent, ArrivalTrace, MAX_REVEAL_DELAY};
 use bsp_instance::{apply_edits, DagEdit, EditError};
@@ -263,8 +308,10 @@ pub struct OnlineScheduler {
     cfg: OnlineConfig,
     /// The integrated (revealed) DAG; node ids are arrival order.
     dag: Dag,
-    /// Assignment of every integrated node.
-    sched: BspSchedule,
+    /// The schedule state of the last re-plan over `dag` — the assignment
+    /// of every integrated node and everything derived from it —
+    /// detached from the graph so the next batch can grow it.
+    tables: ScheduleTables,
     /// Commit frontier: supersteps below it are frozen.
     frontier: u32,
     /// Trace id → internal id for every arrived node (buffered included).
@@ -289,11 +336,13 @@ impl OnlineScheduler {
         if machine.memory().is_some() {
             return Err(OnlineError::UnsupportedMachine);
         }
+        let dag = DagBuilder::new().build().expect("empty DAG is acyclic");
+        let tables = ScheduleState::new(&dag, machine, &BspSchedule::zeroed(0)).detach();
         Ok(OnlineScheduler {
             machine: machine.clone(),
             cfg,
-            dag: DagBuilder::new().build().expect("empty DAG is acyclic"),
-            sched: BspSchedule::zeroed(0),
+            dag,
+            tables,
             frontier: 0,
             ext2int: HashMap::new(),
             int2ext: Vec::new(),
@@ -314,7 +363,7 @@ impl OnlineScheduler {
 
     /// The current schedule (committed prefix + tentative suffix).
     pub fn schedule(&self) -> &BspSchedule {
-        &self.sched
+        self.tables.schedule()
     }
 
     /// The commit frontier.
@@ -342,16 +391,23 @@ impl OnlineScheduler {
         self.outcome.as_ref()
     }
 
+    /// Consumes the scheduler for its final result, once finalized —
+    /// [`outcome`](Self::outcome) without the clone.
+    pub fn into_outcome(self) -> Option<OnlineOutcome> {
+        self.outcome
+    }
+
     /// The tentative-suffix view of the current schedule.
     pub fn suffix(&self) -> SuffixView {
+        let sched = self.schedule();
         let mut nodes = Vec::new();
         let mut procs = Vec::new();
         let mut steps = Vec::new();
         for v in self.dag.nodes() {
-            if self.sched.step(v) >= self.frontier {
+            if sched.step(v) >= self.frontier {
                 nodes.push(self.int2ext[v as usize]);
-                procs.push(self.sched.proc(v));
-                steps.push(self.sched.step(v));
+                procs.push(sched.proc(v));
+                steps.push(sched.step(v));
             }
         }
         SuffixView {
@@ -451,22 +507,62 @@ impl OnlineScheduler {
         }
         let t0 = Instant::now();
         let pending = std::mem::take(&mut self.pending);
+        let n0 = self.dag.n() as NodeId;
+        let mut state = if pending.reveals == 0 {
+            let placed = self.append_arrivals(&pending.edits);
+            let tables = std::mem::take(&mut self.tables);
+            ScheduleState::attach_appended(&self.dag, &self.machine, tables, &placed)
+        } else {
+            let repaired = self.rebuild_with_edits(&pending.edits)?;
+            ScheduleState::new(&self.dag, &self.machine, &repaired)
+        };
+        let units = pending.arrivals.max(1) as u32;
+        let (suffix, truncated) = solve_suffix(&self.cfg, self.frontier, &mut state, units);
+        self.tables = state.detach();
 
-        let out = apply_edits(&self.dag, &pending.edits).map_err(|e| {
+        self.recent.extend(n0..self.dag.n() as NodeId);
+        let excess = self.recent.len().saturating_sub(self.cfg.reveal_guard);
+        self.recent.drain(..excess);
+        self.advance_frontier();
+        Ok(self.report(t0, &pending, &suffix, truncated))
+    }
+
+    /// The append path (see the [module docs](self)): grows the graph by
+    /// an arrival-only batch in place and returns where the new nodes go,
+    /// for [`ScheduleState::attach_appended`]. Cannot fail — a dep resolved
+    /// to an earlier arrival at `push`, and a new node is placed at or
+    /// above the frontier.
+    fn append_arrivals(&mut self, edits: &[DagEdit]) -> Vec<(u32, u32)> {
+        let nodes: Vec<(u64, u64, &[NodeId])> = edits
+            .iter()
+            .map(|e| match e {
+                DagEdit::AddNode {
+                    work, comm, preds, ..
+                } => (*work, *comm, preds.as_slice()),
+                _ => unreachable!("a batch without reveals holds arrivals only"),
+            })
+            .collect();
+        self.dag
+            .append(&nodes)
+            .expect("deps resolve to earlier arrivals");
+        place_appended(&self.dag, &self.machine, &self.tables, self.frontier)
+    }
+
+    /// The general path (see the [module docs](self)): applies any edit
+    /// batch through [`apply_edits`], transplants the surviving
+    /// assignment, list-inserts and repairs over a topological order.
+    /// Replaces the graph and returns the repaired assignment, which a
+    /// fresh `ScheduleState` is then built from.
+    fn rebuild_with_edits(&mut self, edits: &[DagEdit]) -> Result<BspSchedule, OnlineError> {
+        let out = apply_edits(&self.dag, edits).map_err(|e| {
             self.poisoned = true;
             OnlineError::Edit(e)
         })?;
-        // Arrivals only append: survivors keep their id, so the transplant
-        // is the identity on the old range.
-        debug_assert_eq!(out.dag.n(), self.dag.n() + pending.arrivals as usize);
-
+        let sched = self.tables.schedule();
         let mut assign: Vec<Option<(u32, u32)>> = vec![None; out.dag.n()];
         for (old, new) in out.node_map.iter().enumerate() {
             let new = new.expect("online edits never remove nodes");
-            assign[new as usize] = Some((
-                self.sched.proc(old as NodeId),
-                self.sched.step(old as NodeId),
-            ));
+            assign[new as usize] = Some((sched.proc(old as NodeId), sched.step(old as NodeId)));
         }
         // One topological order serves placement and repair.
         let topo = TopoInfo::new(&out.dag);
@@ -477,30 +573,30 @@ impl OnlineScheduler {
             if placed.step(v) < self.frontier {
                 placed.set(v, placed.proc(v), self.frontier);
             }
-            self.recent.push_back(v);
-        }
-        while self.recent.len() > self.cfg.reveal_guard {
-            self.recent.pop_front();
         }
         let repaired =
             repair_precedence_from(&out.dag, &topo, &placed, self.frontier).map_err(|v| {
                 self.poisoned = true;
                 OnlineError::CommitConflict(v)
             })?;
-
-        let units = pending.arrivals.max(1) as u32;
-        let (suffix, truncated) = self.solve_suffix(&out.dag, &repaired, units);
-
         self.dag = out.dag;
-        self.sched = suffix.sched;
-        self.advance_frontier();
+        Ok(repaired)
+    }
 
+    /// Records and returns the report of the re-plan that began at `t0`.
+    fn report(
+        &mut self,
+        t0: Instant,
+        pending: &PendingBatch,
+        suffix: &SuffixOutcome,
+        truncated: bool,
+    ) -> BatchReport {
         let report = BatchReport {
             batch: self.stats.replans,
             arrivals: pending.arrivals,
             reveals: pending.reveals,
             cost: suffix.cost,
-            supersteps: self.sched.n_supersteps(),
+            supersteps: self.tables.n_supersteps(),
             frontier: self.frontier,
             hc_moves: suffix.hc.accepted as u64,
             elapsed_us: t0.elapsed().as_micros() as u64,
@@ -509,32 +605,9 @@ impl OnlineScheduler {
         self.stats.replans += 1;
         self.stats.batches.push(report);
         debug_assert!(
-            validate_prefix(&self.dag, self.machine.p(), &self.sched, self.frontier).is_ok()
+            validate_prefix(&self.dag, self.machine.p(), self.schedule(), self.frontier).is_ok()
         );
-        Ok(report)
-    }
-
-    /// Re-optimizes the tentative suffix of `initial` under the work
-    /// budget of `units` arrivals, enforced through the anytime `SolveCx`
-    /// contract: deadline + accepted-move cap, both scaled by `units`.
-    /// Also returns whether the budget cut the hill climb short.
-    fn solve_suffix(&self, dag: &Dag, initial: &BspSchedule, units: u32) -> (SuffixOutcome, bool) {
-        let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units).without_ilp();
-        if let Some(m) = self.cfg.moves_per_arrival {
-            budget = budget.with_max_stage_moves(m * units as usize);
-        }
-        let req = SolveRequest::new(dag, &self.machine).with_budget(budget);
-        let mut cx = SolveCx::new("online", &req);
-        let suffix = solve_warm_suffix(
-            dag,
-            &self.machine,
-            initial,
-            self.frontier,
-            &self.cfg.pipeline,
-            &mut cx,
-        );
-        let truncated = cx.check_expired();
-        (suffix, truncated)
+        report
     }
 
     /// Advances the commit frontier: trail the last superstep by
@@ -543,13 +616,14 @@ impl OnlineScheduler {
     /// frontier is monotone.
     fn advance_frontier(&mut self) {
         let lag = self
-            .sched
+            .tables
             .n_supersteps()
             .saturating_sub(self.cfg.commit_lag);
+        let sched = self.tables.schedule();
         let guard = self
             .recent
             .iter()
-            .map(|&v| self.sched.step(v))
+            .map(|&v| sched.step(v))
             .min()
             .unwrap_or(lag);
         self.frontier = self.frontier.max(lag.min(guard));
@@ -569,29 +643,19 @@ impl OnlineScheduler {
         if self.dag.n() > 0 {
             let t0 = Instant::now();
             let units = self.cfg.batch_size.max(1) as u32;
-            let (suffix, truncated) = self.solve_suffix(&self.dag, &self.sched, units);
-            self.sched = suffix.sched;
-            let report = BatchReport {
-                batch: self.stats.replans,
-                arrivals: 0,
-                reveals: 0,
-                cost: suffix.cost,
-                supersteps: self.sched.n_supersteps(),
-                frontier: self.frontier,
-                hc_moves: suffix.hc.accepted as u64,
-                elapsed_us: t0.elapsed().as_micros() as u64,
-                truncated,
-            };
-            self.stats.replans += 1;
-            self.stats.batches.push(report);
-            last = Some(report);
+            let tables = std::mem::take(&mut self.tables);
+            let mut state = ScheduleState::attach_appended(&self.dag, &self.machine, tables, &[]);
+            let (suffix, truncated) = solve_suffix(&self.cfg, self.frontier, &mut state, units);
+            self.tables = state.detach();
+            last = Some(self.report(t0, &PendingBatch::default(), &suffix, truncated));
         }
         // Everything dispatches now.
-        self.frontier = self.sched.n_supersteps();
+        self.frontier = self.tables.n_supersteps();
         self.finalized = true;
 
-        let mut comm = CommSchedule::lazy(&self.dag, &self.sched);
-        let mut cost = lazy_cost(&self.dag, &self.machine, &self.sched);
+        let sched = self.tables.schedule();
+        let mut comm = CommSchedule::lazy(&self.dag, sched);
+        let mut cost = lazy_cost(&self.dag, &self.machine, sched);
         if self.cfg.final_polish && self.dag.n() > 0 {
             // Γ-only optimization: node assignments are untouched, so the
             // committed prefix is preserved by construction.
@@ -599,7 +663,7 @@ impl OnlineScheduler {
             let (cand_comm, cand_cost) = optimize_comm_schedule_threaded(
                 &self.dag,
                 &self.machine,
-                &self.sched,
+                sched,
                 &self.cfg.pipeline.hccs,
                 threads,
             );
@@ -608,13 +672,10 @@ impl OnlineScheduler {
                 cost = cand_cost;
             }
         }
-        debug_assert_eq!(
-            cost,
-            total_cost(&self.dag, &self.machine, &self.sched, &comm)
-        );
+        debug_assert_eq!(cost, total_cost(&self.dag, &self.machine, sched, &comm));
         self.outcome = Some(OnlineOutcome {
             dag: self.dag.clone(),
-            sched: self.sched.clone(),
+            sched: sched.clone(),
             comm,
             cost,
             ext_ids: self.int2ext.clone(),
@@ -622,6 +683,29 @@ impl OnlineScheduler {
         });
         Ok(last)
     }
+}
+
+/// Re-optimizes the tentative suffix of `state` (supersteps `frontier`
+/// and above) under the work budget of `units` arrivals, enforced through
+/// the anytime `SolveCx` contract: deadline + accepted-move cap, both
+/// scaled by `units` (a per-arrival budget too large to scale, such as
+/// `Duration::MAX`, is no deadline at all). Also returns whether the
+/// budget cut the hill climb short.
+fn solve_suffix(
+    cfg: &OnlineConfig,
+    frontier: u32,
+    state: &mut ScheduleState<'_>,
+    units: u32,
+) -> (SuffixOutcome, bool) {
+    let mut budget = Budget::deadline(cfg.budget_per_arrival.saturating_mul(units)).without_ilp();
+    if let Some(m) = cfg.moves_per_arrival {
+        budget = budget.with_max_stage_moves(m * units as usize);
+    }
+    let (dag, machine) = (state.dag(), state.machine());
+    let req = SolveRequest::new(dag, machine).with_budget(budget);
+    let mut cx = SolveCx::new("online", &req);
+    let suffix = solve_warm_suffix(state, frontier, &cfg.pipeline, &mut cx);
+    (suffix, cx.check_expired())
 }
 
 /// Resolves the pipeline's worker-thread knob the same way the cold
@@ -646,8 +730,5 @@ pub fn replay(
     if !sch.is_finalized() {
         sch.push(&ArrivalEvent::Finalize)?;
     }
-    Ok(sch
-        .outcome()
-        .expect("finalized stream has an outcome")
-        .clone())
+    Ok(sch.into_outcome().expect("finalized stream has an outcome"))
 }

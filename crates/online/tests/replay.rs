@@ -249,15 +249,17 @@ fn empty_stream_finalizes_cleanly() {
     assert_eq!(outcome.cost, 0);
 }
 
+/// FNV-1a.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the little-endian bytes of `π ‖ τ`.
 fn fnv_assignment(sched: &bsp_schedule::BspSchedule) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in sched.procs().iter().chain(sched.steps()) {
-        for b in x.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let words = sched.procs().iter().chain(sched.steps());
+    fnv(words.flat_map(|x| x.to_le_bytes()))
 }
 
 /// Replays captured at the commit before sweep pruning and the re-plan
@@ -313,6 +315,79 @@ fn pinned_replays_are_bit_identical() {
             (234, 0xcb9cbcd5528a1921, 49, 15),
             (546, 0xa2be9cbe54d7fa51, 165, 16),
             (595, 0x045d4b441b092d21, 168, 16),
+        ]
+    );
+}
+
+/// Replays captured at the commit before the append-only re-plan and the
+/// failure certificates (PR 18's parent, 5716d07): `(final cost,
+/// fnv(π ‖ τ), fnv over the per-batch (cost, supersteps, frontier,
+/// hc_moves) sequence)` for the three `online-stream` reference shapes on
+/// its two machines in both arrival orders, and once more with 30 % of
+/// the edges revealed late (so both re-plan paths are pinned, batch by
+/// batch). Only the move cap binds.
+#[test]
+fn pinned_replays_batch_by_batch() {
+    let uniform = "bsp?p=8&g=2&l=5";
+    let numa = "bsp?p=4&g=2&numa=tree&delta=3";
+    let registry = bsp_instance::InstanceRegistry::standard();
+    let mut got = Vec::new();
+    for (dag_spec, reveal_frac) in [
+        ("spmv?n=50&seed=5", 0.0),
+        ("erdos?n=300&q=0.03&seed=5", 0.0),
+        ("stencil?width=16&steps=12", 0.0),
+        ("erdos?n=300&q=0.03&seed=5", 0.3),
+    ] {
+        for machine in [uniform, numa] {
+            let inst = registry
+                .generate_one(&format!("{dag_spec} @ {machine}"), 0)
+                .unwrap();
+            for order in [ArrivalOrder::Topological, ArrivalOrder::ShuffledReady] {
+                let tcfg = TraceConfig {
+                    order,
+                    seed: 7,
+                    reveal_frac,
+                    ..TraceConfig::default()
+                };
+                let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
+                let mut cfg = OnlineConfig::default();
+                cfg.budget_per_arrival = Duration::from_secs(60);
+                cfg.pipeline.threads = 1;
+                let out = replay(&trace, &inst.machine, &cfg).unwrap();
+                assert_eq!(out.stats.reveals > 0, reveal_frac > 0.0);
+                let per_batch = out
+                    .stats
+                    .batches
+                    .iter()
+                    .flat_map(|b| [b.cost, b.supersteps as u64, b.frontier as u64, b.hc_moves]);
+                let batches = fnv(per_batch.flat_map(u64::to_le_bytes));
+                got.push((out.cost, fnv_assignment(&out.sched), batches));
+            }
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            // spmv?n=50 (n = 824): uniform topo / shuffle, NUMA topo / shuffle
+            (533, 0x7341de075c912395, 0x55fc72943647f31e),
+            (556, 0x47a1fbe7bb556677, 0x409301083256475c),
+            (1360, 0x87af7ab824db6a36, 0x01fecb7920579f65),
+            (1172, 0x17a73b41fc52c465, 0x6d9d7964f4ae9334),
+            // erdos?n=300&q=0.03
+            (866, 0x5952ad450dd55635, 0xe56fcf0ab7dde7cf),
+            (905, 0x40607e4183278151, 0x5870b05293689005),
+            (1766, 0x9f415cf6674c88a5, 0x7ec0460bef71a144),
+            (1775, 0x35f84c5278bd1789, 0xf7bc632cf0a86a1a),
+            // stencil?width=16&steps=12 (n = 208)
+            (211, 0xa553e5d06669d125, 0x9ebdc54ee1a15091),
+            (228, 0x4b6a435d24a31796, 0x83be04e5bbec6acb),
+            (549, 0x83ac4483929a6625, 0xecb9724f3ea90de2),
+            (403, 0xbed8a9813d1567ac, 0xe011e0314c94d543),
+            // erdos?n=300&q=0.03 with reveal_frac = 0.3 (389 / 407 reveals)
+            (906, 0xb46c02fb4baf71e2, 0xb402bec376f12573),
+            (907, 0x9f590b7da7fd8cbb, 0x4832b66c3d5ff644),
+            (1789, 0xe85843bbb56d9b97, 0x09abb9fa57e0be77),
+            (1746, 0xec831e916cefc905, 0xad7980bb4ba95030),
         ]
     );
 }

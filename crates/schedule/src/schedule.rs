@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is the "computational half" of a BSP schedule; the communication
 /// half `Γ` lives in [`crate::CommSchedule`] and is usually derived lazily.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BspSchedule {
     proc: Vec<u32>,
     step: Vec<u32>,
@@ -58,6 +58,13 @@ impl BspSchedule {
         self.step[v as usize] = step;
     }
 
+    /// Appends the assignment of one more node (id `n()`).
+    #[inline]
+    pub fn push(&mut self, proc: u32, step: u32) {
+        self.proc.push(proc);
+        self.step.push(step);
+    }
+
     /// Number of supersteps spanned by the computation phases
     /// (`max τ(v) + 1`; 0 when empty).
     pub fn n_supersteps(&self) -> u32 {
@@ -79,6 +86,12 @@ impl BspSchedule {
     #[inline]
     pub fn steps(&self) -> &[u32] {
         &self.step
+    }
+
+    /// The raw `τ` vector, for renumbering supersteps in place.
+    #[inline]
+    pub fn steps_mut(&mut self) -> &mut [u32] {
+        &mut self.step
     }
 
     /// Checks the *assignment-level* precedence conditions assuming a lazy

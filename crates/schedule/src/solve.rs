@@ -300,7 +300,8 @@ impl<'a> SolveCx<'a> {
             scheduler: scheduler.to_string(),
             observer: req.observer,
             start,
-            deadline: req.budget.deadline.map(|d| start + d),
+            // A deadline too far off to be an `Instant` never arrives.
+            deadline: req.budget.deadline.and_then(|d| start.checked_add(d)),
             max_stage_moves: req.budget.max_stage_moves,
             ilp_override: req.budget.ilp,
             cancel: req.budget.cancel.clone(),
@@ -530,6 +531,21 @@ mod tests {
         assert!(cx.check_expired());
         assert_eq!(cx.remaining(), Some(Duration::ZERO));
         assert_eq!(cx.clamp_time(None), Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        // `start + Duration::MAX` used to panic ("overflow when adding
+        // duration to instant").
+        let (dag, machine) = tiny();
+        let req = SolveRequest::new(&dag, &machine).with_budget(Budget::deadline(Duration::MAX));
+        let mut cx = SolveCx::new("t", &req);
+        assert!(!cx.check_expired());
+        assert_eq!(cx.remaining(), None);
+        assert_eq!(
+            cx.clamp_time(Some(Duration::from_secs(2))),
+            Some(Duration::from_secs(2))
+        );
     }
 
     #[test]
