@@ -264,6 +264,33 @@ mod tests {
     }
 
     #[test]
+    fn window_model_is_the_same_on_every_build() {
+        // Two builds of one window in one process must agree row by row and
+        // term by term: the simplex pivots in row order, so a model laid out
+        // in per-map hash order sends branch-and-bound down a different
+        // path on every build.
+        let dag = tiny_dag();
+        let machine = BspParams::new(3, 1, 2);
+        let sched = BspSchedule::from_parts(vec![0, 0, 1, 1, 2], vec![0, 1, 0, 1, 2]);
+        assert!(validate_lazy(&dag, 3, &sched).is_ok());
+        let build = |s1, s2| {
+            window::WindowIlp::build(&dag, &machine, &sched, s1, s2, Default::default()).model
+        };
+        for (s1, s2) in [(0, 2), (1, 2)] {
+            let (a, b) = (build(s1, s2), build(s1, s2));
+            assert_eq!(a.bounds(), b.bounds(), "window [{s1},{s2}]");
+            assert_eq!(a.n_constraints(), b.n_constraints());
+            for (i, (ca, cb)) in a.constraints().iter().zip(b.constraints()).enumerate() {
+                assert_eq!(
+                    (&ca.terms, ca.sense, ca.rhs),
+                    (&cb.terms, cb.sense, cb.rhs),
+                    "window [{s1},{s2}], row {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn warm_start_is_always_model_feasible() {
         // The strongest formulation test: the incumbent schedule must map to
         // a feasible point of the window model, for full and partial windows.

@@ -29,7 +29,7 @@ use bsp_dag::{Dag, NodeId};
 use bsp_ilp::{Model, Sense, VarId};
 use bsp_model::BspParams;
 use bsp_schedule::{BspSchedule, CommSchedule};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Options controlling boundary handling.
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +67,9 @@ pub struct WindowIlp {
     v0: Vec<NodeId>,
     in_v0: Vec<bool>,
     comp: HashMap<(NodeId, u32, u32), VarId>,
-    comm: HashMap<(NodeId, u32, u32, u32), VarId>,
+    /// Ordered: the rows and terms over `comm` must be added in a fixed
+    /// order, or every build of one window is a different model.
+    comm: BTreeMap<(NodeId, u32, u32, u32), VarId>,
     pres: HashMap<(NodeId, u32, u32), VarId>,
     /// `avail_const[v] -> (proc -> first constantly-present step)`.
     avail: HashMap<(NodeId, u32), u32>,
@@ -105,7 +107,7 @@ impl WindowIlp {
             v0: Vec::new(),
             in_v0: vec![false; dag.n()],
             comp: HashMap::new(),
-            comm: HashMap::new(),
+            comm: BTreeMap::new(),
             pres: HashMap::new(),
             avail: HashMap::new(),
             work_max: HashMap::new(),
@@ -143,7 +145,7 @@ impl WindowIlp {
             let pu = sched.proc(u);
             w.avail.insert((u, pu), 0); // present on its own processor always
                                         // first external need per processor
-            let mut fne: HashMap<u32, u32> = HashMap::new();
+            let mut fne: BTreeMap<u32, u32> = BTreeMap::new();
             for &c in dag.successors(u) {
                 if w.in_v0[c as usize] {
                     continue;
@@ -306,9 +308,7 @@ impl WindowIlp {
         // 4. Sending requires presence at the source. At the pre-window
         // phase (s1 - 1) only boundary producers exist, sending from their
         // own fixed processor, where they are present by definition.
-        let comm_keys: Vec<(NodeId, u32, u32, u32)> = w.comm.keys().copied().collect();
-        for (v, p1, _p2, s) in comm_keys {
-            let cm = w.comm[&(v, p1, _p2, s)];
+        for (&(v, p1, _p2, s), &cm) in &w.comm {
             let pres = if s < s1 {
                 w.pres_base(v, p1)
             } else {

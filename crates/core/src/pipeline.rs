@@ -492,6 +492,33 @@ mod tests {
     }
 
     #[test]
+    fn ilp_pipeline_repeats_on_a_numa_instance() {
+        // Node caps, not clocks, bound the ILP, so repeated calls in one
+        // process must hand back one schedule.
+        let dag = random_layered_dag(
+            5,
+            LayeredConfig {
+                layers: 4,
+                width: 4,
+                edge_prob: 0.4,
+                ..Default::default()
+            },
+        );
+        let machine = BspParams::new(4, 2, 5).with_numa(NumaTopology::binary_tree(4, 3));
+        let mut cfg = fast_cfg();
+        cfg.ilp.limits.max_nodes = 2;
+        cfg.ilp.limits.time_limit = std::time::Duration::from_secs(60);
+        let solve = || {
+            let r = schedule_dag(&dag, &machine, &cfg);
+            (r.cost, r.sched.procs().to_vec(), r.sched.steps().to_vec())
+        };
+        let first = solve();
+        for _ in 0..2 {
+            assert_eq!(solve(), first);
+        }
+    }
+
+    #[test]
     fn pipeline_with_escape_stages_monotone() {
         use crate::anneal::AnnealConfig;
         use crate::tabu::TabuConfig;

@@ -195,9 +195,11 @@ impl ResultStore {
         self.cap
     }
 
-    fn touch(&mut self, key: &str) {
-        self.tick += 1;
-        self.recency.insert(key.to_string(), self.tick);
+    /// Stamps `key` with the next tick. Borrows only the recency fields,
+    /// so `get` can call it while it holds the entry it lends.
+    fn touch(recency: &mut HashMap<String, u64>, tick: &mut u64, key: String) {
+        *tick += 1;
+        recency.insert(key, *tick);
     }
 
     /// Evicts least-recently-used entries until the cap holds. Entries
@@ -347,21 +349,29 @@ impl ResultStore {
     }
 
     /// Looks up `key`, counting the hit or miss and refreshing the
-    /// entry's LRU recency.
-    pub fn get(&mut self, key: &ResultKey) -> Option<CachedResult> {
+    /// entry's LRU recency. The entry is lent, not copied: a caller that
+    /// needs it past the store's lock clones what it keeps.
+    pub fn get(&mut self, key: &ResultKey) -> Option<&CachedResult> {
         let composite = key.composite();
-        match self.map.get(&composite) {
-            Some(e) => {
-                let e = e.clone();
-                self.hits += 1;
-                self.touch(&composite);
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        if !self.map.contains_key(&composite) {
+            self.misses += 1;
         }
+        self.hit(composite)
+    }
+
+    /// [`get`](Self::get) for a caller that is not the request's last
+    /// stop: an absent key counts nothing, because the lookup that
+    /// follows will count it.
+    pub fn get_if_present(&mut self, key: &ResultKey) -> Option<&CachedResult> {
+        self.hit(key.composite())
+    }
+
+    /// Counts a hit and refreshes recency if `composite` is stored.
+    fn hit(&mut self, composite: String) -> Option<&CachedResult> {
+        let entry = self.map.get(&composite)?;
+        self.hits += 1;
+        ResultStore::touch(&mut self.recency, &mut self.tick, composite);
+        Some(entry)
     }
 
     /// Looks up `key` without touching the counters (internal warm-start
@@ -375,7 +385,7 @@ impl ResultStore {
     pub fn insert(&mut self, entry: CachedResult) {
         let composite = entry.key().composite();
         self.map.insert(composite.clone(), entry);
-        self.touch(&composite);
+        ResultStore::touch(&mut self.recency, &mut self.tick, composite);
         self.dirty = true;
         self.enforce_cap();
     }
@@ -589,6 +599,43 @@ mod tests {
         store.insert(entry("d", "etf", 4));
         store.insert(entry("e", "etf", 5));
         assert_eq!(store.stats().len, 3);
+    }
+
+    #[test]
+    fn get_by_reference_refreshes_recency() {
+        // Same scenario as `lru_cap_evicts_least_recently_used`, holding on
+        // to what `get` lends: it must be the stored entry itself, and the
+        // lookup must still have moved `a` ahead of `b`.
+        let mut store = ResultStore::new();
+        store.set_cap(Some(2));
+        store.insert(entry("a", "etf", 1));
+        store.insert(entry("b", "etf", 2));
+        let key_a = entry("a", "etf", 1).key();
+        let lent: *const CachedResult = store.get(&key_a).expect("a is stored");
+        assert!(std::ptr::eq(lent, store.peek(&key_a).unwrap()));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 0));
+        store.insert(entry("c", "etf", 3));
+        assert!(store.peek(&entry("b", "etf", 2).key()).is_none());
+        assert!(store.peek(&key_a).is_some());
+        assert!(store.get(&entry("b", "etf", 2).key()).is_none());
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn get_if_present_counts_hits_only() {
+        let mut store = ResultStore::new();
+        store.set_cap(Some(2));
+        store.insert(entry("a", "etf", 1));
+        store.insert(entry("b", "etf", 2));
+        assert!(store.get_if_present(&entry("c", "etf", 3).key()).is_none());
+        assert_eq!((store.stats().hits, store.stats().misses), (0, 0));
+        let key_a = entry("a", "etf", 1).key();
+        assert_eq!(store.get_if_present(&key_a).map(|c| c.cost), Some(1));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 0));
+        // The hit moved `a` ahead of `b`, as `get` would have.
+        store.insert(entry("c", "etf", 3));
+        assert!(store.peek(&entry("b", "etf", 2).key()).is_none());
+        assert!(store.peek(&key_a).is_some());
     }
 
     #[test]

@@ -153,6 +153,8 @@ pub struct DeltaParams {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Bytes of the response line being read, reused across lines.
+    line: Vec<u8>,
     next_id: u64,
     /// The peer we connected to — reconnect target for the retry paths.
     peer: Option<SocketAddr>,
@@ -185,6 +187,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
+            line: Vec::new(),
             next_id: 1,
             peer,
             op_timeout: Some(DEFAULT_OP_TIMEOUT),
@@ -324,7 +327,7 @@ impl Client {
 
         let mut events = Vec::new();
         loop {
-            let line = match read_line_capped(&mut self.reader, MAX_LINE)
+            let line = match read_line_capped(&mut self.reader, MAX_LINE, &mut self.line)
                 .map_err(|e| ClientError::Io(e.to_string()))?
             {
                 LineRead::Line(l) => l,
@@ -468,7 +471,7 @@ impl Client {
             .and_then(|_| self.writer.write_all(b"\n"))
             .and_then(|_| self.writer.flush())
             .map_err(|e| ClientError::Io(e.to_string()))?;
-        match read_line_capped(&mut self.reader, MAX_LINE)
+        match read_line_capped(&mut self.reader, MAX_LINE, &mut self.line)
             .map_err(|e| ClientError::Io(e.to_string()))?
         {
             LineRead::Line(l) => parse_line(&l).map_err(|e| ClientError::Protocol(e.to_string())),

@@ -7,6 +7,16 @@
 //! Progress events (`kind: "event"`) for a streamed solve are interleaved
 //! before the final `kind: "result"` frame of the same `id`.
 //!
+//! Frames of different ids come back in completion order, not request
+//! order — ids are the contract. In particular a `solve` whose result is
+//! already stored is answered by the connection thread at admission, so on
+//! a pipelined connection it may overtake earlier requests still waiting
+//! for a worker. Such a request is not a job: it takes no queue slot
+//! (never `queue_full`), is not counted in `jobs_done`, sees no `job`-site
+//! injected fault and cannot be shed at dequeue. The admission checks
+//! still come first: `deadline_ms: 0` answers `deadline_shed` and a
+//! draining server answers `shutting_down`, cached or not.
+//!
 //! Malformed input never kills the connection silently — the server
 //! answers with a typed `kind: "error"` frame whose `error` field is one
 //! of the [`codes`]. The only fatal frame is [`codes::OVERSIZE_LINE`]
@@ -385,23 +395,30 @@ pub fn to_line<T: Serialize>(msg: &T) -> String {
 
 /// Outcome of reading one protocol line.
 #[derive(Debug)]
-pub enum LineRead {
-    /// A complete line (without the `\n`).
-    Line(String),
+pub enum LineRead<'a> {
+    /// A complete line (without the `\n`), borrowed from the caller's
+    /// buffer unless invalid UTF-8 forced a lossy copy.
+    Line(std::borrow::Cow<'a, str>),
     /// Clean end of stream.
     Eof,
     /// The line exceeded the cap; the tail was not consumed.
     Oversize,
 }
 
-/// Reads one `\n`-terminated line from `r`, enforcing a byte cap. Returns
-/// [`LineRead::Oversize`] as soon as the cap is crossed (the remainder of
-/// the line stays in the stream — callers should close the connection).
-pub fn read_line_capped<R: std::io::BufRead>(r: &mut R, cap: usize) -> std::io::Result<LineRead> {
+/// Reads one `\n`-terminated line from `r` into `buf` (cleared first — a
+/// connection reuses one buffer for every line), enforcing a byte cap.
+/// Returns [`LineRead::Oversize`] as soon as the cap is crossed (the
+/// remainder of the line stays in the stream — callers should close the
+/// connection).
+pub fn read_line_capped<'a, R: std::io::BufRead>(
+    r: &mut R,
+    cap: usize,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<LineRead<'a>> {
     use std::io::{BufRead, Read};
-    let mut buf: Vec<u8> = Vec::new();
+    buf.clear();
     let mut take = r.take((cap + 1) as u64);
-    let n = take.read_until(b'\n', &mut buf)?;
+    let n = take.read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(LineRead::Eof);
     }
@@ -415,7 +432,7 @@ pub fn read_line_capped<R: std::io::BufRead>(r: &mut R, cap: usize) -> std::io::
     }
     // A final unterminated line (EOF without '\n') within the cap is
     // accepted — it lets `printf '...' | nc` style clients work.
-    Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()))
+    Ok(LineRead::Line(String::from_utf8_lossy(buf)))
 }
 
 fn push_opt<T: Serialize>(fields: &mut Vec<(String, Value)>, key: &str, v: &Option<T>) {
@@ -479,25 +496,42 @@ mod tests {
 
     #[test]
     fn capped_reader_flags_oversize_lines() {
+        let mut buf = Vec::new();
         let data = b"short\n0123456789abcdef\n";
         let mut r = BufReader::new(&data[..]);
-        match read_line_capped(&mut r, 8).unwrap() {
+        match read_line_capped(&mut r, 8, &mut buf).unwrap() {
             LineRead::Line(l) => assert_eq!(l, "short"),
             other => panic!("expected line, got {other:?}"),
         }
         assert!(matches!(
-            read_line_capped(&mut r, 8).unwrap(),
+            read_line_capped(&mut r, 8, &mut buf).unwrap(),
             LineRead::Oversize
         ));
         let data = b"no-newline-at-eof";
         let mut r = BufReader::new(&data[..]);
-        match read_line_capped(&mut r, 64).unwrap() {
+        match read_line_capped(&mut r, 64, &mut buf).unwrap() {
             LineRead::Line(l) => assert_eq!(l, "no-newline-at-eof"),
             other => panic!("expected line, got {other:?}"),
         }
         assert!(matches!(
-            read_line_capped(&mut r, 64).unwrap(),
+            read_line_capped(&mut r, 64, &mut buf).unwrap(),
             LineRead::Eof
         ));
+    }
+
+    #[test]
+    fn capped_reader_borrows_valid_utf8_and_patches_the_rest() {
+        use std::borrow::Cow;
+        let mut buf = Vec::new();
+        let data = b"gr\xc3\xbcn\r\nbad\xffbyte\n";
+        let mut r = BufReader::new(&data[..]);
+        match read_line_capped(&mut r, 64, &mut buf).unwrap() {
+            LineRead::Line(Cow::Borrowed(l)) => assert_eq!(l, "gr\u{fc}n"),
+            other => panic!("expected a borrowed line, got {other:?}"),
+        }
+        match read_line_capped(&mut r, 64, &mut buf).unwrap() {
+            LineRead::Line(Cow::Owned(l)) => assert_eq!(l, "bad\u{fffd}byte"),
+            other => panic!("expected a lossy copy, got {other:?}"),
+        }
     }
 }

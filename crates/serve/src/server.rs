@@ -6,7 +6,8 @@
 //! ```text
 //!  accept loop ──spawns──▶ connection reader ──try_push──▶ JobQueue
 //!       │                      │ (typed protocol errors,       │
-//!       │                      │  pong/stats inline)           ▼
+//!       │                      │  pong/stats and stored        │
+//!       │                      │  results inline)              ▼
 //!       │                      ▼                         worker pool
 //!       │                 CancelToken chain          (Registry per worker)
 //!       │            server ⊃ connection ⊃ job            │
@@ -22,6 +23,11 @@
 //! token: every in-flight solve returns its best-so-far, queued jobs are
 //! drained under the already-cancelled budget (valid results, fast), and
 //! the result store is flushed to disk.
+//!
+//! A `solve` whose answer is already in the result store never becomes a
+//! job: the connection reader answers it at admission (`stored_solve`),
+//! through the same `hit_frame` a worker uses when the result lands
+//! between admission and dequeue.
 
 use crate::cache::{CachedResult, InstanceCache, ResultKey, ResultStore};
 use crate::protocol::{
@@ -165,6 +171,14 @@ struct Job {
 struct MethodMetrics {
     requests: Counter,
     latency: Histogram,
+}
+
+impl MethodMetrics {
+    /// Counts one answered request that began at `began`.
+    fn record(&self, began: Instant) {
+        self.requests.inc();
+        self.latency.observe_duration(began.elapsed());
+    }
 }
 
 /// The server's handles into the process-wide [`bsp_obs`] registry,
@@ -371,6 +385,10 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         None => ResultStore::new(),
     };
     store.set_cap(cfg.store_cap);
+    let metrics = ServeMetrics::new();
+    // Evictions are forwarded wherever the store can evict: here (the cap
+    // may cut a loaded store down) and after every insert.
+    metrics.sync_evictions(store.stats().evictions);
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -383,7 +401,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         stop: CancelToken::new(),
         jobs_done: AtomicU64::new(0),
         workers,
-        metrics: ServeMetrics::new(),
+        metrics,
         faults,
         inflight_keys: Mutex::new(HashMap::new()),
         cfg,
@@ -500,12 +518,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Writes one frame (plus newline) to the shared connection writer,
-/// swallowing errors — a vanished client only means nobody is reading.
-/// The `write` fault site drops the frame entirely (any injected kind
-/// reads as a lost write here: this is the one site where panicking
-/// would kill a pool thread outside the isolation boundary).
-fn send(out: &Mutex<TcpStream>, frame: &Frame) {
+/// Writes one frame (plus newline) to the shared connection writer in a
+/// single `write`, swallowing errors — a vanished client only means
+/// nobody is reading. The `write` fault site drops the frame entirely
+/// (any injected kind reads as a lost write here: this is the one site
+/// where panicking would kill a pool thread outside the isolation
+/// boundary).
+fn send<W: Write>(out: &Mutex<W>, frame: &Frame) {
     if let Some(plan) = bsp_faults::current() {
         match plan.fault_at(Site::Write) {
             Some(Fault::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
@@ -513,10 +532,12 @@ fn send(out: &Mutex<TcpStream>, frame: &Frame) {
             None => {}
         }
     }
-    let line = to_line(frame);
+    // Frame and newline leave in one write: on a `TCP_NODELAY` socket
+    // every write is a segment and a wake-up of the peer.
+    let mut line = to_line(frame);
+    line.push('\n');
     let mut stream = lock(out);
     let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
     let _ = stream.flush();
 }
 
@@ -556,9 +577,10 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
     // reader thread: events of one session are naturally ordered, and a
     // vanished client takes its sessions with it.
     let mut sessions: HashMap<String, OnlineScheduler> = HashMap::new();
+    let mut line_buf = Vec::new();
 
     loop {
-        let line = match read_line_capped(&mut reader, shared.cfg.max_line) {
+        let line = match read_line_capped(&mut reader, shared.cfg.max_line, &mut line_buf) {
             Ok(LineRead::Line(l)) => l,
             Ok(LineRead::Eof) | Err(_) => break,
             Ok(LineRead::Oversize) => {
@@ -667,9 +689,15 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
                     );
                     continue;
                 }
-                let deadline = req
-                    .deadline_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms));
+                let began = Instant::now();
+                if let Some(frame) = stored_solve(&shared, &req, began) {
+                    // Not a job: no queue slot, no worker, no waiter list
+                    // (an `rkey` retry of a finished solve lands here too).
+                    send(&out, &frame);
+                    shared.metrics.solve.record(began);
+                    continue;
+                }
+                let deadline = req.deadline_ms.map(|ms| began + Duration::from_millis(ms));
                 let rkey = req.rkey.clone();
                 let job = Job {
                     req,
@@ -688,14 +716,18 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
                         continue;
                     }
                 }
+                // Counted before the push, uncounted on refusal: a worker
+                // may pop (and count down) before this thread runs again,
+                // and the gauge must never read negative.
+                shared.metrics.queue_depth.inc();
                 match shared.queue.try_push(job) {
                     Ok(()) => {
-                        shared.metrics.queue_depth.inc();
                         if let Some(key) = rkey {
                             inflight.insert(key, Vec::new());
                         }
                     }
                     Err(PushError::Full) => {
+                        shared.metrics.queue_depth.dec();
                         let mut frame =
                             Frame::error(id, codes::QUEUE_FULL, "job queue at capacity; retry");
                         frame.retry_after_ms = Some(shared.retry_after_hint());
@@ -703,6 +735,7 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
                         send(&out, &frame);
                     }
                     Err(PushError::Closed) => {
+                        shared.metrics.queue_depth.dec();
                         drop(inflight);
                         send(
                             &out,
@@ -939,11 +972,7 @@ fn worker_loop(shared: Arc<Shared>) {
         answer_job(&shared, &job, &frame);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
         shared.metrics.inflight.dec();
-        let mm = shared.metrics.method(&job.req.method);
-        mm.requests.inc();
-        mm.latency.observe_duration(began.elapsed());
-        let evictions = lock(&shared.store).stats().evictions;
-        shared.metrics.sync_evictions(evictions);
+        shared.metrics.method(&job.req.method).record(began);
     }
 }
 
@@ -1008,15 +1037,55 @@ fn result_frame(id: Option<u64>, key: &ResultKey, start: Instant) -> Frame {
     }
 }
 
-fn store_entry(key: &ResultKey, outcome: &SolveOutcome) -> CachedResult {
-    CachedResult {
+/// Stores `outcome` under `key` and forwards whatever the insert evicted.
+fn store_outcome(shared: &Shared, key: &ResultKey, outcome: &SolveOutcome) {
+    let mut store = lock(&shared.store);
+    store.insert(CachedResult {
         instance: key.instance.clone(),
         machine: key.machine.clone(),
         sched: key.sched.clone(),
         cost: outcome.total(),
         procs: outcome.result.sched.procs().to_vec(),
         steps: outcome.result.sched.steps().to_vec(),
+    });
+    shared.metrics.sync_evictions(store.stats().evictions);
+}
+
+/// The one place a stored result becomes a frame: at admission, in a
+/// worker's `solve`, and for a `delta`'s derived key. `hit` is the entry
+/// the store lent, so the caller holds the store's lock.
+fn hit_frame(
+    shared: &Shared,
+    id: Option<u64>,
+    key: &ResultKey,
+    start: Instant,
+    hit: &CachedResult,
+) -> Frame {
+    shared.metrics.cache_hits.inc();
+    let mut frame = result_frame(id, key, start);
+    frame.cost = Some(hit.cost);
+    frame.supersteps = Some(supersteps_of(&hit.steps));
+    frame.cache_hit = Some(true);
+    frame
+}
+
+/// Admission's lookup: the hit frame of a `solve` whose spec the instance
+/// cache already knows (by name or alias) and whose result is stored.
+/// Everything else — a never-seen spec, a missing field, a bad scheduler
+/// spec — is `None` and goes to a worker, which answers it as before.
+fn stored_solve(shared: &Shared, req: &Request, start: Instant) -> Option<Frame> {
+    if req.method != "solve" {
+        return None;
     }
+    let inst = lock(&shared.icache).get(req.instance.as_deref()?)?;
+    let sched_raw = req.sched.as_deref().unwrap_or(&shared.cfg.default_sched);
+    let key = ResultKey::from_name(&inst.name, &canonical_sched(sched_raw).ok()?)?;
+    // An absent key counts nothing here: the request goes on to a worker,
+    // whose `get` counts it once.
+    let frame = lock(&shared.store)
+        .get_if_present(&key)
+        .map(|hit| hit_frame(shared, req.id, &key, start, hit));
+    frame
 }
 
 fn handle_solve(
@@ -1048,12 +1117,13 @@ fn handle_solve(
         );
     };
 
-    if let Some(hit) = lock(&shared.store).get(&key) {
-        shared.metrics.cache_hits.inc();
-        let mut frame = result_frame(id, &key, start);
-        frame.cost = Some(hit.cost);
-        frame.supersteps = Some(supersteps_of(&hit.steps));
-        frame.cache_hit = Some(true);
+    // Stored between admission and now (a pipelined duplicate, another
+    // connection's solve), or reached under a spelling admission had not
+    // seen yet.
+    let hit = lock(&shared.store)
+        .get(&key)
+        .map(|hit| hit_frame(shared, id, &key, start, hit));
+    if let Some(frame) = hit {
         return frame;
     }
     shared.metrics.cache_misses.inc();
@@ -1073,7 +1143,7 @@ fn handle_solve(
     }
     let outcome = scheduler.solve(&solve_req);
 
-    lock(&shared.store).insert(store_entry(&key, &outcome));
+    store_outcome(shared, &key, &outcome);
 
     let mut frame = result_frame(id, &key, start);
     frame.cost = Some(outcome.total());
@@ -1146,13 +1216,11 @@ fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> Frame {
 
     // The same edit on the same base under the same scheduler is the same
     // problem — the derived key can itself hit the cache.
-    if let Some(hit) = lock(&shared.store).get(&key) {
-        shared.metrics.cache_hits.inc();
-        lock(&shared.icache).insert(inst.clone(), req.label.as_deref());
-        let mut frame = result_frame(id, &key, start);
-        frame.cost = Some(hit.cost);
-        frame.supersteps = Some(supersteps_of(&hit.steps));
-        frame.cache_hit = Some(true);
+    let hit = lock(&shared.store)
+        .get(&key)
+        .map(|hit| hit_frame(shared, id, &key, start, hit));
+    if let Some(frame) = hit {
+        lock(&shared.icache).insert(inst, req.label.as_deref());
         return frame;
     }
     shared.metrics.cache_misses.inc();
@@ -1219,7 +1287,7 @@ fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> Frame {
         }
     };
 
-    lock(&shared.store).insert(store_entry(&key, &outcome));
+    store_outcome(shared, &key, &outcome);
     lock(&shared.icache).insert(inst.clone(), req.label.as_deref());
 
     let mut frame = result_frame(id, &key, start);
@@ -1231,4 +1299,49 @@ fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> Frame {
     frame.budget_exhausted = Some(outcome.budget_exhausted);
     frame.stages = Some(outcome.stages.iter().map(StageReportWire::from).collect());
     frame
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_issues_one_write_per_frame() {
+        let out = Mutex::new(CountingWriter::default());
+        let frames = [
+            Frame::error(Some(3), codes::BAD_SPEC, "no such instance"),
+            Frame {
+                kind: "pong".to_string(),
+                ..Frame::default()
+            },
+        ];
+        for frame in &frames {
+            send(&out, frame);
+        }
+        let writes = &lock(&out).writes;
+        assert_eq!(writes.len(), frames.len(), "one write per frame");
+        for (bytes, frame) in writes.iter().zip(&frames) {
+            let (newline, line) = bytes.split_last().expect("non-empty write");
+            assert_eq!(*newline, b'\n');
+            assert!(!line.contains(&b'\n'));
+            let back: Frame = parse_line(std::str::from_utf8(line).unwrap()).unwrap();
+            assert_eq!(&back, frame);
+        }
+    }
 }

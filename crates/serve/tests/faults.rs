@@ -179,8 +179,9 @@ fn duplicate_rkey_attaches_to_the_inflight_job() {
     writer.write_all(lines.as_bytes()).unwrap();
     writer.flush().unwrap();
 
+    let mut line = Vec::new();
     let mut read_frame = || -> Frame {
-        match read_line_capped(&mut reader, 1 << 20).unwrap() {
+        match read_line_capped(&mut reader, 1 << 20, &mut line).unwrap() {
             LineRead::Line(l) => parse_line(&l).unwrap(),
             other => panic!("expected a frame line, got {other:?}"),
         }
