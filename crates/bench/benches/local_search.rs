@@ -29,9 +29,7 @@
 //! probes read has changed) against the same loop without them
 //! (`uncertified`), after asserting equal moves and end states and
 //! printing sweeps and probes of both. Reproduce with
-//! `cargo bench -p bsp-bench --bench local_search`; the `bench` experiment
-//! (`cargo run -p bsp-experiments --release -- bench --json …`) records the
-//! same comparison into `BENCH_*.json`.
+//! `cargo bench -p bsp-bench --bench local_search`.
 
 // The reference hill-climbing loop the core proptests hold production to.
 #[path = "../../core/tests/hc_reference/mod.rs"]

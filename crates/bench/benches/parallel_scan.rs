@@ -5,10 +5,9 @@
 //! sequential winner — a wrong parallel reduce must fail the bench run,
 //! not silently time garbage — then times the scan. On a single-core host
 //! the multi-thread rows measure pure overhead (spawn + atomic chunk
-//! claims); on a multi-core host they show the scan's scaling. The
-//! `bench` experiment (`cargo run -p bsp-experiments --release -- bench`)
-//! records the same comparison into `BENCH_registry.json`; CI runs this
-//! target in `--test` mode as a release-build smoke of the parallel path.
+//! claims); on a multi-core host they show the scan's scaling. CI runs
+//! this target in `--test` mode as a release-build smoke of the parallel
+//! path.
 
 use bsp_bench::{kernel_scan_configs, machine, spread_schedule};
 use bsp_core::state::ScheduleState;

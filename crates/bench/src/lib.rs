@@ -1,45 +1,25 @@
 //! Shared fixtures for the Criterion benchmark targets.
 //!
-//! Each bench target corresponds to a group of paper tables/figures (see
-//! DESIGN.md §4) and exercises exactly the code path that regenerates them,
-//! on miniature instances so `cargo bench` stays fast. The experiment
-//! binary (`bsp-experiments`) produces the actual tables.
+//! Every target here asserts an equivalence (against a reference
+//! implementation, a sequential scan, or a no-op observer) before it times
+//! anything, so CI can run it once under `-- --test` as a release-build
+//! smoke. How fast the stack runs is the repo benchmark's question
+//! (`benchmark/README.md`); the paper's tables come from `bsp-experiments`.
 
 use bsp_core::hc::HillClimbConfig;
 use bsp_core::hccs::CommHillClimbConfig;
 use bsp_core::ilp::IlpConfig;
 use bsp_core::pipeline::PipelineConfig;
 use bsp_dag::{Dag, TopoInfo};
-use bsp_dagdb::fine::{cg_dag, exp_dag, knn_dag, spmv_dag};
+use bsp_dagdb::fine::{exp_dag, spmv_dag};
 use bsp_dagdb::SparsePattern;
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::BspSchedule;
 use std::time::Duration;
 
-/// A small representative instance of each fine-grained family.
-pub fn bench_instances() -> Vec<(&'static str, Dag)> {
-    vec![
-        ("spmv", spmv_dag(&SparsePattern::random(16, 0.25, 1))),
-        ("exp", exp_dag(&SparsePattern::random(10, 0.25, 2), 3)),
-        (
-            "cg",
-            cg_dag(&SparsePattern::random_with_diagonal(8, 0.3, 3), 2),
-        ),
-        (
-            "knn",
-            knn_dag(&SparsePattern::random_with_diagonal(12, 0.3, 4), 0, 3),
-        ),
-    ]
-}
-
 /// A single mid-size instance for the heavier paths.
 pub fn medium_instance() -> Dag {
     exp_dag(&SparsePattern::random(24, 0.18, 9), 5)
-}
-
-/// A larger instance for the huge-dataset (non-ILP) path.
-pub fn large_instance() -> Dag {
-    exp_dag(&SparsePattern::random(60, 0.08, 10), 8)
 }
 
 /// A deliberately scattered but valid starting schedule: topological level
@@ -56,11 +36,10 @@ pub fn spread_schedule(dag: &Dag, p: u32) -> BspSchedule {
 
 /// The local-search kernel-scan configurations: one representative per DAG
 /// family (`layered` / `erdos` / `spmv`), each on a small and — unless
-/// `quick` — a large machine. Shared by the `local_search` criterion group
-/// and the `bench` experiment's `kernel` section so both measure the same
-/// workloads; the probe kernel's advantage grows with `P` because the
-/// historical kernel refreshes every touched superstep in `O(P)` twice per
-/// candidate.
+/// `quick` — a large machine. Shared by the `local_search` and
+/// `parallel_scan` criterion groups; the probe kernel's advantage grows
+/// with `P` because the historical kernel refreshes every touched
+/// superstep in `O(P)` twice per candidate.
 pub fn kernel_scan_configs(quick: bool) -> Vec<(&'static str, Dag, u32)> {
     let layered = || {
         bsp_dag::random::random_layered_dag(
@@ -129,5 +108,29 @@ pub fn bench_pipeline_cfg(ilp: bool) -> PipelineConfig {
         // Benches time one solve at a time; keep in-solve scans sequential
         // so measurements are comparable across hosts.
         threads: 1,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_configs_cover_all_three_families_at_two_machine_sizes() {
+        let full = kernel_scan_configs(false);
+        for fam in ["layered", "erdos", "spmv"] {
+            let sizes: Vec<u32> = full
+                .iter()
+                .filter(|(b, ..)| b.starts_with(fam))
+                .map(|&(_, _, p)| p)
+                .collect();
+            assert_eq!(sizes.len(), 2, "{fam} must be scanned at two sizes");
+            assert!(sizes.iter().any(|&p| p >= 32), "{fam} needs a large-P row");
+        }
+        assert_eq!(
+            kernel_scan_configs(true).len(),
+            3,
+            "quick trims to one per family"
+        );
     }
 }

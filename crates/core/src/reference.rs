@@ -11,10 +11,9 @@
 //!    `tests/kernel_equivalence.rs` assert that the flat probe-based
 //!    kernel makes bit-identical decisions and produces bit-identical
 //!    costs to this implementation on every instance they generate.
-//! 2. **Benchmark baseline** — the `local_search` criterion group and
-//!    the `bench` experiment's kernel section measure the probe kernel's
-//!    speedup against [`best_move_apply_revert`], so `BENCH_*.json`
-//!    records the before/after trajectory instead of overwriting it.
+//! 2. **Benchmark baseline** — the `local_search` criterion group times
+//!    the probe kernel against [`best_move_apply_revert`] on the same
+//!    scans.
 
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies.
 //!
 //! These do not reproduce a paper table; they quantify the extensions the
 //! paper names as future work (§8, Appendix A):
@@ -14,9 +14,7 @@
 //!   against always-base and always-multilevel.
 
 use crate::metrics::{geomean, ratio};
-use crate::runner::{
-    dataset_dags, parallel_map, pipeline_config, EvalOptions, NamedDag, RunConfig,
-};
+use crate::runner::{dataset_dags, pipeline_config, EvalOptions, NamedDag, RunConfig};
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_core::auto::{comm_dominance, schedule_dag_auto, AutoConfig, Strategy};
 use bsp_core::hc::{hill_climb, HillClimbConfig};
@@ -30,6 +28,7 @@ use bsp_core::tabu::{tabu_search, TabuConfig};
 use bsp_dag::Dag;
 use bsp_dagdb::DatasetKind;
 use bsp_model::{BspParams, NumaTopology};
+use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::scheduler::{Scheduler, SharedScheduler};
 use bsp_schedule::solve::SolveRequest;
@@ -39,8 +38,9 @@ use std::time::{Duration, Instant};
 /// Builds one baseline from the scheduler registry by spec string —
 /// only the requested entry is constructed.
 fn registered(spec: &str) -> SharedScheduler {
-    bsp_sched::find(spec, &bsp_core::pipeline::PipelineConfig::default())
-        .unwrap_or_else(|| panic!("{spec} missing from bsp_sched::Registry::standard()"))
+    bsp_sched::Registry::standard()
+        .get(spec)
+        .unwrap_or_else(|e| panic!("baseline spec {spec:?}: {e}"))
 }
 
 const ELL: u64 = 5;

@@ -5,26 +5,23 @@
 //! cargo run -p bsp-experiments --release -- table1 [--scale 0.15] [--threads N]
 //! cargo run -p bsp-experiments --release -- registry   # descriptor catalogues + health
 //! cargo run -p bsp-experiments --release -- solve --sched "pipeline/base?ilp=off" --budget-ms 250
-//! cargo run -p bsp-experiments --release -- bench --instances "spmv?n=500 @ bsp?p=8" --json out.json
 //! cargo run -p bsp-experiments --release -- memory    # cost vs fast-memory capacity, all families
 //! cargo run -p bsp-experiments --release -- serve --addr 127.0.0.1:7570 --store results.json --store-cap 512
-//! cargo run -p bsp-experiments --release -- loadgen --quick
 //! cargo run -p bsp-experiments --release -- chaos --quick [--faults "faults?seed=7&panic=0.02"]
 //! cargo run -p bsp-experiments --release -- online --check [--order shuffle] [--budget-ms 2]
 //! cargo run -p bsp-experiments --release -- all
 //! ```
 //!
 //! `--sched <spec>` (repeatable) selects schedulers by spec string for the
-//! `registry`, `solve` and `bench` commands — `"etf?numa=on"`,
+//! `registry`, `solve` and `memory` commands — `"etf?numa=on"`,
 //! `"pipeline/base?ilp=off&hc_iters=200"` (grammar: README § "Choosing a
 //! scheduler"). `--instances <spec>` (repeatable) selects problem
-//! instances for the same commands through the instance registry —
-//! `"spmv?n=1000&q=0.3 @ bsp?p=8&numa=tree"` (grammar: README §
-//! "Instances & machines"); the table sweeps themselves fetch their
-//! datasets through the same API (`dataset/<kind>?scale=…`). `--json
-//! <path>` makes `bench` write its machine-readable timing report there.
+//! instances for the `registry`, `solve` and `online` commands through
+//! the instance registry — `"spmv?n=1000&q=0.3 @ bsp?p=8&numa=tree"`
+//! (grammar: README § "Instances & machines"); the table sweeps themselves
+//! fetch their datasets through the same API (`dataset/<kind>?scale=…`).
 //! `--budget-ms <N>` puts a wall-clock deadline on every pipeline solve
-//! of the table sweeps and the `registry`/`solve`/`bench` commands; the
+//! of the table sweeps and the `registry`/`solve` commands; the
 //! ablation studies keep their own matched budgets and reject the flag.
 //!
 //! `serve` runs the `bsp-serve` scheduling daemon (README § "Service"):
@@ -34,9 +31,9 @@
 //! `--metrics-addr <host:port>` additionally binds the observability
 //! sidecar (`GET /metrics` Prometheus text, `GET /trace` Chrome trace
 //! JSON — README § "Observability").
-//! `loadgen` measures request throughput on the cold / cached / warm
-//! service paths; the same measurement fills the `serve` section of the
-//! `bench` report.
+//!
+//! This harness reproduces the paper's *cost* comparisons; how fast the
+//! stack runs is measured by the repo benchmark (`benchmark/README.md`).
 //!
 //! Defaults are scaled down (instances and budgets) so a full sweep runs on
 //! a laptop; `--scale 1.0` restores paper-sized instances. Absolute costs
@@ -44,7 +41,6 @@
 //! reproduce its comparisons.
 
 mod ablations;
-mod bench;
 mod chaos_cmd;
 mod memory;
 mod metrics;
@@ -55,6 +51,15 @@ mod tables;
 
 use std::env;
 
+/// The value of the value-taking flag at `args[*i]`, advancing `i` onto
+/// it; a flag given last on the line aborts with its name.
+fn value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .unwrap_or_else(|| panic!("{flag} takes a value"))
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut id: Option<String> = None;
@@ -63,57 +68,38 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                i += 1;
-                cfg.scale = args[i].parse().expect("--scale takes a float");
+                cfg.scale = value(&args, &mut i).parse().expect("--scale takes a float");
             }
             "--threads" => {
-                i += 1;
                 // 0 = auto-detect, matching the bsp-par convention.
-                let requested = args[i].parse().expect("--threads takes an integer");
+                let requested = value(&args, &mut i)
+                    .parse()
+                    .expect("--threads takes an integer");
                 cfg.threads = bsp_par::resolve_threads(requested);
             }
             "--quick" => cfg.quick = true,
-            "--sched" => {
-                i += 1;
-                cfg.scheds.push(args[i].clone());
-            }
-            "--instances" => {
-                i += 1;
-                cfg.instances.push(args[i].clone());
-            }
-            "--json" => {
-                i += 1;
-                cfg.json = Some(args[i].clone().into());
-            }
+            "--sched" => cfg.scheds.push(value(&args, &mut i).to_string()),
+            "--instances" => cfg.instances.push(value(&args, &mut i).to_string()),
             "--budget-ms" => {
-                i += 1;
-                cfg.budget_ms = Some(args[i].parse().expect("--budget-ms takes milliseconds"));
+                cfg.budget_ms = Some(
+                    value(&args, &mut i)
+                        .parse()
+                        .expect("--budget-ms takes milliseconds"),
+                );
             }
-            "--addr" => {
-                i += 1;
-                cfg.addr = Some(args[i].clone());
-            }
-            "--metrics-addr" => {
-                i += 1;
-                cfg.metrics_addr = Some(args[i].clone());
-            }
-            "--store" => {
-                i += 1;
-                cfg.store = Some(args[i].clone().into());
-            }
+            "--addr" => cfg.addr = Some(value(&args, &mut i).to_string()),
+            "--metrics-addr" => cfg.metrics_addr = Some(value(&args, &mut i).to_string()),
+            "--store" => cfg.store = Some(value(&args, &mut i).into()),
             "--store-cap" => {
-                i += 1;
-                cfg.store_cap = Some(args[i].parse().expect("--store-cap takes an entry count"));
+                cfg.store_cap = Some(
+                    value(&args, &mut i)
+                        .parse()
+                        .expect("--store-cap takes an entry count"),
+                );
             }
-            "--order" => {
-                i += 1;
-                cfg.order = Some(args[i].clone());
-            }
+            "--order" => cfg.order = Some(value(&args, &mut i).to_string()),
             "--check" => cfg.check = true,
-            "--faults" => {
-                i += 1;
-                cfg.faults = Some(args[i].clone());
-            }
+            "--faults" => cfg.faults = Some(value(&args, &mut i).to_string()),
             other if id.is_none() => id = Some(other.to_string()),
             other => panic!("unexpected argument: {other}"),
         }
@@ -122,18 +108,11 @@ fn main() {
     let id = id.unwrap_or_else(|| "all".to_string());
     // Reject flag/command combinations that would otherwise be silently
     // ignored.
-    if !cfg.scheds.is_empty() && !matches!(id.as_str(), "registry" | "solve" | "bench" | "memory") {
-        panic!("--sched applies only to the `registry`, `solve`, `bench` and `memory` commands");
+    if !cfg.scheds.is_empty() && !matches!(id.as_str(), "registry" | "solve" | "memory") {
+        panic!("--sched applies only to the `registry`, `solve` and `memory` commands");
     }
-    if !cfg.instances.is_empty()
-        && !matches!(id.as_str(), "registry" | "solve" | "bench" | "online")
-    {
-        panic!(
-            "--instances applies only to the `registry`, `solve`, `bench` and `online` commands"
-        );
-    }
-    if cfg.json.is_some() && id != "bench" {
-        panic!("--json applies only to the `bench` command");
+    if !cfg.instances.is_empty() && !matches!(id.as_str(), "registry" | "solve" | "online") {
+        panic!("--instances applies only to the `registry`, `solve` and `online` commands");
     }
     if cfg.budget_ms.is_some() && (id.starts_with("ablation") || id == "all") {
         panic!("--budget-ms does not apply to the ablation studies (matched internal budgets)");
@@ -183,9 +162,7 @@ fn main() {
             "trivial" => tables::trivial_counts(&cfg),
             "registry" => tables::registry_overview(&cfg),
             "solve" => tables::solve_specs(&cfg),
-            "bench" => bench::bench(&cfg),
             "serve" => serve_cmd::serve(&cfg),
-            "loadgen" => serve_cmd::loadgen(&cfg),
             "chaos" => chaos_cmd::chaos(&cfg),
             "online" => online_cmd::online(&cfg),
             "memory" => memory::memory_sweep(&cfg),
@@ -215,5 +192,21 @@ fn main() {
         run("ablation");
     } else {
         run(&id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::value;
+
+    #[test]
+    #[should_panic(expected = "--scale takes a value")]
+    fn a_flag_given_last_names_itself() {
+        let args = ["--sched", "etf", "--scale"].map(str::to_string);
+        let mut i = 0;
+        assert_eq!(value(&args, &mut i), "etf");
+        assert_eq!(i, 1);
+        i += 1;
+        value(&args, &mut i);
     }
 }

@@ -6,14 +6,15 @@
 //! working set (the smallest capacity at which superstep splitting can
 //! always reach feasibility), and `M_tot`, the total value footprint (a
 //! capacity that can never evict anything it needs) — and solves the
-//! instance with a memory-aware scheduler (default `bl-est/mem`) at
+//! instance with a memory-aware scheduler (default `bl-est?mem=on`) at
 //! capacities ∞, `M_tot`, the midpoint, and `M_min`. The printed table is
 //! the cost-vs-capacity trajectory: how much the realistic-models ladder's
 //! memory rung costs each family, separated into re-fetch traffic and the
 //! extra supersteps the feasibility repair inserted.
 
-use crate::runner::{parallel_map, RunConfig};
+use crate::runner::RunConfig;
 use bsp_instance::{Instance, InstanceDescriptor, InstanceRegistry};
+use bsp_par::parallel_map;
 use bsp_schedule::memory::min_repairable_capacity;
 use bsp_schedule::solve::SolveRequest;
 
@@ -58,7 +59,7 @@ pub fn memory_sweep(cfg: &RunConfig) {
     let inst_registry = InstanceRegistry::standard();
     let sched_registry = bsp_sched::Registry::standard();
     let sched_spec = match cfg.scheds.as_slice() {
-        [] => "bl-est/mem".to_string(),
+        [] => "bl-est?mem=on".to_string(),
         [one] => one.clone(),
         _ => panic!("the memory sweep takes at most one --sched"),
     };

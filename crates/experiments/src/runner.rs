@@ -14,13 +14,6 @@ use bsp_schedule::trivial::trivial_cost;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// The worker-thread fallback every sweep entry point shares: the
-/// machine's available parallelism, or 4 when undetectable
-/// (re-exported from [`bsp_par::detect_threads`]).
-pub fn detect_threads() -> usize {
-    bsp_par::detect_threads()
-}
-
 /// Global run options.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -38,8 +31,6 @@ pub struct RunConfig {
     pub instances: Vec<String>,
     /// Per-solve wall-clock budget from `--budget-ms`.
     pub budget_ms: Option<u64>,
-    /// Machine-readable output path from `--json` (the `bench` command).
-    pub json: Option<std::path::PathBuf>,
     /// Bind address from `--addr` (the `serve` command).
     pub addr: Option<String>,
     /// Observability-sidecar bind address from `--metrics-addr` (the
@@ -75,12 +66,11 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             scale: 0.12,
-            threads: detect_threads(),
+            threads: bsp_par::detect_threads(),
             quick: false,
             scheds: Vec::new(),
             instances: Vec::new(),
             budget_ms: None,
-            json: None,
             addr: None,
             metrics_addr: None,
             store: None,
@@ -123,8 +113,8 @@ pub fn dataset_dags(kind: DatasetKind, scale: f64) -> Vec<NamedDag> {
 
 /// Resolves each full `--instances` spec (`dag?… @ bsp?…`) into its
 /// instances, keeping the spec alongside its expansion. The one
-/// resolve-or-abort path shared by the `registry`, `solve` and `bench`
-/// commands; callers supply their own defaults.
+/// resolve-or-abort path shared by the `registry`, `solve`, `online` and
+/// `chaos` commands; callers supply their own defaults.
 pub fn resolve_instance_groups(specs: &[String]) -> Vec<(String, Vec<bsp_instance::Instance>)> {
     let registry = InstanceRegistry::standard();
     specs
@@ -298,17 +288,6 @@ pub fn evaluate(name: &str, dag: &Dag, machine: &BspParams, opts: &EvalOptions) 
         ml15,
         ml30,
     }
-}
-
-/// Runs `f` over `jobs` on `threads` workers, preserving job order in the
-/// output (delegates to [`bsp_par::parallel_map`]).
-pub fn parallel_map<T, R, F>(threads: usize, jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    bsp_par::parallel_map(threads, jobs, f)
 }
 
 #[cfg(test)]

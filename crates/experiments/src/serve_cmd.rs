@@ -1,95 +1,25 @@
-//! The `serve` and `loadgen` commands: run the `bsp-serve` scheduling
-//! daemon, and measure its request throughput on the three service paths
-//! (`cold` solve, spec-keyed `cached` lookup, `warm` delta re-solve).
-//!
-//! `loadgen` drives an in-process server over real loopback TCP with the
-//! blocking client, so the measured numbers include JSON framing and
-//! socket round-trips — the figure a deployment would see. The same
-//! measurement feeds the `serve` section of the `bench` command's JSON
-//! report (`schema: "bsp-sched/bench-v6"`, see `BENCH_registry.json`).
+//! The `serve` command: run the `bsp-serve` scheduling daemon. Its
+//! throughput and latency are measured by the repo benchmark's
+//! `serve-hot` and `serve-solve` workloads (`benchmark/README.md`).
 
 use crate::runner::RunConfig;
-use bsp_instance::DagEdit;
-use bsp_serve::client::{Client, DeltaParams, SolveParams};
 use bsp_serve::server::{shutdown_on_sigint, start, ServeConfig};
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
-/// One measured service path: `requests` identical-shape requests timed
-/// end-to-end over loopback TCP, client and server on the same host.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeRun {
-    /// Service path: `cold` (full pipeline solve), `cached` (spec-keyed
-    /// store lookup) or `warm` (delta re-solve from the cached base).
-    pub path: String,
-    /// Canonical instance spec the requests targeted.
-    pub instance: String,
-    /// Requests issued (and answered — errors abort the bench).
-    pub requests: u64,
-    /// Total wall-clock for all requests, nanoseconds.
-    pub nanos: u64,
-    /// Derived throughput, `requests / seconds`, rounded down.
-    pub requests_per_sec: u64,
-    /// Median per-request latency, microseconds (histogram bucket upper
-    /// bound — see [`bsp_obs::Histogram::percentile`]).
-    pub p50_us: u64,
-    /// 99th-percentile per-request latency, microseconds (the tail a
-    /// deployment's SLO watches), quantized like `p50_us`.
-    pub p99_us: u64,
-    /// Mean reported schedule cost across the answers (identical for
-    /// `cached` rows; sanity context for `warm` vs `cold`).
-    pub mean_cost: u64,
-}
-
-/// Summarizes microsecond latency samples through the shared `bsp-obs`
-/// histogram machinery: the samples are recorded into the process
-/// registry under `name{label}` (so they show up on `/metrics` and in
-/// `bench`'s metrics section), and p50/p99 are read from a *fresh*
-/// histogram fed only this run's samples — same bucket quantization,
-/// no bleed from earlier runs in the process. Percentiles are bucket
-/// upper bounds ([`bsp_obs::Histogram::percentile`]).
-pub fn latency_summary(name: &str, label: (&str, &str), samples_us: &[u64]) -> (u64, u64) {
-    let shared = bsp_obs::global().histogram(name, &[label]);
-    let local = bsp_obs::Histogram::unregistered();
-    for &s in samples_us {
-        shared.observe(s);
-        local.observe(s);
-    }
-    (local.percentile(50), local.percentile(99))
-}
-
-/// The instance the load generator exercises: big enough that a cold
-/// pipeline solve does real work, small enough to answer interactively.
-fn loadgen_instance(quick: bool) -> &'static str {
-    if quick {
-        "layered?layers=6&width=10&q=0.25&seed=3 @ bsp?p=4&g=2&l=5"
-    } else {
-        "layered?layers=10&width=20&q=0.25&seed=3 @ bsp?p=4&g=2&l=5"
-    }
-}
-
-fn serve_config(cfg: &RunConfig) -> ServeConfig {
+/// The `serve` command: bind the daemon and block until SIGINT or a
+/// client `shutdown` request, then drain, flush the store and report.
+pub fn serve(cfg: &RunConfig) {
     let mut sc = ServeConfig::default();
     sc.threads = cfg.threads;
     sc.default_budget_ms = Some(cfg.budget_ms.unwrap_or(2000));
     sc.store_path = cfg.store.clone();
     sc.store_cap = cfg.store_cap;
-    if let Some(addr) = &cfg.addr {
-        sc.addr = addr.clone();
-    }
+    // A daemon wants a fixed port, not the test-suite's port 0.
+    sc.addr = cfg
+        .addr
+        .clone()
+        .unwrap_or_else(|| "127.0.0.1:7570".to_string());
     sc.metrics_addr = cfg.metrics_addr.clone();
     sc.faults = cfg.faults.clone();
-    sc
-}
-
-/// The `serve` command: bind the daemon and block until SIGINT or a
-/// client `shutdown` request, then drain, flush the store and report.
-pub fn serve(cfg: &RunConfig) {
-    let mut sc = serve_config(cfg);
-    if cfg.addr.is_none() {
-        // A daemon wants a fixed port, not the test-suite's port 0.
-        sc.addr = "127.0.0.1:7570".to_string();
-    }
     let workers = sc.worker_threads();
     let handle = start(sc).expect("bind serve address");
     println!(
@@ -113,149 +43,4 @@ pub fn serve(cfg: &RunConfig) {
         "bsp-serve stopped: {} jobs done, {} results cached ({} hits / {} misses)",
         stats.jobs_done, stats.cached_results, stats.hits, stats.misses
     );
-}
-
-/// Measures the three service paths against a fresh in-process server and
-/// returns one [`ServeRun`] row per path. Shared by `loadgen` and `bench`.
-pub fn serve_bench_runs(cfg: &RunConfig) -> Vec<ServeRun> {
-    let mut sc = serve_config(cfg);
-    sc.addr = "127.0.0.1:0".to_string(); // always ephemeral for the bench
-    sc.store_path = None; // never touch a persistent store from a bench
-    let handle = start(sc).expect("loadgen server binds a loopback port");
-    let mut client = Client::connect(handle.addr()).expect("loadgen client connects");
-
-    let instance = loadgen_instance(cfg.quick);
-    let mut params = SolveParams::default();
-    params.instance = instance.to_string();
-
-    // Cold path: the first solve of the spec runs the full pipeline.
-    let t = Instant::now();
-    let cold = client.solve(&params).expect("cold solve answers");
-    let cold_nanos = t.elapsed().as_nanos() as u64;
-    assert_eq!(
-        cold.result.cache_hit,
-        Some(false),
-        "bench server started warm"
-    );
-    let cold_cost = cold.result.cost.expect("cold solve reports a cost");
-    let canonical = cold
-        .result
-        .instance
-        .clone()
-        .expect("canonical instance name");
-
-    // Cached path: every further identical request is a store lookup.
-    // Per-request timings feed the p50/p99 columns — throughput alone
-    // hides tail latency.
-    let cached_requests: u64 = if cfg.quick { 200 } else { 1000 };
-    let mut cached_samples = Vec::with_capacity(cached_requests as usize);
-    let t = Instant::now();
-    for _ in 0..cached_requests {
-        let t1 = Instant::now();
-        let hit = client.solve(&params).expect("cached solve answers");
-        cached_samples.push(t1.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        assert_eq!(hit.result.cache_hit, Some(true), "cached path missed");
-    }
-    let cached_nanos = t.elapsed().as_nanos() as u64;
-
-    // Warm path: distinct one-node edits against the cached base, each a
-    // fresh derived instance (distinct edit fingerprint), each warm.
-    let warm_requests: u64 = if cfg.quick { 3 } else { 8 };
-    let mut warm_samples = Vec::with_capacity(warm_requests as usize);
-    let mut warm_cost_sum = 0u64;
-    let t = Instant::now();
-    for i in 0..warm_requests {
-        let t1 = Instant::now();
-        let mut delta = DeltaParams::default();
-        delta.base = canonical.clone();
-        delta.edits = vec![DagEdit::AddNode {
-            work: i + 1,
-            comm: 1,
-            preds: vec![0],
-            succs: vec![],
-        }];
-        let warm = client.delta(&delta).expect("warm delta answers");
-        assert_eq!(warm.result.warm, Some(true), "delta did not warm-start");
-        let cost = warm.result.cost.expect("warm delta reports a cost");
-        assert!(
-            cost <= warm.result.warm_init_cost.expect("warm init cost"),
-            "warm result worse than its repaired start"
-        );
-        warm_cost_sum += cost;
-        warm_samples.push(t1.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    }
-    let warm_nanos = t.elapsed().as_nanos() as u64;
-
-    handle.shutdown();
-
-    let row = |path: &str, requests: u64, nanos: u64, samples: &[u64], mean_cost: u64| {
-        let (p50_us, p99_us) =
-            latency_summary("bsp_loadgen_request_latency_us", ("path", path), samples);
-        ServeRun {
-            path: path.to_string(),
-            instance: canonical.clone(),
-            requests,
-            nanos,
-            requests_per_sec: (requests as f64 / (nanos.max(1) as f64 / 1e9)) as u64,
-            p50_us,
-            p99_us,
-            mean_cost,
-        }
-    };
-    vec![
-        row("cold", 1, cold_nanos, &[cold_nanos / 1000], cold_cost),
-        row(
-            "cached",
-            cached_requests,
-            cached_nanos,
-            &cached_samples,
-            cold_cost,
-        ),
-        row(
-            "warm",
-            warm_requests,
-            warm_nanos,
-            &warm_samples,
-            warm_cost_sum / warm_requests,
-        ),
-    ]
-}
-
-/// The `loadgen` command: print the three-path throughput table.
-pub fn loadgen(cfg: &RunConfig) {
-    eprintln!("[loadgen] measuring cold / cached / warm request paths over loopback TCP");
-    let runs = serve_bench_runs(cfg);
-    print_serve_runs(&runs);
-    let per = |path: &str| {
-        runs.iter()
-            .find(|r| r.path == path)
-            .map_or(0, |r| r.nanos / r.requests.max(1))
-    };
-    let (cold, warm) = (per("cold"), per("warm"));
-    println!(
-        "\nwarm delta re-solve vs cold solve: {:.2} ms vs {:.2} ms per request ({:.1}x)",
-        warm as f64 / 1e6,
-        cold as f64 / 1e6,
-        cold as f64 / warm.max(1) as f64,
-    );
-}
-
-/// Shared table printer for `loadgen` and the `bench` serve section.
-pub fn print_serve_runs(runs: &[ServeRun]) {
-    println!(
-        "\n{:<8} {:>9} {:>12} {:>12} {:>10} {:>10} {:>10}",
-        "path", "requests", "total", "req/s", "p50", "p99", "mean cost"
-    );
-    for r in runs {
-        println!(
-            "{:<8} {:>9} {:>9.2} ms {:>12} {:>7} us {:>7} us {:>10}",
-            r.path,
-            r.requests,
-            r.nanos as f64 / 1e6,
-            r.requests_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.mean_cost,
-        );
-    }
 }

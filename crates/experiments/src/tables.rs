@@ -2,14 +2,15 @@
 
 use crate::metrics::{geomean, ratio, reduction_pct};
 use crate::runner::{
-    dataset_dags, evaluate, instance_dags, parallel_map, pipeline_config, resolve_instance_groups,
-    Eval, EvalOptions, NamedDag, RunConfig,
+    dataset_dags, evaluate, instance_dags, pipeline_config, resolve_instance_groups, Eval,
+    EvalOptions, NamedDag, RunConfig,
 };
 use bsp_core::ilp::init::ilp_init;
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_dagdb::DatasetKind;
 use bsp_instance::{Instance, MachineSpec, NumaSpec};
 use bsp_model::BspParams;
+use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::scheduler::Scheduler;
 use bsp_schedule::solve::SolveRequest;

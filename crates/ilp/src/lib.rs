@@ -1,7 +1,7 @@
 //! A small mixed-integer linear programming (MILP) substrate.
 //!
 //! The paper solves its scheduling (sub)problems with the CBC solver; this
-//! crate is the from-scratch replacement (see DESIGN.md). It provides:
+//! crate is the from-scratch replacement. It provides:
 //!
 //! * [`Model`] — variables with bounds and integrality, linear constraints,
 //!   and a linear objective (always *minimized*);

@@ -67,8 +67,8 @@ pub mod io {
     //! JSON and JSON-lines persistence for instances and sweep results.
     //!
     //! The helpers are generic over the workspace serde traits, so the
-    //! same functions persist [`Instance`](crate::Instance)s, experiment
-    //! `Eval` rows, and bench reports.
+    //! same functions persist [`Instance`](crate::Instance)s and experiment
+    //! `Eval` rows.
 
     use serde::{json, Deserialize, Error, Serialize};
 

@@ -1,5 +1,5 @@
 //! A small blocking client for the JSONL protocol — used by the test
-//! suite, the CI smoke job and the `loadgen` benchmark driver.
+//! suite, the `chaos` command and the repo benchmark's serve workloads.
 
 use crate::protocol::{
     codes, parse_line, to_line, Frame, MetricWire, Request, ServerStats, MAX_LINE,

@@ -66,8 +66,8 @@ fn main() {
         }
     );
 
-    // `bl-est/mem` = BL-EST + feasibility repair + residency-aware cost.
-    let mem_aware = registry.get("bl-est/mem").expect("registered");
+    // `bl-est?mem=on` = BL-EST + feasibility repair + residency-aware cost.
+    let mem_aware = registry.get("bl-est?mem=on").expect("registered");
     for capacity in [m_tot, (m_min + m_tot) / 2, m_min] {
         let inst = instances
             .generate_one(&format!("{dag_spec} @ bsp?p=4&g=2&mem={capacity}"), 42)
@@ -84,7 +84,7 @@ fn main() {
             "reported cost must match the residency-aware re-evaluation"
         );
         println!(
-            "bl-est/mem @ mem={capacity:>4}: cost {:>5}   ({} supersteps, refetch {}, repair stage: {})",
+            "bl-est?mem=on @ mem={capacity:>4}: cost {:>5}   ({} supersteps, refetch {}, repair stage: {})",
             out.total(),
             r.sched.n_supersteps(),
             r.cost.refetch_total,

@@ -56,9 +56,7 @@ pub mod race;
 pub mod registry;
 
 pub use race::RaceScheduler;
-pub use registry::{
-    find, registry, registry_default_fast, registry_of, registry_with, Registry, RegistryEntry,
-};
+pub use registry::{Registry, RegistryEntry};
 
 /// The standard catalogue of problem-instance families, the counterpart
 /// of [`Registry::standard`] for instances:

@@ -7,9 +7,10 @@
 //! anything and *build* exactly the schedulers they need from spec strings
 //! like `"etf?numa=on"` or `"pipeline/base?ilp=off&hc_iters=200"` (grammar:
 //! [`SchedulerSpec`], README § "Choosing a scheduler"). The experiment
-//! runner, the `registry` criterion bench, the examples and the smoke tests
-//! all consume it, so a new algorithm becomes visible to every harness by
-//! adding exactly one entry to [`Registry::standard`].
+//! runner, the examples and the smoke tests all consume it, so a new
+//! algorithm becomes visible to every harness by adding exactly one entry
+//! to [`Registry::standard`]. Every scheduler has exactly one name;
+//! variants (`numa=on`, `mem=on`) are parameters, never second entries.
 //!
 //! ```
 //! use bsp_sched::prelude::*;
@@ -175,15 +176,6 @@ impl Registry {
     pub fn build_all(&self, base: &PipelineConfig) -> Vec<SharedScheduler> {
         self.entries.iter().map(|e| e.build_default(base)).collect()
     }
-
-    /// Builds only the entries of one family, preserving order.
-    pub fn build_kind(&self, kind: SchedulerKind, base: &PipelineConfig) -> Vec<SharedScheduler> {
-        self.entries
-            .iter()
-            .filter(|e| e.descriptor.kind == kind)
-            .map(|e| e.build_default(base))
-            .collect()
-    }
 }
 
 impl Default for Registry {
@@ -288,50 +280,16 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 kind: SchedulerKind::Baseline,
                 numa_aware: false,
                 deterministic: true,
+                // Flags describe the bare-name configuration: the list
+                // scheduler is atomic; only the `mem=on` repair wrapper
+                // polls the deadline (between splits).
                 supports_budget: false,
-                params: &["numa"],
-                summary: "BL-EST list scheduling (numa=on for per-pair λ EST)",
-            },
-            // `bl-est?numa=on` builds the same scheduler as the dedicated
-            // `bl-est-numa` entry below; the descriptor flags describe each
-            // entry's *default* configuration. Both addresses exist because
-            // the paper's tables treat the NUMA-aware variant as its own
-            // column (stable name `bl-est-numa`), while the spec parameter
-            // is the tuning-surface way to flip the extension.
-            factory: |spec, _| {
-                let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                Ok(Box::new(BlestScheduler { numa_aware }))
-            },
-        },
-        RegistryEntry {
-            descriptor: SchedulerDescriptor {
-                name: "bl-est-numa",
-                kind: SchedulerKind::Baseline,
-                numa_aware: true,
-                deterministic: true,
-                supports_budget: false,
-                params: &[],
-                summary: "BL-EST with the NUMA-aware per-pair λ EST extension (A.1)",
-            },
-            factory: |_, _| Ok(Box::new(BlestScheduler { numa_aware: true })),
-        },
-        RegistryEntry {
-            descriptor: SchedulerDescriptor {
-                name: "bl-est/mem",
-                kind: SchedulerKind::Baseline,
-                numa_aware: false,
-                deterministic: true,
-                // The repair wrapper polls the deadline between splits.
-                supports_budget: true,
-                params: &["numa"],
-                summary: "BL-EST + memory feasibility repair (for mem=-bounded machines)",
+                params: &["numa", "mem"],
+                summary: "BL-EST list scheduling (numa=on: per-pair λ EST, A.1; mem=on: memory feasibility repair)",
             },
             factory: |spec, _| {
                 let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                Ok(Box::new(MemoryRepairScheduler::new(
-                    "bl-est/mem",
-                    BlestScheduler { numa_aware },
-                )))
+                with_mem_repair(spec, "bl-est", BlestScheduler { numa_aware })
             },
         },
         RegistryEntry {
@@ -341,44 +299,12 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 numa_aware: false,
                 deterministic: true,
                 supports_budget: false,
-                params: &["numa"],
-                summary: "ETF list scheduling (numa=on for per-pair λ EST)",
-            },
-            // Dual-addressed like `bl-est`: `etf?numa=on` ≡ `etf-numa`.
-            factory: |spec, _| {
-                let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                Ok(Box::new(EtfScheduler { numa_aware }))
-            },
-        },
-        RegistryEntry {
-            descriptor: SchedulerDescriptor {
-                name: "etf-numa",
-                kind: SchedulerKind::Baseline,
-                numa_aware: true,
-                deterministic: true,
-                supports_budget: false,
-                params: &[],
-                summary: "ETF with the NUMA-aware per-pair λ EST extension (A.1)",
-            },
-            factory: |_, _| Ok(Box::new(EtfScheduler { numa_aware: true })),
-        },
-        RegistryEntry {
-            descriptor: SchedulerDescriptor {
-                name: "etf/mem",
-                kind: SchedulerKind::Baseline,
-                numa_aware: false,
-                deterministic: true,
-                // The repair wrapper polls the deadline between splits.
-                supports_budget: true,
-                params: &["numa"],
-                summary: "ETF + memory feasibility repair (for mem=-bounded machines)",
+                params: &["numa", "mem"],
+                summary: "ETF list scheduling (numa=on: per-pair λ EST, A.1; mem=on: memory feasibility repair)",
             },
             factory: |spec, _| {
                 let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                Ok(Box::new(MemoryRepairScheduler::new(
-                    "etf/mem",
-                    EtfScheduler { numa_aware },
-                )))
+                with_mem_repair(spec, "etf", EtfScheduler { numa_aware })
             },
         },
         RegistryEntry {
@@ -526,39 +452,4 @@ fn standard_entries() -> Vec<RegistryEntry> {
             },
         },
     ]
-}
-
-/// Every scheduler at default configuration, with pipeline stages using
-/// `PipelineConfig::default()` (full ILP budgets).
-pub fn registry() -> Vec<SharedScheduler> {
-    registry_with(&PipelineConfig::default())
-}
-
-/// [`registry`] with a pipeline configuration suitable for quick runs and
-/// debug builds: ILP stages disabled, everything else at paper defaults.
-pub fn registry_default_fast() -> Vec<SharedScheduler> {
-    registry_with(&PipelineConfig {
-        enable_ilp: false,
-        ..PipelineConfig::default()
-    })
-}
-
-/// Every scheduler in the workspace, with the three pipeline entries using
-/// the given stage budgets.
-pub fn registry_with(cfg: &PipelineConfig) -> Vec<SharedScheduler> {
-    Registry::standard().build_all(cfg)
-}
-
-/// The registry restricted to one family, preserving order. Builds only
-/// that family's entries.
-pub fn registry_of(kind: SchedulerKind, cfg: &PipelineConfig) -> Vec<SharedScheduler> {
-    Registry::standard().build_kind(kind, cfg)
-}
-
-/// Looks up a scheduler by spec string (`"etf"`, `"etf?numa=on"`,
-/// `"pipeline/base?ilp=off"`, …), building only the requested entry.
-/// Returns `None` for unknown names or invalid parameters; use
-/// [`Registry::get_with`] for the error detail.
-pub fn find(spec: &str, cfg: &PipelineConfig) -> Option<SharedScheduler> {
-    Registry::standard().get_with(spec, cfg).ok()
 }

@@ -95,13 +95,14 @@ fn race_winner_is_deterministic() {
 
 /// Equal-cost racers: the tie must break to the *earlier* spec, not to
 /// whichever thread happened to finish first. `bl-est?numa=on` and
-/// `bl-est-numa` build the identical scheduler, so their costs always tie.
+/// `bl-est?numa=true` are two spellings of one parameter value and build
+/// the identical scheduler, so their costs always tie.
 #[test]
 fn race_ties_break_by_spec_order() {
     let dag = dag();
     let machine = BspParams::new(4, 2, 5);
     let racer = Registry::standard()
-        .get_with("race/bl-est?numa=on,bl-est-numa", &fast_cfg())
+        .get_with("race/bl-est?numa=on,bl-est?numa=true", &fast_cfg())
         .unwrap();
     for _ in 0..5 {
         let out = racer.solve(&SolveRequest::new(&dag, &machine));
