@@ -58,7 +58,7 @@ pub struct BlestScheduler {
 impl Scheduler for BlestScheduler {
     fn name(&self) -> &str {
         if self.numa_aware {
-            "bl-est-numa"
+            "bl-est?numa=on"
         } else {
             "bl-est"
         }
@@ -89,7 +89,7 @@ pub struct EtfScheduler {
 impl Scheduler for EtfScheduler {
     fn name(&self) -> &str {
         if self.numa_aware {
-            "etf-numa"
+            "etf?numa=on"
         } else {
             "etf"
         }

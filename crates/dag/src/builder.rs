@@ -67,11 +67,6 @@ impl DagBuilder {
         (self.work.len() - 1) as NodeId
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.work.len()
-    }
-
     /// Adds the precedence edge `u -> v`. Fails fast on unknown endpoints and
     /// self-loops; cycles are detected at build time.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), DagError> {

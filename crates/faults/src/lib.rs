@@ -49,7 +49,7 @@ pub enum Site {
     Read,
     /// Server frame writes (one decision per outgoing frame).
     Write,
-    /// Serve worker job bodies (solve/delta execution).
+    /// Serve worker job bodies (one decision per job a worker runs).
     Job,
     /// Result-store loads.
     StoreLoad,
@@ -132,16 +132,6 @@ impl Fault {
             Fault::Drop => 1,
             Fault::Panic => 2,
             Fault::Slow(_) => 3,
-        }
-    }
-
-    /// The metric label / display name of the fault kind.
-    pub fn kind_name(self) -> &'static str {
-        match self {
-            Fault::IoErr => "io_err",
-            Fault::Drop => "drop",
-            Fault::Panic => "panic",
-            Fault::Slow(_) => "slow",
         }
     }
 }

@@ -196,20 +196,6 @@ pub struct OnlineStats {
     pub batches: Vec<BatchReport>,
 }
 
-impl OnlineStats {
-    /// Per-arrival latency samples in microseconds: each re-plan
-    /// contributes its `arrivals` samples of `elapsed_us / arrivals`.
-    pub fn per_arrival_latencies_us(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for b in &self.batches {
-            if let Some(per) = b.elapsed_us.checked_div(b.arrivals) {
-                out.extend(std::iter::repeat_n(per, b.arrivals as usize));
-            }
-        }
-        out
-    }
-}
-
 /// The tentative-suffix view streamed to clients after a re-plan: the
 /// assignment of every node at or above the commit frontier, in
 /// trace-level node ids.

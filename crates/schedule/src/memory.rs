@@ -318,11 +318,6 @@ pub fn memory_cost(
     )
 }
 
-/// [`memory_cost`] under the lazy communication schedule.
-pub fn memory_lazy_cost(dag: &Dag, machine: &BspParams, sched: &BspSchedule) -> u64 {
-    memory_cost(dag, machine, sched, &CommSchedule::lazy(dag, sched)).total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -301,15 +301,6 @@ impl Client {
         self.request_with_retry(solve_request(params), policy)
     }
 
-    /// [`Client::delta`] with retries under `policy`.
-    pub fn delta_with_retry(
-        &mut self,
-        params: &DeltaParams,
-        policy: &RetryPolicy,
-    ) -> Result<Response, ClientError> {
-        self.request_with_retry(delta_request(params), policy)
-    }
-
     /// Sends `req` (with a fresh correlation id) and collects frames
     /// until the matching terminal frame arrives. Event frames for the id
     /// are accumulated; frames for *other* ids are dropped (this blocking

@@ -345,7 +345,9 @@ pub struct ServerStats {
     pub corrupt: u64,
     /// Instances currently in the in-memory instance cache.
     pub cached_instances: u64,
-    /// Jobs fully processed since startup.
+    /// Jobs fully processed since startup: every `solve`, `delta` and
+    /// `stream_*` request a worker answered or shed at dequeue (a stored
+    /// `solve` answered at admission is not a job).
     pub jobs_done: u64,
     /// Jobs currently queued.
     pub queued: u64,

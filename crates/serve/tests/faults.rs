@@ -201,3 +201,76 @@ fn duplicate_rkey_attaches_to_the_inflight_job() {
     assert_eq!(stats.jobs_done, 1, "rkey dedupe must not double-execute");
     handle.shutdown();
 }
+
+/// Stream requests are jobs: with the single worker wedged on a slow
+/// solve and the one-slot queue taken, a `stream_push` is refused with
+/// `queue_full` and a `retry_after_ms` hint like any other job, the
+/// refusal leaves the session as it was, and the retried push feeds each
+/// event to the scheduler exactly once.
+#[test]
+fn stream_push_answers_queue_full_and_the_retry_counts_each_event_once() {
+    use bsp_instance::trace::ArrivalEvent;
+    // Every job sleeps 400 ms until three have: the open and two fillers.
+    let handle = faulty_server(1, 1, "faults?seed=2&slow=1.0&slow_ms=400&only=job&max=3");
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .stream_open("s", "bsp?p=2&g=1&l=2", Some(50))
+        .unwrap();
+
+    // As in the solve test above: the first filler must be popped (and
+    // asleep) before the second takes the queue's only slot.
+    let mut fillers = Vec::new();
+    for stagger_ms in [0u64, 150] {
+        std::thread::sleep(Duration::from_millis(stagger_ms));
+        fillers.push(std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            c.solve(&solve_params(INSTANCE)).unwrap();
+        }));
+    }
+    while client.stats().unwrap().queued < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let events: Vec<ArrivalEvent> = (0..3u32)
+        .map(|node| ArrivalEvent::Arrive {
+            node,
+            work: 2,
+            comm: 1,
+            deps: (0..node).collect(),
+        })
+        .collect();
+    let err = client
+        .stream_push("s", &events)
+        .expect_err("queue must be full");
+    assert!(err.is_code(codes::QUEUE_FULL), "got {err}");
+    let hint = match &err {
+        bsp_serve::ClientError::Server { retry_after_ms, .. } => *retry_after_ms,
+        _ => None,
+    };
+    let mut wait_ms = hint.expect("queue_full frame carries retry_after_ms");
+    assert!(
+        (10..=5000).contains(&wait_ms),
+        "hint {wait_ms} out of range"
+    );
+
+    let frame = loop {
+        std::thread::sleep(Duration::from_millis(wait_ms));
+        match client.stream_push("s", &events) {
+            Ok(frame) => break frame,
+            Err(e) if e.is_code(codes::QUEUE_FULL) => wait_ms = 50,
+            Err(e) => panic!("retried push failed: {e}"),
+        }
+    };
+    assert_eq!(
+        frame.arrivals,
+        Some(events.len() as u64),
+        "a refused push must not have reached the session"
+    );
+    let done = client.stream_close("s").unwrap();
+    assert_eq!(done.arrivals, Some(events.len() as u64));
+    for f in fillers {
+        f.join().unwrap();
+    }
+    handle.shutdown();
+}

@@ -182,3 +182,36 @@ fn store_cap_evicts_and_reports_through_stats() {
     assert_eq!(stats.evictions, 1, "one entry was evicted");
     handle.shutdown();
 }
+
+/// Stream requests go through the same admission as `solve`/`delta`: a
+/// spent deadline is shed without touching the session, and a draining
+/// server refuses the push instead of running it.
+#[test]
+fn stream_push_is_shed_on_a_spent_deadline_and_refused_while_draining() {
+    let handle = test_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.stream_open("s", "bsp?p=2", Some(50)).unwrap();
+    let arrive = |node: u32| ArrivalEvent::Arrive {
+        node,
+        work: 1,
+        comm: 1,
+        deps: vec![],
+    };
+
+    let mut req = bsp_serve::Request::new("stream_push");
+    req.session = Some("s".to_string());
+    req.events = Some(vec![arrive(0)]);
+    req.deadline_ms = Some(0);
+    let err = client.request(req).expect_err("must be shed");
+    assert!(err.is_code(codes::DEADLINE_SHED), "got {err}");
+    // The shed push never reached the session: node 0 is still new to it.
+    let frame = client.stream_push("s", &[arrive(0)]).unwrap();
+    assert_eq!(frame.arrivals, Some(1));
+
+    handle.begin_shutdown();
+    let err = client
+        .stream_push("s", &[arrive(1)])
+        .expect_err("a draining server admits no stream job");
+    assert!(err.is_code(codes::SHUTTING_DOWN), "got {err}");
+    handle.wait();
+}

@@ -236,7 +236,19 @@ fn spec_lookup_builds_configured_single_entries() {
     // `?numa=on` reconfigures the plain list baselines into their
     // NUMA-aware variants.
     let etf = registry.get("etf?numa=on").expect("etf spec");
-    assert_eq!(etf.name(), "etf-numa");
+    assert_eq!(etf.name(), "etf?numa=on");
+    let blest = registry.get("bl-est?numa=on").expect("bl-est spec");
+    assert_eq!(blest.name(), "bl-est?numa=on");
+    // A name the system prints is a name it accepts.
+    for s in [etf, blest].iter().chain(&registry.build_all(&fast_cfg())) {
+        assert_eq!(
+            registry
+                .get(s.name())
+                .expect("printed name resolves")
+                .name(),
+            s.name()
+        );
+    }
 
     // Errors carry enough context to act on.
     assert!(matches!(
