@@ -5,9 +5,31 @@
 //! replaces it with strictly better solutions, so the result is never worse
 //! than the warm start — the contract the scheduling pipeline needs when it
 //! uses ILP stages as bounded-effort refinement (paper §4.4, §6).
+//!
+//! **One tableau per search.** A node differs from the node solved before
+//! it — its parent, or after a backtrack some cousin — in variable bounds
+//! only, so the search keeps a single [`LpWorkspace`], whatever its depth,
+//! and clones nothing per level. The root is solved cold. Every later node
+//! *rebases* that tableau to its own bounds — a nonbasic column whose
+//! bounds moved takes the side the sign of its reduced cost allows (lower
+//! if `d ≥ 0`, else upper), so un-fixing on the way back up is as legal as
+//! fixing on the way down, and the tableau stays dual feasible — and
+//! re-solves it by dual simplex: a child of the node just solved typically
+//! takes a handful of pivots where a cold solve takes hundreds.
+//!
+//! **When it falls back.** The workspace throws the tableau away and solves
+//! the node cold — counted in [`MipSolution::cold_fallbacks`] — when a
+//! re-solve ends in anything but optimal or infeasible, when its point
+//! misses a row by more than 10⁻⁶, when there is no tableau to start from
+//! (the previous cold solve did not end optimal), and when the re-solve has
+//! already done the arithmetic of the cold solve that built the tableau: a
+//! jump across the tree can need hundreds of pivots on a tableau that has
+//! filled in, and the fresh tableau a cold solve leaves is sparse again.
+//! The rounding heuristic fixes every integer and solves that much easier
+//! LP cold, on a tableau of its own.
 
 use crate::model::{Model, VarId};
-use crate::simplex::{solve_lp_with_deadline, LpStatus};
+use crate::simplex::{LpCounts, LpStatus, LpWorkspace};
 use std::time::{Duration, Instant};
 
 /// Node/time/gap limits for the search.
@@ -56,6 +78,31 @@ pub struct MipSolution {
     pub objective: f64,
     /// Number of nodes expanded.
     pub nodes: usize,
+    /// LP relaxations solved: one per node with a bound to compute, plus
+    /// the rounding heuristic's.
+    pub lp_solves: usize,
+    /// Simplex pivots over all of them.
+    pub pivots: usize,
+    /// Node LPs re-solved from the search's one tableau.
+    pub warm_resolves: usize,
+    /// Node LPs past the root that were solved cold instead.
+    pub cold_fallbacks: usize,
+}
+
+impl MipSolution {
+    /// The answer of a model proven infeasible without any search.
+    pub(crate) fn infeasible() -> Self {
+        MipSolution {
+            status: MipStatus::Infeasible,
+            x: Vec::new(),
+            objective: f64::INFINITY,
+            nodes: 0,
+            lp_solves: 0,
+            pivots: 0,
+            warm_resolves: 0,
+            cold_fallbacks: 0,
+        }
+    }
 }
 
 const INT_TOL: f64 = 1e-6;
@@ -65,8 +112,12 @@ struct SearchState {
     best_obj: f64,
     nodes: usize,
     limits: SolveLimits,
-    deadline: Instant,
+    deadline: Option<Instant>,
     exhausted: bool,
+    /// The search's one tableau.
+    lp: LpWorkspace,
+    /// Cold solves of the rounding heuristic, and their pivots.
+    rounding: LpCounts,
 }
 
 impl Model {
@@ -84,8 +135,11 @@ pub fn solve_mip(model: &Model, warm_start: Option<&[f64]>, limits: &SolveLimits
         best_obj: f64::INFINITY,
         nodes: 0,
         limits: limits.clone(),
-        deadline: Instant::now() + limits.time_limit,
+        // A limit too large to be a representable instant is no limit.
+        deadline: Instant::now().checked_add(limits.time_limit),
         exhausted: true,
+        lp: LpWorkspace::default(),
+        rounding: LpCounts::default(),
     };
     if let Some(w) = warm_start {
         if model.is_feasible(w, 1e-6) {
@@ -102,22 +156,32 @@ pub fn solve_mip(model: &Model, warm_start: Option<&[f64]>, limits: &SolveLimits
         (None, true) => MipStatus::Infeasible,
         (None, false) => MipStatus::Unknown,
     };
+    let lp = state.lp.counts();
     MipSolution {
         status,
         objective: state.best_obj,
         x: state.best_x.unwrap_or_default(),
         nodes: state.nodes,
+        lp_solves: lp.lp_solves + state.rounding.lp_solves,
+        pivots: lp.pivots + state.rounding.pivots,
+        warm_resolves: lp.warm_resolves,
+        cold_fallbacks: lp.cold_fallbacks,
     }
 }
 
 fn dfs(work: &mut Model, state: &mut SearchState, depth: usize) {
-    if state.nodes >= state.limits.max_nodes || Instant::now() >= state.deadline {
+    let out_of_time = state.deadline.is_some_and(|d| Instant::now() >= d);
+    if state.nodes >= state.limits.max_nodes || out_of_time {
         state.exhausted = false;
         return;
     }
     state.nodes += 1;
 
-    let lp = solve_lp_with_deadline(work, Some(state.deadline));
+    let lp = if state.nodes == 1 {
+        state.lp.solve(work, state.deadline)
+    } else {
+        state.lp.resolve(work, state.deadline)
+    };
     let (frac, x) = match lp.status {
         LpStatus::Infeasible => return,
         LpStatus::Unbounded | LpStatus::IterationLimit => {
@@ -226,7 +290,10 @@ fn try_rounding(work: &mut Model, x: &[f64], state: &mut SearchState) {
         let r = x[v.index()].round().clamp(lo, hi);
         work.set_bounds(v, r, r);
     }
-    let lp = solve_lp_with_deadline(work, Some(state.deadline));
+    let mut cold = LpWorkspace::default();
+    let lp = cold.solve(work, state.deadline);
+    state.rounding.lp_solves += 1;
+    state.rounding.pivots += cold.counts().pivots;
     if lp.status == LpStatus::Optimal && lp.objective < state.best_obj {
         let mut xi = lp.x;
         round_integers(work, &mut xi);
@@ -339,6 +406,71 @@ mod tests {
         assert!(sol.objective <= -2.0 + 1e-9);
         assert!(!sol.x.is_empty());
         assert!(m.is_feasible(&sol.x, 1e-6));
+    }
+
+    #[test]
+    fn unrepresentable_time_limit_is_no_limit() {
+        // `Instant::now() + Duration::MAX` used to panic.
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..6).map(|i| m.add_binary(-(i as f64) - 1.0)).collect();
+        m.add_constraint(xs.iter().map(|&x| (x, 2.0)).collect(), Sense::Le, 7.0);
+        let with = |time_limit| {
+            m.solve(
+                None,
+                &SolveLimits {
+                    time_limit,
+                    ..limits()
+                },
+            )
+        };
+        let (unlimited, bounded) = (with(Duration::MAX), with(Duration::from_secs(20)));
+        assert_eq!(unlimited.status, MipStatus::Optimal);
+        assert_eq!(unlimited.x, bounded.x);
+        assert_eq!(unlimited.nodes, bounded.nodes);
+    }
+
+    /// A knapsack with a side constraint: fractional at the root and at
+    /// most nodes, so the search dives, backtracks and un-fixes.
+    fn branching_model() -> Model {
+        let values = [15.0, 14.0, 13.0, 9.0, 8.0, 7.0, 5.0, 4.0];
+        let weights = [7.0, 6.0, 6.0, 5.0, 4.0, 3.0, 3.0, 2.0];
+        let mut m = Model::new();
+        let xs: Vec<_> = values.iter().map(|&v| m.add_binary(-v)).collect();
+        let weighted = |w: &[f64]| xs.iter().zip(w).map(|(&x, &w)| (x, w)).collect();
+        m.add_constraint(weighted(&weights), Sense::Le, 17.0);
+        m.add_constraint(weighted(&[1.0; 8]), Sense::Le, 4.0);
+        m
+    }
+
+    #[test]
+    fn every_node_past_the_root_re_solves_the_one_tableau() {
+        let sol = branching_model().solve(None, &limits());
+        assert_eq!(sol.status, MipStatus::Optimal);
+        assert!(sol.nodes > 4, "the model must branch: {} nodes", sol.nodes);
+        assert_eq!(sol.cold_fallbacks, 0);
+        assert_eq!(sol.warm_resolves, sol.nodes - 1);
+        // One LP per node plus the rounding heuristic's.
+        assert!(sol.lp_solves > sol.nodes);
+        assert!(sol.pivots > 0);
+    }
+
+    #[test]
+    fn counts_and_point_repeat_exactly() {
+        let m = branching_model();
+        let (a, b) = (m.solve(None, &limits()), m.solve(None, &limits()));
+        let counts = |s: &MipSolution| {
+            (
+                s.nodes,
+                s.lp_solves,
+                s.pivots,
+                s.warm_resolves,
+                s.cold_fallbacks,
+            )
+        };
+        assert_eq!(counts(&a), counts(&b));
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.x), bits(&b.x));
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //!
 //! * [`Model`] — variables with bounds and integrality, linear constraints,
 //!   and a linear objective (always *minimized*);
-//! * [`simplex`] — a dense two-phase primal simplex for the LP relaxation;
-//! * [`branch_bound`] — depth-first branch-and-bound over binary variables
-//!   with warm starts, node/time limits, and a rounding primal heuristic.
+//! * [`simplex`] — a bounded-variable tableau simplex for the LP relaxation,
+//!   cold (two-phase primal) or re-solved from a kept tableau (dual);
+//! * [`branch_bound`] — depth-first branch-and-bound over integer variables
+//!   on one re-solved tableau, with warm starts, node/time limits, and a
+//!   rounding primal heuristic.
 //!
 //! The solver is *anytime*: given a feasible warm start it never returns a
 //! worse solution, which is the contract the scheduling pipeline relies on
@@ -40,4 +42,4 @@ pub mod simplex;
 pub use branch_bound::{MipSolution, MipStatus, SolveLimits};
 pub use model::{Model, Sense, VarId};
 pub use presolve::{presolve, solve_with_presolve, PresolveResult};
-pub use simplex::{LpSolution, LpStatus};
+pub use simplex::{LpCounts, LpSolution, LpStatus, LpWorkspace};

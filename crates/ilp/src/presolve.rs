@@ -8,7 +8,7 @@
 //! the presolved model is a solution of the original and vice versa —
 //! the warm-start contract of [`crate::branch_bound`] is unaffected.
 
-use crate::branch_bound::{solve_mip, MipSolution, MipStatus, SolveLimits};
+use crate::branch_bound::{solve_mip, MipSolution, SolveLimits};
 use crate::model::{Constraint, Model, Sense, VarId};
 
 const TOL: f64 = 1e-9;
@@ -224,12 +224,7 @@ pub fn solve_with_presolve(
     if pre.infeasible {
         // A caller-supplied warm start contradicts proven infeasibility only
         // if it was infeasible to begin with; report infeasible.
-        return MipSolution {
-            status: MipStatus::Infeasible,
-            x: Vec::new(),
-            objective: f64::INFINITY,
-            nodes: 0,
-        };
+        return MipSolution::infeasible();
     }
     solve_mip(&pre.model, warm_start, limits)
 }
@@ -237,6 +232,7 @@ pub fn solve_with_presolve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::MipStatus;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -8,9 +8,11 @@
 
 use bsp_sched::baselines::hdagg::HDaggConfig;
 use bsp_sched::baselines::{cilk_bsp, hdagg_schedule};
+use bsp_sched::core::ilp::window::{WindowIlp, WindowOptions};
 use bsp_sched::core::ilp::{ilp_full, IlpConfig};
 use bsp_sched::core::init::bspg_schedule;
 use bsp_sched::prelude::*;
+use bsp_sched::schedule::compact::compact_lazy;
 
 fn main() {
     // Two chains joined at a sink; an interesting trade-off between running
@@ -50,6 +52,17 @@ fn main() {
         println!(
             "g = {g:>2}: Cilk {cilk:>3}  HDagg {hdagg:>3}  BSPg {init_cost:>3}  ILPfull {opt:>3}{}",
             if proven { " (proven optimal)" } else { "" }
+        );
+        // The same model handed to the solver directly, to see what the proof
+        // cost: every node past the root re-solves the search's one tableau.
+        let base = compact_lazy(&dag, &init);
+        let last = base.n_supersteps() - 1;
+        let w = WindowIlp::build(&dag, &machine, &base, 0, last, WindowOptions::default());
+        let warm = w.warm_start(&dag, &machine, &base);
+        let sol = bsp_sched::ilp::solve_with_presolve(&w.model, Some(&warm), &cfg.limits);
+        println!(
+            "        {} nodes, {} LP solves, {} pivots, {} re-solved warm, {} cold fall-backs",
+            sol.nodes, sol.lp_solves, sol.pivots, sol.warm_resolves, sol.cold_fallbacks
         );
         if g >= 12 {
             // With very expensive communication the optimum serializes both
