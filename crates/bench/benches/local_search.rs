@@ -36,7 +36,7 @@
 mod hc_reference;
 
 use bsp_bench::{kernel_scan_configs, machine, numa_machine, spread_schedule};
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::hc::hill_climb;
 use bsp_core::init::bspg_schedule;
 use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
@@ -44,6 +44,7 @@ use bsp_core::steepest::best_move;
 use bsp_dag::TopoInfo;
 use bsp_dagdb::fine::spmv_dag;
 use bsp_dagdb::SparsePattern;
+use bsp_schedule::solve::Stop;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -58,7 +59,7 @@ fn bench_scan(c: &mut Criterion) {
         let n = dag.n() as u32;
         let st = ScheduleState::new(&dag, &m, &sched);
         g.bench_function(BenchmarkId::new("probe", name), |b| {
-            b.iter(|| black_box(best_move(&st)))
+            b.iter(|| black_box(best_move(&st, 1)))
         });
         let mut reference = RefScheduleState::new(&dag, &m, &sched);
         g.bench_function(BenchmarkId::new("apply_revert", name), |b| {
@@ -119,10 +120,6 @@ fn unpruned_sweep_improves(st: &ScheduleState<'_>) -> bool {
 /// online re-plan and warm re-solve pays for the nodes an edit did not
 /// touch.
 fn bench_hc_sweep(c: &mut Criterion) {
-    let cfg = HillClimbConfig {
-        max_moves: None,
-        time_limit: None,
-    };
     let mut g = c.benchmark_group("local_search/hc_sweep");
     g.sample_size(10);
     let mut configs = kernel_scan_configs(true);
@@ -139,11 +136,11 @@ fn bench_hc_sweep(c: &mut Criterion) {
             machine(p as usize, 3)
         };
         let mut st = ScheduleState::new(&dag, &m, &bspg_schedule(&dag, &m));
-        hill_climb(&mut st, &cfg);
+        hill_climb(&mut st, &mut Stop::new(None, None));
         let converged = st.snapshot();
         // Pruned ≡ unpruned: both certify the minimum and move nothing.
         assert!(!unpruned_sweep_improves(&st), "{name}: not a local minimum");
-        let stats = hill_climb(&mut st, &cfg);
+        let stats = hill_climb(&mut st, &mut Stop::new(None, None));
         assert_eq!((stats.accepted, stats.local_minimum), (0, true), "{name}");
         assert_eq!(
             st.snapshot(),
@@ -151,7 +148,7 @@ fn bench_hc_sweep(c: &mut Criterion) {
             "{name}: a verification sweep moved a node"
         );
         g.bench_function(BenchmarkId::new("pruned", name), |b| {
-            b.iter(|| black_box(hill_climb(&mut st, &cfg)))
+            b.iter(|| black_box(hill_climb(&mut st, &mut Stop::new(None, None))))
         });
         g.bench_function(BenchmarkId::new("unpruned", name), |b| {
             b.iter(|| black_box(unpruned_sweep_improves(&st)))
@@ -169,10 +166,6 @@ fn climb_without_certificates(st: &mut ScheduleState<'_>) -> hc_reference::Refer
 /// A whole climb, first sweep to last: what a cold pipeline solve spends
 /// nearly all of its time in.
 fn bench_hc_converge(c: &mut Criterion) {
-    let cfg = HillClimbConfig {
-        max_moves: None,
-        time_limit: None,
-    };
     let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
     let mut g = c.benchmark_group("local_search/hc_converge");
     g.sample_size(10);
@@ -186,7 +179,7 @@ fn bench_hc_converge(c: &mut Criterion) {
         // Certified ≡ uncertified: same moves, same minimum.
         let mut with = ScheduleState::new(&dag, &m, &start);
         let before = probes_total.get();
-        let stats = hill_climb(&mut with, &cfg);
+        let stats = hill_climb(&mut with, &mut Stop::new(None, None));
         let probes_with = probes_total.get() - before;
         let mut without = ScheduleState::new(&dag, &m, &start);
         let plain = climb_without_certificates(&mut without);
@@ -210,7 +203,7 @@ fn bench_hc_converge(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("certified", name), |b| {
             b.iter(|| {
                 let mut st = ScheduleState::new(&dag, &m, &start);
-                black_box(hill_climb(&mut st, &cfg))
+                black_box(hill_climb(&mut st, &mut Stop::new(None, None)))
             })
         });
         g.bench_function(BenchmarkId::new("uncertified", name), |b| {

@@ -25,6 +25,7 @@ use bsp_core::multilevel::{
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 use bsp_sched::instance::InstanceRegistry;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -89,9 +90,14 @@ fn bench_multilevel_scaling(c: &mut Criterion) {
             assert_walk_matches_replay(&dag, &log, cfg.refine_interval);
             let refining = MultilevelConfig::default();
             assert_eq!(
-                multilevel_with_log(&dag, &machine, &log, &refining, &mut zero_base, &mut || {
-                    false
-                }),
+                multilevel_with_log(
+                    &dag,
+                    &machine,
+                    &log,
+                    &refining,
+                    &mut zero_base,
+                    &mut Stop::new(None, None)
+                ),
                 reference::multilevel_with_log(&dag, &machine, &log, &refining, &mut zero_base),
                 "{family}: refined schedule diverged from the replay's"
             );
@@ -114,7 +120,7 @@ fn bench_multilevel_scaling(c: &mut Criterion) {
                     &log,
                     &cfg,
                     &mut zero_base,
-                    &mut || false,
+                    &mut Stop::new(None, None),
                 ))
             })
         });

@@ -11,7 +11,7 @@
 
 use bsp_bench::{kernel_scan_configs, machine, spread_schedule};
 use bsp_core::state::ScheduleState;
-use bsp_core::steepest::{best_move, best_move_threaded};
+use bsp_core::steepest::best_move;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -24,15 +24,15 @@ fn bench_parallel_scan(c: &mut Criterion) {
         let m = machine(p as usize, 3);
         let sched = spread_schedule(&dag, p);
         let st = ScheduleState::new(&dag, &m, &sched);
-        let reference = best_move(&st);
+        let reference = best_move(&st, 1);
         for t in THREADS {
             assert_eq!(
-                best_move_threaded(&st, t),
+                best_move(&st, t),
                 reference,
                 "{name}: parallel scan diverged at {t} threads"
             );
             g.bench_function(BenchmarkId::new(format!("t{t}"), name), |b| {
-                b.iter(|| black_box(best_move_threaded(&st, t)))
+                b.iter(|| black_box(best_move(&st, t)))
             });
         }
     }

@@ -17,10 +17,11 @@
 use crate::state::ScheduleState;
 use bsp_dag::Dag;
 use bsp_model::BspParams;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone)]
@@ -36,7 +37,8 @@ pub struct AnnealConfig {
     pub min_temp: f64,
     /// Hard cap on total proposals.
     pub max_steps: usize,
-    /// Wall-clock limit.
+    /// Wall-clock limit of a pipeline's escape stage; the pipeline folds it
+    /// into the [`Stop`] it hands [`simulated_annealing`].
     pub time_limit: Option<Duration>,
     /// RNG seed (runs are deterministic for a fixed seed and input).
     pub seed: u64,
@@ -69,9 +71,10 @@ pub struct AnnealStats {
     pub improved_best: usize,
 }
 
-/// Runs simulated annealing starting from `sched` and returns the best
-/// schedule found together with its lazy cost and run statistics. The
-/// returned cost is never above the lazy cost of the input.
+/// Runs simulated annealing starting from `sched` until `cfg`'s step and
+/// temperature limits or `stop` (polled once per proposal), and returns
+/// the best schedule found together with its lazy cost and run statistics.
+/// The returned cost is never above the lazy cost of the input.
 ///
 /// ```
 /// use bsp_core::anneal::{simulated_annealing, AnnealConfig};
@@ -79,12 +82,14 @@ pub struct AnnealStats {
 /// use bsp_dag::random::{random_layered_dag, LayeredConfig};
 /// use bsp_model::BspParams;
 /// use bsp_schedule::cost::lazy_cost;
+/// use bsp_schedule::solve::Stop;
 ///
 /// let dag = random_layered_dag(7, LayeredConfig::default());
 /// let machine = BspParams::new(4, 3, 5);
 /// let start = bspg_schedule(&dag, &machine);
-/// let cfg = AnnealConfig { max_steps: 2_000, time_limit: None, ..Default::default() };
-/// let (best, cost, _stats) = simulated_annealing(&dag, &machine, &start, &cfg);
+/// let cfg = AnnealConfig { max_steps: 2_000, ..Default::default() };
+/// let mut stop = Stop::new(None, None);
+/// let (best, cost, _stats) = simulated_annealing(&dag, &machine, &start, &cfg, &mut stop);
 /// assert!(cost <= lazy_cost(&dag, &machine, &start));
 /// assert_eq!(cost, lazy_cost(&dag, &machine, &best));
 /// ```
@@ -93,6 +98,7 @@ pub fn simulated_annealing(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &AnnealConfig,
+    stop: &mut Stop,
 ) -> (BspSchedule, u64, AnnealStats) {
     let mut state = ScheduleState::new(dag, machine, sched);
     let mut stats = AnnealStats::default();
@@ -102,7 +108,6 @@ pub fn simulated_annealing(
         return (best, best_cost, stats);
     }
 
-    let deadline = cfg.time_limit.map(|t| Instant::now() + t);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut temp = cfg
         .initial_temp
@@ -110,15 +115,8 @@ pub fn simulated_annealing(
 
     'outer: while temp >= cfg.min_temp && stats.proposed < cfg.max_steps {
         for _ in 0..cfg.steps_per_temp {
-            if stats.proposed >= cfg.max_steps {
+            if stats.proposed >= cfg.max_steps || stop.poll() {
                 break 'outer;
-            }
-            if let Some(d) = deadline {
-                // Checking the clock every proposal would dominate small
-                // instances; every 32nd proposal is precise enough.
-                if stats.proposed % 32 == 0 && Instant::now() >= d {
-                    break 'outer;
-                }
             }
             stats.proposed += 1;
             let Some((v, q, s)) = propose(&state, &mut rng) else {
@@ -193,11 +191,21 @@ fn calibrate_temperature(state: &ScheduleState<'_>, rng: &mut SmallRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hc::{hill_climb, HillClimbConfig};
+    use crate::hc::hill_climb;
     use bsp_dag::random::{random_layered_dag, LayeredConfig};
     use bsp_dag::DagBuilder;
     use bsp_schedule::cost::lazy_cost;
     use bsp_schedule::validity::validate_lazy;
+
+    /// [`simulated_annealing`] under no limit but `cfg`'s own.
+    fn anneal(
+        dag: &Dag,
+        machine: &BspParams,
+        sched: &BspSchedule,
+        cfg: &AnnealConfig,
+    ) -> (BspSchedule, u64, AnnealStats) {
+        simulated_annealing(dag, machine, sched, cfg, &mut Stop::new(None, None))
+    }
 
     fn quick_cfg(seed: u64) -> AnnealConfig {
         AnnealConfig {
@@ -224,7 +232,7 @@ mod tests {
             let machine = BspParams::new(4, 3, 5);
             let sched = BspSchedule::zeroed(dag.n());
             let input = lazy_cost(&dag, &machine, &sched);
-            let (best, cost, _) = simulated_annealing(&dag, &machine, &sched, &quick_cfg(seed));
+            let (best, cost, _) = anneal(&dag, &machine, &sched, &quick_cfg(seed));
             assert!(cost <= input, "seed {seed}: {cost} > {input}");
             assert_eq!(cost, lazy_cost(&dag, &machine, &best), "seed {seed}");
             assert!(validate_lazy(&dag, 4, &best).is_ok(), "seed {seed}");
@@ -236,8 +244,8 @@ mod tests {
         let dag = random_layered_dag(3, LayeredConfig::default());
         let machine = BspParams::new(4, 2, 3);
         let sched = BspSchedule::zeroed(dag.n());
-        let (a, ca, sa) = simulated_annealing(&dag, &machine, &sched, &quick_cfg(7));
-        let (b, cb, sb) = simulated_annealing(&dag, &machine, &sched, &quick_cfg(7));
+        let (a, ca, sa) = anneal(&dag, &machine, &sched, &quick_cfg(7));
+        let (b, cb, sb) = anneal(&dag, &machine, &sched, &quick_cfg(7));
         assert_eq!(ca, cb);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
@@ -258,7 +266,7 @@ mod tests {
         );
         let machine = BspParams::new(4, 4, 5);
         let sched = BspSchedule::zeroed(dag.n());
-        let (_, _, stats) = simulated_annealing(&dag, &machine, &sched, &quick_cfg(5));
+        let (_, _, stats) = anneal(&dag, &machine, &sched, &quick_cfg(5));
         assert!(stats.uphill > 0, "no uphill moves accepted: {stats:?}");
         assert!(stats.accepted >= stats.uphill);
         assert!(stats.proposed >= stats.accepted);
@@ -278,19 +286,13 @@ mod tests {
         let machine = BspParams::new(4, 1, 2);
         let sched = BspSchedule::from_parts(vec![0, 0, 1, 1], vec![0; 4]);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        hill_climb(&mut st, &mut Stop::new(None, None));
         let greedy = st.cost();
         assert_eq!(greedy, 22, "premise: greedy is plateau-stuck");
 
         let mut found_optimum = false;
         for seed in 0..8 {
-            let (_, cost, _) = simulated_annealing(&dag, &machine, &sched, &quick_cfg(seed));
+            let (_, cost, _) = anneal(&dag, &machine, &sched, &quick_cfg(seed));
             if cost <= 12 {
                 found_optimum = true;
                 break;
@@ -304,8 +306,7 @@ mod tests {
         let dag = DagBuilder::new().build().unwrap();
         let machine = BspParams::new(2, 1, 1);
         let sched = BspSchedule::zeroed(0);
-        let (best, cost, stats) =
-            simulated_annealing(&dag, &machine, &sched, &AnnealConfig::default());
+        let (best, cost, stats) = anneal(&dag, &machine, &sched, &AnnealConfig::default());
         assert_eq!(best.n(), 0);
         assert_eq!(cost, 0);
         assert_eq!(stats.proposed, 0);
@@ -321,7 +322,7 @@ mod tests {
             time_limit: None,
             ..AnnealConfig::default()
         };
-        let (_, _, stats) = simulated_annealing(&dag, &machine, &sched, &cfg);
+        let (_, _, stats) = anneal(&dag, &machine, &sched, &cfg);
         assert!(stats.proposed <= 100);
     }
 }

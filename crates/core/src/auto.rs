@@ -37,7 +37,7 @@ pub enum Strategy {
     Both,
 }
 
-/// Tuning for [`schedule_dag_auto`].
+/// Tuning for [`solve_auto`].
 #[derive(Debug, Clone)]
 pub struct AutoConfig {
     /// Below this generalized CCR the base pipeline runs alone.
@@ -68,39 +68,29 @@ pub fn comm_dominance(dag: &Dag, machine: &BspParams) -> f64 {
     numa_ccr(dag, machine.g(), machine.numa().mean_lambda_offdiag())
 }
 
-/// Schedules `dag` with the strategy selected by [`comm_dominance`], and
-/// reports which strategy was used. The result is always the cheaper of
-/// whatever was run, so enabling auto-selection never loses to the chosen
-/// single strategy.
+/// Schedules `dag` with the strategy selected by [`comm_dominance`] under
+/// `cx`'s budget clock, and reports which strategy was used. The CCR
+/// decision is instantaneous; the selected pipeline's stages report
+/// through `cx`. In the hysteresis band both pipelines run (budget
+/// permitting), the cheaper result is kept — so auto-selection never loses
+/// to the chosen single strategy — and only the winner's stage trajectory
+/// stays, so reports stay monotone.
 ///
 /// ```
-/// use bsp_core::auto::{schedule_dag_auto, AutoConfig, Strategy};
+/// use bsp_core::auto::{solve_auto, AutoConfig, Strategy};
 /// use bsp_core::pipeline::PipelineConfig;
 /// use bsp_dag::random::{random_layered_dag, LayeredConfig};
 /// use bsp_model::BspParams;
+/// use bsp_schedule::solve::{SolveCx, SolveRequest};
 ///
 /// let dag = random_layered_dag(5, LayeredConfig::default());
 /// let machine = BspParams::new(4, 1, 5); // uniform, low dominance
 /// let cfg = PipelineConfig { enable_ilp: false, ..Default::default() };
-/// let (result, strategy) = schedule_dag_auto(&dag, &machine, &cfg, &AutoConfig::default());
+/// let mut cx = SolveCx::new("auto", &SolveRequest::new(&dag, &machine));
+/// let (result, strategy) = solve_auto(&dag, &machine, &cfg, &AutoConfig::default(), &mut cx);
 /// assert_eq!(strategy, Strategy::Base);
 /// assert!(result.cost > 0);
 /// ```
-pub fn schedule_dag_auto(
-    dag: &Dag,
-    machine: &BspParams,
-    cfg: &PipelineConfig,
-    auto: &AutoConfig,
-) -> (PipelineResult, Strategy) {
-    let req = bsp_schedule::solve::SolveRequest::new(dag, machine);
-    let mut cx = SolveCx::new("auto", &req);
-    solve_auto(dag, machine, cfg, auto, &mut cx)
-}
-
-/// [`schedule_dag_auto`] under `cx`'s budget clock. The CCR decision is
-/// instantaneous; the selected pipeline's stages report through `cx`. In
-/// the hysteresis band both pipelines run (budget permitting) and only the
-/// winner's stage trajectory is kept, so reports stay monotone.
 pub fn solve_auto(
     dag: &Dag,
     machine: &BspParams,
@@ -140,11 +130,21 @@ pub fn solve_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{schedule_dag, schedule_dag_multilevel};
     use bsp_dag::random::{random_layered_dag, LayeredConfig};
     use bsp_model::NumaTopology;
     use bsp_schedule::cost::total_cost;
     use bsp_schedule::validity::validate;
+
+    /// [`solve_auto`] with an unlimited budget and no observer.
+    fn schedule_dag_auto(
+        dag: &Dag,
+        machine: &BspParams,
+        cfg: &PipelineConfig,
+        auto: &AutoConfig,
+    ) -> (PipelineResult, Strategy) {
+        let req = bsp_schedule::solve::SolveRequest::new(dag, machine);
+        solve_auto(dag, machine, cfg, auto, &mut SolveCx::new("auto", &req))
+    }
 
     fn fast_cfg() -> PipelineConfig {
         PipelineConfig {
@@ -201,8 +201,10 @@ mod tests {
         };
         let (r, strat) = schedule_dag_auto(&dag, &machine, &fast_cfg(), &auto);
         assert_eq!(strat, Strategy::Both);
-        let base = schedule_dag(&dag, &machine, &fast_cfg());
-        let ml = schedule_dag_multilevel(&dag, &machine, &fast_cfg(), &auto.ml);
+        let req = bsp_schedule::solve::SolveRequest::new(&dag, &machine);
+        let cx = || SolveCx::new("t", &req);
+        let base = solve_base_pipeline(&dag, &machine, &fast_cfg(), &mut cx());
+        let ml = solve_multilevel_pipeline(&dag, &machine, &fast_cfg(), &auto.ml, &mut cx());
         assert_eq!(r.cost, base.cost.min(ml.cost));
     }
 

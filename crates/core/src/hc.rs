@@ -18,13 +18,16 @@
 //! every move cap and every result are those of the plain loop. A
 //! certificate lives for one [`hill_climb_from`] call: it was issued under
 //! that call's floor, and the call voids all earlier ones on entry. The
-//! wall clock is read on every 64th visit, the first included.
+//! [`Stop`] is polled once per visit (it reads the wall clock and the
+//! cancel token on every 64th, the first included).
 
 use crate::state::ScheduleState;
 use bsp_dag::NodeId;
-use std::time::{Duration, Instant};
+use bsp_schedule::solve::Stop;
+use std::time::Duration;
 
-/// Budgets for a hill-climbing run.
+/// Budgets of a pipeline's hill-climbing stage; the pipeline folds them
+/// into the [`Stop`] it hands [`hill_climb`].
 #[derive(Debug, Clone, Copy)]
 pub struct HillClimbConfig {
     /// Maximum number of *accepted* (improving) moves; `None` = unlimited.
@@ -51,10 +54,10 @@ pub struct HillClimbStats {
     pub local_minimum: bool,
 }
 
-/// Runs greedy first-improvement hill climbing in place. The cost of
-/// `state` never increases.
-pub fn hill_climb(state: &mut ScheduleState<'_>, cfg: &HillClimbConfig) -> HillClimbStats {
-    hill_climb_from(state, cfg, 0)
+/// Runs greedy first-improvement hill climbing in place until a local
+/// minimum or `stop`. The cost of `state` never increases.
+pub fn hill_climb(state: &mut ScheduleState<'_>, stop: &mut Stop) -> HillClimbStats {
+    hill_climb_from(state, stop, 0)
 }
 
 /// [`hill_climb`] restricted to the tentative suffix of an online
@@ -66,11 +69,11 @@ pub fn hill_climb(state: &mut ScheduleState<'_>, cfg: &HillClimbConfig) -> HillC
 /// [`hill_climb`].
 pub fn hill_climb_from(
     state: &mut ScheduleState<'_>,
-    cfg: &HillClimbConfig,
+    stop: &mut Stop,
     floor: u32,
 ) -> HillClimbStats {
     let mut visits = Visits::default();
-    let stats = hill_climb_from_inner(state, cfg, floor, &mut visits);
+    let stats = hill_climb_from_inner(state, stop, floor, &mut visits);
     // One flush per run: the sweeps themselves stay counter-free.
     let m = crate::obs::ls_metrics();
     m.moves.add(stats.accepted as u64);
@@ -94,25 +97,12 @@ struct Visits {
     certified: u64,
 }
 
-/// The sweep reads the clock on every `POLL_STRIDE`-th visit, the first
-/// included (so an expired budget still returns before any work). A
-/// visit costs between a few dozen nanoseconds (skipped) and `3·P` probes
-/// of `O(deg)` each (once more per move it accepts), so the deadline is
-/// overshot by at most `64 · 3·P · O(deg)` probe steps plus the moves
-/// accepted meanwhile — microseconds on sparse graphs, more around hub
-/// nodes or on wide machines — while a converged sweep, nearly all skips,
-/// no longer spends a quarter of its time in `Instant::now()`.
-const POLL_STRIDE: u32 = 64;
-
 fn hill_climb_from_inner(
     state: &mut ScheduleState<'_>,
-    cfg: &HillClimbConfig,
+    stop: &mut Stop,
     floor: u32,
     visits: &mut Visits,
 ) -> HillClimbStats {
-    // A limit too large to be a representable instant is no limit.
-    let deadline = cfg.time_limit.and_then(|t| Instant::now().checked_add(t));
-    let max_moves = cfg.max_moves.unwrap_or(usize::MAX);
     let n = state.dag().n() as u32;
     let p = state.machine().p() as u32;
     let mut accepted = 0usize;
@@ -123,24 +113,17 @@ fn hill_climb_from_inner(
 
     // Certificates live for this call only: they speak about this floor.
     state.void_certificates();
-    let mut until_poll = 0u32;
     loop {
         let mut improved_this_sweep = false;
         for v in 0..n as NodeId {
-            if accepted >= max_moves {
+            if stop.moves_left() == 0 {
                 return stopped(accepted);
             }
             if state.step(v) < floor {
                 continue;
             }
-            if let Some(d) = deadline {
-                if until_poll == 0 {
-                    if Instant::now() >= d {
-                        return stopped(accepted);
-                    }
-                    until_poll = POLL_STRIDE;
-                }
-                until_poll -= 1;
+            if stop.poll() {
+                return stopped(accepted);
             }
             // Try moves for v until none improves (a node can profitably
             // move several times across sweeps; within the sweep we retry
@@ -148,7 +131,8 @@ fn hill_climb_from_inner(
             while try_improve_node(state, v, p, floor, visits) {
                 accepted += 1;
                 improved_this_sweep = true;
-                if accepted >= max_moves {
+                stop.spend_move();
+                if stop.moves_left() == 0 {
                     return stopped(accepted);
                 }
             }
@@ -245,13 +229,7 @@ mod tests {
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost(); // 6 work + 5 transfers * 25 + 6 latencies = 149
         assert_eq!(before, 149);
-        let stats = hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        let stats = hill_climb(&mut st, &mut Stop::new(None, None));
         assert!(stats.local_minimum);
         assert_eq!(st.cost(), st.recomputed_cost());
         assert!(validate_lazy(&dag, 2, &st.snapshot()).is_ok());
@@ -278,13 +256,7 @@ mod tests {
         let sched = BspSchedule::zeroed(4);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         assert_eq!(st.cost(), 42);
-        hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        hill_climb(&mut st, &mut Stop::new(None, None));
         assert!(st.cost() <= 22, "got {}", st.cost());
         assert_eq!(st.cost(), st.recomputed_cost());
     }
@@ -304,11 +276,8 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 1, 0, 1, 0, 1], vec![0, 1, 2, 3, 4, 5]);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost();
-        let cfg = HillClimbConfig {
-            max_moves: None,
-            time_limit: None,
-        };
-        hill_climb_from(&mut st, &cfg, 3);
+        let unlimited = || Stop::new(None, None);
+        hill_climb_from(&mut st, &mut unlimited(), 3);
         let after = st.snapshot();
         for v in 0..3 {
             assert_eq!(after.proc(v), sched.proc(v), "committed node {v} moved");
@@ -323,8 +292,8 @@ mod tests {
         // floor 0 reproduces plain hill_climb exactly.
         let mut a = ScheduleState::new(&dag, &machine, &sched);
         let mut b2 = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb(&mut a, &cfg);
-        hill_climb_from(&mut b2, &cfg, 0);
+        hill_climb(&mut a, &mut unlimited());
+        hill_climb_from(&mut b2, &mut unlimited(), 0);
         assert_eq!(a.snapshot(), b2.snapshot());
     }
 
@@ -341,32 +310,110 @@ mod tests {
         let machine = BspParams::new(4, 2, 3);
         let sched = BspSchedule::zeroed(dag.n());
         let mut st = ScheduleState::new(&dag, &machine, &sched);
-        let stats = hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: Some(3),
-                time_limit: None,
-            },
-        );
+        let stats = hill_climb(&mut st, &mut Stop::new(None, Some(3)));
         assert!(stats.accepted <= 3);
+    }
+
+    /// All five searches from one start, each under a stop `stop` makes,
+    /// reduced to what a caller sees: the steps taken and where they end.
+    fn five_searches(stop: &dyn Fn() -> Stop) -> Vec<(&'static str, usize, String)> {
+        use crate::anneal::{simulated_annealing, AnnealConfig};
+        use crate::hccs::{comm_hill_climb, CommState};
+        use crate::steepest::hill_climb_steepest;
+        use crate::tabu::{tabu_search, TabuConfig};
+        let dag = random_layered_dag(2, LayeredConfig::default());
+        let machine = BspParams::new(4, 2, 3).with_numa(bsp_model::NumaTopology::binary_tree(4, 3));
+        let start = crate::init::bspg::bspg_schedule(&dag, &machine);
+        let mut out = Vec::new();
+
+        let mut st = ScheduleState::new(&dag, &machine, &start);
+        let stats = hill_climb(&mut st, &mut stop());
+        out.push(("hc", stats.accepted, format!("{:?}", st.snapshot())));
+
+        let mut st = ScheduleState::new(&dag, &machine, &start);
+        let stats = hill_climb_steepest(&mut st, 1, &mut stop());
+        out.push(("steepest", stats.accepted, format!("{:?}", st.snapshot())));
+
+        let mut comm = CommState::new(&dag, &machine, &start);
+        let moves = comm_hill_climb(&mut comm, 1, &mut stop());
+        out.push(("hccs", moves, format!("{:?}", comm.comm_schedule())));
+
+        let cfg = TabuConfig {
+            max_iters: 40,
+            ..TabuConfig::default()
+        };
+        let (best, _, stats) = tabu_search(&dag, &machine, &start, &cfg, 1, &mut stop());
+        out.push(("tabu", stats.iterations, format!("{best:?}")));
+
+        let cfg = AnnealConfig {
+            max_steps: 2_000,
+            ..AnnealConfig::default()
+        };
+        let (best, _, stats) = simulated_annealing(&dag, &machine, &start, &cfg, &mut stop());
+        out.push(("anneal", stats.accepted, format!("{best:?}")));
+        out
     }
 
     #[test]
     fn unrepresentable_time_limit_is_no_limit() {
-        // `Instant::now() + Duration::MAX` used to panic.
-        let dag = random_layered_dag(2, LayeredConfig::default());
-        let machine = BspParams::new(4, 2, 3);
-        let sched = BspSchedule::zeroed(dag.n());
-        let cfg = |time_limit| HillClimbConfig {
-            max_moves: None,
-            time_limit,
-        };
-        let mut a = ScheduleState::new(&dag, &machine, &sched);
-        let mut b = ScheduleState::new(&dag, &machine, &sched);
-        let stats = hill_climb(&mut a, &cfg(Some(Duration::MAX)));
-        assert!(stats.local_minimum);
-        assert_eq!(stats, hill_climb(&mut b, &cfg(None)));
-        assert_eq!(a.snapshot(), b.snapshot());
+        // `Instant::now() + Duration::MAX` used to panic, in all five.
+        let unlimited = five_searches(&|| Stop::new(None, None));
+        assert!(unlimited.iter().all(|(_, steps, _)| *steps > 0));
+        assert_eq!(
+            five_searches(&|| Stop::new(Some(Duration::MAX), None)),
+            unlimited
+        );
+    }
+
+    /// A request whose token `token` cancels, for building [`Stop`]s.
+    fn cancellable(token: &bsp_schedule::solve::CancelToken) -> bsp_schedule::solve::Budget {
+        bsp_schedule::solve::Budget::unlimited().with_cancel(token.clone())
+    }
+
+    #[test]
+    fn cancelled_token_returns_before_any_move() {
+        use bsp_schedule::solve::{CancelToken, SolveCx, SolveRequest};
+        let (dag, machine) = (DagBuilder::new().build().unwrap(), BspParams::new(2, 1, 1));
+        let token = CancelToken::new();
+        let req = SolveRequest::new(&dag, &machine).with_budget(cancellable(&token));
+        let cx = SolveCx::new("t", &req);
+        // A spent deadline is the reference: nobody takes a step.
+        let at_rest = five_searches(&|| Stop::new(Some(Duration::ZERO), None));
+        assert!(at_rest.iter().all(|(_, steps, _)| *steps == 0));
+        assert_ne!(five_searches(&|| cx.stop(None, None)), at_rest);
+        token.cancel();
+        assert_eq!(five_searches(&|| cx.stop(None, None)), at_rest);
+    }
+
+    #[test]
+    fn cancellation_lands_inside_the_climb() {
+        // One-sided on time: uncancelled, this climb runs for seconds in a
+        // debug build; it can only end short of a local minimum if the
+        // poll inside the sweep saw the token.
+        use bsp_schedule::solve::{CancelToken, SolveCx, SolveRequest};
+        let dag = random_layered_dag(
+            7,
+            LayeredConfig {
+                layers: 90,
+                width: 60,
+                ..Default::default()
+            },
+        );
+        let machine = BspParams::new(8, 1, 5).with_numa(bsp_model::NumaTopology::binary_tree(8, 2));
+        let token = CancelToken::new();
+        let req = SolveRequest::new(&dag, &machine).with_budget(cancellable(&token));
+        let mut stop = SolveCx::new("t", &req).stop(None, None);
+        let start = crate::init::bspg::bspg_schedule(&dag, &machine);
+        let mut st = ScheduleState::new(&dag, &machine, &start);
+        let stats = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                token.cancel();
+            });
+            hill_climb(&mut st, &mut stop)
+        });
+        assert!(!stats.local_minimum, "the climb ran to its end: {stats:?}");
+        assert_eq!(st.cost(), st.recomputed_cost());
     }
 
     #[test]
@@ -375,13 +422,7 @@ mod tests {
         let dag = random_layered_dag(2, LayeredConfig::default());
         let machine = BspParams::new(4, 2, 3);
         let mut st = ScheduleState::new(&dag, &machine, &BspSchedule::zeroed(dag.n()));
-        let stats = hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: Some(Duration::ZERO),
-            },
-        );
+        let stats = hill_climb(&mut st, &mut Stop::new(Some(Duration::ZERO), None));
         assert_eq!((stats.accepted, stats.local_minimum), (0, false));
     }
 
@@ -401,13 +442,7 @@ mod tests {
             let sched = BspSchedule::zeroed(dag.n());
             let mut st = ScheduleState::new(&dag, &machine, &sched);
             let before = st.cost();
-            hill_climb(
-                &mut st,
-                &HillClimbConfig {
-                    max_moves: Some(500),
-                    time_limit: None,
-                },
-            );
+            hill_climb(&mut st, &mut Stop::new(None, Some(500)));
             assert!(st.cost() <= before, "seed {seed}");
             assert_eq!(st.cost(), st.recomputed_cost(), "seed {seed}");
             assert!(

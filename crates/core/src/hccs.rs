@@ -9,10 +9,12 @@
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 use bsp_schedule::comm::{required_transfers, Transfer};
+use bsp_schedule::solve::Stop;
 use bsp_schedule::{BspSchedule, CommSchedule, CommStep};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Budgets for an HCcs run.
+/// Budgets of a pipeline's HCcs runs; the pipeline folds them into the
+/// [`Stop`] it hands [`optimize_comm_schedule`].
 #[derive(Debug, Clone, Copy)]
 pub struct CommHillClimbConfig {
     /// Maximum accepted moves (`None` = unlimited).
@@ -219,12 +221,6 @@ impl<'a> CommState<'a> {
     }
 }
 
-/// Runs greedy first-improvement hill climbing over transfer phases.
-/// Returns the number of accepted moves; the cost never increases.
-pub fn comm_hill_climb(state: &mut CommState<'_>, cfg: &CommHillClimbConfig) -> usize {
-    comm_hill_climb_threaded(state, cfg, 1)
-}
-
 /// The first improving phase for transfer `i`, probing candidate phases in
 /// window order — exactly the sequential inner loop's acceptance test.
 fn first_improving_phase(state: &CommState<'_>, i: usize) -> Option<u32> {
@@ -233,74 +229,55 @@ fn first_improving_phase(state: &CommState<'_>, i: usize) -> Option<u32> {
     (t.earliest..=t.latest).find(|&s| s != cur && state.probe_phase(i, s) < 0)
 }
 
-/// [`comm_hill_climb`] with the transfer scan fanned out over `threads`
-/// workers (`0` = auto-detect, `1` = sequential). First-improvement search
-/// parallelizes exactly because probes are pure between applies: each round
-/// finds the **lowest-index** transfer at or after the resume position with
-/// an improving phase ([`bsp_par::par_find_first`]), applies it, and
-/// resumes after it — the accepted move sequence is **bit-identical** to
-/// the sequential scan for every thread count. Budget limits are checked
-/// once per accepted move rather than once per probed transfer, so a
-/// deadline may be overshot by one scan round.
-pub fn comm_hill_climb_threaded(
-    state: &mut CommState<'_>,
-    cfg: &CommHillClimbConfig,
-    threads: usize,
-) -> usize {
-    let deadline = cfg.time_limit.map(|t| Instant::now() + t);
-    let max_moves = cfg.max_moves.unwrap_or(usize::MAX);
+/// Runs greedy first-improvement hill climbing over transfer phases until
+/// no move improves or `stop`. Returns the number of accepted moves; the
+/// cost never increases.
+///
+/// The transfer scan is fanned out over `threads` workers (`0` =
+/// auto-detect, `1` = sequential). First-improvement search parallelizes
+/// exactly because probes are pure between applies: each round finds the
+/// **lowest-index** transfer at or after the resume position with an
+/// improving phase ([`bsp_par::par_find_first`]), applies it, and resumes
+/// after it — the accepted move sequence is **bit-identical** to the
+/// sequential scan for every thread count. The parallel scan checks `stop`
+/// once per accepted move rather than per probed transfer, so a deadline
+/// may be overshot by one scan round.
+pub fn comm_hill_climb(state: &mut CommState<'_>, threads: usize, stop: &mut Stop) -> usize {
     let threads = bsp_par::resolve_threads(threads);
+    let parallel = threads > 1 && state.transfers.len() >= 2 * PAR_CHUNK;
     let mut accepted = 0usize;
-    if threads <= 1 || state.transfers.len() < 2 * PAR_CHUNK {
-        loop {
-            let mut improved = false;
-            for i in 0..state.transfers.len() {
-                if accepted >= max_moves {
-                    return accepted;
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return accepted;
-                    }
-                }
-                if let Some(s) = first_improving_phase(state, i) {
-                    state.apply(i, s);
-                    accepted += 1;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return accepted;
-            }
-        }
-    }
     loop {
         let mut improved = false;
         let mut pos = 0usize;
         while pos < state.transfers.len() {
-            if accepted >= max_moves {
+            // A sequential step probes one transfer, a parallel one scans
+            // all that remain.
+            let fired = if parallel {
+                stop.expired()
+            } else {
+                stop.poll()
+            };
+            if fired || stop.moves_left() == 0 {
                 return accepted;
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return accepted;
-                }
-            }
-            let found = {
+            let found = if parallel {
                 let st: &CommState<'_> = &*state;
                 bsp_par::par_find_first(threads, st.transfers.len() - pos, PAR_CHUNK, |k| {
                     first_improving_phase(st, pos + k)
                 })
+            } else {
+                first_improving_phase(state, pos).map(|s| (0, s))
             };
             match found {
                 Some((k, s)) => {
-                    let i = pos + k;
-                    state.apply(i, s);
+                    state.apply(pos + k, s);
                     accepted += 1;
+                    stop.spend_move();
                     improved = true;
-                    pos = i + 1;
+                    pos += k + 1;
                 }
-                None => break,
+                None if parallel => break,
+                None => pos += 1,
             }
         }
         if !improved {
@@ -313,28 +290,17 @@ pub fn comm_hill_climb_threaded(
 const PAR_CHUNK: usize = 64;
 
 /// Convenience wrapper: derives transfers from `sched`, optimizes their
-/// phases, and returns the explicit `Γ` plus its total cost.
+/// phases with [`comm_hill_climb`], and returns the explicit `Γ` plus its
+/// total cost — identical for every thread count.
 pub fn optimize_comm_schedule(
     dag: &Dag,
     machine: &BspParams,
     sched: &BspSchedule,
-    cfg: &CommHillClimbConfig,
-) -> (CommSchedule, u64) {
-    optimize_comm_schedule_threaded(dag, machine, sched, cfg, 1)
-}
-
-/// [`optimize_comm_schedule`] running the climb through
-/// [`comm_hill_climb_threaded`]; the returned `Γ` and cost are identical
-/// to the sequential wrapper for every thread count.
-pub fn optimize_comm_schedule_threaded(
-    dag: &Dag,
-    machine: &BspParams,
-    sched: &BspSchedule,
-    cfg: &CommHillClimbConfig,
     threads: usize,
+    stop: &mut Stop,
 ) -> (CommSchedule, u64) {
     let mut st = CommState::new(dag, machine, sched);
-    comm_hill_climb_threaded(&mut st, cfg, threads);
+    comm_hill_climb(&mut st, threads, stop);
     let cost = st.cost();
     (st.comm_schedule(), cost)
 }
@@ -375,13 +341,7 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 0, 2, 1, 1, 3], vec![0, 1, 0, 1, 2, 2]);
         let mut st = CommState::new(&dag, &machine, &sched);
         let lazy = st.cost();
-        let moves = comm_hill_climb(
-            &mut st,
-            &CommHillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        let moves = comm_hill_climb(&mut st, 1, &mut Stop::new(None, None));
         assert!(moves >= 1);
         assert_eq!(st.cost(), lazy - 4, "expected 15 -> 11 comm units");
         // Result must stay a valid explicit schedule.
@@ -401,7 +361,7 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 0], vec![0, 1]);
         let mut st = CommState::new(&dag, &machine, &sched);
         assert_eq!(st.n_transfers(), 0);
-        assert_eq!(comm_hill_climb(&mut st, &CommHillClimbConfig::default()), 0);
+        assert_eq!(comm_hill_climb(&mut st, 1, &mut Stop::new(None, None)), 0);
     }
 
     #[test]
@@ -420,15 +380,8 @@ mod tests {
         let dag = b.build().unwrap();
         let machine = BspParams::new(3, 2, 4);
         let sched = BspSchedule::from_parts(vec![0, 0, 0, 1, 2, 1], vec![0, 0, 1, 2, 2, 3]);
-        let (comm, cost) = optimize_comm_schedule(
-            &dag,
-            &machine,
-            &sched,
-            &CommHillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        let (comm, cost) =
+            optimize_comm_schedule(&dag, &machine, &sched, 1, &mut Stop::new(None, None));
         assert!(validate(&dag, 3, &sched, &comm).is_ok());
         assert_eq!(cost, total_cost(&dag, &machine, &sched, &comm));
         // Never worse than lazy.

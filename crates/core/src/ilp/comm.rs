@@ -13,6 +13,7 @@ use bsp_ilp::{Model, Sense, SolveLimits, VarId};
 use bsp_model::BspParams;
 use bsp_schedule::comm::required_transfers;
 use bsp_schedule::cost::total_cost;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::{BspSchedule, CommSchedule, CommStep};
 
 /// Runs `ILPcs` on the assignment, warm-started from `initial`
@@ -24,6 +25,7 @@ pub fn ilp_comm(
     sched: &BspSchedule,
     initial: &CommSchedule,
     limits: &SolveLimits,
+    stop: &Stop,
 ) -> (CommSchedule, u64) {
     let p = machine.p();
     let transfers = required_transfers(dag, sched);
@@ -171,7 +173,7 @@ pub fn ilp_comm(
 
     // ILPcs models are pure-binary with tight LP relaxations; the presolve
     // pass (region-preserving, see `bsp_ilp::presolve`) only shrinks them.
-    let sol = bsp_ilp::solve_with_presolve(&model, Some(&warm), limits);
+    let sol = super::solve_model(&model, Some(&warm), limits, true, stop);
     if sol.x.is_empty() {
         return (initial.clone(), init_cost);
     }
@@ -207,6 +209,11 @@ mod tests {
     use bsp_dag::DagBuilder;
     use bsp_schedule::validity::validate;
 
+    /// A stop that never fires: the solver's own limits rule.
+    fn never() -> Stop {
+        Stop::new(None, None)
+    }
+
     #[test]
     fn finds_the_overlap_that_reduces_the_h_relation() {
         // Same scenario as the HCcs spread test: transfer b (c=7, p2->p3,
@@ -227,7 +234,14 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 0, 2, 1, 1, 3], vec![0, 1, 0, 1, 2, 2]);
         let lazy = CommSchedule::lazy(&dag, &sched);
         let lazy_cost_v = total_cost(&dag, &machine, &sched, &lazy);
-        let (opt, cost) = ilp_comm(&dag, &machine, &sched, &lazy, &SolveLimits::default());
+        let (opt, cost) = ilp_comm(
+            &dag,
+            &machine,
+            &sched,
+            &lazy,
+            &SolveLimits::default(),
+            &never(),
+        );
         assert_eq!(cost, lazy_cost_v - 4, "expected 15 -> 11 comm units");
         assert!(validate(&dag, 4, &sched, &opt).is_ok());
         assert_eq!(cost, total_cost(&dag, &machine, &sched, &opt));
@@ -243,7 +257,14 @@ mod tests {
         let machine = BspParams::new(2, 1, 1);
         let sched = BspSchedule::from_parts(vec![0, 0], vec![0, 1]);
         let lazy = CommSchedule::lazy(&dag, &sched);
-        let (out, _) = ilp_comm(&dag, &machine, &sched, &lazy, &SolveLimits::default());
+        let (out, _) = ilp_comm(
+            &dag,
+            &machine,
+            &sched,
+            &lazy,
+            &SolveLimits::default(),
+            &never(),
+        );
         assert!(out.is_empty());
     }
 
@@ -266,7 +287,14 @@ mod tests {
             BspSchedule::from_parts(vec![0, 1, 2, 3, 1, 2, 3, 0], vec![0, 0, 0, 0, 2, 2, 3, 3]);
         let lazy = CommSchedule::lazy(&dag, &sched);
         let before = total_cost(&dag, &machine, &sched, &lazy);
-        let (out, cost) = ilp_comm(&dag, &machine, &sched, &lazy, &SolveLimits::default());
+        let (out, cost) = ilp_comm(
+            &dag,
+            &machine,
+            &sched,
+            &lazy,
+            &SolveLimits::default(),
+            &never(),
+        );
         assert!(cost <= before);
         assert!(validate(&dag, 4, &sched, &out).is_ok());
     }

@@ -12,13 +12,14 @@ use super::IlpConfig;
 use bsp_dag::{Dag, NodeId, TopoInfo};
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 
 /// Supersteps per batch window (the paper uses 3).
 const BATCH_STEPS: u32 = 3;
 
 /// Runs `ILPinit` and returns a complete assignment.
-pub fn ilp_init(dag: &Dag, machine: &BspParams, cfg: &IlpConfig) -> BspSchedule {
+pub fn ilp_init(dag: &Dag, machine: &BspParams, cfg: &IlpConfig, stop: &Stop) -> BspSchedule {
     let n = dag.n();
     let mut sched = BspSchedule::zeroed(n);
     if n == 0 {
@@ -86,7 +87,7 @@ pub fn ilp_init(dag: &Dag, machine: &BspParams, cfg: &IlpConfig) -> BspSchedule 
             w.model.is_feasible(&warm, 1e-5),
             "ILPinit warm start must be feasible"
         );
-        let sol = super::solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve);
+        let sol = super::solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
         if !sol.x.is_empty() {
             let cand = w.extract(&sol.x, &sched);
             // Keep only if still valid for the scheduled prefix.
@@ -124,6 +125,11 @@ mod tests {
     use bsp_schedule::cost::lazy_cost;
     use bsp_schedule::validity::validate_lazy;
 
+    /// A stop that never fires: the solver's own limits rule.
+    fn never() -> Stop {
+        Stop::new(None, None)
+    }
+
     #[test]
     fn produces_valid_schedules_on_random_dags() {
         for seed in 0..4 {
@@ -137,7 +143,7 @@ mod tests {
                 },
             );
             let machine = BspParams::new(2, 1, 3);
-            let s = ilp_init(&dag, &machine, &IlpConfig::default());
+            let s = ilp_init(&dag, &machine, &IlpConfig::default(), &never());
             assert!(validate_lazy(&dag, 2, &s).is_ok(), "seed {seed}");
         }
     }
@@ -150,7 +156,7 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let machine = BspParams::new(2, 1, 1);
-        let s = ilp_init(&dag, &machine, &IlpConfig::default());
+        let s = ilp_init(&dag, &machine, &IlpConfig::default(), &never());
         assert!(validate_lazy(&dag, 2, &s).is_ok());
         // The trivial one-processor cost is 24 + l; the ILP should split.
         assert!(lazy_cost(&dag, &machine, &s) < 24);
@@ -165,7 +171,7 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let machine = BspParams::new(2, 1, 1);
-        let s = ilp_init(&dag, &machine, &IlpConfig::default());
+        let s = ilp_init(&dag, &machine, &IlpConfig::default(), &never());
         assert!(validate_lazy(&dag, 2, &s).is_ok());
     }
 }

@@ -11,6 +11,12 @@
 //! Every stage is warm-started from the incumbent and *accepts the result
 //! only if the true lazy-model cost improves*, so the pipeline is monotone
 //! regardless of solver limits.
+//!
+//! Every stage takes the caller's [`Stop`] and every ILP solve goes through
+//! one function, `solve_model`, which gives the solver the tighter of its
+//! configured time limit and [`Stop::remaining`]. `bsp-ilp` has no
+//! dependencies, so that `Duration` is all it sees of the budget: a cancel
+//! token is honoured before and after a solve, not inside one.
 
 pub mod comm;
 pub mod init;
@@ -21,6 +27,7 @@ use bsp_ilp::SolveLimits;
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use window::{WindowIlp, WindowOptions};
 
@@ -57,17 +64,25 @@ impl Default for IlpConfig {
     }
 }
 
-/// Solves `model` with or without the presolve pass, per `use_presolve`.
+/// Solves `model` with or without the presolve pass, per `use_presolve`,
+/// for at most `limits.time_limit` and no longer than `stop` has left.
 pub(crate) fn solve_model(
     model: &bsp_ilp::Model,
     warm: Option<&[f64]>,
     limits: &SolveLimits,
     use_presolve: bool,
+    stop: &Stop,
 ) -> bsp_ilp::MipSolution {
+    let limits = SolveLimits {
+        time_limit: stop
+            .remaining()
+            .map_or(limits.time_limit, |left| left.min(limits.time_limit)),
+        ..limits.clone()
+    };
     if use_presolve {
-        bsp_ilp::solve_with_presolve(model, warm, limits)
+        bsp_ilp::solve_with_presolve(model, warm, &limits)
     } else {
-        model.solve(warm, limits)
+        model.solve(warm, &limits)
     }
 }
 
@@ -80,6 +95,7 @@ pub fn ilp_full(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &IlpConfig,
+    stop: &Stop,
 ) -> (BspSchedule, bool) {
     let base = compact_lazy(dag, sched);
     let s_max = base.n_supersteps();
@@ -96,7 +112,7 @@ pub fn ilp_full(
         w.model.is_feasible(&warm, 1e-5),
         "warm start must satisfy the window model"
     );
-    let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve);
+    let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
     let proven = sol.status == bsp_ilp::MipStatus::Optimal;
     if sol.x.is_empty() {
         return (base, false);
@@ -113,6 +129,7 @@ pub fn ilp_part(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &IlpConfig,
+    stop: &Stop,
 ) -> BspSchedule {
     let mut current = compact_lazy(dag, sched);
     for _ in 0..cfg.part_rounds {
@@ -151,7 +168,7 @@ pub fn ilp_part(
                 w.model.is_feasible(&warm, 1e-5),
                 "warm start must satisfy the window model"
             );
-            let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve);
+            let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
             if sol.x.is_empty() {
                 continue;
             }
@@ -212,6 +229,11 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A stop that never fires: the solver's own limits rule.
+    fn never() -> Stop {
+        Stop::new(None, None)
+    }
+
     #[test]
     fn ilp_full_improves_bad_schedule() {
         let dag = tiny_dag();
@@ -220,7 +242,7 @@ mod tests {
         // many supersteps.
         let bad = BspSchedule::from_parts(vec![0, 0, 0, 0, 0], vec![0, 1, 2, 3, 4]);
         let before = lazy_cost(&dag, &machine, &bad);
-        let (better, _) = ilp_full(&dag, &machine, &bad, &IlpConfig::default());
+        let (better, _) = ilp_full(&dag, &machine, &bad, &IlpConfig::default(), &never());
         let after = lazy_cost(&dag, &machine, &better);
         assert!(validate_lazy(&dag, 2, &better).is_ok());
         assert!(after <= before);
@@ -239,7 +261,7 @@ mod tests {
             full_max_vars: 1,
             ..Default::default()
         };
-        let (out, proven) = ilp_full(&dag, &machine, &sched, &cfg);
+        let (out, proven) = ilp_full(&dag, &machine, &sched, &cfg, &never());
         assert!(!proven);
         assert_eq!(
             lazy_cost(&dag, &machine, &out),
@@ -258,7 +280,7 @@ mod tests {
             part_target_vars: 200,
             ..Default::default()
         };
-        let out = ilp_part(&dag, &machine, &sched, &cfg);
+        let out = ilp_part(&dag, &machine, &sched, &cfg, &never());
         assert!(validate_lazy(&dag, 2, &out).is_ok());
         assert!(lazy_cost(&dag, &machine, &out) <= before);
     }

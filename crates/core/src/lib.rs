@@ -34,16 +34,18 @@
 //!   wrapper), the memory-constrained rung of the realistic-models ladder.
 //!
 //! ```
-//! use bsp_core::pipeline::{schedule_dag, PipelineConfig};
+//! use bsp_core::{BasePipeline, PipelineConfig};
 //! use bsp_dag::random::{random_layered_dag, LayeredConfig};
 //! use bsp_model::BspParams;
+//! use bsp_schedule::solve::SolveRequest;
+//! use bsp_schedule::Scheduler;
 //!
 //! let dag = random_layered_dag(1, LayeredConfig::default());
 //! let machine = BspParams::new(4, 3, 5);
 //! let mut cfg = PipelineConfig::default();
 //! cfg.enable_ilp = false; // quick run
-//! let result = schedule_dag(&dag, &machine, &cfg);
-//! assert!(result.cost <= result.init_cost);
+//! let out = BasePipeline { cfg }.solve(&SolveRequest::new(&dag, &machine));
+//! assert!(out.total() <= out.stages[0].cost_after); // never worse than `init`
 //! ```
 
 pub mod anneal;
@@ -63,11 +65,9 @@ pub mod steepest;
 pub mod tabu;
 pub mod warm;
 
-pub use auto::{schedule_dag_auto, AutoConfig, Strategy};
+pub use auto::{AutoConfig, Strategy};
 pub use memrepair::{repair_memory, repair_memory_with, MemoryRepairScheduler, RepairReport};
-pub use pipeline::{
-    schedule_dag, schedule_dag_multilevel, EscapeSearch, PipelineConfig, PipelineResult,
-};
+pub use pipeline::{EscapeSearch, PipelineConfig, PipelineResult};
 pub use schedulers::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
 pub use state::{ScheduleState, ScheduleTables};
 pub use warm::{

@@ -27,12 +27,13 @@
 //! the whole log prefix, O(L²) contractions for a log of length L. Memory
 //! is the graph plus its journal; no stage outlives its chunk.
 
-use crate::hc::{hill_climb, HillClimbConfig};
+use crate::hc::hill_climb;
 use crate::state::ScheduleState;
 use bsp_dag::{Dag, MutableDag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 
 /// Multilevel tuning parameters.
@@ -208,16 +209,17 @@ impl Uncoarsening {
 /// base scheduler for the coarse graph. Returns the refined assignment on
 /// the original DAG.
 ///
-/// `expired` is polled once per chunk of un-contractions; after its first
-/// `true` the remaining chunks are projected but no longer refined, which
-/// still yields a valid schedule.
+/// `stop` is asked once per chunk of un-contractions, and again inside
+/// every refinement climb (each with its own allowance of
+/// `cfg.refine_moves`); once it has fired the remaining chunks are
+/// projected but no longer refined, which still yields a valid schedule.
 pub fn multilevel_with_log(
     dag: &Dag,
     machine: &BspParams,
     log: &[Contraction],
     cfg: &MultilevelConfig,
     base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
-    expired: &mut dyn FnMut() -> bool,
+    stop: &mut Stop,
 ) -> BspSchedule {
     // Solve on the fully coarsened graph.
     let mut walk = Uncoarsening::new(dag, log);
@@ -231,7 +233,7 @@ pub fn multilevel_with_log(
     let interval = cfg.refine_interval.max(1);
     while walk.remaining() > 0 {
         walk.undo(interval);
-        if expired() {
+        if stop.expired() {
             // Out of budget: project the rest of the way down, unrefined.
             walk.undo(walk.remaining());
             break;
@@ -240,13 +242,7 @@ pub fn multilevel_with_log(
         let projected = walk.projected();
         debug_assert!(projected.respects_precedence_lazy(&stage));
         let mut st = ScheduleState::new(&stage, machine, &projected);
-        hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: Some(cfg.refine_moves),
-                time_limit: None,
-            },
-        );
+        hill_climb(&mut st, &mut stop.with_moves(cfg.refine_moves));
         walk.adopt(&st.snapshot());
     }
     compact_lazy(dag, &walk.projected())
@@ -255,13 +251,13 @@ pub fn multilevel_with_log(
 /// Full multilevel scheduler: tries every configured coarsening ratio and
 /// returns the assignment with the lowest lazy cost. `base` schedules the
 /// coarse DAG (the paper uses the Figure-3 pipeline without `ILPcs`);
-/// `expired` stops the refinement as in [`multilevel_with_log`].
+/// `stop` ends the refinement as in [`multilevel_with_log`].
 pub fn multilevel_schedule(
     dag: &Dag,
     machine: &BspParams,
     cfg: &MultilevelConfig,
     base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
-    expired: &mut dyn FnMut() -> bool,
+    stop: &mut Stop,
 ) -> BspSchedule {
     // Coarsen once to the smallest ratio; larger ratios are prefixes.
     let min_ratio = cfg.ratios.iter().copied().fold(f64::INFINITY, f64::min);
@@ -272,7 +268,7 @@ pub fn multilevel_schedule(
     for &ratio in &cfg.ratios {
         let target = ((dag.n() as f64) * ratio).ceil() as usize;
         let k = full_log.len().min(dag.n().saturating_sub(target));
-        let sched = multilevel_with_log(dag, machine, &full_log[..k], cfg, base, expired);
+        let sched = multilevel_with_log(dag, machine, &full_log[..k], cfg, base, stop);
         let cost = lazy_cost(dag, machine, &sched);
         if best.as_ref().is_none_or(|(c, _)| cost < *c) {
             best = Some((cost, sched));
@@ -338,7 +334,7 @@ mod tests {
             &machine,
             &MultilevelConfig::default(),
             &mut bspg,
-            &mut || false,
+            &mut Stop::new(None, None),
         );
         assert!(validate_lazy(&dag, 4, &sched).is_ok());
     }
@@ -353,35 +349,29 @@ mod tests {
                 refine_interval,
                 ..MultilevelConfig::default()
             };
-            multilevel_schedule(&dag, &machine, &cfg, &mut bspg, &mut || false)
+            multilevel_schedule(&dag, &machine, &cfg, &mut bspg, &mut Stop::new(None, None))
         };
         assert_eq!(run(0), run(1));
     }
 
     /// Out of budget from the start: every chunk is projected, none is
-    /// refined — the result is the coarse schedule carried down unchanged,
-    /// and the probe is not asked again once it has fired.
+    /// refined — the result is the coarse schedule carried down unchanged.
     #[test]
     fn expired_walk_only_projects() {
         let dag = sample(6);
         let machine = BspParams::new(4, 20, 10);
         let log = coarsen(&dag, dag.n() / 3, &MultilevelConfig::default());
-        let run = |refine_moves, expired: &mut dyn FnMut() -> bool| {
+        let run = |refine_moves, stop: &mut Stop| {
             let cfg = MultilevelConfig {
                 refine_moves,
                 ..MultilevelConfig::default()
             };
-            multilevel_with_log(&dag, &machine, &log, &cfg, &mut bspg, expired)
+            multilevel_with_log(&dag, &machine, &log, &cfg, &mut bspg, stop)
         };
-        let mut polls = 0;
-        let cut_short = run(100, &mut || {
-            polls += 1;
-            true
-        });
-        assert_eq!(polls, 1);
+        let cut_short = run(100, &mut Stop::new(Some(std::time::Duration::ZERO), None));
         assert!(validate_lazy(&dag, 4, &cut_short).is_ok());
-        assert_eq!(cut_short, run(0, &mut || false));
-        assert_ne!(cut_short, run(100, &mut || false));
+        assert_eq!(cut_short, run(0, &mut Stop::new(None, None)));
+        assert_ne!(cut_short, run(100, &mut Stop::new(None, None)));
     }
 
     #[test]
@@ -394,13 +384,7 @@ mod tests {
         let mut base = |d: &Dag, m: &BspParams| {
             let s = bspg(d, m);
             let mut st = ScheduleState::new(d, m, &s);
-            hill_climb(
-                &mut st,
-                &HillClimbConfig {
-                    max_moves: Some(300),
-                    time_limit: None,
-                },
-            );
+            hill_climb(&mut st, &mut Stop::new(None, Some(300)));
             st.snapshot()
         };
         let sched = multilevel_schedule(
@@ -408,7 +392,7 @@ mod tests {
             &machine,
             &MultilevelConfig::default(),
             &mut base,
-            &mut || false,
+            &mut Stop::new(None, None),
         );
         assert!(validate_lazy(&dag, 4, &sched).is_ok());
         let cost = lazy_cost(&dag, &machine, &sched);

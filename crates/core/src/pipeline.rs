@@ -11,18 +11,21 @@
 //! on the original DAG.
 //!
 //! Both pipelines are *anytime*: [`solve_base_pipeline`] and
-//! [`solve_multilevel_pipeline`] thread a
-//! [`SolveCx`] through the stages, checking
-//! the request's deadline at every stage boundary, clamping each stage's
-//! internal wall-clock/move budgets to what remains, and emitting stage and
-//! improvement events to the request's observer. Because every stage holds
-//! the monotone contract, early exit always returns the valid best-so-far
-//! schedule. [`schedule_dag`] / [`schedule_dag_multilevel`] are the
-//! unbudgeted wrappers.
+//! [`solve_multilevel_pipeline`] thread a [`SolveCx`] through the stages.
+//! Each stage runs under [`SolveCx::stage`] (observer events, trace span,
+//! stage report), the request's deadline is checked at every stage
+//! boundary, and every search inside a stage gets its own
+//! [`Stop`](bsp_schedule::solve::Stop) from [`SolveCx::stop`] — the tighter
+//! of the solve's deadline and the stage's own limits, plus the request's
+//! cancel token — which it polls inside its loop. The ILP solves get what
+//! is left of the deadline as their time limit (not the token: `bsp-ilp`
+//! has no dependencies). Because every stage holds the monotone contract —
+//! the one `Incumbent` is only ever replaced by something strictly
+//! cheaper — early exit always returns the valid best-so-far schedule.
 
 use crate::anneal::{simulated_annealing, AnnealConfig};
 use crate::hc::{hill_climb, HillClimbConfig};
-use crate::hccs::{optimize_comm_schedule_threaded, CommHillClimbConfig};
+use crate::hccs::{optimize_comm_schedule, CommHillClimbConfig};
 use crate::ilp::comm::ilp_comm;
 use crate::ilp::init::ilp_init;
 use crate::ilp::{ilp_full, ilp_part, IlpConfig};
@@ -30,25 +33,13 @@ use crate::init::bspg::bspg_schedule;
 use crate::init::source::source_schedule;
 use crate::multilevel::{multilevel_schedule, MultilevelConfig};
 use crate::state::ScheduleState;
-use crate::tabu::{tabu_search_threaded, TabuConfig};
+use crate::tabu::{tabu_search, TabuConfig};
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
-use bsp_schedule::solve::{Budget, SolveCx, SolveRequest};
+use bsp_schedule::solve::SolveCx;
 use bsp_schedule::{BspSchedule, CommSchedule};
-use std::time::{Duration, Instant};
-
-/// Which initializer produced a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Initializer {
-    /// The BSP-tailored greedy of Algorithm 1.
-    BspG,
-    /// The wavefront heuristic of Algorithm 2.
-    Source,
-    /// The ILP-based initializer.
-    IlpInit,
-}
 
 /// An optional escape-local-minima stage run on the best candidate after
 /// hill climbing (the paper's §8 future-work replacement for plain HC).
@@ -82,7 +73,8 @@ pub struct PipelineConfig {
     pub escape: Option<EscapeSearch>,
     /// Worker threads for the parallel neighbourhood scans (HCcs and the
     /// tabu escape stage): `0` = auto-detect, `1` = sequential. A
-    /// [`SolveRequest::with_threads`] override wins over this default.
+    /// [`SolveRequest::with_threads`](bsp_schedule::solve::SolveRequest::with_threads)
+    /// override wins over this default.
     /// Never changes the schedule — parallel scans are bit-identical to
     /// sequential ones — only wall-clock time.
     pub threads: usize,
@@ -112,216 +104,217 @@ pub struct PipelineResult {
     pub comm: CommSchedule,
     /// Final total cost.
     pub cost: u64,
-    /// Cost of the best initialization (lazy Γ), before local search.
+    /// Cost of the starting point (lazy Γ) before local search: the best
+    /// initialization, the uncoarsened schedule, or the repaired warm start.
     pub init_cost: u64,
-    /// Initializer that won the selection.
-    pub best_init: Initializer,
     /// Cost after HC + HCcs on the best candidate.
     pub hc_cost: u64,
     /// Cost after the assignment ILP stages (`ILPfull`/`ILPpart`, with Γ
     /// re-optimized by HCcs) but before `ILPcs`.
     pub part_cost: u64,
-    /// Cost after the ILP stages (equals `cost`).
-    pub ilp_cost: u64,
-    /// Wall-clock time the pipeline spent end to end.
-    pub elapsed: Duration,
 }
 
-/// Runs the Figure-3 pipeline with an unlimited budget and no observer.
-pub fn schedule_dag(dag: &Dag, machine: &BspParams, cfg: &PipelineConfig) -> PipelineResult {
-    let req = SolveRequest::new(dag, machine);
-    let mut cx = SolveCx::new("pipeline/base", &req);
-    solve_base_pipeline(dag, machine, cfg, &mut cx)
+/// The best schedule a pipeline has found so far. Stages never assign to
+/// it: they [`offer`](Incumbent::offer), and only something strictly
+/// cheaper gets in.
+pub(crate) struct Incumbent {
+    pub sched: BspSchedule,
+    pub comm: CommSchedule,
+    pub cost: u64,
 }
 
-/// `cfg` with the remaining solve budget folded into every stage's own
-/// wall-clock/move limits and the ILP master switch. Re-evaluated before
-/// each stage, so earlier stages shrink the budgets of later ones.
-pub(crate) fn clamped(cfg: &PipelineConfig, cx: &SolveCx<'_>) -> PipelineConfig {
-    let mut c = cfg.clone();
-    c.hc.max_moves = cx.clamp_moves(cfg.hc.max_moves);
-    c.hc.time_limit = cx.clamp_time(cfg.hc.time_limit);
-    c.hccs.max_moves = cx.clamp_moves(cfg.hccs.max_moves);
-    c.hccs.time_limit = cx.clamp_time(cfg.hccs.time_limit);
-    if let Some(t) = cx.clamp_time(Some(cfg.ilp.limits.time_limit)) {
-        c.ilp.limits.time_limit = t;
+impl Incumbent {
+    /// The first one: `sched` under its lazy `Γ`, whose cost the caller
+    /// has computed. Tells the observer.
+    pub fn lazy(cx: &SolveCx<'_>, dag: &Dag, sched: BspSchedule, cost: u64) -> Self {
+        cx.improved(cost);
+        Incumbent {
+            comm: CommSchedule::lazy(dag, &sched),
+            sched,
+            cost,
+        }
     }
-    c.enable_ilp = cx.ilp_enabled(cfg.enable_ilp);
-    c
+
+    /// Seals it into a pipeline's result, beside the costs the pipeline's
+    /// earlier stages had reached.
+    pub fn into_result(self, init_cost: u64, hc_cost: u64, part_cost: u64) -> PipelineResult {
+        PipelineResult {
+            sched: self.sched,
+            comm: self.comm,
+            cost: self.cost,
+            init_cost,
+            hc_cost,
+            part_cost,
+        }
+    }
+
+    /// Keeps `comm` for the assignment it holds if that is strictly
+    /// cheaper, and tells the observer. Returns whether it did.
+    pub fn offer_comm(&mut self, cx: &SolveCx<'_>, comm: CommSchedule, cost: u64) -> bool {
+        let cheaper = cost < self.cost;
+        if cheaper {
+            self.comm = comm;
+            self.cost = cost;
+            cx.improved(cost);
+        }
+        cheaper
+    }
+
+    /// Keeps `(sched, comm)` if it is strictly cheaper.
+    pub fn offer(&mut self, cx: &SolveCx<'_>, sched: BspSchedule, comm: CommSchedule, cost: u64) {
+        if self.offer_comm(cx, comm, cost) {
+            self.sched = sched;
+        }
+    }
+
+    /// Compacts `assignment`, optimizes its `Γ` with HCcs, and offers the
+    /// pair.
+    pub fn offer_assignment(
+        &mut self,
+        dag: &Dag,
+        machine: &BspParams,
+        assignment: &BspSchedule,
+        cfg: &PipelineConfig,
+        threads: usize,
+        cx: &SolveCx<'_>,
+    ) {
+        let cand = compact_lazy(dag, assignment);
+        let mut stop = cx.stop(cfg.hccs.time_limit, cfg.hccs.max_moves);
+        let (comm, cost) = optimize_comm_schedule(dag, machine, &cand, threads, &mut stop);
+        self.offer(cx, cand, comm, cost);
+    }
+
+    /// One local-search candidate: hill-climbs `start` and offers where it
+    /// ends ([`offer_assignment`](Self::offer_assignment)).
+    pub fn climb_from(
+        &mut self,
+        mut start: ScheduleState<'_>,
+        cfg: &PipelineConfig,
+        threads: usize,
+        cx: &SolveCx<'_>,
+    ) {
+        hill_climb(
+            &mut start,
+            &mut cx.stop(cfg.hc.time_limit, cfg.hc.max_moves),
+        );
+        let (dag, machine) = (start.dag(), start.machine());
+        self.offer_assignment(dag, machine, &start.snapshot(), cfg, threads, cx);
+    }
+}
+
+/// `Γ` for a fixed assignment: HCcs, then — with `ilp` on and budget left —
+/// `ILPcs` warm-started from it, which hands its start back unless it
+/// found something strictly cheaper. Returns `Γ`, its cost, and the cost
+/// HCcs alone had reached.
+fn optimized_comm(
+    dag: &Dag,
+    machine: &BspParams,
+    sched: &BspSchedule,
+    cfg: &PipelineConfig,
+    ilp: bool,
+    threads: usize,
+    cx: &SolveCx<'_>,
+) -> (CommSchedule, u64, u64) {
+    let mut stop = cx.stop(cfg.hccs.time_limit, cfg.hccs.max_moves);
+    let (comm, hccs_cost) = optimize_comm_schedule(dag, machine, sched, threads, &mut stop);
+    if ilp && !cx.expired() {
+        let limits = &cfg.ilp.limits;
+        let (comm, cost) = ilp_comm(dag, machine, sched, &comm, limits, &cx.stop(None, None));
+        (comm, cost, hccs_cost)
+    } else {
+        (comm, hccs_cost, hccs_cost)
+    }
 }
 
 /// Runs the Figure-3 pipeline under `cx`'s budget clock: stages `init`,
 /// `hc` (HC + HCcs + optional escape search) and `ilp`, with the deadline
-/// checked at every stage boundary. Always returns a valid schedule — under
-/// an already-expired deadline, the best initialization with its lazy `Γ`.
+/// checked at every stage boundary and inside every search. Always returns
+/// a valid schedule — under an already-expired deadline, the best
+/// initialization with its lazy `Γ`.
 pub fn solve_base_pipeline(
     dag: &Dag,
     machine: &BspParams,
     cfg: &PipelineConfig,
     cx: &mut SolveCx<'_>,
 ) -> PipelineResult {
-    let began = Instant::now();
     let _pipeline_span = bsp_obs::trace::global().span("pipeline/base", "pipeline");
     let enable_ilp = cx.ilp_enabled(cfg.enable_ilp);
     let use_ilp_init = cfg.use_ilp_init.unwrap_or(machine.p() <= 4 && enable_ilp) && enable_ilp;
     let threads = cx.threads(cfg.threads);
 
     // Stage 1 — initialization. Runs even under an expired deadline: some
-    // valid schedule must exist before anything can be truncated.
-    cx.begin("init");
-    let init_span = bsp_obs::trace::global().span("init", "pipeline");
-    let mut candidates: Vec<(Initializer, BspSchedule)> = vec![
-        (Initializer::BspG, bspg_schedule(dag, machine)),
-        (Initializer::Source, source_schedule(dag, machine)),
-    ];
-    if use_ilp_init && !cx.expired() {
-        let icfg = clamped(cfg, cx).ilp;
-        candidates.push((Initializer::IlpInit, ilp_init(dag, machine, &icfg)));
-    }
-    let costed: Vec<(u64, Initializer, BspSchedule)> = candidates
-        .into_iter()
-        .map(|(which, init)| (lazy_cost(dag, machine, &init), which, init))
-        .collect();
-    let (init_cost, mut best_init) = costed
-        .iter()
-        .map(|&(c, which, _)| (c, which))
-        .min_by_key(|&(c, _)| c)
-        .expect("at least two initializers ran");
-    cx.improved(init_cost);
-    init_span.finish();
-    cx.end(init_cost, false);
-
-    // Best-so-far: the cheapest initialization under its lazy Γ. Every
-    // later stage only replaces it with something strictly cheaper.
-    let mut sched = costed
-        .iter()
-        .min_by_key(|&&(c, ..)| c)
-        .map(|(_, _, s)| s.clone())
-        .unwrap();
-    let mut comm = CommSchedule::lazy(dag, &sched);
-    let mut hc_cost = init_cost;
+    // valid schedule must exist before anything can be truncated. The
+    // best-so-far is the cheapest initialization under its lazy Γ.
+    let (inits, mut best) = cx.stage("init", |cx| {
+        let mut inits = vec![bspg_schedule(dag, machine), source_schedule(dag, machine)];
+        if use_ilp_init && !cx.expired() {
+            inits.push(ilp_init(dag, machine, &cfg.ilp, &cx.stop(None, None)));
+        }
+        let (cost, init) = (inits.iter())
+            .map(|init| (lazy_cost(dag, machine, init), init))
+            .min_by_key(|&(cost, _)| cost)
+            .expect("at least two initializers ran");
+        let best = Incumbent::lazy(cx, dag, init.clone(), cost);
+        (cost, (inits, best))
+    });
+    let init_cost = best.cost;
 
     // Stage 2 — HC, then HCcs, per candidate; keep the cheapest.
-    cx.begin("hc");
-    let hc_span = bsp_obs::trace::global().span("hc", "pipeline");
-    for (_, which, init) in &costed {
-        if cx.check_expired() {
-            break;
+    let hc_cost = cx.stage("hc", |cx| {
+        for init in &inits {
+            if cx.check_expired() {
+                break;
+            }
+            best.climb_from(ScheduleState::new(dag, machine, init), cfg, threads, cx);
         }
-        let c = clamped(cfg, cx);
-        let mut st = ScheduleState::new(dag, machine, init);
-        hill_climb(&mut st, &c.hc);
-        let cand = compact_lazy(dag, &st.snapshot());
-        let (cand_comm, cand_cost) =
-            optimize_comm_schedule_threaded(dag, machine, &cand, &c.hccs, threads);
-        if cand_cost < hc_cost {
-            hc_cost = cand_cost;
-            best_init = *which;
-            sched = cand;
-            comm = cand_comm;
-            cx.improved(cand_cost);
-        }
-    }
-
-    // Optional escape-local-minima stage on the winning candidate; folded
-    // into the local-search stage cost because it refines the same move
-    // space (never worse than its input by construction).
-    if let Some(escape) = &cfg.escape {
-        if !cx.check_expired() {
-            let _escape_span = bsp_obs::trace::global().span(
-                match escape {
-                    EscapeSearch::Anneal(_) => "escape/anneal",
-                    EscapeSearch::Tabu(_) => "escape/tabu",
-                },
-                "pipeline",
-            );
-            let c = clamped(cfg, cx);
-            let refined = match escape {
-                EscapeSearch::Anneal(a) => {
-                    let mut a = a.clone();
-                    a.seed = a.seed.wrapping_add(cx.seed());
-                    a.time_limit = cx.clamp_time(a.time_limit);
-                    simulated_annealing(dag, machine, &sched, &a).0
-                }
-                EscapeSearch::Tabu(t) => {
-                    let mut t = t.clone();
-                    t.time_limit = cx.clamp_time(t.time_limit);
-                    tabu_search_threaded(dag, machine, &sched, &t, threads).0
-                }
-            };
-            let refined = compact_lazy(dag, &refined);
-            let (r_comm, r_cost) =
-                optimize_comm_schedule_threaded(dag, machine, &refined, &c.hccs, threads);
-            if r_cost < hc_cost {
-                hc_cost = r_cost;
-                sched = refined;
-                comm = r_comm;
-                cx.improved(r_cost);
+        // Optional escape-local-minima stage on the winning candidate;
+        // folded into the local-search stage cost because it refines the
+        // same move space (never worse than its input by construction).
+        if let Some(escape) = &cfg.escape {
+            if !cx.check_expired() {
+                let (name, time_limit) = match escape {
+                    EscapeSearch::Anneal(a) => ("escape/anneal", a.time_limit),
+                    EscapeSearch::Tabu(t) => ("escape/tabu", t.time_limit),
+                };
+                let _escape_span = bsp_obs::trace::global().span(name, "pipeline");
+                let mut stop = cx.stop(time_limit, None);
+                let refined = match escape {
+                    EscapeSearch::Anneal(a) => {
+                        let mut a = a.clone();
+                        a.seed = a.seed.wrapping_add(cx.seed());
+                        simulated_annealing(dag, machine, &best.sched, &a, &mut stop).0
+                    }
+                    EscapeSearch::Tabu(t) => {
+                        tabu_search(dag, machine, &best.sched, t, threads, &mut stop).0
+                    }
+                };
+                best.offer_assignment(dag, machine, &refined, cfg, threads, cx);
             }
         }
-    }
-    hc_span.finish();
-    let hc_truncated = cx.expired();
-    cx.end(hc_cost, hc_truncated);
+        (best.cost, best.cost)
+    });
 
-    let mut cost = hc_cost;
     let mut part_cost = hc_cost;
-
     if enable_ilp && dag.n() > 0 && !cx.check_expired() {
-        cx.begin("ilp");
-        let _ilp_span = bsp_obs::trace::global().span("ilp", "pipeline");
-        // ILPfull when small; always followed by ILPpart unless optimality
-        // was proven (paper §6). Budgets re-clamp between solver calls.
-        let (after_full, proven) = ilp_full(dag, machine, &sched, &clamped(cfg, cx).ilp);
-        let mut assignment = after_full;
-        if !proven && !cx.expired() {
-            assignment = ilp_part(dag, machine, &assignment, &clamped(cfg, cx).ilp);
-        }
-        // Re-optimize Γ on the (possibly) new assignment: HCcs then ILPcs.
-        let c = clamped(cfg, cx);
-        let (hccs_comm, hccs_cost) =
-            optimize_comm_schedule_threaded(dag, machine, &assignment, &c.hccs, threads);
-        part_cost = part_cost.min(hccs_cost);
-        let (ilpcs_comm, ilpcs_cost) =
-            ilp_comm(dag, machine, &assignment, &hccs_comm, &c.ilp.limits);
-        let (new_comm, new_cost) = if ilpcs_cost <= hccs_cost {
-            (ilpcs_comm, ilpcs_cost)
-        } else {
-            (hccs_comm, hccs_cost)
-        };
-        if new_cost < cost {
-            sched = assignment;
-            comm = new_comm;
-            cost = new_cost;
-            cx.improved(cost);
-        }
-        let ilp_truncated = cx.expired();
-        cx.end(cost, ilp_truncated);
+        cx.stage("ilp", |cx| {
+            // ILPfull when small; always followed by ILPpart unless
+            // optimality was proven (paper §6). Each solve gets what is
+            // left of the deadline when it starts.
+            let stop = cx.stop(None, None);
+            let (mut assignment, proven) = ilp_full(dag, machine, &best.sched, &cfg.ilp, &stop);
+            if !proven && !cx.expired() {
+                assignment = ilp_part(dag, machine, &assignment, &cfg.ilp, &stop);
+            }
+            // Re-optimize Γ on the (possibly) new assignment: HCcs then ILPcs.
+            let (comm, cost, hccs_cost) =
+                optimized_comm(dag, machine, &assignment, cfg, true, threads, cx);
+            part_cost = part_cost.min(hccs_cost);
+            best.offer(cx, assignment, comm, cost);
+            (best.cost, ())
+        });
     }
 
-    PipelineResult {
-        sched,
-        comm,
-        cost,
-        init_cost,
-        best_init,
-        hc_cost,
-        part_cost,
-        ilp_cost: cost,
-        elapsed: began.elapsed(),
-    }
-}
-
-/// Runs the Figure-4 multilevel pipeline with an unlimited budget.
-pub fn schedule_dag_multilevel(
-    dag: &Dag,
-    machine: &BspParams,
-    cfg: &PipelineConfig,
-    ml: &MultilevelConfig,
-) -> PipelineResult {
-    let req = SolveRequest::new(dag, machine);
-    let mut cx = SolveCx::new("pipeline/multilevel", &req);
-    solve_multilevel_pipeline(dag, machine, cfg, ml, &mut cx)
+    best.into_result(init_cost, hc_cost, part_cost)
 }
 
 /// Runs the Figure-4 multilevel pipeline under `cx`'s budget clock: coarsen,
@@ -335,86 +328,41 @@ pub fn solve_multilevel_pipeline(
     ml: &MultilevelConfig,
     cx: &mut SolveCx<'_>,
 ) -> PipelineResult {
-    let began = Instant::now();
     let _pipeline_span = bsp_obs::trace::global().span("pipeline/multilevel", "pipeline");
-    cx.begin("multilevel");
-    let ml_span = bsp_obs::trace::global().span("multilevel", "pipeline");
-    // Each inner base run gets a real deadline — the outer budget's
-    // remaining time at the moment it starts — so its own stages re-check
-    // and re-clamp instead of all snapshotting the same allowance. The
-    // inner runs skip ILPcs (Γ is re-optimized after uncoarsening);
-    // solve_base_pipeline applies ILPcs internally but its result is only
-    // used through the assignment, so this is naturally satisfied.
-    let ilp_override = Some(cx.ilp_enabled(cfg.enable_ilp));
-    let inner_budget = |cx: &SolveCx<'_>| Budget {
-        deadline: cx.remaining(),
-        max_stage_moves: cx.clamp_moves(None),
-        ilp: ilp_override,
-        cancel: cx.cancel_token(),
-    };
-    let mut base = |d: &Dag, m: &BspParams| -> BspSchedule {
-        let req = SolveRequest::new(d, m).with_budget(inner_budget(cx));
-        let mut inner = SolveCx::new("pipeline/multilevel/base", &req);
-        solve_base_pipeline(d, m, cfg, &mut inner).sched
-    };
-    // The walk polls the same clock between chunks: past the deadline (or
-    // a cancelled token) it only projects the rest of the way down.
-    let sched = multilevel_schedule(dag, machine, ml, &mut base, &mut || cx.expired());
-    let init_cost = lazy_cost(dag, machine, &sched);
-    cx.improved(init_cost);
-    ml_span.finish();
-    let ml_truncated = cx.expired();
-    cx.end(init_cost, ml_truncated);
-
-    if cx.check_expired() {
-        // Deadline hit: the uncoarsened schedule under its lazy Γ is the
-        // valid best-so-far.
-        let comm = CommSchedule::lazy(dag, &sched);
-        return PipelineResult {
-            sched,
-            comm,
-            cost: init_cost,
-            init_cost,
-            best_init: Initializer::BspG,
-            hc_cost: init_cost,
-            part_cost: init_cost,
-            ilp_cost: init_cost,
-            elapsed: began.elapsed(),
+    let mut best = cx.stage("multilevel", |cx| {
+        // Each inner base run is a nested solve on the outer clock, so its
+        // own stages and searches see the same deadline and token. The
+        // inner runs skip ILPcs (Γ is re-optimized after uncoarsening);
+        // solve_base_pipeline applies ILPcs internally but its result is
+        // only used through the assignment, so this is naturally satisfied.
+        let mut base = |d: &Dag, m: &BspParams| -> BspSchedule {
+            let mut inner = cx.nested("pipeline/multilevel/base");
+            solve_base_pipeline(d, m, cfg, &mut inner).sched
         };
-    }
+        // The walk asks the same clock between chunks and inside every
+        // refinement climb: past the deadline (or a cancelled token) it
+        // only projects the rest of the way down.
+        let sched = multilevel_schedule(dag, machine, ml, &mut base, &mut cx.stop(None, None));
+        let cost = lazy_cost(dag, machine, &sched);
+        (cost, Incumbent::lazy(cx, dag, sched, cost))
+    });
+    let init_cost = best.cost;
 
-    // Final polish on the original DAG: HCcs, then ILPcs.
-    cx.begin("polish");
-    let _polish_span = bsp_obs::trace::global().span("polish", "pipeline");
-    let c = clamped(cfg, cx);
-    let (hccs_comm, hccs_cost) =
-        optimize_comm_schedule_threaded(dag, machine, &sched, &c.hccs, cx.threads(cfg.threads));
-    let (comm, cost) = if c.enable_ilp && !cx.expired() {
-        let (c2, k2) = ilp_comm(dag, machine, &sched, &hccs_comm, &c.ilp.limits);
-        if k2 <= hccs_cost {
-            (c2, k2)
-        } else {
-            (hccs_comm, hccs_cost)
-        }
-    } else {
-        (hccs_comm, hccs_cost)
-    };
-    if cost < init_cost {
-        cx.improved(cost);
+    // Final polish on the original DAG: HCcs, then ILPcs. Skipped past
+    // the deadline: the uncoarsened schedule under its lazy Γ is then the
+    // valid best-so-far.
+    let mut hc_cost = init_cost;
+    if !cx.check_expired() {
+        hc_cost = cx.stage("polish", |cx| {
+            let ilp = cx.ilp_enabled(cfg.enable_ilp);
+            let threads = cx.threads(cfg.threads);
+            let (comm, cost, hccs_cost) =
+                optimized_comm(dag, machine, &best.sched, cfg, ilp, threads, cx);
+            best.offer_comm(cx, comm, cost);
+            (best.cost, hccs_cost)
+        });
     }
-    let polish_truncated = cx.expired();
-    cx.end(cost, polish_truncated);
-    PipelineResult {
-        sched,
-        comm,
-        cost,
-        init_cost,
-        best_init: Initializer::BspG,
-        hc_cost: hccs_cost,
-        part_cost: hccs_cost,
-        ilp_cost: cost,
-        elapsed: began.elapsed(),
-    }
+    best.into_result(init_cost, hc_cost, hc_cost)
 }
 
 #[cfg(test)]
@@ -423,7 +371,14 @@ mod tests {
     use bsp_dag::random::{random_layered_dag, LayeredConfig};
     use bsp_model::NumaTopology;
     use bsp_schedule::cost::total_cost;
+    use bsp_schedule::solve::SolveRequest;
     use bsp_schedule::validity::validate;
+
+    /// The Figure-3 pipeline with an unlimited budget and no observer.
+    fn schedule_dag(dag: &Dag, machine: &BspParams, cfg: &PipelineConfig) -> PipelineResult {
+        let req = SolveRequest::new(dag, machine);
+        solve_base_pipeline(dag, machine, cfg, &mut SolveCx::new("pipeline/base", &req))
+    }
 
     fn check_result(dag: &Dag, machine: &BspParams, r: &PipelineResult) {
         assert!(validate(dag, machine.p(), &r.sched, &r.comm).is_ok());
@@ -458,6 +413,31 @@ mod tests {
             let r = schedule_dag(&dag, &machine, &fast_cfg());
             check_result(&dag, &machine, &r);
         }
+    }
+
+    #[test]
+    fn cancelled_pipeline_returns_its_best_initialization() {
+        let dag = random_layered_dag(7, LayeredConfig::default());
+        let machine = BspParams::new(4, 3, 5);
+        let token = bsp_schedule::solve::CancelToken::new();
+        token.cancel();
+        let budget = bsp_schedule::solve::Budget::unlimited().with_cancel(token);
+        let req = SolveRequest::new(&dag, &machine).with_budget(budget);
+        let out = crate::schedulers::solve_pipeline("pipeline/base", &req, |cx| {
+            let r = solve_base_pipeline(&dag, &machine, &fast_cfg(), cx);
+            check_result(&dag, &machine, &r);
+            let inits = [
+                bspg_schedule(&dag, &machine),
+                source_schedule(&dag, &machine),
+            ];
+            let best = inits.iter().min_by_key(|s| lazy_cost(&dag, &machine, s));
+            assert_eq!(Some(&r.sched), best);
+            assert_eq!((r.cost, r.hc_cost), (r.init_cost, r.init_cost));
+            r
+        });
+        let stages: Vec<_> = out.stages.iter().map(|r| r.stage.as_str()).collect();
+        assert_eq!(stages, ["init", "hc"], "no ILP stage past the budget");
+        assert!(out.stages[1].truncated && out.budget_exhausted);
     }
 
     #[test]
@@ -592,7 +572,10 @@ mod tests {
             enable_ilp: false,
             ..Default::default()
         };
-        let r = schedule_dag_multilevel(&dag, &machine, &cfg, &MultilevelConfig::default());
+        let req = SolveRequest::new(&dag, &machine);
+        let mut cx = SolveCx::new("pipeline/multilevel", &req);
+        let r =
+            solve_multilevel_pipeline(&dag, &machine, &cfg, &MultilevelConfig::default(), &mut cx);
         assert!(validate(&dag, 4, &r.sched, &r.comm).is_ok());
         assert_eq!(r.cost, total_cost(&dag, &machine, &r.sched, &r.comm));
     }

@@ -10,9 +10,28 @@ use crate::auto::{solve_auto, AutoConfig};
 use crate::init::bspg::bspg_schedule;
 use crate::init::source::source_schedule;
 use crate::multilevel::MultilevelConfig;
-use crate::pipeline::{solve_base_pipeline, solve_multilevel_pipeline, PipelineConfig};
+use crate::pipeline::{
+    solve_base_pipeline, solve_multilevel_pipeline, PipelineConfig, PipelineResult,
+};
 use bsp_schedule::scheduler::{ScheduleResult, Scheduler, SchedulerKind};
 use bsp_schedule::solve::{solve_single_stage, SolveCx, SolveOutcome, SolveRequest};
+
+/// Runs one pipeline as the scheduler `name` under `req`'s clock and seals
+/// what it found into an outcome.
+pub fn solve_pipeline(
+    name: &str,
+    req: &SolveRequest<'_>,
+    pipeline: impl FnOnce(&mut SolveCx<'_>) -> PipelineResult,
+) -> SolveOutcome {
+    let mut cx = SolveCx::new(name, req);
+    let r = pipeline(&mut cx);
+    cx.finish(ScheduleResult::from_parts(
+        req.dag,
+        req.machine,
+        r.sched,
+        r.comm,
+    ))
+}
 
 /// The BSP-tailored greedy initializer (Algorithm 1), run stand-alone.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,14 +84,9 @@ impl Scheduler for BasePipeline {
         SchedulerKind::Pipeline
     }
     fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
-        let mut cx = SolveCx::new(self.name(), req);
-        let r = solve_base_pipeline(req.dag, req.machine, &self.cfg, &mut cx);
-        cx.finish(ScheduleResult::from_parts(
-            req.dag,
-            req.machine,
-            r.sched,
-            r.comm,
-        ))
+        solve_pipeline(self.name(), req, |cx| {
+            solve_base_pipeline(req.dag, req.machine, &self.cfg, cx)
+        })
     }
 }
 
@@ -93,14 +107,9 @@ impl Scheduler for MultilevelPipeline {
         SchedulerKind::Pipeline
     }
     fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
-        let mut cx = SolveCx::new(self.name(), req);
-        let r = solve_multilevel_pipeline(req.dag, req.machine, &self.cfg, &self.ml, &mut cx);
-        cx.finish(ScheduleResult::from_parts(
-            req.dag,
-            req.machine,
-            r.sched,
-            r.comm,
-        ))
+        solve_pipeline(self.name(), req, |cx| {
+            solve_multilevel_pipeline(req.dag, req.machine, &self.cfg, &self.ml, cx)
+        })
     }
 }
 
@@ -122,13 +131,8 @@ impl Scheduler for AutoScheduler {
         SchedulerKind::Pipeline
     }
     fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
-        let mut cx = SolveCx::new(self.name(), req);
-        let (r, _strategy) = solve_auto(req.dag, req.machine, &self.cfg, &self.auto, &mut cx);
-        cx.finish(ScheduleResult::from_parts(
-            req.dag,
-            req.machine,
-            r.sched,
-            r.comm,
-        ))
+        solve_pipeline(self.name(), req, |cx| {
+            solve_auto(req.dag, req.machine, &self.cfg, &self.auto, cx).0
+        })
     }
 }

@@ -17,57 +17,37 @@
 //! ([`crate::reference::best_move_apply_revert`]), which the
 //! `kernel_equivalence` tests enforce.
 
-use crate::hc::{HillClimbConfig, HillClimbStats};
+use crate::hc::HillClimbStats;
 use crate::obs::ls_metrics;
-use crate::state::{ProbeScratch, ProcWindow, ScheduleState};
+use crate::state::{ProbeScratch, ScheduleState};
 use bsp_dag::NodeId;
-use std::time::Instant;
+use bsp_schedule::solve::Stop;
 
 /// Runs steepest-descent hill climbing in place: in every round, the whole
 /// `n · 3 · P` move neighbourhood is evaluated and the single best improving
-/// move is applied. Stops at a local minimum or when the budget runs out.
-/// The cost of `state` never increases.
-pub fn hill_climb_steepest(state: &mut ScheduleState<'_>, cfg: &HillClimbConfig) -> HillClimbStats {
-    hill_climb_steepest_threaded(state, cfg, 1)
-}
-
-/// [`hill_climb_steepest`] with the neighbourhood scan fanned out over
-/// `threads` workers (`0` = auto-detect, `1` = sequential). The move
-/// sequence — and therefore the final schedule — is **bit-identical** to
-/// the sequential run for every thread count: each round's winner is the
-/// same move (see [`best_move_threaded`]), only wall-clock time changes.
-pub fn hill_climb_steepest_threaded(
+/// move is applied. Stops at a local minimum or when `stop` says so (it is
+/// asked once per round). The cost of `state` never increases.
+///
+/// The neighbourhood scan is fanned out over `threads` workers (`0` =
+/// auto-detect, `1` = sequential). The move sequence — and therefore the
+/// final schedule — is **bit-identical** for every thread count: each
+/// round's winner is the same move (see [`best_move`]), only wall-clock
+/// time changes.
+pub fn hill_climb_steepest(
     state: &mut ScheduleState<'_>,
-    cfg: &HillClimbConfig,
     threads: usize,
+    stop: &mut Stop,
 ) -> HillClimbStats {
-    let deadline = cfg.time_limit.map(|t| Instant::now() + t);
-    let max_moves = cfg.max_moves.unwrap_or(usize::MAX);
     let mut accepted = 0usize;
-
-    if state.n() == 0 {
-        return HillClimbStats {
-            accepted: 0,
-            local_minimum: true,
-        };
-    }
-
-    let mut local_minimum = false;
-    while accepted < max_moves {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        match best_move_threaded(state, threads) {
+    let mut local_minimum = state.n() == 0;
+    while !local_minimum && stop.moves_left() > 0 && !stop.expired() {
+        match best_move(state, threads) {
             Some((v, q, s, _)) => {
                 state.apply_move(v, q, s);
                 accepted += 1;
+                stop.spend_move();
             }
-            None => {
-                local_minimum = true;
-                break;
-            }
+            None => local_minimum = true,
         }
     }
     ls_metrics().moves.add(accepted as u64);
@@ -78,43 +58,29 @@ pub fn hill_climb_steepest_threaded(
 }
 
 /// Scans the neighbourhoods of nodes `lo..hi` with a private scratch and
-/// returns the best improving move as `(delta, v, s, q)` — the strict-`<`
-/// fold over the `v asc, s asc, q asc` enumeration makes the result the
-/// lexicographic minimum of that tuple, which is exactly the sequential
-/// scan's first-encountered-best tie-break.
+/// returns the best improving move as `(delta, (v, q, s))` — the strict-`<`
+/// fold over the `v asc, s asc, q asc` enumeration keeps the first best
+/// encountered, which is the sequential scan's tie-break.
 fn scan_best(
     state: &ScheduleState<'_>,
     sc: &mut ProbeScratch,
     lo: u32,
     hi: u32,
-) -> Option<(i64, NodeId, u32, u32)> {
+) -> Option<(i64, (NodeId, u32, u32))> {
     let p = state.p();
-    let mut best: Option<(i64, NodeId, u32, u32)> = None;
+    let mut best: Option<(i64, (NodeId, u32, u32))> = None;
     let mut probes = 0u64;
-    let mut consider = |sc: &mut ProbeScratch, v: NodeId, q: u32, s: u32| {
-        probes += 1;
-        let delta = state.probe_move_in(sc, v, q, s);
-        if delta < 0 && best.as_ref().is_none_or(|&(b, ..)| delta < b) {
-            best = Some((delta, v, s, q));
-        }
-    };
     for v in lo..hi {
         let (cur_p, cur_s) = (state.proc(v), state.step(v));
-        let first = cur_s.saturating_sub(1);
-        for s in first..=cur_s + 1 {
-            match state.valid_procs(v, s) {
-                ProcWindow::None => {}
-                ProcWindow::Only(q) => {
-                    if (q, s) != (cur_p, cur_s) {
-                        consider(sc, v, q, s);
-                    }
+        for s in cur_s.saturating_sub(1)..=cur_s + 1 {
+            for q in state.valid_procs(v, s).procs(p) {
+                if (q, s) == (cur_p, cur_s) {
+                    continue;
                 }
-                ProcWindow::All => {
-                    for q in 0..p {
-                        if (q, s) != (cur_p, cur_s) {
-                            consider(sc, v, q, s);
-                        }
-                    }
+                probes += 1;
+                let delta = state.probe_move_in(sc, v, q, s);
+                if delta < 0 && best.as_ref().is_none_or(|&(b, _)| delta < b) {
+                    best = Some((delta, (v, q, s)));
                 }
             }
         }
@@ -125,6 +91,36 @@ fn scan_best(
     best
 }
 
+/// The best `(key, move)` of `scan` over all of `state`'s nodes, where
+/// `scan(scratch, lo, hi)` is the first-encountered best of nodes `lo..hi`.
+/// One pass — or, with `threads > 1` (`0` = auto-detect) and enough nodes,
+/// one pass per contiguous chunk on `bsp-par` workers, a private
+/// [`ProbeScratch`] each. Chunk winners come back in node order and are
+/// folded under the same strict `<`, so the result is the sequential one
+/// for any thread count and any chunk size.
+pub(crate) fn best_over_nodes<K: PartialOrd + Send, M: Send>(
+    state: &ScheduleState<'_>,
+    threads: usize,
+    scan: impl Fn(&mut ProbeScratch, u32, u32) -> Option<(K, M)> + Sync,
+) -> Option<(K, M)> {
+    let n = state.n();
+    let threads = bsp_par::resolve_threads(threads);
+    if threads <= 1 || n < 2 * PAR_CHUNK {
+        return scan(&mut ProbeScratch::default(), 0, n as u32);
+    }
+    let per_chunk = bsp_par::par_chunks(threads, n, PAR_CHUNK, |range| {
+        let mut sc = ProbeScratch::default();
+        scan(&mut sc, range.start as u32, range.end as u32)
+    });
+    let mut best: Option<(K, M)> = None;
+    for cand in per_chunk.into_iter().flatten() {
+        if best.as_ref().is_none_or(|b| cand.0 < b.0) {
+            best = Some(cand);
+        }
+    }
+    best
+}
+
 /// Probes every valid move and returns the one with the strictly largest
 /// cost decrease (ties to the first found in scan order) together with its
 /// negative delta, or `None` at a local minimum. Read-only: the scan never
@@ -132,41 +128,12 @@ fn scan_best(
 /// one-time scratch warm-up. Candidate steps are pre-filtered with
 /// [`ScheduleState::valid_procs`] (one `O(degree)` pass per step instead
 /// of `P` validity checks), preserving the historical `(v, s, q)`
-/// enumeration order exactly.
-pub fn best_move(state: &ScheduleState<'_>) -> Option<(NodeId, u32, u32, i64)> {
+/// enumeration order exactly. **Bit-identical** for every `threads`: the
+/// first minimum of `delta` in `(v, s, q)` order.
+pub fn best_move(state: &ScheduleState<'_>, threads: usize) -> Option<(NodeId, u32, u32, i64)> {
     ls_metrics().scans.inc();
-    let mut sc = ProbeScratch::default();
-    scan_best(state, &mut sc, 0, state.n() as u32).map(|(d, v, s, q)| (v, q, s, d))
-}
-
-/// [`best_move`] with the node range split over `threads` workers (`0` =
-/// auto-detect, `1` = no spawns). Each worker scans a contiguous node chunk
-/// with its own [`ProbeScratch`]; per-chunk winners come back in chunk
-/// order and are folded with the same strict-`<` rule the sequential scan
-/// uses, so the returned move is **bit-identical** to [`best_move`] — the
-/// global lexicographic minimum of `(delta, v, s, q)` — for any thread
-/// count and any chunk size.
-pub fn best_move_threaded(
-    state: &ScheduleState<'_>,
-    threads: usize,
-) -> Option<(NodeId, u32, u32, i64)> {
-    let n = state.n();
-    let threads = bsp_par::resolve_threads(threads);
-    if threads <= 1 || n < 2 * PAR_CHUNK {
-        return best_move(state);
-    }
-    ls_metrics().scans.inc();
-    let per_chunk = bsp_par::par_chunks(threads, n, PAR_CHUNK, |range| {
-        let mut sc = ProbeScratch::default();
-        scan_best(state, &mut sc, range.start as u32, range.end as u32)
-    });
-    let mut best: Option<(i64, NodeId, u32, u32)> = None;
-    for cand in per_chunk.into_iter().flatten() {
-        if best.as_ref().is_none_or(|&(b, ..)| cand.0 < b) {
-            best = Some(cand);
-        }
-    }
-    best.map(|(d, v, s, q)| (v, q, s, d))
+    best_over_nodes(state, threads, |sc, lo, hi| scan_best(state, sc, lo, hi))
+        .map(|(delta, (v, q, s))| (v, q, s, delta))
 }
 
 /// Nodes per parallel work unit: small enough to balance skewed
@@ -199,13 +166,7 @@ mod tests {
         let sched = BspSchedule::zeroed(3);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost(); // max work 13 + latency
-        let stats = hill_climb_steepest(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: Some(1),
-                time_limit: None,
-            },
-        );
+        let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, Some(1)));
         assert_eq!(stats.accepted, 1);
         // Best single move separates the 10-weight node (or equivalently
         // leaves max at 10): cost drop of 3 beats any other option.
@@ -233,13 +194,7 @@ mod tests {
             let sched = BspSchedule::zeroed(dag.n());
             let mut st = ScheduleState::new(&dag, &machine, &sched);
             let before = st.cost();
-            let stats = hill_climb_steepest(
-                &mut st,
-                &HillClimbConfig {
-                    max_moves: None,
-                    time_limit: None,
-                },
-            );
+            let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
             assert!(stats.local_minimum, "seed {seed}");
             assert!(st.cost() <= before, "seed {seed}");
             assert_eq!(st.cost(), st.recomputed_cost(), "seed {seed}");
@@ -266,15 +221,12 @@ mod tests {
         );
         let machine = BspParams::new(4, 2, 3);
         let sched = BspSchedule::zeroed(dag.n());
-        let unlimited = HillClimbConfig {
-            max_moves: None,
-            time_limit: None,
-        };
+        let unlimited = || Stop::new(None, None);
 
         let mut greedy_state = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb(&mut greedy_state, &unlimited);
+        hill_climb(&mut greedy_state, &mut unlimited());
         let mut steep_state = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb_steepest(&mut steep_state, &unlimited);
+        hill_climb_steepest(&mut steep_state, 1, &mut unlimited());
 
         let (g, s) = (greedy_state.cost(), steep_state.cost());
         assert!(s <= 2 * g && g <= 2 * s, "greedy {g} vs steepest {s}");
@@ -286,13 +238,7 @@ mod tests {
         let machine = BspParams::new(2, 1, 1);
         let sched = BspSchedule::zeroed(0);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
-        let stats = hill_climb_steepest(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
         assert!(stats.local_minimum);
         assert_eq!(stats.accepted, 0);
     }

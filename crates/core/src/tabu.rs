@@ -13,12 +13,14 @@
 //! candidate read-only ([`ScheduleState::probe_move`]) and applies only the
 //! chosen move.
 
-use crate::state::{ProbeScratch, ProcWindow, ScheduleState};
+use crate::state::{ProbeScratch, ScheduleState};
+use crate::steepest::best_over_nodes;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tabu-search parameters.
 #[derive(Debug, Clone)]
@@ -29,7 +31,8 @@ pub struct TabuConfig {
     pub stall_limit: usize,
     /// Hard cap on iterations.
     pub max_iters: usize,
-    /// Wall-clock limit.
+    /// Wall-clock limit of a pipeline's escape stage; the pipeline folds it
+    /// into the [`Stop`] it hands [`tabu_search`].
     pub time_limit: Option<Duration>,
 }
 
@@ -57,8 +60,15 @@ pub struct TabuStats {
     pub improved_best: usize,
 }
 
-/// Runs tabu search from `sched`; returns the best schedule found, its lazy
+/// Runs tabu search from `sched` until `cfg`'s iteration limits or `stop`
+/// (asked once per iteration); returns the best schedule found, its lazy
 /// cost, and statistics. The returned cost is never above the input's.
+///
+/// Each iteration's neighbourhood scan is fanned out over `threads`
+/// workers (`0` = auto-detect, `1` = sequential). Every iteration selects
+/// the same move as the sequential run — the per-chunk winners are folded
+/// under the sequential tie-break — so the returned schedule, cost, and
+/// statistics are **bit-identical** for every thread count.
 ///
 /// ```
 /// use bsp_core::tabu::{tabu_search, TabuConfig};
@@ -66,12 +76,14 @@ pub struct TabuStats {
 /// use bsp_dag::random::{random_layered_dag, LayeredConfig};
 /// use bsp_model::BspParams;
 /// use bsp_schedule::cost::lazy_cost;
+/// use bsp_schedule::solve::Stop;
 ///
 /// let dag = random_layered_dag(3, LayeredConfig::default());
 /// let machine = BspParams::new(4, 2, 5);
 /// let start = bspg_schedule(&dag, &machine);
-/// let cfg = TabuConfig { max_iters: 50, time_limit: None, ..Default::default() };
-/// let (best, cost, _stats) = tabu_search(&dag, &machine, &start, &cfg);
+/// let cfg = TabuConfig { max_iters: 50, ..Default::default() };
+/// let mut stop = Stop::new(None, None);
+/// let (best, cost, _stats) = tabu_search(&dag, &machine, &start, &cfg, 1, &mut stop);
 /// assert!(cost <= lazy_cost(&dag, &machine, &start));
 /// assert_eq!(cost, lazy_cost(&dag, &machine, &best));
 /// ```
@@ -80,21 +92,8 @@ pub fn tabu_search(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &TabuConfig,
-) -> (BspSchedule, u64, TabuStats) {
-    tabu_search_threaded(dag, machine, sched, cfg, 1)
-}
-
-/// [`tabu_search`] with each iteration's neighbourhood scan fanned out over
-/// `threads` workers (`0` = auto-detect, `1` = sequential). Every iteration
-/// selects the same move as the sequential run — the per-chunk winners are
-/// folded under the sequential tie-break — so the returned schedule, cost,
-/// and statistics are **bit-identical** for every thread count.
-pub fn tabu_search_threaded(
-    dag: &Dag,
-    machine: &BspParams,
-    sched: &BspSchedule,
-    cfg: &TabuConfig,
     threads: usize,
+    stop: &mut Stop,
 ) -> (BspSchedule, u64, TabuStats) {
     let mut state = ScheduleState::new(dag, machine, sched);
     let mut stats = TabuStats::default();
@@ -104,23 +103,18 @@ pub fn tabu_search_threaded(
         return (best, best_cost, stats);
     }
 
-    let deadline = cfg.time_limit.map(|t| Instant::now() + t);
     // (node, proc, step) → iteration index until which the placement is tabu.
     let mut tabu: HashMap<(NodeId, u32, u32), usize> = HashMap::new();
     let mut stall = 0usize;
 
     for iter in 0..cfg.max_iters {
-        if stall >= cfg.stall_limit {
+        if stall >= cfg.stall_limit || stop.expired() {
             break;
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        let Some((v, q, s, after, aspirated)) =
-            best_admissible_move_threaded(&state, &tabu, iter, best_cost, threads)
-        else {
+        // The whole neighbourhood, optionally in chunks over `threads`.
+        let Some((after, (v, q, s, aspirated))) = best_over_nodes(&state, threads, |sc, lo, hi| {
+            scan_admissible(&state, sc, &tabu, iter, best_cost, lo, hi)
+        }) else {
             break; // no valid move anywhere (degenerate neighbourhood)
         };
         let before = state.cost();
@@ -153,7 +147,7 @@ pub fn tabu_search_threaded(
 
 /// Scans the neighbourhoods of nodes `lo..hi` read-only (via
 /// [`ScheduleState::probe_move_in`]) and returns the admissible move with
-/// the lowest resulting cost as `(after, v, q, s, aspirated)`: non-tabu
+/// the lowest resulting cost as `(after, (v, q, s, aspirated))`: non-tabu
 /// moves always qualify; tabu moves qualify only if they beat `best_cost`
 /// (aspiration). The strict-`<` fold over the `v asc, s asc, q asc`
 /// enumeration reproduces the sequential first-encountered-best tie-break.
@@ -165,38 +159,22 @@ fn scan_admissible(
     best_cost: u64,
     lo: u32,
     hi: u32,
-) -> Option<(u64, NodeId, u32, u32, bool)> {
+) -> Option<(u64, (NodeId, u32, u32, bool))> {
     let p = state.p();
     let before = state.cost() as i64;
-    let mut best: Option<(u64, NodeId, u32, u32, bool)> = None;
-    let mut consider = |sc: &mut ProbeScratch, v: NodeId, q: u32, s: u32| {
-        let is_tabu = tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
-        let after = (before + state.probe_move_in(sc, v, q, s)) as u64;
-        let aspirated = is_tabu && after < best_cost;
-        if is_tabu && !aspirated {
-            return;
-        }
-        if best.as_ref().is_none_or(|&(b, ..)| after < b) {
-            best = Some((after, v, q, s, aspirated));
-        }
-    };
+    let mut best: Option<(u64, (NodeId, u32, u32, bool))> = None;
     for v in lo..hi {
         let (cur_p, cur_s) = (state.proc(v), state.step(v));
-        let first = cur_s.saturating_sub(1);
-        for s in first..=cur_s + 1 {
-            match state.valid_procs(v, s) {
-                ProcWindow::None => {}
-                ProcWindow::Only(q) => {
-                    if (q, s) != (cur_p, cur_s) {
-                        consider(sc, v, q, s);
-                    }
+        for s in cur_s.saturating_sub(1)..=cur_s + 1 {
+            for q in state.valid_procs(v, s).procs(p) {
+                if (q, s) == (cur_p, cur_s) {
+                    continue;
                 }
-                ProcWindow::All => {
-                    for q in 0..p {
-                        if (q, s) != (cur_p, cur_s) {
-                            consider(sc, v, q, s);
-                        }
-                    }
+                let is_tabu = tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
+                let after = (before + state.probe_move_in(sc, v, q, s)) as u64;
+                let aspirated = is_tabu && after < best_cost;
+                if (!is_tabu || aspirated) && best.as_ref().is_none_or(|&(b, _)| after < b) {
+                    best = Some((after, (v, q, s, aspirated)));
                 }
             }
         }
@@ -204,59 +182,24 @@ fn scan_admissible(
     best
 }
 
-/// Whole-neighbourhood admissible-move scan, optionally fanned out over
-/// `threads` workers with one private [`ProbeScratch`] per chunk. Chunk
-/// winners come back in ascending node order and are folded with the same
-/// strict-`<` rule [`scan_admissible`] uses internally, so the selected
-/// move — `(node, proc, step, resulting_cost, was_aspirated)` — is
-/// identical to a sequential scan for any thread count.
-fn best_admissible_move_threaded(
-    state: &ScheduleState<'_>,
-    tabu: &HashMap<(NodeId, u32, u32), usize>,
-    iter: usize,
-    best_cost: u64,
-    threads: usize,
-) -> Option<(NodeId, u32, u32, u64, bool)> {
-    let n = state.n();
-    let threads = bsp_par::resolve_threads(threads);
-    let best = if threads <= 1 || n < 2 * PAR_CHUNK {
-        let mut sc = ProbeScratch::default();
-        scan_admissible(state, &mut sc, tabu, iter, best_cost, 0, n as u32)
-    } else {
-        let per_chunk = bsp_par::par_chunks(threads, n, PAR_CHUNK, |range| {
-            let mut sc = ProbeScratch::default();
-            scan_admissible(
-                state,
-                &mut sc,
-                tabu,
-                iter,
-                best_cost,
-                range.start as u32,
-                range.end as u32,
-            )
-        });
-        let mut best: Option<(u64, NodeId, u32, u32, bool)> = None;
-        for cand in per_chunk.into_iter().flatten() {
-            if best.as_ref().is_none_or(|&(b, ..)| cand.0 < b) {
-                best = Some(cand);
-            }
-        }
-        best
-    };
-    best.map(|(c, v, q, s, a)| (v, q, s, c, a))
-}
-
-/// Nodes per parallel work unit (see [`crate::steepest`]).
-const PAR_CHUNK: usize = 32;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hc::{hill_climb, HillClimbConfig};
+    use crate::hc::hill_climb;
     use bsp_dag::random::{random_layered_dag, LayeredConfig};
     use bsp_dag::DagBuilder;
     use bsp_schedule::cost::lazy_cost;
     use bsp_schedule::validity::validate_lazy;
+
+    /// Sequential [`tabu_search`] under no limit but `cfg`'s own.
+    fn tabu(
+        dag: &Dag,
+        machine: &BspParams,
+        sched: &BspSchedule,
+        cfg: &TabuConfig,
+    ) -> (BspSchedule, u64, TabuStats) {
+        tabu_search(dag, machine, sched, cfg, 1, &mut Stop::new(None, None))
+    }
 
     fn quick_cfg() -> TabuConfig {
         TabuConfig {
@@ -282,7 +225,7 @@ mod tests {
             let machine = BspParams::new(4, 3, 5);
             let sched = BspSchedule::zeroed(dag.n());
             let input = lazy_cost(&dag, &machine, &sched);
-            let (out, cost, _) = tabu_search(&dag, &machine, &sched, &quick_cfg());
+            let (out, cost, _) = tabu(&dag, &machine, &sched, &quick_cfg());
             assert!(cost <= input, "seed {seed}");
             assert_eq!(cost, lazy_cost(&dag, &machine, &out), "seed {seed}");
             assert!(validate_lazy(&dag, 4, &out).is_ok(), "seed {seed}");
@@ -302,16 +245,10 @@ mod tests {
         let machine = BspParams::new(4, 1, 2);
         let sched = BspSchedule::from_parts(vec![0, 0, 1, 1], vec![0; 4]);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: None,
-                time_limit: None,
-            },
-        );
+        hill_climb(&mut st, &mut Stop::new(None, None));
         assert_eq!(st.cost(), 22, "premise: greedy is plateau-stuck");
 
-        let (_, cost, stats) = tabu_search(&dag, &machine, &sched, &quick_cfg());
+        let (_, cost, stats) = tabu(&dag, &machine, &sched, &quick_cfg());
         assert_eq!(cost, 12, "tabu should reach the 1-per-processor optimum");
         assert!(stats.improved_best >= 1);
     }
@@ -321,8 +258,8 @@ mod tests {
         let dag = random_layered_dag(9, LayeredConfig::default());
         let machine = BspParams::new(4, 2, 3);
         let sched = BspSchedule::zeroed(dag.n());
-        let (a, ca, sa) = tabu_search(&dag, &machine, &sched, &quick_cfg());
-        let (b, cb, sb) = tabu_search(&dag, &machine, &sched, &quick_cfg());
+        let (a, ca, sa) = tabu(&dag, &machine, &sched, &quick_cfg());
+        let (b, cb, sb) = tabu(&dag, &machine, &sched, &quick_cfg());
         assert_eq!(ca, cb);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
@@ -339,7 +276,7 @@ mod tests {
             time_limit: None,
             tenure: 3,
         };
-        let (_, _, stats) = tabu_search(&dag, &machine, &sched, &cfg);
+        let (_, _, stats) = tabu(&dag, &machine, &sched, &cfg);
         // Each improvement resets the stall counter, but iterations are
         // bounded by improvements · stall_limit + stall_limit.
         assert!(stats.iterations <= (stats.improved_best + 1) * 5 + 5);
@@ -349,13 +286,13 @@ mod tests {
     fn empty_and_single_node() {
         let machine = BspParams::new(2, 1, 1);
         let empty = DagBuilder::new().build().unwrap();
-        let (_, c, stats) = tabu_search(&empty, &machine, &BspSchedule::zeroed(0), &quick_cfg());
+        let (_, c, stats) = tabu(&empty, &machine, &BspSchedule::zeroed(0), &quick_cfg());
         assert_eq!((c, stats.iterations), (0, 0));
 
         let mut b = DagBuilder::new();
         b.add_node(3, 1);
         let one = b.build().unwrap();
-        let (out, c, _) = tabu_search(&one, &machine, &BspSchedule::zeroed(1), &quick_cfg());
+        let (out, c, _) = tabu(&one, &machine, &BspSchedule::zeroed(1), &quick_cfg());
         assert_eq!(c, lazy_cost(&one, &machine, &out));
     }
 }

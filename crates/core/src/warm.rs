@@ -30,7 +30,7 @@
 //! budget — including an already-expired one — yields a valid schedule.
 //!
 //! ```
-//! use bsp_core::pipeline::{schedule_dag, PipelineConfig};
+//! use bsp_core::pipeline::{solve_base_pipeline, PipelineConfig};
 //! use bsp_core::{solve_warm_pipeline, warm_start_from_map};
 //! use bsp_dag::DagBuilder;
 //! use bsp_model::BspParams;
@@ -45,7 +45,8 @@
 //! let base_dag = b.build().unwrap();
 //! let machine = BspParams::new(2, 1, 2);
 //! let cfg = PipelineConfig { enable_ilp: false, ..Default::default() };
-//! let base = schedule_dag(&base_dag, &machine, &cfg);
+//! let req = SolveRequest::new(&base_dag, &machine);
+//! let base = solve_base_pipeline(&base_dag, &machine, &cfg, &mut SolveCx::new("base", &req));
 //!
 //! // The edit appended a consumer w of v; nodes 0 and 1 survive as-is.
 //! let mut b = DagBuilder::new();
@@ -64,10 +65,9 @@
 //! assert!(r.cost <= start); // monotone: never worse than the repaired start
 //! ```
 
-use crate::hc::{hill_climb, hill_climb_from, HillClimbStats};
-use crate::hccs::optimize_comm_schedule_threaded;
+use crate::hc::{hill_climb_from, HillClimbStats};
 use crate::memrepair::repair_memory_with;
-use crate::pipeline::{clamped, PipelineConfig, PipelineResult};
+use crate::pipeline::{Incumbent, PipelineConfig, PipelineResult};
 use crate::state::{ScheduleState, ScheduleTables};
 use bsp_dag::topo::TopoInfo;
 use bsp_dag::{Dag, NodeId};
@@ -76,7 +76,7 @@ use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::prefix::PrefixViolation;
 use bsp_schedule::solve::SolveCx;
-use bsp_schedule::{BspSchedule, CommSchedule};
+use bsp_schedule::BspSchedule;
 use std::collections::BTreeMap;
 
 /// Transplants `base` (a schedule of the *pre-edit* DAG) onto the edited
@@ -323,8 +323,6 @@ pub struct SuffixOutcome {
     /// Accepted-move counters of the suffix hill climb (the per-arrival
     /// work-budget evidence an online runtime records).
     pub hc: HillClimbStats,
-    /// Wall-clock time of the call.
-    pub elapsed: std::time::Duration,
 }
 
 /// The incremental warm entry point for online re-planning: re-optimizes
@@ -351,35 +349,34 @@ pub fn solve_warm_suffix(
     cfg: &PipelineConfig,
     cx: &mut SolveCx<'_>,
 ) -> SuffixOutcome {
-    let began = std::time::Instant::now();
     let _span = bsp_obs::trace::global().span("pipeline/warm-suffix", "pipeline");
-    cx.begin("warm-init");
-    st.compact_from(floor);
-    let init_cost = st.cost();
-    cx.improved(init_cost);
-    cx.end(init_cost, false);
-
-    let mut hc = HillClimbStats {
-        accepted: 0,
-        local_minimum: false,
-    };
-    if !cx.check_expired() {
-        cx.begin("hc");
-        let c = clamped(cfg, cx);
-        hc = hill_climb_from(st, &c.hc, floor);
+    let init_cost = cx.stage("warm-init", |cx| {
         st.compact_from(floor);
-        if st.cost() < init_cost {
-            cx.improved(st.cost());
+        cx.improved(st.cost());
+        (st.cost(), st.cost())
+    });
+
+    let hc = if cx.check_expired() {
+        HillClimbStats {
+            accepted: 0,
+            local_minimum: false,
         }
-        let truncated = cx.expired();
-        cx.end(st.cost(), truncated);
-    }
+    } else {
+        cx.stage("hc", |cx| {
+            let mut stop = cx.stop(cfg.hc.time_limit, cfg.hc.max_moves);
+            let hc = hill_climb_from(st, &mut stop, floor);
+            st.compact_from(floor);
+            if st.cost() < init_cost {
+                cx.improved(st.cost());
+            }
+            (st.cost(), hc)
+        })
+    };
 
     SuffixOutcome {
         cost: st.cost(),
         init_cost,
         hc,
-        elapsed: began.elapsed(),
     }
 }
 
@@ -398,55 +395,32 @@ pub fn solve_warm_pipeline(
     cfg: &PipelineConfig,
     cx: &mut SolveCx<'_>,
 ) -> PipelineResult {
-    let began = std::time::Instant::now();
     let _span = bsp_obs::trace::global().span("pipeline/warm", "pipeline");
     let threads = cx.threads(cfg.threads);
 
     // Stage 1 — repair. Runs even under an expired deadline so that a
     // valid best-so-far exists (mirrors the cold pipeline's init stage).
-    cx.begin("warm-init");
-    let mut sched = initial.clone();
-    if machine.memory().is_some() {
-        let (repaired, _) = repair_memory_with(dag, machine, &sched, || cx.expired());
-        sched = repaired;
-    }
-    let init_cost = lazy_cost(dag, machine, &sched);
-    cx.improved(init_cost);
-    cx.end(init_cost, false);
-
-    let mut comm = CommSchedule::lazy(dag, &sched);
-    let mut cost = init_cost;
+    let mut best = cx.stage("warm-init", |cx| {
+        let mut sched = initial.clone();
+        if machine.memory().is_some() {
+            sched = repair_memory_with(dag, machine, &sched, || cx.expired()).0;
+        }
+        let cost = lazy_cost(dag, machine, &sched);
+        (cost, Incumbent::lazy(cx, dag, sched, cost))
+    });
+    let init_cost = best.cost;
 
     // Stage 2 — local re-optimization with the probe kernel.
     if !cx.check_expired() {
-        cx.begin("hc");
-        let c = clamped(cfg, cx);
-        let mut st = ScheduleState::new(dag, machine, &sched);
-        hill_climb(&mut st, &c.hc);
-        let cand = compact_lazy(dag, &st.snapshot());
-        let (cand_comm, cand_cost) =
-            optimize_comm_schedule_threaded(dag, machine, &cand, &c.hccs, threads);
-        if cand_cost < cost {
-            cost = cand_cost;
-            sched = cand;
-            comm = cand_comm;
-            cx.improved(cand_cost);
-        }
-        let truncated = cx.expired();
-        cx.end(cost, truncated);
+        cx.stage("hc", |cx| {
+            let start = ScheduleState::new(dag, machine, &best.sched);
+            best.climb_from(start, cfg, threads, cx);
+            (best.cost, ())
+        });
     }
 
-    PipelineResult {
-        sched,
-        comm,
-        cost,
-        init_cost,
-        best_init: crate::pipeline::Initializer::BspG,
-        hc_cost: cost,
-        part_cost: cost,
-        ilp_cost: cost,
-        elapsed: began.elapsed(),
-    }
+    let cost = best.cost;
+    best.into_result(init_cost, cost, cost)
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //! per-edge unbounded contractability search.
 
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::hc::hill_climb;
 use bsp_core::multilevel::{coarsen, MultilevelConfig};
-use bsp_core::pipeline::{schedule_dag_multilevel, PipelineConfig};
+use bsp_core::pipeline::{solve_multilevel_pipeline, PipelineConfig};
 use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::{best_move, hill_climb_steepest};
@@ -24,6 +24,7 @@ use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::{Dag, TopoInfo};
 use bsp_instance::InstanceRegistry;
 use bsp_model::{BspParams, NumaTopology};
+use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::BspSchedule;
 
 /// A deliberately bad but valid start: topological level as superstep,
@@ -62,13 +63,7 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
     let start = spread_start(dag, machine.p() as u32);
 
     let mut st = ScheduleState::new(dag, machine, &start);
-    hill_climb_steepest(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: None,
-            time_limit: None,
-        },
-    );
+    hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
     let steepest = st.cost();
 
     let tabu_cfg = TabuConfig {
@@ -77,7 +72,14 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
         tenure: 12,
         time_limit: None,
     };
-    let (_, tabu, _) = tabu_search(dag, machine, &start, &tabu_cfg);
+    let (_, tabu, _) = tabu_search(
+        dag,
+        machine,
+        &start,
+        &tabu_cfg,
+        1,
+        &mut Stop::new(None, None),
+    );
 
     let anneal_cfg = AnnealConfig {
         max_steps: 8_000,
@@ -85,7 +87,13 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
         seed: 42,
         ..AnnealConfig::default()
     };
-    let (_, anneal, _) = simulated_annealing(dag, machine, &start, &anneal_cfg);
+    let (_, anneal, _) = simulated_annealing(
+        dag,
+        machine,
+        &start,
+        &anneal_cfg,
+        &mut Stop::new(None, None),
+    );
 
     (steepest, tabu, anneal)
 }
@@ -109,13 +117,7 @@ fn pinned_erdos_instance_costs() {
 fn hill_climb_outcome(dag: &Dag, machine: &BspParams) -> (u64, usize) {
     let start = spread_start(dag, machine.p() as u32);
     let mut st = ScheduleState::new(dag, machine, &start);
-    let stats = hill_climb(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: None,
-            time_limit: None,
-        },
-    );
+    let stats = hill_climb(&mut st, &mut Stop::new(None, None));
     assert!(stats.local_minimum);
     (st.cost(), stats.accepted)
 }
@@ -175,7 +177,8 @@ fn multilevel_pin(dag: &Dag, machine: &BspParams, ratios: &[f64]) -> (u64, u64) 
         ratios: ratios.to_vec(),
         ..MultilevelConfig::default()
     };
-    let r = schedule_dag_multilevel(dag, machine, &cfg, &ml);
+    let mut cx = SolveCx::new("pipeline/multilevel", &SolveRequest::new(dag, machine));
+    let r = solve_multilevel_pipeline(dag, machine, &cfg, &ml, &mut cx);
     let words = r.sched.procs().iter().chain(r.sched.steps()).copied();
     (r.cost, fnv64(words))
 }
@@ -243,7 +246,7 @@ fn steepest_move_sequence_matches_apply_revert_reference() {
         let (n, p) = (dag.n() as u32, machine.p() as u32);
         let mut moves = 0usize;
         loop {
-            let a = best_move(&probed).map(|(v, q, s, _)| (v, q, s));
+            let a = best_move(&probed, 1).map(|(v, q, s, _)| (v, q, s));
             let b = best_move_apply_revert(&mut reference, n, p);
             assert_eq!(a, b, "kernels diverged after {moves} moves");
             let Some((v, q, s)) = a else { break };

@@ -12,12 +12,13 @@
 //! commit (the search reads the graph through `MutableDag`'s accessors,
 //! so nothing here depends on the order `MutableDag` now maintains).
 
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::hc::hill_climb;
 use bsp_core::multilevel::{Contraction, MultilevelConfig};
 use bsp_core::state::ScheduleState;
 use bsp_dag::{Dag, MutableDag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 
 /// The old `MutableDag::is_contractable`, through the public accessors: a
@@ -197,13 +198,7 @@ pub fn multilevel_with_log(
         let k = prev_k.saturating_sub(cfg.refine_interval);
         let (stage, projected) = project(dag, log, prev_k, k, &prev_sched);
         let mut st = ScheduleState::new(&stage, machine, &projected);
-        hill_climb(
-            &mut st,
-            &HillClimbConfig {
-                max_moves: Some(cfg.refine_moves),
-                time_limit: None,
-            },
-        );
+        hill_climb(&mut st, &mut Stop::new(None, Some(cfg.refine_moves)));
         prev_sched = st.snapshot();
         prev_k = k;
     }

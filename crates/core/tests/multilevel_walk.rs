@@ -4,13 +4,14 @@
 
 mod multilevel_reference;
 
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::hc::hill_climb;
 use bsp_core::init::bspg_schedule;
 use bsp_core::multilevel::{coarsen, multilevel_with_log, MultilevelConfig, Uncoarsening};
 use bsp_core::state::ScheduleState;
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::Dag;
 use bsp_model::{BspParams, NumaTopology};
+use bsp_schedule::solve::Stop;
 use bsp_schedule::validity::validate_lazy;
 use bsp_schedule::BspSchedule;
 use multilevel_reference::{project, representatives, stage_graph};
@@ -44,13 +45,7 @@ fn arb_dag() -> impl Strategy<Value = Dag> {
 
 fn refined(dag: &Dag, machine: &BspParams, start: &BspSchedule, moves: usize) -> BspSchedule {
     let mut st = ScheduleState::new(dag, machine, start);
-    hill_climb(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: Some(moves),
-            time_limit: None,
-        },
-    );
+    hill_climb(&mut st, &mut Stop::new(None, Some(moves)));
     st.snapshot()
 }
 
@@ -141,12 +136,8 @@ proptest! {
         let cfg = MultilevelConfig { refine_interval: interval, ..Default::default() };
         let log = coarsen(&dag, (dag.n() * 3).div_ceil(10), &cfg);
         let mut base = |d: &Dag, m: &BspParams| refined(d, m, &bspg_schedule(d, m), 50);
-        let mut polls = 0usize;
-        let walked = multilevel_with_log(&dag, &machine, &log, &cfg, &mut base, &mut || {
-            polls += 1;
-            false
-        });
-        prop_assert_eq!(polls, log.len().div_ceil(interval));
+        let mut unlimited = Stop::new(None, None);
+        let walked = multilevel_with_log(&dag, &machine, &log, &cfg, &mut base, &mut unlimited);
         prop_assert_eq!(
             walked,
             multilevel_reference::multilevel_with_log(&dag, &machine, &log, &cfg, &mut base)
@@ -175,6 +166,13 @@ fn coarsen_and_walk_back_3000_nodes() {
     };
     let log = coarsen(&dag, dag.n() * 3 / 10, &ml);
     assert_eq!(log.len(), dag.n() - dag.n() * 3 / 10);
-    let sched = multilevel_with_log(&dag, &machine, &log, &ml, &mut bspg_schedule, &mut || false);
+    let sched = multilevel_with_log(
+        &dag,
+        &machine,
+        &log,
+        &ml,
+        &mut bspg_schedule,
+        &mut Stop::new(None, None),
+    );
     assert!(validate_lazy(&dag, machine.p(), &sched).is_ok());
 }

@@ -12,19 +12,14 @@
 //! runs; the thread counts exceed the CI host's core count on purpose —
 //! determinism must hold regardless of physical parallelism.
 
-use bsp_core::hc::HillClimbConfig;
-use bsp_core::hccs::{
-    comm_hill_climb, comm_hill_climb_threaded, optimize_comm_schedule,
-    optimize_comm_schedule_threaded, CommHillClimbConfig, CommState,
-};
+use bsp_core::hccs::{comm_hill_climb, optimize_comm_schedule, CommState};
 use bsp_core::state::ScheduleState;
-use bsp_core::steepest::{
-    best_move, best_move_threaded, hill_climb_steepest, hill_climb_steepest_threaded,
-};
-use bsp_core::tabu::{tabu_search, tabu_search_threaded, TabuConfig};
+use bsp_core::steepest::{best_move, hill_climb_steepest};
+use bsp_core::tabu::{tabu_search, TabuConfig};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::{Dag, TopoInfo};
 use bsp_model::{BspParams, NumaTopology};
+use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use proptest::prelude::*;
 
@@ -80,9 +75,9 @@ proptest! {
     ) {
         let start = spread_start(&dag, machine.p() as u32);
         let st = ScheduleState::new(&dag, &machine, &start);
-        let reference = best_move(&st);
+        let reference = best_move(&st, 1);
         for t in THREADS {
-            prop_assert_eq!(best_move_threaded(&st, t), reference, "threads = {}", t);
+            prop_assert_eq!(best_move(&st, t), reference, "threads = {}", t);
         }
     }
 
@@ -92,13 +87,13 @@ proptest! {
         dag in arb_big_dag(),
         machine in arb_machine(),
     ) {
-        let cfg = HillClimbConfig { max_moves: Some(60), time_limit: None };
+        let stop = || Stop::new(None, Some(60));
         let start = spread_start(&dag, machine.p() as u32);
         let mut seq = ScheduleState::new(&dag, &machine, &start);
-        let seq_stats = hill_climb_steepest(&mut seq, &cfg);
+        let seq_stats = hill_climb_steepest(&mut seq, 1, &mut stop());
         for t in THREADS {
             let mut par = ScheduleState::new(&dag, &machine, &start);
-            let par_stats = hill_climb_steepest_threaded(&mut par, &cfg, t);
+            let par_stats = hill_climb_steepest(&mut par, t, &mut stop());
             prop_assert_eq!(par_stats.accepted, seq_stats.accepted, "threads = {}", t);
             prop_assert_eq!(par.cost(), seq.cost(), "threads = {}", t);
             prop_assert_eq!(par.snapshot(), seq.snapshot(), "threads = {}", t);
@@ -114,10 +109,11 @@ proptest! {
         machine in arb_machine(),
     ) {
         let cfg = TabuConfig { max_iters: 40, stall_limit: 20, time_limit: None, tenure: 6 };
+        let stop = || Stop::new(None, None);
         let start = spread_start(&dag, machine.p() as u32);
-        let (seq_best, seq_cost, seq_stats) = tabu_search(&dag, &machine, &start, &cfg);
+        let (seq_best, seq_cost, seq_stats) = tabu_search(&dag, &machine, &start, &cfg, 1, &mut stop());
         for t in THREADS {
-            let (best, cost, stats) = tabu_search_threaded(&dag, &machine, &start, &cfg, t);
+            let (best, cost, stats) = tabu_search(&dag, &machine, &start, &cfg, t, &mut stop());
             prop_assert_eq!(cost, seq_cost, "threads = {}", t);
             prop_assert_eq!(&best, &seq_best, "threads = {}", t);
             prop_assert_eq!(stats, seq_stats, "threads = {}", t);
@@ -140,11 +136,11 @@ proptest! {
                 start.set(v, (v + 1) % machine.p() as u32, topo.level[v as usize]);
             }
         }
-        let cfg = CommHillClimbConfig { max_moves: Some(200), time_limit: None };
-        let (seq_comm, seq_cost) = optimize_comm_schedule(&dag, &machine, &start, &cfg);
+        let stop = || Stop::new(None, Some(200));
+        let (seq_comm, seq_cost) = optimize_comm_schedule(&dag, &machine, &start, 1, &mut stop());
         for t in THREADS {
             let (comm, cost) =
-                optimize_comm_schedule_threaded(&dag, &machine, &start, &cfg, t);
+                optimize_comm_schedule(&dag, &machine, &start, t, &mut stop());
             prop_assert_eq!(cost, seq_cost, "threads = {}", t);
             prop_assert_eq!(&comm, &seq_comm, "threads = {}", t);
         }
@@ -161,23 +157,20 @@ fn pinned_large_instance_thread_invariant() {
     let start = spread_start(&dag, 8);
 
     let st = ScheduleState::new(&dag, &machine, &start);
-    let reference = best_move(&st);
+    let reference = best_move(&st, 1);
     assert!(reference.is_some(), "instance too trivial");
     for t in THREADS {
-        assert_eq!(best_move_threaded(&st, t), reference, "threads = {t}");
+        assert_eq!(best_move(&st, t), reference, "threads = {t}");
     }
 
     // The comm scan too, through the stateful entry point.
-    let cfg = CommHillClimbConfig {
-        max_moves: Some(500),
-        time_limit: None,
-    };
+    let stop = || Stop::new(None, Some(500));
     let mut seq = CommState::new(&dag, &machine, &start);
-    let seq_accepted = comm_hill_climb(&mut seq, &cfg);
+    let seq_accepted = comm_hill_climb(&mut seq, 1, &mut stop());
     assert!(seq_accepted > 0, "no transfers to improve");
     for t in THREADS {
         let mut par = CommState::new(&dag, &machine, &start);
-        let par_accepted = comm_hill_climb_threaded(&mut par, &cfg, t);
+        let par_accepted = comm_hill_climb(&mut par, t, &mut stop());
         assert_eq!(par_accepted, seq_accepted, "threads = {t}");
         assert_eq!(par.cost(), seq.cost(), "threads = {t}");
         assert_eq!(par.comm_schedule(), seq.comm_schedule(), "threads = {t}");
@@ -191,5 +184,5 @@ fn auto_detect_is_equivalent_too() {
     let machine = BspParams::new(4, 2, 3);
     let start = spread_start(&dag, 4);
     let st = ScheduleState::new(&dag, &machine, &start);
-    assert_eq!(best_move_threaded(&st, 0), best_move(&st));
+    assert_eq!(best_move(&st, 0), best_move(&st, 1));
 }

@@ -8,8 +8,8 @@
 
 mod hc_reference;
 
-use bsp_core::hc::{hill_climb, hill_climb_from, HillClimbConfig};
-use bsp_core::hccs::{optimize_comm_schedule, CommHillClimbConfig};
+use bsp_core::hc::{hill_climb, hill_climb_from};
+use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
 use bsp_core::reference::RefScheduleState;
@@ -20,6 +20,7 @@ use bsp_dag::topo::is_topological_order;
 use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::cost::{lazy_cost, total_cost};
+use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::validity::{validate, validate_lazy};
 use bsp_schedule::BspSchedule;
 use hc_reference::hill_climb_reference;
@@ -209,14 +210,7 @@ fn prune_soundness(
     // At a local minimum every node fails all its probes; the filter must
     // still never contradict one (and here it has the most to rule out).
     let floor = rng.gen_range(0..3);
-    hill_climb_from(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: None,
-            time_limit: None,
-        },
-        floor,
-    );
+    hill_climb_from(&mut st, &mut Stop::new(None, None), floor);
     pruned_nodes_have_no_improving_move(&st)?;
     Ok(())
 }
@@ -284,13 +278,7 @@ fn certificate_soundness(
     let mut st = ScheduleState::new(dag, machine, &sched);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xce27);
     // Start from a partly converged schedule, where certificates are many.
-    hill_climb(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: Some(rng.gen_range(0..30)),
-            time_limit: None,
-        },
-    );
+    hill_climb(&mut st, &mut Stop::new(None, Some(rng.gen_range(0..30))));
     st.void_certificates();
     prop_assert_eq!(certified_nodes_have_no_improving_move(&st, "voiding")?, 0);
     certify_stuck_nodes(&mut st);
@@ -419,11 +407,7 @@ fn prune_equivalence(
     let sched = random_valid_assignment(dag, machine.p() as u32, seed);
     let mut pruned = ScheduleState::new(dag, machine, &sched);
     let mut reference = ScheduleState::new(dag, machine, &sched);
-    let cfg = HillClimbConfig {
-        max_moves,
-        time_limit: None,
-    };
-    let stats = hill_climb_from(&mut pruned, &cfg, floor);
+    let stats = hill_climb_from(&mut pruned, &mut Stop::new(None, max_moves), floor);
     // The plain loop: neither `may_improve` nor failure certificates.
     let plain = hill_climb_reference(
         &mut reference,
@@ -512,7 +496,7 @@ proptest! {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost();
-        hill_climb(&mut st, &HillClimbConfig { max_moves: Some(200), time_limit: None });
+        hill_climb(&mut st, &mut Stop::new(None, Some(200)));
         prop_assert!(st.cost() <= before);
         prop_assert_eq!(st.cost(), st.recomputed_cost());
         prop_assert!(validate_lazy(&dag, machine.p(), &st.snapshot()).is_ok());
@@ -615,12 +599,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
-        let (comm, cost) = optimize_comm_schedule(
-            &dag,
-            &machine,
-            &sched,
-            &CommHillClimbConfig { max_moves: Some(300), time_limit: None },
-        );
+        let (comm, cost) = optimize_comm_schedule(&dag, &machine, &sched, 1, &mut Stop::new(None, Some(300)));
         prop_assert!(validate(&dag, machine.p(), &sched, &comm).is_ok());
         prop_assert_eq!(cost, total_cost(&dag, &machine, &sched, &comm));
         prop_assert!(cost <= lazy_cost(&dag, &machine, &sched));
@@ -674,11 +653,11 @@ proptest! {
         let mut base = |d: &Dag, m: &BspParams| {
             let s = bspg_schedule(d, m);
             let mut st = ScheduleState::new(d, m, &s);
-            hill_climb(&mut st, &HillClimbConfig { max_moves: Some(100), time_limit: None });
+            hill_climb(&mut st, &mut Stop::new(None, Some(100)));
             st.snapshot()
         };
         let cfg = MultilevelConfig { ratios: vec![0.3], ..Default::default() };
-        let sched = multilevel_schedule(&dag, &machine, &cfg, &mut base, &mut || false);
+        let sched = multilevel_schedule(&dag, &machine, &cfg, &mut base, &mut Stop::new(None, None));
         prop_assert!(validate_lazy(&dag, machine.p(), &sched).is_ok());
     }
 
@@ -693,7 +672,7 @@ proptest! {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost();
-        hill_climb_steepest(&mut st, &HillClimbConfig { max_moves: Some(40), time_limit: None });
+        hill_climb_steepest(&mut st, 1, &mut Stop::new(None, Some(40)));
         prop_assert!(st.cost() <= before);
         prop_assert_eq!(st.cost(), st.recomputed_cost());
         prop_assert!(validate_lazy(&dag, machine.p(), &st.snapshot()).is_ok());
@@ -716,7 +695,7 @@ proptest! {
             seed,
             ..AnnealConfig::default()
         };
-        let (best, cost, stats) = simulated_annealing(&dag, &machine, &sched, &cfg);
+        let (best, cost, stats) = simulated_annealing(&dag, &machine, &sched, &cfg, &mut Stop::new(None, None));
         prop_assert!(cost <= input);
         prop_assert_eq!(cost, lazy_cost(&dag, &machine, &best));
         prop_assert!(validate_lazy(&dag, machine.p(), &best).is_ok());
@@ -735,11 +714,11 @@ proptest! {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let input = lazy_cost(&dag, &machine, &sched);
         let cfg = TabuConfig { max_iters: 60, stall_limit: 25, time_limit: None, tenure: 8 };
-        let (best, cost, _) = tabu_search(&dag, &machine, &sched, &cfg);
+        let (best, cost, _) = tabu_search(&dag, &machine, &sched, &cfg, 1, &mut Stop::new(None, None));
         prop_assert!(cost <= input);
         prop_assert_eq!(cost, lazy_cost(&dag, &machine, &best));
         prop_assert!(validate_lazy(&dag, machine.p(), &best).is_ok());
-        let (best2, cost2, _) = tabu_search(&dag, &machine, &sched, &cfg);
+        let (best2, cost2, _) = tabu_search(&dag, &machine, &sched, &cfg, 1, &mut Stop::new(None, None));
         prop_assert_eq!(cost, cost2);
         prop_assert_eq!(best, best2);
     }
@@ -751,11 +730,12 @@ proptest! {
         dag in arb_dag(),
         machine in arb_machine(),
     ) {
-        use bsp_core::auto::{comm_dominance, schedule_dag_auto, AutoConfig, Strategy};
+        use bsp_core::auto::{comm_dominance, solve_auto, AutoConfig, Strategy};
         use bsp_core::pipeline::PipelineConfig;
         let pipe = PipelineConfig { enable_ilp: false, ..Default::default() };
         let auto = AutoConfig { min_nodes_for_ml: 10, ..AutoConfig::default() };
-        let (r, strat) = schedule_dag_auto(&dag, &machine, &pipe, &auto);
+        let mut cx = SolveCx::new("auto", &SolveRequest::new(&dag, &machine));
+        let (r, strat) = solve_auto(&dag, &machine, &pipe, &auto, &mut cx);
         prop_assert!(validate(&dag, machine.p(), &r.sched, &r.comm).is_ok());
         let dom = comm_dominance(&dag, &machine);
         if dag.n() >= auto.min_nodes_for_ml {

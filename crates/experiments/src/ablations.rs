@@ -16,12 +16,12 @@
 use crate::metrics::{geomean, ratio};
 use crate::runner::{dataset_dags, pipeline_config, EvalOptions, NamedDag, RunConfig};
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_core::auto::{comm_dominance, schedule_dag_auto, AutoConfig, Strategy};
-use bsp_core::hc::{hill_climb, HillClimbConfig};
+use bsp_core::auto::{comm_dominance, solve_auto, AutoConfig, Strategy};
+use bsp_core::hc::hill_climb;
 use bsp_core::ilp::window::{WindowIlp, WindowOptions};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::MultilevelConfig;
-use bsp_core::pipeline::{schedule_dag, schedule_dag_multilevel};
+use bsp_core::pipeline::{solve_base_pipeline, solve_multilevel_pipeline};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::hill_climb_steepest;
 use bsp_core::tabu::{tabu_search, TabuConfig};
@@ -31,7 +31,7 @@ use bsp_model::{BspParams, NumaTopology};
 use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::scheduler::{Scheduler, SharedScheduler};
-use bsp_schedule::solve::SolveRequest;
+use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::BspSchedule;
 use std::time::{Duration, Instant};
 
@@ -97,33 +97,24 @@ pub fn ablation_local_search(cfg: &RunConfig) {
             let c = f();
             (c, t0.elapsed())
         };
-        let hc_cfg = HillClimbConfig {
-            max_moves: None,
-            time_limit: Some(budget),
-        };
+        let stop = || Stop::new(Some(budget), None);
         let greedy = timed(&|| {
             let mut st = ScheduleState::new(&inst.dag, &machine, &start);
-            hill_climb(&mut st, &hc_cfg);
+            hill_climb(&mut st, &mut stop());
             st.cost()
         });
         let steepest = timed(&|| {
             let mut st = ScheduleState::new(&inst.dag, &machine, &start);
-            hill_climb_steepest(&mut st, &hc_cfg);
+            hill_climb_steepest(&mut st, 1, &mut stop());
             st.cost()
         });
         let anneal = timed(&|| {
-            let sa = AnnealConfig {
-                time_limit: Some(budget),
-                ..AnnealConfig::default()
-            };
-            simulated_annealing(&inst.dag, &machine, &start, &sa).1
+            let sa = AnnealConfig::default();
+            simulated_annealing(&inst.dag, &machine, &start, &sa, &mut stop()).1
         });
         let tabu = timed(&|| {
-            let tc = TabuConfig {
-                time_limit: Some(budget),
-                ..TabuConfig::default()
-            };
-            tabu_search(&inst.dag, &machine, &start, &tc).1
+            let tc = TabuConfig::default();
+            tabu_search(&inst.dag, &machine, &start, &tc, 1, &mut stop()).1
         });
         Row {
             init,
@@ -300,10 +291,19 @@ pub fn ablation_auto(cfg: &RunConfig) {
             machine = machine.with_numa(NumaTopology::binary_tree(*p, *d));
         }
         let pipe = pipeline_config(inst.dag.n(), &EvalOptions::default());
-        let base = schedule_dag(&inst.dag, &machine, &pipe).cost;
-        let ml =
-            schedule_dag_multilevel(&inst.dag, &machine, &pipe, &MultilevelConfig::default()).cost;
-        let (auto_r, strat) = schedule_dag_auto(&inst.dag, &machine, &pipe, &AutoConfig::default());
+        let (dag, req) = (&inst.dag, SolveRequest::new(&inst.dag, &machine));
+        let cx = |name| SolveCx::new(name, &req);
+        let base = solve_base_pipeline(dag, &machine, &pipe, &mut cx("pipeline/base")).cost;
+        let ml_cfg = MultilevelConfig::default();
+        let mut ml_cx = cx("pipeline/multilevel");
+        let ml = solve_multilevel_pipeline(dag, &machine, &pipe, &ml_cfg, &mut ml_cx).cost;
+        let (auto_r, strat) = solve_auto(
+            dag,
+            &machine,
+            &pipe,
+            &AutoConfig::default(),
+            &mut cx("auto"),
+        );
         (
             comm_dominance(&inst.dag, &machine),
             base,

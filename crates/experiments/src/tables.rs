@@ -13,7 +13,7 @@ use bsp_model::BspParams;
 use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::scheduler::Scheduler;
-use bsp_schedule::solve::SolveRequest;
+use bsp_schedule::solve::{SolveRequest, Stop};
 
 const ELL: u64 = 5;
 
@@ -774,7 +774,9 @@ pub fn table4_and_5(cfg: &RunConfig) {
             .ilp;
             icfg.limits.max_nodes = 25;
             icfg.limits.time_limit = std::time::Duration::from_millis(120);
-            lazy_cost(&inst.dag, &machine, &ilp_init(&inst.dag, &machine, &icfg))
+            let unlimited = Stop::new(None, None);
+            let init = ilp_init(&inst.dag, &machine, &icfg, &unlimited);
+            lazy_cost(&inst.dag, &machine, &init)
         } else {
             u64::MAX
         };

@@ -43,7 +43,7 @@
 //! Both paths then run the one floor-restricted hill climb
 //! ([`solve_warm_suffix`]) on the state and keep its tables.
 
-use bsp_core::hccs::optimize_comm_schedule_threaded;
+use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::pipeline::PipelineConfig;
 use bsp_core::{
     place_appended, place_new_nodes, repair_precedence_from, solve_warm_suffix, ScheduleState,
@@ -55,7 +55,7 @@ use bsp_instance::{apply_edits, DagEdit, EditError};
 use bsp_model::BspParams;
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::prefix::{validate_prefix, PrefixViolation};
-use bsp_schedule::solve::{Budget, SolveCx, SolveRequest};
+use bsp_schedule::solve::{Budget, SolveCx, SolveRequest, Stop};
 use bsp_schedule::{BspSchedule, CommSchedule};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -646,12 +646,13 @@ impl OnlineScheduler {
             // Γ-only optimization: node assignments are untouched, so the
             // committed prefix is preserved by construction.
             let threads = bsp_par_threads(&self.cfg.pipeline);
-            let (cand_comm, cand_cost) = optimize_comm_schedule_threaded(
+            let hccs = &self.cfg.pipeline.hccs;
+            let (cand_comm, cand_cost) = optimize_comm_schedule(
                 &self.dag,
                 &self.machine,
                 sched,
-                &self.cfg.pipeline.hccs,
                 threads,
+                &mut Stop::new(hccs.time_limit, hccs.max_moves),
             );
             if cand_cost < cost {
                 comm = cand_comm;

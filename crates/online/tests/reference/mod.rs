@@ -7,7 +7,7 @@
 
 #![allow(dead_code)]
 
-use bsp_core::hccs::optimize_comm_schedule_threaded;
+use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::pipeline::PipelineConfig;
 use bsp_core::{
     place_new_nodes, repair_precedence_from, solve_warm_suffix, ScheduleState, SuffixOutcome,
@@ -19,7 +19,7 @@ use bsp_model::BspParams;
 use bsp_online::{BatchReport, OnlineConfig, OnlineError, OnlineOutcome, OnlineStats, SuffixView};
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::prefix::validate_prefix;
-use bsp_schedule::solve::{Budget, SolveCx, SolveRequest};
+use bsp_schedule::solve::{Budget, SolveCx, SolveRequest, Stop};
 use bsp_schedule::{BspSchedule, CommSchedule};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -366,12 +366,13 @@ impl RefScheduler {
             // Γ-only optimization: node assignments are untouched, so the
             // committed prefix is preserved by construction.
             let threads = bsp_par_threads(&self.cfg.pipeline);
-            let (cand_comm, cand_cost) = optimize_comm_schedule_threaded(
+            let hccs = &self.cfg.pipeline.hccs;
+            let (cand_comm, cand_cost) = optimize_comm_schedule(
                 &self.dag,
                 &self.machine,
                 &self.sched,
-                &self.cfg.pipeline.hccs,
                 threads,
+                &mut Stop::new(hccs.time_limit, hccs.max_moves),
             );
             if cand_cost < cost {
                 comm = cand_comm;

@@ -14,18 +14,30 @@
 //!
 //! Budget semantics (also documented in the README):
 //!
-//! * The **deadline** is checked at stage boundaries, and additionally caps
-//!   each stage's internal wall-clock limit, so an expired deadline makes
-//!   the remaining stages degenerate to (near) no-ops. Because every stage
-//!   holds the monotone contract, the result is always a *valid* schedule —
-//!   under an already-expired deadline, the best initialization.
+//! * One type reads a clock or a cancel token inside a stage: [`Stop`]. A
+//!   pipeline asks its [`SolveCx`] for one per search
+//!   ([`SolveCx::stop`]: the tighter of the solve's deadline and the
+//!   stage's own time limit, the request's token, the tighter of the two
+//!   move caps) and every search loop — HC, HCcs, steepest descent, tabu,
+//!   annealing, multilevel's refinement climbs — polls it: once per
+//!   whole-neighbourhood round, and on every 64th step where a step is
+//!   cheap (the first included). So the **deadline** is honoured inside
+//!   every search, not only at stage boundaries, and an expired one makes
+//!   the remaining stages (near) no-ops. Because every stage holds the
+//!   monotone contract, the result is always a *valid* schedule — under
+//!   an already-expired deadline, the best initialization.
 //! * **Move caps** bound the accepted moves of each local-search stage.
 //! * **`ilp`** overrides the scheduler's own ILP switch; `None` defers.
-//! * The **cancel token** ([`Budget::with_cancel`]) makes the budget count
-//!   as expired the moment the token is cancelled — the cooperative-stop
-//!   channel used by portfolio racing and interactive callers. It reuses
-//!   the deadline machinery, so the monotone "any budget yields a valid
-//!   schedule" contract is unchanged.
+//! * The **cancel token** ([`Budget::with_cancel`]) is read wherever the
+//!   clock is read, so a cancelled solve winds down from *inside* its
+//!   current search, to the same valid best-so-far an expired deadline
+//!   would leave — the cooperative-stop channel used by portfolio racing
+//!   and by the daemon when a client disconnects.
+//! * An **ILP solve** sees the deadline as a `Duration`
+//!   ([`Stop::remaining`], folded into its time limit when the solve
+//!   starts), not the token: `bsp-ilp` is dependency-free, so a
+//!   cancellation takes effect when the solve returns, not inside a
+//!   branch-and-bound search.
 //!
 //! ```
 //! use bsp_dag::DagBuilder;
@@ -79,9 +91,10 @@ pub struct Budget {
     /// the ILP stages off, `Some(true)` on, `None` defers to the scheduler.
     pub ilp: Option<bool>,
     /// Shared cooperative-cancellation token: once cancelled, the budget
-    /// counts as expired at every [`SolveCx::check_expired`] site, so the
-    /// solve winds down to its best-so-far schedule exactly as under an
-    /// expired deadline. `None` = not externally cancellable.
+    /// counts as expired at every [`SolveCx::check_expired`] site and in
+    /// every [`Stop`], so the solve winds down to its best-so-far schedule
+    /// exactly as under an expired deadline. `None` = not externally
+    /// cancellable.
     pub cancel: Option<CancelToken>,
 }
 
@@ -182,7 +195,8 @@ pub struct StageReport {
     pub cost_after: u64,
     /// Wall-clock time the stage consumed.
     pub elapsed: Duration,
-    /// Whether the budget cut the stage short.
+    /// Whether the budget had run out when the stage ended: whatever the
+    /// stage could skip or cut short, it did.
     pub truncated: bool,
 }
 
@@ -269,22 +283,129 @@ impl SolveOutcome {
     }
 }
 
+/// [`Stop::poll`] reads the clock and the cancel flag on every
+/// `POLL_STRIDE`-th call, the first included (so a spent budget returns
+/// before any work). In the hill climb a step is a node visit: between a
+/// few dozen nanoseconds (skipped) and `3·P` probes of `O(deg)` each, so a
+/// deadline is overshot by at most `64 · 3·P · O(deg)` probe steps plus the
+/// moves accepted meanwhile — microseconds on sparse graphs, more around
+/// hub nodes or on wide machines — while a converged sweep, nearly all
+/// skips, does not spend a quarter of its time in `Instant::now()`.
+const POLL_STRIDE: u32 = 64;
+
+/// When a search must stop: the one type that reads a clock or a
+/// [`CancelToken`] inside a stage, and the accepted-move allowance next to
+/// them. Built per search by [`SolveCx::stop`], or by [`Stop::new`] for a
+/// caller without a [`SolveCx`]. Once it has fired it stays fired.
+///
+/// ```
+/// use bsp_schedule::solve::Stop;
+/// use std::time::Duration;
+///
+/// let mut stop = Stop::new(Some(Duration::ZERO), Some(2));
+/// assert!(stop.poll(), "the first poll reads the clock");
+/// assert_eq!(stop.remaining(), Some(Duration::ZERO));
+/// stop.spend_move();
+/// assert_eq!(stop.moves_left(), 1);
+/// assert!(!Stop::new(None, None).expired());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Stop {
+    deadline: Option<Instant>,
+    cancel: Option<CancelToken>,
+    moves_left: usize,
+    until_poll: u32,
+    fired: bool,
+}
+
+impl Stop {
+    /// A stop that fires `time_limit` from now and allows `max_moves`
+    /// accepted moves; `None` = unlimited, and a limit too large to be a
+    /// representable instant is no limit.
+    pub fn new(time_limit: Option<Duration>, max_moves: Option<usize>) -> Self {
+        Stop {
+            deadline: time_limit.and_then(|t| Instant::now().checked_add(t)),
+            cancel: None,
+            moves_left: max_moves.unwrap_or(usize::MAX),
+            until_poll: 0,
+            fired: false,
+        }
+    }
+
+    /// A stop on the same clock and token with a fresh allowance of
+    /// `moves` accepted moves (one refinement climb of many).
+    pub fn with_moves(&self, moves: usize) -> Self {
+        Stop {
+            moves_left: moves,
+            until_poll: 0,
+            ..self.clone()
+        }
+    }
+
+    fn spent(&self) -> bool {
+        self.fired
+            || self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Whether the deadline has passed or the token has been cancelled,
+    /// read now. For loops whose steps are whole-neighbourhood rounds.
+    pub fn expired(&mut self) -> bool {
+        self.fired = self.spent();
+        self.fired
+    }
+
+    /// [`expired`](Self::expired) for loops whose steps are cheap: reads
+    /// the clock and the token on every 64th call, the first included.
+    #[inline]
+    pub fn poll(&mut self) -> bool {
+        if self.until_poll == 0 {
+            self.until_poll = POLL_STRIDE;
+            self.expired();
+        }
+        self.until_poll -= 1;
+        self.fired
+    }
+
+    /// Accepted moves still allowed (`usize::MAX` = unlimited).
+    #[inline]
+    pub fn moves_left(&self) -> usize {
+        self.moves_left
+    }
+
+    /// Counts one accepted move against the allowance.
+    #[inline]
+    pub fn spend_move(&mut self) {
+        self.moves_left = self.moves_left.saturating_sub(1);
+    }
+
+    /// Wall-clock time left; `None` = unlimited, zero once fired or
+    /// cancelled. What an ILP solve gets in place of the stop itself.
+    pub fn remaining(&self) -> Option<Duration> {
+        if self.fired || self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+            return Some(Duration::ZERO);
+        }
+        self.deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+}
+
 /// Bookkeeping a scheduler threads through its stages: the budget clock,
 /// the observer, and the stage reports accumulated so far.
 ///
-/// Pipelines call [`begin`](SolveCx::begin)/[`end`](SolveCx::end) around
-/// each stage, [`improved`](SolveCx::improved) when the incumbent drops,
-/// [`check_expired`](SolveCx::check_expired) between stages, and the
-/// `clamp_*` helpers to fold the remaining budget into per-stage configs;
+/// Pipelines run each stage through [`stage`](SolveCx::stage) (or, for a
+/// stage with its own truncation rule, [`begin`](SolveCx::begin) /
+/// [`end`](SolveCx::end)), call [`improved`](SolveCx::improved) when the
+/// incumbent drops and [`check_expired`](SolveCx::check_expired) between
+/// stages, and hand every search a [`stop`](SolveCx::stop);
 /// [`finish`](SolveCx::finish) seals everything into a [`SolveOutcome`].
 pub struct SolveCx<'a> {
     scheduler: String,
     observer: &'a dyn Observer,
     start: Instant,
-    deadline: Option<Instant>,
-    max_stage_moves: Option<usize>,
+    /// The whole solve's limits; every search's [`Stop`] narrows this one.
+    limits: Stop,
     ilp_override: Option<bool>,
-    cancel: Option<CancelToken>,
     threads_override: Option<usize>,
     seed: u64,
     stages: Vec<StageReport>,
@@ -300,11 +421,11 @@ impl<'a> SolveCx<'a> {
             scheduler: scheduler.to_string(),
             observer: req.observer,
             start,
-            // A deadline too far off to be an `Instant` never arrives.
-            deadline: req.budget.deadline.and_then(|d| start.checked_add(d)),
-            max_stage_moves: req.budget.max_stage_moves,
+            limits: Stop {
+                cancel: req.budget.cancel.clone(),
+                ..Stop::new(req.budget.deadline, req.budget.max_stage_moves)
+            },
             ilp_override: req.budget.ilp,
-            cancel: req.budget.cancel.clone(),
             threads_override: req.threads,
             seed: req.seed,
             stages: Vec::new(),
@@ -318,22 +439,10 @@ impl<'a> SolveCx<'a> {
         self.start.elapsed()
     }
 
-    /// Whether the budget's cancellation token has been cancelled.
-    pub fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-    }
-
-    /// The budget's cancellation token, if any. Nested solves (multilevel
-    /// inner runs, repair stages) clone this into their sub-budgets so an
-    /// outer cancellation reaches them too.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.cancel.clone()
-    }
-
     /// Whether the wall-clock deadline has passed or the budget's
     /// cancellation token has been cancelled.
     pub fn expired(&self) -> bool {
-        self.cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.limits.spent()
     }
 
     /// [`expired`](Self::expired), additionally recording budget
@@ -347,32 +456,38 @@ impl<'a> SolveCx<'a> {
         }
     }
 
-    /// Wall-clock budget left; `None` = unlimited. A cancelled token
-    /// reports zero remaining, so stage clamps degrade the remaining
-    /// stages to (near) no-ops exactly as an expired deadline would.
-    pub fn remaining(&self) -> Option<Duration> {
-        if self.cancelled() {
-            return Some(Duration::ZERO);
-        }
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// The tighter of a stage's own time limit and the remaining budget.
-    pub fn clamp_time(&self, stage_limit: Option<Duration>) -> Option<Duration> {
-        match (stage_limit, self.remaining()) {
-            (None, r) => r,
-            (l, None) => l,
-            (Some(l), Some(r)) => Some(l.min(r)),
+    /// The [`Stop`] for one search of the current stage: it fires at the
+    /// tighter of the solve's deadline and `stage_time` from now, or when
+    /// the request's token is cancelled, and allows the tighter of
+    /// `stage_moves` and the budget's move cap.
+    pub fn stop(&self, stage_time: Option<Duration>, stage_moves: Option<usize>) -> Stop {
+        let stage = Stop::new(stage_time, stage_moves);
+        Stop {
+            deadline: match (self.limits.deadline, stage.deadline) {
+                (Some(solve), Some(stage)) => Some(solve.min(stage)),
+                (solve, stage) => solve.or(stage),
+            },
+            moves_left: self.limits.moves_left.min(stage.moves_left),
+            ..self.limits.clone()
         }
     }
 
-    /// The tighter of a stage's own move cap and the budget's.
-    pub fn clamp_moves(&self, stage_cap: Option<usize>) -> Option<usize> {
-        match (stage_cap, self.max_stage_moves) {
-            (None, b) => b,
-            (c, None) => c,
-            (Some(c), Some(b)) => Some(c.min(b)),
+    /// The context of a solve nested inside this one (multilevel's coarse
+    /// runs): its own request — silent observer, default seed and thread
+    /// setting, its own stage reports — on the outer solve's clock: the
+    /// same deadline, token, move cap and ILP switch.
+    pub fn nested(&self, scheduler: &str) -> SolveCx<'static> {
+        SolveCx {
+            scheduler: scheduler.to_string(),
+            observer: &NOOP_OBSERVER,
+            start: Instant::now(),
+            limits: self.limits.clone(),
+            ilp_override: self.ilp_override,
+            threads_override: None,
+            seed: 0,
+            stages: Vec::new(),
+            current: None,
+            exhausted: false,
         }
     }
 
@@ -430,6 +545,21 @@ impl<'a> SolveCx<'a> {
         };
         self.observer.on_stage_end(&self.scheduler, &report);
         self.stages.push(report);
+    }
+
+    /// Runs `run` as the stage `name`: [`begin`](Self::begin), a trace
+    /// span (category `"pipeline"`), and [`end`](Self::end) with the cost
+    /// `run` returns first, truncated if the budget has
+    /// [`expired`](Self::expired) by then. Hands back what `run` returns
+    /// second.
+    pub fn stage<R>(&mut self, name: &str, run: impl FnOnce(&mut Self) -> (u64, R)) -> R {
+        self.begin(name);
+        let span = bsp_obs::trace::global().span(name, "pipeline");
+        let (cost, found) = run(self);
+        span.finish();
+        let truncated = self.expired();
+        self.end(cost, truncated);
+        found
     }
 
     /// Number of stage reports recorded so far (a checkpoint for
@@ -510,17 +640,42 @@ mod tests {
             .with_budget(Budget::deadline(Duration::from_secs(3600)).with_max_stage_moves(5));
         let cx = SolveCx::new("t", &req);
         // Remaining ≈ 1h, stage limit 1ms: stage limit wins.
-        assert_eq!(
-            cx.clamp_time(Some(Duration::from_millis(1))),
-            Some(Duration::from_millis(1))
-        );
-        // No stage limit: the budget's remaining time applies.
-        assert!(cx.clamp_time(None).unwrap() <= Duration::from_secs(3600));
-        assert_eq!(cx.clamp_moves(None), Some(5));
-        assert_eq!(cx.clamp_moves(Some(3)), Some(3));
-        assert_eq!(cx.clamp_moves(Some(9)), Some(5));
+        let left = cx.stop(Some(Duration::from_millis(1)), None).remaining();
+        assert!(left.unwrap() <= Duration::from_millis(1));
+        // No stage limit, or a longer one: the budget's remaining time applies.
+        for stage_time in [None, Some(Duration::from_secs(7200))] {
+            let left = cx.stop(stage_time, None).remaining().unwrap();
+            assert!(left <= Duration::from_secs(3600) && left > Duration::from_secs(3000));
+        }
+        // The tighter of the two move caps.
+        assert_eq!(cx.stop(None, None).moves_left(), 5);
+        assert_eq!(cx.stop(None, Some(3)).moves_left(), 3);
+        assert_eq!(cx.stop(None, Some(9)).moves_left(), 5);
+        assert_eq!(Stop::new(None, None).moves_left(), usize::MAX);
         assert!(cx.ilp_enabled(true));
         assert!(!cx.ilp_enabled(false));
+    }
+
+    #[test]
+    fn stop_polls_on_a_stride_and_stays_fired() {
+        let token = CancelToken::new();
+        let (dag, machine) = tiny();
+        let req = SolveRequest::new(&dag, &machine)
+            .with_budget(Budget::unlimited().with_cancel(token.clone()));
+        let mut stop = SolveCx::new("t", &req).stop(None, Some(1));
+        assert!(!stop.poll(), "the first poll reads the token");
+        token.cancel();
+        // The next 63 polls do not look; the 65th call does.
+        assert!((0..63).all(|_| !stop.poll()));
+        assert!(stop.poll());
+        assert!(stop.poll() && stop.expired(), "fired stays fired");
+        // A refinement climb's stop shares the token, not the allowance.
+        stop.spend_move();
+        stop.spend_move();
+        assert_eq!(stop.moves_left(), 0);
+        let mut climb = stop.with_moves(7);
+        assert_eq!(climb.moves_left(), 7);
+        assert!(climb.poll());
     }
 
     #[test]
@@ -529,8 +684,8 @@ mod tests {
         let req = SolveRequest::new(&dag, &machine).with_budget(Budget::expired());
         let mut cx = SolveCx::new("t", &req);
         assert!(cx.check_expired());
-        assert_eq!(cx.remaining(), Some(Duration::ZERO));
-        assert_eq!(cx.clamp_time(None), Some(Duration::ZERO));
+        assert_eq!(cx.stop(None, None).remaining(), Some(Duration::ZERO));
+        assert!(cx.stop(Some(Duration::from_secs(1)), None).poll());
     }
 
     #[test]
@@ -541,11 +696,10 @@ mod tests {
         let req = SolveRequest::new(&dag, &machine).with_budget(Budget::deadline(Duration::MAX));
         let mut cx = SolveCx::new("t", &req);
         assert!(!cx.check_expired());
-        assert_eq!(cx.remaining(), None);
-        assert_eq!(
-            cx.clamp_time(Some(Duration::from_secs(2))),
-            Some(Duration::from_secs(2))
-        );
+        assert_eq!(cx.stop(None, None).remaining(), None);
+        assert_eq!(cx.stop(Some(Duration::MAX), None).remaining(), None);
+        let left = cx.stop(Some(Duration::from_secs(2)), None).remaining();
+        assert!(left.unwrap() <= Duration::from_secs(2));
     }
 
     #[test]
@@ -560,12 +714,42 @@ mod tests {
         );
         let mut cx = SolveCx::new("t", &req);
         assert!(!cx.check_expired());
-        assert_eq!(cx.remaining(), None);
+        let stop = cx.stop(None, None);
+        assert_eq!(stop.remaining(), None);
         token.cancel();
         assert!(cx.expired());
         assert!(cx.check_expired());
-        assert_eq!(cx.remaining(), Some(Duration::ZERO));
-        assert_eq!(cx.clamp_time(None), Some(Duration::ZERO));
+        // Cancelled ⇒ zero remaining, also for a stop handed out before,
+        // and for a nested solve's.
+        assert_eq!(stop.remaining(), Some(Duration::ZERO));
+        assert_eq!(cx.stop(None, None).remaining(), Some(Duration::ZERO));
+        assert!(cx.nested("inner").expired());
+    }
+
+    #[test]
+    fn stage_reports_cost_and_truncation() {
+        let (dag, machine) = tiny();
+        let token = CancelToken::new();
+        let req = SolveRequest::new(&dag, &machine)
+            .with_budget(Budget::unlimited().with_cancel(token.clone()));
+        let mut cx = SolveCx::new("t", &req);
+        assert_eq!(cx.stage("init", |_| (9, "found")), "found");
+        cx.stage("hc", |_| {
+            token.cancel();
+            (7, ())
+        });
+        let out = cx.finish(ScheduleResult::from_lazy(
+            &dag,
+            &machine,
+            crate::BspSchedule::from_parts(vec![0, 0], vec![0, 0]),
+        ));
+        let seen: Vec<_> = out
+            .stages
+            .iter()
+            .map(|r| (r.stage.as_str(), r.cost_after, r.truncated))
+            .collect();
+        assert_eq!(seen, vec![("init", 9, false), ("hc", 7, true)]);
+        assert!(out.budget_exhausted);
     }
 
     #[test]

@@ -7,13 +7,13 @@ use super::worker::Job;
 use super::{lock, Shared};
 use crate::cache::{CachedResult, ResultKey};
 use crate::protocol::{codes, Frame};
+use bsp_core::schedulers::solve_pipeline;
 use bsp_core::{solve_warm_pipeline, warm_start_from_map};
 use bsp_instance::source::{InstanceRegistry, DEFAULT_SEED};
 use bsp_instance::{apply_edits, Instance};
 use bsp_sched::registry::Registry;
 use bsp_schedule::events::{EventObserver, StageReportWire};
-use bsp_schedule::scheduler::ScheduleResult;
-use bsp_schedule::solve::{Budget, SolveCx, SolveOutcome, SolveRequest};
+use bsp_schedule::solve::{Budget, SolveOutcome, SolveRequest};
 use bsp_schedule::BspSchedule;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -238,21 +238,12 @@ pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> F
             let initial =
                 warm_start_from_map(&inst.dag, &inst.machine, &base_sched, &edited.node_map);
             solve_and_store(shared, job, &inst, &key, start, |solve_req| {
-                let mut cx = SolveCx::new("warm", solve_req);
-                let r = solve_warm_pipeline(
-                    &inst.dag,
-                    &inst.machine,
-                    &initial,
-                    &shared.cfg.pipeline,
-                    &mut cx,
-                );
-                warm_init_cost = Some(r.init_cost);
-                cx.finish(ScheduleResult::from_parts(
-                    &inst.dag,
-                    &inst.machine,
-                    r.sched,
-                    r.comm,
-                ))
+                solve_pipeline("warm", solve_req, |cx| {
+                    let (dag, machine) = (&inst.dag, &inst.machine);
+                    let r = solve_warm_pipeline(dag, machine, &initial, &shared.cfg.pipeline, cx);
+                    warm_init_cost = Some(r.init_cost);
+                    r
+                })
             })
         }
         None => {

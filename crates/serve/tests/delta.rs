@@ -16,6 +16,7 @@ use bsp_model::BspParams;
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::solve::{SolveCx, SolveRequest};
 use bsp_schedule::validity::validate;
+use bsp_schedule::Scheduler;
 use proptest::prelude::*;
 
 fn fast_cfg() -> PipelineConfig {
@@ -81,7 +82,9 @@ proptest! {
             LayeredConfig { layers: 4, width: 5, edge_prob: 0.35, ..Default::default() },
         );
         let machine = BspParams::new(p, 2, 4);
-        let base = bsp_core::pipeline::schedule_dag(&dag, &machine, &fast_cfg());
+        let base = bsp_core::BasePipeline { cfg: fast_cfg() }
+            .solve(&SolveRequest::new(&dag, &machine))
+            .result;
 
         // Assemble an applicable edit list: try both edits, then each
         // alone, then a guaranteed-applicable re-weight.

@@ -5,10 +5,11 @@
 //! cargo run --release --example autotune_numa
 //! ```
 
-use bsp_sched::core::auto::comm_dominance;
+use bsp_sched::core::auto::{comm_dominance, solve_auto};
 use bsp_sched::dagdb::fine::cg_dag;
 use bsp_sched::dagdb::SparsePattern;
 use bsp_sched::prelude::*;
+use bsp_sched::schedule::solve::SolveCx;
 
 fn main() {
     let dag = cg_dag(&SparsePattern::random_with_diagonal(12, 0.25, 11), 2);
@@ -32,7 +33,9 @@ fn main() {
             machine = machine.with_numa(NumaTopology::binary_tree(8, delta));
         }
         let dom = comm_dominance(&dag, &machine);
-        let (result, strategy) = schedule_dag_auto(&dag, &machine, &cfg, &AutoConfig::default());
+        let req = SolveRequest::new(&dag, &machine);
+        let mut cx = SolveCx::new("auto", &req);
+        let (result, strategy) = solve_auto(&dag, &machine, &cfg, &AutoConfig::default(), &mut cx);
         let cilk = cilk_s.solve(&SolveRequest::new(&dag, &machine)).total();
         let hdagg = hdagg_s.solve(&SolveRequest::new(&dag, &machine)).total();
         println!(

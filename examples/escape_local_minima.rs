@@ -7,7 +7,7 @@
 //! ```
 
 use bsp_sched::core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_sched::core::hc::{hill_climb, HillClimbConfig};
+use bsp_sched::core::hc::hill_climb;
 use bsp_sched::core::init::bspg_schedule;
 use bsp_sched::core::state::ScheduleState;
 use bsp_sched::core::tabu::{tabu_search, TabuConfig};
@@ -47,26 +47,15 @@ fn report(dag: &Dag, machine: &BspParams, start: &BspSchedule) {
     let start_cost = lazy_cost(dag, machine, start);
 
     let mut st = ScheduleState::new(dag, machine, start);
-    hill_climb(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: None,
-            time_limit: Some(budget),
-        },
-    );
+    hill_climb(&mut st, &mut Stop::new(Some(budget), None));
     let hc = st.cost();
 
-    let sa_cfg = AnnealConfig {
-        time_limit: Some(budget),
-        ..AnnealConfig::default()
-    };
-    let (_, sa, sa_stats) = simulated_annealing(dag, machine, start, &sa_cfg);
+    let mut stop = Stop::new(Some(budget), None);
+    let (_, sa, sa_stats) =
+        simulated_annealing(dag, machine, start, &AnnealConfig::default(), &mut stop);
 
-    let tb_cfg = TabuConfig {
-        time_limit: Some(budget),
-        ..TabuConfig::default()
-    };
-    let (_, tb, tb_stats) = tabu_search(dag, machine, start, &tb_cfg);
+    let mut stop = Stop::new(Some(budget), None);
+    let (_, tb, tb_stats) = tabu_search(dag, machine, start, &TabuConfig::default(), 1, &mut stop);
 
     println!("start cost:          {start_cost}");
     println!("hill climbing:       {hc}");

@@ -46,7 +46,7 @@ fn main() {
         cfg.full_max_vars = 10_000;
         cfg.limits.max_nodes = 50_000;
         cfg.limits.time_limit = std::time::Duration::from_secs(20);
-        let (best, proven) = ilp_full(&dag, &machine, &init, &cfg);
+        let (best, proven) = ilp_full(&dag, &machine, &init, &cfg, &Stop::new(None, None));
         let opt = lazy_cost(&dag, &machine, &best);
 
         println!(

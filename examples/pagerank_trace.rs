@@ -38,12 +38,12 @@ fn main() {
     let machine = BspParams::new(8, 1, 5).with_numa(NumaTopology::binary_tree(8, 2));
     let mut cfg = PipelineConfig::default();
     cfg.enable_ilp = false;
-    let result = schedule_dag(&dag, &machine, &cfg);
+    let out = bsp_sched::core::BasePipeline { cfg }.solve(&SolveRequest::new(&dag, &machine));
     println!(
         "scheduled into {} supersteps at cost {} (best init {}, after HC {})",
-        result.sched.n_supersteps(),
-        result.cost,
-        result.init_cost,
-        result.hc_cost
+        out.result.sched.n_supersteps(),
+        out.total(),
+        out.stages[0].cost_after,
+        out.stages[1].cost_after
     );
 }

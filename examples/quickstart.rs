@@ -27,12 +27,16 @@ fn main() {
     // per-superstep latency l = 2.
     let machine = BspParams::new(4, 1, 2);
 
-    let result = schedule_dag(&dag, &machine, &PipelineConfig::default());
+    // The paper's Figure-3 pipeline; every stage reports the cost it left.
+    let pipeline = bsp_sched::core::BasePipeline::default();
+    let outcome = pipeline.solve(&SolveRequest::new(&dag, &machine));
+    let result = &outcome.result;
 
     println!("nodes: {}, edges: {}", dag.n(), dag.m());
-    println!("best initialization cost: {}", result.init_cost);
-    println!("after hill climbing:      {}", result.hc_cost);
-    println!("final cost:               {}", result.cost);
+    for report in &outcome.stages {
+        println!("after stage {:<5} cost {}", report.stage, report.cost_after);
+    }
+    println!("final cost:       {}", outcome.total());
     println!();
     for v in dag.nodes() {
         println!(
@@ -55,8 +59,8 @@ fn main() {
     println!();
     println!(
         "trivial cost {trivial}, ours {} ({}x)",
-        result.cost,
-        trivial as f64 / result.cost as f64
+        outcome.total(),
+        trivial as f64 / outcome.total() as f64
     );
 
     // The same DAG through every scheduler in the registry — baselines,

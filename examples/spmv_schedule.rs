@@ -45,7 +45,8 @@ fn main() {
         let etf = baseline("etf", &dag);
         let dsc = baseline("dsc", &dag);
 
-        let result = schedule_dag(&dag, &machine, &cfg);
+        let ours = bsp_sched::core::BasePipeline { cfg: cfg.clone() };
+        let out = ours.solve(&SolveRequest::new(&dag, &machine));
 
         println!("  Cilk   : {cilk}");
         println!("  BL-EST : {blest}");
@@ -54,16 +55,16 @@ fn main() {
         println!("  HDagg  : {hdagg}");
         println!(
             "  ours   : {} (init {}, HC {})  -> {:.0}% below Cilk, {:.0}% below HDagg",
-            result.cost,
-            result.init_cost,
-            result.hc_cost,
-            100.0 * (1.0 - result.cost as f64 / cilk as f64),
-            100.0 * (1.0 - result.cost as f64 / hdagg as f64),
+            out.total(),
+            out.stages[0].cost_after,
+            out.stages[1].cost_after,
+            100.0 * (1.0 - out.total() as f64 / cilk as f64),
+            100.0 * (1.0 - out.total() as f64 / hdagg as f64),
         );
         println!(
             "  supersteps: {}, transfers: {}",
-            result.sched.n_supersteps(),
-            result.comm.len()
+            out.result.sched.n_supersteps(),
+            out.result.comm.len()
         );
         println!();
     }

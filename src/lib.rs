@@ -37,10 +37,9 @@
 //!     &bsp_sched::dagdb::SparsePattern::random(12, 0.3, 7),
 //! );
 //! let machine = BspParams::new(4, 3, 5);
-//! let mut cfg = PipelineConfig::default();
-//! cfg.enable_ilp = false;
-//! let result = schedule_dag(&dag, &machine, &cfg);
-//! assert!(result.cost > 0);
+//! let pipeline = Registry::standard().get("pipeline/base?ilp=off").unwrap();
+//! let out = pipeline.solve(&SolveRequest::new(&dag, &machine));
+//! assert!(out.total() > 0);
 //! ```
 
 pub use bsp_baselines as baselines;
@@ -70,11 +69,9 @@ pub fn instances() -> bsp_instance::InstanceRegistry {
 /// Common imports for applications.
 pub mod prelude {
     pub use crate::registry::{Registry, RegistryEntry};
-    pub use bsp_core::auto::{schedule_dag_auto, AutoConfig, Strategy};
+    pub use bsp_core::auto::{AutoConfig, Strategy};
     pub use bsp_core::memrepair::{repair_memory, MemoryRepairScheduler, RepairReport};
-    pub use bsp_core::pipeline::{
-        schedule_dag, schedule_dag_multilevel, PipelineConfig, PipelineResult,
-    };
+    pub use bsp_core::pipeline::{PipelineConfig, PipelineResult};
     pub use bsp_dag::{Dag, DagBuilder};
     pub use bsp_instance::{
         Instance, InstanceDescriptor, InstanceError, InstanceRegistry, InstanceSource, MachineSpec,
@@ -86,6 +83,7 @@ pub mod prelude {
     pub use bsp_schedule::scheduler::{ScheduleResult, Scheduler, SchedulerKind};
     pub use bsp_schedule::solve::{
         Budget, CancelToken, ImprovementEvent, Observer, SolveOutcome, SolveRequest, StageReport,
+        Stop,
     };
     pub use bsp_schedule::spec::{SchedulerDescriptor, SchedulerSpec, SpecError};
     pub use bsp_schedule::validity::{validate_memory, validate_with_memory};

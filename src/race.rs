@@ -12,10 +12,11 @@
 //! [`CancelToken`] (a child of the request's own
 //! token when it has one, so an outer cancellation still reaches every
 //! racer). The first racer to finish cancels the token; the anytime
-//! pipelines observe the cancellation at their next budget check and wind
-//! down to their best-so-far schedules, so no work is discarded — every
-//! racer contributes a *valid* candidate (first-past-the-post
-//! cancellation). The winner is chosen deterministically: lowest total
+//! pipelines see it inside the search they are running (every search loop
+//! polls its [`Stop`](bsp_schedule::solve::Stop); only an ILP solve in
+//! flight runs out its own time limit first) and wind down to their
+//! best-so-far schedules, so no work is discarded — every racer
+//! contributes a *valid* candidate (first-past-the-post cancellation). The winner is chosen deterministically: lowest total
 //! cost, ties broken by position in the spec list. Which *costs* the
 //! cancelled anytime racers reach can depend on timing; racing
 //! run-to-completion schedulers (the baselines ignore budgets) is fully

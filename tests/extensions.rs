@@ -4,17 +4,37 @@
 
 use bsp_sched::baselines::{blest_bsp_numa_aware, etf_bsp, etf_bsp_numa_aware};
 use bsp_sched::core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_sched::core::hc::{hill_climb, HillClimbConfig};
+use bsp_sched::core::auto::solve_auto;
+use bsp_sched::core::hc::hill_climb;
 use bsp_sched::core::ilp::{ilp_full, IlpConfig};
 use bsp_sched::core::init::bspg_schedule;
+use bsp_sched::core::pipeline::solve_base_pipeline;
 use bsp_sched::core::state::ScheduleState;
 use bsp_sched::core::steepest::hill_climb_steepest;
 use bsp_sched::core::tabu::{tabu_search, TabuConfig};
 use bsp_sched::dagdb::fine::{cg_dag, spmv_dag};
 use bsp_sched::dagdb::{pattern_from_matrix_market, pattern_to_matrix_market, SparsePattern};
 use bsp_sched::prelude::*;
+use bsp_sched::schedule::solve::SolveCx;
 use bsp_sched::schedule::validity::{validate, validate_lazy};
 use bsp_sched::schedule::{dag_to_dot, schedule_to_dot, schedule_to_text};
+
+/// The Figure-3 pipeline under an unlimited budget.
+fn schedule_dag(dag: &Dag, machine: &BspParams, cfg: &PipelineConfig) -> PipelineResult {
+    let req = SolveRequest::new(dag, machine);
+    solve_base_pipeline(dag, machine, cfg, &mut SolveCx::new("pipeline/base", &req))
+}
+
+/// The auto-selector under an unlimited budget.
+fn schedule_dag_auto(
+    dag: &Dag,
+    machine: &BspParams,
+    cfg: &PipelineConfig,
+    auto: &AutoConfig,
+) -> (PipelineResult, Strategy) {
+    let req = SolveRequest::new(dag, machine);
+    solve_auto(dag, machine, cfg, auto, &mut SolveCx::new("auto", &req))
+}
 
 fn sample_dag() -> Dag {
     cg_dag(&SparsePattern::random_with_diagonal(8, 0.3, 21), 2)
@@ -28,23 +48,11 @@ fn all_local_searches_refine_the_same_init() {
     let init_cost = lazy_cost(&dag, &machine, &init);
 
     let mut st = ScheduleState::new(&dag, &machine, &init);
-    hill_climb(
-        &mut st,
-        &HillClimbConfig {
-            max_moves: Some(2000),
-            time_limit: None,
-        },
-    );
+    hill_climb(&mut st, &mut Stop::new(None, Some(2000)));
     let greedy = st.cost();
 
     let mut st2 = ScheduleState::new(&dag, &machine, &init);
-    hill_climb_steepest(
-        &mut st2,
-        &HillClimbConfig {
-            max_moves: Some(300),
-            time_limit: None,
-        },
-    );
+    hill_climb_steepest(&mut st2, 1, &mut Stop::new(None, Some(300)));
     let steepest = st2.cost();
 
     let (sa_sched, sa, _) = simulated_annealing(
@@ -53,9 +61,9 @@ fn all_local_searches_refine_the_same_init() {
         &init,
         &AnnealConfig {
             max_steps: 30_000,
-            time_limit: None,
             ..AnnealConfig::default()
         },
+        &mut Stop::new(None, None),
     );
     let (tb_sched, tb, _) = tabu_search(
         &dag,
@@ -63,9 +71,10 @@ fn all_local_searches_refine_the_same_init() {
         &init,
         &TabuConfig {
             max_iters: 300,
-            time_limit: None,
             ..TabuConfig::default()
         },
+        1,
+        &mut Stop::new(None, None),
     );
 
     for (name, cost) in [
@@ -135,8 +144,15 @@ fn presolve_does_not_change_ilp_stage_semantics() {
         cfg.use_presolve = presolve;
         cfg
     };
-    let (with, proven_with) = ilp_full(&dag, &machine, &init, &mk_cfg(true));
-    let (without, proven_without) = ilp_full(&dag, &machine, &init, &mk_cfg(false));
+    let (with, proven_with) =
+        ilp_full(&dag, &machine, &init, &mk_cfg(true), &Stop::new(None, None));
+    let (without, proven_without) = ilp_full(
+        &dag,
+        &machine,
+        &init,
+        &mk_cfg(false),
+        &Stop::new(None, None),
+    );
     let (cw, cwo) = (
         lazy_cost(&dag, &machine, &with),
         lazy_cost(&dag, &machine, &without),

@@ -4,11 +4,13 @@
 use bsp_sched::baselines::hdagg::HDaggConfig;
 use bsp_sched::baselines::{blest_bsp, cilk_bsp, etf_bsp, hdagg_schedule};
 use bsp_sched::core::multilevel::MultilevelConfig;
+use bsp_sched::core::pipeline::{solve_base_pipeline, solve_multilevel_pipeline};
 use bsp_sched::dagdb::coarse::algorithms::{cg as coarse_cg, spd_matrix, Iterations};
 use bsp_sched::dagdb::coarse::Ctx;
 use bsp_sched::dagdb::fine::{cg_dag, exp_dag, knn_dag, spmv_dag};
 use bsp_sched::dagdb::{dataset, DatasetKind, SparsePattern};
 use bsp_sched::prelude::*;
+use bsp_sched::schedule::solve::SolveCx;
 use bsp_sched::schedule::trivial::trivial_cost;
 use bsp_sched::schedule::validity::{validate, validate_lazy};
 
@@ -20,6 +22,12 @@ fn family_dags() -> Vec<(&'static str, Dag)> {
         ("cg", cg_dag(&p, 2)),
         ("knn", knn_dag(&p, 0, 3)),
     ]
+}
+
+/// The Figure-3 pipeline under an unlimited budget.
+fn schedule_dag(dag: &Dag, machine: &BspParams, cfg: &PipelineConfig) -> PipelineResult {
+    let req = SolveRequest::new(dag, machine);
+    solve_base_pipeline(dag, machine, cfg, &mut SolveCx::new("pipeline/base", &req))
 }
 
 /// Pipeline config with debug-build-friendly ILP budgets.
@@ -72,7 +80,9 @@ fn numa_multilevel_end_to_end() {
     let machine = BspParams::new(8, 1, 5).with_numa(NumaTopology::binary_tree(8, 4));
     let mut cfg = PipelineConfig::default();
     cfg.enable_ilp = false;
-    let ml = schedule_dag_multilevel(&dag, &machine, &cfg, &MultilevelConfig::default());
+    let req = SolveRequest::new(&dag, &machine);
+    let mut cx = SolveCx::new("pipeline/multilevel", &req);
+    let ml = solve_multilevel_pipeline(&dag, &machine, &cfg, &MultilevelConfig::default(), &mut cx);
     assert!(validate(&dag, 8, &ml.sched, &ml.comm).is_ok());
     // §7.3: the multilevel scheduler consistently beats the trivial
     // schedule even in communication-dominated settings.

@@ -157,6 +157,47 @@ fn race_shares_the_request_budget() {
     );
 }
 
+/// The first finisher lands inside the other racer's hill climb, which
+/// stops there and not at its next candidate boundary: a short racer
+/// (50 moves) against the same pipeline uncapped, on an instance whose
+/// uncapped climb outlasts the short racer's whole solve many times over.
+#[test]
+fn first_finisher_cuts_the_other_racers_climb_short() {
+    let dag = bsp_sched::dag::random::random_layered_dag(
+        7,
+        bsp_sched::dag::random::LayeredConfig {
+            layers: 60,
+            width: 50,
+            ..Default::default()
+        },
+    );
+    let machine = BspParams::new(8, 1, 5).with_numa(NumaTopology::binary_tree(8, 2));
+    let (short, long) = ("pipeline/base?hc_iters=50&hccs_iters=5", "pipeline/base");
+    let registry = Registry::standard();
+    let racer = registry
+        .get_with(&format!("race/{short},{long}"), &fast_cfg())
+        .unwrap();
+    let out = racer.solve(&SolveRequest::new(&dag, &machine));
+    assert!(validate(&dag, machine.p(), &out.result.sched, &out.result.comm).is_ok());
+    if winner_of(&out) == long {
+        // The cut racer won: its climb must say it was cut.
+        let hc = out.stages.iter().find(|r| r.stage == "hc").unwrap();
+        assert!(hc.truncated, "the uncapped racer ran its climb to the end");
+        assert!(out.budget_exhausted);
+    } else {
+        // One-sided on time: cut at a candidate boundary, the race would
+        // have waited for one of the two climbs the solo run makes.
+        let solo = registry.get_with(long, &fast_cfg()).unwrap();
+        let solo = solo.solve(&SolveRequest::new(&dag, &machine));
+        assert!(
+            out.elapsed * 3 < solo.elapsed,
+            "race {:?} against {:?} uncancelled",
+            out.elapsed,
+            solo.elapsed
+        );
+    }
+}
+
 #[test]
 fn race_specs_accept_parameters() {
     let dag = dag();
