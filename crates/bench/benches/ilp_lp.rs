@@ -51,7 +51,6 @@ fn window(member: &str, s1: u32, s2: u32) -> Model {
     let mut cfg = PipelineConfig::default();
     cfg.hc.time_limit = Some(Duration::from_secs(60));
     cfg.hccs.time_limit = Some(Duration::from_secs(60));
-    cfg.threads = 1;
     let refined = Registry::standard()
         .get_with("pipeline/base?ilp=off", &cfg)
         .expect("a registered scheduler")

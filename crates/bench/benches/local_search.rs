@@ -9,7 +9,7 @@
 //!   gain kernel (candidates evaluated read-only through `valid_procs`
 //!   windows and cached top-K row maxima, nothing mutated);
 //! * `apply_revert` — the historical kernel kept in
-//!   [`bsp_core::reference`]: per-candidate `is_move_valid` plus a full
+//!   `crates/core/tests/kernel_reference`: per-candidate `is_move_valid` plus a full
 //!   `apply_move` + revert pair over `BTreeMap` consumer buckets,
 //!   allocating scratch `Vec`s on every candidate.
 //!
@@ -34,11 +34,13 @@
 // The reference hill-climbing loop the core proptests hold production to.
 #[path = "../../core/tests/hc_reference/mod.rs"]
 mod hc_reference;
+// The apply/revert kernel the core tests hold the probe kernel to.
+#[path = "../../core/tests/kernel_reference/mod.rs"]
+mod kernel_reference;
 
 use bsp_bench::{kernel_scan_configs, machine, numa_machine, spread_schedule};
 use bsp_core::hc::hill_climb;
 use bsp_core::init::bspg_schedule;
-use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::best_move;
 use bsp_dag::TopoInfo;
@@ -46,6 +48,7 @@ use bsp_dagdb::fine::spmv_dag;
 use bsp_dagdb::SparsePattern;
 use bsp_schedule::solve::Stop;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kernel_reference::{best_move_apply_revert, RefScheduleState};
 use std::hint::black_box;
 
 /// Full steepest-descent neighbourhood scan: every valid `(v, q, s)` with
@@ -59,7 +62,7 @@ fn bench_scan(c: &mut Criterion) {
         let n = dag.n() as u32;
         let st = ScheduleState::new(&dag, &m, &sched);
         g.bench_function(BenchmarkId::new("probe", name), |b| {
-            b.iter(|| black_box(best_move(&st, 1)))
+            b.iter(|| black_box(best_move(&st)))
         });
         let mut reference = RefScheduleState::new(&dag, &m, &sched);
         g.bench_function(BenchmarkId::new("apply_revert", name), |b| {

@@ -48,13 +48,11 @@ const LADDER: [(&str, &str, &str); 6] = [
 /// `online-stream`'s configuration with the wall clock out of the way:
 /// only the move cap binds, so every run takes the same decisions.
 fn config(moves_per_arrival: usize) -> OnlineConfig {
-    let mut cfg = OnlineConfig {
+    OnlineConfig {
         budget_per_arrival: Duration::from_secs(60),
         moves_per_arrival: Some(moves_per_arrival),
         ..OnlineConfig::default()
-    };
-    cfg.pipeline.threads = 1;
-    cfg
+    }
 }
 
 fn reference_replay(

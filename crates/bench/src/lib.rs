@@ -36,10 +36,9 @@ pub fn spread_schedule(dag: &Dag, p: u32) -> BspSchedule {
 
 /// The local-search kernel-scan configurations: one representative per DAG
 /// family (`layered` / `erdos` / `spmv`), each on a small and — unless
-/// `quick` — a large machine. Shared by the `local_search` and
-/// `parallel_scan` criterion groups; the probe kernel's advantage grows
-/// with `P` because the historical kernel refreshes every touched
-/// superstep in `O(P)` twice per candidate.
+/// `quick` — a large machine, for the `local_search` criterion groups;
+/// the probe kernel's advantage grows with `P` because the historical
+/// kernel refreshes every touched superstep in `O(P)` twice per candidate.
 pub fn kernel_scan_configs(quick: bool) -> Vec<(&'static str, Dag, u32)> {
     let layered = || {
         bsp_dag::random::random_layered_dag(
@@ -99,15 +98,12 @@ pub fn bench_pipeline_cfg(ilp: bool) -> PipelineConfig {
                 time_limit: Duration::from_millis(150),
                 gap: 1e-6,
             },
-            part_rounds: 1,
             use_presolve: true,
         },
         enable_ilp: ilp,
         use_ilp_init: Some(false),
         escape: None,
-        // Benches time one solve at a time; keep in-solve scans sequential
-        // so measurements are comparable across hosts.
-        threads: 1,
+        ..PipelineConfig::default()
     }
 }
 

@@ -331,18 +331,18 @@ mod tests {
         out.push(("hc", stats.accepted, format!("{:?}", st.snapshot())));
 
         let mut st = ScheduleState::new(&dag, &machine, &start);
-        let stats = hill_climb_steepest(&mut st, 1, &mut stop());
+        let stats = hill_climb_steepest(&mut st, &mut stop());
         out.push(("steepest", stats.accepted, format!("{:?}", st.snapshot())));
 
         let mut comm = CommState::new(&dag, &machine, &start);
-        let moves = comm_hill_climb(&mut comm, 1, &mut stop());
+        let moves = comm_hill_climb(&mut comm, &mut stop());
         out.push(("hccs", moves, format!("{:?}", comm.comm_schedule())));
 
         let cfg = TabuConfig {
             max_iters: 40,
             ..TabuConfig::default()
         };
-        let (best, _, stats) = tabu_search(&dag, &machine, &start, &cfg, 1, &mut stop());
+        let (best, _, stats) = tabu_search(&dag, &machine, &start, &cfg, &mut stop());
         out.push(("tabu", stats.iterations, format!("{best:?}")));
 
         let cfg = AnnealConfig {

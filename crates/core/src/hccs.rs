@@ -222,7 +222,7 @@ impl<'a> CommState<'a> {
 }
 
 /// The first improving phase for transfer `i`, probing candidate phases in
-/// window order — exactly the sequential inner loop's acceptance test.
+/// window order.
 fn first_improving_phase(state: &CommState<'_>, i: usize) -> Option<u32> {
     let t = state.transfers[i];
     let cur = state.phase[i];
@@ -230,54 +230,21 @@ fn first_improving_phase(state: &CommState<'_>, i: usize) -> Option<u32> {
 }
 
 /// Runs greedy first-improvement hill climbing over transfer phases until
-/// no move improves or `stop`. Returns the number of accepted moves; the
-/// cost never increases.
-///
-/// The transfer scan is fanned out over `threads` workers (`0` =
-/// auto-detect, `1` = sequential). First-improvement search parallelizes
-/// exactly because probes are pure between applies: each round finds the
-/// **lowest-index** transfer at or after the resume position with an
-/// improving phase ([`bsp_par::par_find_first`]), applies it, and resumes
-/// after it — the accepted move sequence is **bit-identical** to the
-/// sequential scan for every thread count. The parallel scan checks `stop`
-/// once per accepted move rather than per probed transfer, so a deadline
-/// may be overshot by one scan round.
-pub fn comm_hill_climb(state: &mut CommState<'_>, threads: usize, stop: &mut Stop) -> usize {
-    let threads = bsp_par::resolve_threads(threads);
-    let parallel = threads > 1 && state.transfers.len() >= 2 * PAR_CHUNK;
+/// no move improves or `stop` (polled once per transfer). Returns the
+/// number of accepted moves; the cost never increases.
+pub fn comm_hill_climb(state: &mut CommState<'_>, stop: &mut Stop) -> usize {
     let mut accepted = 0usize;
     loop {
         let mut improved = false;
-        let mut pos = 0usize;
-        while pos < state.transfers.len() {
-            // A sequential step probes one transfer, a parallel one scans
-            // all that remain.
-            let fired = if parallel {
-                stop.expired()
-            } else {
-                stop.poll()
-            };
-            if fired || stop.moves_left() == 0 {
+        for i in 0..state.transfers.len() {
+            if stop.poll() || stop.moves_left() == 0 {
                 return accepted;
             }
-            let found = if parallel {
-                let st: &CommState<'_> = &*state;
-                bsp_par::par_find_first(threads, st.transfers.len() - pos, PAR_CHUNK, |k| {
-                    first_improving_phase(st, pos + k)
-                })
-            } else {
-                first_improving_phase(state, pos).map(|s| (0, s))
-            };
-            match found {
-                Some((k, s)) => {
-                    state.apply(pos + k, s);
-                    accepted += 1;
-                    stop.spend_move();
-                    improved = true;
-                    pos += k + 1;
-                }
-                None if parallel => break,
-                None => pos += 1,
+            if let Some(s) = first_improving_phase(state, i) {
+                state.apply(i, s);
+                accepted += 1;
+                stop.spend_move();
+                improved = true;
             }
         }
         if !improved {
@@ -286,21 +253,17 @@ pub fn comm_hill_climb(state: &mut CommState<'_>, threads: usize, stop: &mut Sto
     }
 }
 
-/// Transfers per parallel work unit in the first-improvement scan.
-const PAR_CHUNK: usize = 64;
-
 /// Convenience wrapper: derives transfers from `sched`, optimizes their
 /// phases with [`comm_hill_climb`], and returns the explicit `Γ` plus its
-/// total cost — identical for every thread count.
+/// total cost.
 pub fn optimize_comm_schedule(
     dag: &Dag,
     machine: &BspParams,
     sched: &BspSchedule,
-    threads: usize,
     stop: &mut Stop,
 ) -> (CommSchedule, u64) {
     let mut st = CommState::new(dag, machine, sched);
-    comm_hill_climb(&mut st, threads, stop);
+    comm_hill_climb(&mut st, stop);
     let cost = st.cost();
     (st.comm_schedule(), cost)
 }
@@ -341,7 +304,7 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 0, 2, 1, 1, 3], vec![0, 1, 0, 1, 2, 2]);
         let mut st = CommState::new(&dag, &machine, &sched);
         let lazy = st.cost();
-        let moves = comm_hill_climb(&mut st, 1, &mut Stop::new(None, None));
+        let moves = comm_hill_climb(&mut st, &mut Stop::new(None, None));
         assert!(moves >= 1);
         assert_eq!(st.cost(), lazy - 4, "expected 15 -> 11 comm units");
         // Result must stay a valid explicit schedule.
@@ -361,7 +324,7 @@ mod tests {
         let sched = BspSchedule::from_parts(vec![0, 0], vec![0, 1]);
         let mut st = CommState::new(&dag, &machine, &sched);
         assert_eq!(st.n_transfers(), 0);
-        assert_eq!(comm_hill_climb(&mut st, 1, &mut Stop::new(None, None)), 0);
+        assert_eq!(comm_hill_climb(&mut st, &mut Stop::new(None, None)), 0);
     }
 
     #[test]
@@ -381,7 +344,7 @@ mod tests {
         let machine = BspParams::new(3, 2, 4);
         let sched = BspSchedule::from_parts(vec![0, 0, 0, 1, 2, 1], vec![0, 0, 1, 2, 2, 3]);
         let (comm, cost) =
-            optimize_comm_schedule(&dag, &machine, &sched, 1, &mut Stop::new(None, None));
+            optimize_comm_schedule(&dag, &machine, &sched, &mut Stop::new(None, None));
         assert!(validate(&dag, 3, &sched, &comm).is_ok());
         assert_eq!(cost, total_cost(&dag, &machine, &sched, &comm));
         // Never worse than lazy.

@@ -41,8 +41,6 @@ pub struct IlpConfig {
     pub part_target_vars: usize,
     /// Solver budgets per ILP invocation.
     pub limits: SolveLimits,
-    /// Number of back-to-front passes of `ILPpart`.
-    pub part_rounds: usize,
     /// Run the presolver (bound tightening, redundancy elimination) before
     /// each branch-and-bound call — the analogue of CBC's preprocessing.
     pub use_presolve: bool,
@@ -58,7 +56,6 @@ impl Default for IlpConfig {
                 time_limit: std::time::Duration::from_secs(3),
                 gap: 1e-6,
             },
-            part_rounds: 1,
             use_presolve: true,
         }
     }
@@ -121,9 +118,9 @@ pub fn ilp_full(
     accept_if_better(dag, machine, base, cand, proven)
 }
 
-/// Runs `ILPpart`: splits the supersteps into back-to-front intervals sized
-/// by the variable estimate and reoptimizes each window. Monotone in true
-/// cost.
+/// Runs `ILPpart`: one back-to-front pass that splits the supersteps into
+/// intervals sized by the variable estimate and reoptimizes each window.
+/// Monotone in true cost.
 pub fn ilp_part(
     dag: &Dag,
     machine: &BspParams,
@@ -132,53 +129,50 @@ pub fn ilp_part(
     stop: &Stop,
 ) -> BspSchedule {
     let mut current = compact_lazy(dag, sched);
-    for _ in 0..cfg.part_rounds {
-        let s_total = current.n_supersteps();
-        if s_total <= 1 {
-            break;
-        }
-        // Build disjoint intervals from back to front, growing each until
-        // the variable estimate exceeds the target (paper §6).
-        let mut intervals: Vec<(u32, u32)> = Vec::new();
-        let mut hi = s_total as i64 - 1;
-        while hi >= 0 {
-            let mut lo = hi;
-            loop {
-                let nodes = count_nodes_in(&current, lo as u32, hi as u32);
-                let est = WindowIlp::estimate_vars(nodes, (hi - lo + 1) as usize, machine.p());
-                if est > cfg.part_target_vars && lo < hi {
-                    lo += 1; // revert the last extension
-                    break;
-                }
-                if lo == 0 || est > cfg.part_target_vars {
-                    break;
-                }
-                lo -= 1;
-            }
-            intervals.push((lo as u32, hi as u32));
-            hi = lo - 1;
-        }
-        for &(s1, s2) in &intervals {
-            if count_nodes_in(&current, s1, s2) == 0 {
-                continue;
-            }
-            let w = WindowIlp::build(dag, machine, &current, s1, s2, WindowOptions::default());
-            let warm = w.warm_start(dag, machine, &current);
-            debug_assert!(
-                w.model.is_feasible(&warm, 1e-5),
-                "warm start must satisfy the window model"
-            );
-            let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
-            if sol.x.is_empty() {
-                continue;
-            }
-            let cand = w.extract(&sol.x, &current);
-            let (next, _) = accept_if_better(dag, machine, current, cand, false);
-            current = next;
-        }
-        current = compact_lazy(dag, &current);
+    let s_total = current.n_supersteps();
+    if s_total <= 1 {
+        return current;
     }
-    current
+    // Build disjoint intervals from back to front, growing each until
+    // the variable estimate exceeds the target (paper §6).
+    let mut intervals: Vec<(u32, u32)> = Vec::new();
+    let mut hi = s_total as i64 - 1;
+    while hi >= 0 {
+        let mut lo = hi;
+        loop {
+            let nodes = count_nodes_in(&current, lo as u32, hi as u32);
+            let est = WindowIlp::estimate_vars(nodes, (hi - lo + 1) as usize, machine.p());
+            if est > cfg.part_target_vars && lo < hi {
+                lo += 1; // revert the last extension
+                break;
+            }
+            if lo == 0 || est > cfg.part_target_vars {
+                break;
+            }
+            lo -= 1;
+        }
+        intervals.push((lo as u32, hi as u32));
+        hi = lo - 1;
+    }
+    for &(s1, s2) in &intervals {
+        if count_nodes_in(&current, s1, s2) == 0 {
+            continue;
+        }
+        let w = WindowIlp::build(dag, machine, &current, s1, s2, WindowOptions::default());
+        let warm = w.warm_start(dag, machine, &current);
+        debug_assert!(
+            w.model.is_feasible(&warm, 1e-5),
+            "warm start must satisfy the window model"
+        );
+        let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
+        if sol.x.is_empty() {
+            continue;
+        }
+        let cand = w.extract(&sol.x, &current);
+        let (next, _) = accept_if_better(dag, machine, current, cand, false);
+        current = next;
+    }
+    compact_lazy(dag, &current)
 }
 
 fn count_nodes_in(sched: &BspSchedule, s1: u32, s2: u32) -> usize {

@@ -21,9 +21,9 @@
 //!
 //! * [`steepest`] — the best-improvement hill-climbing variant of A.3,
 //!   scanning its full neighbourhood through the allocation-free
-//!   [`state::ScheduleState::probe_move`] gain kernel ([`mod@reference`]
-//!   keeps the historical apply/revert kernel as the executable
-//!   specification);
+//!   [`state::ScheduleState::probe_move`] gain kernel
+//!   (`tests/kernel_reference` keeps the historical apply/revert kernel as
+//!   the executable specification);
 //! * [`anneal`] and [`tabu`] — local search that escapes local minima
 //!   (Metropolis acceptance / forced best-admissible moves with a tabu
 //!   list), both guaranteed never to return worse than their input;
@@ -58,7 +58,6 @@ pub mod memrepair;
 pub mod multilevel;
 pub(crate) mod obs;
 pub mod pipeline;
-pub mod reference;
 pub mod schedulers;
 pub mod state;
 pub mod steepest;

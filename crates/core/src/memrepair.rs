@@ -233,7 +233,6 @@ impl<S: Scheduler> Scheduler for MemoryRepairScheduler<S> {
                 ..req.budget.clone()
             },
             seed: req.seed,
-            threads: req.threads,
             observer: req.observer,
         };
         let mut cx = SolveCx::new(&self.name, &sub_req);

@@ -71,12 +71,8 @@ pub struct PipelineConfig {
     /// after HC (folded into the reported `hc_cost` stage). `None`
     /// reproduces the paper's evaluated configuration.
     pub escape: Option<EscapeSearch>,
-    /// Worker threads for the parallel neighbourhood scans (HCcs and the
-    /// tabu escape stage): `0` = auto-detect, `1` = sequential. A
-    /// [`SolveRequest::with_threads`](bsp_schedule::solve::SolveRequest::with_threads)
-    /// override wins over this default.
-    /// Never changes the schedule — parallel scans are bit-identical to
-    /// sequential ones — only wall-clock time.
+    /// Inert: read by nothing. Kept only because the repo benchmark
+    /// (`benchmark/`) sets it; goes with ROADMAP item 1(b).
     pub threads: usize,
 }
 
@@ -89,7 +85,7 @@ impl Default for PipelineConfig {
             enable_ilp: true,
             use_ilp_init: None,
             escape: None,
-            threads: bsp_par::default_threads(),
+            threads: 1,
         }
     }
 }
@@ -175,12 +171,11 @@ impl Incumbent {
         machine: &BspParams,
         assignment: &BspSchedule,
         cfg: &PipelineConfig,
-        threads: usize,
         cx: &SolveCx<'_>,
     ) {
         let cand = compact_lazy(dag, assignment);
         let mut stop = cx.stop(cfg.hccs.time_limit, cfg.hccs.max_moves);
-        let (comm, cost) = optimize_comm_schedule(dag, machine, &cand, threads, &mut stop);
+        let (comm, cost) = optimize_comm_schedule(dag, machine, &cand, &mut stop);
         self.offer(cx, cand, comm, cost);
     }
 
@@ -190,7 +185,6 @@ impl Incumbent {
         &mut self,
         mut start: ScheduleState<'_>,
         cfg: &PipelineConfig,
-        threads: usize,
         cx: &SolveCx<'_>,
     ) {
         hill_climb(
@@ -198,7 +192,7 @@ impl Incumbent {
             &mut cx.stop(cfg.hc.time_limit, cfg.hc.max_moves),
         );
         let (dag, machine) = (start.dag(), start.machine());
-        self.offer_assignment(dag, machine, &start.snapshot(), cfg, threads, cx);
+        self.offer_assignment(dag, machine, &start.snapshot(), cfg, cx);
     }
 }
 
@@ -212,11 +206,10 @@ fn optimized_comm(
     sched: &BspSchedule,
     cfg: &PipelineConfig,
     ilp: bool,
-    threads: usize,
     cx: &SolveCx<'_>,
 ) -> (CommSchedule, u64, u64) {
     let mut stop = cx.stop(cfg.hccs.time_limit, cfg.hccs.max_moves);
-    let (comm, hccs_cost) = optimize_comm_schedule(dag, machine, sched, threads, &mut stop);
+    let (comm, hccs_cost) = optimize_comm_schedule(dag, machine, sched, &mut stop);
     if ilp && !cx.expired() {
         let limits = &cfg.ilp.limits;
         let (comm, cost) = ilp_comm(dag, machine, sched, &comm, limits, &cx.stop(None, None));
@@ -240,7 +233,6 @@ pub fn solve_base_pipeline(
     let _pipeline_span = bsp_obs::trace::global().span("pipeline/base", "pipeline");
     let enable_ilp = cx.ilp_enabled(cfg.enable_ilp);
     let use_ilp_init = cfg.use_ilp_init.unwrap_or(machine.p() <= 4 && enable_ilp) && enable_ilp;
-    let threads = cx.threads(cfg.threads);
 
     // Stage 1 — initialization. Runs even under an expired deadline: some
     // valid schedule must exist before anything can be truncated. The
@@ -265,7 +257,7 @@ pub fn solve_base_pipeline(
             if cx.check_expired() {
                 break;
             }
-            best.climb_from(ScheduleState::new(dag, machine, init), cfg, threads, cx);
+            best.climb_from(ScheduleState::new(dag, machine, init), cfg, cx);
         }
         // Optional escape-local-minima stage on the winning candidate;
         // folded into the local-search stage cost because it refines the
@@ -284,11 +276,9 @@ pub fn solve_base_pipeline(
                         a.seed = a.seed.wrapping_add(cx.seed());
                         simulated_annealing(dag, machine, &best.sched, &a, &mut stop).0
                     }
-                    EscapeSearch::Tabu(t) => {
-                        tabu_search(dag, machine, &best.sched, t, threads, &mut stop).0
-                    }
+                    EscapeSearch::Tabu(t) => tabu_search(dag, machine, &best.sched, t, &mut stop).0,
                 };
-                best.offer_assignment(dag, machine, &refined, cfg, threads, cx);
+                best.offer_assignment(dag, machine, &refined, cfg, cx);
             }
         }
         (best.cost, best.cost)
@@ -306,8 +296,7 @@ pub fn solve_base_pipeline(
                 assignment = ilp_part(dag, machine, &assignment, &cfg.ilp, &stop);
             }
             // Re-optimize Γ on the (possibly) new assignment: HCcs then ILPcs.
-            let (comm, cost, hccs_cost) =
-                optimized_comm(dag, machine, &assignment, cfg, true, threads, cx);
+            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &assignment, cfg, true, cx);
             part_cost = part_cost.min(hccs_cost);
             best.offer(cx, assignment, comm, cost);
             (best.cost, ())
@@ -355,9 +344,7 @@ pub fn solve_multilevel_pipeline(
     if !cx.check_expired() {
         hc_cost = cx.stage("polish", |cx| {
             let ilp = cx.ilp_enabled(cfg.enable_ilp);
-            let threads = cx.threads(cfg.threads);
-            let (comm, cost, hccs_cost) =
-                optimized_comm(dag, machine, &best.sched, cfg, ilp, threads, cx);
+            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &best.sched, cfg, ilp, cx);
             best.offer_comm(cx, comm, cost);
             (best.cost, hccs_cost)
         });

@@ -29,9 +29,9 @@
 //! valid candidate move through `&self`: it never grows the step tables,
 //! never touches the consumer arena, and performs zero heap allocation
 //! (its scratch buffers live behind an uncontended [`Mutex`] and retain
-//! their capacity across calls; parallel scans hand each worker its own
-//! [`ProbeScratch`] via [`ScheduleState::probe_move_in`] so probing scales
-//! without lock traffic). A probe gathers the `O(deg)` changed
+//! their capacity across calls; whole-neighbourhood scans bring their own
+//! [`ProbeScratch`] via [`ScheduleState::probe_move_in`] and skip the
+//! lock). A probe gathers the `O(deg)` changed
 //! `(superstep, processor)` cells, then re-derives each touched step's
 //! `max` work and h-relation from the cells plus cached top-`K` row maxima
 //! — `O(changed)` per step instead of the `O(P)` rescan `apply_move` pays,
@@ -39,7 +39,7 @@
 //! changed. Total: `O(deg)` expected, independent of `P`, versus
 //! `O(deg + t·P)` twice for an apply/revert pair (`t` = touched steps).
 //! The contract, enforced by proptests against the historical
-//! implementation ([`crate::reference`]), is
+//! implementation (`tests/kernel_reference`), is
 //!
 //! ```text
 //! probe_move(v, q, s) == apply_move(v, q, s) − cost_before   (bit-for-bit)
@@ -203,10 +203,10 @@ struct CellDelta {
 /// once the buffers have warmed up to the working degree. Both vectors stay
 /// tiny (at most `degree + 2` steps), so lookups are linear scans.
 ///
-/// Sequential callers never see this type — [`ScheduleState::probe_move`]
-/// keeps one instance internally. Parallel neighbourhood scans allocate one
-/// per worker (`ProbeScratch::default()`) and probe through
-/// [`ScheduleState::probe_move_in`], which shares nothing between workers.
+/// Single-probe callers never see this type — [`ScheduleState::probe_move`]
+/// keeps one instance internally, behind a mutex. The whole-neighbourhood
+/// scans (steepest, tabu) own one (`ProbeScratch::default()`) and probe
+/// through [`ScheduleState::probe_move_in`], which skips the lock.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     steps: Vec<StepDelta>,
@@ -409,8 +409,7 @@ pub struct ScheduleTables {
     /// Scratch: steps whose cached cost must be refreshed after a move.
     touched: Vec<u32>,
     /// Scratch for read-only probing (allocation-free after warm-up). A
-    /// `Mutex` rather than a `RefCell` so `ScheduleState` is `Sync` and
-    /// parallel scans can probe through shared references; sequential
+    /// `Mutex` rather than a `RefCell` so `ScheduleState` stays `Sync`;
     /// probes lock it uncontended.
     probe: Mutex<ProbeScratch>,
 }
@@ -1058,11 +1057,10 @@ impl<'a> ScheduleState<'a> {
     }
 
     /// [`ScheduleState::probe_move`] with caller-supplied scratch: the
-    /// entry point for parallel neighbourhood scans, where each worker owns
-    /// a private [`ProbeScratch`] and probes through `&ScheduleState`
-    /// without touching the internal mutex. The result is a pure function
-    /// of the state and the move — independent of which scratch is passed —
-    /// so sequential and parallel scans see bit-identical deltas.
+    /// entry point for whole-neighbourhood scans, which own a
+    /// [`ProbeScratch`] and probe without touching the internal mutex. The
+    /// result is a pure function of the state and the move — independent
+    /// of which scratch is passed.
     pub fn probe_move_in(&self, sc: &mut ProbeScratch, v: NodeId, p_new: u32, s_new: u32) -> i64 {
         let (p_old, s_old) = (self.t.sched.proc(v), self.t.sched.step(v));
         if p_old == p_new && s_old == s_new {

@@ -14,8 +14,8 @@
 //! only for the single winning move, so a scan allocates nothing and never
 //! grows the superstep tables. The scan's decisions are bit-identical to the
 //! historical apply/revert implementation
-//! ([`crate::reference::best_move_apply_revert`]), which the
-//! `kernel_equivalence` tests enforce.
+//! (`tests/kernel_reference`), which the `kernel_equivalence` tests
+//! enforce.
 
 use crate::hc::HillClimbStats;
 use crate::obs::ls_metrics;
@@ -27,21 +27,11 @@ use bsp_schedule::solve::Stop;
 /// `n · 3 · P` move neighbourhood is evaluated and the single best improving
 /// move is applied. Stops at a local minimum or when `stop` says so (it is
 /// asked once per round). The cost of `state` never increases.
-///
-/// The neighbourhood scan is fanned out over `threads` workers (`0` =
-/// auto-detect, `1` = sequential). The move sequence — and therefore the
-/// final schedule — is **bit-identical** for every thread count: each
-/// round's winner is the same move (see [`best_move`]), only wall-clock
-/// time changes.
-pub fn hill_climb_steepest(
-    state: &mut ScheduleState<'_>,
-    threads: usize,
-    stop: &mut Stop,
-) -> HillClimbStats {
+pub fn hill_climb_steepest(state: &mut ScheduleState<'_>, stop: &mut Stop) -> HillClimbStats {
     let mut accepted = 0usize;
     let mut local_minimum = state.n() == 0;
     while !local_minimum && stop.moves_left() > 0 && !stop.expired() {
-        match best_move(state, threads) {
+        match best_move(state) {
             Some((v, q, s, _)) => {
                 state.apply_move(v, q, s);
                 accepted += 1;
@@ -57,70 +47,6 @@ pub fn hill_climb_steepest(
     }
 }
 
-/// Scans the neighbourhoods of nodes `lo..hi` with a private scratch and
-/// returns the best improving move as `(delta, (v, q, s))` — the strict-`<`
-/// fold over the `v asc, s asc, q asc` enumeration keeps the first best
-/// encountered, which is the sequential scan's tie-break.
-fn scan_best(
-    state: &ScheduleState<'_>,
-    sc: &mut ProbeScratch,
-    lo: u32,
-    hi: u32,
-) -> Option<(i64, (NodeId, u32, u32))> {
-    let p = state.p();
-    let mut best: Option<(i64, (NodeId, u32, u32))> = None;
-    let mut probes = 0u64;
-    for v in lo..hi {
-        let (cur_p, cur_s) = (state.proc(v), state.step(v));
-        for s in cur_s.saturating_sub(1)..=cur_s + 1 {
-            for q in state.valid_procs(v, s).procs(p) {
-                if (q, s) == (cur_p, cur_s) {
-                    continue;
-                }
-                probes += 1;
-                let delta = state.probe_move_in(sc, v, q, s);
-                if delta < 0 && best.as_ref().is_none_or(|&(b, _)| delta < b) {
-                    best = Some((delta, (v, q, s)));
-                }
-            }
-        }
-    }
-    // One flush per scanned range, not per probe: a single relaxed
-    // fetch_add covers the whole chunk, keeping the kernel unperturbed.
-    ls_metrics().probes.add(probes);
-    best
-}
-
-/// The best `(key, move)` of `scan` over all of `state`'s nodes, where
-/// `scan(scratch, lo, hi)` is the first-encountered best of nodes `lo..hi`.
-/// One pass — or, with `threads > 1` (`0` = auto-detect) and enough nodes,
-/// one pass per contiguous chunk on `bsp-par` workers, a private
-/// [`ProbeScratch`] each. Chunk winners come back in node order and are
-/// folded under the same strict `<`, so the result is the sequential one
-/// for any thread count and any chunk size.
-pub(crate) fn best_over_nodes<K: PartialOrd + Send, M: Send>(
-    state: &ScheduleState<'_>,
-    threads: usize,
-    scan: impl Fn(&mut ProbeScratch, u32, u32) -> Option<(K, M)> + Sync,
-) -> Option<(K, M)> {
-    let n = state.n();
-    let threads = bsp_par::resolve_threads(threads);
-    if threads <= 1 || n < 2 * PAR_CHUNK {
-        return scan(&mut ProbeScratch::default(), 0, n as u32);
-    }
-    let per_chunk = bsp_par::par_chunks(threads, n, PAR_CHUNK, |range| {
-        let mut sc = ProbeScratch::default();
-        scan(&mut sc, range.start as u32, range.end as u32)
-    });
-    let mut best: Option<(K, M)> = None;
-    for cand in per_chunk.into_iter().flatten() {
-        if best.as_ref().is_none_or(|b| cand.0 < b.0) {
-            best = Some(cand);
-        }
-    }
-    best
-}
-
 /// Probes every valid move and returns the one with the strictly largest
 /// cost decrease (ties to the first found in scan order) together with its
 /// negative delta, or `None` at a local minimum. Read-only: the scan never
@@ -128,19 +54,35 @@ pub(crate) fn best_over_nodes<K: PartialOrd + Send, M: Send>(
 /// one-time scratch warm-up. Candidate steps are pre-filtered with
 /// [`ScheduleState::valid_procs`] (one `O(degree)` pass per step instead
 /// of `P` validity checks), preserving the historical `(v, s, q)`
-/// enumeration order exactly. **Bit-identical** for every `threads`: the
-/// first minimum of `delta` in `(v, s, q)` order.
-pub fn best_move(state: &ScheduleState<'_>, threads: usize) -> Option<(NodeId, u32, u32, i64)> {
-    ls_metrics().scans.inc();
-    best_over_nodes(state, threads, |sc, lo, hi| scan_best(state, sc, lo, hi))
-        .map(|(delta, (v, q, s))| (v, q, s, delta))
+/// enumeration order exactly: the strict-`<` fold keeps the first minimum
+/// of `delta` in that order.
+pub fn best_move(state: &ScheduleState<'_>) -> Option<(NodeId, u32, u32, i64)> {
+    let metrics = ls_metrics();
+    metrics.scans.inc();
+    let p = state.p();
+    let mut sc = ProbeScratch::default();
+    let mut best: Option<(NodeId, u32, u32, i64)> = None;
+    let mut probes = 0u64;
+    for v in 0..state.n() as NodeId {
+        let (cur_p, cur_s) = (state.proc(v), state.step(v));
+        for s in cur_s.saturating_sub(1)..=cur_s + 1 {
+            for q in state.valid_procs(v, s).procs(p) {
+                if (q, s) == (cur_p, cur_s) {
+                    continue;
+                }
+                probes += 1;
+                let delta = state.probe_move_in(&mut sc, v, q, s);
+                if delta < 0 && best.is_none_or(|(.., b)| delta < b) {
+                    best = Some((v, q, s, delta));
+                }
+            }
+        }
+    }
+    // One flush per scan, not per probe: a single relaxed fetch_add
+    // covers the whole neighbourhood, keeping the kernel unperturbed.
+    metrics.probes.add(probes);
+    best
 }
-
-/// Nodes per parallel work unit: small enough to balance skewed
-/// neighbourhood sizes, large enough that the atomic chunk-claim is noise.
-/// Has no effect on results (the reduce is order-independent), only on
-/// load balance.
-const PAR_CHUNK: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -166,7 +108,7 @@ mod tests {
         let sched = BspSchedule::zeroed(3);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost(); // max work 13 + latency
-        let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, Some(1)));
+        let stats = hill_climb_steepest(&mut st, &mut Stop::new(None, Some(1)));
         assert_eq!(stats.accepted, 1);
         // Best single move separates the 10-weight node (or equivalently
         // leaves max at 10): cost drop of 3 beats any other option.
@@ -194,7 +136,7 @@ mod tests {
             let sched = BspSchedule::zeroed(dag.n());
             let mut st = ScheduleState::new(&dag, &machine, &sched);
             let before = st.cost();
-            let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
+            let stats = hill_climb_steepest(&mut st, &mut Stop::new(None, None));
             assert!(stats.local_minimum, "seed {seed}");
             assert!(st.cost() <= before, "seed {seed}");
             assert_eq!(st.cost(), st.recomputed_cost(), "seed {seed}");
@@ -226,7 +168,7 @@ mod tests {
         let mut greedy_state = ScheduleState::new(&dag, &machine, &sched);
         hill_climb(&mut greedy_state, &mut unlimited());
         let mut steep_state = ScheduleState::new(&dag, &machine, &sched);
-        hill_climb_steepest(&mut steep_state, 1, &mut unlimited());
+        hill_climb_steepest(&mut steep_state, &mut unlimited());
 
         let (g, s) = (greedy_state.cost(), steep_state.cost());
         assert!(s <= 2 * g && g <= 2 * s, "greedy {g} vs steepest {s}");
@@ -238,7 +180,7 @@ mod tests {
         let machine = BspParams::new(2, 1, 1);
         let sched = BspSchedule::zeroed(0);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
-        let stats = hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
+        let stats = hill_climb_steepest(&mut st, &mut Stop::new(None, None));
         assert!(stats.local_minimum);
         assert_eq!(stats.accepted, 0);
     }

@@ -14,7 +14,6 @@
 //! chosen move.
 
 use crate::state::{ProbeScratch, ScheduleState};
-use crate::steepest::best_over_nodes;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::solve::Stop;
@@ -64,12 +63,6 @@ pub struct TabuStats {
 /// (asked once per iteration); returns the best schedule found, its lazy
 /// cost, and statistics. The returned cost is never above the input's.
 ///
-/// Each iteration's neighbourhood scan is fanned out over `threads`
-/// workers (`0` = auto-detect, `1` = sequential). Every iteration selects
-/// the same move as the sequential run — the per-chunk winners are folded
-/// under the sequential tie-break — so the returned schedule, cost, and
-/// statistics are **bit-identical** for every thread count.
-///
 /// ```
 /// use bsp_core::tabu::{tabu_search, TabuConfig};
 /// use bsp_core::init::bspg_schedule;
@@ -83,7 +76,7 @@ pub struct TabuStats {
 /// let start = bspg_schedule(&dag, &machine);
 /// let cfg = TabuConfig { max_iters: 50, ..Default::default() };
 /// let mut stop = Stop::new(None, None);
-/// let (best, cost, _stats) = tabu_search(&dag, &machine, &start, &cfg, 1, &mut stop);
+/// let (best, cost, _stats) = tabu_search(&dag, &machine, &start, &cfg, &mut stop);
 /// assert!(cost <= lazy_cost(&dag, &machine, &start));
 /// assert_eq!(cost, lazy_cost(&dag, &machine, &best));
 /// ```
@@ -92,7 +85,6 @@ pub fn tabu_search(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &TabuConfig,
-    threads: usize,
     stop: &mut Stop,
 ) -> (BspSchedule, u64, TabuStats) {
     let mut state = ScheduleState::new(dag, machine, sched);
@@ -106,15 +98,15 @@ pub fn tabu_search(
     // (node, proc, step) → iteration index until which the placement is tabu.
     let mut tabu: HashMap<(NodeId, u32, u32), usize> = HashMap::new();
     let mut stall = 0usize;
+    let mut sc = ProbeScratch::default();
 
     for iter in 0..cfg.max_iters {
         if stall >= cfg.stall_limit || stop.expired() {
             break;
         }
-        // The whole neighbourhood, optionally in chunks over `threads`.
-        let Some((after, (v, q, s, aspirated))) = best_over_nodes(&state, threads, |sc, lo, hi| {
-            scan_admissible(&state, sc, &tabu, iter, best_cost, lo, hi)
-        }) else {
+        let Some((after, (v, q, s, aspirated))) =
+            scan_admissible(&state, &mut sc, &tabu, iter, best_cost)
+        else {
             break; // no valid move anywhere (degenerate neighbourhood)
         };
         let before = state.cost();
@@ -145,25 +137,23 @@ pub fn tabu_search(
     (best, best_cost, stats)
 }
 
-/// Scans the neighbourhoods of nodes `lo..hi` read-only (via
+/// Scans the whole neighbourhood read-only (via
 /// [`ScheduleState::probe_move_in`]) and returns the admissible move with
 /// the lowest resulting cost as `(after, (v, q, s, aspirated))`: non-tabu
 /// moves always qualify; tabu moves qualify only if they beat `best_cost`
 /// (aspiration). The strict-`<` fold over the `v asc, s asc, q asc`
-/// enumeration reproduces the sequential first-encountered-best tie-break.
+/// enumeration keeps the first best encountered.
 fn scan_admissible(
     state: &ScheduleState<'_>,
     sc: &mut ProbeScratch,
     tabu: &HashMap<(NodeId, u32, u32), usize>,
     iter: usize,
     best_cost: u64,
-    lo: u32,
-    hi: u32,
 ) -> Option<(u64, (NodeId, u32, u32, bool))> {
     let p = state.p();
     let before = state.cost() as i64;
     let mut best: Option<(u64, (NodeId, u32, u32, bool))> = None;
-    for v in lo..hi {
+    for v in 0..state.n() as NodeId {
         let (cur_p, cur_s) = (state.proc(v), state.step(v));
         for s in cur_s.saturating_sub(1)..=cur_s + 1 {
             for q in state.valid_procs(v, s).procs(p) {
@@ -191,14 +181,14 @@ mod tests {
     use bsp_schedule::cost::lazy_cost;
     use bsp_schedule::validity::validate_lazy;
 
-    /// Sequential [`tabu_search`] under no limit but `cfg`'s own.
+    /// [`tabu_search`] under no limit but `cfg`'s own.
     fn tabu(
         dag: &Dag,
         machine: &BspParams,
         sched: &BspSchedule,
         cfg: &TabuConfig,
     ) -> (BspSchedule, u64, TabuStats) {
-        tabu_search(dag, machine, sched, cfg, 1, &mut Stop::new(None, None))
+        tabu_search(dag, machine, sched, cfg, &mut Stop::new(None, None))
     }
 
     fn quick_cfg() -> TabuConfig {

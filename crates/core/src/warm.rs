@@ -396,7 +396,6 @@ pub fn solve_warm_pipeline(
     cx: &mut SolveCx<'_>,
 ) -> PipelineResult {
     let _span = bsp_obs::trace::global().span("pipeline/warm", "pipeline");
-    let threads = cx.threads(cfg.threads);
 
     // Stage 1 — repair. Runs even under an expired deadline so that a
     // valid best-so-far exists (mirrors the cold pipeline's init stage).
@@ -414,7 +413,7 @@ pub fn solve_warm_pipeline(
     if !cx.check_expired() {
         cx.stage("hc", |cx| {
             let start = ScheduleState::new(dag, machine, &best.sched);
-            best.climb_from(start, cfg, threads, cx);
+            best.climb_from(start, cfg, cx);
             (best.cost, ())
         });
     }

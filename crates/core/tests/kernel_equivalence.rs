@@ -12,20 +12,22 @@
 //! from the walk that rebuilt every stage from the original DAG and the
 //! per-edge unbounded contractability search.
 
+mod kernel_reference;
+
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_core::hc::hill_climb;
 use bsp_core::multilevel::{coarsen, MultilevelConfig};
 use bsp_core::pipeline::{solve_multilevel_pipeline, PipelineConfig};
-use bsp_core::reference::{best_move_apply_revert, RefScheduleState};
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::{best_move, hill_climb_steepest};
 use bsp_core::tabu::{tabu_search, TabuConfig};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
-use bsp_dag::{Dag, TopoInfo};
+use bsp_dag::{Dag, DagBuilder, TopoInfo};
 use bsp_instance::InstanceRegistry;
 use bsp_model::{BspParams, NumaTopology};
 use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::BspSchedule;
+use kernel_reference::{best_move_apply_revert, RefScheduleState};
 
 /// A deliberately bad but valid start: topological level as superstep,
 /// round-robin processors — plenty of cross-processor traffic to descend
@@ -63,7 +65,7 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
     let start = spread_start(dag, machine.p() as u32);
 
     let mut st = ScheduleState::new(dag, machine, &start);
-    hill_climb_steepest(&mut st, 1, &mut Stop::new(None, None));
+    hill_climb_steepest(&mut st, &mut Stop::new(None, None));
     let steepest = st.cost();
 
     let tabu_cfg = TabuConfig {
@@ -72,14 +74,7 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
         tenure: 12,
         time_limit: None,
     };
-    let (_, tabu, _) = tabu_search(
-        dag,
-        machine,
-        &start,
-        &tabu_cfg,
-        1,
-        &mut Stop::new(None, None),
-    );
+    let (_, tabu, _) = tabu_search(dag, machine, &start, &tabu_cfg, &mut Stop::new(None, None));
 
     let anneal_cfg = AnnealConfig {
         max_steps: 8_000,
@@ -246,7 +241,7 @@ fn steepest_move_sequence_matches_apply_revert_reference() {
         let (n, p) = (dag.n() as u32, machine.p() as u32);
         let mut moves = 0usize;
         loop {
-            let a = best_move(&probed, 1).map(|(v, q, s, _)| (v, q, s));
+            let a = best_move(&probed).map(|(v, q, s, _)| (v, q, s));
             let b = best_move_apply_revert(&mut reference, n, p);
             assert_eq!(a, b, "kernels diverged after {moves} moves");
             let Some((v, q, s)) = a else { break };
@@ -259,4 +254,28 @@ fn steepest_move_sequence_matches_apply_revert_reference() {
         assert!(moves > 0, "instance too trivial to exercise the kernel");
         assert_eq!(probed.snapshot(), reference.snapshot());
     }
+}
+
+/// The reference's own incremental cost agrees with its full evaluation.
+#[test]
+fn reference_cost_matches_full_evaluation() {
+    let mut b = DagBuilder::new();
+    let a = b.add_node(1, 2);
+    let x = b.add_node(2, 3);
+    let y = b.add_node(3, 1);
+    let d = b.add_node(1, 1);
+    b.add_edge(a, x).unwrap();
+    b.add_edge(a, y).unwrap();
+    b.add_edge(x, d).unwrap();
+    b.add_edge(y, d).unwrap();
+    let dag = b.build().unwrap();
+    let machine = BspParams::new(2, 3, 5);
+    let sched = BspSchedule::from_parts(vec![0, 0, 1, 1], vec![0, 1, 1, 2]);
+    let mut st = RefScheduleState::new(&dag, &machine, &sched);
+    assert_eq!(st.cost(), st.recomputed_cost());
+    assert!(st.is_move_valid(3, 0, 2));
+    let c = st.apply_move(3, 0, 2);
+    assert_eq!(c, st.recomputed_cost());
+    let back = st.apply_move(3, 1, 2);
+    assert_eq!(back, st.recomputed_cost());
 }

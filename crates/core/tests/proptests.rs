@@ -7,12 +7,12 @@
 //! 3. every refinement stage is monotone (never returns something worse).
 
 mod hc_reference;
+mod kernel_reference;
 
 use bsp_core::hc::{hill_climb, hill_climb_from};
 use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
-use bsp_core::reference::RefScheduleState;
 use bsp_core::state::{ProcWindow, ScheduleState};
 use bsp_core::{place_appended, place_new_nodes, repair_precedence_from};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
@@ -24,6 +24,7 @@ use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::validity::{validate, validate_lazy};
 use bsp_schedule::BspSchedule;
 use hc_reference::hill_climb_reference;
+use kernel_reference::RefScheduleState;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -599,7 +600,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
-        let (comm, cost) = optimize_comm_schedule(&dag, &machine, &sched, 1, &mut Stop::new(None, Some(300)));
+        let (comm, cost) = optimize_comm_schedule(&dag, &machine, &sched, &mut Stop::new(None, Some(300)));
         prop_assert!(validate(&dag, machine.p(), &sched, &comm).is_ok());
         prop_assert_eq!(cost, total_cost(&dag, &machine, &sched, &comm));
         prop_assert!(cost <= lazy_cost(&dag, &machine, &sched));
@@ -672,7 +673,7 @@ proptest! {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost();
-        hill_climb_steepest(&mut st, 1, &mut Stop::new(None, Some(40)));
+        hill_climb_steepest(&mut st, &mut Stop::new(None, Some(40)));
         prop_assert!(st.cost() <= before);
         prop_assert_eq!(st.cost(), st.recomputed_cost());
         prop_assert!(validate_lazy(&dag, machine.p(), &st.snapshot()).is_ok());
@@ -714,11 +715,11 @@ proptest! {
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let input = lazy_cost(&dag, &machine, &sched);
         let cfg = TabuConfig { max_iters: 60, stall_limit: 25, time_limit: None, tenure: 8 };
-        let (best, cost, _) = tabu_search(&dag, &machine, &sched, &cfg, 1, &mut Stop::new(None, None));
+        let (best, cost, _) = tabu_search(&dag, &machine, &sched, &cfg, &mut Stop::new(None, None));
         prop_assert!(cost <= input);
         prop_assert_eq!(cost, lazy_cost(&dag, &machine, &best));
         prop_assert!(validate_lazy(&dag, machine.p(), &best).is_ok());
-        let (best2, cost2, _) = tabu_search(&dag, &machine, &sched, &cfg, 1, &mut Stop::new(None, None));
+        let (best2, cost2, _) = tabu_search(&dag, &machine, &sched, &cfg, &mut Stop::new(None, None));
         prop_assert_eq!(cost, cost2);
         prop_assert_eq!(best, best2);
     }

@@ -105,7 +105,7 @@ pub fn ablation_local_search(cfg: &RunConfig) {
         });
         let steepest = timed(&|| {
             let mut st = ScheduleState::new(&inst.dag, &machine, &start);
-            hill_climb_steepest(&mut st, 1, &mut stop());
+            hill_climb_steepest(&mut st, &mut stop());
             st.cost()
         });
         let anneal = timed(&|| {
@@ -114,7 +114,7 @@ pub fn ablation_local_search(cfg: &RunConfig) {
         });
         let tabu = timed(&|| {
             let tc = TabuConfig::default();
-            tabu_search(&inst.dag, &machine, &start, &tc, 1, &mut stop()).1
+            tabu_search(&inst.dag, &machine, &start, &tc, &mut stop()).1
         });
         Row {
             init,

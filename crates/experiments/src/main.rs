@@ -49,7 +49,51 @@ mod runner;
 mod serve_cmd;
 mod tables;
 
+use runner::RunConfig;
 use std::env;
+
+/// Every experiment id but `all`, with what it runs.
+const EXPERIMENTS: &[(&str, fn(&RunConfig))] = &[
+    ("table1", tables::table1),
+    ("table2", tables::table2),
+    ("table3", tables::table3_and_14),
+    ("table4", tables::table4_and_5),
+    ("table5", tables::table4_and_5),
+    ("table6", tables::table6),
+    ("table7", tables::table7_and_8),
+    ("table8", tables::table7_and_8),
+    ("table9", tables::table9),
+    ("table10", tables::table10),
+    ("table11", tables::table11_and_fig7),
+    ("table12", tables::table12),
+    ("table13", tables::table3_and_14),
+    ("table14", tables::table3_and_14),
+    ("fig5", tables::fig5),
+    ("fig6", tables::fig6),
+    ("fig7", tables::table11_and_fig7),
+    ("trivial", tables::trivial_counts),
+    ("registry", tables::registry_overview),
+    ("solve", tables::solve_specs),
+    ("serve", serve_cmd::serve),
+    ("chaos", chaos_cmd::chaos),
+    ("online", online_cmd::online),
+    ("memory", memory::memory_sweep),
+    ("ablation", ablations::all),
+    ("ablation-ls", ablations::ablation_local_search),
+    ("ablation-est", ablations::ablation_numa_est),
+    ("ablation-presolve", ablations::ablation_presolve),
+    ("ablation-auto", ablations::ablation_auto),
+    ("ablation-cluster", ablations::ablation_cluster),
+];
+
+/// What `--help` prints: this file's module docs.
+fn usage() -> String {
+    include_str!("main.rs")
+        .lines()
+        .map_while(|l| l.strip_prefix("//!"))
+        .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+        .collect()
+}
 
 /// The value of the value-taking flag at `args[*i]`, advancing `i` onto
 /// it; a flag given last on the line aborts with its name.
@@ -63,10 +107,14 @@ fn value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut id: Option<String> = None;
-    let mut cfg = runner::RunConfig::default();
+    let mut cfg = RunConfig::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "-h" | "--help" => {
+                print!("{}", usage());
+                return;
+            }
             "--scale" => {
                 cfg.scale = value(&args, &mut i).parse().expect("--scale takes a float");
             }
@@ -106,6 +154,15 @@ fn main() {
         i += 1;
     }
     let id = id.unwrap_or_else(|| "all".to_string());
+    let experiment = |name: &str| EXPERIMENTS.iter().find(|(known, _)| *known == name);
+    if id != "all" && experiment(&id).is_none() {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|&(known, _)| known).collect();
+        eprintln!(
+            "unknown experiment id: {id}\nknown ids: all {}",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
     // Reject flag/command combinations that would otherwise be silently
     // ignored.
     if !cfg.scheds.is_empty() && !matches!(id.as_str(), "registry" | "solve" | "memory") {
@@ -141,39 +198,8 @@ fn main() {
 
     let run = |name: &str| {
         println!("\n================ {name} ================");
-        match name {
-            "table1" => tables::table1(&cfg),
-            "table2" => tables::table2(&cfg),
-            "table3" => tables::table3_and_14(&cfg),
-            "table4" => tables::table4_and_5(&cfg),
-            "table5" => tables::table4_and_5(&cfg),
-            "table6" => tables::table6(&cfg),
-            "table7" => tables::table7_and_8(&cfg),
-            "table8" => tables::table7_and_8(&cfg),
-            "table9" => tables::table9(&cfg),
-            "table10" => tables::table10(&cfg),
-            "table11" => tables::table11_and_fig7(&cfg),
-            "table12" => tables::table12(&cfg),
-            "table13" => tables::table3_and_14(&cfg),
-            "table14" => tables::table3_and_14(&cfg),
-            "fig5" => tables::fig5(&cfg),
-            "fig6" => tables::fig6(&cfg),
-            "fig7" => tables::table11_and_fig7(&cfg),
-            "trivial" => tables::trivial_counts(&cfg),
-            "registry" => tables::registry_overview(&cfg),
-            "solve" => tables::solve_specs(&cfg),
-            "serve" => serve_cmd::serve(&cfg),
-            "chaos" => chaos_cmd::chaos(&cfg),
-            "online" => online_cmd::online(&cfg),
-            "memory" => memory::memory_sweep(&cfg),
-            "ablation" => ablations::all(&cfg),
-            "ablation-ls" => ablations::ablation_local_search(&cfg),
-            "ablation-est" => ablations::ablation_numa_est(&cfg),
-            "ablation-presolve" => ablations::ablation_presolve(&cfg),
-            "ablation-auto" => ablations::ablation_auto(&cfg),
-            "ablation-cluster" => ablations::ablation_cluster(&cfg),
-            other => panic!("unknown experiment id: {other}"),
-        }
+        let (_, run) = experiment(name).expect("ids are checked before any header");
+        run(&cfg);
     };
 
     if id == "all" {

@@ -212,15 +212,12 @@ pub fn pipeline_config(n: usize, opts: &EvalOptions) -> PipelineConfig {
             full_max_vars: 900,
             part_target_vars: 400,
             limits: bsp_ilp_limits(n),
-            part_rounds: 1,
             use_presolve: true,
         },
         enable_ilp,
         use_ilp_init: Some(false), // run explicitly where tables need it
         escape: None,
-        // Sweeps parallelize across instances (one solve per worker), so
-        // in-solve scans stay sequential rather than oversubscribing.
-        threads: 1,
+        ..PipelineConfig::default()
     }
 }
 

@@ -56,8 +56,8 @@
 //!    batch arrivals).
 //!
 //! Commitment is deliberately conservative: the frontier trails the last
-//! superstep by [`OnlineConfig::commit_lag`] and never overtakes the
-//! [`OnlineConfig::reveal_guard`] most recent arrivals, so a
+//! superstep by [`COMMIT_LAG`] and never overtakes the
+//! [`REVEAL_GUARD`] most recent arrivals, so a
 //! late-revealed edge (bounded by
 //! [`bsp_instance::trace::MAX_REVEAL_DELAY`]) always lands on a
 //! still-tentative consumer. A trace that violates the bound anyway is
@@ -95,5 +95,5 @@ pub mod scheduler;
 
 pub use scheduler::{
     replay, BatchReport, OnlineConfig, OnlineError, OnlineOutcome, OnlineScheduler, OnlineStats,
-    SuffixView,
+    SuffixView, COMMIT_LAG, REVEAL_GUARD,
 };

@@ -74,22 +74,21 @@ pub struct OnlineConfig {
     /// Accepted-move cap per arrival (the deterministic half of the work
     /// budget); `None` = wall-clock only.
     pub moves_per_arrival: Option<usize>,
-    /// How many trailing supersteps stay tentative when the frontier
-    /// advances: after a re-plan the frontier moves to
-    /// `n_supersteps − commit_lag` (but see `reveal_guard`).
-    pub commit_lag: u32,
-    /// The frontier never overtakes the supersteps of this many most
-    /// recent arrivals, so late edge reveals (bounded by
-    /// [`MAX_REVEAL_DELAY`] arrivals) always land on tentative
-    /// consumers. Must exceed the trace's reveal delay bound.
-    pub reveal_guard: usize,
     /// Pipeline configuration for the suffix hill climb (ILP off by
     /// default — per-arrival budgets are far below ILP scale).
     pub pipeline: PipelineConfig,
-    /// Optimize the communication schedule once at finalize (node
-    /// assignments are not touched, so the committed prefix is safe).
-    pub final_polish: bool,
 }
+
+/// How many trailing supersteps stay tentative when the frontier
+/// advances: after a re-plan the frontier moves to
+/// `n_supersteps − COMMIT_LAG` (but see [`REVEAL_GUARD`]).
+pub const COMMIT_LAG: u32 = 2;
+
+/// The frontier never overtakes the supersteps of this many most recent
+/// arrivals, so late edge reveals (bounded by [`MAX_REVEAL_DELAY`]
+/// arrivals) always land on tentative consumers. Exceeds the trace's
+/// reveal delay bound.
+pub const REVEAL_GUARD: usize = 2 * MAX_REVEAL_DELAY as usize;
 
 impl Default for OnlineConfig {
     fn default() -> Self {
@@ -97,13 +96,10 @@ impl Default for OnlineConfig {
             batch_size: 8,
             budget_per_arrival: Duration::from_millis(2),
             moves_per_arrival: Some(64),
-            commit_lag: 2,
-            reveal_guard: 2 * MAX_REVEAL_DELAY as usize,
             pipeline: PipelineConfig {
                 enable_ilp: false,
                 ..PipelineConfig::default()
             },
-            final_polish: true,
         }
     }
 }
@@ -218,8 +214,7 @@ pub struct OnlineOutcome {
     pub dag: Dag,
     /// Final assignment over `dag`'s ids.
     pub sched: BspSchedule,
-    /// Final communication schedule (polished iff
-    /// [`OnlineConfig::final_polish`]).
+    /// Final communication schedule, HCcs-polished once at finalize.
     pub comm: CommSchedule,
     /// Final total cost under `comm`.
     pub cost: u64,
@@ -507,7 +502,7 @@ impl OnlineScheduler {
         self.tables = state.detach();
 
         self.recent.extend(n0..self.dag.n() as NodeId);
-        let excess = self.recent.len().saturating_sub(self.cfg.reveal_guard);
+        let excess = self.recent.len().saturating_sub(REVEAL_GUARD);
         self.recent.drain(..excess);
         self.advance_frontier();
         Ok(self.report(t0, &pending, &suffix, truncated))
@@ -597,14 +592,11 @@ impl OnlineScheduler {
     }
 
     /// Advances the commit frontier: trail the last superstep by
-    /// `commit_lag`, but never overtake the `reveal_guard` most recent
+    /// [`COMMIT_LAG`], but never overtake the [`REVEAL_GUARD`] most recent
     /// arrivals (their supersteps may still gain revealed edges). The
     /// frontier is monotone.
     fn advance_frontier(&mut self) {
-        let lag = self
-            .tables
-            .n_supersteps()
-            .saturating_sub(self.cfg.commit_lag);
+        let lag = self.tables.n_supersteps().saturating_sub(COMMIT_LAG);
         let sched = self.tables.schedule();
         let guard = self
             .recent
@@ -642,16 +634,14 @@ impl OnlineScheduler {
         let sched = self.tables.schedule();
         let mut comm = CommSchedule::lazy(&self.dag, sched);
         let mut cost = lazy_cost(&self.dag, &self.machine, sched);
-        if self.cfg.final_polish && self.dag.n() > 0 {
+        if self.dag.n() > 0 {
             // Γ-only optimization: node assignments are untouched, so the
             // committed prefix is preserved by construction.
-            let threads = bsp_par_threads(&self.cfg.pipeline);
             let hccs = &self.cfg.pipeline.hccs;
             let (cand_comm, cand_cost) = optimize_comm_schedule(
                 &self.dag,
                 &self.machine,
                 sched,
-                threads,
                 &mut Stop::new(hccs.time_limit, hccs.max_moves),
             );
             if cand_cost < cost {
@@ -693,12 +683,6 @@ fn solve_suffix(
     let mut cx = SolveCx::new("online", &req);
     let suffix = solve_warm_suffix(state, frontier, &cfg.pipeline, &mut cx);
     (suffix, cx.check_expired())
-}
-
-/// Resolves the pipeline's worker-thread knob the same way the cold
-/// pipelines do (`0` = auto-detect).
-fn bsp_par_threads(cfg: &PipelineConfig) -> usize {
-    bsp_par::resolve_threads(cfg.threads)
 }
 
 /// Replays a full trace against `machine`: pushes every event through an

@@ -25,7 +25,6 @@ fn cfg(batch_size: usize) -> OnlineConfig {
     cfg.batch_size = batch_size;
     cfg.budget_per_arrival = Duration::from_secs(60);
     cfg.moves_per_arrival = Some(16);
-    cfg.pipeline.threads = 1;
     cfg
 }
 

@@ -8,7 +8,6 @@
 #![allow(dead_code)]
 
 use bsp_core::hccs::optimize_comm_schedule;
-use bsp_core::pipeline::PipelineConfig;
 use bsp_core::{
     place_new_nodes, repair_precedence_from, solve_warm_suffix, ScheduleState, SuffixOutcome,
 };
@@ -16,7 +15,10 @@ use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_instance::trace::ArrivalEvent;
 use bsp_instance::{apply_edits, DagEdit};
 use bsp_model::BspParams;
-use bsp_online::{BatchReport, OnlineConfig, OnlineError, OnlineOutcome, OnlineStats, SuffixView};
+use bsp_online::{
+    BatchReport, OnlineConfig, OnlineError, OnlineOutcome, OnlineStats, SuffixView, COMMIT_LAG,
+    REVEAL_GUARD,
+};
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::prefix::validate_prefix;
 use bsp_schedule::solve::{Budget, SolveCx, SolveRequest, Stop};
@@ -250,7 +252,7 @@ impl RefScheduler {
             }
             self.recent.push_back(v);
         }
-        while self.recent.len() > self.cfg.reveal_guard {
+        while self.recent.len() > REVEAL_GUARD {
             self.recent.pop_front();
         }
         let repaired =
@@ -308,14 +310,11 @@ impl RefScheduler {
     }
 
     /// Advances the commit frontier: trail the last superstep by
-    /// `commit_lag`, but never overtake the `reveal_guard` most recent
+    /// `COMMIT_LAG`, but never overtake the `REVEAL_GUARD` most recent
     /// arrivals (their supersteps may still gain revealed edges). The
     /// frontier is monotone.
     fn advance_frontier(&mut self) {
-        let lag = self
-            .sched
-            .n_supersteps()
-            .saturating_sub(self.cfg.commit_lag);
+        let lag = self.sched.n_supersteps().saturating_sub(COMMIT_LAG);
         let guard = self
             .recent
             .iter()
@@ -362,16 +361,14 @@ impl RefScheduler {
 
         let mut comm = CommSchedule::lazy(&self.dag, &self.sched);
         let mut cost = lazy_cost(&self.dag, &self.machine, &self.sched);
-        if self.cfg.final_polish && self.dag.n() > 0 {
+        if self.dag.n() > 0 {
             // Γ-only optimization: node assignments are untouched, so the
             // committed prefix is preserved by construction.
-            let threads = bsp_par_threads(&self.cfg.pipeline);
             let hccs = &self.cfg.pipeline.hccs;
             let (cand_comm, cand_cost) = optimize_comm_schedule(
                 &self.dag,
                 &self.machine,
                 &self.sched,
-                threads,
                 &mut Stop::new(hccs.time_limit, hccs.max_moves),
             );
             if cand_cost < cost {
@@ -393,10 +390,4 @@ impl RefScheduler {
         });
         Ok(last)
     }
-}
-
-/// Resolves the pipeline's worker-thread knob the same way the cold
-/// pipelines do (`0` = auto-detect).
-fn bsp_par_threads(cfg: &PipelineConfig) -> usize {
-    bsp_par::resolve_threads(cfg.threads)
 }

@@ -95,14 +95,11 @@ proptest! {
         dag in arb_dag(),
         tcfg in arb_trace_cfg(),
         pi in 0usize..2,
-        ti in 0usize..2,
     ) {
         let p = [2usize, 4][pi];
-        let threads = [1usize, 4][ti];
         let machine = BspParams::new(p, 1, 3);
         let trace = arrival_trace(&dag, "prop", &tcfg);
-        let mut cfg = test_cfg();
-        cfg.pipeline.threads = threads;
+        let cfg = test_cfg();
         let mut sch = OnlineScheduler::new(&machine, cfg.clone()).unwrap();
         let mut frontier = 0u32;
         for ev in &trace.events {
@@ -159,30 +156,6 @@ fn replay_equals_manual_pushes() {
     assert_eq!(a.cost, b.cost);
     assert_eq!(a.sched, b.sched);
     assert_eq!(a.ext_ids, b.ext_ids);
-}
-
-#[test]
-fn thread_count_does_not_change_the_replayed_schedule() {
-    let dag = random_layered_dag(
-        23,
-        LayeredConfig {
-            layers: 4,
-            width: 4,
-            edge_prob: 0.35,
-            max_work: 6,
-            max_comm: 4,
-        },
-    );
-    let machine = BspParams::new(4, 2, 4);
-    let trace = arrival_trace(&dag, "threads", &TraceConfig::default());
-    let mut one = test_cfg();
-    one.pipeline.threads = 1;
-    let mut four = test_cfg();
-    four.pipeline.threads = 4;
-    let a = replay(&trace, &machine, &one).unwrap();
-    let b = replay(&trace, &machine, &four).unwrap();
-    assert_eq!(a.cost, b.cost);
-    assert_eq!(a.sched, b.sched);
 }
 
 #[test]
@@ -264,8 +237,8 @@ fn fnv_assignment(sched: &bsp_schedule::BspSchedule) -> u64 {
 
 /// Replays captured at the commit before sweep pruning and the re-plan
 /// restructuring (PR 14's parent): `(cost, fnv(π ‖ τ), Σ hc_moves,
-/// replans)` per `(instance, order)`, identical at 1 and 4 threads. Only
-/// the move cap binds, so every number repeats on any machine.
+/// replans)` per `(instance, order)`. Only the move cap binds, so every
+/// number repeats on any machine.
 #[test]
 fn pinned_replays_are_bit_identical() {
     let numa = "bsp?p=4&g=2&numa=tree&delta=3";
@@ -285,25 +258,16 @@ fn pinned_replays_are_bit_identical() {
                 ..TraceConfig::default()
             };
             let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
-            let mut per_thread = Vec::new();
-            for threads in [1usize, 4] {
-                let mut cfg = OnlineConfig::default();
-                cfg.budget_per_arrival = Duration::from_secs(60);
-                cfg.pipeline.threads = threads;
-                let out = replay(&trace, &inst.machine, &cfg).unwrap();
-                let moves: u64 = out.stats.batches.iter().map(|b| b.hc_moves).sum();
-                per_thread.push((
-                    out.cost,
-                    fnv_assignment(&out.sched),
-                    moves,
-                    out.stats.replans,
-                ));
-            }
-            assert_eq!(
-                per_thread[0], per_thread[1],
-                "{spec} {order}: threads changed the replay"
-            );
-            got.push(per_thread[0]);
+            let mut cfg = OnlineConfig::default();
+            cfg.budget_per_arrival = Duration::from_secs(60);
+            let out = replay(&trace, &inst.machine, &cfg).unwrap();
+            let moves: u64 = out.stats.batches.iter().map(|b| b.hc_moves).sum();
+            got.push((
+                out.cost,
+                fnv_assignment(&out.sched),
+                moves,
+                out.stats.replans,
+            ));
         }
     }
     assert_eq!(
@@ -352,7 +316,6 @@ fn pinned_replays_batch_by_batch() {
                 let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
                 let mut cfg = OnlineConfig::default();
                 cfg.budget_per_arrival = Duration::from_secs(60);
-                cfg.pipeline.threads = 1;
                 let out = replay(&trace, &inst.machine, &cfg).unwrap();
                 assert_eq!(out.stats.reveals > 0, reveal_frac > 0.0);
                 let per_batch = out

@@ -1,40 +1,35 @@
-//! Std-only scoped-thread parallel runtime for the scheduling workspace.
+//! Std-only scoped-thread job runner and cancellation token for the
+//! scheduling workspace.
 //!
-//! Every parallel code path in the workspace — the sharded local-search
-//! neighbourhood scans, the portfolio-racing scheduler, and the experiment
-//! sweeps — runs on the primitives in this crate, which are built entirely
-//! on [`std::thread::scope`]: no external dependency, no global thread
-//! pool, no unsafe code. Work is distributed over a *chunked atomic
-//! cursor* (workers repeatedly claim the next chunk index), results are
-//! returned **in chunk order** so deterministic reductions are trivial,
-//! and a panicking worker propagates its panic to the caller at join.
+//! Threads in this workspace run *between* solves, never inside a search:
+//! the experiment sweeps fan independent instances out over
+//! [`parallel_map`], the portfolio racer (`race/…`) runs one racer per
+//! thread, and `bsp-serve` keeps a worker pool. The local searches
+//! themselves are sequential walks (paper §5, A.3). [`parallel_map`] is
+//! built entirely on [`std::thread::scope`]: no external dependency, no
+//! global thread pool, no unsafe code. Jobs are claimed through an atomic
+//! cursor, results are returned **in job order**, and a panicking worker
+//! propagates its panic to the caller at join.
 //!
-//! Thread-count conventions, shared by every consumer:
-//!
-//! * `threads == 0` means "auto": [`resolve_threads`] replaces it with
-//!   [`detect_threads`] (the machine's available parallelism).
-//! * `threads == 1` is always the plain sequential path — no threads are
-//!   spawned, so single-threaded callers pay nothing.
-//! * The `BSP_THREADS` environment variable ([`env_threads`]) provides a
-//!   process-wide default ([`default_threads`]) used by configuration
-//!   defaults, so e.g. `BSP_THREADS=4 cargo test` exercises the parallel
-//!   paths without touching any call site.
+//! One thread-count convention, shared by every consumer:
+//! [`resolve_threads`] replaces `0` with [`detect_threads`] (the machine's
+//! available parallelism) and takes anything else literally; `1` is
+//! always the plain sequential path — no threads are spawned.
 //!
 //! Cooperative cancellation uses [`CancelToken`], a shared atomic flag
 //! with optional parent chaining: cancelling a parent cancels every child
 //! token derived from it, while a child can be cancelled without touching
 //! its siblings — exactly the shape portfolio racing needs.
 //!
-//! Panic isolation: every chunk body in the threaded paths runs under
-//! `catch_unwind`, so a panicking chunk never tears down the scoped pool
-//! mid-flight. Siblings drain quickly via a shared abort flag, the panic
-//! from the **lowest** chunk index is re-raised at join (deterministic
-//! regardless of worker interleaving), and `bsp_par_chunk_panics_total`
-//! counts every caught chunk panic. Callers still observe "a worker panic
-//! propagates", but the pool itself always joins cleanly first.
+//! Panic isolation: every job body in a sweep runs under `catch_unwind`,
+//! so a panicking job never tears down the scoped pool mid-flight.
+//! Siblings drain quickly via a shared abort flag, the panic from the
+//! **lowest** job index is re-raised at join (deterministic regardless of
+//! worker interleaving), and `bsp_par_chunk_panics_total` counts every
+//! caught panic. Callers still observe "a worker panic propagates", but
+//! the pool itself always joins cleanly first.
 
 use std::any::Any;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -137,14 +132,8 @@ pub fn detect_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// The `BSP_THREADS` environment override, if set and parseable. `0` is
-/// accepted and means "auto-detect" (see [`resolve_threads`]).
-pub fn env_threads() -> Option<usize> {
-    std::env::var("BSP_THREADS").ok()?.trim().parse().ok()
-}
-
 /// Resolves a requested thread count: `0` means auto-detect, anything
-/// else is taken literally.
+/// else is taken literally. The workspace's only resolution rule.
 ///
 /// ```
 /// assert_eq!(bsp_par::resolve_threads(3), 3);
@@ -156,15 +145,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// The process-wide default thread count for configuration defaults:
-/// `BSP_THREADS` (resolved through [`resolve_threads`]) when set,
-/// otherwise 1 (sequential). Deliberately *not* auto-detecting: parallel
-/// scans are opt-in via explicit configuration, a CLI flag, or the
-/// environment, so default runs stay reproducible on any machine.
-pub fn default_threads() -> usize {
-    env_threads().map(resolve_threads).unwrap_or(1)
 }
 
 /// A shared cooperative-cancellation flag with optional parent chaining.
@@ -216,177 +196,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
-}
-
-/// Splits `0..n_items` into chunks of `chunk_size`, runs `f` on every
-/// chunk across `threads` scoped workers (chunks are claimed through an
-/// atomic cursor), and returns the per-chunk results **in chunk order** —
-/// so folding the returned vector left-to-right is bit-identical to a
-/// sequential pass, regardless of which worker ran which chunk. With
-/// `threads <= 1` no thread is spawned. A worker panic propagates to the
-/// caller.
-///
-/// ```
-/// // Deterministic parallel min: fold chunk results in chunk order.
-/// let data: Vec<u64> = (0..1000).map(|i| (i * 7919) % 101).collect();
-/// let partials = bsp_par::par_chunks(4, data.len(), 64, |r| {
-///     data[r].iter().copied().min()
-/// });
-/// let m = partials.into_iter().flatten().min();
-/// assert_eq!(m, data.iter().copied().min());
-/// ```
-pub fn par_chunks<R, F>(threads: usize, n_items: usize, chunk_size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let chunk = chunk_size.max(1);
-    let n_chunks = n_items.div_ceil(chunk);
-    let threads = resolve_threads(threads).min(n_chunks.max(1));
-    if threads <= 1 {
-        return (0..n_chunks)
-            .map(|c| f(c * chunk..((c + 1) * chunk).min(n_items)))
-            .collect();
-    }
-    let metrics = par_metrics();
-    metrics.scopes.inc();
-    metrics.chunks.add(n_chunks as u64);
-    let plan = bsp_faults::current();
-    let panics = PanicSlot::new();
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let began = std::time::Instant::now();
-                    let mut local = Vec::new();
-                    loop {
-                        if panics.aborted() {
-                            break;
-                        }
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        match run_chunk(&plan, || f(lo..(lo + chunk).min(n_items))) {
-                            Ok(r) => local.push((c, r)),
-                            Err(payload) => {
-                                panics.record(c, payload);
-                                break;
-                            }
-                        }
-                    }
-                    metrics.busy.add(us_since(began));
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("bsp-par worker died outside a chunk body"))
-            .collect()
-    });
-    panics.resume();
-    tagged.sort_unstable_by_key(|&(c, _)| c);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Parallel first-improvement search: finds the **lowest** index `i` in
-/// `0..n_items` for which `f(i)` is `Some`, exactly as a sequential scan
-/// would, but probing chunks on `threads` workers. Workers share the best
-/// index found so far and skip chunks (and suffixes of chunks) that cannot
-/// beat it, so the early-exit behaviour of sequential first-improvement is
-/// preserved in spirit while the *result* is preserved exactly.
-///
-/// ```
-/// let hit = bsp_par::par_find_first(4, 1000, 32, |i| (i >= 123).then_some(i * 2));
-/// assert_eq!(hit, Some((123, 246)));
-/// assert_eq!(bsp_par::par_find_first(4, 50, 8, |_| None::<()>), None);
-/// ```
-pub fn par_find_first<R, F>(
-    threads: usize,
-    n_items: usize,
-    chunk_size: usize,
-    f: F,
-) -> Option<(usize, R)>
-where
-    R: Send,
-    F: Fn(usize) -> Option<R> + Sync,
-{
-    let chunk = chunk_size.max(1);
-    let threads = resolve_threads(threads);
-    if threads <= 1 || n_items <= chunk {
-        return (0..n_items).find_map(|i| f(i).map(|r| (i, r)));
-    }
-    let n_chunks = n_items.div_ceil(chunk);
-    let threads = threads.min(n_chunks);
-    let metrics = par_metrics();
-    metrics.scopes.inc();
-    metrics.chunks.add(n_chunks as u64);
-    let plan = bsp_faults::current();
-    let panics = PanicSlot::new();
-    let cursor = AtomicUsize::new(0);
-    let best_idx = AtomicUsize::new(usize::MAX);
-    let mut hits: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let began = std::time::Instant::now();
-                    let mut local: Option<(usize, R)> = None;
-                    loop {
-                        if panics.aborted() {
-                            break;
-                        }
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        // Chunks are claimed in ascending order, so once the
-                        // chunk start passes the best hit no later chunk can
-                        // improve on it.
-                        if lo > best_idx.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let scanned = run_chunk(&plan, || {
-                            for i in lo..(lo + chunk).min(n_items) {
-                                if i > best_idx.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                if let Some(r) = f(i) {
-                                    best_idx.fetch_min(i, Ordering::Relaxed);
-                                    return Some((i, r));
-                                }
-                            }
-                            None
-                        });
-                        match scanned {
-                            Ok(Some((i, r))) => {
-                                if local.as_ref().is_none_or(|&(j, _)| i < j) {
-                                    local = Some((i, r));
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(payload) => {
-                                panics.record(c, payload);
-                                break;
-                            }
-                        }
-                    }
-                    metrics.busy.add(us_since(began));
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("bsp-par worker died outside a chunk body"))
-            .collect()
-    });
-    panics.resume();
-    hits.sort_unstable_by_key(|&(i, _)| i);
-    hits.into_iter().next()
 }
 
 /// Runs `f` over `jobs` on `threads` scoped workers, preserving job order
@@ -460,48 +269,9 @@ mod tests {
     #[test]
     fn resolve_and_defaults() {
         assert_eq!(resolve_threads(5), 5);
-        assert!(resolve_threads(0) >= 1);
+        assert_eq!(resolve_threads(1), 1);
+        assert_eq!(resolve_threads(0), detect_threads());
         assert!(detect_threads() >= 1);
-        // default_threads is 1 or the BSP_THREADS override; never 0.
-        assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn par_chunks_returns_chunk_order_at_every_thread_count() {
-        for threads in [1, 2, 3, 8] {
-            let ids = par_chunks(threads, 103, 10, |r| r.start);
-            let expected: Vec<usize> = (0..11).map(|c| c * 10).collect();
-            assert_eq!(ids, expected, "threads={threads}");
-        }
-        assert!(par_chunks(4, 0, 16, |r| r.len()).is_empty());
-    }
-
-    #[test]
-    fn par_chunks_min_reduce_matches_sequential() {
-        let data: Vec<i64> = (0..997)
-            .map(|i| ((i * 2654435761u64) % 4093) as i64 - 2000)
-            .collect();
-        let seq = data.iter().copied().min();
-        for threads in [2, 3, 8] {
-            let partials = par_chunks(threads, data.len(), 37, |r| data[r].iter().copied().min());
-            assert_eq!(partials.into_iter().flatten().min(), seq);
-        }
-    }
-
-    #[test]
-    fn par_find_first_matches_sequential_scan() {
-        // Several hits: the lowest index must win at any thread count.
-        let hit = |i: usize| (i % 97 == 13).then_some(i);
-        let seq = (0..5000).find_map(|i| hit(i).map(|r| (i, r)));
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                par_find_first(threads, 5000, 64, hit),
-                seq,
-                "threads={threads}"
-            );
-        }
-        assert_eq!(par_find_first(8, 5000, 64, |_| None::<usize>), None);
-        assert_eq!(par_find_first(8, 0, 64, Some), None);
     }
 
     #[test]
@@ -517,11 +287,11 @@ mod tests {
     #[test]
     fn worker_panics_propagate() {
         let caught = std::panic::catch_unwind(|| {
-            par_chunks(4, 100, 8, |r| {
-                if r.contains(&50) {
+            parallel_map(4, (0..100usize).collect(), |&i| {
+                if i == 50 {
                     panic!("boom");
                 }
-                r.len()
+                i
             })
         });
         assert!(caught.is_err());
@@ -529,16 +299,16 @@ mod tests {
 
     #[test]
     fn lowest_chunk_panic_wins_and_pool_survives() {
-        // Two chunks panic with distinct payloads; the re-raised payload
-        // must be the lowest chunk's regardless of worker interleaving,
+        // Two jobs panic with distinct payloads; the re-raised payload
+        // must be the lowest job's regardless of worker interleaving,
         // and the scope must join cleanly enough to run again right after.
         for _ in 0..20 {
             let caught = std::panic::catch_unwind(|| {
-                par_chunks(4, 100, 10, |r| {
-                    if r.start == 30 || r.start == 70 {
-                        panic!("chunk-{}", r.start);
+                parallel_map(4, (0..10usize).collect(), |&i| {
+                    if i == 3 || i == 7 {
+                        panic!("job-{i}");
                     }
-                    r.len()
+                    i
                 })
             });
             let payload = caught.expect_err("must propagate");
@@ -546,10 +316,10 @@ mod tests {
                 .downcast_ref::<String>()
                 .cloned()
                 .unwrap_or_default();
-            assert_eq!(msg, "chunk-30", "lowest chunk index must win");
+            assert_eq!(msg, "job-3", "lowest job index must win");
             // The pool is reusable immediately after a panic.
-            let ok = par_chunks(4, 50, 5, |r| r.len());
-            assert_eq!(ok.iter().sum::<usize>(), 50);
+            let ok = parallel_map(4, (0..10usize).collect(), |&i| i);
+            assert_eq!(ok.iter().sum::<usize>(), 45);
         }
     }
 
@@ -559,12 +329,13 @@ mod tests {
             bsp_faults::FaultPlan::parse("faults?seed=3&panic=1.0&only=par&max=1").unwrap(),
         );
         let _guard = bsp_faults::install(plan.clone());
-        let caught = std::panic::catch_unwind(|| par_chunks(2, 40, 10, |r| r.len()));
+        let jobs = || (0..4usize).collect::<Vec<_>>();
+        let caught = std::panic::catch_unwind(|| parallel_map(2, jobs(), |&i| i));
         assert!(caught.is_err(), "injected panic must surface at join");
         assert_eq!(plan.injected_total(), 1);
         // max=1 exhausted: the very next scope runs clean under the same plan.
-        let ok = par_chunks(2, 40, 10, |r| r.len());
-        assert_eq!(ok.iter().sum::<usize>(), 40);
+        let ok = parallel_map(2, jobs(), |&i| i);
+        assert_eq!(ok.iter().sum::<usize>(), 6);
     }
 
     #[test]

@@ -212,12 +212,6 @@ pub struct SolveRequest<'a> {
     /// streams, simulated annealing); `0` reproduces the scheduler's
     /// configured seeds.
     pub seed: u64,
-    /// Worker-thread override for the scheduler's parallel scans: `None`
-    /// defers to the scheduler's own configuration, `Some(0)` auto-detects
-    /// ([`bsp_par::detect_threads`]), `Some(n)` requests exactly `n`.
-    /// Parallel scans are bit-identical to sequential ones, so this knob
-    /// never changes the computed schedule — only the wall-clock.
-    pub threads: Option<usize>,
     /// Progress observer; defaults to [`NOOP_OBSERVER`].
     pub observer: &'a dyn Observer,
 }
@@ -230,7 +224,6 @@ impl<'a> SolveRequest<'a> {
             machine,
             budget: Budget::default(),
             seed: 0,
-            threads: None,
             observer: &NOOP_OBSERVER,
         }
     }
@@ -247,10 +240,9 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// This request with a worker-thread override for parallel scans
-    /// (`0` = auto-detect; see [`SolveRequest::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    /// Inert: returns `self`. Kept only because the repo benchmark
+    /// (`benchmark/`) calls it; goes with ROADMAP item 1(b).
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -406,7 +398,6 @@ pub struct SolveCx<'a> {
     /// The whole solve's limits; every search's [`Stop`] narrows this one.
     limits: Stop,
     ilp_override: Option<bool>,
-    threads_override: Option<usize>,
     seed: u64,
     stages: Vec<StageReport>,
     current: Option<(String, Instant)>,
@@ -426,7 +417,6 @@ impl<'a> SolveCx<'a> {
                 ..Stop::new(req.budget.deadline, req.budget.max_stage_moves)
             },
             ilp_override: req.budget.ilp,
-            threads_override: req.threads,
             seed: req.seed,
             stages: Vec::new(),
             current: None,
@@ -473,8 +463,8 @@ impl<'a> SolveCx<'a> {
     }
 
     /// The context of a solve nested inside this one (multilevel's coarse
-    /// runs): its own request — silent observer, default seed and thread
-    /// setting, its own stage reports — on the outer solve's clock: the
+    /// runs): its own request — silent observer, default seed, its own
+    /// stage reports — on the outer solve's clock: the
     /// same deadline, token, move cap and ILP switch.
     pub fn nested(&self, scheduler: &str) -> SolveCx<'static> {
         SolveCx {
@@ -483,7 +473,6 @@ impl<'a> SolveCx<'a> {
             start: Instant::now(),
             limits: self.limits.clone(),
             ilp_override: self.ilp_override,
-            threads_override: None,
             seed: 0,
             stages: Vec::new(),
             current: None,
@@ -495,13 +484,6 @@ impl<'a> SolveCx<'a> {
     /// the budget's override.
     pub fn ilp_enabled(&self, scheduler_default: bool) -> bool {
         self.ilp_override.unwrap_or(scheduler_default)
-    }
-
-    /// Resolves the effective worker-thread count for parallel scans from
-    /// the scheduler's default and the request's override; `0` on either
-    /// side auto-detects (see [`bsp_par::resolve_threads`]).
-    pub fn threads(&self, scheduler_default: usize) -> usize {
-        bsp_par::resolve_threads(self.threads_override.unwrap_or(scheduler_default))
     }
 
     /// The request's RNG seed.
@@ -753,17 +735,18 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_resolution() {
+    fn with_threads_is_inert() {
         let (dag, machine) = tiny();
-        // No override: the scheduler's default applies (0 = auto-detect).
-        let req = SolveRequest::new(&dag, &machine);
-        let cx = SolveCx::new("t", &req);
-        assert_eq!(cx.threads(3), 3);
-        assert!(cx.threads(0) >= 1);
-        // Override wins over the scheduler default.
-        let req = SolveRequest::new(&dag, &machine).with_threads(2);
-        let cx = SolveCx::new("t", &req);
-        assert_eq!(cx.threads(8), 2);
+        let solve = |req: SolveRequest<'_>| {
+            let sched = crate::BspSchedule::from_parts(vec![0, 1], vec![0, 1]);
+            let out = solve_single_stage("t", &req, || {
+                ScheduleResult::from_lazy(&dag, &machine, sched)
+            });
+            (out.total(), out.result.sched)
+        };
+        let plain = solve(SolveRequest::new(&dag, &machine));
+        let threaded = solve(SolveRequest::new(&dag, &machine).with_threads(8));
+        assert_eq!(plain, threaded, "cost and (π, τ)");
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use worker::Job;
 
 /// Locks a mutex, recovering from poisoning: a handler panic is already
@@ -74,9 +73,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServeConfig {
     /// Bind address; port `0` picks a free port (tests).
     pub addr: String,
-    /// Worker threads draining the job queue. `0` resolves through
-    /// `BSP_THREADS` ([`bsp_par::default_threads`]); an explicit `n` is
-    /// passed through [`bsp_par::resolve_threads`].
+    /// Worker threads draining the job queue (`--threads`); `0` =
+    /// auto-detect ([`bsp_par::resolve_threads`]).
     pub threads: usize,
     /// Job-queue capacity; pushes beyond it answer `queue_full`.
     pub queue_cap: usize,
@@ -99,9 +97,6 @@ pub struct ServeConfig {
     /// Prometheus exposition, `GET /trace` Chrome trace JSON). `None`
     /// (the default) disables the sidecar; port `0` picks a free port.
     pub metrics_addr: Option<String>,
-    /// Per-connection read timeout of the sidecar's HTTP handler, so a
-    /// slow scraper cannot hold a handler thread forever.
-    pub sidecar_read_timeout: Duration,
     /// Fault-injection spec (e.g. `"faults?seed=7&io_err=0.01"`); `None`
     /// (the default) disables injection entirely — the hooks are a single
     /// relaxed atomic load. Parsed at startup; a malformed spec fails
@@ -118,7 +113,7 @@ impl Default for ServeConfig {
         pipeline.enable_ilp = false;
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 0,
+            threads: 1,
             queue_cap: 64,
             store_path: None,
             store_cap: None,
@@ -127,23 +122,15 @@ impl Default for ServeConfig {
             pipeline,
             max_line: MAX_LINE,
             metrics_addr: None,
-            sidecar_read_timeout: Duration::from_secs(2),
             faults: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// The resolved worker-pool size: `0` → `BSP_THREADS` or 1, explicit
-    /// `n` → [`bsp_par::resolve_threads`] (so `--threads 0` means
-    /// auto-detect only when the env says so).
+    /// The resolved worker-pool size ([`bsp_par::resolve_threads`]).
     pub fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            bsp_par::default_threads()
-        } else {
-            bsp_par::resolve_threads(self.threads)
-        }
-        .max(1)
+        bsp_par::resolve_threads(self.threads)
     }
 }
 
@@ -310,8 +297,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 
     let (metrics_addr, sidecar) = match &shared.cfg.metrics_addr {
         Some(addr) => {
-            let (addr, handle) =
-                crate::sidecar::start(addr, shared.stop.clone(), shared.cfg.sidecar_read_timeout)?;
+            let (addr, handle) = crate::sidecar::start(addr, shared.stop.clone())?;
             (Some(addr), Some(handle))
         }
         None => (None, None),

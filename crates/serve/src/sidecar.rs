@@ -11,9 +11,7 @@
 //! loop) and winds down with the rest of the daemon. Responses are
 //! one-shot (`Connection: close`) — scrapers reconnect per scrape, which
 //! keeps the handler stateless and immune to slow clients holding
-//! threads: a configurable read timeout
-//! ([`ServeConfig::sidecar_read_timeout`][crate::ServeConfig], 2s by
-//! default) bounds every connection.
+//! threads: a read timeout of two seconds bounds every connection.
 
 use bsp_par::CancelToken;
 use std::io::{BufRead, BufReader, Write};
@@ -21,30 +19,33 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Per-connection read timeout, so a slow scraper cannot hold a handler
+/// thread forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Binds `addr` and spawns the sidecar accept loop. Returns the resolved
 /// address (port `0` picks a free port) and the loop's join handle.
 pub(crate) fn start(
     addr: &str,
     stop: CancelToken,
-    read_timeout: Duration,
 ) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let handle = std::thread::Builder::new()
         .name("bsp-serve-sidecar".to_string())
-        .spawn(move || accept_loop(listener, stop, read_timeout))
+        .spawn(move || accept_loop(listener, stop))
         .expect("spawn sidecar accept loop");
     Ok((addr, handle))
 }
 
-fn accept_loop(listener: TcpListener, stop: CancelToken, read_timeout: Duration) {
+fn accept_loop(listener: TcpListener, stop: CancelToken) {
     while !stop.is_cancelled() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = std::thread::Builder::new()
                     .name("bsp-serve-sidecar-conn".to_string())
-                    .spawn(move || handle_conn(stream, read_timeout));
+                    .spawn(move || handle_conn(stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -54,15 +55,8 @@ fn accept_loop(listener: TcpListener, stop: CancelToken, read_timeout: Duration)
     }
 }
 
-fn handle_conn(stream: TcpStream, read_timeout: Duration) {
-    // Zero would mean "no timeout at all" to the socket API; clamp it to
-    // something that still bounds the connection.
-    let timeout = if read_timeout.is_zero() {
-        Duration::from_millis(1)
-    } else {
-        read_timeout
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
+fn handle_conn(stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let read_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -153,7 +147,7 @@ mod tests {
             .finish();
 
         let stop = CancelToken::new();
-        let (addr, handle) = start("127.0.0.1:0", stop.clone(), Duration::from_secs(2)).unwrap();
+        let (addr, handle) = start("127.0.0.1:0", stop.clone()).unwrap();
 
         let metrics = http_get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"));

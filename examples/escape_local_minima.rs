@@ -55,7 +55,7 @@ fn report(dag: &Dag, machine: &BspParams, start: &BspSchedule) {
         simulated_annealing(dag, machine, start, &AnnealConfig::default(), &mut stop);
 
     let mut stop = Stop::new(Some(budget), None);
-    let (_, tb, tb_stats) = tabu_search(dag, machine, start, &TabuConfig::default(), 1, &mut stop);
+    let (_, tb, tb_stats) = tabu_search(dag, machine, start, &TabuConfig::default(), &mut stop);
 
     println!("start cost:          {start_cost}");
     println!("hill climbing:       {hc}");

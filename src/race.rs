@@ -106,7 +106,6 @@ impl Scheduler for RaceScheduler {
                                 ..req.budget.clone()
                             },
                             seed: req.seed,
-                            threads: req.threads,
                             observer: req.observer,
                         };
                         let out = racer.solve(&sub);

@@ -195,7 +195,6 @@ const PIPELINE_PARAMS: &[&str] = &[
     "hccs_ms",
     "escape",
     "mem",
-    "threads",
 ];
 
 /// Applies the shared `mem=on` switch: wrap the scheduler in the
@@ -237,10 +236,6 @@ fn pipeline_cfg(spec: &SchedulerSpec, base: &PipelineConfig) -> Result<PipelineC
     }
     if let Some(ms) = spec.u64_param("hccs_ms")? {
         cfg.hccs.time_limit = Some(Duration::from_millis(ms));
-    }
-    if let Some(t) = spec.usize_param("threads")? {
-        // 0 = auto-detect, 1 = sequential scans; resolved at solve time.
-        cfg.threads = t;
     }
     match spec.get("escape") {
         None | Some("none") => {}
@@ -389,7 +384,6 @@ fn standard_entries() -> Vec<RegistryEntry> {
                     "hccs_ms",
                     "escape",
                     "mem",
-                    "threads",
                     "ratio",
                 ],
                 summary: "Figure-4 pipeline: coarsen → solve → uncoarsen-refine",
@@ -430,7 +424,6 @@ fn standard_entries() -> Vec<RegistryEntry> {
                     "hccs_ms",
                     "escape",
                     "mem",
-                    "threads",
                     "ccr_lo",
                     "ccr_hi",
                 ],

@@ -52,7 +52,7 @@ fn all_local_searches_refine_the_same_init() {
     let greedy = st.cost();
 
     let mut st2 = ScheduleState::new(&dag, &machine, &init);
-    hill_climb_steepest(&mut st2, 1, &mut Stop::new(None, Some(300)));
+    hill_climb_steepest(&mut st2, &mut Stop::new(None, Some(300)));
     let steepest = st2.cost();
 
     let (sa_sched, sa, _) = simulated_annealing(
@@ -73,7 +73,6 @@ fn all_local_searches_refine_the_same_init() {
             max_iters: 300,
             ..TabuConfig::default()
         },
-        1,
         &mut Stop::new(None, None),
     );
 

@@ -37,7 +37,6 @@ fn benchmark_config() -> PipelineConfig {
     cfg.ilp.limits.max_nodes = 2;
     cfg.ilp.full_max_vars = 200;
     cfg.ilp.part_target_vars = PART_TARGET_VARS;
-    cfg.threads = 1;
     cfg
 }
 

@@ -203,10 +203,7 @@ fn race_specs_accept_parameters() {
     let dag = dag();
     let machine = BspParams::new(4, 2, 5);
     let racer = Registry::standard()
-        .get_with(
-            "race/pipeline/base?threads=2&ilp=off,etf?numa=on",
-            &fast_cfg(),
-        )
+        .get_with("race/pipeline/base?ilp=off,etf?numa=on", &fast_cfg())
         .unwrap();
     let out = racer.solve(&SolveRequest::new(&dag, &machine));
     assert!(validate(&dag, machine.p(), &out.result.sched, &out.result.comm).is_ok());

@@ -263,6 +263,17 @@ fn spec_lookup_builds_configured_single_entries() {
         registry.get("pipeline/base?hc_iters=lots"),
         Err(SpecError::BadValue { .. })
     ));
+    // The in-solve thread knob is gone, not silently accepted.
+    match registry.get("pipeline/base?threads=2") {
+        Err(SpecError::UnknownParam { key, allowed, .. }) => {
+            assert_eq!(key, "threads");
+            assert!(!allowed.iter().any(|k| k == "threads"), "{allowed:?}");
+        }
+        other => panic!(
+            "threads=2 must be an unknown parameter, got {:?}",
+            other.err()
+        ),
+    }
 }
 
 /// The spec each instance source is smoked under: datasets are shrunk
