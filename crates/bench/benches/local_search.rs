@@ -22,13 +22,18 @@
 //! [`hill_climb`] over a schedule that is already a local minimum — with
 //! sweep pruning ([`ScheduleState::may_improve`], `pruned`) against the
 //! same sweep probing every node (`unpruned`), after asserting that both
-//! certify the minimum and move nothing. `hc_converge/*` times a whole
-//! climb from the BSPg schedule to its local minimum — many sweeps, each
-//! revisiting the nodes the last one proved stuck — with the production
-//! loop (`certified`: failure certificates skip a node while nothing its
-//! probes read has changed) against the same loop without them
-//! (`uncertified`), after asserting equal moves and end states and
-//! printing sweeps and probes of both. Reproduce with
+//! certify the minimum and move nothing; the climb that converged it
+//! prints the share of candidates the gain bound skipped and fails the
+//! smoke if it skipped none of some (a bound gone slack). `hc_converge/*`
+//! times a whole climb from the BSPg schedule to its local minimum — many
+//! sweeps, each revisiting the nodes the last one proved stuck — three
+//! ways: the production loop (`bounded`: failure certificates skip a node
+//! while nothing its probes read has changed, and a candidate whose target
+//! row must rise by at least the node's [`ScheduleState::gain_bound`] is
+//! not probed), the same loop without the bound (`certified`) and without
+//! certificates either (`uncertified`), after asserting equal moves and
+//! end states and that the bound skipped exactly the probes it saved, and
+//! printing sweeps and probes of all three. Reproduce with
 //! `cargo bench -p bsp-bench --bench local_search`.
 
 // The reference hill-climbing loop the core proptests hold production to.
@@ -123,6 +128,8 @@ fn unpruned_sweep_improves(st: &ScheduleState<'_>) -> bool {
 /// online re-plan and warm re-solve pays for the nodes an edit did not
 /// touch.
 fn bench_hc_sweep(c: &mut Criterion) {
+    let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
+    let skips_total = bsp_obs::global().counter("bsp_ls_bound_skips_total", &[]);
     let mut g = c.benchmark_group("local_search/hc_sweep");
     g.sample_size(10);
     let mut configs = kernel_scan_configs(true);
@@ -139,7 +146,21 @@ fn bench_hc_sweep(c: &mut Criterion) {
             machine(p as usize, 3)
         };
         let mut st = ScheduleState::new(&dag, &m, &bspg_schedule(&dag, &m));
+        let (probes0, skips0) = (probes_total.get(), skips_total.get());
         hill_climb(&mut st, &mut Stop::new(None, None));
+        let (probes, skips) = (probes_total.get() - probes0, skips_total.get() - skips0);
+        println!(
+            "local_search/hc_sweep: {name} converging, the gain bound skipped {skips} of {} \
+             candidates",
+            probes + skips
+        );
+        // A climb with candidates where the bound skips none means it
+        // went slack. (BSPg leaves the spmv prefix at a minimum where
+        // `may_improve` rules out every visit: no candidates there.)
+        assert!(
+            probes + skips == 0 || skips > 0,
+            "{name}: the gain bound skipped none of {probes} candidates"
+        );
         let converged = st.snapshot();
         // Pruned ≡ unpruned: both certify the minimum and move nothing.
         assert!(!unpruned_sweep_improves(&st), "{name}: not a local minimum");
@@ -170,6 +191,7 @@ fn climb_without_certificates(st: &mut ScheduleState<'_>) -> hc_reference::Refer
 /// nearly all of its time in.
 fn bench_hc_converge(c: &mut Criterion) {
     let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
+    let skips_total = bsp_obs::global().counter("bsp_ls_bound_skips_total", &[]);
     let mut g = c.benchmark_group("local_search/hc_converge");
     g.sample_size(10);
     for (name, dag, p) in kernel_scan_configs(true) {
@@ -179,34 +201,51 @@ fn bench_hc_converge(c: &mut Criterion) {
             machine(p as usize, 3)
         };
         let start = bspg_schedule(&dag, &m);
-        // Certified ≡ uncertified: same moves, same minimum.
+        // Bounded ≡ certified ≡ uncertified: same moves, same minimum.
         let mut with = ScheduleState::new(&dag, &m, &start);
-        let before = probes_total.get();
+        let (probes0, skips0) = (probes_total.get(), skips_total.get());
         let stats = hill_climb(&mut with, &mut Stop::new(None, None));
-        let probes_with = probes_total.get() - before;
+        let (probes, skips) = (probes_total.get() - probes0, skips_total.get() - skips0);
+        let mut certified = ScheduleState::new(&dag, &m, &start);
+        let unbounded = hc_reference::hill_climb_certified(&mut certified);
         let mut without = ScheduleState::new(&dag, &m, &start);
         let plain = climb_without_certificates(&mut without);
-        let (accepted, sweeps, probes_without) = (plain.accepted, plain.sweeps, plain.probes);
-        assert_eq!(
-            (stats.accepted, stats.local_minimum),
-            (accepted, plain.local_minimum),
-            "{name}"
-        );
+        let (accepted, sweeps) = (plain.accepted, plain.sweeps);
+        for climb in [unbounded, plain] {
+            assert_eq!(
+                (stats.accepted, stats.local_minimum),
+                (climb.accepted, climb.local_minimum),
+                "{name}"
+            );
+        }
         assert!(plain.local_minimum, "{name}");
         assert_eq!(
             with.snapshot(),
             without.snapshot(),
             "{name}: end states differ"
         );
+        assert_eq!(certified.snapshot(), without.snapshot(), "{name}");
+        // The bound changes no decision, so every candidate it skipped is
+        // a probe the same loop without it ran.
+        assert_eq!(probes + skips, unbounded.probes, "{name}");
         println!(
             "local_search/hc_converge: {name} n = {}, {accepted} moves in {sweeps} sweeps, \
-             probes {probes_with} with certificates / {probes_without} without",
-            dag.n()
+             probes {probes} with the gain bound ({skips} skipped) / {} without it / {} \
+             without certificates either",
+            dag.n(),
+            unbounded.probes,
+            plain.probes,
         );
-        g.bench_function(BenchmarkId::new("certified", name), |b| {
+        g.bench_function(BenchmarkId::new("bounded", name), |b| {
             b.iter(|| {
                 let mut st = ScheduleState::new(&dag, &m, &start);
                 black_box(hill_climb(&mut st, &mut Stop::new(None, None)))
+            })
+        });
+        g.bench_function(BenchmarkId::new("certified", name), |b| {
+            b.iter(|| {
+                let mut st = ScheduleState::new(&dag, &m, &start);
+                black_box(hc_reference::hill_climb_certified(&mut st))
             })
         });
         g.bench_function(BenchmarkId::new("uncertified", name), |b| {

@@ -6,22 +6,30 @@
 //! cost-decreasing valid move it finds (the paper found greedy
 //! first-improvement as good as steepest-descent and much faster), until a
 //! local minimum or a budget is reached. Candidates are evaluated through
-//! the read-only [`ScheduleState::probe_move`] gain kernel; the state is
-//! mutated only for accepted moves.
+//! the read-only [`ScheduleState::probe_move_in`] gain kernel, in one
+//! [`ProbeScratch`] the run borrows from the state (no lock per probe, no
+//! warm-up allocation per run); the state is mutated only for accepted
+//! moves.
 //!
 //! A sweep costs what can still move. A node that
 //! [`ScheduleState::may_improve`] proves stuck is skipped without a probe;
 //! a node whose neighbourhood an earlier sweep probed in vain is skipped
 //! while its *failure certificate* holds ([`ScheduleState::certified`]:
-//! nothing those probes read has changed). Both skip only nodes with no
-//! improving move, which changes no decision — the accepted-move sequence,
-//! every move cap and every result are those of the plain loop. A
-//! certificate lives for one [`hill_climb_from`] call: it was issued under
-//! that call's floor, and the call voids all earlier ones on entry. The
-//! [`Stop`] is polled once per visit (it reads the wall clock and the
-//! cancel token on every 64th, the first included).
+//! nothing those probes read has changed). Of the nodes that remain, a
+//! candidate is not probed when the work row it lands in must rise by at
+//! least what any move of the node can save
+//! ([`ScheduleState::target_rise`] ≥ [`ScheduleState::gain_bound`]; the
+//! bound is computed once per visit, at the first candidate whose rise is
+//! positive): its probe could only be `≥ 0`. All three skip only what
+//! would have failed, and first improvement takes a move only when its
+//! delta is `< 0`, so nothing a skip removes could have been taken — the
+//! accepted-move sequence, every move cap and every result are those of
+//! the plain loop. A certificate lives for one [`hill_climb_from`] call:
+//! it was issued under that call's floor, and the call voids all earlier
+//! ones on entry. The [`Stop`] is polled once per visit (it reads the
+//! wall clock and the cancel token on every 64th, the first included).
 
-use crate::state::ScheduleState;
+use crate::state::{ProbeScratch, ScheduleState};
 use bsp_dag::NodeId;
 use bsp_schedule::solve::Stop;
 use std::time::Duration;
@@ -73,7 +81,9 @@ pub fn hill_climb_from(
     floor: u32,
 ) -> HillClimbStats {
     let mut visits = Visits::default();
-    let stats = hill_climb_from_inner(state, stop, floor, &mut visits);
+    let mut sc = state.lend_scratch();
+    let stats = hill_climb_from_inner(state, &mut sc, stop, floor, &mut visits);
+    state.return_scratch(sc);
     // One flush per run: the sweeps themselves stay counter-free.
     let m = crate::obs::ls_metrics();
     m.moves.add(stats.accepted as u64);
@@ -81,24 +91,28 @@ pub fn hill_climb_from(
     m.pruned.add(visits.pruned);
     m.certified.add(visits.certified);
     m.hc_probes.add(visits.probes);
+    m.bound_skips.add(visits.bound_skips);
     stats
 }
 
 /// Per-run tally of node visits (one per neighbourhood attempt), of those
 /// [`ScheduleState::may_improve`] ruled out before any probe, of those a
-/// failure certificate ruled out after it, and of the probes the rest
-/// cost (a release build's: the ones debug builds add to check the two
-/// filters are not counted).
+/// failure certificate ruled out after it, of the candidates of the rest
+/// the gain bound ruled out, and of the probes that were left (a release
+/// build's: the ones debug builds add to check the filters are not
+/// counted).
 #[derive(Default)]
 struct Visits {
     probes: u64,
     total: u64,
     pruned: u64,
     certified: u64,
+    bound_skips: u64,
 }
 
 fn hill_climb_from_inner(
     state: &mut ScheduleState<'_>,
+    sc: &mut ProbeScratch,
     stop: &mut Stop,
     floor: u32,
     visits: &mut Visits,
@@ -128,7 +142,7 @@ fn hill_climb_from_inner(
             // Try moves for v until none improves (a node can profitably
             // move several times across sweeps; within the sweep we retry
             // the same node after a success, matching greedy descent).
-            while try_improve_node(state, v, p, floor, visits) {
+            while try_improve_node(state, sc, v, p, floor, visits) {
                 accepted += 1;
                 improved_this_sweep = true;
                 stop.spend_move();
@@ -147,19 +161,22 @@ fn hill_climb_from_inner(
 }
 
 /// Attempts the neighbourhood of `v`; probes candidates read-only and
-/// applies the first improving move. Two exact filters skip a node
-/// without a single probe — exactly nodes on which every probe below
-/// would fail, so the accepted-move sequence is unchanged (debug builds
-/// probe them anyway and assert it): [`ScheduleState::may_improve`]
-/// (nothing in the current tables *can* improve), then, for a node that
-/// passes it, [`ScheduleState::certified`] (an earlier sweep of this
-/// call probed the whole neighbourhood, found nothing, and nothing those
-/// probes read has changed since). A scan that comes up empty issues
-/// the certificate. Steps are pre-filtered with
+/// applies the first improving move. Three exact filters skip probes that
+/// would fail — so the accepted-move sequence is unchanged (debug builds
+/// probe them anyway and assert it). Two skip the whole node:
+/// [`ScheduleState::may_improve`] (nothing in the current tables *can*
+/// improve), then, for a node that passes it, [`ScheduleState::certified`]
+/// (an earlier sweep of this call probed the whole neighbourhood, found
+/// nothing, and nothing those probes read has changed since). The third
+/// skips one candidate: its [`ScheduleState::target_rise`] is at least
+/// the node's [`ScheduleState::gain_bound`], computed once per visit at
+/// the first candidate whose rise is positive. A scan that comes up empty
+/// issues the certificate. Steps are pre-filtered with
 /// [`ScheduleState::valid_procs`], preserving the `(s, q)` probe order.
 /// Steps below `floor` are never probed (committed-prefix protection).
 fn try_improve_node(
     state: &mut ScheduleState<'_>,
+    sc: &mut ProbeScratch,
     v: NodeId,
     p: u32,
     floor: u32,
@@ -177,13 +194,20 @@ fn try_improve_node(
     let (cur_p, cur_s) = (state.proc(v), state.step(v));
     let lo = cur_s.saturating_sub(1).max(floor);
     let hi = cur_s + 1;
+    let mut bound = None;
     for s in lo..=hi {
         for q in state.valid_procs(v, s).procs(p) {
             if (q, s) == (cur_p, cur_s) {
                 continue;
             }
-            let delta = state.probe_move(v, q, s);
-            visits.probes += !stuck as u64;
+            let rise = state.target_rise(v, q, s);
+            let skip = rise > 0 && rise >= *bound.get_or_insert_with(|| state.gain_bound(sc, v));
+            visits.bound_skips += (skip && !stuck) as u64;
+            if skip && !cfg!(debug_assertions) {
+                continue;
+            }
+            let delta = state.probe_move_in(sc, v, q, s);
+            visits.probes += !(stuck || skip) as u64;
             debug_assert!(
                 !(stuck && delta < 0),
                 "{} ruled out an improving move of {v} to ({q}, {s}): {delta}",
@@ -192,6 +216,11 @@ fn try_improve_node(
                 } else {
                     "a certificate"
                 }
+            );
+            debug_assert!(
+                bound.is_none_or(|b| delta >= rise as i64 - b as i64),
+                "move of {v} to ({q}, {s}) beats its lower bound: rise {rise}, gain bound \
+                 {bound:?}, delta {delta}"
             );
             if delta < 0 {
                 state.apply_move(v, q, s);
@@ -258,6 +287,37 @@ mod tests {
         assert_eq!(st.cost(), 42);
         hill_climb(&mut st, &mut Stop::new(None, None));
         assert!(st.cost() <= 22, "got {}", st.cost());
+        assert_eq!(st.cost(), st.recomputed_cost());
+    }
+
+    #[test]
+    fn gain_bound_skips_candidates_it_ties_with() {
+        // Three independent nodes, ℓ = 0: v (work 3) and a (1) share row
+        // 0, b (1) is alone in row 1, a and b on p1.
+        let mut b = DagBuilder::new();
+        for w in [3, 1, 1] {
+            b.add_node(w, 1);
+        }
+        let dag = b.build().unwrap();
+        let machine = BspParams::new(2, 1, 0);
+        let sched = BspSchedule::from_parts(vec![0, 1, 1], vec![0, 0, 1]);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        let mut sc = ProbeScratch::default();
+        // v's unique maximum can drop by 3 − 1 = 2. Its three candidates
+        // must raise a work row by 3, 2 and 3: every one is skipped,
+        // (p0, 1) with rise == bound (its probe is exactly 0).
+        assert_eq!(st.gain_bound(&mut sc, 0), 2);
+        assert_eq!(st.probe_move(0, 0, 1), 0);
+        let mut visits = Visits::default();
+        assert!(!try_improve_node(&mut st, &mut sc, 0, 2, 0, &mut visits));
+        assert_eq!((visits.bound_skips, visits.probes), (3, 0));
+        // b can save its own work, 1: (p0, 0) raises row 0 by exactly 1
+        // and is skipped; (p1, 0) is probed and taken (−1).
+        assert_eq!(st.gain_bound(&mut sc, 2), 1);
+        let mut visits = Visits::default();
+        assert!(try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
+        assert_eq!((visits.bound_skips, visits.probes), (1, 1));
+        assert_eq!((st.proc(2), st.step(2)), (1, 0));
         assert_eq!(st.cost(), st.recomputed_cost());
     }
 

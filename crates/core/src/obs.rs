@@ -9,8 +9,12 @@
 //! (hill-climbing node visits), `bsp_ls_pruned_total` (visits that
 //! `ScheduleState::may_improve` skipped without a probe),
 //! `bsp_ls_certified_total` (visits that passed it and were skipped on a
-//! standing failure certificate, `ScheduleState::certified`) and
-//! `bsp_ls_hc_probes_total` (the probes the remaining visits cost).
+//! standing failure certificate, `ScheduleState::certified`),
+//! `bsp_ls_bound_skips_total` (candidates of the remaining visits that
+//! the gain bound ruled out, `ScheduleState::target_rise` ≥
+//! `ScheduleState::gain_bound`) and `bsp_ls_hc_probes_total` (the probes
+//! actually run; probes + bound skips = the candidates those visits
+//! had).
 
 use std::sync::OnceLock;
 
@@ -22,6 +26,7 @@ pub(crate) struct LsMetrics {
     pub pruned: bsp_obs::Counter,
     pub certified: bsp_obs::Counter,
     pub hc_probes: bsp_obs::Counter,
+    pub bound_skips: bsp_obs::Counter,
 }
 
 pub(crate) fn ls_metrics() -> &'static LsMetrics {
@@ -36,6 +41,7 @@ pub(crate) fn ls_metrics() -> &'static LsMetrics {
             pruned: reg.counter("bsp_ls_pruned_total", &[]),
             certified: reg.counter("bsp_ls_certified_total", &[]),
             hc_probes: reg.counter("bsp_ls_hc_probes_total", &[]),
+            bound_skips: reg.counter("bsp_ls_bound_skips_total", &[]),
         }
     })
 }

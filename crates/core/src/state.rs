@@ -51,6 +51,22 @@
 //! [`ScheduleState::valid_procs`] — one `O(deg)` pass per `(node, step)`
 //! replaces `P` per-candidate validity checks.
 //!
+//! A probe need not run at all when the move provably cannot improve.
+//! One private enumeration lists every cell a move of `v` can
+//! *decrement*; two folds read it. [`ScheduleState::may_improve`] is the
+//! early-exit one — no listed cell can lower its row, so skip the node.
+//! [`ScheduleState::gain_bound`] lands all listed decrements at once and
+//! re-costs their rows, an upper bound on what any move of `v` saves. A
+//! candidate's [`ScheduleState::target_rise`] is what it must add no
+//! matter what (its work cell rises; an empty row gets charged), so
+//!
+//! ```text
+//! probe_move(v, q, s) ≥ target_rise(v, q, s) − gain_bound(v)
+//! ```
+//!
+//! and a first-improvement scan — hill climbing — skips every candidate
+//! whose rise reaches the bound.
+//!
 //! # Tables, stamps and certificates
 //!
 //! Everything above lives in [`ScheduleTables`], which borrows nothing;
@@ -72,6 +88,7 @@ use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::BspSchedule;
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 /// How many of a row's largest per-processor values are cached. Probed
@@ -206,7 +223,9 @@ struct CellDelta {
 /// Single-probe callers never see this type — [`ScheduleState::probe_move`]
 /// keeps one instance internally, behind a mutex. The whole-neighbourhood
 /// scans (steepest, tabu) own one (`ProbeScratch::default()`) and probe
-/// through [`ScheduleState::probe_move_in`], which skips the lock.
+/// through [`ScheduleState::probe_move_in`], which skips the lock; hill
+/// climbing borrows the internal one, warm, for a whole run, and its
+/// [`ScheduleState::gain_bound`]s accumulate in it too.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     steps: Vec<StepDelta>,
@@ -357,6 +376,83 @@ impl ProcWindow {
             ProcWindow::Only(p) if p == q => self,
             _ => ProcWindow::None,
         }
+    }
+}
+
+/// A fold over the cells a move of a node can decrement, as
+/// [`ScheduleState::decrements`] enumerates them: `work` once for the
+/// node's own work cell and node count, then `transfer` per existing lazy
+/// transfer of `producer`'s value the move may remove, re-source or pull
+/// forward. Breaking stops the enumeration.
+trait DecrementFold {
+    fn work(&mut self, st: &ScheduleState<'_>, step: u32, proc: u32, w: u64) -> ControlFlow<()>;
+    fn transfer(
+        &mut self,
+        st: &ScheduleState<'_>,
+        producer: NodeId,
+        phase: u32,
+        src: u32,
+        dst: u32,
+    ) -> ControlFlow<()>;
+}
+
+/// [`ScheduleState::may_improve`]'s fold: breaks at the first decrement
+/// that can lower its row on its own.
+struct CanLower;
+
+impl DecrementFold for CanLower {
+    #[inline(always)]
+    fn work(&mut self, st: &ScheduleState<'_>, step: u32, proc: u32, w: u64) -> ControlFlow<()> {
+        let meta = &st.t.meta[step as usize];
+        let cell = st.t.slots[step as usize * st.machine.p() + proc as usize].work;
+        let unique_max = w > 0 && cell == meta.wtop.vals[0] && meta.wtop.vals[1] < cell;
+        if meta.nodes == 1 || unique_max {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    #[inline(always)]
+    fn transfer(
+        &mut self,
+        st: &ScheduleState<'_>,
+        _: NodeId,
+        phase: u32,
+        src: u32,
+        dst: u32,
+    ) -> ControlFlow<()> {
+        if st.phase_is_hot(phase, src, dst) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+/// [`ScheduleState::gain_bound`]'s fold: lands every decrement, at full
+/// volume, in one probe scratch.
+struct AllLanded<'s>(&'s mut ProbeScratch);
+
+impl DecrementFold for AllLanded<'_> {
+    #[inline(always)]
+    fn work(&mut self, _: &ScheduleState<'_>, step: u32, proc: u32, w: u64) -> ControlFlow<()> {
+        self.0.work(step, proc, -(w as i64), -1);
+        ControlFlow::Continue(())
+    }
+
+    #[inline(always)]
+    fn transfer(
+        &mut self,
+        st: &ScheduleState<'_>,
+        producer: NodeId,
+        phase: u32,
+        src: u32,
+        dst: u32,
+    ) -> ControlFlow<()> {
+        let w = st.weighted(producer, src, dst);
+        self.0.transfer(phase, src, dst, w, -1);
+        ControlFlow::Continue(())
     }
 }
 
@@ -747,94 +843,154 @@ impl<'a> ScheduleState<'a> {
         m.nodes == 0 || (top > 0 && (h(a) == top || h(b) == top))
     }
 
-    /// Whether some transfer of `u`'s value that a move of a consumer at
-    /// `(consumer_proc, ·)` could remove sits in a hot phase
-    /// ([`ScheduleState::phase_is_hot`]): the transfer into the consumer's
-    /// own bucket, and every transfer into another bucket that starts
-    /// after `earliest` (the consumer, arriving there no earlier than
-    /// `earliest`, could only then pull it forward).
+    /// Enumerates every table cell that some move of `v` in the
+    /// hill-climbing neighbourhood (any processor, supersteps `τ(v) − 1
+    /// ..= τ(v) + 1`) can *decrement* into `fold`, one call per branch of
+    /// [`ScheduleState::probe_move_in`] that subtracts, until the fold
+    /// breaks. `O(deg)` over the existing tables — `v`'s consumer buckets
+    /// plus one walk over each predecessor's bucket heads — and read-only.
+    ///
+    /// **Why it is complete.** The cost is `Σ_s [max_p work + g · max_p
+    /// max(send, recv) + ℓ · nonempty]`, and every term is monotone in its
+    /// cells and counts. A move therefore lowers the total only where it
+    /// lowers some superstep's term, which takes one of three events: a
+    /// work row maximum drops, an h-relation row maximum drops, or a
+    /// superstep empties — each at a cell or count the move decrements.
+    /// A single-node move decrements exactly one work cell and node count
+    /// and the send / receive cells and transfer counts of the transfers
+    /// it removes, re-sources or pulls forward:
+    ///
+    /// 1. *Work:* `v`'s own cell and node count at `(τ(v), π(v))` (probe
+    ///    step 1).
+    /// 2. *Producer re-sourcing:* for each remote consumer bucket `(q ≠
+    ///    π(v), min step m)` of `v`, the transfer `π(v) → q` in phase
+    ///    `m − 1`. Moving `v` off `π(v)` removes it (`q == p_new`) or
+    ///    re-sources it (probe step 2), which lowers `π(v)`'s send cell
+    ///    and — on NUMA machines, when the new source is closer — `q`'s
+    ///    receive cell.
+    /// 3. *Consumer buckets (`pred_mins` remove / insert):* for a
+    ///    predecessor `u` and a remote bucket `(q ≠ π(u), min step m)` of
+    ///    `u` with either `q == π(v)` (taking `v` out of its own bucket,
+    ///    or moving it earlier within it, may shift that bucket's minimum:
+    ///    the *remove* half of probe step 3) or `m > max(τ(v) − 1, τ(u) +
+    ///    1)` (`v`, landing on `q` no earlier than that, would become the
+    ///    bucket's new minimum and pull the transfer forward: the *insert*
+    ///    half), the transfer `π(u) → q` in phase `m − 1`.
+    ///
+    /// Every transfer counts at its full volume and as removable (count
+    /// − 1), which covers a re-sourcing's smaller decrement. Each is a
+    /// distinct existing transfer, so the decrements of one cell sum to at
+    /// most its value.
     #[inline]
-    fn pred_transfer_is_hot(&self, u: NodeId, consumer_proc: u32, earliest: u32) -> bool {
-        let pu = self.t.sched.proc(u);
-        let (lo, hi) = self.cons_range(u);
+    fn decrements<F: DecrementFold>(&self, v: NodeId, fold: &mut F) -> ControlFlow<()> {
+        let (pv, sv) = (self.t.sched.proc(v), self.t.sched.step(v));
+        fold.work(self, sv, pv, self.dag.work(v))?;
+        let (lo, hi) = self.cons_range(v);
         let mut i = lo;
         while i < hi {
             let (q, m) = self.t.cons[i];
             i = self.bucket_end(i, hi, q);
-            if q != pu && (q == consumer_proc || m > earliest) && self.phase_is_hot(m - 1, pu, q) {
-                return true;
+            if q != pv {
+                fold.transfer(self, v, m - 1, pv, q)?;
             }
         }
-        false
+        for &u in self.dag.predecessors(v) {
+            let (pu, su) = (self.t.sched.proc(u), self.t.sched.step(u));
+            let earliest = sv.saturating_sub(1).max(su + 1);
+            let (lo, hi) = self.cons_range(u);
+            let mut i = lo;
+            while i < hi {
+                let (q, m) = self.t.cons[i];
+                i = self.bucket_end(i, hi, q);
+                if q != pu && (q == pv || m > earliest) {
+                    fold.transfer(self, u, m - 1, pu, q)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// An exact *necessary* condition for `v` to have an improving move in
     /// the hill-climbing neighbourhood (any processor, supersteps
     /// `τ(v) − 1 ..= τ(v) + 1`): `false` guarantees that every valid
     /// [`ScheduleState::probe_move`] of `v` in that window is `≥ 0`, so a
-    /// sweep may skip all of its `≤ 3·P` probes. `O(deg)` over the
-    /// existing tables — `v`'s consumer buckets plus one walk over each
-    /// predecessor's bucket heads — and read-only.
+    /// sweep may skip all of its `≤ 3·P` probes. The early-exit fold over
+    /// the cells a move of `v` can decrement — `v`'s own work cell, and
+    /// the transfers of `v` and of its predecessors that a move removes,
+    /// re-sources or pulls forward; [`ScheduleState::gain_bound`] is the
+    /// complete fold over the same enumeration: `true` as soon as one of
+    /// them can lower its row on its own. The test is one-sided: `true`
+    /// promises nothing.
     ///
-    /// **Why it is exact.** The cost is `Σ_s [max_p work + g · max_p
-    /// max(send, recv) + ℓ · nonempty]`, and every term is monotone in its
-    /// cells. A move therefore lowers the total only if it lowers some
-    /// superstep's term, which takes one of three events: a work row
-    /// maximum drops, an h-relation row maximum drops, or a superstep
-    /// empties. Each can only happen at a cell the move *decrements*, and
-    /// a single-node move decrements exactly one work cell and the send /
-    /// receive cells of the transfers it removes or shrinks. The rules
-    /// below enumerate those cells, one per branch of
-    /// [`ScheduleState::probe_move_in`]; if none can lower its row, no
-    /// delta is negative. The test is one-sided: `true` promises nothing.
-    ///
-    /// 1. *Emptiness of `τ(v)`:* `v` is the only node of its superstep, so
-    ///    moving it away may drop the step's latency charge (the `dnodes`
-    ///    bookkeeping of probe step 1).
-    /// 2. *Work:* `w(v) > 0` and `v`'s work cell is the **unique** maximum
-    ///    of its row. Only that one work cell is ever decremented (probe
-    ///    step 1), so a tied maximum cannot drop.
-    /// 3. *Producer re-sourcing:* for a remote consumer bucket `(q ≠ π(v),
-    ///    min step m)` of `v`, phase `m − 1` is hot for `(π(v), q)`. Moving
-    ///    `v` off `π(v)` removes that transfer (`q == p_new`) or re-sources
-    ///    it (probe step 2), which lowers `π(v)`'s send cell and — on NUMA
-    ///    machines, when the new source is closer (`dr < 0`) — `q`'s
-    ///    receive cell.
-    /// 4. *Consumer buckets (`pred_mins` remove / insert):* for a
-    ///    predecessor `u` and a remote bucket `(q ≠ π(u), min step m)` of
-    ///    `u`, phase `m − 1` is hot for `(π(u), q)` and either `q == π(v)`
-    ///    (taking `v` out of its own bucket, or moving it earlier within
-    ///    it, may shift that bucket's minimum: the *remove* half of probe
-    ///    step 3) or `m > max(τ(v) − 1, τ(u) + 1)` (`v`, landing on `q` no
-    ///    earlier than that, would become the bucket's new minimum and
-    ///    pull the transfer forward: the *insert* half).
-    ///
-    /// "Hot" also covers *emptiness through transfers*: a phase without
-    /// nodes stays charged `ℓ` only by its transfer count, so removing a
-    /// transfer from it — even a zero-volume one — may empty it.
+    /// * *Work:* `v` is the only node of its superstep (moving it away may
+    ///   drop the step's latency charge), or `w(v) > 0` and `v`'s cell is
+    ///   the **unique** maximum of its row — only that one work cell is
+    ///   ever decremented, so a tied maximum cannot drop.
+    /// * *Transfers:* the phase is *hot* for its two cells: one of them
+    ///   attains the row's positive h-relation maximum, or the phase
+    ///   computes nothing, so removing a transfer from it — even a
+    ///   zero-volume one — may empty it.
     pub fn may_improve(&self, v: NodeId) -> bool {
+        self.decrements(v, &mut CanLower).is_break()
+    }
+
+    /// An upper bound on what any move of `v` in the hill-climbing
+    /// neighbourhood can save: `probe_move(v, q, s) ≥ target_rise(v, q, s)
+    /// − gain_bound(v)` for every valid candidate. The complete fold over
+    /// the cells a move of `v` can decrement (see
+    /// [`ScheduleState::may_improve`] for the early-exit one): all of them
+    /// are applied at once, at full volume, into `sc`, and each touched
+    /// superstep row is re-costed as [`ScheduleState::probe_move_in`]
+    /// would re-cost it — so the bound is, per row, the cost that row
+    /// would shed if *every* decrement landed together:
+    ///
+    /// * the work drop at `τ(v)`: `wmax − max(w2nd, cell − w(v))` when
+    ///   `v`'s cell is the unique maximum, else 0;
+    /// * `g ×` the h-relation drop, **per row**: `htop₀ − max(first top-K
+    ///   entry on an undecremented processor, max over decremented cells
+    ///   of the cell less its total decrement)` — two tied maxima lowered
+    ///   by two different transfers *do* lower the row;
+    /// * `ℓ` per row whose node and transfer counts can both reach 0.
+    ///
+    /// Every move decrements a subset of those cells by at most as much,
+    /// and its increments only raise cells, so no row ends below this.
+    /// Zero whenever `may_improve(v)` is false. `O(deg)`, allocation-free
+    /// once `sc` is warm, read-only.
+    pub fn gain_bound(&self, sc: &mut ProbeScratch, v: NodeId) -> u64 {
+        sc.clear();
+        let _ = self.decrements(v, &mut AllLanded(sc));
+        let delta = self.eval_probe(sc);
+        debug_assert!(delta <= 0, "decrements raised the cost by {delta}");
+        delta.unsigned_abs()
+    }
+
+    /// The part of a move's cost change that no decrement can offset: how
+    /// far moving `v` to `(q, s)` must raise the work maximum of the
+    /// target row `s`, plus `ℓ` if that row is empty. The target's work
+    /// cell only rises, to `work[s][q] + w(v)`; no other work cell of row
+    /// `s` falls unless `s == τ(v)`, where the row may first lose the work
+    /// drop [`ScheduleState::gain_bound`] already counts, so the rise is
+    /// measured from `wmax` less that drop there. An empty row has no cell to
+    /// decrement and turns nonempty. So [`ScheduleState::probe_move`]`(v,
+    /// q, s) ≥ target_rise − gain_bound`, and a first-improvement scan may
+    /// skip every candidate with `target_rise ≥ gain_bound`. `O(1)`.
+    pub fn target_rise(&self, v: NodeId, q: u32, s: u32) -> u64 {
+        let w = self.dag.work(v);
+        let Some(m) = self.t.meta.get(s as usize) else {
+            return w + self.machine.l(); // beyond the table: an empty row
+        };
+        let p = self.machine.p();
+        let cell = self.t.slots[s as usize * p + q as usize].work;
+        let mut wmax = m.wtop.vals[0];
         let (pv, sv) = (self.t.sched.proc(v), self.t.sched.step(v));
-        let meta = &self.t.meta[sv as usize];
-        if meta.nodes == 1 {
-            return true;
-        }
-        let work = self.t.slots[sv as usize * self.machine.p() + pv as usize].work;
-        if self.dag.work(v) > 0 && work == meta.wtop.vals[0] && meta.wtop.vals[1] < work {
-            return true;
-        }
-        let (lo, hi) = self.cons_range(v);
-        let mut i = lo;
-        while i < hi {
-            let (q, m) = self.t.cons[i];
-            i = self.bucket_end(i, hi, q);
-            if q != pv && self.phase_is_hot(m - 1, pv, q) {
-                return true;
+        if s == sv {
+            let own = self.t.slots[s as usize * p + pv as usize].work;
+            if own == wmax && m.wtop.vals[1] < own {
+                wmax = m.wtop.vals[1].max(own - w);
             }
         }
-        self.dag.predecessors(v).iter().any(|&u| {
-            let earliest = sv.saturating_sub(1).max(self.t.sched.step(u) + 1);
-            self.pred_transfer_is_hot(u, pv, earliest)
-        })
+        let empty = m.nodes == 0 && m.comm == 0;
+        (cell + w).saturating_sub(wmax) + if empty { self.machine.l() } else { 0 }
     }
 
     /// Voids every certificate issued so far. A certificate speaks about
@@ -1048,12 +1204,27 @@ impl<'a> ScheduleState<'a> {
     /// virtually as empty). Runs in `O(deg · log deg + t · P)` for `t ≤
     /// deg + 2` touched supersteps.
     pub fn probe_move(&self, v: NodeId, p_new: u32, s_new: u32) -> i64 {
-        let mut scratch = self
-            .t
+        self.probe_move_in(&mut self.scratch(), v, p_new, s_new)
+    }
+
+    /// The internal probe scratch, locked (uncontended).
+    fn scratch(&self) -> std::sync::MutexGuard<'_, ProbeScratch> {
+        self.t
             .probe
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.probe_move_in(&mut scratch, v, p_new, s_new)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Lends the internal probe scratch for a whole scan — warm, so the
+    /// scan's first probes allocate nothing either — until
+    /// [`ScheduleState::return_scratch`].
+    pub(crate) fn lend_scratch(&self) -> ProbeScratch {
+        std::mem::take(&mut self.scratch())
+    }
+
+    /// Hands back what [`ScheduleState::lend_scratch`] lent.
+    pub(crate) fn return_scratch(&self, sc: ProbeScratch) {
+        *self.scratch() = sc;
     }
 
     /// [`ScheduleState::probe_move`] with caller-supplied scratch: the

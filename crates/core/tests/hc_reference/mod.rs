@@ -1,7 +1,8 @@
 //! The hill-climbing loop of `bsp_core::hc` without its exact filters —
 //! the reference the production sweep must reproduce move for move
-//! (`proptests.rs`), and the "without certificates" side of the
-//! `local_search/hc_converge` bench, which `#[path]`-includes this file.
+//! (`proptests.rs`), and the "without the gain bound" and "without
+//! certificates" sides of the `local_search/hc_converge` bench, which
+//! `#[path]`-includes this file.
 
 use bsp_core::state::ScheduleState;
 use bsp_dag::NodeId;
@@ -27,6 +28,26 @@ pub fn hill_climb_reference(
     floor: u32,
     may_try: impl Fn(&ScheduleState<'_>, NodeId) -> bool,
 ) -> ReferenceClimb {
+    climb(st, max_moves, floor, may_try, false)
+}
+
+/// The production loop's node filters without its per-candidate gain
+/// bound: `may_improve`, then failure certificates (voided on entry,
+/// issued after every scan that found nothing), every remaining
+/// candidate probed. Runs to a local minimum from floor 0.
+#[allow(dead_code)] // the bench's; the proptests use the plain loop
+pub fn hill_climb_certified(st: &mut ScheduleState<'_>) -> ReferenceClimb {
+    st.void_certificates();
+    climb(st, usize::MAX, 0, |st, v| st.may_improve(v), true)
+}
+
+fn climb(
+    st: &mut ScheduleState<'_>,
+    max_moves: usize,
+    floor: u32,
+    may_try: impl Fn(&ScheduleState<'_>, NodeId) -> bool,
+    certificates: bool,
+) -> ReferenceClimb {
     let mut out = ReferenceClimb {
         accepted: 0,
         local_minimum: false,
@@ -34,7 +55,7 @@ pub fn hill_climb_reference(
         probes: 0,
     };
     let try_node = |st: &mut ScheduleState<'_>, v: NodeId, probes: &mut u64| {
-        if !may_try(st, v) {
+        if !may_try(st, v) || (certificates && st.certified(v)) {
             return false;
         }
         let cur = (st.proc(v), st.step(v));
@@ -49,6 +70,9 @@ pub fn hill_climb_reference(
                     return true;
                 }
             }
+        }
+        if certificates {
+            st.certify(v);
         }
         false
     };

@@ -230,6 +230,43 @@ fn pinned_multilevel_schedules() {
     }
 }
 
+/// `(cost, fnv(π‖τ), accepted)` of greedy [`hill_climb`] from the BSPg
+/// schedule to its local minimum.
+fn hill_climb_pin(spec: &str) -> (u64, u64, usize) {
+    let (dag, machine) = instance(spec);
+    let start = bsp_core::init::bspg_schedule(&dag, &machine);
+    let mut st = ScheduleState::new(&dag, &machine, &start);
+    let stats = hill_climb(&mut st, &mut Stop::new(None, None));
+    assert!(stats.local_minimum, "{spec}");
+    let sched = st.snapshot();
+    let words = sched.procs().iter().chain(sched.steps()).copied();
+    (st.cost(), fnv64(words), stats.accepted)
+}
+
+/// Recorded at the commit before the per-visit gain bound
+/// (`ScheduleState::gain_bound`): it may only skip candidates whose probe
+/// is `≥ 0`, so no accepted move, schedule or cost may change.
+#[test]
+fn pinned_bounded_hill_climb_schedules() {
+    let expected = [
+        (
+            "erdos?n=300&q=0.03 @ bsp?p=4&g=2&numa=tree&delta=3",
+            (1926, 970031107711977207, 78),
+        ),
+        (
+            "stencil?width=16&steps=12 @ bsp?p=4&g=2&numa=tree&delta=3",
+            (375, 3940711804285534724, 14),
+        ),
+        (
+            "spmv?n=80&q=0.3 @ bsp?p=4&g=2",
+            (2304, 8621792824943469430, 6),
+        ),
+    ];
+    for (spec, want) in expected {
+        assert_eq!(hill_climb_pin(spec), want, "{spec}");
+    }
+}
+
 /// Steepest descent with probing must pick the *identical move sequence*
 /// as the historical apply/revert scan — not just land at an equal cost.
 #[test]

@@ -13,7 +13,7 @@ use bsp_core::hc::{hill_climb, hill_climb_from};
 use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
-use bsp_core::state::{ProcWindow, ScheduleState};
+use bsp_core::state::{ProbeScratch, ProcWindow, ScheduleState};
 use bsp_core::{place_appended, place_new_nodes, repair_precedence_from};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::is_topological_order;
@@ -214,6 +214,78 @@ fn prune_soundness(
     hill_climb_from(&mut st, &mut Stop::new(None, None), floor);
     pruned_nodes_have_no_improving_move(&st)?;
     Ok(())
+}
+
+/// Soundness of the candidate lower bound at the current state: for every
+/// valid candidate `(q, s)` of every node's hill-climbing window,
+/// `target_rise(v, q, s) − gain_bound(v) ≤ probe_move(v, q, s)`, and a
+/// node `may_improve` rules out has nothing to gain.
+fn candidate_bound_holds(
+    st: &ScheduleState<'_>,
+    sc: &mut ProbeScratch,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for v in st.dag().nodes() {
+        let bound = st.gain_bound(sc, v);
+        prop_assert!(
+            st.may_improve(v) || bound == 0,
+            "pruned node {} has gain bound {}",
+            v,
+            bound
+        );
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1)..=cur.1 + 1 {
+            for q in st.valid_procs(v, s).procs(st.p()) {
+                if (q, s) == cur {
+                    continue;
+                }
+                let rise = st.target_rise(v, q, s);
+                let delta = st.probe_move(v, q, s);
+                prop_assert!(
+                    rise as i64 - bound as i64 <= delta,
+                    "move of {} to ({}, {}): rise {} − bound {} > delta {}",
+                    v,
+                    q,
+                    s,
+                    rise,
+                    bound,
+                    delta
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`candidate_bound_holds`] on a random schedule, after every move of a
+/// random sequence (with a compaction now and then) and at a local
+/// minimum.
+fn bound_soundness(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let p = machine.p() as u32;
+    let sched = random_valid_assignment(dag, p, seed);
+    let mut st = ScheduleState::new(dag, machine, &sched);
+    let mut sc = ProbeScratch::default();
+    candidate_bound_holds(&st, &mut sc)?;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xb0d5);
+    for _ in 0..20 {
+        let v = rng.gen_range(0..dag.n() as u32);
+        let q = rng.gen_range(0..p);
+        let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
+        if st.is_move_valid(v, q, s) {
+            st.apply_move(v, q, s);
+            candidate_bound_holds(&st, &mut sc)?;
+        }
+        if rng.gen_range(0..6) == 0 {
+            st.compact_from(rng.gen_range(0..3));
+            candidate_bound_holds(&st, &mut sc)?;
+        }
+    }
+    let floor = rng.gen_range(0..3);
+    hill_climb_from(&mut st, &mut Stop::new(None, None), floor);
+    candidate_bound_holds(&st, &mut sc)
 }
 
 /// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
@@ -526,6 +598,24 @@ proptest! {
     ) {
         prune_soundness(&dag, &machine, seed)?;
         prune_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+    }
+
+    /// The candidate lower bound is sound on layered and Erdős–Rényi DAGs
+    /// (with zero-work and zero-comm nodes, NUMA machines included):
+    /// `target_rise − gain_bound ≤ probe_move` for every valid candidate,
+    /// on random schedules, after random moves and compactions and at a
+    /// local minimum.
+    #[test]
+    fn candidate_lower_bound_is_sound(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        for dag in [layered, erdos] {
+            bound_soundness(&dag, &machine, seed)?;
+            bound_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+        }
     }
 
     /// A failure certificate that still stands is true: after random

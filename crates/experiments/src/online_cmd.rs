@@ -8,9 +8,11 @@
 //! with `--order <name>`), replayed with the default per-arrival work
 //! budget (override with `--budget-ms`), and reported as one
 //! [`OnlineRun`] row: final online cost, cold-solve cost, their ratio
-//! (×1000, integer), and how many of the replay's hill-climbing node
-//! visits sweep pruning skipped (`bsp_ls_pruned_total` /
-//! `bsp_ls_visits_total` over the replay). With `--check` the command
+//! (×1000, integer), how many of the replay's hill-climbing node visits
+//! sweep pruning skipped (`bsp_ls_pruned_total` / `bsp_ls_visits_total`
+//! over the replay), and how many candidates of the remaining visits the
+//! gain bound skipped (`bsp_ls_bound_skips_total` / that plus
+//! `bsp_ls_hc_probes_total`). With `--check` the command
 //! fails if any ratio exceeds the acceptance threshold, or if no row was
 //! replayed at all — the regression gate the CI `online-smoke` job runs.
 //! Re-planning time is measured by the repo benchmark's `online-stream`
@@ -52,6 +54,11 @@ pub struct OnlineRun {
     /// Visits `ScheduleState::may_improve` skipped without a probe
     /// (`bsp_ls_pruned_total`).
     pub hc_pruned: u64,
+    /// Probes the hill climbs ran (`bsp_ls_hc_probes_total`).
+    pub hc_probes: u64,
+    /// Candidates the gain bound skipped without a probe
+    /// (`bsp_ls_bound_skips_total`).
+    pub hc_bound_skips: u64,
 }
 
 /// Default instance specs: one per catalogue corner that the online
@@ -100,8 +107,11 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
         ocfg.budget_per_arrival = Duration::from_millis(ms);
     }
 
-    let visits = bsp_obs::global().counter("bsp_ls_visits_total", &[]);
-    let pruned = bsp_obs::global().counter("bsp_ls_pruned_total", &[]);
+    let counter = |name: &str| bsp_obs::global().counter(name, &[]);
+    let visits = counter("bsp_ls_visits_total");
+    let pruned = counter("bsp_ls_pruned_total");
+    let probes = counter("bsp_ls_hc_probes_total");
+    let skips = counter("bsp_ls_bound_skips_total");
     let mut out = Vec::new();
     for (spec, insts) in resolve_instance_groups(&inst_specs) {
         for inst in insts {
@@ -125,7 +135,7 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     seed: 7,
                 };
                 let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
-                let (visits0, pruned0) = (visits.get(), pruned.get());
+                let before = [&visits, &pruned, &probes, &skips].map(|c| c.get());
                 let outcome = replay(&trace, &inst.machine, &ocfg)
                     .unwrap_or_else(|e| panic!("online replay of {}: {e}", inst.name));
                 out.push(OnlineRun {
@@ -137,8 +147,10 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     online_cost: outcome.cost,
                     cold_cost: cold.cost,
                     cost_ratio_x1000: outcome.cost * 1000 / cold.cost.max(1),
-                    hc_visits: visits.get() - visits0,
-                    hc_pruned: pruned.get() - pruned0,
+                    hc_visits: visits.get() - before[0],
+                    hc_pruned: pruned.get() - before[1],
+                    hc_probes: probes.get() - before[2],
+                    hc_bound_skips: skips.get() - before[3],
                 });
             }
         }
@@ -186,12 +198,22 @@ pub fn online(cfg: &RunConfig) {
 
 fn print_online_runs(runs: &[OnlineRun]) {
     println!(
-        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>20}",
-        "instance", "order", "n", "reveals", "replans", "online", "cold", "ratio", "pruned/visits"
+        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>20} {:>22}",
+        "instance",
+        "order",
+        "n",
+        "reveals",
+        "replans",
+        "online",
+        "cold",
+        "ratio",
+        "pruned/visits",
+        "skipped/candidates"
     );
     for r in runs {
+        let candidates = r.hc_probes + r.hc_bound_skips;
         println!(
-            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>20}",
+            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>20} {:>22}",
             truncated(&r.instance, 44),
             r.order,
             r.n,
@@ -206,6 +228,12 @@ fn print_online_runs(runs: &[OnlineRun]) {
                 r.hc_pruned,
                 r.hc_visits,
                 r.hc_pruned * 100 / r.hc_visits.max(1)
+            ),
+            format!(
+                "{}/{} {:>3}%",
+                r.hc_bound_skips,
+                candidates,
+                r.hc_bound_skips * 100 / candidates.max(1)
             ),
         );
     }
