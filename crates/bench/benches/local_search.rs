@@ -23,17 +23,21 @@
 //! sweep pruning ([`ScheduleState::may_improve`], `pruned`) against the
 //! same sweep probing every node (`unpruned`), after asserting that both
 //! certify the minimum and move nothing; the climb that converged it
-//! prints the share of candidates the gain bound skipped and fails the
-//! smoke if it skipped none of some (a bound gone slack). `hc_converge/*`
-//! times a whole climb from the BSPg schedule to its local minimum — many
-//! sweeps, each revisiting the nodes the last one proved stuck — three
-//! ways: the production loop (`bounded`: failure certificates skip a node
-//! while nothing its probes read has changed, and a candidate whose target
-//! row must rise by at least the node's [`ScheduleState::gain_bound`] is
-//! not probed), the same loop without the bound (`certified`) and without
-//! certificates either (`uncertified`), after asserting equal moves and
-//! end states and that the bound skipped exactly the probes it saved, and
-//! printing sweeps and probes of all three. Reproduce with
+//! prints how many candidates the work-only rise test and the rest of the
+//! move floor skipped. `hc_converge/*` times a whole climb from the BSPg
+//! schedule to its local minimum — many sweeps, each revisiting the nodes
+//! the last one proved stuck — four ways: the production loop (`bounded`:
+//! failure certificates skip a node while nothing its probes read has
+//! changed, and a candidate whose [`ScheduleState::move_floor`] is `≥ 0`
+//! is not probed), the same loop with only the floor's work part
+//! (`rise`: `target_rise ≥ gain_bound`), without any candidate test
+//! (`certified`) and without certificates either (`uncertified`), after
+//! asserting equal moves and end states and that each test skipped
+//! exactly the probes it saved, and printing sweeps and probes of all
+//! four. Both groups fail the smoke when a climb with candidates skipped
+//! none (a bound gone slack), or when a climb on a NUMA machine (the
+//! `erdos` configs) skipped nothing beyond the rise test (a floor gone
+//! slack on the transfers it exists for). Reproduce with
 //! `cargo bench -p bsp-bench --bench local_search`.
 
 // The reference hill-climbing loop the core proptests hold production to.
@@ -44,7 +48,7 @@ mod hc_reference;
 mod kernel_reference;
 
 use bsp_bench::{kernel_scan_configs, machine, numa_machine, spread_schedule};
-use bsp_core::hc::hill_climb;
+use bsp_core::hc::{hill_climb, HillClimbStats};
 use bsp_core::init::bspg_schedule;
 use bsp_core::state::ScheduleState;
 use bsp_core::steepest::best_move;
@@ -128,8 +132,6 @@ fn unpruned_sweep_improves(st: &ScheduleState<'_>) -> bool {
 /// online re-plan and warm re-solve pays for the nodes an edit did not
 /// touch.
 fn bench_hc_sweep(c: &mut Criterion) {
-    let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
-    let skips_total = bsp_obs::global().counter("bsp_ls_bound_skips_total", &[]);
     let mut g = c.benchmark_group("local_search/hc_sweep");
     g.sample_size(10);
     let mut configs = kernel_scan_configs(true);
@@ -146,21 +148,10 @@ fn bench_hc_sweep(c: &mut Criterion) {
             machine(p as usize, 3)
         };
         let mut st = ScheduleState::new(&dag, &m, &bspg_schedule(&dag, &m));
-        let (probes0, skips0) = (probes_total.get(), skips_total.get());
-        hill_climb(&mut st, &mut Stop::new(None, None));
-        let (probes, skips) = (probes_total.get() - probes0, skips_total.get() - skips0);
-        println!(
-            "local_search/hc_sweep: {name} converging, the gain bound skipped {skips} of {} \
-             candidates",
-            probes + skips
-        );
-        // A climb with candidates where the bound skips none means it
-        // went slack. (BSPg leaves the spmv prefix at a minimum where
-        // `may_improve` rules out every visit: no candidates there.)
-        assert!(
-            probes + skips == 0 || skips > 0,
-            "{name}: the gain bound skipped none of {probes} candidates"
-        );
+        let (_, counts) = counted_climb(&mut st);
+        // BSPg leaves the spmv prefix at a minimum where `may_improve`
+        // rules out every visit: no candidates there.
+        counts.check(name, "hc_sweep", "converging");
         let converged = st.snapshot();
         // Pruned ≡ unpruned: both certify the minimum and move nothing.
         assert!(!unpruned_sweep_improves(&st), "{name}: not a local minimum");
@@ -187,11 +178,64 @@ fn climb_without_certificates(st: &mut ScheduleState<'_>) -> hc_reference::Refer
     hc_reference::hill_climb_reference(st, usize::MAX, 0, |st, v| st.may_improve(v))
 }
 
+/// What one production climb probed and skipped, off the process-global
+/// counters.
+struct SkipCounts {
+    probes: u64,
+    /// Candidates the work-only rise test skipped.
+    rise: u64,
+    /// Candidates the rest of the move floor skipped.
+    floor: u64,
+}
+
+impl SkipCounts {
+    /// Prints the counts and fails the smoke on a slack bound: a climb
+    /// with candidates that skipped none, or a NUMA climb (the `erdos`
+    /// configs) whose floor skipped nothing beyond the rise test.
+    fn check(&self, name: &str, group: &str, what: &str) {
+        let SkipCounts {
+            probes,
+            rise,
+            floor,
+        } = *self;
+        println!(
+            "local_search/{group}: {name} {what}, of {} candidates the rise test skipped \
+             {rise} and the rest of the move floor {floor}",
+            probes + rise + floor
+        );
+        assert!(
+            probes + rise + floor == 0 || rise + floor > 0,
+            "{name}: the move floor skipped none of {probes} candidates"
+        );
+        assert!(
+            !name.starts_with("erdos") || floor > 0,
+            "{name}: on a NUMA machine the move floor skipped nothing beyond the rise test"
+        );
+    }
+}
+
+/// [`hill_climb`] with the skips it counted.
+fn counted_climb(st: &mut ScheduleState<'_>) -> (HillClimbStats, SkipCounts) {
+    let counter = |name| bsp_obs::global().counter(name, &[]);
+    let totals = [
+        counter("bsp_ls_hc_probes_total"),
+        counter("bsp_ls_bound_skips_total"),
+        counter("bsp_ls_floor_skips_total"),
+    ];
+    let before = totals.each_ref().map(|c| c.get());
+    let stats = hill_climb(st, &mut Stop::new(None, None));
+    let [probes, skips, floor] = [0, 1, 2].map(|i| totals[i].get() - before[i]);
+    let counts = SkipCounts {
+        probes,
+        rise: skips - floor,
+        floor,
+    };
+    (stats, counts)
+}
+
 /// A whole climb, first sweep to last: what a cold pipeline solve spends
 /// nearly all of its time in.
 fn bench_hc_converge(c: &mut Criterion) {
-    let probes_total = bsp_obs::global().counter("bsp_ls_hc_probes_total", &[]);
-    let skips_total = bsp_obs::global().counter("bsp_ls_bound_skips_total", &[]);
     let mut g = c.benchmark_group("local_search/hc_converge");
     g.sample_size(10);
     for (name, dag, p) in kernel_scan_configs(true) {
@@ -201,17 +245,19 @@ fn bench_hc_converge(c: &mut Criterion) {
             machine(p as usize, 3)
         };
         let start = bspg_schedule(&dag, &m);
-        // Bounded ≡ certified ≡ uncertified: same moves, same minimum.
+        // Bounded ≡ rise ≡ certified ≡ uncertified: same moves, same
+        // minimum.
         let mut with = ScheduleState::new(&dag, &m, &start);
-        let (probes0, skips0) = (probes_total.get(), skips_total.get());
-        let stats = hill_climb(&mut with, &mut Stop::new(None, None));
-        let (probes, skips) = (probes_total.get() - probes0, skips_total.get() - skips0);
+        let (stats, counts) = counted_climb(&mut with);
+        counts.check(name, "hc_converge", "from BSPg");
+        let mut rise_only = ScheduleState::new(&dag, &m, &start);
+        let rise_climb = hc_reference::hill_climb_rise_bounded(&mut rise_only);
         let mut certified = ScheduleState::new(&dag, &m, &start);
         let unbounded = hc_reference::hill_climb_certified(&mut certified);
         let mut without = ScheduleState::new(&dag, &m, &start);
         let plain = climb_without_certificates(&mut without);
         let (accepted, sweeps) = (plain.accepted, plain.sweeps);
-        for climb in [unbounded, plain] {
+        for climb in [rise_climb, unbounded, plain] {
             assert_eq!(
                 (stats.accepted, stats.local_minimum),
                 (climb.accepted, climb.local_minimum),
@@ -224,15 +270,23 @@ fn bench_hc_converge(c: &mut Criterion) {
             without.snapshot(),
             "{name}: end states differ"
         );
+        assert_eq!(rise_only.snapshot(), without.snapshot(), "{name}");
         assert_eq!(certified.snapshot(), without.snapshot(), "{name}");
-        // The bound changes no decision, so every candidate it skipped is
-        // a probe the same loop without it ran.
-        assert_eq!(probes + skips, unbounded.probes, "{name}");
+        // Neither test changes a decision, so every candidate one skipped
+        // is a probe the same loop without it ran.
+        let SkipCounts {
+            probes,
+            rise,
+            floor,
+        } = counts;
+        assert_eq!(probes + floor, rise_climb.probes, "{name}");
+        assert_eq!(probes + rise + floor, unbounded.probes, "{name}");
         println!(
             "local_search/hc_converge: {name} n = {}, {accepted} moves in {sweeps} sweeps, \
-             probes {probes} with the gain bound ({skips} skipped) / {} without it / {} \
-             without certificates either",
+             probes {probes} with the move floor / {} with the rise test only / {} with \
+             neither / {} without certificates either",
             dag.n(),
+            rise_climb.probes,
             unbounded.probes,
             plain.probes,
         );
@@ -240,6 +294,12 @@ fn bench_hc_converge(c: &mut Criterion) {
             b.iter(|| {
                 let mut st = ScheduleState::new(&dag, &m, &start);
                 black_box(hill_climb(&mut st, &mut Stop::new(None, None)))
+            })
+        });
+        g.bench_function(BenchmarkId::new("rise", name), |b| {
+            b.iter(|| {
+                let mut st = ScheduleState::new(&dag, &m, &start);
+                black_box(hc_reference::hill_climb_rise_bounded(&mut st))
             })
         });
         g.bench_function(BenchmarkId::new("certified", name), |b| {

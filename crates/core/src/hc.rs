@@ -16,11 +16,12 @@
 //! a node whose neighbourhood an earlier sweep probed in vain is skipped
 //! while its *failure certificate* holds ([`ScheduleState::certified`]:
 //! nothing those probes read has changed). Of the nodes that remain, a
-//! candidate is not probed when the work row it lands in must rise by at
-//! least what any move of the node can save
-//! ([`ScheduleState::target_rise`] ≥ [`ScheduleState::gain_bound`]; the
-//! bound is computed once per visit, at the first candidate whose rise is
-//! positive): its probe could only be `≥ 0`. All three skip only what
+//! candidate is not probed when what it must add — its work, and off its
+//! own processor the transfers it must send and receive — already costs
+//! at least what any move of the node can save
+//! ([`ScheduleState::move_floor`] ≥ 0, read off the node's
+//! [`ScheduleState::gain_bound`] fold, taken once per visit at its first
+//! candidate): its probe could only be `≥ 0`. All three skip only what
 //! would have failed, and first improvement takes a move only when its
 //! delta is `< 0`, so nothing a skip removes could have been taken — the
 //! accepted-move sequence, every move cap and every result are those of
@@ -92,15 +93,17 @@ pub fn hill_climb_from(
     m.certified.add(visits.certified);
     m.hc_probes.add(visits.probes);
     m.bound_skips.add(visits.bound_skips);
+    m.floor_skips.add(visits.floor_skips);
     stats
 }
 
 /// Per-run tally of node visits (one per neighbourhood attempt), of those
 /// [`ScheduleState::may_improve`] ruled out before any probe, of those a
 /// failure certificate ruled out after it, of the candidates of the rest
-/// the gain bound ruled out, and of the probes that were left (a release
-/// build's: the ones debug builds add to check the filters are not
-/// counted).
+/// the move floor ruled out (all of them, and those the work-only rise
+/// test `target_rise ≥ gain_bound` would have probed), and of the probes
+/// that were left (a release build's: the ones debug builds add to check
+/// the filters are not counted).
 #[derive(Default)]
 struct Visits {
     probes: u64,
@@ -108,6 +111,7 @@ struct Visits {
     pruned: u64,
     certified: u64,
     bound_skips: u64,
+    floor_skips: u64,
 }
 
 fn hill_climb_from_inner(
@@ -168,10 +172,12 @@ fn hill_climb_from_inner(
 /// improve), then, for a node that passes it, [`ScheduleState::certified`]
 /// (an earlier sweep of this call probed the whole neighbourhood, found
 /// nothing, and nothing those probes read has changed since). The third
-/// skips one candidate: its [`ScheduleState::target_rise`] is at least
-/// the node's [`ScheduleState::gain_bound`], computed once per visit at
-/// the first candidate whose rise is positive. A scan that comes up empty
-/// issues the certificate. Steps are pre-filtered with
+/// skips one candidate: its [`ScheduleState::move_floor`] is `≥ 0`. The
+/// floor reads the node's [`ScheduleState::gain_bound`] fold, taken once
+/// per visit at the first candidate; the `O(1)` work-only part of it
+/// ([`ScheduleState::target_rise`] ≥ the bound) is tried first and spares
+/// the floor's `O(deg)` walk where it already decides. A scan that comes
+/// up empty issues the certificate. Steps are pre-filtered with
 /// [`ScheduleState::valid_procs`], preserving the `(s, q)` probe order.
 /// Steps below `floor` are never probed (committed-prefix protection).
 fn try_improve_node(
@@ -200,9 +206,15 @@ fn try_improve_node(
             if (q, s) == (cur_p, cur_s) {
                 continue;
             }
+            let gain = *bound.get_or_insert_with(|| state.gain_bound(sc, v));
+            // The work-only part of the floor decides first where it can;
+            // debug builds take the whole floor anyway, to check it.
             let rise = state.target_rise(v, q, s);
-            let skip = rise > 0 && rise >= *bound.get_or_insert_with(|| state.gain_bound(sc, v));
+            let by_rise = rise > 0 && rise >= gain;
+            let lower = (!by_rise || cfg!(debug_assertions)).then(|| state.move_floor(sc, v, q, s));
+            let skip = by_rise || lower.is_some_and(|f| f >= 0);
             visits.bound_skips += (skip && !stuck) as u64;
+            visits.floor_skips += (skip && !by_rise && !stuck) as u64;
             if skip && !cfg!(debug_assertions) {
                 continue;
             }
@@ -218,9 +230,9 @@ fn try_improve_node(
                 }
             );
             debug_assert!(
-                bound.is_none_or(|b| delta >= rise as i64 - b as i64),
-                "move of {v} to ({q}, {s}) beats its lower bound: rise {rise}, gain bound \
-                 {bound:?}, delta {delta}"
+                lower.is_none_or(|f| delta >= f && f >= rise as i64 - gain as i64),
+                "move of {v} to ({q}, {s}) beats its floor: rise {rise}, gain bound {gain}, \
+                 floor {lower:?}, delta {delta}"
             );
             if delta < 0 {
                 state.apply_move(v, q, s);
@@ -318,6 +330,73 @@ mod tests {
         assert!(try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
         assert_eq!((visits.bound_skips, visits.probes), (1, 1));
         assert_eq!((st.proc(2), st.step(2)), (1, 0));
+        assert_eq!(st.cost(), st.recomputed_cost());
+    }
+
+    /// u (comm `cu`) on p0 and u2 (comm 2) on p1 in row 0, both feeding v
+    /// (work 1) alone in row 1 on p0; `g = 1`, `ℓ = 0`. v can save its
+    /// work cell (1) and u2's transfer into p0 (2): gain bound 3. Moving v
+    /// to p1 makes u's value a transfer into p1 instead, and neither v
+    /// nor u has a consumer to send to.
+    fn receive_instance(cu: u64) -> (bsp_dag::Dag, BspParams, BspSchedule) {
+        let mut b = DagBuilder::new();
+        let u = b.add_node(1, cu);
+        let u2 = b.add_node(1, 2);
+        let v = b.add_node(1, 1);
+        b.add_edge(u, v).unwrap();
+        b.add_edge(u2, v).unwrap();
+        let sched = BspSchedule::from_parts(vec![0, 1, 0], vec![0, 0, 1]);
+        (b.build().unwrap(), BspParams::new(2, 1, 0), sched)
+    }
+
+    #[test]
+    fn floor_of_exactly_zero_is_skipped() {
+        let (dag, machine, sched) = receive_instance(2);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        let mut sc = ProbeScratch::default();
+        assert_eq!(st.gain_bound(&mut sc, 2), 3);
+        // (p1, 1) raises v's row by 1 and u's new transfer lifts row 0
+        // back to h = 2: floor −3 + 1 + 2 = 0, and so is the probe. Its
+        // work rise alone (1 < 3) would have probed it.
+        assert_eq!(st.target_rise(2, 1, 1), 1);
+        assert_eq!(st.move_floor(&sc, 2, 1, 1), 0);
+        assert_eq!(st.probe_move(2, 1, 1), 0);
+        // (p1, 2) likewise lands u's transfer in row 1: floor 0. (p0, 2)
+        // creates no transfer (floor −2) and is probed: 0.
+        assert_eq!(st.move_floor(&sc, 2, 1, 2), 0);
+        assert_eq!(st.move_floor(&sc, 2, 0, 2), -2);
+        let mut visits = Visits::default();
+        assert!(!try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
+        let counts = (visits.bound_skips, visits.floor_skips, visits.probes);
+        assert_eq!(counts, (2, 2, 1));
+    }
+
+    #[test]
+    fn receive_cell_alone_rules_out_a_candidate() {
+        // u's value weighs 3: (p1, 1) must receive it in row 0, above
+        // the 2 its move saves there — floor 1, probe 1 — while the rise
+        // test leaves it at 1 − 3 = −2.
+        let (dag, machine, sched) = receive_instance(3);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        let mut sc = ProbeScratch::default();
+        let gain = st.gain_bound(&mut sc, 2) as i64;
+        assert_eq!(st.target_rise(2, 1, 1) as i64 - gain, -2);
+        assert_eq!(st.move_floor(&sc, 2, 1, 1), 1);
+        assert_eq!(st.probe_move(2, 1, 1), 1);
+        let mut visits = Visits::default();
+        assert!(!try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
+        assert_eq!((visits.floor_skips, visits.probes), (2, 1));
+
+        // Weighing 1, it fits under the transfer u2 sends from p1 in row
+        // 0, which the move removes: the fold landed that on p1's cell,
+        // so the floor is −1, and the move is taken.
+        let (dag, machine, sched) = receive_instance(1);
+        let mut st = ScheduleState::new(&dag, &machine, &sched);
+        st.gain_bound(&mut sc, 2);
+        assert_eq!(st.move_floor(&sc, 2, 1, 1), -1);
+        let mut visits = Visits::default();
+        assert!(try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
+        assert_eq!((st.proc(2), st.step(2)), (1, 1));
         assert_eq!(st.cost(), st.recomputed_cost());
     }
 

@@ -11,10 +11,12 @@
 //! `bsp_ls_certified_total` (visits that passed it and were skipped on a
 //! standing failure certificate, `ScheduleState::certified`),
 //! `bsp_ls_bound_skips_total` (candidates of the remaining visits that
-//! the gain bound ruled out, `ScheduleState::target_rise` ≥
-//! `ScheduleState::gain_bound`) and `bsp_ls_hc_probes_total` (the probes
-//! actually run; probes + bound skips = the candidates those visits
-//! had).
+//! the move floor ruled out, `ScheduleState::move_floor` ≥ 0),
+//! `bsp_ls_floor_skips_total` (those of them the work-only rise test,
+//! `ScheduleState::target_rise` ≥ `ScheduleState::gain_bound`, would have
+//! probed: what the floor's transfer rules add) and
+//! `bsp_ls_hc_probes_total` (the probes actually run; probes + bound
+//! skips = the candidates those visits had).
 
 use std::sync::OnceLock;
 
@@ -27,6 +29,7 @@ pub(crate) struct LsMetrics {
     pub certified: bsp_obs::Counter,
     pub hc_probes: bsp_obs::Counter,
     pub bound_skips: bsp_obs::Counter,
+    pub floor_skips: bsp_obs::Counter,
 }
 
 pub(crate) fn ls_metrics() -> &'static LsMetrics {
@@ -42,6 +45,7 @@ pub(crate) fn ls_metrics() -> &'static LsMetrics {
             certified: reg.counter("bsp_ls_certified_total", &[]),
             hc_probes: reg.counter("bsp_ls_hc_probes_total", &[]),
             bound_skips: reg.counter("bsp_ls_bound_skips_total", &[]),
+            floor_skips: reg.counter("bsp_ls_floor_skips_total", &[]),
         }
     })
 }

@@ -1,9 +1,12 @@
-//! The enumeration of every cell a move of a node can decrement, and the
-//! folds over it: [`ScheduleState::may_improve`] and
-//! [`ScheduleState::gain_bound`], with the candidate's certain rise
-//! [`ScheduleState::target_rise`].
+//! The enumeration of every cell a move of a node can decrement, the
+//! folds over it — [`ScheduleState::may_improve`] and
+//! [`ScheduleState::gain_bound`] — and what a candidate must raise no
+//! matter what: its work row ([`ScheduleState::target_rise`]) and, off
+//! its own processor, the transfers it creates
+//! ([`ScheduleState::move_floor`]).
 
-use super::{ProbeScratch, ScheduleState};
+use super::probe::{Deltas, RowEval};
+use super::{ProbeScratch, ScheduleState, Slot};
 use bsp_dag::NodeId;
 use std::ops::ControlFlow;
 
@@ -58,9 +61,48 @@ impl DecrementFold for CanLower {
     }
 }
 
+/// The last [`ScheduleState::gain_bound`] fold, kept in the
+/// [`ProbeScratch`] for [`ScheduleState::move_floor`]: every decrement of
+/// one node landed at once, each touched row as it then stands (its
+/// *floor*: no move of the node leaves the row below it), and the bound.
+#[derive(Debug, Default)]
+pub(super) struct Fold {
+    landed: Deltas,
+    /// `floors[i]`: the row of entry `i` of `landed`.
+    floors: Vec<RowEval>,
+    bound: u64,
+    /// The node and the state's clock the fold was taken at.
+    of: Option<(NodeId, u64)>,
+}
+
+/// The cells on the target processor `q` a candidate move must raise,
+/// merged per superstep row: `(row, work, send, recv)` increments. Rows
+/// beyond the capacity are dropped — each row only adds to the floor, so
+/// leaving one out keeps the floor sound.
+struct Raises {
+    rows: [(u32, u64, u64, u64); Raises::CAP],
+    len: usize,
+}
+
+impl Raises {
+    const CAP: usize = 8;
+
+    fn add(&mut self, step: u32, work: u64, send: u64, recv: u64) {
+        let rows = &mut self.rows[..self.len];
+        if let Some(r) = rows.iter_mut().find(|r| r.0 == step) {
+            r.1 += work;
+            r.2 += send;
+            r.3 += recv;
+        } else if self.len < Self::CAP {
+            self.rows[self.len] = (step, work, send, recv);
+            self.len += 1;
+        }
+    }
+}
+
 /// [`ScheduleState::gain_bound`]'s fold: lands every decrement, at full
-/// volume, in one probe scratch.
-struct AllLanded<'s>(&'s mut ProbeScratch);
+/// volume, in one set of deltas.
+struct AllLanded<'s>(&'s mut Deltas);
 
 impl DecrementFold for AllLanded<'_> {
     #[inline(always)]
@@ -212,14 +254,20 @@ impl ScheduleState<'_> {
     ///
     /// Every move decrements a subset of those cells by at most as much,
     /// and its increments only raise cells, so no row ends below this.
-    /// Zero whenever `may_improve(v)` is false. `O(deg)`, allocation-free
-    /// once `sc` is warm, read-only.
+    /// Zero whenever `may_improve(v)` is false. The landed decrements and
+    /// the re-costed rows stay in `sc`, where probes leave them, for
+    /// [`ScheduleState::move_floor`]. `O(deg)`, allocation-free once `sc`
+    /// is warm, read-only.
     pub fn gain_bound(&self, sc: &mut ProbeScratch, v: NodeId) -> u64 {
-        sc.clear();
-        let _ = self.decrements(v, &mut AllLanded(sc));
-        let delta = self.eval_probe(sc);
+        let f = &mut sc.fold;
+        f.landed.clear();
+        f.floors.clear();
+        let _ = self.decrements(v, &mut AllLanded(&mut f.landed));
+        let delta = self.eval_rows(&f.landed, &mut sc.rescan, |r| f.floors.push(r));
         debug_assert!(delta <= 0, "decrements raised the cost by {delta}");
-        delta.unsigned_abs()
+        f.bound = delta.unsigned_abs();
+        f.of = Some((v, self.t.clock));
+        f.bound
     }
 
     /// The part of a move's cost change that no decrement can offset: how
@@ -230,8 +278,8 @@ impl ScheduleState<'_> {
     /// drop [`ScheduleState::gain_bound`] already counts, so the rise is
     /// measured from `wmax` less that drop there. An empty row has no cell to
     /// decrement and turns nonempty. So [`ScheduleState::probe_move`]`(v,
-    /// q, s) ≥ target_rise − gain_bound`, and a first-improvement scan may
-    /// skip every candidate with `target_rise ≥ gain_bound`. `O(1)`.
+    /// q, s) ≥ target_rise − gain_bound`: the work-only part of
+    /// [`ScheduleState::move_floor`], which a scan may try first. `O(1)`.
     pub fn target_rise(&self, v: NodeId, q: u32, s: u32) -> u64 {
         let w = self.dag.work(v);
         let Some(m) = self.t.meta.get(s as usize) else {
@@ -249,5 +297,109 @@ impl ScheduleState<'_> {
         }
         let empty = m.nodes == 0 && m.comm == 0;
         (cell + w).saturating_sub(wmax) + if empty { self.machine.l() } else { 0 }
+    }
+
+    /// A lower bound on [`ScheduleState::probe_move`]`(v, q, s)` for a
+    /// valid candidate, at least `target_rise(v, q, s) − gain_bound(v)`:
+    /// a first-improvement scan may skip every candidate whose floor is
+    /// `≥ 0`. `sc` must hold `v`'s fold — the last
+    /// [`ScheduleState::gain_bound`]`(sc, v)` on the state as it is;
+    /// probes through `sc` in between leave it alone. `O(deg(v))`, no
+    /// allocation.
+    ///
+    /// The fold landed every decrement any move of `v` can make, so each
+    /// row it touched has a *floor* no move leaves it below, and the
+    /// floors sum to the current cost less the bound. On top of that, the
+    /// move *must* raise some cells of processor `q`:
+    ///
+    /// * the target work cell `(s, q)` gains `w(v)`, and row `s` computes
+    ///   something;
+    /// * for `q ≠ π(v)`, every consumer bucket `q′ ≠ q` of `v` (earliest
+    ///   step `m`) becomes a transfer `q → q′` in phase `m − 1`: send cell
+    ///   `(m − 1, q)` gains `c(v)·λ(q, q′)` per such bucket (`c` the
+    ///   communication weight);
+    /// * for `q ≠ π(v)`, every predecessor `u` with `π(u) ≠ q` whose
+    ///   earliest consumer on `q` is absent or later than `s` gets `v` as
+    ///   that bucket's new minimum: receive cell `(s − 1, q)` gains
+    ///   `c(u)·λ(π(u), q)`.
+    ///
+    /// Each raised cell ends at least at its current value less what the
+    /// fold landed on it, plus its certain increment, and each of those
+    /// rows carries something. So a raised row ends at least at its floor
+    /// with the raised cells so set, and the floor is `−gain_bound` plus
+    /// what that lifts each raised row above its floor.
+    pub fn move_floor(&self, sc: &ProbeScratch, v: NodeId, q: u32, s: u32) -> i64 {
+        let f = &sc.fold;
+        debug_assert_eq!(
+            f.of,
+            Some((v, self.t.clock)),
+            "no fold of {v} in the scratch"
+        );
+        let pv = self.t.sched.proc(v);
+        let mut raises = Raises {
+            rows: [(0, 0, 0, 0); Raises::CAP],
+            len: 0,
+        };
+        raises.add(s, self.dag.work(v), 0, 0);
+        if q != pv {
+            let (lo, hi) = self.cons_range(v);
+            let mut i = lo;
+            while i < hi {
+                let (b, m) = self.t.cons[i];
+                i = self.bucket_end(i, hi, b);
+                if b != q {
+                    raises.add(m - 1, 0, self.weighted(v, q, b), 0);
+                }
+            }
+            let mut recv = None;
+            for &u in self.dag.predecessors(v) {
+                let pu = self.t.sched.proc(u);
+                if pu != q && self.bucket_min(u, q).is_none_or(|m| m > s) {
+                    *recv.get_or_insert(0) += self.weighted(u, pu, q);
+                }
+            }
+            if let Some(w) = recv {
+                raises.add(s - 1, 0, 0, w);
+            }
+        }
+        raises.rows[..raises.len]
+            .iter()
+            .fold(-(f.bound as i64), |floor, &r| {
+                floor + self.lift(f, q, r) as i64
+            })
+    }
+
+    /// How far raising processor `q`'s cells of one row by `(work, send,
+    /// recv)` — on top of the fold's landed decrements — lifts the row
+    /// above its floor, the row being certain to carry something.
+    fn lift(&self, f: &Fold, q: u32, (step, work, send, recv): (u32, u64, u64, u64)) -> u64 {
+        let s = step as usize;
+        let (floor, (dw, ds, dr)) = match f.landed.entry(step) {
+            Some(i) => (f.floors[i], f.landed.cell(i, q)),
+            None => match self.t.meta.get(s) {
+                Some(m) => (
+                    RowEval {
+                        work: m.wtop.vals[0],
+                        hrel: m.htop.vals[0],
+                        nonempty: m.nodes > 0 || m.comm > 0,
+                    },
+                    (0, 0, 0),
+                ),
+                None => (RowEval::default(), (0, 0, 0)),
+            },
+        };
+        let p = self.machine.p();
+        let cell = self
+            .t
+            .slots
+            .get(s * p + q as usize)
+            .copied()
+            .unwrap_or(Slot::default());
+        let at = |x: u64, d: i64| (x as i64 + d) as u64;
+        let w = at(cell.work, dw) + work;
+        let h = (at(cell.send, ds) + send).max(at(cell.recv, dr) + recv);
+        w.saturating_sub(floor.work)
+            + self.machine.g() * h.saturating_sub(floor.hrel)
+            + if floor.nonempty { 0 } else { self.machine.l() }
     }
 }

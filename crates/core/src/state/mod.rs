@@ -56,16 +56,22 @@
 //! *decrement*; two folds read it. [`ScheduleState::may_improve`] is the
 //! early-exit one — no listed cell can lower its row, so skip the node.
 //! [`ScheduleState::gain_bound`] lands all listed decrements at once and
-//! re-costs their rows, an upper bound on what any move of `v` saves. A
-//! candidate's [`ScheduleState::target_rise`] is what it must add no
-//! matter what (its work cell rises; an empty row gets charged), so
+//! re-costs their rows, an upper bound on what any move of `v` saves, and
+//! keeps each touched row's *floor* — the row with every decrement landed
+//! — in the scratch. A candidate `(q, s)` must still raise some cells of
+//! processor `q`: its work cell, and off `π(v)` the send cells of the
+//! transfers `v`'s consumers now need from `q` and the receive cell of
+//! the predecessor values `q` now lacks.
+//! [`ScheduleState::target_rise`] is the work part alone;
+//! [`ScheduleState::move_floor`] lifts each raised row above its floor,
+//! cell by cell, so
 //!
 //! ```text
-//! probe_move(v, q, s) ≥ target_rise(v, q, s) − gain_bound(v)
+//! probe_move(v, q, s) ≥ move_floor(v, q, s) ≥ target_rise(v, q, s) − gain_bound(v)
 //! ```
 //!
 //! and a first-improvement scan — hill climbing — skips every candidate
-//! whose rise reaches the bound.
+//! whose floor is `≥ 0`.
 //!
 //! # Tables, stamps and certificates
 //!
@@ -91,7 +97,8 @@
 //! consumer arena, move validity), `apply` (applying moves, compaction,
 //! row refresh), `probe` (the read-only probe and its row evaluation),
 //! `certify` (stamps and failure certificates) and `bound` (the
-//! enumeration of the cells a move can decrement, and its folds).
+//! enumeration of the cells a move can decrement, its folds, and the
+//! candidate floors read off them).
 
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;

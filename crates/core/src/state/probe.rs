@@ -2,17 +2,18 @@
 //! in, the probe itself, and the row evaluation that turns those deltas
 //! into an exact cost delta.
 
+use super::bound::Fold;
 use super::{ScheduleState, Slot, StepMeta};
 use bsp_dag::NodeId;
 
-/// One superstep touched by a probed move: net count deltas plus the head
-/// of its linked list of per-processor cell deltas.
+/// One superstep touched by a set of deltas: net count deltas plus the
+/// head of its linked list of per-processor cell deltas.
 #[derive(Debug, Clone, Copy)]
 struct StepDelta {
     step: u32,
     dnodes: i64,
     dcomm: i64,
-    /// Index of the first cell in `ProbeScratch::cells`, `u32::MAX` = none.
+    /// Index of the first cell in `Deltas::cells`, `u32::MAX` = none.
     head: u32,
 }
 
@@ -26,34 +27,25 @@ struct CellDelta {
     next: u32,
 }
 
-/// Reusable scratch for [`ScheduleState::probe_move`]: the per-superstep
-/// and per-(superstep, processor) deltas a candidate move would cause.
-/// Cleared (capacity retained) on every probe, so probing is allocation-free
-/// once the buffers have warmed up to the working degree. Both vectors stay
-/// tiny (at most `degree + 2` steps), so lookups are linear scans.
-///
-/// Single-probe callers never see this type — [`ScheduleState::probe_move`]
-/// keeps one instance internally, behind a mutex. The whole-neighbourhood
-/// scans (steepest, tabu) own one (`ProbeScratch::default()`) and probe
-/// through [`ScheduleState::probe_move_in`], which skips the lock; hill
-/// climbing borrows the internal one, warm, for a whole run, and its
-/// [`ScheduleState::gain_bound`]s accumulate in it too.
+/// The changes a set of table edits would make, gathered per superstep
+/// and per `(superstep, processor)` cell without touching the tables: a
+/// probed move's, or every decrement of one node landed at once
+/// ([`ScheduleState::gain_bound`]). Cleared (capacity retained) before
+/// each use, so filling it is allocation-free once the buffers have
+/// warmed up to the working degree. Both vectors stay tiny (at most
+/// `degree + 2` steps), so cell lookups are linear scans.
 #[derive(Debug, Default)]
-pub struct ProbeScratch {
+pub(super) struct Deltas {
     steps: Vec<StepDelta>,
     cells: Vec<CellDelta>,
-    /// Epoch-stamped per-processor accumulator for the fallback row rescan:
-    /// `(epoch, Δwork, Δsend, Δrecv)`, lazily sized to `P`.
-    row: Vec<(u32, i64, i64, i64)>,
-    epoch: u32,
-    /// Epoch-stamped step → entry index so [`ProbeScratch::step_entry`] is
+    /// Epoch-stamped step → entry index so [`Deltas::step_entry`] is
     /// `O(1)` even when a high-degree move touches many distinct phases:
     /// `(epoch, index into steps)`, lazily sized to the largest step seen.
     step_idx: Vec<(u32, u32)>,
     sepoch: u32,
 }
 
-impl ProbeScratch {
+impl Deltas {
     pub(super) fn clear(&mut self) {
         self.steps.clear();
         self.cells.clear();
@@ -82,6 +74,30 @@ impl ProbeScratch {
         let idx = self.steps.len() - 1;
         self.step_idx[si] = (self.sepoch, idx as u32);
         idx
+    }
+
+    /// The entry of step `s`, if anything landed there: its position in
+    /// the order [`ScheduleState::eval_rows`] reports rows in.
+    #[inline]
+    pub(super) fn entry(&self, s: u32) -> Option<usize> {
+        match self.step_idx.get(s as usize) {
+            Some(&(ep, idx)) if ep == self.sepoch => Some(idx as usize),
+            _ => None,
+        }
+    }
+
+    /// `(Δwork, Δsend, Δrecv)` of processor `p` in entry `si`.
+    #[inline]
+    pub(super) fn cell(&self, si: usize, p: u32) -> (i64, i64, i64) {
+        let mut i = self.steps[si].head;
+        while i != u32::MAX {
+            let c = &self.cells[i as usize];
+            if c.proc == p {
+                return (c.dwork, c.dsend, c.drecv);
+            }
+            i = c.next;
+        }
+        (0, 0, 0)
     }
 
     /// Adds `(dwork, dsend, drecv)` to the cell of processor `p` in the
@@ -154,6 +170,44 @@ impl ProbeScratch {
             self.add_cell(si, dst, 0, 0, dr);
         }
     }
+}
+
+/// Epoch-stamped per-processor accumulator for the fallback row rescan
+/// ([`ScheduleState::eval_rows`]): `(epoch, Δwork, Δsend, Δrecv)`,
+/// lazily sized to `P`.
+#[derive(Debug, Default)]
+pub(super) struct Rescan {
+    row: Vec<(u32, i64, i64, i64)>,
+    epoch: u32,
+}
+
+/// A superstep row as [`ScheduleState::eval_rows`] re-costs it under a
+/// set of deltas: its work and h-relation maxima, and whether it computes
+/// or carries anything.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct RowEval {
+    pub(super) work: u64,
+    pub(super) hrel: u64,
+    pub(super) nonempty: bool,
+}
+
+/// Reusable scratch for [`ScheduleState::probe_move`]: the deltas of the
+/// candidate being probed, the rescan accumulator, and the last
+/// [`ScheduleState::gain_bound`] fold, which probes leave alone so that
+/// [`ScheduleState::move_floor`] can read it between them. Probing is
+/// allocation-free once the buffers have warmed up.
+///
+/// Single-probe callers never see this type — [`ScheduleState::probe_move`]
+/// keeps one instance internally, behind a mutex. The whole-neighbourhood
+/// scans (steepest, tabu) own one (`ProbeScratch::default()`) and probe
+/// through [`ScheduleState::probe_move_in`], which skips the lock; hill
+/// climbing borrows the internal one, warm, for a whole run, and its
+/// folds accumulate in it too.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    d: Deltas,
+    pub(super) rescan: Rescan,
+    pub(super) fold: Fold,
 }
 
 impl ScheduleState<'_> {
@@ -262,12 +316,13 @@ impl ScheduleState<'_> {
             return 0;
         }
         debug_assert!(self.is_move_valid(v, p_new, s_new));
-        sc.clear();
+        let d = &mut sc.d;
+        d.clear();
 
         // 1. Work movement and per-step node counts.
         let w = self.dag.work(v) as i64;
-        sc.work(s_old, p_old, -w, -1);
-        sc.work(s_new, p_new, w, 1);
+        d.work(s_old, p_old, -w, -1);
+        d.work(s_new, p_new, w, 1);
 
         // 2. Producer side: v's outgoing transfers change source processor.
         //    Phases are fixed by the consumers, which do not move, so a
@@ -281,11 +336,11 @@ impl ScheduleState<'_> {
                     i += 1;
                 }
                 if q == p_old {
-                    sc.transfer(m - 1, p_new, q, self.weighted(v, p_new, q), 1);
+                    d.transfer(m - 1, p_new, q, self.weighted(v, p_new, q), 1);
                 } else if q == p_new {
-                    sc.transfer(m - 1, p_old, q, self.weighted(v, p_old, q), -1);
+                    d.transfer(m - 1, p_old, q, self.weighted(v, p_old, q), -1);
                 } else {
-                    sc.move_transfer_src(
+                    d.move_transfer_src(
                         m - 1,
                         p_old,
                         p_new,
@@ -310,10 +365,10 @@ impl ScheduleState<'_> {
                 if before != after {
                     let w = self.weighted(u, pu, p_old);
                     if let Some(m) = before {
-                        sc.transfer(m - 1, pu, p_old, w, -1);
+                        d.transfer(m - 1, pu, p_old, w, -1);
                     }
                     if let Some(m) = after {
-                        sc.transfer(m - 1, pu, p_old, w, 1);
+                        d.transfer(m - 1, pu, p_old, w, 1);
                     }
                 }
                 continue;
@@ -322,10 +377,10 @@ impl ScheduleState<'_> {
             if p_old != pu && rm_before != rm_after {
                 let w = self.weighted(u, pu, p_old);
                 if let Some(m) = rm_before {
-                    sc.transfer(m - 1, pu, p_old, w, -1);
+                    d.transfer(m - 1, pu, p_old, w, -1);
                 }
                 if let Some(m) = rm_after {
-                    sc.transfer(m - 1, pu, p_old, w, 1);
+                    d.transfer(m - 1, pu, p_old, w, 1);
                 }
             }
             if p_new != pu {
@@ -333,29 +388,35 @@ impl ScheduleState<'_> {
                 if ins_before != after {
                     let w = self.weighted(u, pu, p_new);
                     if let Some(m) = ins_before {
-                        sc.transfer(m - 1, pu, p_new, w, -1);
+                        d.transfer(m - 1, pu, p_new, w, -1);
                     }
                     if let Some(m) = after {
-                        sc.transfer(m - 1, pu, p_new, w, 1);
+                        d.transfer(m - 1, pu, p_new, w, 1);
                     }
                 }
             }
         }
 
-        self.eval_probe(sc)
+        self.eval_rows(&sc.d, &mut sc.rescan, |_| {})
     }
 
-    /// Folds the accumulated deltas into a total-cost delta. Per touched
-    /// superstep, the new row maxima are derived from the changed cells and
-    /// the cached [`TopK`] entries — `O(changed)` per step, falling back
-    /// to an `O(P)` rescan only when both cached top processors changed.
-    /// Steps at or beyond `n_steps` read as empty.
-    pub(super) fn eval_probe(&self, sc: &mut ProbeScratch) -> i64 {
+    /// Folds the deltas `d` into a total-cost delta, handing each touched
+    /// row to `each` as re-costed, in entry order. Per touched superstep,
+    /// the new row maxima are derived from the changed cells and the
+    /// cached [`super::TopK`] entries — `O(changed)` per step, falling
+    /// back to an `O(P)` rescan only when both cached top processors
+    /// changed. Steps at or beyond `n_steps` read as empty.
+    pub(super) fn eval_rows(
+        &self,
+        d: &Deltas,
+        rescan: &mut Rescan,
+        mut each: impl FnMut(RowEval),
+    ) -> i64 {
         let p = self.machine.p();
         let (g, l) = (self.machine.g(), self.machine.l());
         let mut delta = 0i64;
-        for ei in 0..sc.steps.len() {
-            let e = sc.steps[ei];
+        for ei in 0..d.steps.len() {
+            let e = d.steps[ei];
             let s = e.step as usize;
             let in_range = s < self.t.n_steps;
             let row = s * p;
@@ -372,7 +433,7 @@ impl ScheduleState<'_> {
             let mut n_changed = 0usize;
             let mut i = e.head;
             while i != u32::MAX {
-                let c = sc.cells[i as usize];
+                let c = d.cells[i as usize];
                 let q = c.proc as usize;
                 let b = if in_range {
                     self.t.slots[row + q]
@@ -399,15 +460,20 @@ impl ScheduleState<'_> {
             };
             let w_max = match w_unch {
                 Some(u) => wcand.max(u),
-                None => self.rescan_adjusted(sc, e.head, in_range, row, false),
+                None => self.rescan_adjusted(d, rescan, e.head, in_range, row, false),
             };
             let c_max = match h_unch {
                 Some(u) => hcand.max(u),
-                None => self.rescan_adjusted(sc, e.head, in_range, row, true),
+                None => self.rescan_adjusted(d, rescan, e.head, in_range, row, true),
             };
             let nonempty = m.nodes as i64 + e.dnodes > 0 || m.comm as i64 + e.dcomm > 0;
             let new_cost = w_max + g * c_max + if nonempty { l } else { 0 };
             delta += new_cost as i64 - m.cost as i64;
+            each(RowEval {
+                work: w_max,
+                hrel: c_max,
+                nonempty,
+            });
         }
         delta
     }
@@ -415,34 +481,35 @@ impl ScheduleState<'_> {
     /// Full adjusted row maximum (work when `hrel` is false, h-relation
     /// otherwise): the rare probe fallback when every cached top processor
     /// of a touched step changed. `O(P + cells)` via the epoch-stamped
-    /// per-processor accumulator in the scratch.
+    /// per-processor accumulator `acc`.
     fn rescan_adjusted(
         &self,
-        sc: &mut ProbeScratch,
+        d: &Deltas,
+        acc: &mut Rescan,
         head: u32,
         in_range: bool,
         row: usize,
         hrel: bool,
     ) -> u64 {
         let p = self.machine.p();
-        if sc.row.len() < p {
-            sc.row.resize(p, (0, 0, 0, 0));
+        if acc.row.len() < p {
+            acc.row.resize(p, (0, 0, 0, 0));
         }
-        sc.epoch = sc.epoch.wrapping_add(1);
-        if sc.epoch == 0 {
-            sc.row.fill((0, 0, 0, 0));
-            sc.epoch = 1;
+        acc.epoch = acc.epoch.wrapping_add(1);
+        if acc.epoch == 0 {
+            acc.row.fill((0, 0, 0, 0));
+            acc.epoch = 1;
         }
         let mut i = head;
         while i != u32::MAX {
-            let c = sc.cells[i as usize];
-            sc.row[c.proc as usize] = (sc.epoch, c.dwork, c.dsend, c.drecv);
+            let c = d.cells[i as usize];
+            acc.row[c.proc as usize] = (acc.epoch, c.dwork, c.dsend, c.drecv);
             i = c.next;
         }
         let mut best = 0u64;
         for q in 0..p {
-            let (ep, dw, ds, dr) = sc.row[q];
-            let (dw, ds, dr) = if ep == sc.epoch {
+            let (ep, dw, ds, dr) = acc.row[q];
+            let (dw, ds, dr) = if ep == acc.epoch {
                 (dw, ds, dr)
             } else {
                 (0, 0, 0)

@@ -1,4 +1,3 @@
-
 use super::*;
 use bsp_dag::DagBuilder;
 use bsp_schedule::compact::compact_lazy;

@@ -256,36 +256,79 @@ fn candidate_bound_holds(
     Ok(())
 }
 
-/// [`candidate_bound_holds`] on a random schedule, after every move of a
-/// random sequence (with a compaction now and then) and at a local
-/// minimum.
-fn bound_soundness(
+/// Soundness of the move floor at the current state: for every valid
+/// candidate `(q, s)` of every node's hill-climbing window,
+/// `probe_move(v, q, s) ≥ move_floor(v, q, s) ≥ target_rise(v, q, s) −
+/// gain_bound(v)`. The candidates are probed through the scratch that
+/// holds the node's fold, as hill climbing probes them: the fold must
+/// survive the probes.
+fn move_floor_holds(
+    st: &ScheduleState<'_>,
+    sc: &mut ProbeScratch,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for v in st.dag().nodes() {
+        let bound = st.gain_bound(sc, v);
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1)..=cur.1 + 1 {
+            for q in st.valid_procs(v, s).procs(st.p()) {
+                if (q, s) == cur {
+                    continue;
+                }
+                let floor = st.move_floor(sc, v, q, s);
+                let rise = st.target_rise(v, q, s);
+                let delta = st.probe_move_in(sc, v, q, s);
+                prop_assert!(
+                    rise as i64 - bound as i64 <= floor && floor <= delta,
+                    "move of {} to ({}, {}): rise {} − bound {} ≤ floor {} ≤ delta {} fails",
+                    v,
+                    q,
+                    s,
+                    rise,
+                    bound,
+                    floor,
+                    delta
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `holds` on a random schedule, after every move of a random sequence
+/// (with a compaction now and then) and at a local minimum; `salt` picks
+/// the sequence.
+fn holds_along_a_walk(
     dag: &Dag,
     machine: &BspParams,
     seed: u64,
+    salt: u64,
+    holds: fn(
+        &ScheduleState<'_>,
+        &mut ProbeScratch,
+    ) -> Result<(), proptest::test_runner::TestCaseError>,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let p = machine.p() as u32;
     let sched = random_valid_assignment(dag, p, seed);
     let mut st = ScheduleState::new(dag, machine, &sched);
     let mut sc = ProbeScratch::default();
-    candidate_bound_holds(&st, &mut sc)?;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xb0d5);
+    holds(&st, &mut sc)?;
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
     for _ in 0..20 {
         let v = rng.gen_range(0..dag.n() as u32);
         let q = rng.gen_range(0..p);
         let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
         if st.is_move_valid(v, q, s) {
             st.apply_move(v, q, s);
-            candidate_bound_holds(&st, &mut sc)?;
+            holds(&st, &mut sc)?;
         }
         if rng.gen_range(0..6) == 0 {
             st.compact_from(rng.gen_range(0..3));
-            candidate_bound_holds(&st, &mut sc)?;
+            holds(&st, &mut sc)?;
         }
     }
     let floor = rng.gen_range(0..3);
     hill_climb_from(&mut st, &mut Stop::new(None, None), floor);
-    candidate_bound_holds(&st, &mut sc)
+    holds(&st, &mut sc)
 }
 
 /// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
@@ -613,8 +656,28 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         for dag in [layered, erdos] {
-            bound_soundness(&dag, &machine, seed)?;
-            bound_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+            holds_along_a_walk(&dag, &machine, seed, 0xb0d5, candidate_bound_holds)?;
+            let zeroed = with_zeroed_weights(&dag, seed);
+            holds_along_a_walk(&zeroed, &machine, seed, 0xb0d5, candidate_bound_holds)?;
+        }
+    }
+
+    /// The move floor is sound and at least the candidate lower bound, on
+    /// layered and Erdős–Rényi DAGs (with zero-work and zero-comm nodes,
+    /// NUMA machines included): `probe_move ≥ move_floor ≥ target_rise −
+    /// gain_bound` for every valid candidate, on random schedules, after
+    /// random moves and compactions and at a local minimum.
+    #[test]
+    fn move_floor_is_sound(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        for dag in [layered, erdos] {
+            holds_along_a_walk(&dag, &machine, seed, 0xf10a, move_floor_holds)?;
+            let zeroed = with_zeroed_weights(&dag, seed);
+            holds_along_a_walk(&zeroed, &machine, seed, 0xf10a, move_floor_holds)?;
         }
     }
 

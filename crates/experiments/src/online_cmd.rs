@@ -11,8 +11,10 @@
 //! (×1000, integer), how many of the replay's hill-climbing node visits
 //! sweep pruning skipped (`bsp_ls_pruned_total` / `bsp_ls_visits_total`
 //! over the replay), and how many candidates of the remaining visits the
-//! gain bound skipped (`bsp_ls_bound_skips_total` / that plus
-//! `bsp_ls_hc_probes_total`). With `--check` the command
+//! move floor skipped (`bsp_ls_bound_skips_total` / that plus
+//! `bsp_ls_hc_probes_total`), with the share the work-only rise test
+//! would have probed in parentheses (`bsp_ls_floor_skips_total` / the
+//! same candidates). With `--check` the command
 //! fails if any ratio exceeds the acceptance threshold, or if no row was
 //! replayed at all — the regression gate the CI `online-smoke` job runs.
 //! Re-planning time is measured by the repo benchmark's `online-stream`
@@ -56,9 +58,12 @@ pub struct OnlineRun {
     pub hc_pruned: u64,
     /// Probes the hill climbs ran (`bsp_ls_hc_probes_total`).
     pub hc_probes: u64,
-    /// Candidates the gain bound skipped without a probe
+    /// Candidates the move floor skipped without a probe
     /// (`bsp_ls_bound_skips_total`).
     pub hc_bound_skips: u64,
+    /// Of those, the ones the work-only rise test would have probed
+    /// (`bsp_ls_floor_skips_total`).
+    pub hc_floor_skips: u64,
 }
 
 /// Default instance specs: one per catalogue corner that the online
@@ -112,6 +117,7 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
     let pruned = counter("bsp_ls_pruned_total");
     let probes = counter("bsp_ls_hc_probes_total");
     let skips = counter("bsp_ls_bound_skips_total");
+    let floor_skips = counter("bsp_ls_floor_skips_total");
     let mut out = Vec::new();
     for (spec, insts) in resolve_instance_groups(&inst_specs) {
         for inst in insts {
@@ -135,7 +141,7 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     seed: 7,
                 };
                 let trace = arrival_trace(&inst.dag, &inst.name, &tcfg);
-                let before = [&visits, &pruned, &probes, &skips].map(|c| c.get());
+                let before = [&visits, &pruned, &probes, &skips, &floor_skips].map(|c| c.get());
                 let outcome = replay(&trace, &inst.machine, &ocfg)
                     .unwrap_or_else(|e| panic!("online replay of {}: {e}", inst.name));
                 out.push(OnlineRun {
@@ -151,6 +157,7 @@ fn online_runs(cfg: &RunConfig) -> Vec<OnlineRun> {
                     hc_pruned: pruned.get() - before[1],
                     hc_probes: probes.get() - before[2],
                     hc_bound_skips: skips.get() - before[3],
+                    hc_floor_skips: floor_skips.get() - before[4],
                 });
             }
         }
@@ -198,7 +205,7 @@ pub fn online(cfg: &RunConfig) {
 
 fn print_online_runs(runs: &[OnlineRun]) {
     println!(
-        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>20} {:>22}",
+        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>20} {:>29}",
         "instance",
         "order",
         "n",
@@ -208,12 +215,12 @@ fn print_online_runs(runs: &[OnlineRun]) {
         "cold",
         "ratio",
         "pruned/visits",
-        "skipped/candidates"
+        "skipped/candidates (floor)"
     );
     for r in runs {
         let candidates = r.hc_probes + r.hc_bound_skips;
         println!(
-            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>20} {:>22}",
+            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>20} {:>29}",
             truncated(&r.instance, 44),
             r.order,
             r.n,
@@ -230,10 +237,11 @@ fn print_online_runs(runs: &[OnlineRun]) {
                 r.hc_pruned * 100 / r.hc_visits.max(1)
             ),
             format!(
-                "{}/{} {:>3}%",
+                "{}/{} {:>3}% ({:>2}%)",
                 r.hc_bound_skips,
                 candidates,
-                r.hc_bound_skips * 100 / candidates.max(1)
+                r.hc_bound_skips * 100 / candidates.max(1),
+                r.hc_floor_skips * 100 / candidates.max(1)
             ),
         );
     }
