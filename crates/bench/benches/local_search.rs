@@ -13,9 +13,12 @@
 //!   `apply_move` + revert pair over `BTreeMap` consumer buckets,
 //!   allocating scratch `Vec`s on every candidate.
 //!
-//! `scan/*` times one full `n·3·P` steepest-descent neighbourhood scan;
-//! `move/*` times a single candidate evaluation. The probe advantage grows
-//! with the processor count (the old kernel refreshes each touched step in
+//! `scan/*` times one full `n·3·P` steepest-descent neighbourhood scan —
+//! `probe` is [`best_admissible`], the scan steepest descent and tabu
+//! search share, under `delta < 0` with one reused scratch — after
+//! asserting that both kernels pick the same move; `move/*` times a
+//! single candidate evaluation. The probe advantage grows with the
+//! processor count (the old kernel refreshes each touched step in
 //! `O(P)` twice per candidate; the probe pays `O(changed)`), so each DAG
 //! family is measured on a small and a large machine. `hc_sweep/*` times
 //! the sweep that dominates warm and online re-solves — one pass of
@@ -48,10 +51,9 @@ mod hc_reference;
 mod kernel_reference;
 
 use bsp_bench::{kernel_scan_configs, machine, numa_machine, spread_schedule};
-use bsp_core::hc::{hill_climb, HillClimbStats};
+use bsp_core::hc::{best_admissible, hill_climb, HillClimbStats};
 use bsp_core::init::bspg_schedule;
-use bsp_core::state::ScheduleState;
-use bsp_core::steepest::best_move;
+use bsp_core::state::{ProbeScratch, ScheduleState};
 use bsp_dag::TopoInfo;
 use bsp_dagdb::fine::spmv_dag;
 use bsp_dagdb::SparsePattern;
@@ -61,7 +63,8 @@ use kernel_reference::{best_move_apply_revert, RefScheduleState};
 use std::hint::black_box;
 
 /// Full steepest-descent neighbourhood scan: every valid `(v, q, s)` with
-/// `s ∈ {τ(v)−1, τ(v), τ(v)+1}` evaluated once.
+/// `s ∈ {τ(v)−1, τ(v), τ(v)+1}` evaluated once, after asserting that both
+/// kernels pick the same move.
 fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("local_search/scan");
     g.sample_size(10);
@@ -70,10 +73,17 @@ fn bench_scan(c: &mut Criterion) {
         let sched = spread_schedule(&dag, p);
         let n = dag.n() as u32;
         let st = ScheduleState::new(&dag, &m, &sched);
-        g.bench_function(BenchmarkId::new("probe", name), |b| {
-            b.iter(|| black_box(best_move(&st)))
-        });
+        let mut sc = ProbeScratch::default();
+        let mut scan = || best_admissible(&st, &mut sc, |_, _, _, d| d < 0);
         let mut reference = RefScheduleState::new(&dag, &m, &sched);
+        assert_eq!(
+            scan().map(|(v, q, s, _)| (v, q, s)),
+            best_move_apply_revert(&mut reference, n, p),
+            "{name}: the kernels pick different moves"
+        );
+        g.bench_function(BenchmarkId::new("probe", name), |b| {
+            b.iter(|| black_box(scan()))
+        });
         g.bench_function(BenchmarkId::new("apply_revert", name), |b| {
             b.iter(|| black_box(best_move_apply_revert(&mut reference, n, p)))
         });

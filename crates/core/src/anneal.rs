@@ -21,7 +21,6 @@ use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone)]
@@ -37,9 +36,6 @@ pub struct AnnealConfig {
     pub min_temp: f64,
     /// Hard cap on total proposals.
     pub max_steps: usize,
-    /// Wall-clock limit of a pipeline's escape stage; the pipeline folds it
-    /// into the [`Stop`] it hands [`simulated_annealing`].
-    pub time_limit: Option<Duration>,
     /// RNG seed (runs are deterministic for a fixed seed and input).
     pub seed: u64,
 }
@@ -52,7 +48,6 @@ impl Default for AnnealConfig {
             steps_per_temp: 64,
             min_temp: 0.05,
             max_steps: 200_000,
-            time_limit: Some(Duration::from_secs(5)),
             seed: 0xB5B5_5EED,
         }
     }
@@ -211,7 +206,6 @@ mod tests {
         AnnealConfig {
             steps_per_temp: 48,
             max_steps: 20_000,
-            time_limit: None,
             seed,
             ..AnnealConfig::default()
         }
@@ -319,7 +313,6 @@ mod tests {
         let sched = BspSchedule::zeroed(dag.n());
         let cfg = AnnealConfig {
             max_steps: 100,
-            time_limit: None,
             ..AnnealConfig::default()
         };
         let (_, _, stats) = anneal(&dag, &machine, &sched, &cfg);

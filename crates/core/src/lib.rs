@@ -6,7 +6,8 @@
 //! * **Initialization heuristics** (§4.2): [`init::bspg`] (Algorithm 1),
 //!   [`init::source`] (Algorithm 2), and the ILP-based [`ilp::init`].
 //! * **Local search** (§4.3): [`hc`] — single-node-move hill climbing over
-//!   an incrementally maintained cost ([`state::ScheduleState`]) — and
+//!   an incrementally maintained cost ([`state::ScheduleState`]), greedy
+//!   and, as in A.3, steepest descent ([`hc::hill_climb_steepest`]) — and
 //!   [`hccs`] — hill climbing on communication-phase choices.
 //! * **ILP refinement** (§4.4): [`ilp`] — `ILPfull`, `ILPpart` window
 //!   reoptimization, and `ILPcs`, all solved by the in-tree
@@ -19,14 +20,14 @@
 //! Beyond the paper's evaluated configuration, the crate implements the
 //! extensions its conclusion (§8) and appendices name as future work:
 //!
-//! * [`steepest`] — the best-improvement hill-climbing variant of A.3,
-//!   scanning its full neighbourhood through the allocation-free
+//! * [`anneal`] and [`tabu`] — local search that escapes local minima
+//!   (Metropolis acceptance / forced best-admissible moves with a tabu
+//!   list), both guaranteed never to return worse than their input; tabu
+//!   scans its neighbourhood with steepest descent's
+//!   [`hc::best_admissible`], through the allocation-free
 //!   [`state::ScheduleState::probe_move`] gain kernel
 //!   (`tests/kernel_reference` keeps the historical apply/revert kernel as
 //!   the executable specification);
-//! * [`anneal`] and [`tabu`] — local search that escapes local minima
-//!   (Metropolis acceptance / forced best-admissible moves with a tabu
-//!   list), both guaranteed never to return worse than their input;
 //! * [`auto`] — CCR-driven selection between the base and multilevel
 //!   pipelines ("decide if coarsification is even necessary", §7.3/C.6);
 //! * [`memrepair`] — feasibility repair for memory-bounded machines
@@ -60,7 +61,6 @@ pub(crate) mod obs;
 pub mod pipeline;
 pub mod schedulers;
 pub mod state;
-pub mod steepest;
 pub mod tabu;
 pub mod warm;
 

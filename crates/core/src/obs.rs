@@ -4,8 +4,10 @@
 //! flush once per scan/call with a single relaxed `fetch_add`, so the
 //! counters cost nothing measurable (the `obs_overhead` bench guards
 //! this). Exposed series: `bsp_ls_probes_total` (gain-kernel probes of
-//! the full-scan kernels), `bsp_ls_scans_total` (full neighbourhood
-//! scans), `bsp_ls_moves_total` (accepted moves), `bsp_ls_visits_total`
+//! the one full-neighbourhood scan, `crate::hc::best_admissible`),
+//! `bsp_ls_scans_total` (its scans: every steepest-descent round and every
+//! tabu iteration), `bsp_ls_moves_total` (moves the greedy and steepest
+//! hill climbs accepted), `bsp_ls_visits_total`
 //! (hill-climbing node visits), `bsp_ls_pruned_total` (visits that
 //! `ScheduleState::may_improve` skipped without a probe),
 //! `bsp_ls_certified_total` (visits that passed it and were skipped on a

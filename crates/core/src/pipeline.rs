@@ -40,6 +40,11 @@ use bsp_schedule::compact::compact_lazy;
 use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::solve::SolveCx;
 use bsp_schedule::{BspSchedule, CommSchedule};
+use std::time::Duration;
+
+/// Wall-clock limit of the escape stage, folded into the
+/// [`Stop`](bsp_schedule::solve::Stop) it hands its search.
+const ESCAPE_TIME_LIMIT: Duration = Duration::from_secs(5);
 
 /// An optional escape-local-minima stage run on the best candidate after
 /// hill climbing (the paper's §8 future-work replacement for plain HC).
@@ -264,12 +269,12 @@ pub fn solve_base_pipeline(
         // same move space (never worse than its input by construction).
         if let Some(escape) = &cfg.escape {
             if !cx.check_expired() {
-                let (name, time_limit) = match escape {
-                    EscapeSearch::Anneal(a) => ("escape/anneal", a.time_limit),
-                    EscapeSearch::Tabu(t) => ("escape/tabu", t.time_limit),
+                let name = match escape {
+                    EscapeSearch::Anneal(_) => "escape/anneal",
+                    EscapeSearch::Tabu(_) => "escape/tabu",
                 };
                 let _escape_span = bsp_obs::trace::global().span(name, "pipeline");
-                let mut stop = cx.stop(time_limit, None);
+                let mut stop = cx.stop(Some(ESCAPE_TIME_LIMIT), None);
                 let refined = match escape {
                     EscapeSearch::Anneal(a) => {
                         let mut a = a.clone();
@@ -502,12 +507,10 @@ mod tests {
         for escape in [
             EscapeSearch::Anneal(AnnealConfig {
                 max_steps: 5_000,
-                time_limit: None,
                 ..AnnealConfig::default()
             }),
             EscapeSearch::Tabu(TabuConfig {
                 max_iters: 120,
-                time_limit: None,
                 ..TabuConfig::default()
             }),
         ] {
@@ -536,7 +539,6 @@ mod tests {
         let plain = schedule_dag(&dag, &machine, &cfg);
         cfg.escape = Some(EscapeSearch::Tabu(TabuConfig {
             max_iters: 300,
-            time_limit: None,
             ..TabuConfig::default()
         }));
         let escaped = schedule_dag(&dag, &machine, &cfg);

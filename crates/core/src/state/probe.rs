@@ -199,10 +199,11 @@ pub(super) struct RowEval {
 ///
 /// Single-probe callers never see this type — [`ScheduleState::probe_move`]
 /// keeps one instance internally, behind a mutex. The whole-neighbourhood
-/// scans (steepest, tabu) own one (`ProbeScratch::default()`) and probe
-/// through [`ScheduleState::probe_move_in`], which skips the lock; hill
-/// climbing borrows the internal one, warm, for a whole run, and its
-/// folds accumulate in it too.
+/// scan ([`crate::hc::best_admissible`]) probes through
+/// [`ScheduleState::probe_move_in`] with its caller's, which skips the
+/// lock: tabu search owns one (`ProbeScratch::default()`), while both hill
+/// climbs borrow the internal one, warm, for a whole run (greedy's folds
+/// accumulate in it too).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     d: Deltas,

@@ -9,17 +9,19 @@
 //! standard *aspiration* criterion).
 //!
 //! The best schedule encountered is returned, so the result is never worse
-//! than the input. The per-iteration neighbourhood scan probes every
-//! candidate read-only ([`ScheduleState::probe_move`]) and applies only the
-//! chosen move.
+//! than the input. Every iteration is one full-neighbourhood scan —
+//! steepest descent's [`best_admissible`], admitting what is not tabu or
+//! aspirates — which probes every candidate read-only; only the chosen
+//! move is applied. Each scan counts in `bsp_ls_scans_total` and
+//! `bsp_ls_probes_total`.
 
+use crate::hc::best_admissible;
 use crate::state::{ProbeScratch, ScheduleState};
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::solve::Stop;
 use bsp_schedule::BspSchedule;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// Tabu-search parameters.
 #[derive(Debug, Clone)]
@@ -30,9 +32,6 @@ pub struct TabuConfig {
     pub stall_limit: usize,
     /// Hard cap on iterations.
     pub max_iters: usize,
-    /// Wall-clock limit of a pipeline's escape stage; the pipeline folds it
-    /// into the [`Stop`] it hands [`tabu_search`].
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for TabuConfig {
@@ -41,7 +40,6 @@ impl Default for TabuConfig {
             tenure: 12,
             stall_limit: 60,
             max_iters: 5_000,
-            time_limit: Some(Duration::from_secs(5)),
         }
     }
 }
@@ -104,20 +102,20 @@ pub fn tabu_search(
         if stall >= cfg.stall_limit || stop.expired() {
             break;
         }
-        let Some((after, (v, q, s, aspirated))) =
-            scan_admissible(&state, &mut sc, &tabu, iter, best_cost)
-        else {
+        let before = state.cost();
+        let is_tabu = |v, q, s| tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
+        // A tabu move qualifies only if it beats the best cost (aspiration).
+        let admit = |v, q, s, d| !is_tabu(v, q, s) || before as i64 + d < best_cost as i64;
+        let Some((v, q, s, _)) = best_admissible(&state, &mut sc, admit) else {
             break; // no valid move anywhere (degenerate neighbourhood)
         };
-        let before = state.cost();
+        // A tabu winner got in by aspiration.
+        stats.aspirated += is_tabu(v, q, s) as usize;
         let (old_p, old_s) = (state.proc(v), state.step(v));
-        state.apply_move(v, q, s);
+        let after = state.apply_move(v, q, s);
         // Forbid undoing this move for `tenure` iterations.
         tabu.insert((v, old_p, old_s), iter + cfg.tenure);
         stats.iterations += 1;
-        if aspirated {
-            stats.aspirated += 1;
-        }
         if after > before {
             stats.uphill += 1;
         }
@@ -135,41 +133,6 @@ pub fn tabu_search(
         }
     }
     (best, best_cost, stats)
-}
-
-/// Scans the whole neighbourhood read-only (via
-/// [`ScheduleState::probe_move_in`]) and returns the admissible move with
-/// the lowest resulting cost as `(after, (v, q, s, aspirated))`: non-tabu
-/// moves always qualify; tabu moves qualify only if they beat `best_cost`
-/// (aspiration). The strict-`<` fold over the `v asc, s asc, q asc`
-/// enumeration keeps the first best encountered.
-fn scan_admissible(
-    state: &ScheduleState<'_>,
-    sc: &mut ProbeScratch,
-    tabu: &HashMap<(NodeId, u32, u32), usize>,
-    iter: usize,
-    best_cost: u64,
-) -> Option<(u64, (NodeId, u32, u32, bool))> {
-    let p = state.p();
-    let before = state.cost() as i64;
-    let mut best: Option<(u64, (NodeId, u32, u32, bool))> = None;
-    for v in 0..state.n() as NodeId {
-        let (cur_p, cur_s) = (state.proc(v), state.step(v));
-        for s in cur_s.saturating_sub(1)..=cur_s + 1 {
-            for q in state.valid_procs(v, s).procs(p) {
-                if (q, s) == (cur_p, cur_s) {
-                    continue;
-                }
-                let is_tabu = tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
-                let after = (before + state.probe_move_in(sc, v, q, s)) as u64;
-                let aspirated = is_tabu && after < best_cost;
-                if (!is_tabu || aspirated) && best.as_ref().is_none_or(|&(b, _)| after < b) {
-                    best = Some((after, (v, q, s, aspirated)));
-                }
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -195,7 +158,6 @@ mod tests {
         TabuConfig {
             max_iters: 400,
             stall_limit: 40,
-            time_limit: None,
             ..TabuConfig::default()
         }
     }
@@ -256,6 +218,18 @@ mod tests {
     }
 
     #[test]
+    fn every_iteration_counts_a_scan() {
+        // The counter is process-global: other tests may add to it too.
+        let scans = &crate::obs::ls_metrics().scans;
+        let before = scans.get();
+        let dag = random_layered_dag(9, LayeredConfig::default());
+        let machine = BspParams::new(4, 2, 3);
+        let (_, _, stats) = tabu(&dag, &machine, &BspSchedule::zeroed(dag.n()), &quick_cfg());
+        assert!(stats.iterations > 0);
+        assert!(scans.get() - before >= stats.iterations as u64);
+    }
+
+    #[test]
     fn stall_limit_bounds_iterations() {
         let dag = random_layered_dag(2, LayeredConfig::default());
         let machine = BspParams::new(4, 2, 3);
@@ -263,7 +237,6 @@ mod tests {
         let cfg = TabuConfig {
             stall_limit: 5,
             max_iters: 10_000,
-            time_limit: None,
             tenure: 3,
         };
         let (_, _, stats) = tabu(&dag, &machine, &sched, &cfg);

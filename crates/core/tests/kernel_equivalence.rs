@@ -5,7 +5,11 @@
 //! costs of steepest descent, tabu search, and simulated annealing on
 //! fixed instances; the expected values were recorded from the
 //! pre-probe (apply/revert, BTreeMap-bucket) implementation and must
-//! never drift. Greedy `hill_climb` is pinned too (final cost and
+//! never drift. Steepest descent and tabu search share one scan,
+//! `hc::best_admissible`; their schedules, accepted moves and tabu
+//! counters are pinned as recorded before the merge, and the scan's
+//! steepest-descent winners are held move by move to the apply/revert
+//! reference. Greedy `hill_climb` is pinned too (final cost and
 //! accepted-move count, recorded before sweep pruning): `may_improve` may
 //! only skip nodes whose every probe fails. The multilevel scheduler is
 //! pinned last: contraction logs and whole-pipeline schedules, recorded
@@ -15,12 +19,11 @@
 mod kernel_reference;
 
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
-use bsp_core::hc::hill_climb;
+use bsp_core::hc::{best_admissible, hill_climb, hill_climb_steepest};
 use bsp_core::multilevel::{coarsen, MultilevelConfig};
 use bsp_core::pipeline::{solve_multilevel_pipeline, PipelineConfig};
-use bsp_core::state::ScheduleState;
-use bsp_core::steepest::{best_move, hill_climb_steepest};
-use bsp_core::tabu::{tabu_search, TabuConfig};
+use bsp_core::state::{ProbeScratch, ScheduleState};
+use bsp_core::tabu::{tabu_search, TabuConfig, TabuStats};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::{Dag, DagBuilder, TopoInfo};
 use bsp_instance::InstanceRegistry;
@@ -72,13 +75,11 @@ fn final_costs(dag: &Dag, machine: &BspParams) -> (u64, u64, u64) {
         max_iters: 300,
         stall_limit: 40,
         tenure: 12,
-        time_limit: None,
     };
     let (_, tabu, _) = tabu_search(dag, machine, &start, &tabu_cfg, &mut Stop::new(None, None));
 
     let anneal_cfg = AnnealConfig {
         max_steps: 8_000,
-        time_limit: None,
         seed: 42,
         ..AnnealConfig::default()
     };
@@ -136,6 +137,11 @@ fn fnv64(words: impl IntoIterator<Item = u32>) -> u64 {
     h
 }
 
+/// `fnv(π‖τ)` of `sched`.
+fn sched_fnv(sched: &BspSchedule) -> u64 {
+    fnv64(sched.procs().iter().chain(sched.steps()).copied())
+}
+
 /// The NUMA reference instances of the benchmark's `offline-refine`
 /// workload that run the multilevel pipeline, at the grammar's default
 /// seed.
@@ -174,8 +180,7 @@ fn multilevel_pin(dag: &Dag, machine: &BspParams, ratios: &[f64]) -> (u64, u64) 
     };
     let mut cx = SolveCx::new("pipeline/multilevel", &SolveRequest::new(dag, machine));
     let r = solve_multilevel_pipeline(dag, machine, &cfg, &ml, &mut cx);
-    let words = r.sched.procs().iter().chain(r.sched.steps()).copied();
-    (r.cost, fnv64(words))
+    (r.cost, sched_fnv(&r.sched))
 }
 
 /// Recorded at the commit before the journaled un-coarsening walk and the
@@ -238,9 +243,7 @@ fn hill_climb_pin(spec: &str) -> (u64, u64, usize) {
     let mut st = ScheduleState::new(&dag, &machine, &start);
     let stats = hill_climb(&mut st, &mut Stop::new(None, None));
     assert!(stats.local_minimum, "{spec}");
-    let sched = st.snapshot();
-    let words = sched.procs().iter().chain(sched.steps()).copied();
-    (st.cost(), fnv64(words), stats.accepted)
+    (st.cost(), sched_fnv(&st.snapshot()), stats.accepted)
 }
 
 /// Recorded at the commit before the per-visit gain bound
@@ -267,6 +270,62 @@ fn pinned_bounded_hill_climb_schedules() {
     }
 }
 
+/// The instances the steepest and tabu pins run on, with their starts: the
+/// two small ones from the spread start, the benchmark-sized one from BSPg.
+fn scan_pin_cases() -> Vec<(&'static str, Dag, BspParams, BspSchedule)> {
+    let mut cases = Vec::new();
+    for (name, (dag, machine)) in [("layered", layered_instance()), ("erdos", erdos_instance())] {
+        let start = spread_start(&dag, machine.p() as u32);
+        cases.push((name, dag, machine, start));
+    }
+    let spec = "erdos?n=300&q=0.03 @ bsp?p=4&g=2&numa=tree&delta=3";
+    let (dag, machine) = instance(spec);
+    let start = bsp_core::init::bspg_schedule(&dag, &machine);
+    cases.push((spec, dag, machine, start));
+    cases
+}
+
+/// Recorded before steepest descent and tabu search shared
+/// [`best_admissible`]: the merge may change no accepted move, schedule,
+/// cost or tabu counter.
+#[test]
+fn pinned_steepest_and_tabu_schedules() {
+    let stats = |iterations, uphill, aspirated, improved_best| TabuStats {
+        iterations,
+        uphill,
+        aspirated,
+        improved_best,
+    };
+    let expected = [
+        (
+            (176, 13792477299659310162, 16),
+            (145, 11387355686301960981, stats(122, 1, 0, 27)),
+        ),
+        (
+            (328, 16226375519143377778, 8),
+            (208, 840999687567004289, stats(73, 0, 0, 21)),
+        ),
+        (
+            (1874, 17721066772050466340, 44),
+            (1785, 978055380715130387, stats(201, 0, 3, 74)),
+        ),
+    ];
+    let tabu_cfg = TabuConfig {
+        max_iters: 300,
+        stall_limit: 40,
+        tenure: 12,
+    };
+    for ((name, dag, machine, start), want) in scan_pin_cases().into_iter().zip(expected) {
+        let mut st = ScheduleState::new(&dag, &machine, &start);
+        let hc = hill_climb_steepest(&mut st, &mut Stop::new(None, None));
+        assert!(hc.local_minimum, "{name}");
+        let steepest = (st.cost(), sched_fnv(&st.snapshot()), hc.accepted);
+        let mut stop = Stop::new(None, None);
+        let (best, cost, tabu) = tabu_search(&dag, &machine, &start, &tabu_cfg, &mut stop);
+        assert_eq!((steepest, (cost, sched_fnv(&best), tabu)), want, "{name}");
+    }
+}
+
 /// Steepest descent with probing must pick the *identical move sequence*
 /// as the historical apply/revert scan — not just land at an equal cost.
 #[test]
@@ -276,9 +335,11 @@ fn steepest_move_sequence_matches_apply_revert_reference() {
         let mut probed = ScheduleState::new(&dag, &machine, &start);
         let mut reference = RefScheduleState::new(&dag, &machine, &start);
         let (n, p) = (dag.n() as u32, machine.p() as u32);
+        let mut sc = ProbeScratch::default();
         let mut moves = 0usize;
         loop {
-            let a = best_move(&probed).map(|(v, q, s, _)| (v, q, s));
+            let a =
+                best_admissible(&probed, &mut sc, |_, _, _, d| d < 0).map(|(v, q, s, _)| (v, q, s));
             let b = best_move_apply_revert(&mut reference, n, p);
             assert_eq!(a, b, "kernels diverged after {moves} moves");
             let Some((v, q, s)) = a else { break };

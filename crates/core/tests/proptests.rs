@@ -9,7 +9,7 @@
 mod hc_reference;
 mod kernel_reference;
 
-use bsp_core::hc::{hill_climb, hill_climb_from};
+use bsp_core::hc::{best_admissible, hill_climb, hill_climb_from};
 use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
@@ -291,6 +291,48 @@ fn move_floor_holds(
             }
         }
     }
+    Ok(())
+}
+
+/// Every valid move of `st`'s neighbourhood with its delta, in `(v, s, q)`
+/// order, one `is_move_valid` per processor: the brute-force scan.
+fn all_moves(st: &ScheduleState<'_>) -> Vec<(NodeId, u32, u32, i64)> {
+    let mut moves = Vec::new();
+    for v in st.dag().nodes() {
+        let cur = (st.proc(v), st.step(v));
+        for s in cur.1.saturating_sub(1)..=cur.1 + 1 {
+            for q in 0..st.p() {
+                if (q, s) != cur && st.is_move_valid(v, q, s) {
+                    moves.push((v, q, s, st.probe_move(v, q, s)));
+                }
+            }
+        }
+    }
+    moves
+}
+
+/// [`best_admissible`] finds the first admitted minimum of the brute-force
+/// scan, under a hashed test that rejects about a third of the candidates
+/// and under steepest descent's `delta < 0` — which admits nothing exactly
+/// at a local minimum.
+fn first_admitted_minimum_holds(
+    st: &ScheduleState<'_>,
+    sc: &mut ProbeScratch,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let moves = all_moves(st);
+    let first_min = |admit: &dyn Fn(NodeId, u32, u32, i64) -> bool| {
+        let admitted = moves.iter().filter(|&&(v, q, s, d)| admit(v, q, s, d));
+        admitted.min_by_key(|m| m.3).copied()
+    };
+    let salt = st.cost();
+    let hashed = move |v: NodeId, q: u32, s: u32, _| {
+        let key = u64::from(v) << 42 ^ u64::from(q) << 21 ^ u64::from(s) ^ salt << 7;
+        !(key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32).is_multiple_of(3)
+    };
+    prop_assert_eq!(best_admissible(st, sc, hashed), first_min(&hashed));
+    let descent = best_admissible(st, sc, |_, _, _, d| d < 0);
+    prop_assert_eq!(descent, first_min(&|_, _, _, d| d < 0));
+    prop_assert_eq!(descent.is_none(), moves.iter().all(|m| m.3 >= 0));
     Ok(())
 }
 
@@ -681,6 +723,21 @@ proptest! {
         }
     }
 
+    /// The one full-neighbourhood scan is the first admitted minimum of a
+    /// brute-force scan, on layered and Erdős–Rényi DAGs (NUMA machines
+    /// included), along a random walk and at a local minimum.
+    #[test]
+    fn best_admissible_is_the_first_admitted_minimum(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+    ) {
+        for dag in [layered, erdos] {
+            holds_along_a_walk(&dag, &machine, seed, 0x5ca7, first_admitted_minimum_holds)?;
+        }
+    }
+
     /// A failure certificate that still stands is true: after random
     /// moves, compactions and re-certifications, no certified node has an
     /// improving probe (zero-weight nodes and NUMA machines included).
@@ -822,7 +879,7 @@ proptest! {
         machine in arb_machine(),
         seed in 0u64..10_000,
     ) {
-        use bsp_core::steepest::hill_climb_steepest;
+        use bsp_core::hc::hill_climb_steepest;
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         let before = st.cost();
@@ -845,7 +902,6 @@ proptest! {
         let input = lazy_cost(&dag, &machine, &sched);
         let cfg = AnnealConfig {
             max_steps: 3_000,
-            time_limit: None,
             seed,
             ..AnnealConfig::default()
         };
@@ -867,7 +923,7 @@ proptest! {
         use bsp_core::tabu::{tabu_search, TabuConfig};
         let sched = random_valid_assignment(&dag, machine.p() as u32, seed);
         let input = lazy_cost(&dag, &machine, &sched);
-        let cfg = TabuConfig { max_iters: 60, stall_limit: 25, time_limit: None, tenure: 8 };
+        let cfg = TabuConfig { max_iters: 60, stall_limit: 25, tenure: 8 };
         let (best, cost, _) = tabu_search(&dag, &machine, &sched, &cfg, &mut Stop::new(None, None));
         prop_assert!(cost <= input);
         prop_assert_eq!(cost, lazy_cost(&dag, &machine, &best));

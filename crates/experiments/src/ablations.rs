@@ -17,13 +17,12 @@ use crate::metrics::{geomean, ratio};
 use crate::runner::{dataset_dags, pipeline_config, EvalOptions, NamedDag, RunConfig};
 use bsp_core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_core::auto::{comm_dominance, solve_auto, AutoConfig, Strategy};
-use bsp_core::hc::hill_climb;
+use bsp_core::hc::{hill_climb, hill_climb_steepest};
 use bsp_core::ilp::window::{WindowIlp, WindowOptions};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::MultilevelConfig;
 use bsp_core::pipeline::{solve_base_pipeline, solve_multilevel_pipeline};
 use bsp_core::state::ScheduleState;
-use bsp_core::steepest::hill_climb_steepest;
 use bsp_core::tabu::{tabu_search, TabuConfig};
 use bsp_dag::Dag;
 use bsp_dagdb::DatasetKind;

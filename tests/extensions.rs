@@ -5,12 +5,11 @@
 use bsp_sched::baselines::{blest_bsp_numa_aware, etf_bsp, etf_bsp_numa_aware};
 use bsp_sched::core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_sched::core::auto::solve_auto;
-use bsp_sched::core::hc::hill_climb;
+use bsp_sched::core::hc::{hill_climb, hill_climb_steepest};
 use bsp_sched::core::ilp::{ilp_full, IlpConfig};
 use bsp_sched::core::init::bspg_schedule;
 use bsp_sched::core::pipeline::solve_base_pipeline;
 use bsp_sched::core::state::ScheduleState;
-use bsp_sched::core::steepest::hill_climb_steepest;
 use bsp_sched::core::tabu::{tabu_search, TabuConfig};
 use bsp_sched::dagdb::fine::{cg_dag, spmv_dag};
 use bsp_sched::dagdb::{pattern_from_matrix_market, pattern_to_matrix_market, SparsePattern};
@@ -258,7 +257,6 @@ fn pipeline_escape_stage_end_to_end() {
     cfg.enable_ilp = false;
     cfg.escape = Some(EscapeSearch::Tabu(TabuConfig {
         max_iters: 150,
-        time_limit: Some(std::time::Duration::from_secs(2)),
         ..TabuConfig::default()
     }));
     let r = schedule_dag(&dag, &machine, &cfg);
