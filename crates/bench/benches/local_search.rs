@@ -23,7 +23,9 @@
 //! family is measured on a small and a large machine. `hc_sweep/*` times
 //! the sweep that dominates warm and online re-solves — one pass of
 //! [`hill_climb`] over a schedule that is already a local minimum — with
-//! sweep pruning ([`ScheduleState::may_improve`], `pruned`) against the
+//! sweep pruning ([`ScheduleState::may_improve`], `pruned`; the nodes it
+//! rules out sleep after the first pass, so a repeat visits only the
+//! nodes it lets through) against the
 //! same sweep probing every node (`unpruned`), after asserting that both
 //! certify the minimum and move nothing; the climb that converged it
 //! prints how many candidates the work-only rise test and the rest of the

@@ -14,8 +14,12 @@
 //! scheduler's own per-batch clock. On the append path `integrate` costs
 //! what arrived: it must stay flat from n ≈ 10³ to 1.6·10⁴, where a
 //! per-batch pass over the graph (the reference below) grows with n. What
-//! is left of `replay` is the sweep, which visits the tentative suffix
-//! once and skips what it can prove stuck.
+//! is left of `replay` is the sweep, which visits only the awake nodes:
+//! those a mutation since their last visit may have freed to move. The
+//! line also prints the sweep's visits per re-plan; on `spmv` n ≈ 1.6·10⁴,
+//! whose schedule keeps nearly everything tentative, the target fails
+//! when they exceed a tenth of the nodes (a sweep over the whole suffix
+//! visits about half).
 //!
 //! Before anything is timed the n ≈ 10³ streams are replayed through the
 //! scheduler of the commit before the append path (the test-only reference
@@ -100,7 +104,10 @@ fn bench_online_scaling(c: &mut Criterion) {
             .expect("ladder spec parses");
         let trace = arrival_trace(&inst.dag, &inst.name, &TraceConfig::default());
         let (full, no_sweep) = (config(64), config(0));
+        let visits = || bsp_obs::global().counter("bsp_ls_visits_total", &[]).get();
+        let before = visits();
         let out = replay(&trace, &inst.machine, &full).expect("replays");
+        let per_replan = (visits() - before) as f64 / out.stats.replans.max(1) as f64;
         let integrated = replay(&trace, &inst.machine, &no_sweep).expect("replays");
         if size == "n1e3" {
             let want = reference_replay(&trace, &inst.machine, &full);
@@ -108,14 +115,20 @@ fn bench_online_scaling(c: &mut Criterion) {
             let want = reference_replay(&trace, &inst.machine, &no_sweep);
             assert_equals_reference(family, &integrated, &want);
         }
+        let n = inst.dag.n();
         println!(
-            "online_scaling: {family}/{size} n = {}, m = {}, re-plans = {}: \
-             {:.1} µs/arrival, {:.1} without the sweep",
-            inst.dag.n(),
+            "online_scaling: {family}/{size} n = {n}, m = {}, re-plans = {}: \
+             {:.1} µs/arrival, {:.1} without the sweep; {per_replan:.0} visits/re-plan \
+             ({:.1} % of n)",
             inst.dag.m(),
             out.stats.replans,
             replan_us_per_arrival(&out),
             replan_us_per_arrival(&integrated),
+            100.0 * per_replan / n as f64,
+        );
+        assert!(
+            (family, size) != ("spmv", "n16e3") || per_replan <= 0.1 * n as f64,
+            "{family}/{size}: a re-plan visits {per_replan:.0} of {n} nodes"
         );
         for (row, cfg) in [("replay", &full), ("integrate", &no_sweep)] {
             g.bench_function(BenchmarkId::new(format!("{row}/{family}"), size), |b| {

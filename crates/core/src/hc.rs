@@ -11,9 +11,13 @@
 //! warm-up allocation per run); the state is mutated only for accepted
 //! moves.
 //!
-//! A sweep costs what can still move. A node that
-//! [`ScheduleState::may_improve`] proves stuck is skipped without a probe;
-//! a node whose neighbourhood an earlier sweep probed in vain is skipped
+//! A sweep costs what can still move. It visits only the *awake* nodes
+//! ([`ScheduleState::is_awake`]), in ascending id, a bitset word at a
+//! time. A visit that [`ScheduleState::may_improve`] proves stuck puts
+//! the node to sleep without a probe, and it sleeps — across sweeps,
+//! climbs and re-plans — until a mutation changes something that test
+//! reads; a sweep passing a node below its floor puts it to sleep too. A
+//! node whose neighbourhood an earlier sweep probed in vain is skipped
 //! while its *failure certificate* holds ([`ScheduleState::certified`]:
 //! nothing those probes read has changed). Of the nodes that remain, a
 //! candidate is not probed when what it must add — its work, and off its
@@ -21,14 +25,16 @@
 //! at least what any move of the node can save
 //! ([`ScheduleState::move_floor`] ≥ 0, read off the node's
 //! [`ScheduleState::gain_bound`] fold, taken once per visit at its first
-//! candidate): its probe could only be `≥ 0`. All three skip only what
+//! candidate): its probe could only be `≥ 0`. All four skip only what
 //! would have failed, and first improvement takes a move only when its
 //! delta is `< 0`, so nothing a skip removes could have been taken — the
 //! accepted-move sequence, every move cap and every result are those of
 //! the plain loop. A certificate lives for one [`hill_climb_from`] call:
 //! it was issued under that call's floor, and the call voids all earlier
-//! ones on entry. The [`Stop`] is polled once per visit (it reads the
-//! wall clock and the cancel token on every 64th, the first included).
+//! ones on entry. The [`Stop`] is polled once per awake visit (it reads
+//! the wall clock and the cancel token on every 64th, the first
+//! included), so a climb that finds nothing awake polls nothing: every
+//! node it may move is proven stuck, and it ends at a local minimum.
 //!
 //! [`hill_climb_steepest`] is the paper's other variant (A.3 (ii)): every
 //! round scans the whole `n · 3 · P` neighbourhood and applies the single
@@ -100,6 +106,8 @@ pub fn hill_climb_from(
     m.moves.add(stats.accepted as u64);
     m.visits.add(visits.total);
     m.pruned.add(visits.pruned);
+    m.sleeps.add(visits.sleeps);
+    m.wake_alls.add(state.take_wake_alls());
     m.certified.add(visits.certified);
     m.hc_probes.add(visits.probes);
     m.bound_skips.add(visits.bound_skips);
@@ -107,18 +115,21 @@ pub fn hill_climb_from(
     stats
 }
 
-/// Per-run tally of node visits (one per neighbourhood attempt), of those
-/// [`ScheduleState::may_improve`] ruled out before any probe, of those a
-/// failure certificate ruled out after it, of the candidates of the rest
-/// the move floor ruled out (all of them, and those the work-only rise
-/// test `target_rise ≥ gain_bound` would have probed), and of the probes
-/// that were left (a release build's: the ones debug builds add to check
-/// the filters are not counted).
+/// Per-run tally of node visits (one per neighbourhood attempt of an
+/// awake node), of those [`ScheduleState::may_improve`] ruled out before
+/// any probe, of the nodes put to sleep (those visits, and the awake
+/// nodes below the floor a sweep passed), of the visits a failure
+/// certificate ruled out after `may_improve`, of the candidates of the
+/// rest the move floor ruled out (all of them, and those the work-only
+/// rise test `target_rise ≥ gain_bound` would have probed), and of the
+/// probes that were left (a release build's: the ones debug builds add to
+/// check the filters are not counted).
 #[derive(Default)]
 struct Visits {
     probes: u64,
     total: u64,
     pruned: u64,
+    sleeps: u64,
     certified: u64,
     bound_skips: u64,
     floor_skips: u64,
@@ -141,13 +152,19 @@ fn hill_climb_from_inner(
 
     // Certificates live for this call only: they speak about this floor.
     state.void_certificates();
+    state.prepare_sweeps(floor);
+    if n > 0 && stop.moves_left() == 0 {
+        return stopped(accepted);
+    }
     loop {
         let mut improved_this_sweep = false;
-        for v in 0..n as NodeId {
-            if stop.moves_left() == 0 {
-                return stopped(accepted);
-            }
+        let mut from = 0;
+        while let Some(v) = next_visit(state, from, floor) {
+            from = v + 1;
             if state.step(v) < floor {
+                // Committed: no sweep at this floor or above visits it.
+                state.sleep(v, true);
+                visits.sleeps += 1;
                 continue;
             }
             if stop.poll() {
@@ -174,12 +191,29 @@ fn hill_climb_from_inner(
     }
 }
 
+/// The next node at or after `from` a sweep at `floor` visits: the next
+/// awake one. Debug builds check every sleeping node they pass over at or
+/// above the floor, as they probe every candidate a filter skips.
+fn next_visit(state: &ScheduleState<'_>, from: NodeId, floor: u32) -> Option<NodeId> {
+    let next = state.next_awake(from);
+    if cfg!(debug_assertions) {
+        for u in from..next.unwrap_or(state.n() as NodeId) {
+            debug_assert!(
+                state.step(u) < floor || !state.may_improve(u),
+                "sleeping node {u} passes may_improve"
+            );
+        }
+    }
+    next
+}
+
 /// Attempts the neighbourhood of `v`; probes candidates read-only and
 /// applies the first improving move. Three exact filters skip probes that
 /// would fail — so the accepted-move sequence is unchanged (debug builds
 /// probe them anyway and assert it). Two skip the whole node:
 /// [`ScheduleState::may_improve`] (nothing in the current tables *can*
-/// improve), then, for a node that passes it, [`ScheduleState::certified`]
+/// improve; the node goes to sleep until a mutation could change that),
+/// then, for a node that passes it, [`ScheduleState::certified`]
 /// (an earlier sweep of this call probed the whole neighbourhood, found
 /// nothing, and nothing those probes read has changed since). The third
 /// skips one candidate: its [`ScheduleState::move_floor`] is `≥ 0`. The
@@ -200,8 +234,12 @@ fn try_improve_node(
 ) -> bool {
     visits.total += 1;
     let pruned = !state.may_improve(v);
+    if pruned {
+        state.sleep(v, false);
+    }
     let certified = !pruned && state.certified(v);
     visits.pruned += pruned as u64;
+    visits.sleeps += pruned as u64;
     visits.certified += certified as u64;
     let stuck = pruned || certified;
     if stuck && !cfg!(debug_assertions) {
@@ -500,6 +538,14 @@ mod tests {
         }
         assert!(st.cost() <= before);
         assert!(validate_lazy(&dag, 2, &after).is_ok());
+        // The sweep put the committed nodes to sleep unasked; a climb at a
+        // lower floor wakes them and moves as a fresh state does.
+        assert!((0..3).all(|v| !st.is_awake(v)));
+        let mut fresh = ScheduleState::new(&dag, &machine, &after);
+        hill_climb(&mut st, &mut unlimited());
+        hill_climb(&mut fresh, &mut unlimited());
+        assert_ne!(st.snapshot(), after);
+        assert_eq!(st.snapshot(), fresh.snapshot());
 
         // floor 0 reproduces plain hill_climb exactly.
         let mut a = ScheduleState::new(&dag, &machine, &sched);

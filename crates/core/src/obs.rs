@@ -8,9 +8,15 @@
 //! `bsp_ls_scans_total` (its scans: every steepest-descent round and every
 //! tabu iteration), `bsp_ls_moves_total` (moves the greedy and steepest
 //! hill climbs accepted), `bsp_ls_visits_total`
-//! (hill-climbing node visits), `bsp_ls_pruned_total` (visits that
+//! (hill-climbing visits: only awake nodes are visited,
+//! `ScheduleState::is_awake`), `bsp_ls_pruned_total` (visits that
 //! `ScheduleState::may_improve` skipped without a probe),
-//! `bsp_ls_certified_total` (visits that passed it and were skipped on a
+//! `bsp_ls_sleeps_total` (nodes a sweep put to sleep: every pruned visit,
+//! and every awake node below the floor it passed), `bsp_ls_wake_all_total`
+//! (row refreshes that gained a hot cell and so woke every node, flushed
+//! by the next climb on the state),
+//! `bsp_ls_certified_total` (visits that passed `may_improve` and were
+//! skipped on a
 //! standing failure certificate, `ScheduleState::certified`),
 //! `bsp_ls_bound_skips_total` (candidates of the remaining visits that
 //! the move floor ruled out, `ScheduleState::move_floor` ≥ 0),
@@ -28,6 +34,8 @@ pub(crate) struct LsMetrics {
     pub moves: bsp_obs::Counter,
     pub visits: bsp_obs::Counter,
     pub pruned: bsp_obs::Counter,
+    pub sleeps: bsp_obs::Counter,
+    pub wake_alls: bsp_obs::Counter,
     pub certified: bsp_obs::Counter,
     pub hc_probes: bsp_obs::Counter,
     pub bound_skips: bsp_obs::Counter,
@@ -44,6 +52,8 @@ pub(crate) fn ls_metrics() -> &'static LsMetrics {
             moves: reg.counter("bsp_ls_moves_total", &[]),
             visits: reg.counter("bsp_ls_visits_total", &[]),
             pruned: reg.counter("bsp_ls_pruned_total", &[]),
+            sleeps: reg.counter("bsp_ls_sleeps_total", &[]),
+            wake_alls: reg.counter("bsp_ls_wake_all_total", &[]),
             certified: reg.counter("bsp_ls_certified_total", &[]),
             hc_probes: reg.counter("bsp_ls_hc_probes_total", &[]),
             bound_skips: reg.counter("bsp_ls_bound_skips_total", &[]),

@@ -1,7 +1,9 @@
 //! Mutations: applying a move (and the transfer and consumer-arena
-//! updates under it), squeezing out empty supersteps, and refreshing the
-//! cached row maxima and costs of the rows a mutation touched.
+//! updates under it, and the nodes it wakes), squeezing out empty
+//! supersteps, and refreshing the cached row maxima and costs of the rows
+//! a mutation touched.
 
+use super::awake::Hotness;
 use super::{ScheduleState, Slot, StepMeta, TopK};
 use bsp_dag::NodeId;
 use bsp_schedule::cost::lazy_cost;
@@ -11,7 +13,9 @@ impl ScheduleState<'_> {
     /// cost. The caller is responsible for having checked
     /// [`ScheduleState::is_move_valid`]; the move is exactly reversible by
     /// applying the inverse move, and allocation-free apart from one-time
-    /// step-table growth when `s_new` exceeds every step seen so far.
+    /// step-table growth when `s_new` exceeds every step seen so far. It
+    /// wakes `v`, its consumers, and each producer whose lazy transfers it
+    /// moved, with that producer's consumers.
     pub fn apply_move(&mut self, v: NodeId, p_new: u32, s_new: u32) -> u64 {
         let p = self.machine.p();
         let (p_old, s_old) = (self.t.sched.proc(v), self.t.sched.step(v));
@@ -42,7 +46,9 @@ impl ScheduleState<'_> {
         //    while mutating the state borrows nothing from `self`.)
         let dag = self.dag;
         for &u in dag.predecessors(v) {
-            self.retarget_consumer(u, p_old, s_old, p_new, s_new);
+            if self.retarget_consumer(u, p_old, s_old, p_new, s_new) {
+                self.wake_with_consumers(u);
+            }
             self.t.node_stamp[u as usize] = self.t.clock;
         }
 
@@ -55,6 +61,7 @@ impl ScheduleState<'_> {
         self.t.touched.push(s_new);
         self.t.sched.set(v, p_new, s_new);
         self.t.node_stamp[v as usize] = self.t.clock;
+        self.wake_with_consumers(v);
 
         // 4. Producer side: re-add v's outgoing transfers under the new π(v).
         if p_old != p_new {
@@ -77,61 +84,62 @@ impl ScheduleState<'_> {
 
     /// Refreshes the cached cost and row maxima of every superstep in
     /// `touched` — each row the current mutation changed a slot or a count
-    /// of — folds the differences into the total, and stamps those rows
-    /// with the mutation's clock.
+    /// of — folds the differences into the total, stamps those rows with
+    /// the mutation's clock, and wakes every node if a row gained a hot
+    /// cell.
     pub(super) fn refresh_touched(&mut self) {
         let mut touched = std::mem::take(&mut self.t.touched);
         touched.sort_unstable();
         touched.dedup();
+        let mut gained = 0;
         for &s in &touched {
             let s = s as usize;
             self.t.total -= self.t.meta[s].cost;
-            self.refresh_step(s);
+            gained += self.refresh_step(s) as u64;
             self.t.total += self.t.meta[s].cost;
             self.t.row_stamp[s] = self.t.clock;
         }
+        self.wake_all(gained);
         touched.clear();
         self.t.touched = touched;
     }
 
     /// Moves consumer `v` of producer `u` from `(p_old, s_old)` to
     /// `(p_new, s_new)` in `u`'s consumer multiset, shifting `u`'s lazy
-    /// transfers when a bucket minimum changes.
-    fn retarget_consumer(&mut self, u: NodeId, p_old: u32, s_old: u32, p_new: u32, s_new: u32) {
-        let pu = self.t.sched.proc(u);
+    /// transfers when a bucket minimum changes. Returns whether one did.
+    fn retarget_consumer(
+        &mut self,
+        u: NodeId,
+        p_old: u32,
+        s_old: u32,
+        p_new: u32,
+        s_new: u32,
+    ) -> bool {
         let old_min_before = self.bucket_min(u, p_old);
         let new_min_before = self.bucket_min(u, p_new);
         self.slice_retarget(u, (p_old, s_old), (p_new, s_new));
-        let old_min_after = self.bucket_min(u, p_old);
-        if p_old == p_new {
-            // Single bucket: the net min change covers remove + insert.
-            if p_old != pu && old_min_before != old_min_after {
-                if let Some(m) = old_min_before {
-                    self.remove_transfer(u, pu, p_old, m - 1);
-                }
-                if let Some(m) = old_min_after {
-                    self.add_transfer(u, pu, p_old, m - 1);
-                }
-            }
-            return;
+        // With p_old == p_new one bucket changed, and its net minimum
+        // change covers the removal and the insertion.
+        let moved = self.shift_transfer(u, p_old, old_min_before);
+        moved | (p_old != p_new && self.shift_transfer(u, p_new, new_min_before))
+    }
+
+    /// Moves `u`'s lazy transfer to processor `q` where the earliest
+    /// consumer step of bucket `q` changed from `before` (there is none
+    /// for an empty bucket, or for `q == π(u)`). Returns whether it moved.
+    pub(super) fn shift_transfer(&mut self, u: NodeId, q: u32, before: Option<u32>) -> bool {
+        let after = self.bucket_min(u, q);
+        let pu = self.t.sched.proc(u);
+        if q == pu || before == after {
+            return false;
         }
-        if p_old != pu && old_min_before != old_min_after {
-            if let Some(m) = old_min_before {
-                self.remove_transfer(u, pu, p_old, m - 1);
-            }
-            if let Some(m) = old_min_after {
-                self.add_transfer(u, pu, p_old, m - 1);
-            }
+        if let Some(m) = before {
+            self.remove_transfer(u, pu, q, m - 1);
         }
-        let new_min_after = self.bucket_min(u, p_new);
-        if p_new != pu && new_min_before != new_min_after {
-            if let Some(m) = new_min_before {
-                self.remove_transfer(u, pu, p_new, m - 1);
-            }
-            if let Some(m) = new_min_after {
-                self.add_transfer(u, pu, p_new, m - 1);
-            }
+        if let Some(m) = after {
+            self.add_transfer(u, pu, q, m - 1);
         }
+        true
     }
 
     /// Replaces one `old` entry of `u`'s sorted consumer slice with `new`,
@@ -199,7 +207,8 @@ impl ScheduleState<'_> {
     /// resulting state is the one [`ScheduleState::new`] would build from
     /// the compacted assignment, and the cost is unchanged (an empty
     /// superstep costs 0). `O(n + m + S·P)`, and free of any pass over
-    /// the schedule when nothing is empty.
+    /// the schedule when nothing is empty. The awake set stays as it is:
+    /// a renumbering changes no row's hotness and no node's enumeration.
     pub fn compact_from(&mut self, floor: u32) {
         let is_empty = |m: &StepMeta| m.nodes == 0 && m.comm == 0;
         let floor = (floor as usize).min(self.t.n_steps);
@@ -243,8 +252,9 @@ impl ScheduleState<'_> {
     }
 
     /// Rescans superstep `s`, refreshing its cached cost and [`TopK`]
-    /// row maxima in one `O(P)` pass.
-    pub(super) fn refresh_step(&mut self, s: usize) {
+    /// row maxima in one `O(P)` pass. Returns whether the row gained a
+    /// hot cell ([`Hotness::gained`]).
+    pub(super) fn refresh_step(&mut self, s: usize) -> bool {
         let p = self.machine.p();
         let row = s * p;
         let wt = TopK::scan(self.t.slots[row..row + p].iter().map(|b| b.work));
@@ -254,12 +264,15 @@ impl ScheduleState<'_> {
                 .map(|b| b.send.max(b.recv)),
         );
         let m = &mut self.t.meta[s];
+        let was = Hotness::of(m.refreshed_nodes, &m.wtop, &m.htop, p);
         let nonempty = m.nodes > 0 || m.comm > 0;
         m.cost = wt.vals[0]
             + self.machine.g() * ht.vals[0]
             + if nonempty { self.machine.l() } else { 0 };
         m.wtop = wt;
         m.htop = ht;
+        m.refreshed_nodes = m.nodes;
+        Hotness::of(m.nodes, &wt, &ht, p).gained(&was)
     }
 
     /// Full O(n + m + S·P) recomputation of the total cost; used by tests to

@@ -89,6 +89,13 @@
 //! ([`ScheduleState::certified`], which lists the read set branch by
 //! branch), and the next sweep skips it.
 //!
+//! Certificates speak about one climb. The *awake set* outlives climbs,
+//! detaching and compaction: a node whose [`ScheduleState::may_improve`]
+//! came back false sleeps until a mutation changes something that test
+//! reads ([`ScheduleState::is_awake`]). A move wakes the nodes around it;
+//! a row refresh that turns a cold cell hot wakes every node. So a sweep
+//! of a re-plan visits what the batch disturbed, not the whole suffix.
+//!
 //! # Layout
 //!
 //! This file holds the data: the row types, [`ScheduleTables`] and the
@@ -96,16 +103,19 @@
 //! file per seam: `tables` (building and re-attaching the tables, the
 //! consumer arena, move validity), `apply` (applying moves, compaction,
 //! row refresh), `probe` (the read-only probe and its row evaluation),
-//! `certify` (stamps and failure certificates) and `bound` (the
+//! `certify` (stamps and failure certificates), `bound` (the
 //! enumeration of the cells a move can decrement, its folds, and the
-//! candidate floors read off them).
+//! candidate floors read off them) and `awake` (the awake set, the row
+//! hotness it is woken by, and why the wake rules are complete).
 
+use awake::Awake;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::BspSchedule;
 use std::sync::Mutex;
 
 mod apply;
+mod awake;
 mod bound;
 mod certify;
 mod probe;
@@ -204,6 +214,9 @@ struct StepMeta {
     nodes: u32,
     /// Transfers carried in this superstep's communication phase.
     comm: u32,
+    /// `nodes` as of the last refresh: with `wtop` and `htop` it gives the
+    /// row's [`awake::Hotness`] before the mutation being refreshed.
+    refreshed_nodes: u32,
     wtop: TopK,
     htop: TopK,
 }
@@ -213,6 +226,7 @@ impl StepMeta {
         cost: 0,
         nodes: 0,
         comm: 0,
+        refreshed_nodes: 0,
         wtop: TopK::EMPTY,
         htop: TopK::EMPTY,
     };
@@ -228,7 +242,8 @@ impl StepMeta {
 ///
 /// Two tables compare equal when they describe the same schedule state
 /// (assignment, superstep rows with their cached maxima and costs,
-/// consumer arena); stamps, certificates and scratch are not compared.
+/// consumer arena); stamps, certificates, the awake set and scratch are
+/// not compared.
 #[derive(Debug, Default)]
 pub struct ScheduleTables {
     sched: BspSchedule,
@@ -258,6 +273,8 @@ pub struct ScheduleTables {
     /// no improving move; void when below `cert_floor`.
     cert: Vec<u64>,
     cert_floor: u64,
+    /// The nodes a hill-climbing sweep still visits (see `awake`).
+    awake: Awake,
     /// Scratch: steps whose cached cost must be refreshed after a move.
     touched: Vec<u32>,
     /// Scratch for read-only probing (allocation-free after warm-up). A

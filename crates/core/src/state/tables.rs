@@ -2,7 +2,7 @@
 //! grown DAG — the consumer-arena accessors every other seam reads, and
 //! move validity.
 
-use super::{ProbeScratch, ScheduleState, ScheduleTables, Slot, StepMeta};
+use super::{Awake, ProbeScratch, ScheduleState, ScheduleTables, Slot, StepMeta};
 use bsp_dag::graph::append_to_csr;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
@@ -79,6 +79,7 @@ impl<'a> ScheduleState<'a> {
                 node_stamp: vec![0; dag.n()],
                 cert: vec![0; dag.n()],
                 cert_floor: 1,
+                awake: Awake::new(dag.n()),
                 touched: Vec::new(),
                 probe: Mutex::new(ProbeScratch::default()),
             },
@@ -132,7 +133,8 @@ impl<'a> ScheduleState<'a> {
     /// slices, and a lazy transfer moves only where the newcomer became
     /// its bucket's earliest consumer. Only the rows so touched are
     /// refreshed and stamped, together with the new nodes and their
-    /// producers (whose slices changed).
+    /// producers (whose slices changed). The new nodes start awake, and
+    /// the batch wakes what it disturbed, as a move does.
     pub fn attach_appended(
         dag: &'a Dag,
         machine: &'a BspParams,
@@ -149,6 +151,7 @@ impl<'a> ScheduleState<'a> {
         append_to_csr(&mut tables.cons_off, &mut tables.cons, dag.n(), &gained);
         tables.node_stamp.resize(dag.n(), 0);
         tables.cert.resize(dag.n(), 0);
+        tables.awake.grow(dag.n());
         tables.clock += 1;
         tables.touched.clear();
         let mut st = ScheduleState {
@@ -176,15 +179,11 @@ impl<'a> ScheduleState<'a> {
         self.t.touched.push(s);
         self.t.node_stamp[x as usize] = now;
         for &u in dag.predecessors(x) {
-            let pu = self.t.sched.proc(u);
             let before = self.bucket_min(u, q);
             self.slice_retarget(u, VACANT, (q, s));
             self.t.node_stamp[u as usize] = now;
-            if q != pu && before.is_none_or(|m| s < m) {
-                if let Some(m) = before {
-                    self.remove_transfer(u, pu, q, m - 1);
-                }
-                self.add_transfer(u, pu, q, s - 1);
+            if self.shift_transfer(u, q, before) {
+                self.wake_with_consumers(u);
             }
         }
     }

@@ -237,6 +237,38 @@ fn appending_a_consumer_voids_its_siblings_certificates() {
 }
 
 #[test]
+fn a_tie_beyond_the_cached_maxima_wakes_every_node() {
+    // P = 8, ℓ = 0. a0..a3 (work 3) on p0..p3 each send 2 to the next of
+    // them: phase 0's h-relation ties at 2 on p0..p3, all TOP_K cached
+    // entries. v and z (work 1) on p5 each have one consumer, y on p7 and
+    // w on p5 itself.
+    let mut b = DagBuilder::new();
+    let a: Vec<NodeId> = (0..4).map(|_| b.add_node(3, 2)).collect();
+    for &ai in &a {
+        let c = b.add_node(1, 1);
+        b.add_edge(ai, c).unwrap();
+    }
+    let [v, y, z, w] = [(); 4].map(|_| b.add_node(1, 1));
+    b.add_edge(v, y).unwrap();
+    b.add_edge(z, w).unwrap();
+    let dag = b.build().unwrap();
+    let machine = BspParams::new(8, 1, 0);
+    // a0..a3, their consumers, v, y, z, w
+    let procs = vec![0, 1, 2, 3, 1, 2, 3, 0, 5, 7, 5, 5];
+    let steps = vec![0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1];
+    let mut st = ScheduleState::new(&dag, &machine, &BspSchedule::from_parts(procs, steps));
+    // v sends 1 from p5 in phase 0, below the maximum: stuck.
+    assert!(!st.may_improve(v));
+    st.sleep(v, false);
+    // w leaves p5, so z now sends from it too: p5 joins the tie at 2,
+    // past the cached entries, and v's transfer is hot. Nothing v's
+    // enumeration reads moved; only the row's hotness tells.
+    st.apply_move(w, 6, 1);
+    assert!(st.may_improve(v));
+    assert!(st.is_awake(v), "p5 reached the h-maximum unseen");
+}
+
+#[test]
 fn emptying_a_superstep_saves_latency() {
     let dag = diamond();
     let machine = BspParams::new(2, 1, 100);

@@ -467,6 +467,48 @@ fn prefix_of(dag: &Dag, k: usize) -> Dag {
         .0
 }
 
+/// No node at or above `floor` sleeps while `may_improve` says it may
+/// move: the awake set's invariant.
+fn sleepers_are_stuck(
+    st: &ScheduleState<'_>,
+    floor: u32,
+    after: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for v in 0..st.n() as NodeId {
+        prop_assert!(
+            st.is_awake(v) || st.step(v) < floor || !st.may_improve(v),
+            "after {}: node {} sleeps but may improve",
+            after,
+            v
+        );
+    }
+    Ok(())
+}
+
+/// A climb of the kept state `st`, capped at `cap` moves, at `floor`:
+/// it moves as the plain loop does on a state built fresh from the same
+/// assignment (which has every node awake), and leaves the awake set's
+/// invariant standing.
+fn kept_climb_is_fresh_climb(
+    st: &mut ScheduleState<'_>,
+    cap: usize,
+    floor: u32,
+    after: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    sleepers_are_stuck(st, floor, after)?;
+    let mut fresh = ScheduleState::new(st.dag(), st.machine(), &st.snapshot());
+    let plain = hill_climb_reference(&mut fresh, cap, floor, |_, _| true);
+    let kept = hill_climb_from(st, &mut Stop::new(None, Some(cap)), floor);
+    prop_assert_eq!(
+        (kept.accepted, kept.local_minimum),
+        (plain.accepted, plain.local_minimum),
+        "climb after {}",
+        after
+    );
+    prop_assert_eq!(st.snapshot(), fresh.snapshot(), "climb after {}", after);
+    sleepers_are_stuck(st, floor, "a climb")
+}
+
 /// Grows a state batch by batch the way the online append path does and
 /// checks, after every batch, that (a) `place_appended` puts the new
 /// nodes where `place_new_nodes` + frontier clamp +
@@ -474,7 +516,9 @@ fn prefix_of(dag: &Dag, k: usize) -> Dag {
 /// ones `ScheduleState::new` builds from the same assignment, (c) the
 /// certificates issued before the batch that still stand are true.
 /// Between batches the state takes random moves and compactions, so the
-/// tables being extended are lived-in ones.
+/// tables being extended are lived-in ones. After the append and after
+/// every move and compaction, a capped climb at a floor that never
+/// decreases checks the awake set ([`kept_climb_is_fresh_climb`]).
 fn append_equivalence(
     dag: &Dag,
     machine: &BspParams,
@@ -492,6 +536,7 @@ fn append_equivalence(
     let mut graph = prefix_of(dag, at);
     let start = random_valid_assignment(&graph, p, seed);
     let mut tables = ScheduleState::new(&graph, machine, &start).detach();
+    let mut climb_floor = 0;
     while at < dag.n() {
         let to = (at + batch).min(dag.n());
         let old = tables.schedule().clone();
@@ -532,14 +577,15 @@ fn append_equivalence(
         certified_nodes_have_no_improving_move(&st, "an append")?;
 
         // Live in the state a little before the next batch.
-        st.void_certificates();
-        certify_stuck_nodes(&mut st);
+        climb_floor += rng.gen_bool(0.3) as u32;
+        kept_climb_is_fresh_climb(&mut st, rng.gen_range(1..8), climb_floor, "an append")?;
         for _ in 0..rng.gen_range(0..6) {
             let v = rng.gen_range(0..to as u32);
             let q = rng.gen_range(0..p);
             let s = st.step(v).saturating_sub(1) + rng.gen_range(0..3);
             if st.is_move_valid(v, q, s) {
                 st.apply_move(v, q, s);
+                kept_climb_is_fresh_climb(&mut st, rng.gen_range(1..8), climb_floor, "a move")?;
             }
         }
         st.compact_from(rng.gen_range(0..=st.tables().n_supersteps()));
@@ -549,6 +595,12 @@ fn append_equivalence(
             st.tables() == lived_in.tables(),
             "tables after moves and compaction"
         );
+        kept_climb_is_fresh_climb(&mut st, rng.gen_range(1..8), climb_floor, "compaction")?;
+        // Hand compact tables on, as a re-plan does after its climb.
+        st.compact_from(rng.gen_range(0..=st.tables().n_supersteps()));
+        sleepers_are_stuck(&st, climb_floor, "the last compaction")?;
+        st.void_certificates();
+        certify_stuck_nodes(&mut st);
         tables = st.detach();
         at = to;
     }

@@ -8,9 +8,10 @@
 //! with `--order <name>`), replayed with the default per-arrival work
 //! budget (override with `--budget-ms`), and reported as one
 //! [`OnlineRun`] row: final online cost, cold-solve cost, their ratio
-//! (×1000, integer), how many of the replay's hill-climbing node visits
-//! sweep pruning skipped (`bsp_ls_pruned_total` / `bsp_ls_visits_total`
-//! over the replay), and how many candidates of the remaining visits the
+//! (×1000, integer), the replay's hill-climbing node visits per re-plan
+//! (only awake nodes are visited), how many of those visits sweep pruning
+//! skipped (`bsp_ls_pruned_total` / `bsp_ls_visits_total` over the
+//! replay), and how many candidates of the remaining visits the
 //! move floor skipped (`bsp_ls_bound_skips_total` / that plus
 //! `bsp_ls_hc_probes_total`), with the share the work-only rise test
 //! would have probed in parentheses (`bsp_ls_floor_skips_total` / the
@@ -51,7 +52,8 @@ pub struct OnlineRun {
     /// `online_cost * 1000 / cold_cost`, rounded down (1000 = parity;
     /// the `--check` gate enforces [`ACCEPT_RATIO_X1000`]).
     pub cost_ratio_x1000: u64,
-    /// Hill-climbing node visits over the replay (`bsp_ls_visits_total`).
+    /// Hill-climbing visits of awake nodes over the replay
+    /// (`bsp_ls_visits_total`).
     pub hc_visits: u64,
     /// Visits `ScheduleState::may_improve` skipped without a probe
     /// (`bsp_ls_pruned_total`).
@@ -205,7 +207,7 @@ pub fn online(cfg: &RunConfig) {
 
 fn print_online_runs(runs: &[OnlineRun]) {
     println!(
-        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>20} {:>29}",
+        "\n{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>14} {:>20} {:>29}",
         "instance",
         "order",
         "n",
@@ -214,13 +216,14 @@ fn print_online_runs(runs: &[OnlineRun]) {
         "online",
         "cold",
         "ratio",
+        "visits/replan",
         "pruned/visits",
         "skipped/candidates (floor)"
     );
     for r in runs {
         let candidates = r.hc_probes + r.hc_bound_skips;
         println!(
-            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>20} {:>29}",
+            "{:<44} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>4}.{:03} {:>14} {:>20} {:>29}",
             truncated(&r.instance, 44),
             r.order,
             r.n,
@@ -230,6 +233,7 @@ fn print_online_runs(runs: &[OnlineRun]) {
             r.cold_cost,
             r.cost_ratio_x1000 / 1000,
             r.cost_ratio_x1000 % 1000,
+            r.hc_visits / r.replans.max(1),
             format!(
                 "{}/{} {:>3}%",
                 r.hc_pruned,
