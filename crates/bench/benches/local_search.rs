@@ -1,6 +1,6 @@
 //! Local-search kernel benchmarks: the cost of evaluating hill-climbing
-//! neighbourhoods, which bounds how many moves every `hc`/`tabu`/`anneal`
-//! registry stage can afford inside a budget.
+//! neighbourhoods, which bounds how many moves every `hc`/`tabu` registry
+//! stage can afford inside a budget.
 //!
 //! Two kernels are compared on identical instances and identical start
 //! schedules:

@@ -572,10 +572,9 @@ mod tests {
         assert!(stats.accepted <= 3);
     }
 
-    /// All five searches from one start, each under a stop `stop` makes,
+    /// All four searches from one start, each under a stop `stop` makes,
     /// reduced to what a caller sees: the steps taken and where they end.
-    fn five_searches(stop: &dyn Fn() -> Stop) -> Vec<(&'static str, usize, String)> {
-        use crate::anneal::{simulated_annealing, AnnealConfig};
+    fn four_searches(stop: &dyn Fn() -> Stop) -> Vec<(&'static str, usize, String)> {
         use crate::hccs::{comm_hill_climb, CommState};
         use crate::tabu::{tabu_search, TabuConfig};
         let dag = random_layered_dag(2, LayeredConfig::default());
@@ -601,23 +600,16 @@ mod tests {
         };
         let (best, _, stats) = tabu_search(&dag, &machine, &start, &cfg, &mut stop());
         out.push(("tabu", stats.iterations, format!("{best:?}")));
-
-        let cfg = AnnealConfig {
-            max_steps: 2_000,
-            ..AnnealConfig::default()
-        };
-        let (best, _, stats) = simulated_annealing(&dag, &machine, &start, &cfg, &mut stop());
-        out.push(("anneal", stats.accepted, format!("{best:?}")));
         out
     }
 
     #[test]
     fn unrepresentable_time_limit_is_no_limit() {
-        // `Instant::now() + Duration::MAX` used to panic, in all five.
-        let unlimited = five_searches(&|| Stop::new(None, None));
+        // `Instant::now() + Duration::MAX` used to panic, in all four.
+        let unlimited = four_searches(&|| Stop::new(None, None));
         assert!(unlimited.iter().all(|(_, steps, _)| *steps > 0));
         assert_eq!(
-            five_searches(&|| Stop::new(Some(Duration::MAX), None)),
+            four_searches(&|| Stop::new(Some(Duration::MAX), None)),
             unlimited
         );
     }
@@ -635,11 +627,11 @@ mod tests {
         let req = SolveRequest::new(&dag, &machine).with_budget(cancellable(&token));
         let cx = SolveCx::new("t", &req);
         // A spent deadline is the reference: nobody takes a step.
-        let at_rest = five_searches(&|| Stop::new(Some(Duration::ZERO), None));
+        let at_rest = four_searches(&|| Stop::new(Some(Duration::ZERO), None));
         assert!(at_rest.iter().all(|(_, steps, _)| *steps == 0));
-        assert_ne!(five_searches(&|| cx.stop(None, None)), at_rest);
+        assert_ne!(four_searches(&|| cx.stop(None, None)), at_rest);
         token.cancel();
-        assert_eq!(five_searches(&|| cx.stop(None, None)), at_rest);
+        assert_eq!(four_searches(&|| cx.stop(None, None)), at_rest);
     }
 
     #[test]

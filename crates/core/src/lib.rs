@@ -20,10 +20,10 @@
 //! Beyond the paper's evaluated configuration, the crate implements the
 //! extensions its conclusion (§8) and appendices name as future work:
 //!
-//! * [`anneal`] and [`tabu`] — local search that escapes local minima
-//!   (Metropolis acceptance / forced best-admissible moves with a tabu
-//!   list), both guaranteed never to return worse than their input; tabu
-//!   scans its neighbourhood with steepest descent's
+//! * [`tabu`] — local search that escapes local minima (forced
+//!   best-admissible moves with a tabu list), guaranteed never to return
+//!   worse than its input; it scans its neighbourhood with steepest
+//!   descent's
 //!   [`hc::best_admissible`], through the allocation-free
 //!   [`state::ScheduleState::probe_move`] gain kernel
 //!   (`tests/kernel_reference` keeps the historical apply/revert kernel as
@@ -49,7 +49,6 @@
 //! assert!(out.total() <= out.stages[0].cost_after); // never worse than `init`
 //! ```
 
-pub mod anneal;
 pub mod auto;
 pub mod hc;
 pub mod hccs;
@@ -66,7 +65,7 @@ pub mod warm;
 
 pub use auto::{AutoConfig, Strategy};
 pub use memrepair::{repair_memory, repair_memory_with, MemoryRepairScheduler, RepairReport};
-pub use pipeline::{EscapeSearch, PipelineConfig, PipelineResult};
+pub use pipeline::{PipelineConfig, PipelineResult};
 pub use schedulers::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
 pub use state::{ScheduleState, ScheduleTables};
 pub use warm::{

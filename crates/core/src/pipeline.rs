@@ -23,7 +23,6 @@
 //! the one `Incumbent` is only ever replaced by something strictly
 //! cheaper — early exit always returns the valid best-so-far schedule.
 
-use crate::anneal::{simulated_annealing, AnnealConfig};
 use crate::hc::{hill_climb, HillClimbConfig};
 use crate::hccs::{optimize_comm_schedule, CommHillClimbConfig};
 use crate::ilp::comm::ilp_comm;
@@ -46,18 +45,6 @@ use std::time::Duration;
 /// [`Stop`](bsp_schedule::solve::Stop) it hands its search.
 const ESCAPE_TIME_LIMIT: Duration = Duration::from_secs(5);
 
-/// An optional escape-local-minima stage run on the best candidate after
-/// hill climbing (the paper's §8 future-work replacement for plain HC).
-/// Both methods hold the monotone contract: they never return a schedule
-/// worse than their input.
-#[derive(Debug, Clone)]
-pub enum EscapeSearch {
-    /// Simulated annealing over the HC move space.
-    Anneal(AnnealConfig),
-    /// Tabu search over the HC move space.
-    Tabu(TabuConfig),
-}
-
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -72,10 +59,12 @@ pub struct PipelineConfig {
     /// Run `ILPinit` as a third initializer; `None` = auto (only for P ≤ 4,
     /// following the paper's tuning experiments in Appendix C.1).
     pub use_ilp_init: Option<bool>,
-    /// Optional escape-local-minima search applied to the winning candidate
-    /// after HC (folded into the reported `hc_cost` stage). `None`
-    /// reproduces the paper's evaluated configuration.
-    pub escape: Option<EscapeSearch>,
+    /// Optional escape-local-minima stage (the paper's §8 future-work
+    /// replacement for plain HC): tabu search on the winning candidate
+    /// after HC, folded into the reported `hc_cost` stage and never worse
+    /// than its input. `None` reproduces the paper's evaluated
+    /// configuration.
+    pub escape: Option<TabuConfig>,
     /// Inert: read by nothing. Kept only because the repo benchmark
     /// (`benchmark/`) sets it; goes with ROADMAP item 1(b).
     pub threads: usize,
@@ -225,7 +214,7 @@ fn optimized_comm(
 }
 
 /// Runs the Figure-3 pipeline under `cx`'s budget clock: stages `init`,
-/// `hc` (HC + HCcs + optional escape search) and `ilp`, with the deadline
+/// `hc` (HC + HCcs + optional tabu escape) and `ilp`, with the deadline
 /// checked at every stage boundary and inside every search. Always returns
 /// a valid schedule — under an already-expired deadline, the best
 /// initialization with its lazy `Γ`.
@@ -267,22 +256,11 @@ pub fn solve_base_pipeline(
         // Optional escape-local-minima stage on the winning candidate;
         // folded into the local-search stage cost because it refines the
         // same move space (never worse than its input by construction).
-        if let Some(escape) = &cfg.escape {
+        if let Some(tabu) = &cfg.escape {
             if !cx.check_expired() {
-                let name = match escape {
-                    EscapeSearch::Anneal(_) => "escape/anneal",
-                    EscapeSearch::Tabu(_) => "escape/tabu",
-                };
-                let _escape_span = bsp_obs::trace::global().span(name, "pipeline");
+                let _escape_span = bsp_obs::trace::global().span("escape/tabu", "pipeline");
                 let mut stop = cx.stop(Some(ESCAPE_TIME_LIMIT), None);
-                let refined = match escape {
-                    EscapeSearch::Anneal(a) => {
-                        let mut a = a.clone();
-                        a.seed = a.seed.wrapping_add(cx.seed());
-                        simulated_annealing(dag, machine, &best.sched, &a, &mut stop).0
-                    }
-                    EscapeSearch::Tabu(t) => tabu_search(dag, machine, &best.sched, t, &mut stop).0,
-                };
+                let refined = tabu_search(dag, machine, &best.sched, tabu, &mut stop).0;
                 best.offer_assignment(dag, machine, &refined, cfg, cx);
             }
         }
@@ -492,8 +470,6 @@ mod tests {
 
     #[test]
     fn pipeline_with_escape_stages_monotone() {
-        use crate::anneal::AnnealConfig;
-        use crate::tabu::TabuConfig;
         let dag = random_layered_dag(
             21,
             LayeredConfig {
@@ -504,26 +480,17 @@ mod tests {
             },
         );
         let machine = BspParams::new(4, 3, 5);
-        for escape in [
-            EscapeSearch::Anneal(AnnealConfig {
-                max_steps: 5_000,
-                ..AnnealConfig::default()
-            }),
-            EscapeSearch::Tabu(TabuConfig {
-                max_iters: 120,
-                ..TabuConfig::default()
-            }),
-        ] {
-            let mut cfg = fast_cfg();
-            cfg.escape = Some(escape);
-            let r = schedule_dag(&dag, &machine, &cfg);
-            check_result(&dag, &machine, &r);
-        }
+        let mut cfg = fast_cfg();
+        cfg.escape = Some(TabuConfig {
+            max_iters: 120,
+            ..TabuConfig::default()
+        });
+        let r = schedule_dag(&dag, &machine, &cfg);
+        check_result(&dag, &machine, &r);
     }
 
     #[test]
     fn escape_stage_beats_plain_hc_on_plateau() {
-        use crate::tabu::TabuConfig;
         // Independent heavy nodes: greedy HC is plateau-stuck (see the tabu
         // module tests); the escape stage must get the pipeline through.
         let mut b = bsp_dag::DagBuilder::new();
@@ -537,10 +504,10 @@ mod tests {
             ..Default::default()
         };
         let plain = schedule_dag(&dag, &machine, &cfg);
-        cfg.escape = Some(EscapeSearch::Tabu(TabuConfig {
+        cfg.escape = Some(TabuConfig {
             max_iters: 300,
             ..TabuConfig::default()
-        }));
+        });
         let escaped = schedule_dag(&dag, &machine, &cfg);
         assert!(escaped.cost <= plain.cost);
         assert_eq!(escaped.cost, 12, "tabu escape should reach the optimum");

@@ -45,8 +45,8 @@
 //! probe_move(v, q, s) == apply_move(v, q, s) − cost_before   (bit-for-bit)
 //! ```
 //!
-//! so steepest descent, tabu search and simulated annealing scan their
-//! neighbourhoods read-only and mutate the state only for the single move
+//! so steepest descent and tabu search scan their neighbourhoods
+//! read-only and mutate the state only for the single move
 //! they actually accept. Scans pre-filter candidate steps with
 //! [`ScheduleState::valid_procs`] — one `O(deg)` pass per `(node, step)`
 //! replaces `P` per-candidate validity checks.

@@ -1,10 +1,10 @@
 //! Tabu search over the hill-climbing move space.
 //!
-//! A second "escape local minima" strategy from the paper's future-work list
-//! (§8), complementing [`crate::anneal`]: the search always applies the best
-//! available move — *even when it worsens the cost* — but forbids returning
-//! a node to a placement it recently left (the *tabu list*), which forces
-//! the walk out of local minima instead of oscillating. A tabu move is
+//! The "escape local minima" strategy from the paper's future-work list
+//! (§8), and the pipeline's escape stage: the search always applies the
+//! best available move — *even when it worsens the cost* — but forbids
+//! returning a node to a placement it recently left (the *tabu list*),
+//! which forces the walk out of local minima instead of oscillating. A tabu move is
 //! still allowed when it would beat the best schedule seen so far (the
 //! standard *aspiration* criterion).
 //!
@@ -186,9 +186,9 @@ mod tests {
 
     #[test]
     fn crosses_the_plateau_greedy_cannot() {
-        // Same construction as the annealing test: greedy HC is stuck at 22;
-        // tabu's forced best-admissible move walks across the plateau
-        // deterministically.
+        // Four independent heavy tasks started as two pairs: greedy HC is
+        // stuck at 22; tabu's forced best-admissible move walks across the
+        // plateau deterministically.
         let mut b = DagBuilder::new();
         for _ in 0..4 {
             b.add_node(10, 1);

@@ -4,8 +4,8 @@
 //! paper names as future work (§8, Appendix A):
 //!
 //! * `ablation_local_search` — greedy first-improvement HC (the paper's
-//!   choice) vs steepest descent (A.3 variant (ii)) vs simulated annealing
-//!   vs tabu search, under matched budgets;
+//!   choice) vs steepest descent (A.3 variant (ii)) vs tabu search, under
+//!   matched budgets;
 //! * `ablation_numa_est` — mean-λ list baselines vs the NUMA-aware per-pair
 //!   EST extension (A.1);
 //! * `ablation_presolve` — branch-and-bound with and without the presolve
@@ -15,7 +15,6 @@
 
 use crate::metrics::{geomean, ratio};
 use crate::runner::{dataset_dags, pipeline_config, EvalOptions, NamedDag, RunConfig};
-use bsp_core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_core::auto::{comm_dominance, solve_auto, AutoConfig, Strategy};
 use bsp_core::hc::{hill_climb, hill_climb_steepest};
 use bsp_core::ilp::window::{WindowIlp, WindowOptions};
@@ -83,7 +82,6 @@ pub fn ablation_local_search(cfg: &RunConfig) {
         init: u64,
         greedy: (u64, Duration),
         steepest: (u64, Duration),
-        anneal: (u64, Duration),
         tabu: (u64, Duration),
     }
     let rows = parallel_map(cfg.threads, jobs, |(inst, p, g)| {
@@ -107,10 +105,6 @@ pub fn ablation_local_search(cfg: &RunConfig) {
             hill_climb_steepest(&mut st, &mut stop());
             st.cost()
         });
-        let anneal = timed(&|| {
-            let sa = AnnealConfig::default();
-            simulated_annealing(&inst.dag, &machine, &start, &sa, &mut stop()).1
-        });
         let tabu = timed(&|| {
             let tc = TabuConfig::default();
             tabu_search(&inst.dag, &machine, &start, &tc, &mut stop()).1
@@ -119,7 +113,6 @@ pub fn ablation_local_search(cfg: &RunConfig) {
             init,
             greedy,
             steepest,
-            anneal,
             tabu,
         }
     });
@@ -152,7 +145,6 @@ pub fn ablation_local_search(cfg: &RunConfig) {
     );
     report("greedyHC", &|r| r.greedy);
     report("steepest", &|r| r.steepest);
-    report("anneal", &|r| r.anneal);
     report("tabu", &|r| r.tabu);
 }
 

@@ -1,7 +1,9 @@
 //! Deterministic fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] is parsed from a spec string in the same `name?k=v&…`
-//! grammar as every other registry spec in the workspace:
+//! grammar as every other registry spec in the workspace, by the same
+//! parser ([`SchedulerSpec`]), so a malformed plan fails with the same
+//! [`SpecError`]s:
 //!
 //! ```text
 //! faults?seed=7&io_err=0.01&drop=0.005&panic=0.001&slow=0.02&slow_ms=50
@@ -35,6 +37,7 @@
 //! assert_eq!(plan.injected_total(), 1);
 //! ```
 
+use bsp_schedule::spec::{SchedulerSpec, SpecError};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -136,38 +139,20 @@ impl Fault {
     }
 }
 
-/// Why a fault spec failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpecError {
-    /// The spec does not start with `faults` (before the `?`).
-    BadName(String),
-    /// A `k=v` clause is malformed.
-    BadClause(String),
-    /// An unknown parameter key.
-    UnknownKey(String),
-    /// A value failed to parse or is out of range.
-    BadValue { key: String, value: String },
-}
+/// The parameters a fault spec accepts.
+const KEYS: [&str; 8] = [
+    "seed", "io_err", "drop", "panic", "slow", "slow_ms", "max", "only",
+];
 
-impl std::fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSpecError::BadName(n) => {
-                write!(f, "fault spec must be named \"faults\", got {n:?}")
-            }
-            FaultSpecError::BadClause(c) => write!(f, "malformed fault clause {c:?} (want k=v)"),
-            FaultSpecError::UnknownKey(k) => write!(
-                f,
-                "unknown fault parameter {k:?} (known: seed, io_err, drop, panic, slow, slow_ms, max, only)"
-            ),
-            FaultSpecError::BadValue { key, value } => {
-                write!(f, "bad value {value:?} for fault parameter {key:?}")
-            }
-        }
+/// The site mask of an `only=` list: one or more site names, separated by
+/// commas. `None` if a name is unknown or the list names no site.
+fn site_mask(list: &str) -> Option<u16> {
+    let mut mask = 0u16;
+    for name in list.split(',').filter(|t| !t.is_empty()) {
+        mask |= 1 << Site::from_name(name)?.idx();
     }
+    (mask != 0).then_some(mask)
 }
-
-impl std::error::Error for FaultSpecError {}
 
 /// A deterministic fault-injection plan. See the crate docs for the spec
 /// grammar and determinism contract. Cheap to share behind an [`Arc`];
@@ -204,71 +189,36 @@ fn unit(seed: u64, site: Site, n: u64) -> f64 {
 
 impl FaultPlan {
     /// Parses a fault spec (crate docs have the grammar). Probabilities
-    /// must lie in `[0, 1]`; unknown keys are typed errors, not ignored.
-    pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
-        let (name, params) = match spec.split_once('?') {
-            Some((n, p)) => (n, p),
-            None => (spec, ""),
-        };
-        if name != "faults" {
-            return Err(FaultSpecError::BadName(name.to_string()));
+    /// must lie in `[0, 1]` and `only=` must name at least one site;
+    /// unknown and repeated keys are typed errors, not ignored.
+    pub fn parse(spec: &str) -> Result<FaultPlan, SpecError> {
+        let spec = SchedulerSpec::parse(spec)?;
+        if spec.name() != "faults" {
+            return Err(SpecError::UnknownScheduler {
+                name: spec.name().to_string(),
+                known: vec!["faults".to_string()],
+            });
         }
-        let mut seed = 0u64;
-        let (mut io_err, mut drop_p, mut panic_p, mut slow_p) = (0.0, 0.0, 0.0, 0.0);
-        let mut slow_ms = 50u64;
-        let mut max = None;
-        let mut site_mask = u16::MAX;
-        let prob = |key: &str, value: &str| -> Result<f64, FaultSpecError> {
-            let v: f64 = value.parse().map_err(|_| FaultSpecError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            })?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(FaultSpecError::BadValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                });
-            }
-            Ok(v)
+        spec.deny_unknown("faults", &KEYS)?;
+        let prob = |key| {
+            let in_range = |v: &str| v.parse().ok().filter(|p| (0.0..=1.0).contains(p));
+            Ok::<f64, SpecError>(
+                spec.typed(key, "probability in [0, 1]", in_range)?
+                    .unwrap_or(0.0),
+            )
         };
-        for clause in params.split('&').filter(|c| !c.is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| FaultSpecError::BadClause(clause.to_string()))?;
-            let bad = |key: &str, value: &str| FaultSpecError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            };
-            match key {
-                "seed" => seed = value.parse().map_err(|_| bad(key, value))?,
-                "io_err" => io_err = prob(key, value)?,
-                "drop" => drop_p = prob(key, value)?,
-                "panic" => panic_p = prob(key, value)?,
-                "slow" => slow_p = prob(key, value)?,
-                "slow_ms" => slow_ms = value.parse().map_err(|_| bad(key, value))?,
-                "max" => max = Some(value.parse().map_err(|_| bad(key, value))?),
-                "only" => {
-                    let mut mask = 0u16;
-                    for tok in value.split(',').filter(|t| !t.is_empty()) {
-                        let site = Site::from_name(tok).ok_or_else(|| bad(key, tok))?;
-                        mask |= 1 << site.idx();
-                    }
-                    site_mask = mask;
-                }
-                _ => return Err(FaultSpecError::UnknownKey(key.to_string())),
-            }
-        }
+        let only = "one or more of read,write,job,store.load,store.save,par,stream,online";
         let reg = bsp_obs::global();
         let metric = |kind: &str| reg.counter("bsp_faults_injected_total", &[("kind", kind)]);
         Ok(FaultPlan {
-            seed,
-            io_err,
-            drop_p,
-            panic_p,
-            slow_p,
-            slow_ms,
-            max,
-            site_mask,
+            seed: spec.u64_param("seed")?.unwrap_or(0),
+            io_err: prob("io_err")?,
+            drop_p: prob("drop")?,
+            panic_p: prob("panic")?,
+            slow_p: prob("slow")?,
+            slow_ms: spec.u64_param("slow_ms")?.unwrap_or(50),
+            max: spec.u64_param("max")?,
+            site_mask: spec.typed("only", only, site_mask)?.unwrap_or(u16::MAX),
             draws: Default::default(),
             used: AtomicU64::new(0),
             injected: Default::default(),
@@ -454,24 +404,37 @@ mod tests {
 
         assert!(matches!(
             FaultPlan::parse("chaos?seed=1"),
-            Err(FaultSpecError::BadName(_))
+            Err(SpecError::UnknownScheduler { .. })
         ));
-        assert!(matches!(
-            FaultPlan::parse("faults?frequency=1"),
-            Err(FaultSpecError::UnknownKey(_))
-        ));
+        match FaultPlan::parse("faults?frequency=1") {
+            Err(SpecError::UnknownParam { key, allowed, .. }) => {
+                assert_eq!(key, "frequency");
+                assert_eq!(allowed, KEYS);
+            }
+            other => panic!("expected UnknownParam, got {other:?}"),
+        }
         assert!(matches!(
             FaultPlan::parse("faults?panic=1.5"),
-            Err(FaultSpecError::BadValue { .. })
+            Err(SpecError::BadValue { .. })
         ));
         assert!(matches!(
             FaultPlan::parse("faults?panic"),
-            Err(FaultSpecError::BadClause(_))
+            Err(SpecError::BadPair(_))
         ));
-        assert!(matches!(
-            FaultPlan::parse("faults?only=job,nowhere"),
-            Err(FaultSpecError::BadValue { .. })
-        ));
+        assert_eq!(
+            FaultPlan::parse("faults?seed=1&seed=2").err(),
+            Some(SpecError::DuplicateKey("seed".into()))
+        );
+        // An empty site list would inject nothing anywhere, silently.
+        for spec in ["faults?only=job,nowhere", "faults?only=", "faults?only=,"] {
+            assert!(
+                matches!(
+                    FaultPlan::parse(spec),
+                    Err(SpecError::BadValue { ref key, .. }) if key == "only"
+                ),
+                "{spec}"
+            );
+        }
     }
 
     #[test]
@@ -516,6 +479,14 @@ mod tests {
         assert_eq!(plan.fault_at(Site::Job), None);
         assert_eq!(plan.fault_at(Site::Par), Some(Fault::Panic));
         assert!(plan.spec().contains("only=par"));
+        // Site names with dots; the canonical list is in site order.
+        let plan = FaultPlan::parse("faults?panic=1&only=store.save,job,store.load").unwrap();
+        assert_eq!(
+            plan.spec(),
+            "faults?seed=0&panic=1&only=job,store.load,store.save"
+        );
+        assert_eq!(plan.fault_at(Site::Read), None);
+        assert_eq!(plan.fault_at(Site::StoreSave), Some(Fault::Panic));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Std-only scoped-thread job runner and cancellation token for the
-//! scheduling workspace.
+//! Std-only scoped-thread job runner for the scheduling workspace.
 //!
 //! Threads in this workspace run *between* solves, never inside a search:
 //! the experiment sweeps fan independent instances out over
@@ -16,10 +15,9 @@
 //! available parallelism) and takes anything else literally; `1` is
 //! always the plain sequential path — no threads are spawned.
 //!
-//! Cooperative cancellation uses [`CancelToken`], a shared atomic flag
-//! with optional parent chaining: cancelling a parent cancels every child
-//! token derived from it, while a child can be cancelled without touching
-//! its siblings — exactly the shape portfolio racing needs.
+//! The cancellation token that racers and the daemon share is not here:
+//! it is `bsp_schedule::solve::CancelToken`, next to the budget that
+//! carries it.
 //!
 //! Panic isolation: every job body in a sweep runs under `catch_unwind`,
 //! so a panicking job never tears down the scoped pool mid-flight.
@@ -144,57 +142,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         detect_threads()
     } else {
         requested
-    }
-}
-
-/// A shared cooperative-cancellation flag with optional parent chaining.
-///
-/// Cloning shares the flag. [`CancelToken::child`] derives a token that is
-/// cancelled when *either* it or its parent is cancelled, while cancelling
-/// the child leaves the parent (and the child's siblings) untouched.
-///
-/// ```
-/// use bsp_par::CancelToken;
-///
-/// let parent = CancelToken::new();
-/// let child = parent.child();
-/// assert!(!child.is_cancelled());
-/// child.cancel();
-/// assert!(child.is_cancelled() && !parent.is_cancelled());
-///
-/// let sibling = parent.child();
-/// parent.cancel();
-/// assert!(sibling.is_cancelled(), "parent cancellation reaches children");
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    parent: Option<Arc<CancelToken>>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token with no parent.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A new token that is also cancelled whenever `self` is.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            parent: Some(Arc::new(self.clone())),
-        }
-    }
-
-    /// Raises the flag on this token (and so on every child derived from
-    /// it). Idempotent and safe to call from any thread.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether this token or any ancestor has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 
@@ -336,18 +283,5 @@ mod tests {
         // max=1 exhausted: the very next scope runs clean under the same plan.
         let ok = parallel_map(2, jobs(), |&i| i);
         assert_eq!(ok.iter().sum::<usize>(), 6);
-    }
-
-    #[test]
-    fn cancel_token_chain() {
-        let root = CancelToken::new();
-        let a = root.child();
-        let b = root.child();
-        let shared = a.clone();
-        a.cancel();
-        assert!(shared.is_cancelled(), "clones share the flag");
-        assert!(!b.is_cancelled() && !root.is_cancelled());
-        root.cancel();
-        assert!(b.is_cancelled());
     }
 }

@@ -19,7 +19,7 @@
 //!   ([`SolveCx::stop`]: the tighter of the solve's deadline and the
 //!   stage's own time limit, the request's token, the tighter of the two
 //!   move caps) and every search loop — HC, HCcs, steepest descent, tabu,
-//!   annealing, multilevel's refinement climbs — polls it: once per
+//!   multilevel's refinement climbs — polls it: once per
 //!   whole-neighbourhood round, and on every 64th step where a step is
 //!   cheap (the first included). So the **deadline** is honoured inside
 //!   every search, not only at stage boundaries, and an expired one makes
@@ -63,8 +63,61 @@
 use crate::scheduler::ScheduleResult;
 use bsp_dag::Dag;
 use bsp_model::BspParams;
-pub use bsp_par::CancelToken;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A shared cooperative-cancellation flag with optional parent chaining.
+///
+/// Cloning shares the flag. [`CancelToken::child`] derives a token that is
+/// cancelled when *either* it or its parent is cancelled, while cancelling
+/// the child leaves the parent (and the child's siblings) untouched —
+/// exactly the shape portfolio racing needs.
+///
+/// ```
+/// use bsp_schedule::solve::CancelToken;
+///
+/// let parent = CancelToken::new();
+/// let child = parent.child();
+/// assert!(!child.is_cancelled());
+/// child.cancel();
+/// assert!(child.is_cancelled() && !parent.is_cancelled());
+///
+/// let sibling = parent.child();
+/// parent.cancel();
+/// assert!(sibling.is_cancelled(), "parent cancellation reaches children");
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    parent: Option<Arc<CancelToken>>,
+}
+
+impl CancelToken {
+    /// A fresh, un-cancelled token with no parent.
+    pub fn new() -> Self {
+        CancelToken::default()
+    }
+
+    /// A new token that is also cancelled whenever `self` is.
+    pub fn child(&self) -> Self {
+        CancelToken {
+            flag: Arc::new(AtomicBool::new(false)),
+            parent: Some(Arc::new(self.clone())),
+        }
+    }
+
+    /// Raises the flag on this token (and so on every child derived from
+    /// it). Idempotent and safe to call from any thread.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether this token or any ancestor has been cancelled.
+    pub fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+    }
+}
 
 /// Resource limits for one solve call.
 ///
@@ -208,9 +261,8 @@ pub struct SolveRequest<'a> {
     pub machine: &'a BspParams,
     /// Resource limits; default unlimited.
     pub budget: Budget,
-    /// RNG seed mixed into every randomized component (steal-victim
-    /// streams, simulated annealing); `0` reproduces the scheduler's
-    /// configured seeds.
+    /// RNG seed mixed into every randomized component (Cilk's steal-victim
+    /// streams); `0` reproduces the scheduler's configured seeds.
     pub seed: u64,
     /// Progress observer; defaults to [`NOOP_OBSERVER`].
     pub observer: &'a dyn Observer,
@@ -398,7 +450,6 @@ pub struct SolveCx<'a> {
     /// The whole solve's limits; every search's [`Stop`] narrows this one.
     limits: Stop,
     ilp_override: Option<bool>,
-    seed: u64,
     stages: Vec<StageReport>,
     current: Option<(String, Instant)>,
     exhausted: bool,
@@ -417,7 +468,6 @@ impl<'a> SolveCx<'a> {
                 ..Stop::new(req.budget.deadline, req.budget.max_stage_moves)
             },
             ilp_override: req.budget.ilp,
-            seed: req.seed,
             stages: Vec::new(),
             current: None,
             exhausted: false,
@@ -463,8 +513,8 @@ impl<'a> SolveCx<'a> {
     }
 
     /// The context of a solve nested inside this one (multilevel's coarse
-    /// runs): its own request — silent observer, default seed, its own
-    /// stage reports — on the outer solve's clock: the
+    /// runs): its own request — silent observer, its own stage reports —
+    /// on the outer solve's clock: the
     /// same deadline, token, move cap and ILP switch.
     pub fn nested(&self, scheduler: &str) -> SolveCx<'static> {
         SolveCx {
@@ -473,7 +523,6 @@ impl<'a> SolveCx<'a> {
             start: Instant::now(),
             limits: self.limits.clone(),
             ilp_override: self.ilp_override,
-            seed: 0,
             stages: Vec::new(),
             current: None,
             exhausted: false,
@@ -484,11 +533,6 @@ impl<'a> SolveCx<'a> {
     /// the budget's override.
     pub fn ilp_enabled(&self, scheduler_default: bool) -> bool {
         self.ilp_override.unwrap_or(scheduler_default)
-    }
-
-    /// The request's RNG seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Begins a named stage (notifies the observer, starts its clock).
@@ -601,6 +645,19 @@ mod tests {
         let v = b.add_node(3, 1);
         b.add_edge(u, v).unwrap();
         (b.build().unwrap(), BspParams::new(2, 1, 1))
+    }
+
+    #[test]
+    fn cancel_token_chain() {
+        let root = CancelToken::new();
+        let a = root.child();
+        let b = root.child();
+        let shared = a.clone();
+        a.cancel();
+        assert!(shared.is_cancelled(), "clones share the flag");
+        assert!(!b.is_cancelled() && !root.is_cancelled());
+        root.cancel();
+        assert!(b.is_cancelled());
     }
 
     #[test]

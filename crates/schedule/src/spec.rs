@@ -6,7 +6,8 @@
 //! digits, `/`, `-`, `_` and `.`; keys are identifiers; values are any
 //! `&`-free text. The experiments CLI, the criterion benches and the
 //! examples all select schedulers through this grammar (via
-//! `bsp_sched::Registry`), so one parser — this module — defines it.
+//! `bsp_sched::Registry`), and `bsp_faults::FaultPlan` reads its
+//! `faults?…` plans through it, so one parser — this module — defines it.
 //!
 //! ```
 //! use bsp_schedule::spec::SchedulerSpec;
@@ -201,7 +202,10 @@ impl SchedulerSpec {
         })
     }
 
-    fn typed<T>(
+    /// Parses `key` with `parse`; a value it rejects is a
+    /// [`SpecError::BadValue`] naming `expected`. The typed getters above
+    /// are this with a fixed parser.
+    pub fn typed<T>(
         &self,
         key: &str,
         expected: &'static str,

@@ -12,8 +12,8 @@ use crate::protocol::{
 };
 use crate::queue::PushError;
 use bsp_faults::{Fault, Site};
-use bsp_par::CancelToken;
 use bsp_sched::race::RACE_PREFIX;
+use bsp_schedule::solve::CancelToken;
 use bsp_schedule::spec::SchedulerSpec;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};

@@ -49,7 +49,7 @@ use crate::protocol::{ServerStats, MAX_LINE};
 use crate::queue::JobQueue;
 use bsp_core::pipeline::PipelineConfig;
 use bsp_faults::FaultPlan;
-use bsp_par::CancelToken;
+use bsp_schedule::solve::CancelToken;
 use conn::Conn;
 use metrics::ServeMetrics;
 use std::collections::HashMap;

@@ -13,7 +13,7 @@
 //! keeps the handler stateless and immune to slow clients holding
 //! threads: a read timeout of two seconds bounds every connection.
 
-use bsp_par::CancelToken;
+use bsp_schedule::solve::CancelToken;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;

@@ -1,12 +1,10 @@
-//! Compare hill climbing with the two escape-local-minima searches
-//! (simulated annealing, tabu search) the paper's conclusion proposes as
-//! future work (§8).
+//! Compare hill climbing with tabu search, the escape-local-minima search
+//! the paper's conclusion proposes as future work (§8).
 //!
 //! ```text
 //! cargo run --release --example escape_local_minima
 //! ```
 
-use bsp_sched::core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_sched::core::hc::hill_climb;
 use bsp_sched::core::init::bspg_schedule;
 use bsp_sched::core::state::ScheduleState;
@@ -19,7 +17,7 @@ use std::time::Duration;
 fn main() {
     // A plateau microcosm: four independent heavy tasks started as two
     // pairs. Any single move keeps the maximum load unchanged, so plain
-    // hill climbing is stuck; annealing and tabu walk across.
+    // hill climbing is stuck; tabu search walks across.
     let mut b = DagBuilder::new();
     for _ in 0..4 {
         b.add_node(10, 1);
@@ -51,18 +49,10 @@ fn report(dag: &Dag, machine: &BspParams, start: &BspSchedule) {
     let hc = st.cost();
 
     let mut stop = Stop::new(Some(budget), None);
-    let (_, sa, sa_stats) =
-        simulated_annealing(dag, machine, start, &AnnealConfig::default(), &mut stop);
-
-    let mut stop = Stop::new(Some(budget), None);
     let (_, tb, tb_stats) = tabu_search(dag, machine, start, &TabuConfig::default(), &mut stop);
 
     println!("start cost:          {start_cost}");
     println!("hill climbing:       {hc}");
-    println!(
-        "simulated annealing: {sa} ({} uphill moves accepted)",
-        sa_stats.uphill
-    );
     println!(
         "tabu search:         {tb} ({} uphill moves, {} aspirations)",
         tb_stats.uphill, tb_stats.aspirated

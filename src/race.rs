@@ -34,9 +34,8 @@
 //! assert!(out.stages.last().unwrap().stage.starts_with("race:"));
 //! ```
 
-use bsp_par::CancelToken;
 use bsp_schedule::scheduler::{Scheduler, SchedulerKind, SharedScheduler};
-use bsp_schedule::solve::{Budget, SolveOutcome, SolveRequest, StageReport};
+use bsp_schedule::solve::{Budget, CancelToken, SolveOutcome, SolveRequest, StageReport};
 use std::time::Instant;
 
 /// The spec prefix that addresses a race through the registry.

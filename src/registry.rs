@@ -32,11 +32,10 @@
 //! ```
 
 use bsp_baselines::{BlestScheduler, CilkScheduler, DscScheduler, EtfScheduler, HDaggScheduler};
-use bsp_core::anneal::AnnealConfig;
 use bsp_core::auto::AutoConfig;
 use bsp_core::memrepair::MemoryRepairScheduler;
 use bsp_core::multilevel::MultilevelConfig;
-use bsp_core::pipeline::{EscapeSearch, PipelineConfig};
+use bsp_core::pipeline::PipelineConfig;
 use bsp_core::tabu::TabuConfig;
 use bsp_core::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
 use bsp_schedule::scheduler::{Scheduler, SchedulerKind, SharedScheduler};
@@ -239,13 +238,12 @@ fn pipeline_cfg(spec: &SchedulerSpec, base: &PipelineConfig) -> Result<PipelineC
     }
     match spec.get("escape") {
         None | Some("none") => {}
-        Some("anneal") => cfg.escape = Some(EscapeSearch::Anneal(AnnealConfig::default())),
-        Some("tabu") => cfg.escape = Some(EscapeSearch::Tabu(TabuConfig::default())),
+        Some("tabu") => cfg.escape = Some(TabuConfig::default()),
         Some(v) => {
             return Err(SpecError::BadValue {
                 key: "escape".to_string(),
                 value: v.to_string(),
-                expected: "none|anneal|tabu",
+                expected: "none|tabu",
             })
         }
     }

@@ -3,7 +3,6 @@
 //! presolve-backed ILP stages, export renderers, and auto-selection.
 
 use bsp_sched::baselines::{blest_bsp_numa_aware, etf_bsp, etf_bsp_numa_aware};
-use bsp_sched::core::anneal::{simulated_annealing, AnnealConfig};
 use bsp_sched::core::auto::solve_auto;
 use bsp_sched::core::hc::{hill_climb, hill_climb_steepest};
 use bsp_sched::core::ilp::{ilp_full, IlpConfig};
@@ -54,16 +53,6 @@ fn all_local_searches_refine_the_same_init() {
     hill_climb_steepest(&mut st2, &mut Stop::new(None, Some(300)));
     let steepest = st2.cost();
 
-    let (sa_sched, sa, _) = simulated_annealing(
-        &dag,
-        &machine,
-        &init,
-        &AnnealConfig {
-            max_steps: 30_000,
-            ..AnnealConfig::default()
-        },
-        &mut Stop::new(None, None),
-    );
     let (tb_sched, tb, _) = tabu_search(
         &dag,
         &machine,
@@ -75,18 +64,12 @@ fn all_local_searches_refine_the_same_init() {
         &mut Stop::new(None, None),
     );
 
-    for (name, cost) in [
-        ("greedy", greedy),
-        ("steepest", steepest),
-        ("sa", sa),
-        ("tabu", tb),
-    ] {
+    for (name, cost) in [("greedy", greedy), ("steepest", steepest), ("tabu", tb)] {
         assert!(
             cost <= init_cost,
             "{name} worsened the init: {cost} > {init_cost}"
         );
     }
-    assert!(validate_lazy(&dag, 4, &sa_sched).is_ok());
     assert!(validate_lazy(&dag, 4, &tb_sched).is_ok());
 }
 
@@ -249,16 +232,14 @@ fn sptrsv_wavefronts_match_hdagg_structure() {
 
 #[test]
 fn pipeline_escape_stage_end_to_end() {
-    use bsp_sched::core::pipeline::EscapeSearch;
-    use bsp_sched::core::tabu::TabuConfig;
     let dag = sample_dag();
     let machine = BspParams::new(4, 3, 5);
     let mut cfg = PipelineConfig::default();
     cfg.enable_ilp = false;
-    cfg.escape = Some(EscapeSearch::Tabu(TabuConfig {
+    cfg.escape = Some(TabuConfig {
         max_iters: 150,
         ..TabuConfig::default()
-    }));
+    });
     let r = schedule_dag(&dag, &machine, &cfg);
     assert!(validate(&dag, 4, &r.sched, &r.comm).is_ok());
     assert!(r.hc_cost <= r.init_cost);

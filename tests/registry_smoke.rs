@@ -263,6 +263,15 @@ fn spec_lookup_builds_configured_single_entries() {
         registry.get("pipeline/base?hc_iters=lots"),
         Err(SpecError::BadValue { .. })
     ));
+    // Tabu search is the one escape stage; annealing is gone.
+    assert_eq!(
+        registry.get("pipeline/base?escape=anneal").err(),
+        Some(SpecError::BadValue {
+            key: "escape".into(),
+            value: "anneal".into(),
+            expected: "none|tabu",
+        })
+    );
     // The in-solve thread knob is gone, not silently accepted.
     match registry.get("pipeline/base?threads=2") {
         Err(SpecError::UnknownParam { key, allowed, .. }) => {
