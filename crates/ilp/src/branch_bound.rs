@@ -184,6 +184,12 @@ fn dfs(work: &mut Model, state: &mut SearchState, depth: usize) {
     };
     let (frac, x) = match lp.status {
         LpStatus::Infeasible => return,
+        LpStatus::IterationLimit if state.lp.refused() => {
+            // Too large to tableau at all, and a child is no smaller:
+            // the search stops with what it has.
+            state.exhausted = false;
+            return;
+        }
         LpStatus::Unbounded | LpStatus::IterationLimit => {
             // No usable bound: branch blindly on the first non-fixed integer.
             match first_unfixed_integer(work) {
@@ -318,6 +324,29 @@ mod tests {
             time_limit: Duration::from_secs(20),
             gap: 1e-6,
         }
+    }
+
+    /// A model past `MAX_TABLEAU_ENTRIES` gets no tableau, at the root or
+    /// below it: the search stops at once and keeps the warm start.
+    #[test]
+    fn a_model_too_large_to_tableau_keeps_its_warm_start() {
+        let n = 3000;
+        let mut m = Model::new();
+        let x: Vec<VarId> = (0..n).map(|_| m.add_binary(-1.0)).collect();
+        for i in 0..n {
+            m.add_constraint(vec![(x[i], 1.0), (x[(i + 1) % n], 1.0)], Sense::Le, 1.0);
+        }
+        // n rows, n structurals and n slacks.
+        assert!(n * 2 * n > crate::simplex::MAX_TABLEAU_ENTRIES);
+        assert_eq!(
+            crate::simplex::solve_lp(&m).status,
+            LpStatus::IterationLimit
+        );
+        let warm = vec![0.0; n];
+        let sol = m.solve(Some(&warm), &limits());
+        assert_eq!(sol.status, MipStatus::Feasible);
+        assert_eq!(sol.x, warm);
+        assert_eq!(sol.nodes, 1);
     }
 
     /// Brute force over all binary assignments for cross-checking.

@@ -42,4 +42,4 @@ pub mod simplex;
 pub use branch_bound::{MipSolution, MipStatus, SolveLimits};
 pub use model::{Model, Sense, VarId};
 pub use presolve::{presolve, solve_with_presolve, PresolveResult};
-pub use simplex::{LpCounts, LpSolution, LpStatus, LpWorkspace};
+pub use simplex::{LpCounts, LpSolution, LpStatus, LpWorkspace, MAX_TABLEAU_ENTRIES};

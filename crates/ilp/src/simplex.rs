@@ -104,6 +104,15 @@ const RESIDUAL_TOL: f64 = 1e-6;
 const DROP_EPS: f64 = 1e-12;
 const NONE: usize = usize::MAX;
 
+/// The largest tableau [`LpWorkspace::solve`] builds, in `m × width`
+/// entries: 2²⁴, 128 MiB of `f64`. The tableau is dense, and a window
+/// model of a 2 000-node superstep would need gigabytes; an allocation
+/// that fails aborts the process. A model past the cap is answered
+/// [`LpStatus::IterationLimit`] before anything is allocated. The largest
+/// tableau the tests build is 1 102 × 2 371 (2.6 M entries), the
+/// benchmark's ILP rows 509 × 1 001 (0.5 M).
+pub const MAX_TABLEAU_ENTRIES: usize = 1 << 24;
+
 /// Solves the LP relaxation of `model` (integrality dropped, bounds kept).
 /// Lower bounds must be finite.
 pub fn solve_lp(model: &Model) -> LpSolution {
@@ -141,6 +150,8 @@ pub struct LpWorkspace {
     /// `None` when there is nothing to re-solve from.
     tab: Option<Tableau>,
     counts: LpCounts,
+    /// Whether the last cold solve was refused by [`MAX_TABLEAU_ENTRIES`].
+    refused: bool,
 }
 
 impl LpWorkspace {
@@ -149,13 +160,24 @@ impl LpWorkspace {
         self.counts
     }
 
+    /// Whether the last cold solve was refused by [`MAX_TABLEAU_ENTRIES`]
+    /// (and answered [`LpStatus::IterationLimit`]).
+    pub(crate) fn refused(&self) -> bool {
+        self.refused
+    }
+
     /// Solves `model` cold (phase 1 + phase 2) and keeps the tableau if the
-    /// solve ends optimal.
+    /// solve ends optimal. A model whose dense tableau would exceed
+    /// [`MAX_TABLEAU_ENTRIES`] is not built: it answers
+    /// [`LpStatus::IterationLimit`], "no usable bound".
     pub fn solve(&mut self, model: &Model, deadline: Option<Instant>) -> LpSolution {
         self.counts.lp_solves += 1;
         self.tab = None;
-        let Some(mut t) = Tableau::build(model) else {
-            return LpSolution::without_point(LpStatus::Infeasible);
+        let built = Tableau::build(model);
+        self.refused = matches!(built, Err(LpStatus::IterationLimit));
+        let mut t = match built {
+            Ok(t) => t,
+            Err(status) => return LpSolution::without_point(status),
         };
         let status = t.solve_cold(model, deadline);
         self.counts.pivots += t.pivots;
@@ -254,14 +276,15 @@ struct Tableau {
 
 impl Tableau {
     /// The all-slack/artificial starting tableau with every structural at
-    /// its lower bound; `None` if some variable's bounds cross.
-    fn build(model: &Model) -> Option<Tableau> {
+    /// its lower bound; `Infeasible` if some variable's bounds cross,
+    /// `IterationLimit` if it would exceed [`MAX_TABLEAU_ENTRIES`].
+    fn build(model: &Model) -> Result<Tableau, LpStatus> {
         let n = model.n_vars();
         let m = model.n_constraints();
         let (lower, upper) = model.bounds();
         debug_assert!(lower.iter().all(|l| l.is_finite()), "lower bounds finite");
         if (0..n).any(|v| upper[v] < lower[v] - EPS) {
-            return None;
+            return Err(LpStatus::Infeasible);
         }
 
         // Orient each row so that, with the structurals at their lower
@@ -292,6 +315,9 @@ impl Tableau {
         let n_art = oriented.iter().filter(|r| r.1 != Sense::Le).count();
         let art_start = n + n_slack;
         let width = art_start + n_art;
+        if m.saturating_mul(width) > MAX_TABLEAU_ENTRIES {
+            return Err(LpStatus::IterationLimit);
+        }
 
         let mut a = vec![0.0f64; m * width];
         let mut beta = vec![0.0f64; m];
@@ -322,7 +348,7 @@ impl Tableau {
         let mut hi = vec![f64::INFINITY; width];
         lo[..n].copy_from_slice(lower);
         hi[..n].copy_from_slice(upper);
-        Some(Tableau {
+        Ok(Tableau {
             m,
             n,
             width,

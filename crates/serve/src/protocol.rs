@@ -23,15 +23,44 @@
 //! (the connection closes after it, because the line tail cannot be
 //! resynchronized safely).
 //!
-//! Both [`Request`] and [`Frame`] serialize *sparsely*: `None` fields are
-//! omitted, and absent keys deserialize as `None` (the derive of the
-//! vendored serde would instead demand every key, which is wrong for a
-//! wire format that must accept hand-written requests).
+//! # The codec
+//!
+//! [`parse_line`] and [`to_line`] take exactly the two messages (the
+//! sealed [`Wire`] trait), each through one direct codec: reading is one
+//! strict pass over the line that fills the struct, writing appends to
+//! one pre-sized `String`, and no `serde::Value` tree sits in between.
+//! The codec reads and writes the head (`method` / `kind`), every integer,
+//! flag and string field, and the `suffix_*` id arrays itself. Nested
+//! values (`edits`, `events`, `stages`, `event`, `stats`, `metrics`) go
+//! through `serde::json` over their own span of the line.
+//!
+//! Both messages are *sparse*: `None` fields are omitted, and an absent
+//! key or a `null` reads as `None` (the derive of the vendored serde would
+//! instead demand every key, which is wrong for a wire format that must
+//! accept hand-written requests). The rest of the contract is the one of
+//! the `serde::json` round trip this codec replaced, and
+//! `tests/codec_equivalence.rs` holds it to that reference:
+//!
+//! - **Lines are byte-identical:** keys in declaration order, the escapes
+//!   `\" \\ \n \r \t`, lowercase `\u00xx` for the other control
+//!   characters, non-ASCII raw, integers in decimal. A client's retry key
+//!   is a hash of these bytes.
+//! - **Every input gets the same verdict and the same error text.** The
+//!   line is trimmed first. The number grammar and the escapes are the
+//!   vendored parser's, surrogate pairs included, and raw control
+//!   characters inside strings are accepted. For a repeated key the first
+//!   value wins; later copies are only checked as JSON, and so are unknown
+//!   keys, which are then ignored. A syntax error anywhere in the line
+//!   wins over a field error, and of the field errors the first field in
+//!   declaration order is reported (`field "id": …`, `missing field
+//!   "method"`).
 
 use bsp_instance::trace::ArrivalEvent;
 use bsp_instance::DagEdit;
 use bsp_schedule::events::{SolveEvent, StageReportWire};
-use serde::{json, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize};
+
+mod codec;
 
 /// Hard cap on one protocol line, in bytes (1 MiB). Lines longer than
 /// this are answered with [`codes::OVERSIZE_LINE`] and the connection is
@@ -133,51 +162,6 @@ impl Request {
     }
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("method".to_string(), Value::Str(self.method.clone()))];
-        push_opt(&mut fields, "id", &self.id);
-        push_opt(&mut fields, "instance", &self.instance);
-        push_opt(&mut fields, "sched", &self.sched);
-        push_opt(&mut fields, "budget_ms", &self.budget_ms);
-        push_opt(&mut fields, "seed", &self.seed);
-        push_opt(&mut fields, "stream", &self.stream);
-        push_opt(&mut fields, "base", &self.base);
-        push_opt(&mut fields, "edits", &self.edits);
-        push_opt(&mut fields, "label", &self.label);
-        push_opt(&mut fields, "session", &self.session);
-        push_opt(&mut fields, "events", &self.events);
-        push_opt(&mut fields, "rkey", &self.rkey);
-        push_opt(&mut fields, "deadline_ms", &self.deadline_ms);
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if !matches!(value, Value::Object(_)) {
-            return Err(SerdeError::new("request: expected a JSON object"));
-        }
-        Ok(Request {
-            method: req_field(value, "method")?,
-            id: opt_field(value, "id")?,
-            instance: opt_field(value, "instance")?,
-            sched: opt_field(value, "sched")?,
-            budget_ms: opt_field(value, "budget_ms")?,
-            seed: opt_field(value, "seed")?,
-            stream: opt_field(value, "stream")?,
-            base: opt_field(value, "base")?,
-            edits: opt_field(value, "edits")?,
-            label: opt_field(value, "label")?,
-            session: opt_field(value, "session")?,
-            events: opt_field(value, "events")?,
-            rkey: opt_field(value, "rkey")?,
-            deadline_ms: opt_field(value, "deadline_ms")?,
-        })
-    }
-}
-
 /// One server response frame. `kind` is `"result"`, `"error"`, `"event"`,
 /// `"stream"`, `"stats"`, `"pong"` or `"bye"`; the remaining fields are
 /// kind-specific and omitted when `None`. A `"stream"` frame carries the
@@ -265,71 +249,6 @@ impl Frame {
     }
 }
 
-impl Serialize for Frame {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("kind".to_string(), Value::Str(self.kind.clone()))];
-        push_opt(&mut fields, "id", &self.id);
-        push_opt(&mut fields, "instance", &self.instance);
-        push_opt(&mut fields, "sched", &self.sched);
-        push_opt(&mut fields, "cost", &self.cost);
-        push_opt(&mut fields, "supersteps", &self.supersteps);
-        push_opt(&mut fields, "cache_hit", &self.cache_hit);
-        push_opt(&mut fields, "warm", &self.warm);
-        push_opt(&mut fields, "warm_init_cost", &self.warm_init_cost);
-        push_opt(&mut fields, "elapsed_us", &self.elapsed_us);
-        push_opt(&mut fields, "budget_exhausted", &self.budget_exhausted);
-        push_opt(&mut fields, "stages", &self.stages);
-        push_opt(&mut fields, "error", &self.error);
-        push_opt(&mut fields, "message", &self.message);
-        push_opt(&mut fields, "retry_after_ms", &self.retry_after_ms);
-        push_opt(&mut fields, "event", &self.event);
-        push_opt(&mut fields, "stats", &self.stats);
-        push_opt(&mut fields, "metrics", &self.metrics);
-        push_opt(&mut fields, "session", &self.session);
-        push_opt(&mut fields, "frontier", &self.frontier);
-        push_opt(&mut fields, "arrivals", &self.arrivals);
-        push_opt(&mut fields, "suffix_nodes", &self.suffix_nodes);
-        push_opt(&mut fields, "suffix_procs", &self.suffix_procs);
-        push_opt(&mut fields, "suffix_steps", &self.suffix_steps);
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for Frame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if !matches!(value, Value::Object(_)) {
-            return Err(SerdeError::new("frame: expected a JSON object"));
-        }
-        Ok(Frame {
-            kind: req_field(value, "kind")?,
-            id: opt_field(value, "id")?,
-            instance: opt_field(value, "instance")?,
-            sched: opt_field(value, "sched")?,
-            cost: opt_field(value, "cost")?,
-            supersteps: opt_field(value, "supersteps")?,
-            cache_hit: opt_field(value, "cache_hit")?,
-            warm: opt_field(value, "warm")?,
-            warm_init_cost: opt_field(value, "warm_init_cost")?,
-            elapsed_us: opt_field(value, "elapsed_us")?,
-            budget_exhausted: opt_field(value, "budget_exhausted")?,
-            stages: opt_field(value, "stages")?,
-            error: opt_field(value, "error")?,
-            message: opt_field(value, "message")?,
-            retry_after_ms: opt_field(value, "retry_after_ms")?,
-            event: opt_field(value, "event")?,
-            stats: opt_field(value, "stats")?,
-            metrics: opt_field(value, "metrics")?,
-            session: opt_field(value, "session")?,
-            frontier: opt_field(value, "frontier")?,
-            arrivals: opt_field(value, "arrivals")?,
-            suffix_nodes: opt_field(value, "suffix_nodes")?,
-            suffix_procs: opt_field(value, "suffix_procs")?,
-            suffix_steps: opt_field(value, "suffix_steps")?,
-        })
-    }
-}
-
 /// A snapshot of server counters, served by the `stats` method.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerStats {
@@ -384,16 +303,136 @@ pub fn metric_wires(samples: &[bsp_obs::MetricSample]) -> Vec<MetricWire> {
         .collect()
 }
 
-/// Parses one protocol line into `T`, tagging errors with the line's
-/// syntactic problem.
-pub fn parse_line<'de, T: Deserialize<'de>>(line: &str) -> Result<T, SerdeError> {
-    json::from_str(line.trim())
+/// Parses one protocol line (surrounding whitespace trimmed) into a
+/// [`Request`] or a [`Frame`]. Errors name the syntax problem and its
+/// byte offset, or the field that did not convert (`field "id": …`,
+/// `missing field "method"`).
+pub fn parse_line<T: Wire>(line: &str) -> Result<T, SerdeError> {
+    T::read(line.trim())
 }
 
 /// Serializes `msg` as one protocol line (no trailing newline).
-pub fn to_line<T: Serialize>(msg: &T) -> String {
-    json::to_string(msg)
+pub fn to_line<T: Wire>(msg: &T) -> String {
+    msg.write()
 }
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// The two wire messages, [`Request`] and [`Frame`]: what [`parse_line`]
+/// reads and [`to_line`] writes. Sealed; each has one direct codec.
+pub trait Wire: sealed::Sealed + Sized {
+    #[doc(hidden)]
+    fn read(line: &str) -> Result<Self, SerdeError>;
+    #[doc(hidden)]
+    fn write(&self) -> String;
+}
+
+/// Defines a message's codec from its keys in wire order: the required
+/// string `head`, then each optional field with the [`codec`] module that
+/// reads and writes it. The destructuring in `write` keeps the list
+/// complete: a struct field missing here does not compile.
+macro_rules! wire {
+    ($ty:ident as $what:literal { $head:ident; $($field:ident: $codec:ident),* $(,)? }) => {
+        impl sealed::Sealed for $ty {}
+
+        impl Wire for $ty {
+            fn read(line: &str) -> Result<Self, SerdeError> {
+                #[allow(non_camel_case_types)]
+                #[derive(Clone, Copy)]
+                enum Key {
+                    $head,
+                    $($field),*
+                }
+                let mut msg = $ty::default();
+                let mut checks = codec::Checks::default();
+                codec::read_object(line, $what, |key, tok, span| {
+                    let key = match key {
+                        stringify!($head) => Key::$head,
+                        $(stringify!($field) => Key::$field,)*
+                        _ => return,
+                    };
+                    if !checks.first(key as u32) {
+                        return;
+                    }
+                    match key {
+                        Key::$head => match codec::text::required(tok) {
+                            Ok(v) => msg.$head = v,
+                            Err(e) => checks.fail(key as u32, stringify!($head), e),
+                        },
+                        $(Key::$field => match codec::$codec::read(tok, span) {
+                            Ok(v) => msg.$field = v,
+                            Err(e) => checks.fail(key as u32, stringify!($field), e),
+                        },)*
+                    }
+                })?;
+                checks.finish(stringify!($head))?;
+                Ok(msg)
+            }
+
+            fn write(&self) -> String {
+                let $ty { $head, $($field),* } = self;
+                // The slack covers the braces, the head's key and the
+                // newline a sender appends.
+                let size = 16 + $head.len() $(+ codec::$codec::hint($field))*;
+                let mut out = String::with_capacity(size);
+                out.push_str(concat!("{\"", stringify!($head), "\":"));
+                codec::text::write(&mut out, $head);
+                $(if let Some(v) = $field {
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    codec::$codec::write(&mut out, v);
+                })*
+                out.push('}');
+                out
+            }
+        }
+    };
+}
+
+wire!(Request as "request" {
+    method;
+    id: num,
+    instance: text,
+    sched: text,
+    budget_ms: num,
+    seed: num,
+    stream: flag,
+    base: text,
+    edits: nested,
+    label: text,
+    session: text,
+    events: nested,
+    rkey: text,
+    deadline_ms: num,
+});
+
+wire!(Frame as "frame" {
+    kind;
+    id: num,
+    instance: text,
+    sched: text,
+    cost: num,
+    supersteps: num,
+    cache_hit: flag,
+    warm: flag,
+    warm_init_cost: num,
+    elapsed_us: num,
+    budget_exhausted: flag,
+    stages: nested,
+    error: text,
+    message: text,
+    retry_after_ms: num,
+    event: nested,
+    stats: nested,
+    metrics: nested,
+    session: text,
+    frontier: num,
+    arrivals: num,
+    suffix_nodes: ids,
+    suffix_procs: ids,
+    suffix_steps: ids,
+});
 
 /// Outcome of reading one protocol line.
 #[derive(Debug)]
@@ -435,28 +474,6 @@ pub fn read_line_capped<'a, R: std::io::BufRead>(
     // A final unterminated line (EOF without '\n') within the cap is
     // accepted — it lets `printf '...' | nc` style clients work.
     Ok(LineRead::Line(String::from_utf8_lossy(buf)))
-}
-
-fn push_opt<T: Serialize>(fields: &mut Vec<(String, Value)>, key: &str, v: &Option<T>) {
-    if let Some(v) = v {
-        fields.push((key.to_string(), v.to_value()));
-    }
-}
-
-fn req_field<'de, T: Deserialize<'de>>(value: &Value, key: &str) -> Result<T, SerdeError> {
-    match value.get(key) {
-        Some(v) => T::from_value(v).map_err(|e| SerdeError::new(format!("field {key:?}: {e}"))),
-        None => Err(SerdeError::new(format!("missing field {key:?}"))),
-    }
-}
-
-fn opt_field<'de, T: Deserialize<'de>>(value: &Value, key: &str) -> Result<Option<T>, SerdeError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            Option::<T>::from_value(v).map_err(|e| SerdeError::new(format!("field {key:?}: {e}")))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use bsp_faults::{Fault, Site};
 use bsp_sched::race::RACE_PREFIX;
 use bsp_schedule::solve::CancelToken;
 use bsp_schedule::spec::SchedulerSpec;
+use std::borrow::Cow;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
@@ -255,6 +256,20 @@ pub(super) fn canonical_sched(raw: &str) -> Result<String, String> {
         .map_err(|e| e.to_string())
 }
 
+impl Shared {
+    /// The store spelling of a request's scheduler spec: its own
+    /// [`canonical_sched`], or the default's, computed once at startup.
+    pub(super) fn sched_key(&self, sched: Option<&str>) -> Result<Cow<'_, str>, String> {
+        match sched {
+            Some(raw) => canonical_sched(raw).map(Cow::Owned),
+            None => match &self.default_sched_key {
+                Ok(key) => Ok(Cow::Borrowed(key)),
+                Err(e) => Err(e.clone()),
+            },
+        }
+    }
+}
+
 pub(super) fn supersteps_of(steps: &[u32]) -> u64 {
     steps.iter().max().map(|&m| m as u64 + 1).unwrap_or(0)
 }
@@ -294,8 +309,7 @@ pub(super) fn hit_frame(
 /// spec — is `None` and goes to a worker, which answers it as before.
 fn stored_solve(shared: &Shared, req: &Request, start: Instant) -> Option<Frame> {
     let inst = lock(&shared.icache).get(req.instance.as_deref()?)?;
-    let sched_raw = req.sched.as_deref().unwrap_or(&shared.cfg.default_sched);
-    let key = ResultKey::from_name(&inst.name, &canonical_sched(sched_raw).ok()?)?;
+    let key = ResultKey::from_name(&inst.name, &shared.sched_key(req.sched.as_deref()).ok()?)?;
     // An absent key counts nothing here: the request goes on to a worker,
     // whose `get` counts it once.
     let frame = lock(&shared.store)

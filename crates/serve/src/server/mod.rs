@@ -152,6 +152,9 @@ struct Shared {
     /// and connection thread; `None` = injection disabled.
     faults: Option<Arc<FaultPlan>>,
     inflight_keys: Mutex<InflightWaiters>,
+    /// `canonical_sched(&cfg.default_sched)`: every request without a
+    /// `sched` is keyed by it, so it is computed once.
+    default_sched_key: Result<String, String>,
 }
 
 impl Shared {
@@ -292,6 +295,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         metrics,
         faults,
         inflight_keys: Mutex::new(HashMap::new()),
+        default_sched_key: conn::canonical_sched(&cfg.default_sched),
         cfg,
     });
 

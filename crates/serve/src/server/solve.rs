@@ -2,7 +2,7 @@
 //! a miss run one solve (cold through the registry, or warm from the
 //! base's stored schedule) and store what it found.
 
-use super::conn::{canonical_sched, hit_frame, result_frame, send, supersteps_of};
+use super::conn::{hit_frame, result_frame, send, supersteps_of};
 use super::worker::Job;
 use super::{lock, Shared};
 use crate::cache::{CachedResult, ResultKey};
@@ -110,7 +110,7 @@ pub(super) fn handle_solve(
         return Frame::error(id, codes::MISSING_FIELD, "solve requires \"instance\"");
     };
     let sched_raw = req.sched.as_deref().unwrap_or(&shared.cfg.default_sched);
-    let sched_key = match canonical_sched(sched_raw) {
+    let sched_key = match shared.sched_key(req.sched.as_deref()) {
         Ok(k) => k,
         Err(e) => return Frame::error(id, codes::BAD_SPEC, e),
     };
@@ -177,7 +177,7 @@ pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> F
         );
     };
     let sched_raw = req.sched.as_deref().unwrap_or(&shared.cfg.default_sched);
-    let sched_key = match canonical_sched(sched_raw) {
+    let sched_key = match shared.sched_key(req.sched.as_deref()) {
         Ok(k) => k,
         Err(e) => return Frame::error(id, codes::BAD_SPEC, e),
     };

@@ -161,3 +161,34 @@ fn every_ilp_part_window_of_the_rows_re_solves_its_one_tableau() {
         "most windows branch past their root: {branched} of {windows}"
     );
 }
+
+/// A window whose LP tableau would pass [`bsp_sched::ilp::MAX_TABLEAU_ENTRIES`]
+/// is refused before it is allocated. `ILPpart` keeps a one-superstep
+/// window even when that window alone is far over `part_target_vars`; on
+/// this 2 108-node instance (the daemon's default seed) such a window once
+/// asked for a 4.5 GB dense tableau, and the failed allocation aborted the
+/// process — a daemon with it, since `?ilp=on` is a request's to ask for.
+/// Refused, the window keeps its warm start and the solve ends as usual.
+#[test]
+fn a_window_too_large_for_the_tableau_is_refused_not_allocated() {
+    let inst = bsp_sched::instances()
+        .generate_one(
+            "spmv?n=80&q=0.3 @ bsp?p=4&g=2",
+            bsp_sched::instance::DEFAULT_SEED,
+        )
+        .expect("an spmv instance");
+    assert_eq!(inst.dag.n(), 2108);
+    let spec = "pipeline/base?ilp=on&ilp_init=off&hc_iters=50&hccs_iters=25&ilp_ms=500";
+    let out = Registry::standard()
+        .get(spec)
+        .expect("a registered scheduler")
+        .solve(&SolveRequest::new(&inst.dag, &inst.machine));
+    let stages: Vec<&str> = out.stages.iter().map(|s| s.stage.as_str()).collect();
+    assert_eq!(stages, ["init", "hc", "ilp"]);
+    let r = &out.result;
+    assert!(validate(&inst.dag, inst.machine.p(), &r.sched, &r.comm).is_ok());
+    assert_eq!(
+        out.total(),
+        total_cost(&inst.dag, &inst.machine, &r.sched, &r.comm)
+    );
+}
