@@ -13,10 +13,23 @@
 //! keeps being served. Legacy single-JSON-document v1 files are migrated
 //! transparently on load and rewritten as v2 on the next save.
 //!
-//! The [`InstanceCache`] keeps generated (and delta-edited) instances in
-//! memory so `delta` requests can reference them by name and chain:
-//! an edited instance is cached under its derived name and can itself be
-//! the base of the next edit.
+//! The [`InstanceCache`] keeps a *recipe* for every instance the daemon
+//! has resolved, and a bounded set of the instances themselves:
+//!
+//! - **Recipes.** A generated instance's recipe is its canonical name,
+//!   which spells out its seed; an edited one's is `(base name, edit
+//!   list)`, kept under its derived `…+edit<fnv> @ …` name, so `delta`s
+//!   chain. Raw request specs (per seed) and `delta` labels are aliases
+//!   of canonical names.
+//! - **Two tiers.** First-use instances wait in a probation FIFO sized to
+//!   the job queue; an instance looked up again moves to a reuse tier,
+//!   an LRU under a byte budget ([`REUSE_BUDGET_BYTES`]).
+//! - **Rebuild on miss.** An evicted instance is rebuilt from its recipe
+//!   when it is next needed, a derived chain base first.
+//! - **No instance on the hit path.** A stored result is addressed by
+//!   canonical name, and resolving a name reads only the alias tables, so
+//!   a stored `solve` (and a `delta` whose recipe matches its edits) is
+//!   answered without materialising anything.
 //!
 //! ```
 //! use bsp_serve::cache::ResultKey;
@@ -26,9 +39,10 @@
 //! assert_eq!(key.composite(), "spmv?n=500&q=0.25 @ bsp?p=4&g=2 :: etf");
 //! ```
 
-use bsp_instance::Instance;
+use bsp_instance::source::{InstanceRegistry, DEFAULT_SEED};
+use bsp_instance::{apply_edits, DagEdit, Instance};
 use serde::{json, Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -366,6 +380,12 @@ impl ResultStore {
         self.hit(key.composite())
     }
 
+    /// Counts a miss the caller decided without a lookup: a key whose
+    /// entry, if any, it cannot trust.
+    pub fn count_miss(&mut self) {
+        self.misses += 1;
+    }
+
     /// Counts a hit and refreshes recency if `composite` is stored.
     fn hit(&mut self, composite: String) -> Option<&CachedResult> {
         let entry = self.map.get(&composite)?;
@@ -407,48 +427,326 @@ impl ResultStore {
     }
 }
 
-/// In-memory cache of generated and delta-edited instances, addressed by
-/// name. Raw request specs are remembered as aliases of the canonical
-/// name, so `"spmv?q=0.3&n=100 @ bsp?p=4"` and its canonical ordering
-/// resolve to the same entry.
+/// Byte budget of the instance cache's reuse tier (see [`InstanceCache`]).
+/// An instance larger than the whole budget still stays until the next
+/// one is looked up again.
+pub const REUSE_BUDGET_BYTES: usize = 64 << 20;
+
+/// How to rebuild an instance the cache has resolved. Every resolved name
+/// keeps its recipe for as long as the cache lives; only the materialised
+/// instances are evicted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recipe {
+    /// Made by the instance registry. The canonical name spells out every
+    /// parameter and the effective seed, so `generate_one(name, _)`
+    /// rebuilds the same instance.
+    Generated,
+    /// The instance named `base` with `edits` applied: a `delta`'s
+    /// instance, named `<base dag>+edit<fnv> @ <machine>`.
+    Derived {
+        /// Canonical name of the base instance.
+        base: String,
+        /// The edits, in request order.
+        edits: Vec<DagEdit>,
+    },
+}
+
+/// What [`InstanceCache::get`] found for a canonical name.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The instance is resident.
+    Resident(Arc<Instance>),
+    /// The name is known but its instance was evicted: [`Rebuild::run`]
+    /// replays its recipe (outside any lock) and
+    /// [`InstanceCache::insert`] takes the result back with no recipe.
+    Rebuild(Rebuild),
+    /// The cache never resolved this name.
+    Unknown,
+}
+
+/// Where a [`Rebuild`] starts.
+#[derive(Debug)]
+enum Root {
+    /// A resident ancestor of a derived chain.
+    Resident(Arc<Instance>),
+    /// A generated instance to regenerate from its canonical name.
+    Generate(String),
+}
+
+/// A recipe chain to replay: a root, then the `(name, edits)` steps from
+/// it to the wanted instance, base first.
+#[derive(Debug)]
+pub struct Rebuild {
+    root: Root,
+    steps: Vec<(String, Vec<DagEdit>)>,
+}
+
+impl Rebuild {
+    /// Instances the replay builds: the root if it is regenerated, and
+    /// one per edit step.
+    pub fn builds(&self) -> usize {
+        self.steps.len() + usize::from(matches!(self.root, Root::Generate(_)))
+    }
+
+    /// Replays the chain iteratively, base first.
+    pub fn run(&self, registry: &InstanceRegistry) -> Result<Arc<Instance>, String> {
+        let mut inst = match &self.root {
+            Root::Resident(root) => root.clone(),
+            Root::Generate(name) => {
+                let inst = registry
+                    .generate_one(name, DEFAULT_SEED)
+                    .map_err(|e| format!("{name:?}: {e}"))?;
+                if inst.name != *name {
+                    return Err(format!("{name:?} regenerates as {:?}", inst.name));
+                }
+                Arc::new(inst)
+            }
+        };
+        for (name, edits) in &self.steps {
+            let edited = apply_edits(&inst.dag, edits).map_err(|e| format!("{name:?}: {e}"))?;
+            inst = Arc::new(Instance {
+                name: name.clone(),
+                dag: edited.dag,
+                machine: inst.machine.clone(),
+            });
+        }
+        Ok(inst)
+    }
+}
+
+/// One materialised instance.
+#[derive(Debug)]
+struct Resident {
+    inst: Arc<Instance>,
+    /// [`footprint`] of `inst`.
+    bytes: usize,
+    /// Its key in the reuse tier's LRU order; `None` while on probation.
+    tick: Option<u64>,
+}
+
+/// Estimated heap bytes of an instance: the DAG's CSR arrays and weights,
+/// the machine's NUMA matrix and the name.
+fn footprint(inst: &Instance) -> usize {
+    let (n, m, p) = (inst.dag.n(), inst.dag.m(), inst.machine.p());
+    std::mem::size_of::<Instance>()
+        + inst.name.len()
+        + 2 * 4 * (n + 1)
+        + 2 * 4 * m
+        + 2 * 8 * n
+        + 8 * p * p
+}
+
+/// The instances the daemon has resolved: a recipe for every name, and a
+/// bounded set of materialised instances.
+///
+/// **Names.** A request names an instance by raw spec and seed, by a
+/// `delta` label, or by canonical name. Raw specs are remembered per
+/// effective seed as aliases of the canonical name, so
+/// `"spmv?q=0.3&n=100 @ bsp?p=4"` and its canonical ordering resolve to
+/// the same entry while `"erdos?n=50 @ bsp?p=4"` under seeds 1 and 2
+/// resolve to two. [`resolve`](Self::resolve) answers from these tables
+/// alone: a stored result is found from the name and the
+/// [`ResultStore`], and needs no instance.
+///
+/// **Resident set.** Materialised instances live in two tiers:
+/// - *probation*, a FIFO of `probation_cap` first-use instances: the
+///   daemon passes its queue capacity, the instances of jobs that can
+///   still be in flight;
+/// - the *reuse* tier, which an instance enters when it is looked up
+///   again: an LRU under [`REUSE_BUDGET_BYTES`], so a base that takes
+///   delta after delta stays resident.
+///
+/// **Rebuild.** A [`get`](Self::get) that misses returns the name's
+/// recipe chain, replayed base first from the nearest resident ancestor
+/// or by regenerating the root.
 #[derive(Debug, Default)]
 pub struct InstanceCache {
-    map: HashMap<String, Arc<Instance>>,
-    aliases: HashMap<String, String>,
+    recipes: HashMap<String, Recipe>,
+    /// Raw spec → `(effective seed, canonical name)` for each seed it
+    /// was requested under.
+    aliases: HashMap<String, Vec<(u64, String)>>,
+    /// `delta` label → canonical name.
+    labels: HashMap<String, String>,
+    resident: HashMap<String, Resident>,
+    probation: VecDeque<String>,
+    probation_cap: usize,
+    /// The reuse tier in LRU order: last-use tick → name.
+    reuse: BTreeMap<u64, String>,
+    reuse_bytes: usize,
+    /// [`REUSE_BUDGET_BYTES`]; a field only so tests can shrink it.
+    budget: usize,
+    tick: u64,
+    evictions: u64,
 }
 
 impl InstanceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        InstanceCache::default()
+    /// An empty cache whose probation FIFO holds `probation_cap`
+    /// instances.
+    pub fn new(probation_cap: usize) -> Self {
+        InstanceCache {
+            probation_cap,
+            budget: REUSE_BUDGET_BYTES,
+            ..InstanceCache::default()
+        }
     }
 
-    /// Resolves `name` through the alias table, then the cache.
-    pub fn get(&self, name: &str) -> Option<Arc<Instance>> {
-        let canonical = self.aliases.get(name).map(String::as_str).unwrap_or(name);
-        self.map.get(canonical).cloned()
+    /// The canonical name `spec` requested under `seed` resolves to:
+    /// through the alias table, then the labels, then as a name the cache
+    /// already knows.
+    pub fn resolve(&self, spec: &str, seed: u64) -> Option<&str> {
+        let alias = self
+            .aliases
+            .get(spec)
+            .and_then(|seeds| seeds.iter().find(|(s, _)| *s == seed));
+        if let Some((_, name)) = alias {
+            return Some(name);
+        }
+        if let Some(name) = self.labels.get(spec) {
+            return Some(name);
+        }
+        self.recipes
+            .get_key_value(spec)
+            .map(|(name, _)| name.as_str())
     }
 
-    /// Caches `instance` under its own name; `alias` (the raw request
-    /// spec, a delta label) additionally points at it.
-    pub fn insert(&mut self, instance: Arc<Instance>, alias: Option<&str>) {
-        if let Some(alias) = alias {
-            if alias != instance.name {
+    /// Remembers that raw `spec` under `seed` resolved to `name`.
+    pub fn alias(&mut self, spec: &str, seed: u64, name: &str) {
+        if spec == name {
+            return; // a canonical name resolves as itself
+        }
+        match self.aliases.get_mut(spec) {
+            Some(seeds) => match seeds.iter_mut().find(|(s, _)| *s == seed) {
+                Some(entry) => entry.1 = name.to_string(),
+                None => seeds.push((seed, name.to_string())),
+            },
+            None => {
                 self.aliases
-                    .insert(alias.to_string(), instance.name.clone());
+                    .insert(spec.to_string(), vec![(seed, name.to_string())]);
             }
         }
-        self.map.insert(instance.name.clone(), instance);
     }
 
-    /// Number of distinct cached instances.
+    /// Points the `delta` label `label` at `name`.
+    pub fn label(&mut self, label: &str, name: &str) {
+        if label != name {
+            self.labels.insert(label.to_string(), name.to_string());
+        }
+    }
+
+    /// Whether `name` was derived from `base` by exactly `edits`. A derived
+    /// name carries only a 64-bit hash of its edits, so a stored answer
+    /// under it is the request's answer only if this holds.
+    pub fn derived_from(&self, name: &str, base: &str, edits: &[DagEdit]) -> bool {
+        matches!(
+            self.recipes.get(name),
+            Some(Recipe::Derived { base: b, edits: e }) if b == base && e.as_slice() == edits
+        )
+    }
+
+    /// Looks `name` up to use its instance: a resident instance moves to
+    /// the reuse tier's most recent end; an evicted one comes back as
+    /// the recipe chain that rebuilds it.
+    pub fn get(&mut self, name: &str) -> Lookup {
+        if let Some(entry) = self.detach(name) {
+            let inst = entry.inst.clone();
+            self.attach(name.to_string(), entry, true);
+            return Lookup::Resident(inst);
+        }
+        let mut steps = Vec::new();
+        let mut at = name;
+        let root = loop {
+            if let Some(entry) = self.resident.get(at) {
+                break Root::Resident(entry.inst.clone());
+            }
+            match self.recipes.get(at) {
+                None => return Lookup::Unknown,
+                Some(Recipe::Generated) => break Root::Generate(at.to_string()),
+                Some(Recipe::Derived { base, edits }) => {
+                    steps.push((at.to_string(), edits.clone()));
+                    at = base;
+                }
+            }
+        };
+        steps.reverse();
+        Lookup::Rebuild(Rebuild { root, steps })
+    }
+
+    /// Makes `inst` resident under its own name, with `recipe` as the way
+    /// to rebuild it (`None`: a rebuilt instance keeps the recipe it has).
+    /// A name seen for the first time goes on probation; a name the cache
+    /// already knew was looked up again and enters the reuse tier.
+    pub fn insert(&mut self, inst: Arc<Instance>, recipe: Option<Recipe>) {
+        let known = self.recipes.contains_key(&inst.name);
+        debug_assert!(known || recipe.is_some(), "{} has no recipe", inst.name);
+        if let Some(recipe) = recipe {
+            self.recipes.insert(inst.name.clone(), recipe);
+        }
+        self.detach(&inst.name);
+        let entry = Resident {
+            bytes: footprint(&inst),
+            inst,
+            tick: None,
+        };
+        self.attach(entry.inst.name.clone(), entry, known);
+    }
+
+    /// Takes `name` out of whichever tier holds it.
+    fn detach(&mut self, name: &str) -> Option<Resident> {
+        let entry = self.resident.remove(name)?;
+        match entry.tick {
+            Some(tick) => {
+                self.reuse.remove(&tick);
+                self.reuse_bytes -= entry.bytes;
+            }
+            None => self.probation.retain(|n| n != name),
+        }
+        Some(entry)
+    }
+
+    /// Puts a detached entry into the reuse tier (`reused`) or on
+    /// probation, then evicts what no longer fits: the oldest probation
+    /// entries past the cap, the least recently used reuse entries past
+    /// the byte budget (never the one just placed).
+    fn attach(&mut self, name: String, mut entry: Resident, reused: bool) {
+        if reused {
+            self.tick += 1;
+            entry.tick = Some(self.tick);
+            self.reuse.insert(self.tick, name.clone());
+            self.reuse_bytes += entry.bytes;
+        } else {
+            entry.tick = None;
+            self.probation.push_back(name.clone());
+        }
+        self.resident.insert(name, entry);
+        while self.probation.len() > self.probation_cap {
+            let victim = self.probation.pop_front().expect("len > cap ≥ 0");
+            self.resident.remove(&victim);
+            self.evictions += 1;
+        }
+        while self.reuse_bytes > self.budget && self.reuse.len() > 1 {
+            let (_, victim) = self.reuse.pop_first().expect("len > 1");
+            let gone = self
+                .resident
+                .remove(&victim)
+                .expect("reuse names are resident");
+            self.reuse_bytes -= gone.bytes;
+            self.evictions += 1;
+        }
+    }
+
+    /// Number of resident (materialised) instances.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.resident.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether no instance is resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.resident.is_empty()
+    }
+
+    /// Instances evicted so far, from either tier.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
     }
 }
 
@@ -646,22 +944,161 @@ mod tests {
         assert!(ResultKey::from_name("no-separator", "etf").is_none());
     }
 
-    #[test]
-    fn instance_cache_resolves_aliases() {
+    fn tiny(name: &str) -> Arc<Instance> {
         use bsp_dag::DagBuilder;
         use bsp_model::BspParams;
         let mut b = DagBuilder::new();
         b.add_node(1, 1);
-        let inst = Arc::new(Instance {
-            name: "canonical @ bsp?p=2".to_string(),
+        Arc::new(Instance {
+            name: name.to_string(),
             dag: b.build().unwrap(),
             machine: BspParams::new(2, 1, 1),
-        });
-        let mut cache = InstanceCache::new();
-        cache.insert(inst.clone(), Some("raw-alias"));
-        assert!(cache.get("canonical @ bsp?p=2").is_some());
-        assert!(cache.get("raw-alias").is_some());
-        assert!(cache.get("unknown").is_none());
+        })
+    }
+
+    fn resident(cache: &mut InstanceCache, name: &str) -> bool {
+        matches!(cache.get(name), Lookup::Resident(_))
+    }
+
+    #[test]
+    fn instance_cache_resolves_aliases() {
+        let mut cache = InstanceCache::new(4);
+        let name = "canonical&seed=1 @ bsp?p=2";
+        cache.insert(tiny(name), Some(Recipe::Generated));
+        cache.alias("raw-alias", 1, name);
+        cache.label("my-label", name);
+        assert_eq!(cache.resolve(name, 9), Some(name));
+        assert_eq!(cache.resolve("raw-alias", 1), Some(name));
+        assert_eq!(
+            cache.resolve("raw-alias", 2),
+            None,
+            "another seed is another instance"
+        );
+        assert_eq!(cache.resolve("my-label", 2), Some(name));
+        assert_eq!(cache.resolve("unknown", 1), None);
+        cache.alias("raw-alias", 2, "canonical&seed=2 @ bsp?p=2");
+        assert_eq!(cache.resolve("raw-alias", 1), Some(name));
+        assert_eq!(
+            cache.resolve("raw-alias", 2),
+            Some("canonical&seed=2 @ bsp?p=2")
+        );
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn probation_is_a_fifo_and_a_second_lookup_moves_to_the_reuse_tier() {
+        let mut cache = InstanceCache::new(2);
+        for name in ["a", "b", "c"] {
+            cache.insert(tiny(name), Some(Recipe::Generated));
+        }
+        // `a` fell off probation; its name and recipe stay.
+        assert_eq!((cache.len(), cache.evictions()), (2, 1));
+        assert_eq!(cache.resolve("a", 0), Some("a"));
+        assert!(resident(&mut cache, "b"), "second lookup: b moves to reuse");
+        for name in ["d", "e"] {
+            cache.insert(tiny(name), Some(Recipe::Generated));
+        }
+        assert_eq!((cache.len(), cache.evictions()), (3, 2), "c went, b stayed");
+        assert!(resident(&mut cache, "b"));
+        match cache.get("a") {
+            Lookup::Rebuild(plan) => assert_eq!(plan.builds(), 1),
+            other => panic!("expected a rebuild plan, got {other:?}"),
+        }
+        // A known name inserted again (a rebuilt or re-spelled instance)
+        // was looked up again: it skips probation.
+        cache.insert(tiny("a"), None);
+        for name in ["f", "g"] {
+            cache.insert(tiny(name), Some(Recipe::Generated));
+        }
+        assert!(resident(&mut cache, "a"));
+        assert!(matches!(cache.get("nobody"), Lookup::Unknown));
+    }
+
+    #[test]
+    fn reuse_tier_evicts_least_recently_used_past_its_budget() {
+        let mut cache = InstanceCache::new(0);
+        let each = footprint(&tiny("a"));
+        cache.budget = 2 * each;
+        for name in ["a", "b", "c"] {
+            cache.insert(tiny(name), Some(Recipe::Generated)); // on probation of 0: gone
+            cache.insert(tiny(name), None); // looked up again: reuse tier
+            if name == "b" {
+                assert!(resident(&mut cache, "a"), "touch a: b is now the LRU");
+            }
+        }
+        assert_eq!(cache.len(), 2);
+        assert!(resident(&mut cache, "a"));
+        assert!(resident(&mut cache, "c"));
+        assert!(matches!(cache.get("b"), Lookup::Rebuild(_)));
+        // One instance over the whole budget stays until the next arrives.
+        cache.budget = each / 2;
+        cache.insert(tiny("c"), None);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn an_evicted_derived_chain_replays_base_first() {
+        let registry = InstanceRegistry::standard();
+        let base = registry
+            .generate_one("layered?layers=3&width=3&q=0.5 @ bsp?p=2", 3)
+            .unwrap();
+        let e1 = vec![DagEdit::AddNode {
+            work: 2,
+            comm: 1,
+            preds: vec![0],
+            succs: vec![],
+        }];
+        let e2 = vec![DagEdit::RemoveNode { node: 1 }];
+        let step = |inst: &Instance, name: &str, edits: &[DagEdit]| Instance {
+            name: name.to_string(),
+            dag: apply_edits(&inst.dag, edits).unwrap().dag,
+            machine: inst.machine.clone(),
+        };
+        let d1 = step(&base, "d1", &e1);
+        let d2 = step(&d1, "d2", &e2);
+
+        let mut cache = InstanceCache::new(0);
+        cache.insert(Arc::new(base.clone()), Some(Recipe::Generated));
+        let recipe = |base: &str, edits: &Vec<DagEdit>| Recipe::Derived {
+            base: base.to_string(),
+            edits: edits.clone(),
+        };
+        cache.insert(Arc::new(d1), Some(recipe(&base.name, &e1)));
+        cache.insert(Arc::new(d2.clone()), Some(recipe("d1", &e2)));
+        assert!(cache.is_empty());
+        let Lookup::Rebuild(plan) = cache.get("d2") else {
+            panic!("d2 was evicted")
+        };
+        assert_eq!(plan.builds(), 3, "regenerate, then two edit steps");
+        assert_eq!(*plan.run(&registry).unwrap(), d2);
+
+        // With the base resident, the replay starts there.
+        cache.insert(Arc::new(base.clone()), None);
+        let Lookup::Rebuild(plan) = cache.get("d2") else {
+            panic!("d2 is still evicted")
+        };
+        assert_eq!(plan.builds(), 2);
+        assert_eq!(*plan.run(&registry).unwrap(), d2);
+    }
+
+    #[test]
+    fn a_forged_derived_name_does_not_match_other_edits() {
+        // Two edit lists that claim one derived name, as a 64-bit hash
+        // collision would: only the recipe's own edits match it.
+        let mut cache = InstanceCache::new(4);
+        cache.insert(tiny("g @ bsp?p=2"), Some(Recipe::Generated));
+        let stored = vec![DagEdit::RemoveNode { node: 0 }];
+        let forged = vec![DagEdit::RemoveNode { node: 1 }];
+        let name = "g+edit0123456789abcdef @ bsp?p=2";
+        let recipe = Recipe::Derived {
+            base: "g @ bsp?p=2".to_string(),
+            edits: stored.clone(),
+        };
+        cache.insert(tiny(name), Some(recipe));
+        assert!(cache.derived_from(name, "g @ bsp?p=2", &stored));
+        assert!(!cache.derived_from(name, "g @ bsp?p=2", &forged));
+        assert!(!cache.derived_from(name, "h @ bsp?p=2", &stored));
+        assert!(!cache.derived_from("g @ bsp?p=2", "g @ bsp?p=2", &stored));
+        assert!(!cache.derived_from("never-seen", "g @ bsp?p=2", &stored));
     }
 }

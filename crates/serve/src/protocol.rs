@@ -54,6 +54,11 @@
 //!   wins over a field error, and of the field errors the first field in
 //!   declaration order is reported (`field "id": …`, `missing field
 //!   "method"`).
+//! - **One intended difference:** arrays and objects nested deeper than
+//!   [`MAX_DEPTH`] are refused (`nesting deeper than 128 at byte …`),
+//!   where the reference recursed until the stack ran out. Nested spans
+//!   reach `serde::json` only after the reader accepted them, so the cap
+//!   bounds its recursion too.
 
 use bsp_instance::trace::ArrivalEvent;
 use bsp_instance::DagEdit;
@@ -66,6 +71,11 @@ mod codec;
 /// this are answered with [`codes::OVERSIZE_LINE`] and the connection is
 /// closed.
 pub const MAX_LINE: usize = 1 << 20;
+
+/// Deepest nesting of arrays and objects a line may hold, the top-level
+/// object included. Deeper lines are [`codes::BAD_JSON`]: a 20 KB line of
+/// brackets must not overflow a connection thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// Typed error codes carried in the `error` field of error frames.
 pub mod codes {
@@ -262,7 +272,8 @@ pub struct ServerStats {
     pub evictions: u64,
     /// Corrupt/truncated store entries quarantined at startup.
     pub corrupt: u64,
-    /// Instances currently in the in-memory instance cache.
+    /// Instances currently resident (materialised) in the instance
+    /// cache; names it can rebuild from their recipes are not counted.
     pub cached_instances: u64,
     /// Jobs fully processed since startup: every `solve`, `delta` and
     /// `stream_*` request a worker answered or shed at dequeue (a stored

@@ -8,8 +8,11 @@
 //! the same byte offsets. The field codecs ([`num`], [`flag`], [`text`],
 //! [`ids`], [`nested`]) convert one scanned value the way the vendored
 //! `Deserialize` impls convert a `Value`, with the same error text, and
-//! write it the way `serde::json::to_string` prints it.
+//! write it the way `serde::json::to_string` prints it. The one exception
+//! is depth: nesting past [`MAX_DEPTH`] fails here, however deep the
+//! vendored parser would have recursed.
 
+use super::MAX_DEPTH;
 use serde::Error as SerdeError;
 use std::borrow::Cow;
 
@@ -93,7 +96,11 @@ pub(super) fn read_object<'a>(
     what: &str,
     mut member: impl FnMut(&str, Tok<'a>, &'a str),
 ) -> Result<(), SerdeError> {
-    let mut r = Reader { text: line, pos: 0 };
+    let mut r = Reader {
+        text: line,
+        pos: 0,
+        depth: 0,
+    };
     r.skip_ws();
     if r.peek() != Some(b'{') {
         r.value()?;
@@ -101,6 +108,7 @@ pub(super) fn read_object<'a>(
         return Err(SerdeError::new(format!("{what}: expected a JSON object")));
     }
     r.pos += 1;
+    r.depth = 1;
     let mut first = true;
     while let Some((key, tok, span)) = r.member(first)? {
         first = false;
@@ -113,6 +121,8 @@ pub(super) fn read_object<'a>(
 struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -138,6 +148,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Steps into an array or object at `pos`, refusing one level past
+    /// [`MAX_DEPTH`]. The caller steps back out with `depth -= 1`.
+    fn open(&mut self) -> Result<(), SerdeError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SerdeError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     /// Nothing but whitespace may follow the top-level value.
     fn end(&mut self) -> Result<(), SerdeError> {
         self.skip_ws();
@@ -161,7 +185,7 @@ impl<'a> Reader<'a> {
             Some(b'f') => self.keyword("false", Tok::Bool(false))?,
             Some(b'"') => Tok::Str(self.string()?),
             Some(b'[') => {
-                self.pos += 1;
+                self.open()?;
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
@@ -184,14 +208,16 @@ impl<'a> Reader<'a> {
                         }
                     }
                 }
+                self.depth -= 1;
                 Tok::Array
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.open()?;
                 let mut first = true;
                 while self.member(first)?.is_some() {
                     first = false;
                 }
+                self.depth -= 1;
                 Tok::Object
             }
             Some(_) => self.number()?,
@@ -542,7 +568,11 @@ pub(super) mod ids {
             other => return Err(format!("expected array, got {}", other.kind())),
         }
         // The span already parsed as an array: only conversions can fail.
-        let mut r = Reader { text: span, pos: 1 };
+        let mut r = Reader {
+            text: span,
+            pos: 1,
+            depth: 1,
+        };
         let mut out = Vec::new();
         loop {
             r.skip_ws();

@@ -12,6 +12,7 @@ use crate::protocol::{
 };
 use crate::queue::PushError;
 use bsp_faults::{Fault, Site};
+use bsp_instance::source::DEFAULT_SEED;
 use bsp_sched::race::RACE_PREFIX;
 use bsp_schedule::solve::CancelToken;
 use bsp_schedule::spec::SchedulerSpec;
@@ -304,12 +305,16 @@ pub(super) fn hit_frame(
 }
 
 /// Admission's lookup: the hit frame of a `solve` whose spec the instance
-/// cache already knows (by name or alias) and whose result is stored.
-/// Everything else — a never-seen spec, a missing field, a bad scheduler
-/// spec — is `None` and goes to a worker, which answers it as before.
+/// cache already resolves (by name, label, or raw spec under the request's
+/// seed) and whose result is stored. No instance is materialised: the
+/// name alone addresses the store. Everything else — a never-seen spec, a
+/// missing field, a bad scheduler spec — is `None` and goes to a worker,
+/// which answers it as before.
 fn stored_solve(shared: &Shared, req: &Request, start: Instant) -> Option<Frame> {
-    let inst = lock(&shared.icache).get(req.instance.as_deref()?)?;
-    let key = ResultKey::from_name(&inst.name, &shared.sched_key(req.sched.as_deref()).ok()?)?;
+    let spec = req.instance.as_deref()?;
+    let sched = shared.sched_key(req.sched.as_deref()).ok()?;
+    let seed = req.seed.unwrap_or(DEFAULT_SEED);
+    let key = ResultKey::from_name(lock(&shared.icache).resolve(spec, seed)?, &sched)?;
     // An absent key counts nothing here: the request goes on to a worker,
     // whose `get` counts it once.
     let frame = lock(&shared.store)

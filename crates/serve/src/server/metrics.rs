@@ -15,6 +15,10 @@ pub(super) struct ServeMetrics {
     pub(super) cache_evictions: Counter,
     pub(super) warm_solves: Counter,
     pub(super) cold_solves: Counter,
+    /// Instances rebuilt from their recipes after eviction.
+    pub(super) instance_rebuilds: Counter,
+    /// Instances evicted from the instance cache's resident set.
+    pub(super) instance_evictions: Counter,
     /// Jobs whose handler panicked (isolated, answered `internal_error`).
     pub(super) jobs_failed: Counter,
     /// Requests shed because their deadline expired at admission or
@@ -36,6 +40,8 @@ impl ServeMetrics {
             cache_evictions: reg.counter("bsp_serve_cache_evictions_total", &[]),
             warm_solves: reg.counter("bsp_serve_warm_solves_total", &[]),
             cold_solves: reg.counter("bsp_serve_cold_solves_total", &[]),
+            instance_rebuilds: reg.counter("bsp_serve_instance_rebuilds_total", &[]),
+            instance_evictions: reg.counter("bsp_serve_instance_evictions_total", &[]),
             jobs_failed: reg.counter("bsp_jobs_failed_total", &[]),
             deadline_shed: reg.counter("bsp_deadline_shed_total", &[]),
             requests: Method::ALL

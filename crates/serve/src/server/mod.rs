@@ -288,7 +288,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         queue: JobQueue::new(cfg.queue_cap),
         store: Mutex::new(store),
-        icache: Mutex::new(InstanceCache::new()),
+        icache: Mutex::new(InstanceCache::new(cfg.queue_cap)),
         stop: CancelToken::new(),
         jobs_done: AtomicU64::new(0),
         workers,

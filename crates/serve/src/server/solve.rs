@@ -1,11 +1,12 @@
-//! `solve` and `delta`: resolve the instance, look the answer up, and on
-//! a miss run one solve (cold through the registry, or warm from the
+//! `solve` and `delta`: resolve the instance's name, look the answer up,
+//! and on a miss fetch the instance (resident, or rebuilt from its
+//! recipe), run one solve (cold through the registry, or warm from the
 //! base's stored schedule) and store what it found.
 
 use super::conn::{hit_frame, result_frame, send, supersteps_of};
 use super::worker::Job;
 use super::{lock, Shared};
-use crate::cache::{CachedResult, ResultKey};
+use crate::cache::{CachedResult, InstanceCache, Lookup, Recipe, ResultKey};
 use crate::protocol::{codes, Frame};
 use bsp_core::schedulers::solve_pipeline;
 use bsp_core::{solve_warm_pipeline, warm_start_from_map};
@@ -35,21 +36,33 @@ fn make_budget(shared: &Shared, job: &Job) -> Budget {
     budget
 }
 
-/// Fetches `spec` from the instance cache or generates and caches it.
-fn resolve_instance(
+/// Runs `f` on the instance cache and forwards the evictions it caused.
+fn with_icache<T>(shared: &Shared, f: impl FnOnce(&mut InstanceCache) -> T) -> T {
+    let mut cache = lock(&shared.icache);
+    let before = cache.evictions();
+    let out = f(&mut cache);
+    shared
+        .metrics
+        .instance_evictions
+        .add(cache.evictions() - before);
+    out
+}
+
+/// The instance a resolved canonical name names: resident, or rebuilt
+/// from its recipe outside the cache's lock.
+fn fetch_instance(
     shared: &Shared,
     instances: &InstanceRegistry,
-    spec: &str,
-    seed: Option<u64>,
+    name: &str,
 ) -> Result<Arc<Instance>, String> {
-    if let Some(inst) = lock(&shared.icache).get(spec) {
-        return Ok(inst);
-    }
-    let inst = instances
-        .generate_one(spec, seed.unwrap_or(DEFAULT_SEED))
-        .map_err(|e| e.to_string())?;
-    let inst = Arc::new(inst);
-    lock(&shared.icache).insert(inst.clone(), Some(spec));
+    let plan = match with_icache(shared, |c| c.get(name)) {
+        Lookup::Resident(inst) => return Ok(inst),
+        Lookup::Rebuild(plan) => plan,
+        Lookup::Unknown => return Err(format!("no recipe for instance {name:?}")),
+    };
+    let inst = plan.run(instances)?;
+    shared.metrics.instance_rebuilds.add(plan.builds() as u64);
+    with_icache(shared, |c| c.insert(inst.clone(), None));
     Ok(inst)
 }
 
@@ -114,15 +127,29 @@ pub(super) fn handle_solve(
         Ok(k) => k,
         Err(e) => return Frame::error(id, codes::BAD_SPEC, e),
     };
-    let inst = match resolve_instance(shared, instances, spec, req.seed) {
-        Ok(i) => i,
-        Err(e) => return Frame::error(id, codes::BAD_SPEC, e),
+    // A known spec names its instance without materialising it; a
+    // never-seen one costs one generation, which also tells its name.
+    let seed = req.seed.unwrap_or(DEFAULT_SEED);
+    let known = lock(&shared.icache).resolve(spec, seed).map(str::to_owned);
+    let (name, fresh) = match known {
+        Some(name) => (name, None),
+        None => {
+            let inst = match instances.generate_one(spec, seed) {
+                Ok(i) => Arc::new(i),
+                Err(e) => return Frame::error(id, codes::BAD_SPEC, e.to_string()),
+            };
+            with_icache(shared, |c| {
+                c.insert(inst.clone(), Some(Recipe::Generated));
+                c.alias(spec, seed, &inst.name);
+            });
+            (inst.name.clone(), Some(inst))
+        }
     };
-    let Some(key) = ResultKey::from_name(&inst.name, &sched_key) else {
+    let Some(key) = ResultKey::from_name(&name, &sched_key) else {
         return Frame::error(
             id,
             codes::BAD_SPEC,
-            format!("instance name {:?} has no \" @ \" machine part", inst.name),
+            format!("instance name {name:?} has no \" @ \" machine part"),
         );
     };
 
@@ -142,6 +169,13 @@ pub(super) fn handle_solve(
         Ok(s) => s,
         Err(e) => return Frame::error(id, codes::BAD_SPEC, e.to_string()),
     };
+    let inst = match fresh {
+        Some(inst) => inst,
+        None => match fetch_instance(shared, instances, &name) {
+            Ok(inst) => inst,
+            Err(e) => return Frame::error(id, codes::INTERNAL_ERROR, e),
+        },
+    };
     solve_and_store(shared, job, &inst, &key, start, |r| scheduler.solve(r))
 }
 
@@ -152,7 +186,12 @@ fn edits_fingerprint(edits: &[bsp_instance::DagEdit]) -> u64 {
     crate::cache::fnv64(text.as_bytes())
 }
 
-pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> Frame {
+pub(super) fn handle_delta(
+    shared: &Shared,
+    registry: &Registry,
+    instances: &InstanceRegistry,
+    job: &Job,
+) -> Frame {
     let start = Instant::now();
     let req = &job.req;
     let id = req.id;
@@ -169,7 +208,8 @@ pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> F
             )
         }
     };
-    let Some(base_inst) = lock(&shared.icache).get(base) else {
+    let seed = req.seed.unwrap_or(DEFAULT_SEED);
+    let Some(base_name) = lock(&shared.icache).resolve(base, seed).map(str::to_owned) else {
         return Frame::error(
             id,
             codes::UNKNOWN_BASE,
@@ -182,38 +222,49 @@ pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> F
         Err(e) => return Frame::error(id, codes::BAD_SPEC, e),
     };
 
-    let edited = match apply_edits(&base_inst.dag, edits) {
-        Ok(o) => o,
-        Err(e) => return Frame::error(id, codes::BAD_EDIT, e.to_string()),
-    };
-
-    let Some((base_dag_spec, machine_spec)) = base_inst.name.split_once(" @ ") else {
+    let Some((base_dag_spec, machine_spec)) = base_name.split_once(" @ ") else {
         return Frame::error(
             id,
             codes::BAD_SPEC,
-            format!("base name {:?} has no \" @ \" machine part", base_inst.name),
+            format!("base name {base_name:?} has no \" @ \" machine part"),
         );
     };
     let name = format!(
         "{base_dag_spec}+edit{:08x} @ {machine_spec}",
         edits_fingerprint(edits)
     );
+    let key = ResultKey::from_name(&name, &sched_key).expect("derived name has machine part");
+
+    // The same edit on the same base under the same scheduler is the same
+    // problem, so the derived key can itself hit the store. Its name
+    // carries only a hash of the edits: the stored answer is this
+    // request's only if the name's recipe is these very edits.
+    if lock(&shared.icache).derived_from(&name, &base_name, edits) {
+        let hit = lock(&shared.store)
+            .get_if_present(&key)
+            .map(|hit| hit_frame(shared, id, &key, start, hit));
+        if let Some(frame) = hit {
+            if let Some(label) = req.label.as_deref() {
+                lock(&shared.icache).label(label, &name);
+            }
+            return frame;
+        }
+    }
+
+    let base_inst = match fetch_instance(shared, instances, &base_name) {
+        Ok(inst) => inst,
+        Err(e) => return Frame::error(id, codes::INTERNAL_ERROR, e),
+    };
+    let edited = match apply_edits(&base_inst.dag, edits) {
+        Ok(o) => o,
+        Err(e) => return Frame::error(id, codes::BAD_EDIT, e.to_string()),
+    };
     let inst = Arc::new(Instance {
         name,
         dag: edited.dag,
         machine: base_inst.machine.clone(),
     });
-    let key = ResultKey::from_name(&inst.name, &sched_key).expect("derived name has machine part");
-
-    // The same edit on the same base under the same scheduler is the same
-    // problem — the derived key can itself hit the cache.
-    let hit = lock(&shared.store)
-        .get(&key)
-        .map(|hit| hit_frame(shared, id, &key, start, hit));
-    if let Some(frame) = hit {
-        lock(&shared.icache).insert(inst, req.label.as_deref());
-        return frame;
-    }
+    lock(&shared.store).count_miss();
     shared.metrics.cache_misses.inc();
 
     // Warm start requires a cached schedule of the *base* under the same
@@ -259,6 +310,18 @@ pub(super) fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> F
     };
     frame.warm = Some(warm_init_cost.is_some());
     frame.warm_init_cost = warm_init_cost;
-    lock(&shared.icache).insert(inst, req.label.as_deref());
+    with_icache(shared, |c| {
+        if let Some(label) = req.label.as_deref() {
+            c.label(label, &inst.name);
+        }
+        let edits = edits.clone();
+        c.insert(
+            inst,
+            Some(Recipe::Derived {
+                base: base_name,
+                edits,
+            }),
+        );
+    });
     frame
 }

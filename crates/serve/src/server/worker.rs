@@ -139,7 +139,7 @@ pub(super) fn worker_loop(shared: Arc<Shared>) {
             }
             match job.method {
                 Method::Solve => solve::handle_solve(&shared, &registry, &instances, &job),
-                Method::Delta => solve::handle_delta(&shared, &registry, &job),
+                Method::Delta => solve::handle_delta(&shared, &registry, &instances, &job),
                 Method::StreamOpen => {
                     stream::open(&shared, &mut lock(&job.conn.sessions), &job.req)
                 }

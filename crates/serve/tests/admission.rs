@@ -181,3 +181,36 @@ fn shedding_and_draining_still_come_before_the_cached_answer() {
     assert!(err.is_code(codes::SHUTTING_DOWN), "got {err}");
     handle.wait();
 }
+
+#[test]
+fn a_request_seed_names_another_instance_of_one_raw_spec() {
+    // No `seed=` in the spec: the request's `seed` picks the instance,
+    // and the canonical name spells it out.
+    const X: &str = "erdos?n=50&q=0.1 @ bsp?p=4";
+    let handle = slow_job_server(1);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let seeded = |seed| {
+        let mut p = solve_of(X);
+        p.seed = Some(seed);
+        p
+    };
+    let one = client.solve(&seeded(1)).unwrap().result;
+    let two = client.solve(&seeded(2)).unwrap().result;
+    assert_eq!((one.cache_hit, two.cache_hit), (Some(false), Some(false)));
+    let (name_one, name_two) = (one.instance.unwrap(), two.instance.unwrap());
+    assert!(name_one.contains("&seed=1&"), "{name_one}");
+    assert!(name_two.contains("&seed=2&"), "{name_two}");
+    // Each seed's repeat is answered at admission with its own result.
+    let again = client.solve(&seeded(1)).unwrap().result;
+    assert_eq!(
+        (again.cache_hit, again.instance),
+        (Some(true), Some(name_one))
+    );
+    let again = client.solve(&seeded(2)).unwrap().result;
+    assert_eq!(
+        (again.cache_hit, again.instance),
+        (Some(true), Some(name_two))
+    );
+    assert_eq!(client.stats().unwrap().jobs_done, 2);
+    handle.shutdown();
+}

@@ -18,7 +18,7 @@ mod codec_reference;
 use bsp_instance::trace::ArrivalEvent;
 use bsp_instance::DagEdit;
 use bsp_schedule::events::{SolveEvent, StageReportWire};
-use bsp_serve::protocol::{parse_line, to_line};
+use bsp_serve::protocol::{parse_line, to_line, MAX_DEPTH};
 use bsp_serve::{Frame, MetricWire, Request, ServerStats};
 use codec_reference as reference;
 use proptest::prelude::*;
@@ -521,4 +521,43 @@ fn errors_name_the_field() {
         err,
         r#"field "suffix_nodes": integer 4294967296 out of range for u32"#
     );
+}
+
+#[test]
+fn nesting_reads_alike_up_to_the_cap_and_is_refused_past_it() {
+    // `depth` counts the top-level object; the rest nests under one key.
+    let nested = |head: &str, depth: usize| {
+        let inner = depth - 1;
+        format!(
+            "{{{head},\"x\":{}{}}}",
+            "[".repeat(inner),
+            "]".repeat(inner)
+        )
+    };
+    let in_edits = |depth: usize| {
+        let inner = depth - 1;
+        format!(
+            "{{\"method\":\"delta\",\"edits\":{}{}}}",
+            "[".repeat(inner),
+            "]".repeat(inner)
+        )
+    };
+    for depth in [2, 3, 64, MAX_DEPTH - 1, MAX_DEPTH] {
+        assert_same_reading(&nested("\"method\":\"ping\"", depth));
+        assert_same_reading(&nested("\"kind\":\"pong\"", depth));
+        assert_same_reading(&in_edits(depth));
+    }
+    let at_cap = nested("\"method\":\"ping\"", MAX_DEPTH);
+    assert_eq!(parse_line::<Request>(&at_cap).unwrap().method, "ping");
+
+    // The one intended divergence: the reference reads any depth its
+    // stack allows, the codec refuses the first bracket past the cap.
+    // `{"method":"ping","x":` is 21 bytes, so the k-th `[` is byte 20 + k.
+    let past = nested("\"method\":\"ping\"", MAX_DEPTH + 1);
+    assert!(reference::parse_line::<Request>(&past).is_ok());
+    let want = format!("nesting deeper than {MAX_DEPTH} at byte {}", 20 + MAX_DEPTH);
+    assert_eq!(parse_line::<Request>(&past).unwrap_err().to_string(), want);
+    let deep = nested("\"method\":\"ping\"", 10_001);
+    assert_eq!(parse_line::<Request>(&deep).unwrap_err().to_string(), want);
+    assert!(parse_line::<Request>(&in_edits(MAX_DEPTH + 1)).is_err());
 }

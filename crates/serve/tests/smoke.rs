@@ -205,6 +205,29 @@ fn streamed_events_arrive_before_result() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_refused_and_the_connection_serves_on() {
+    // 10 000 brackets in a 20 KB line: well inside the line cap, and
+    // deep enough to overflow a connection thread's stack if the reader
+    // recursed once per level.
+    let handle = test_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let line = format!(
+        "{{\"method\":\"ping\",\"x\":{}{}}}",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let frame = client.raw_roundtrip(&line).unwrap();
+    assert_eq!(frame.kind, "error");
+    assert_eq!(frame.error.as_deref(), Some(codes::BAD_JSON));
+    let message = frame.message.unwrap_or_default();
+    assert!(message.contains("nesting deeper than"), "{message}");
+    client
+        .ping()
+        .expect("connection still usable after the deep line");
+    handle.shutdown();
+}
+
+#[test]
 fn typed_protocol_errors() {
     let handle = test_server();
     let mut client = Client::connect(handle.addr()).unwrap();
