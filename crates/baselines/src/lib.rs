@@ -36,7 +36,6 @@ pub mod cluster;
 pub mod etf;
 pub mod hdagg;
 pub mod list;
-pub mod schedulers;
 
 pub use blest::{blest_bsp, blest_bsp_numa_aware, blest_schedule};
 pub use cilk::{cilk_bsp, cilk_schedule};
@@ -44,4 +43,3 @@ pub use cluster::{dsc_bsp, dsc_schedule};
 pub use etf::{etf_bsp, etf_bsp_numa_aware, etf_schedule};
 pub use hdagg::{hdagg_schedule, HDaggConfig};
 pub use list::CommModel;
-pub use schedulers::{BlestScheduler, CilkScheduler, DscScheduler, EtfScheduler, HDaggScheduler};

@@ -98,7 +98,6 @@ pub fn bench_pipeline_cfg(ilp: bool) -> PipelineConfig {
                 time_limit: Duration::from_millis(150),
                 gap: 1e-6,
             },
-            use_presolve: true,
         },
         enable_ilp: ilp,
         use_ilp_init: Some(false),

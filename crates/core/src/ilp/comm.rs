@@ -173,7 +173,7 @@ pub fn ilp_comm(
 
     // ILPcs models are pure-binary with tight LP relaxations; the presolve
     // pass (region-preserving, see `bsp_ilp::presolve`) only shrinks them.
-    let sol = super::solve_model(&model, Some(&warm), limits, true, stop);
+    let sol = super::solve_model(&model, Some(&warm), limits, stop);
     if sol.x.is_empty() {
         return (initial.clone(), init_cost);
     }

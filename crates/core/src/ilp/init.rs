@@ -87,7 +87,7 @@ pub fn ilp_init(dag: &Dag, machine: &BspParams, cfg: &IlpConfig, stop: &Stop) ->
             w.model.is_feasible(&warm, 1e-5),
             "ILPinit warm start must be feasible"
         );
-        let sol = super::solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
+        let sol = super::solve_model(&w.model, Some(&warm), &cfg.limits, stop);
         if !sol.x.is_empty() {
             let cand = w.extract(&sol.x, &sched);
             // Keep only if still valid for the scheduled prefix.

@@ -39,11 +39,10 @@ pub struct IlpConfig {
     pub full_max_vars: usize,
     /// Target window size for `ILPpart` (paper: 4 000 with CBC).
     pub part_target_vars: usize,
-    /// Solver budgets per ILP invocation.
+    /// Solver budgets per ILP invocation. Every invocation runs the
+    /// presolver (bound tightening, redundancy elimination) before branch
+    /// and bound — the analogue of CBC's preprocessing.
     pub limits: SolveLimits,
-    /// Run the presolver (bound tightening, redundancy elimination) before
-    /// each branch-and-bound call — the analogue of CBC's preprocessing.
-    pub use_presolve: bool,
 }
 
 impl Default for IlpConfig {
@@ -56,18 +55,16 @@ impl Default for IlpConfig {
                 time_limit: std::time::Duration::from_secs(3),
                 gap: 1e-6,
             },
-            use_presolve: true,
         }
     }
 }
 
-/// Solves `model` with or without the presolve pass, per `use_presolve`,
-/// for at most `limits.time_limit` and no longer than `stop` has left.
+/// Presolves and solves `model` for at most `limits.time_limit` and no
+/// longer than `stop` has left.
 pub(crate) fn solve_model(
     model: &bsp_ilp::Model,
     warm: Option<&[f64]>,
     limits: &SolveLimits,
-    use_presolve: bool,
     stop: &Stop,
 ) -> bsp_ilp::MipSolution {
     let limits = SolveLimits {
@@ -76,11 +73,7 @@ pub(crate) fn solve_model(
             .map_or(limits.time_limit, |left| left.min(limits.time_limit)),
         ..limits.clone()
     };
-    if use_presolve {
-        bsp_ilp::solve_with_presolve(model, warm, &limits)
-    } else {
-        model.solve(warm, &limits)
-    }
+    bsp_ilp::solve_with_presolve(model, warm, &limits)
 }
 
 /// Attempts `ILPfull` on the whole (compacted) schedule. Returns an
@@ -109,7 +102,7 @@ pub fn ilp_full(
         w.model.is_feasible(&warm, 1e-5),
         "warm start must satisfy the window model"
     );
-    let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
+    let sol = solve_model(&w.model, Some(&warm), &cfg.limits, stop);
     let proven = sol.status == bsp_ilp::MipStatus::Optimal;
     if sol.x.is_empty() {
         return (base, false);
@@ -164,7 +157,7 @@ pub fn ilp_part(
             w.model.is_feasible(&warm, 1e-5),
             "warm start must satisfy the window model"
         );
-        let sol = solve_model(&w.model, Some(&warm), &cfg.limits, cfg.use_presolve, stop);
+        let sol = solve_model(&w.model, Some(&warm), &cfg.limits, stop);
         if sol.x.is_empty() {
             continue;
         }

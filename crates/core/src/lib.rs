@@ -31,21 +31,30 @@
 //! * [`auto`] — CCR-driven selection between the base and multilevel
 //!   pipelines ("decide if coarsification is even necessary", §7.3/C.6);
 //! * [`memrepair`] — feasibility repair for memory-bounded machines
-//!   (greedy superstep splitting plus the [`MemoryRepairScheduler`]
-//!   wrapper), the memory-constrained rung of the realistic-models ladder.
+//!   (greedy superstep splitting, and [`memrepair::repair_outcome`], the
+//!   post-step behind the registry's `mem=on`), the memory-constrained
+//!   rung of the realistic-models ladder.
+//!
+//! The crate has no [`Scheduler`](bsp_schedule::Scheduler) types of its
+//! own: the `bsp-sched` registry builds every scheduler from the functions
+//! here. [`schedulers::solve_pipeline`] runs a pipeline under a request's
+//! budget:
 //!
 //! ```
-//! use bsp_core::{BasePipeline, PipelineConfig};
+//! use bsp_core::pipeline::{solve_base_pipeline, PipelineConfig};
+//! use bsp_core::schedulers::solve_pipeline;
 //! use bsp_dag::random::{random_layered_dag, LayeredConfig};
 //! use bsp_model::BspParams;
 //! use bsp_schedule::solve::SolveRequest;
-//! use bsp_schedule::Scheduler;
 //!
 //! let dag = random_layered_dag(1, LayeredConfig::default());
 //! let machine = BspParams::new(4, 3, 5);
 //! let mut cfg = PipelineConfig::default();
 //! cfg.enable_ilp = false; // quick run
-//! let out = BasePipeline { cfg }.solve(&SolveRequest::new(&dag, &machine));
+//! let req = SolveRequest::new(&dag, &machine);
+//! let out = solve_pipeline("pipeline/base", &req, |cx| {
+//!     solve_base_pipeline(&dag, &machine, &cfg, cx)
+//! });
 //! assert!(out.total() <= out.stages[0].cost_after); // never worse than `init`
 //! ```
 
@@ -64,9 +73,9 @@ pub mod tabu;
 pub mod warm;
 
 pub use auto::{AutoConfig, Strategy};
-pub use memrepair::{repair_memory, repair_memory_with, MemoryRepairScheduler, RepairReport};
+pub use memrepair::{repair_memory, repair_memory_with, repair_outcome, RepairReport};
 pub use pipeline::{PipelineConfig, PipelineResult};
-pub use schedulers::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
+pub use schedulers::solve_pipeline;
 pub use state::{ScheduleState, ScheduleTables};
 pub use warm::{
     place_appended, place_new_nodes, repair_precedence, repair_precedence_from,

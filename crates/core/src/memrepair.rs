@@ -32,7 +32,7 @@ use bsp_dag::topo::TopoInfo;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::memory::{memory_cost, memory_violations, node_working_set};
-use bsp_schedule::scheduler::{ScheduleResult, Scheduler, SchedulerKind};
+use bsp_schedule::scheduler::ScheduleResult;
 use bsp_schedule::solve::{Budget, SolveCx, SolveOutcome, SolveRequest};
 use bsp_schedule::{BspSchedule, CommSchedule};
 use std::collections::HashSet;
@@ -180,93 +180,61 @@ pub fn repair_memory(
     repair_memory_with(dag, machine, sched, || false)
 }
 
-/// Wraps any [`Scheduler`] with the feasibility repair pass: solve, then —
-/// on memory-bounded machines only — repair the result and re-cost it
-/// under the residency simulator ([`memory_cost`]). This is how the
-/// registry builds the memory-aware variants (`blest/mem`,
-/// `pipeline/base?mem=on`, …).
+/// The `mem=on` post-step of a registry scheduler: on memory-bounded
+/// machines only, repairs the schedule `inner` found and re-costs it under
+/// the residency simulator ([`memory_cost`]), appending a `"mem-repair"`
+/// stage reported under `scheduler`. The repair runs on whatever budget
+/// the inner solve left.
 ///
-/// The appended `"mem-repair"` stage is the one stage exempt from the
-/// monotone `cost_after` contract: its objective is feasibility, and
-/// making an infeasible schedule feasible (extra supersteps, re-fetch
-/// traffic surfaced in the cost) may legitimately raise the reported
-/// cost. On machines without a memory bound the wrapper is invisible —
-/// the inner outcome is returned untouched, bit for bit.
-pub struct MemoryRepairScheduler<S> {
-    name: String,
-    inner: S,
-}
-
-impl<S: Scheduler> MemoryRepairScheduler<S> {
-    /// Wraps `inner` under the registry name `name`.
-    pub fn new(name: impl Into<String>, inner: S) -> Self {
-        MemoryRepairScheduler {
-            name: name.into(),
-            inner,
-        }
+/// That stage is the one exempt from the monotone `cost_after` contract:
+/// its objective is feasibility, and making an infeasible schedule
+/// feasible (extra supersteps, re-fetch traffic surfaced in the cost) may
+/// legitimately raise the reported cost. On machines without a memory
+/// bound `inner` is returned untouched, bit for bit.
+pub fn repair_outcome(
+    scheduler: &str,
+    req: &SolveRequest<'_>,
+    inner: SolveOutcome,
+) -> SolveOutcome {
+    if !req.machine.is_memory_bounded() {
+        return inner;
     }
-}
+    let sub_req = SolveRequest {
+        dag: req.dag,
+        machine: req.machine,
+        budget: Budget {
+            deadline: req.budget.deadline.map(|d| d.saturating_sub(inner.elapsed)),
+            ..req.budget.clone()
+        },
+        seed: req.seed,
+        observer: req.observer,
+    };
+    let mut cx = SolveCx::new(scheduler, &sub_req);
+    cx.begin("mem-repair");
+    let (repaired, report) =
+        repair_memory_with(req.dag, req.machine, &inner.result.sched, || cx.expired());
+    // An untouched assignment keeps the inner solver's (possibly
+    // optimized) Γ; a split one needs its communication schedule
+    // re-derived because superstep indices moved.
+    let (sched, comm) = if report.splits == 0 {
+        (inner.result.sched, inner.result.comm)
+    } else {
+        let comm = CommSchedule::lazy(req.dag, &repaired);
+        (repaired, comm)
+    };
+    let cost = memory_cost(req.dag, req.machine, &sched, &comm);
+    let total = cost.total;
+    cx.improved(total);
+    cx.end(total, report.truncated);
+    let repair_out = cx.finish(ScheduleResult { sched, comm, cost });
 
-impl<S: Scheduler> Scheduler for MemoryRepairScheduler<S> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        self.inner.kind()
-    }
-
-    fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
-        let inner_out = self.inner.solve(req);
-        if !req.machine.is_memory_bounded() {
-            return inner_out;
-        }
-        // The repair stage runs on whatever budget the inner solve left.
-        let sub_req = SolveRequest {
-            dag: req.dag,
-            machine: req.machine,
-            budget: Budget {
-                deadline: req
-                    .budget
-                    .deadline
-                    .map(|d| d.saturating_sub(inner_out.elapsed)),
-                ..req.budget.clone()
-            },
-            seed: req.seed,
-            observer: req.observer,
-        };
-        let mut cx = SolveCx::new(&self.name, &sub_req);
-        cx.begin("mem-repair");
-        let (repaired, report) =
-            repair_memory_with(req.dag, req.machine, &inner_out.result.sched, || {
-                cx.expired()
-            });
-        // An untouched assignment keeps the inner solver's (possibly
-        // optimized) Γ; a split one needs its communication schedule
-        // re-derived because superstep indices moved.
-        let (sched, comm) = if report.splits == 0 {
-            (
-                inner_out.result.sched.clone(),
-                inner_out.result.comm.clone(),
-            )
-        } else {
-            let comm = CommSchedule::lazy(req.dag, &repaired);
-            (repaired, comm)
-        };
-        let cost = memory_cost(req.dag, req.machine, &sched, &comm);
-        let total = cost.total;
-        cx.improved(total);
-        cx.end(total, report.truncated);
-        let repair_out = cx.finish(ScheduleResult { sched, comm, cost });
-
-        let mut stages = inner_out.stages;
-        stages.extend(repair_out.stages);
-        SolveOutcome {
-            result: repair_out.result,
-            stages,
-            elapsed: inner_out.elapsed + repair_out.elapsed,
-            budget_exhausted: inner_out.budget_exhausted || repair_out.budget_exhausted,
-        }
+    let mut stages = inner.stages;
+    stages.extend(repair_out.stages);
+    SolveOutcome {
+        result: repair_out.result,
+        stages,
+        elapsed: inner.elapsed + repair_out.elapsed,
+        budget_exhausted: inner.budget_exhausted || repair_out.budget_exhausted,
     }
 }
 
@@ -397,8 +365,8 @@ mod tests {
 
     #[test]
     fn wrapper_repairs_and_recosts_on_bounded_machines_only() {
-        use crate::schedulers::BspgInit;
         use bsp_schedule::memory::simulate_memory;
+        use bsp_schedule::solve::solve_single_stage;
 
         let dag = random_layered_dag(
             3,
@@ -408,15 +376,19 @@ mod tests {
                 ..Default::default()
             },
         );
-        let wrapped = MemoryRepairScheduler::new("init/bspg+mem", BspgInit);
-        assert_eq!(wrapped.name(), "init/bspg+mem");
-        assert_eq!(wrapped.kind(), SchedulerKind::Initializer);
+        let bspg = |req: &SolveRequest<'_>| {
+            solve_single_stage("init/bspg", req, || {
+                let sched = crate::init::bspg::bspg_schedule(req.dag, req.machine);
+                ScheduleResult::from_lazy(req.dag, req.machine, sched)
+            })
+        };
+        let repaired = |req: &SolveRequest<'_>| repair_outcome("init/bspg", req, bspg(req));
 
-        // Unbounded machine: bit-identical to the inner scheduler.
+        // Unbounded machine: bit-identical to the inner solve.
         let plain = BspParams::new(4, 1, 2);
         let req = SolveRequest::new(&dag, &plain);
-        let inner = BspgInit.solve(&req);
-        let outer = wrapped.solve(&req);
+        let inner = bspg(&req);
+        let outer = repaired(&req);
         assert_eq!(outer.result.sched, inner.result.sched);
         assert_eq!(outer.result.cost, inner.result.cost);
         assert_eq!(outer.stages.len(), inner.stages.len());
@@ -428,7 +400,7 @@ mod tests {
         let min_capacity = bsp_schedule::memory::min_repairable_capacity(&dag);
         let bounded = BspParams::new(4, 1, 2).with_memory(MemorySpec::new(min_capacity));
         let req = SolveRequest::new(&dag, &bounded);
-        let out = wrapped.solve(&req);
+        let out = repaired(&req);
         assert_eq!(out.stages.last().unwrap().stage, "mem-repair");
         let r = &out.result;
         assert!(validate_with_memory(&dag, &bounded, &r.sched, &r.comm).is_ok());

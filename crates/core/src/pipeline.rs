@@ -190,7 +190,7 @@ impl Incumbent {
     }
 }
 
-/// `Γ` for a fixed assignment: HCcs, then — with `ilp` on and budget left —
+/// `Γ` for a fixed assignment: HCcs, then — with the ILP on and budget left —
 /// `ILPcs` warm-started from it, which hands its start back unless it
 /// found something strictly cheaper. Returns `Γ`, its cost, and the cost
 /// HCcs alone had reached.
@@ -199,12 +199,11 @@ fn optimized_comm(
     machine: &BspParams,
     sched: &BspSchedule,
     cfg: &PipelineConfig,
-    ilp: bool,
     cx: &SolveCx<'_>,
 ) -> (CommSchedule, u64, u64) {
     let mut stop = cx.stop(cfg.hccs.time_limit, cfg.hccs.max_moves);
     let (comm, hccs_cost) = optimize_comm_schedule(dag, machine, sched, &mut stop);
-    if ilp && !cx.expired() {
+    if cfg.enable_ilp && !cx.expired() {
         let limits = &cfg.ilp.limits;
         let (comm, cost) = ilp_comm(dag, machine, sched, &comm, limits, &cx.stop(None, None));
         (comm, cost, hccs_cost)
@@ -225,7 +224,7 @@ pub fn solve_base_pipeline(
     cx: &mut SolveCx<'_>,
 ) -> PipelineResult {
     let _pipeline_span = bsp_obs::trace::global().span("pipeline/base", "pipeline");
-    let enable_ilp = cx.ilp_enabled(cfg.enable_ilp);
+    let enable_ilp = cfg.enable_ilp;
     let use_ilp_init = cfg.use_ilp_init.unwrap_or(machine.p() <= 4 && enable_ilp) && enable_ilp;
 
     // Stage 1 — initialization. Runs even under an expired deadline: some
@@ -279,7 +278,7 @@ pub fn solve_base_pipeline(
                 assignment = ilp_part(dag, machine, &assignment, &cfg.ilp, &stop);
             }
             // Re-optimize Γ on the (possibly) new assignment: HCcs then ILPcs.
-            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &assignment, cfg, true, cx);
+            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &assignment, cfg, cx);
             part_cost = part_cost.min(hccs_cost);
             best.offer(cx, assignment, comm, cost);
             (best.cost, ())
@@ -326,8 +325,7 @@ pub fn solve_multilevel_pipeline(
     let mut hc_cost = init_cost;
     if !cx.check_expired() {
         hc_cost = cx.stage("polish", |cx| {
-            let ilp = cx.ilp_enabled(cfg.enable_ilp);
-            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &best.sched, cfg, ilp, cx);
+            let (comm, cost, hccs_cost) = optimized_comm(dag, machine, &best.sched, cfg, cx);
             best.offer_comm(cx, comm, cost);
             (best.cost, hccs_cost)
         });

@@ -28,7 +28,7 @@ use bsp_dagdb::DatasetKind;
 use bsp_model::{BspParams, NumaTopology};
 use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
-use bsp_schedule::scheduler::{Scheduler, SharedScheduler};
+use bsp_schedule::scheduler::SharedScheduler;
 use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::BspSchedule;
 use std::time::{Duration, Instant};

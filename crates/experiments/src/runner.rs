@@ -212,7 +212,6 @@ pub fn pipeline_config(n: usize, opts: &EvalOptions) -> PipelineConfig {
             full_max_vars: 900,
             part_target_vars: 400,
             limits: bsp_ilp_limits(n),
-            use_presolve: true,
         },
         enable_ilp,
         use_ilp_init: Some(false), // run explicitly where tables need it

@@ -12,7 +12,6 @@ use bsp_instance::{Instance, MachineSpec, NumaSpec};
 use bsp_model::BspParams;
 use bsp_par::parallel_map;
 use bsp_schedule::cost::lazy_cost;
-use bsp_schedule::scheduler::Scheduler;
 use bsp_schedule::solve::{SolveRequest, Stop};
 
 const ELL: u64 = 5;

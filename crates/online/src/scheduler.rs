@@ -674,7 +674,7 @@ fn solve_suffix(
     state: &mut ScheduleState<'_>,
     units: u32,
 ) -> (SuffixOutcome, bool) {
-    let mut budget = Budget::deadline(cfg.budget_per_arrival.saturating_mul(units)).without_ilp();
+    let mut budget = Budget::deadline(cfg.budget_per_arrival.saturating_mul(units));
     if let Some(m) = cfg.moves_per_arrival {
         budget = budget.with_max_stage_moves(m * units as usize);
     }

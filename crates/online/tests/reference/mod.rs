@@ -297,7 +297,7 @@ impl RefScheduler {
         initial: &BspSchedule,
         units: u32,
     ) -> (BspSchedule, SuffixOutcome, bool) {
-        let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units).without_ilp();
+        let mut budget = Budget::deadline(self.cfg.budget_per_arrival * units);
         if let Some(m) = self.cfg.moves_per_arrival {
             budget = budget.with_max_stage_moves(m * units as usize);
         }

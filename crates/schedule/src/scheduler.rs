@@ -2,12 +2,14 @@
 //!
 //! Every scheduling algorithm in the workspace — the four comparison
 //! baselines, DSC clustering, the paper's initialization heuristics, the
-//! Figure-3 and Figure-4 pipelines, and the CCR-driven auto-selector —
-//! implements this one trait, so harnesses (the experiment runner, the
-//! criterion benches, the examples, and future evaluation services) iterate
-//! a single registry instead of hand-wiring each algorithm. The registry
-//! itself — `Registry`, with spec-string lookup — lives in the `bsp-sched`
-//! façade crate, the only crate that can see every implementation.
+//! Figure-3 and Figure-4 pipelines, and the CCR-driven auto-selector — is
+//! reached through this one trait, so harnesses (the experiment runner,
+//! the criterion benches, the examples, the daemon) iterate a single
+//! registry instead of hand-wiring each algorithm. The registry itself —
+//! `Registry`, with spec-string lookup — lives in the `bsp-sched` façade
+//! crate, the only crate that can see every algorithm. Its entries are
+//! the implementations: each builds one scheduler from its name and a
+//! closure over the parsed spec, around the algorithm's plain function.
 //!
 //! A [`Scheduler`] consumes a [`SolveRequest`] — DAG, machine,
 //! [`Budget`](crate::solve::Budget), seed, observer — and produces a
@@ -25,8 +27,9 @@ use crate::solve::{SolveOutcome, SolveRequest};
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 
-/// Which family a scheduler belongs to; lets harnesses select comparable
-/// subsets (e.g. "all baselines" for a table's comparison columns).
+/// Which family a registry entry belongs to (its descriptor's `kind`);
+/// lets harnesses select comparable subsets (e.g. "all baselines" for a
+/// table's comparison columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Prior-work comparison schedulers (Cilk, BL-EST, ETF, HDagg, DSC).
@@ -76,19 +79,18 @@ impl ScheduleResult {
 
 /// A named scheduling algorithm: request in, costed outcome out.
 ///
-/// Implementations are configuration-carrying structs (seed, NUMA-awareness,
-/// pipeline budgets, …), so a registry entry is a ready-to-run instance and
-/// two entries of the same algorithm with different tuning can coexist. The
+/// A built scheduler carries its configuration (seed, NUMA-awareness,
+/// pipeline budgets, …) captured from the spec it was built from, so two
+/// schedulers of the same algorithm with different tuning can coexist. The
 /// request's [`Budget`](crate::solve::Budget) caps the scheduler's own
 /// configuration; anytime schedulers (the pipelines) check the deadline
 /// between stages and return their best-so-far schedule when it expires.
+/// The family of a scheduler is registry metadata (`SchedulerDescriptor`),
+/// not part of the trait.
 pub trait Scheduler {
     /// Stable identifier used in tables, bench ids and spec-string lookups
     /// (e.g. `"etf"`, `"pipeline/base"`).
     fn name(&self) -> &str;
-
-    /// The family this scheduler belongs to.
-    fn kind(&self) -> SchedulerKind;
 
     /// Solves the request, returning a valid, costed schedule with stage
     /// reports. Must return a valid schedule for *every* budget, including
@@ -98,18 +100,6 @@ pub trait Scheduler {
 
 /// A boxed scheduler shareable across harness worker threads.
 pub type SharedScheduler = Box<dyn Scheduler + Send + Sync>;
-
-impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn kind(&self) -> SchedulerKind {
-        (**self).kind()
-    }
-    fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
-        (**self).solve(req)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -121,9 +111,6 @@ mod tests {
     impl Scheduler for RoundRobin {
         fn name(&self) -> &str {
             "round-robin"
-        }
-        fn kind(&self) -> SchedulerKind {
-            SchedulerKind::Baseline
         }
         fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
             // One superstep per node, processors round-robin: always valid.
@@ -148,7 +135,6 @@ mod tests {
 
         let boxed: Box<dyn Scheduler> = Box::new(RoundRobin);
         assert_eq!(boxed.name(), "round-robin");
-        assert_eq!(boxed.kind(), SchedulerKind::Baseline);
         let out = boxed.solve(&SolveRequest::new(&dag, &machine));
         let r = &out.result;
         assert!(crate::validity::validate(&dag, 2, &r.sched, &r.comm).is_ok());

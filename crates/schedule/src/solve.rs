@@ -6,7 +6,7 @@
 //! any stage boundary still yields a valid best-so-far schedule. This module
 //! is the request/response surface that exposes that property: a
 //! [`SolveRequest`] bundles the instance with a [`Budget`] (wall-clock
-//! deadline, per-stage move caps, ILP on/off), an RNG seed, and an
+//! deadline, per-stage move caps, a cancel token), an RNG seed, and an
 //! [`Observer`] that receives stage and improvement events while the solve
 //! runs. Every [`Scheduler`](crate::scheduler::Scheduler) consumes a request
 //! and returns a [`SolveOutcome`]: the final costed schedule plus one
@@ -27,7 +27,6 @@
 //!   monotone contract, the result is always a *valid* schedule — under
 //!   an already-expired deadline, the best initialization.
 //! * **Move caps** bound the accepted moves of each local-search stage.
-//! * **`ilp`** overrides the scheduler's own ILP switch; `None` defers.
 //! * The **cancel token** ([`Budget::with_cancel`]) is read wherever the
 //!   clock is read, so a cancelled solve winds down from *inside* its
 //!   current search, to the same valid best-so-far an expired deadline
@@ -53,10 +52,10 @@
 //! let machine = BspParams::new(2, 1, 1);
 //!
 //! let req = SolveRequest::new(&dag, &machine)
-//!     .with_budget(Budget::deadline(Duration::from_millis(50)).without_ilp())
+//!     .with_budget(Budget::deadline(Duration::from_millis(50)).with_max_stage_moves(100))
 //!     .with_seed(7);
 //! assert_eq!(req.seed, 7);
-//! assert_eq!(req.budget.ilp, Some(false));
+//! assert_eq!(req.budget.max_stage_moves, Some(100));
 //! assert!(!req.budget.is_unlimited());
 //! ```
 
@@ -121,8 +120,8 @@ impl CancelToken {
 
 /// Resource limits for one solve call.
 ///
-/// The default budget is unlimited: no deadline, no move caps, and the
-/// scheduler's own ILP switch.
+/// The default budget is unlimited: no deadline, no move caps, no cancel
+/// token.
 ///
 /// ```
 /// use bsp_schedule::solve::Budget;
@@ -140,9 +139,6 @@ pub struct Budget {
     /// Cap on accepted moves per local-search stage (HC, HCcs, escape).
     /// `None` = the scheduler's configured caps.
     pub max_stage_moves: Option<usize>,
-    /// Override for the scheduler's ILP master switch: `Some(false)` forces
-    /// the ILP stages off, `Some(true)` on, `None` defers to the scheduler.
-    pub ilp: Option<bool>,
     /// Shared cooperative-cancellation token: once cancelled, the budget
     /// counts as expired at every [`SolveCx::check_expired`] site and in
     /// every [`Stop`], so the solve winds down to its best-so-far schedule
@@ -171,12 +167,6 @@ impl Budget {
         Budget::deadline(Duration::ZERO)
     }
 
-    /// This budget with the ILP stages forced off.
-    pub fn without_ilp(mut self) -> Self {
-        self.ilp = Some(false);
-        self
-    }
-
     /// This budget with a per-stage accepted-move cap.
     pub fn with_max_stage_moves(mut self, moves: usize) -> Self {
         self.max_stage_moves = Some(moves);
@@ -191,10 +181,7 @@ impl Budget {
 
     /// Whether this budget constrains nothing (and cannot be cancelled).
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_stage_moves.is_none()
-            && self.ilp.is_none()
-            && self.cancel.is_none()
+        self.deadline.is_none() && self.max_stage_moves.is_none() && self.cancel.is_none()
     }
 }
 
@@ -449,7 +436,6 @@ pub struct SolveCx<'a> {
     start: Instant,
     /// The whole solve's limits; every search's [`Stop`] narrows this one.
     limits: Stop,
-    ilp_override: Option<bool>,
     stages: Vec<StageReport>,
     current: Option<(String, Instant)>,
     exhausted: bool,
@@ -467,7 +453,6 @@ impl<'a> SolveCx<'a> {
                 cancel: req.budget.cancel.clone(),
                 ..Stop::new(req.budget.deadline, req.budget.max_stage_moves)
             },
-            ilp_override: req.budget.ilp,
             stages: Vec::new(),
             current: None,
             exhausted: false,
@@ -515,24 +500,17 @@ impl<'a> SolveCx<'a> {
     /// The context of a solve nested inside this one (multilevel's coarse
     /// runs): its own request — silent observer, its own stage reports —
     /// on the outer solve's clock: the
-    /// same deadline, token, move cap and ILP switch.
+    /// same deadline, token and move cap.
     pub fn nested(&self, scheduler: &str) -> SolveCx<'static> {
         SolveCx {
             scheduler: scheduler.to_string(),
             observer: &NOOP_OBSERVER,
             start: Instant::now(),
             limits: self.limits.clone(),
-            ilp_override: self.ilp_override,
             stages: Vec::new(),
             current: None,
             exhausted: false,
         }
-    }
-
-    /// Resolves the effective ILP switch from the scheduler's default and
-    /// the budget's override.
-    pub fn ilp_enabled(&self, scheduler_default: bool) -> bool {
-        self.ilp_override.unwrap_or(scheduler_default)
     }
 
     /// Begins a named stage (notifies the observer, starts its clock).
@@ -663,11 +641,8 @@ mod tests {
     #[test]
     fn budget_builders() {
         assert!(Budget::unlimited().is_unlimited());
-        let b = Budget::deadline(Duration::from_millis(5))
-            .without_ilp()
-            .with_max_stage_moves(10);
+        let b = Budget::deadline(Duration::from_millis(5)).with_max_stage_moves(10);
         assert_eq!(b.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(b.ilp, Some(false));
         assert_eq!(b.max_stage_moves, Some(10));
         assert_eq!(Budget::expired().deadline, Some(Duration::ZERO));
     }
@@ -691,8 +666,6 @@ mod tests {
         assert_eq!(cx.stop(None, Some(3)).moves_left(), 3);
         assert_eq!(cx.stop(None, Some(9)).moves_left(), 5);
         assert_eq!(Stop::new(None, None).moves_left(), usize::MAX);
-        assert!(cx.ilp_enabled(true));
-        assert!(!cx.ilp_enabled(false));
     }
 
     #[test]

@@ -110,6 +110,21 @@ fn solve_and_store(
     frame
 }
 
+/// Whether an instance spec carries a `path=` parameter, on either side
+/// of its ` @ `. The `mmio` source reads that file on the daemon's host
+/// for whoever asks (and echoes a bad header line back, or reads a device
+/// until memory runs out), so the daemon refuses such a spec before
+/// anything is opened. Every key the spec grammar accepts is found here,
+/// and a few it rejects besides.
+fn names_a_file(spec: &str) -> bool {
+    spec.split(['?', '&']).any(|param| {
+        param
+            .split('=')
+            .next()
+            .is_some_and(|key| key.trim() == "path")
+    })
+}
+
 pub(super) fn handle_solve(
     shared: &Shared,
     registry: &Registry,
@@ -122,6 +137,13 @@ pub(super) fn handle_solve(
     let Some(spec) = req.instance.as_deref() else {
         return Frame::error(id, codes::MISSING_FIELD, "solve requires \"instance\"");
     };
+    if names_a_file(spec) {
+        return Frame::error(
+            id,
+            codes::BAD_SPEC,
+            "instance specs with a path= parameter are not served: the daemon reads no files for clients",
+        );
+    }
     let sched_raw = req.sched.as_deref().unwrap_or(&shared.cfg.default_sched);
     let sched_key = match shared.sched_key(req.sched.as_deref()) {
         Ok(k) => k,

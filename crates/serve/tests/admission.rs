@@ -214,3 +214,42 @@ fn a_request_seed_names_another_instance_of_one_raw_spec() {
     assert_eq!(client.stats().unwrap().jobs_done, 2);
     handle.shutdown();
 }
+
+#[test]
+fn an_instance_spec_that_names_a_file_is_refused_unread() {
+    // A file whose first line is not a MatrixMarket header: reading it
+    // for a client used to echo that line back in the `bad_spec` message.
+    const MARKER: &str = "SECRET-FIRST-LINE-4711";
+    let path = std::env::temp_dir().join(format!("bsp-serve-admission-{}.mtx", std::process::id()));
+    std::fs::write(&path, format!("{MARKER}\n1 1 1\n1 1\n")).unwrap();
+    let handle = slow_job_server(1);
+
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut buf = Vec::new();
+    let mut exchange = |req: &Request| {
+        writer.write_all((to_line(req) + "\n").as_bytes()).unwrap();
+        match read_line_capped(&mut reader, 1 << 20, &mut buf).unwrap() {
+            LineRead::Line(l) => l.into_owned(),
+            other => panic!("expected a frame line, got {other:?}"),
+        }
+    };
+
+    let spec = format!("mmio?path={} @ bsp?p=4", path.display());
+    let line = exchange(&solve_request(1, &spec));
+    std::fs::remove_file(&path).unwrap();
+    assert!(!line.contains(MARKER), "the file leaked: {line}");
+    let frame: Frame = parse_line(&line).unwrap();
+    assert_eq!(frame.error.as_deref(), Some(codes::BAD_SPEC), "{line}");
+
+    // The embedded sample still builds, and the daemon is still up.
+    let frame: Frame = parse_line(&exchange(&solve_request(2, "mmio @ bsp?p=4"))).unwrap();
+    assert_eq!((frame.kind.as_str(), frame.error), ("result", None));
+    let frame: Frame = parse_line(&exchange(&Request::new("ping"))).unwrap();
+    assert_eq!(frame.kind, "pong");
+    handle.shutdown();
+}

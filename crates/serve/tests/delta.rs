@@ -7,7 +7,8 @@
 //!   strictly cheaper in wall-clock than the cold solve that filled the
 //!   cache, at equal-or-better cost than its repaired start.
 
-use bsp_core::pipeline::PipelineConfig;
+use bsp_core::pipeline::{solve_base_pipeline, PipelineConfig};
+use bsp_core::schedulers::solve_pipeline;
 use bsp_core::{solve_warm_pipeline, warm_start_from_map};
 use bsp_dag::random::{random_layered_dag, LayeredConfig};
 use bsp_dag::{Dag, NodeId};
@@ -16,7 +17,6 @@ use bsp_model::BspParams;
 use bsp_schedule::cost::{lazy_cost, total_cost};
 use bsp_schedule::solve::{SolveCx, SolveRequest};
 use bsp_schedule::validity::validate;
-use bsp_schedule::Scheduler;
 use proptest::prelude::*;
 
 fn fast_cfg() -> PipelineConfig {
@@ -82,9 +82,10 @@ proptest! {
             LayeredConfig { layers: 4, width: 5, edge_prob: 0.35, ..Default::default() },
         );
         let machine = BspParams::new(p, 2, 4);
-        let base = bsp_core::BasePipeline { cfg: fast_cfg() }
-            .solve(&SolveRequest::new(&dag, &machine))
-            .result;
+        let base = solve_pipeline("pipeline/base", &SolveRequest::new(&dag, &machine), |cx| {
+            solve_base_pipeline(&dag, &machine, &fast_cfg(), cx)
+        })
+        .result;
 
         // Assemble an applicable edit list: try both edits, then each
         // alone, then a guaranteed-applicable re-weight.

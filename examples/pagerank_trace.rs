@@ -36,9 +36,10 @@ fn main() {
 
     // Schedule the extracted DAG on an 8-processor NUMA machine.
     let machine = BspParams::new(8, 1, 5).with_numa(NumaTopology::binary_tree(8, 2));
-    let mut cfg = PipelineConfig::default();
-    cfg.enable_ilp = false;
-    let out = bsp_sched::core::BasePipeline { cfg }.solve(&SolveRequest::new(&dag, &machine));
+    let pipeline = Registry::standard()
+        .get("pipeline/base?ilp=off")
+        .expect("registered");
+    let out = pipeline.solve(&SolveRequest::new(&dag, &machine));
     println!(
         "scheduled into {} supersteps at cost {} (best init {}, after HC {})",
         out.result.sched.n_supersteps(),

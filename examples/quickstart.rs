@@ -28,7 +28,8 @@ fn main() {
     let machine = BspParams::new(4, 1, 2);
 
     // The paper's Figure-3 pipeline; every stage reports the cost it left.
-    let pipeline = bsp_sched::core::BasePipeline::default();
+    let registry = Registry::standard();
+    let pipeline = registry.get("pipeline/base").expect("registered");
     let outcome = pipeline.solve(&SolveRequest::new(&dag, &machine));
     let result = &outcome.result;
 
@@ -67,7 +68,6 @@ fn main() {
     // initializers, and pipelines behind the one `Scheduler::solve` API.
     println!();
     println!("the full suite, via Registry::standard() (ILP stages off):");
-    let registry = Registry::standard();
     let fast = PipelineConfig {
         enable_ilp: false,
         ..PipelineConfig::default()

@@ -33,6 +33,9 @@ fn main() {
             .total()
     };
 
+    let ours = registry
+        .get_with("pipeline/base", &cfg)
+        .expect("registered");
     for (name, dag) in [
         ("spmv (1 multiplication)", spmv_dag(&pattern)),
         ("exp  (A^4 u, 4 chained spmv)", exp_dag(&pattern, 4)),
@@ -45,7 +48,6 @@ fn main() {
         let etf = baseline("etf", &dag);
         let dsc = baseline("dsc", &dag);
 
-        let ours = bsp_sched::core::BasePipeline { cfg: cfg.clone() };
         let out = ours.solve(&SolveRequest::new(&dag, &machine));
 
         println!("  Cilk   : {cilk}");

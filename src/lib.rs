@@ -70,7 +70,7 @@ pub fn instances() -> bsp_instance::InstanceRegistry {
 pub mod prelude {
     pub use crate::registry::{Registry, RegistryEntry};
     pub use bsp_core::auto::{AutoConfig, Strategy};
-    pub use bsp_core::memrepair::{repair_memory, MemoryRepairScheduler, RepairReport};
+    pub use bsp_core::memrepair::{repair_memory, RepairReport};
     pub use bsp_core::pipeline::{PipelineConfig, PipelineResult};
     pub use bsp_dag::{Dag, DagBuilder};
     pub use bsp_instance::{

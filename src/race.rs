@@ -34,7 +34,7 @@
 //! assert!(out.stages.last().unwrap().stage.starts_with("race:"));
 //! ```
 
-use bsp_schedule::scheduler::{Scheduler, SchedulerKind, SharedScheduler};
+use bsp_schedule::scheduler::{Scheduler, SharedScheduler};
 use bsp_schedule::solve::{Budget, CancelToken, SolveOutcome, SolveRequest, StageReport};
 use std::time::Instant;
 
@@ -75,10 +75,6 @@ impl RaceScheduler {
 impl Scheduler for RaceScheduler {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Pipeline
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {

@@ -12,6 +12,13 @@
 //! to [`Registry::standard`]. Every scheduler has exactly one name;
 //! variants (`numa=on`, `mem=on`) are parameters, never second entries.
 //!
+//! The entries are the schedulers: a factory receives its descriptor's
+//! name and the parsed spec, and builds this module's one [`Scheduler`]
+//! type from that name and a closure over the configuration it parsed,
+//! around the algorithm's plain function (`etf_bsp`,
+//! `solve_base_pipeline`, …). `mem=on` is a post-step of that type, not a
+//! wrapper around it.
+//!
 //! ```
 //! use bsp_sched::prelude::*;
 //!
@@ -31,20 +38,32 @@
 //! }
 //! ```
 
-use bsp_baselines::{BlestScheduler, CilkScheduler, DscScheduler, EtfScheduler, HDaggScheduler};
-use bsp_core::auto::AutoConfig;
-use bsp_core::memrepair::MemoryRepairScheduler;
+use bsp_baselines::{
+    blest_bsp, blest_bsp_numa_aware, cilk_bsp, dsc_bsp, etf_bsp, etf_bsp_numa_aware,
+    hdagg_schedule, HDaggConfig,
+};
+use bsp_core::auto::{solve_auto, AutoConfig};
+use bsp_core::init::{bspg::bspg_schedule, source::source_schedule};
+use bsp_core::memrepair::repair_outcome;
 use bsp_core::multilevel::MultilevelConfig;
-use bsp_core::pipeline::PipelineConfig;
+use bsp_core::pipeline::{
+    solve_base_pipeline, solve_multilevel_pipeline, PipelineConfig, PipelineResult,
+};
+use bsp_core::schedulers::solve_pipeline;
 use bsp_core::tabu::TabuConfig;
-use bsp_core::{AutoScheduler, BasePipeline, BspgInit, MultilevelPipeline, SourceInit};
-use bsp_schedule::scheduler::{Scheduler, SchedulerKind, SharedScheduler};
+use bsp_dag::Dag;
+use bsp_model::BspParams;
+use bsp_schedule::scheduler::{ScheduleResult, Scheduler, SchedulerKind, SharedScheduler};
+use bsp_schedule::solve::{solve_single_stage, SolveCx, SolveOutcome, SolveRequest};
 use bsp_schedule::spec::{SchedulerDescriptor, SchedulerSpec, SpecError};
+use bsp_schedule::BspSchedule;
 use std::time::Duration;
 
-/// Builds one configured scheduler from a parsed spec. The base
-/// `PipelineConfig` seeds the pipeline entries; spec parameters override it.
-type Factory = fn(&SchedulerSpec, &PipelineConfig) -> Result<SharedScheduler, SpecError>;
+/// Builds one configured scheduler from its descriptor's name and a parsed
+/// spec. The base `PipelineConfig` seeds the pipeline entries; spec
+/// parameters override it.
+type Factory =
+    fn(&'static str, &SchedulerSpec, &PipelineConfig) -> Result<SharedScheduler, SpecError>;
 
 /// One registry row: static metadata plus a factory.
 pub struct RegistryEntry {
@@ -66,7 +85,7 @@ impl RegistryEntry {
         base: &PipelineConfig,
     ) -> Result<SharedScheduler, SpecError> {
         spec.deny_unknown(self.descriptor.name, self.descriptor.params)?;
-        (self.factory)(spec, base)
+        (self.factory)(self.descriptor.name, spec, base)
     }
 
     /// Builds the entry's default configuration (a bare-name spec).
@@ -196,20 +215,99 @@ const PIPELINE_PARAMS: &[&str] = &[
     "mem",
 ];
 
-/// Applies the shared `mem=on` switch: wrap the scheduler in the
-/// feasibility repair pass, which on memory-bounded machines appends a
-/// `mem-repair` stage and re-costs the result under the residency
-/// simulator (no-op on unbounded machines and when `mem` is off).
-fn with_mem_repair<S: Scheduler + Send + Sync + 'static>(
-    spec: &SchedulerSpec,
-    name: &'static str,
-    inner: S,
-) -> Result<SharedScheduler, SpecError> {
-    Ok(if spec.bool_param("mem")?.unwrap_or(false) {
-        Box::new(MemoryRepairScheduler::new(name, inner))
-    } else {
-        Box::new(inner)
+/// What a registry scheduler does with a request, given the name it
+/// answers to.
+type Body = Box<dyn Fn(&str, &SolveRequest<'_>) -> SolveOutcome + Send + Sync>;
+
+/// The one scheduler type every factory builds: the name it answers to,
+/// the body that solves, and whether the `mem=on` repair follows.
+struct Built {
+    name: String,
+    mem_repair: bool,
+    body: Body,
+}
+
+impl Scheduler for Built {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn solve(&self, req: &SolveRequest<'_>) -> SolveOutcome {
+        let out = (self.body)(&self.name, req);
+        if self.mem_repair {
+            repair_outcome(&self.name, req, out)
+        } else {
+            out
+        }
+    }
+}
+
+/// Boxes a [`Built`] answering to `name`.
+fn built(
+    name: impl Into<String>,
+    mem_repair: bool,
+    body: impl Fn(&str, &SolveRequest<'_>) -> SolveOutcome + Send + Sync + 'static,
+) -> SharedScheduler {
+    Box::new(Built {
+        name: name.into(),
+        mem_repair,
+        body: Box::new(body),
     })
+}
+
+/// A baseline or stand-alone initializer: `assign` produces only an
+/// assignment, costed under its lazy Γ as the paper evaluates them, in one
+/// `"run"` stage.
+fn single_stage(
+    name: impl Into<String>,
+    mem_repair: bool,
+    assign: impl Fn(&SolveRequest<'_>) -> BspSchedule + Send + Sync + 'static,
+) -> SharedScheduler {
+    built(name, mem_repair, move |name, req| {
+        solve_single_stage(name, req, || {
+            ScheduleResult::from_lazy(req.dag, req.machine, assign(req))
+        })
+    })
+}
+
+/// A pipeline, which returns its own optimized communication schedule.
+fn pipeline(
+    name: &'static str,
+    spec: &SchedulerSpec,
+    run: impl Fn(&Dag, &BspParams, &mut SolveCx<'_>) -> PipelineResult + Send + Sync + 'static,
+) -> Result<SharedScheduler, SpecError> {
+    let mem_repair = mem_on(spec)?;
+    Ok(built(name, mem_repair, move |name, req| {
+        solve_pipeline(name, req, |cx| run(req.dag, req.machine, cx))
+    }))
+}
+
+/// A list baseline with its `numa` and `mem` switches. `numa=on` shows in
+/// the name, except under `mem=on`, which answers to the bare name.
+fn list_baseline(
+    name: &'static str,
+    spec: &SchedulerSpec,
+    plain: fn(&Dag, &BspParams) -> BspSchedule,
+    numa_aware: fn(&Dag, &BspParams) -> BspSchedule,
+) -> Result<SharedScheduler, SpecError> {
+    let numa = spec.bool_param("numa")?.unwrap_or(false);
+    let mem_repair = mem_on(spec)?;
+    let list = if numa { numa_aware } else { plain };
+    let name = if numa && !mem_repair {
+        format!("{name}?numa=on")
+    } else {
+        name.to_string()
+    };
+    Ok(single_stage(name, mem_repair, move |req| {
+        list(req.dag, req.machine)
+    }))
+}
+
+/// The shared `mem=on` switch: the feasibility repair post-step, which on
+/// memory-bounded machines appends a `mem-repair` stage and re-costs the
+/// result under the residency simulator (a no-op on unbounded machines).
+fn mem_on(spec: &SchedulerSpec) -> Result<bool, SpecError> {
+    Ok(spec.bool_param("mem")?.unwrap_or(false))
 }
 
 /// Applies the shared pipeline parameters to a copy of `base`.
@@ -262,9 +360,14 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &["seed"],
                 summary: "Cilk work-stealing baseline (deterministic steal stream)",
             },
-            factory: |spec, _| {
+            factory: |name, spec, _| {
+                // Steal victims come from a deterministic stream. The
+                // request seed shifts (not replaces) the configured one,
+                // so seed 0, the default, reproduces the historical tables.
                 let seed = spec.u64_param("seed")?.unwrap_or(42);
-                Ok(Box::new(CilkScheduler { seed }))
+                Ok(single_stage(name, false, move |req| {
+                    cilk_bsp(req.dag, req.machine, seed.wrapping_add(req.seed))
+                }))
             },
         },
         RegistryEntry {
@@ -280,9 +383,8 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &["numa", "mem"],
                 summary: "BL-EST list scheduling (numa=on: per-pair λ EST, A.1; mem=on: memory feasibility repair)",
             },
-            factory: |spec, _| {
-                let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                with_mem_repair(spec, "bl-est", BlestScheduler { numa_aware })
+            factory: |name, spec, _| {
+                list_baseline(name, spec, blest_bsp, blest_bsp_numa_aware)
             },
         },
         RegistryEntry {
@@ -295,10 +397,7 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &["numa", "mem"],
                 summary: "ETF list scheduling (numa=on: per-pair λ EST, A.1; mem=on: memory feasibility repair)",
             },
-            factory: |spec, _| {
-                let numa_aware = spec.bool_param("numa")?.unwrap_or(false);
-                with_mem_repair(spec, "etf", EtfScheduler { numa_aware })
-            },
+            factory: |name, spec, _| list_baseline(name, spec, etf_bsp, etf_bsp_numa_aware),
         },
         RegistryEntry {
             descriptor: SchedulerDescriptor {
@@ -310,7 +409,11 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &[],
                 summary: "HDagg wavefront aggregation baseline",
             },
-            factory: |_, _| Ok(Box::new(HDaggScheduler::default())),
+            factory: |name, _, _| {
+                Ok(single_stage(name, false, |req| {
+                    hdagg_schedule(req.dag, req.machine, HDaggConfig::default())
+                }))
+            },
         },
         RegistryEntry {
             descriptor: SchedulerDescriptor {
@@ -322,7 +425,9 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &[],
                 summary: "Dominant Sequence Clustering baseline",
             },
-            factory: |_, _| Ok(Box::new(DscScheduler)),
+            factory: |name, _, _| {
+                Ok(single_stage(name, false, |req| dsc_bsp(req.dag, req.machine)))
+            },
         },
         RegistryEntry {
             descriptor: SchedulerDescriptor {
@@ -334,7 +439,11 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &[],
                 summary: "BSP-tailored greedy initializer (Algorithm 1), stand-alone",
             },
-            factory: |_, _| Ok(Box::new(BspgInit)),
+            factory: |name, _, _| {
+                Ok(single_stage(name, false, |req| {
+                    bspg_schedule(req.dag, req.machine)
+                }))
+            },
         },
         RegistryEntry {
             descriptor: SchedulerDescriptor {
@@ -346,7 +455,11 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: &[],
                 summary: "wavefront initializer (Algorithm 2), stand-alone",
             },
-            factory: |_, _| Ok(Box::new(SourceInit)),
+            factory: |name, _, _| {
+                Ok(single_stage(name, false, |req| {
+                    source_schedule(req.dag, req.machine)
+                }))
+            },
         },
         RegistryEntry {
             descriptor: SchedulerDescriptor {
@@ -358,11 +471,11 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 params: PIPELINE_PARAMS,
                 summary: "Figure-3 pipeline: init → HC/HCcs → ILP stages",
             },
-            factory: |spec, base| {
-                let inner = BasePipeline {
-                    cfg: pipeline_cfg(spec, base)?,
-                };
-                with_mem_repair(spec, "pipeline/base", inner)
+            factory: |name, spec, base| {
+                let cfg = pipeline_cfg(spec, base)?;
+                pipeline(name, spec, move |dag, machine, cx| {
+                    solve_base_pipeline(dag, machine, &cfg, cx)
+                })
             },
         },
         RegistryEntry {
@@ -386,7 +499,7 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 ],
                 summary: "Figure-4 pipeline: coarsen → solve → uncoarsen-refine",
             },
-            factory: |spec, base| {
+            factory: |name, spec, base| {
                 let mut ml = MultilevelConfig::default();
                 if let Some(r) = spec.f64_param("ratio")? {
                     if !(0.0..=1.0).contains(&r) {
@@ -398,11 +511,10 @@ fn standard_entries() -> Vec<RegistryEntry> {
                     }
                     ml.ratios = vec![r];
                 }
-                let inner = MultilevelPipeline {
-                    cfg: pipeline_cfg(spec, base)?,
-                    ml,
-                };
-                with_mem_repair(spec, "pipeline/multilevel", inner)
+                let cfg = pipeline_cfg(spec, base)?;
+                pipeline(name, spec, move |dag, machine, cx| {
+                    solve_multilevel_pipeline(dag, machine, &cfg, &ml, cx)
+                })
             },
         },
         RegistryEntry {
@@ -427,7 +539,7 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 ],
                 summary: "CCR-driven selector between the base and multilevel pipelines",
             },
-            factory: |spec, base| {
+            factory: |name, spec, base| {
                 let mut auto = AutoConfig::default();
                 if let Some(lo) = spec.f64_param("ccr_lo")? {
                     auto.ccr_lo = lo;
@@ -435,11 +547,10 @@ fn standard_entries() -> Vec<RegistryEntry> {
                 if let Some(hi) = spec.f64_param("ccr_hi")? {
                     auto.ccr_hi = hi;
                 }
-                let inner = AutoScheduler {
-                    cfg: pipeline_cfg(spec, base)?,
-                    auto,
-                };
-                with_mem_repair(spec, "auto", inner)
+                let cfg = pipeline_cfg(spec, base)?;
+                pipeline(name, spec, move |dag, machine, cx| {
+                    solve_auto(dag, machine, &cfg, &auto, cx).0
+                })
             },
         },
     ]

@@ -67,7 +67,6 @@ proptest! {
         // …and `get` builds a scheduler reporting the descriptor's identity.
         let built = registry.get_with(&spec, &fast_cfg()).expect("spec builds");
         prop_assert_eq!(built.name(), descriptor.name);
-        prop_assert_eq!(built.kind(), descriptor.kind);
         // The built scheduler's name is itself a spec addressing the entry.
         let name_spec = SchedulerSpec::parse(built.name()).expect("names are specs");
         prop_assert_eq!(name_spec.name(), descriptor.name);
