@@ -2,9 +2,8 @@
 //! event-driven rewrite of `bsp_baselines::list`: every pick rescans all
 //! `n` nodes for the ready ones (and ETF recomputes `best_proc` for each),
 //! Θ(n²) overall. Kept only as the reference the heap-driven schedulers
-//! must match bit for bit — `tests/list_equivalence.rs` proptests it, the
-//! `baselines/list_scaling` bench asserts it before timing. Shares no code
-//! with the production `ListState`.
+//! must match bit for bit (`tests/list_equivalence.rs` proptests it).
+//! Shares no code with the production `ListState`.
 
 use bsp_baselines::CommModel;
 use bsp_dag::topo::{bottom_level, TopoInfo};

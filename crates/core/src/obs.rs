@@ -2,7 +2,7 @@
 //!
 //! The hot loops (probe scans, greedy sweeps) tally into locals and
 //! flush once per scan/call with a single relaxed `fetch_add`, so the
-//! counters cost nothing measurable (the `obs_overhead` bench guards
+//! counters cost nothing measurable (the `obs_overhead` test guards
 //! this). Exposed series: `bsp_ls_probes_total` (gain-kernel probes of
 //! the one full-neighbourhood scan, `crate::hc::best_admissible`),
 //! `bsp_ls_scans_total` (its scans: every steepest-descent round and every

@@ -1,8 +1,8 @@
 //! The hill-climbing loop of `bsp_core::hc` without its exact filters —
 //! the reference the production sweep must reproduce move for move
 //! (`proptests.rs`), and the "work-only rise test", "without the move
-//! floor" and "without certificates" sides of the
-//! `local_search/hc_converge` bench, which `#[path]`-includes this file.
+//! floor" and "without certificates" climbs `local_search.rs` holds the
+//! production climb to.
 
 use bsp_core::state::{ProbeScratch, ScheduleState};
 use bsp_dag::NodeId;
@@ -35,7 +35,7 @@ pub fn hill_climb_reference(
 /// floor: `may_improve`, then failure certificates (voided on entry,
 /// issued after every scan that found nothing), every remaining
 /// candidate probed. Runs to a local minimum from floor 0.
-#[allow(dead_code)] // the bench's; the proptests use the plain loop
+#[allow(dead_code)] // `local_search.rs`'s; the proptests use the plain loop
 pub fn hill_climb_certified(st: &mut ScheduleState<'_>) -> ReferenceClimb {
     st.void_certificates();
     climb(st, usize::MAX, 0, |st, v| st.may_improve(v), true, false)
@@ -44,7 +44,7 @@ pub fn hill_climb_certified(st: &mut ScheduleState<'_>) -> ReferenceClimb {
 /// [`hill_climb_certified`] with the work-only candidate test in place of
 /// the move floor: a candidate is not probed when `target_rise > 0` and
 /// `target_rise ≥ gain_bound`.
-#[allow(dead_code)] // the bench's
+#[allow(dead_code)] // `local_search.rs`'s
 pub fn hill_climb_rise_bounded(st: &mut ScheduleState<'_>) -> ReferenceClimb {
     st.void_certificates();
     climb(st, usize::MAX, 0, |st, v| st.may_improve(v), true, true)

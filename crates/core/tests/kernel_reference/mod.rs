@@ -5,15 +5,11 @@
 //! [`bsp_core::state::ScheduleState`]: per-(node, processor) `BTreeMap`
 //! multisets for the consumer steps, and candidate evaluation by a full
 //! `apply_move` + revert pair (allocating scratch `Vec`s on every move).
-//! It is *not* used by any scheduler. It exists for two reasons:
-//!
-//! 1. **Differential testing** — `proptests.rs` and
-//!    `kernel_equivalence.rs` assert that the flat probe-based
-//!    kernel makes bit-identical decisions and produces bit-identical
-//!    costs to this implementation on every instance they generate.
-//! 2. **Benchmark baseline** — the `local_search` criterion group
-//!    (which `#[path]`-includes this file) times the probe kernel
-//!    against [`best_move_apply_revert`] on the same scans.
+//! It is *not* used by any scheduler. It exists for differential
+//! testing: `proptests.rs` and `kernel_equivalence.rs` assert that the
+//! flat probe-based kernel makes bit-identical decisions and produces
+//! bit-identical costs to this implementation on every instance they
+//! generate.
 
 #![allow(dead_code)]
 

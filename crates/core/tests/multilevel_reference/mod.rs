@@ -6,9 +6,9 @@
 //! union-find: O(L²) contractions for a log of length L. Coarsening asked
 //! the unbounded `is_contractable` about every live edge at every refresh.
 //! Both left production for their cost and stay here for being obviously
-//! right: the tests and the `multilevel_scaling` bench hold the journaled
-//! walk and the order-bounded candidate search to them, stage by stage and
-//! entry by entry. The function bodies are the production code of that
+//! right: `multilevel_walk.rs` holds the journaled walk and the
+//! order-bounded candidate search to them, stage by stage and entry by
+//! entry. The function bodies are the production code of that
 //! commit (the search reads the graph through `MutableDag`'s accessors,
 //! so nothing here depends on the order `MutableDag` now maintains).
 

@@ -1,11 +1,9 @@
 //! The online scheduler of the commit before the append-only re-plan,
 //! kept as the reference the production scheduler is tested against
-//! (`tests/equivalence.rs`). `push`, `flush`, `replan`, `advance_frontier`
-//! and `finalize` are that commit's, verbatim but for one call-site
-//! adaptation to a signature this change moved: `solve_warm_suffix`
-//! takes the state it used to build inside.
-
-#![allow(dead_code)]
+//! (`tests/equivalence.rs`). `push`, `replan`, `advance_frontier` and
+//! `finalize` are that commit's, verbatim but for one call-site adaptation
+//! to a signature this change moved: `solve_warm_suffix` takes the state
+//! it used to build inside. Accessors nothing reads are left out.
 
 use bsp_core::hccs::optimize_comm_schedule;
 use bsp_core::{
@@ -101,21 +99,6 @@ impl RefScheduler {
         self.frontier
     }
 
-    /// The machine this stream schedules onto.
-    pub fn machine(&self) -> &BspParams {
-        &self.machine
-    }
-
-    /// Session counters so far.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Whether `Finalize` has been processed.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// The final result, once finalized.
     pub fn outcome(&self) -> Option<&OnlineOutcome> {
         self.outcome.as_ref()
@@ -205,18 +188,6 @@ impl RefScheduler {
                 Ok(report)
             }
         }
-    }
-
-    /// Forces a re-plan of the buffered events (no-op when nothing is
-    /// buffered).
-    pub fn flush(&mut self) -> Result<Option<BatchReport>, OnlineError> {
-        if self.poisoned {
-            return Err(OnlineError::Poisoned);
-        }
-        if self.pending.edits.is_empty() {
-            return Ok(None);
-        }
-        self.replan().map(Some)
     }
 
     /// Integrates the pending batch and re-optimizes the suffix under the

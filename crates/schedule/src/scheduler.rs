@@ -4,7 +4,7 @@
 //! baselines, DSC clustering, the paper's initialization heuristics, the
 //! Figure-3 and Figure-4 pipelines, and the CCR-driven auto-selector — is
 //! reached through this one trait, so harnesses (the experiment runner,
-//! the criterion benches, the examples, the daemon) iterate a single
+//! the repo benchmark, the examples, the daemon) iterate a single
 //! registry instead of hand-wiring each algorithm. The registry itself —
 //! `Registry`, with spec-string lookup — lives in the `bsp-sched` façade
 //! crate, the only crate that can see every algorithm. Its entries are

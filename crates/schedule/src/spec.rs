@@ -4,8 +4,8 @@
 //! A spec is `name` or `name?key=value&key=value`, e.g. `"etf?numa=on"` or
 //! `"pipeline/base?ilp=off&hc_iters=200"`. Names may contain letters,
 //! digits, `/`, `-`, `_` and `.`; keys are identifiers; values are any
-//! `&`-free text. The experiments CLI, the criterion benches and the
-//! examples all select schedulers through this grammar (via
+//! `&`-free text. The experiments CLI, the daemon, the repo benchmark and
+//! the examples all select schedulers through this grammar (via
 //! `bsp_sched::Registry`), and `bsp_faults::FaultPlan` reads its
 //! `faults?…` plans through it, so one parser — this module — defines it.
 //!

@@ -54,11 +54,9 @@
 //!   wins over a field error, and of the field errors the first field in
 //!   declaration order is reported (`field "id": …`, `missing field
 //!   "method"`).
-//! - **One intended difference:** arrays and objects nested deeper than
-//!   [`MAX_DEPTH`] are refused (`nesting deeper than 128 at byte …`),
-//!   where the reference recursed until the stack ran out. Nested spans
-//!   reach `serde::json` only after the reader accepted them, so the cap
-//!   bounds its recursion too.
+//! - **Depth:** arrays and objects nested deeper than [`MAX_DEPTH`] are
+//!   refused (`nesting deeper than 128 at byte …`), at the same byte and
+//!   in the same words as the vendored parser's own cap.
 
 use bsp_instance::trace::ArrivalEvent;
 use bsp_instance::DagEdit;
@@ -73,9 +71,10 @@ mod codec;
 pub const MAX_LINE: usize = 1 << 20;
 
 /// Deepest nesting of arrays and objects a line may hold, the top-level
-/// object included. Deeper lines are [`codes::BAD_JSON`]: a 20 KB line of
-/// brackets must not overflow a connection thread's stack.
-pub const MAX_DEPTH: usize = 128;
+/// object included: the vendored parser's cap. Deeper lines are
+/// [`codes::BAD_JSON`]: a 20 KB line of brackets must not overflow a
+/// connection thread's stack.
+pub const MAX_DEPTH: usize = serde::json::MAX_DEPTH;
 
 /// Typed error codes carried in the `error` field of error frames.
 pub mod codes {

@@ -8,9 +8,9 @@
 //! the same byte offsets. The field codecs ([`num`], [`flag`], [`text`],
 //! [`ids`], [`nested`]) convert one scanned value the way the vendored
 //! `Deserialize` impls convert a `Value`, with the same error text, and
-//! write it the way `serde::json::to_string` prints it. The one exception
-//! is depth: nesting past [`MAX_DEPTH`] fails here, however deep the
-//! vendored parser would have recursed.
+//! write it the way `serde::json::to_string` prints it. Nesting past
+//! [`MAX_DEPTH`] fails as the vendored parser's does, at the first
+//! bracket past the cap.
 
 use super::MAX_DEPTH;
 use serde::Error as SerdeError;

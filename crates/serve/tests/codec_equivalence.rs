@@ -550,14 +550,16 @@ fn nesting_reads_alike_up_to_the_cap_and_is_refused_past_it() {
     let at_cap = nested("\"method\":\"ping\"", MAX_DEPTH);
     assert_eq!(parse_line::<Request>(&at_cap).unwrap().method, "ping");
 
-    // The one intended divergence: the reference reads any depth its
-    // stack allows, the codec refuses the first bracket past the cap.
-    // `{"method":"ping","x":` is 21 bytes, so the k-th `[` is byte 20 + k.
+    // Past the cap both refuse the first bracket beyond it, in the same
+    // words. `{"method":"ping","x":` is 21 bytes, so the k-th `[` is
+    // byte 20 + k.
     let past = nested("\"method\":\"ping\"", MAX_DEPTH + 1);
-    assert!(reference::parse_line::<Request>(&past).is_ok());
+    assert_same_reading(&past);
     let want = format!("nesting deeper than {MAX_DEPTH} at byte {}", 20 + MAX_DEPTH);
     assert_eq!(parse_line::<Request>(&past).unwrap_err().to_string(), want);
     let deep = nested("\"method\":\"ping\"", 10_001);
     assert_eq!(parse_line::<Request>(&deep).unwrap_err().to_string(), want);
+    assert_same_reading(&deep);
     assert!(parse_line::<Request>(&in_edits(MAX_DEPTH + 1)).is_err());
+    assert_same_reading(&in_edits(MAX_DEPTH + 1));
 }

@@ -4,7 +4,8 @@
 //! served is bit-identical to an entry that was saved, and anything the
 //! checksums reject lands in the `.corrupt` quarantine file.
 
-use bsp_serve::cache::{CachedResult, ResultStore};
+use bsp_instance::{io, Instance};
+use bsp_serve::cache::{fnv64, CachedResult, ResultStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -155,4 +156,35 @@ proptest! {
         assert_served_subset(&reloaded, &originals);
         cleanup(&path);
     }
+}
+
+/// A v2 line whose length and checksum hold but whose body nests 10⁵
+/// brackets is quarantined like any other bad line: the JSON parser
+/// refuses it past 128 levels instead of recursing off the end of the
+/// stack, and every other entry loads. The instance reader refuses the
+/// same text.
+#[test]
+fn a_deeply_nested_entry_is_quarantined_and_the_rest_served() {
+    let path = scratch("deep", 0, 0);
+    cleanup(&path);
+    let (mut store, originals) = build_store(3, 7);
+    store.save(&path).expect("save a clean store");
+
+    let k = 100_000;
+    let body = format!("{{\"instance\":{}{}}}", "[".repeat(k), "]".repeat(k));
+    let line = format!("{} {:016x} {body}\n", body.len(), fnv64(body.as_bytes()));
+    let text = std::fs::read_to_string(&path).expect("read saved store") + &line;
+    std::fs::write(&path, text).expect("append the deep line");
+
+    let loaded = ResultStore::load(&path).expect("a deep line must not abort the load");
+    assert_eq!((loaded.stats().len, loaded.stats().corrupt), (3, 1));
+    assert_served_subset(&loaded, &originals);
+    let quarantined = std::fs::read_to_string(format!("{}.corrupt", path.display()))
+        .expect("the deep line is quarantined");
+    assert!(quarantined.ends_with(&format!("{body}\n")));
+    cleanup(&path);
+
+    let err = io::from_json::<Instance>(&body).unwrap_err().to_string();
+    assert_eq!(err, "nesting deeper than 128 at byte 139");
+    assert!(io::from_jsonl::<Instance>(&body).is_err());
 }

@@ -8,10 +8,15 @@
 //! the stage is accept-if-better, so a faster LP engine may lower them and
 //! must never raise them. The second test is the engine's own contract on
 //! the same rows: every branch-and-bound node past the root is re-solved
-//! from the search's one tableau, never cold.
+//! from the search's one tableau, never cold. The third holds a replayed
+//! search to cold solves and to the dense simplex the engine replaced.
+
+#[path = "../crates/ilp/tests/dense_reference/mod.rs"]
+mod dense_reference;
 
 use bsp_sched::core::ilp::window::{WindowIlp, WindowOptions};
-use bsp_sched::ilp::{solve_with_presolve, SolveLimits};
+use bsp_sched::ilp::simplex::solve_lp;
+use bsp_sched::ilp::{solve_with_presolve, LpStatus, LpWorkspace, Model, SolveLimits};
 use bsp_sched::prelude::*;
 use bsp_sched::schedule::compact::compact_lazy;
 use bsp_sched::schedule::validity::validate;
@@ -160,6 +165,98 @@ fn every_ilp_part_window_of_the_rows_re_solves_its_one_tableau() {
         branched * 2 > windows,
         "most windows branch past their root: {branched} of {windows}"
     );
+}
+
+const NODES: usize = 20;
+
+/// Depth-first search from `work` as `bsp_ilp::branch_bound` runs it, but
+/// with no incumbent, recording each visited node's model: they differ in
+/// bounds only, the un-fixing of every backtrack included.
+fn search(work: &mut Model, visited: &mut Vec<Model>) {
+    if visited.len() >= NODES {
+        return;
+    }
+    visited.push(work.clone());
+    let lp = solve_lp(work);
+    if lp.status != LpStatus::Optimal {
+        return;
+    }
+    let off = |x: f64| (x - x.round()).abs();
+    let Some(v) = work
+        .fractional_vars(&lp.x, 1e-6)
+        .into_iter()
+        .max_by(|a, b| off(lp.x[a.index()]).total_cmp(&off(lp.x[b.index()])))
+    else {
+        return;
+    };
+    let (lo, hi, val) = (work.lower(v), work.upper(v), lp.x[v.index()]);
+    let mut children = [(lo, val.floor()), (val.ceil(), hi)];
+    if val - val.floor() > val.ceil() - val {
+        children.swap(0, 1);
+    }
+    for (l, u) in children {
+        work.set_bounds(v, l, u);
+        search(work, visited);
+    }
+    work.set_bounds(v, lo, hi);
+}
+
+/// A search on a presolved window, replayed through one workspace (cold at
+/// the root, re-solved by dual simplex after), equals in status and
+/// objective a cold solve by the same engine and by the dense reference at
+/// every node; a dual ratio-test tie decided by round-off fails here. Every
+/// node past the root is re-solved or, past its work budget, solved cold,
+/// and most are answered from the kept tableau.
+fn replay_search(member: &str, (s1, s2): (u32, u32), vars: usize) {
+    let (inst, out) = solve(member, "pipeline/base?ilp=off&hc_ms=60000&hccs_ms=60000");
+    let sched = compact_lazy(&inst.dag, &out.result.sched);
+    let w = WindowIlp::build(&inst.dag, &inst.machine, &sched, s1, s2, Default::default());
+    let pre = bsp_sched::ilp::presolve(&w.model);
+    assert!(!pre.infeasible);
+    let mut root = pre.model;
+    assert_eq!(root.n_vars(), vars, "{member}: not the window named here");
+    let mut nodes = Vec::new();
+    search(&mut root, &mut nodes);
+    assert_eq!(nodes.len(), NODES, "{member}: the search ended early");
+
+    let mut ws = LpWorkspace::default();
+    for (k, node) in nodes.iter().enumerate() {
+        let warm = match k {
+            0 => ws.solve(node, None),
+            _ => ws.resolve(node, None),
+        };
+        for (how, cold) in [
+            ("cold", solve_lp(node)),
+            ("the dense reference", dense_reference::solve_lp(node)),
+        ] {
+            assert_eq!(warm.status, cold.status, "{member} node {k} vs {how}");
+            assert!(
+                cold.status != LpStatus::Optimal
+                    || (warm.objective - cold.objective).abs()
+                        <= 1e-6 * cold.objective.abs().max(1.0),
+                "{member} node {k}: re-solved {} vs {how} {}",
+                warm.objective,
+                cold.objective
+            );
+        }
+    }
+    let counts = ws.counts();
+    assert_eq!(counts.warm_resolves + counts.cold_fallbacks, NODES - 1);
+    assert!(
+        counts.warm_resolves > NODES / 2,
+        "{member}: most nodes re-solve from the kept tableau: {counts:?}"
+    );
+}
+
+/// The most expensive ILP call of `offline-refine`.
+#[test]
+fn a_search_on_a_443_variable_window_equals_cold_and_dense_solves() {
+    replay_search("fine/cg/wide/begin", (0, 0), 443);
+}
+
+#[test]
+fn a_search_on_a_248_variable_window_equals_cold_and_dense_solves() {
+    replay_search("coarse/pagerank/conv/8", (1, 2), 248);
 }
 
 /// A window whose LP tableau would pass [`bsp_sched::ilp::MAX_TABLEAU_ENTRIES`]
