@@ -5,10 +5,17 @@
 //! the first superstep computing a successor of `v` on `q` (the
 //! direct-from-source model). HCcs greedily moves single transfers to
 //! cheaper phases until no move improves the cost.
+//!
+//! [`CommState`] keeps the per-cell tallies [`step_tallies`] builds for
+//! [`bsp_schedule::cost::schedule_cost`], moves one transfer's send and
+//! receive volume between two phases, and re-costs those two rows as
+//! [`SuperstepCost`]s — the same rows `schedule_cost` reports for the
+//! [`CommState::comm_schedule`] it hands out.
 
 use bsp_dag::Dag;
 use bsp_model::BspParams;
 use bsp_schedule::comm::{required_transfers, Transfer};
+use bsp_schedule::cost::{step_tallies, StepTallies, SuperstepCost};
 use bsp_schedule::solve::Stop;
 use bsp_schedule::{BspSchedule, CommSchedule, CommStep};
 use std::time::Duration;
@@ -32,24 +39,35 @@ impl Default for CommHillClimbConfig {
     }
 }
 
-/// Incremental state for the communication-scheduling subproblem.
+/// Incremental state for the communication-scheduling subproblem: the
+/// transfers, their phases, and the [`StepTallies`] those phases and the
+/// fixed assignment give, kept up to date as transfers move.
 pub struct CommState<'a> {
     dag: &'a Dag,
     machine: &'a BspParams,
     transfers: Vec<Transfer>,
     /// Chosen phase per transfer.
     phase: Vec<u32>,
-    /// λ-weighted bytes sent per `[step][proc]`.
-    send: Vec<u64>,
-    recv: Vec<u64>,
-    comm_count: Vec<u32>,
-    /// Whether the superstep computes any node (fixed by the assignment).
-    has_work: Vec<bool>,
+    /// Per-superstep cells and counts; only the transfer side changes.
+    t: StepTallies,
     /// Max work per superstep (fixed).
     work_max: Vec<u64>,
+    /// `row(s).total(g)` per superstep, and their sum.
     step_cost: Vec<u64>,
     total: u64,
-    n_steps: usize,
+}
+
+/// The transfers placed in their phases, as communication-schedule entries.
+fn entries<'t>(
+    transfers: &'t [Transfer],
+    phase: &'t [u32],
+) -> impl Iterator<Item = CommStep> + Clone + 't {
+    transfers.iter().zip(phase).map(|(t, &step)| CommStep {
+        node: t.node,
+        from: t.from,
+        to: t.to,
+        step,
+    })
 }
 
 impl<'a> CommState<'a> {
@@ -59,55 +77,26 @@ impl<'a> CommState<'a> {
     pub fn new(dag: &'a Dag, machine: &'a BspParams, sched: &BspSchedule) -> Self {
         let transfers = required_transfers(dag, sched);
         let phase: Vec<u32> = transfers.iter().map(|t| t.latest).collect();
-        Self::with_phases(dag, machine, sched, transfers, phase)
-    }
-
-    fn with_phases(
-        dag: &'a Dag,
-        machine: &'a BspParams,
-        sched: &BspSchedule,
-        transfers: Vec<Transfer>,
-        phase: Vec<u32>,
-    ) -> Self {
-        let p = machine.p();
-        let comp_steps = sched.n_supersteps() as usize;
-        let comm_steps = phase.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
-        let n_steps = comp_steps.max(comm_steps).max(1);
+        let t = step_tallies(dag, machine, sched, entries(&transfers, &phase));
+        let work_max = t
+            .work
+            .chunks_exact(machine.p())
+            .map(|row| row.iter().copied().max().unwrap_or(0))
+            .collect();
         let mut st = CommState {
             dag,
             machine,
             transfers,
             phase,
-            send: vec![0; n_steps * p],
-            recv: vec![0; n_steps * p],
-            comm_count: vec![0; n_steps],
-            has_work: vec![false; n_steps],
-            work_max: vec![0; n_steps],
-            step_cost: vec![0; n_steps],
+            t,
+            work_max,
+            step_cost: Vec::new(),
             total: 0,
-            n_steps,
         };
-        let mut work = vec![0u64; n_steps * p];
-        for v in dag.nodes() {
-            let (q, s) = (sched.proc(v) as usize, sched.step(v) as usize);
-            work[s * p + q] += dag.work(v);
-            st.has_work[s] = true;
-        }
-        for s in 0..n_steps {
-            st.work_max[s] = work[s * p..(s + 1) * p].iter().copied().max().unwrap_or(0);
-        }
-        for i in 0..st.transfers.len() {
-            let t = st.transfers[i];
-            let s = st.phase[i] as usize;
-            let weighted = dag.comm(t.node) * machine.lambda(t.from as usize, t.to as usize);
-            st.send[s * p + t.from as usize] += weighted;
-            st.recv[s * p + t.to as usize] += weighted;
-            st.comm_count[s] += 1;
-        }
-        for s in 0..n_steps {
-            st.step_cost[s] = st.compute_step_cost(s);
-            st.total += st.step_cost[s];
-        }
+        st.step_cost = (0..st.t.n_steps)
+            .map(|s| st.row(s).total(machine.g()))
+            .collect();
+        st.total = st.step_cost.iter().sum();
         st
     }
 
@@ -118,23 +107,34 @@ impl<'a> CommState<'a> {
 
     /// Number of supersteps tracked (computation or communication).
     pub fn n_steps(&self) -> usize {
-        self.n_steps
+        self.t.n_steps
     }
 
-    /// Number of required transfers.
-    pub fn n_transfers(&self) -> usize {
-        self.transfers.len()
+    /// Superstep `s`'s cost components under the current phases; the
+    /// empty row past the last tracked superstep.
+    pub fn row(&self, s: usize) -> SuperstepCost {
+        if s < self.t.n_steps {
+            self.shifted_row(s, 0, 0, 0, 0)
+        } else {
+            SuperstepCost::default()
+        }
     }
 
-    fn compute_step_cost(&self, s: usize) -> u64 {
+    /// Row `s` with `d` more λ-weighted units sent by `from` and received
+    /// by `to`, and `dcount` more transfers. `O(P)`.
+    fn shifted_row(&self, s: usize, from: usize, to: usize, d: i64, dcount: i64) -> SuperstepCost {
         let p = self.machine.p();
         let row = s * p;
-        let c = (0..p)
-            .map(|q| self.send[row + q].max(self.recv[row + q]))
+        let hrel = (0..p)
+            .map(|q| {
+                let send = self.t.send[row + q] as i64 + if q == from { d } else { 0 };
+                let recv = self.t.recv[row + q] as i64 + if q == to { d } else { 0 };
+                send.max(recv) as u64
+            })
             .max()
             .unwrap_or(0);
-        let nonempty = self.has_work[s] || self.comm_count[s] > 0;
-        self.work_max[s] + self.machine.g() * c + if nonempty { self.machine.l() } else { 0 }
+        let nonempty = self.t.nodes_in_step[s] > 0 || self.t.comms_in_step[s] as i64 + dcount > 0;
+        SuperstepCost::new(self.work_max[s], hrel, nonempty, self.machine)
     }
 
     /// Computes the exact total-cost delta of moving transfer `i` to
@@ -149,75 +149,43 @@ impl<'a> CommState<'a> {
         if old == new {
             return 0;
         }
-        let p = self.machine.p();
         let weighted = self.dag.comm(t.node) * self.machine.lambda(t.from as usize, t.to as usize);
         let mut delta = 0i64;
         for (s, sign) in [(old, -1i64), (new, 1i64)] {
-            let row = s * p;
-            let dsendrow = sign * weighted as i64;
-            let c = (0..p)
-                .map(|q| {
-                    let mut send = self.send[row + q] as i64;
-                    let mut recv = self.recv[row + q] as i64;
-                    if q == t.from as usize {
-                        send += dsendrow;
-                    }
-                    if q == t.to as usize {
-                        recv += dsendrow;
-                    }
-                    send.max(recv) as u64
-                })
-                .max()
-                .unwrap_or(0);
-            let count = (self.comm_count[s] as i64 + sign) as u32;
-            let nonempty = self.has_work[s] || count > 0;
-            let new_cost = self.work_max[s]
-                + self.machine.g() * c
-                + if nonempty { self.machine.l() } else { 0 };
-            delta += new_cost as i64 - self.step_cost[s] as i64;
+            let d = sign * weighted as i64;
+            let row = self.shifted_row(s, t.from as usize, t.to as usize, d, sign);
+            delta += row.total(self.machine.g()) as i64 - self.step_cost[s] as i64;
         }
         delta
     }
 
-    /// Moves transfer `i` to `new_phase`, returning the new total cost.
-    fn apply(&mut self, i: usize, new_phase: u32) -> u64 {
+    /// Moves transfer `i` to `new_phase`.
+    fn apply(&mut self, i: usize, new_phase: u32) {
         let p = self.machine.p();
         let t = self.transfers[i];
         let old = self.phase[i] as usize;
         let new = new_phase as usize;
         if old == new {
-            return self.total;
+            return;
         }
         let weighted = self.dag.comm(t.node) * self.machine.lambda(t.from as usize, t.to as usize);
-        self.send[old * p + t.from as usize] -= weighted;
-        self.recv[old * p + t.to as usize] -= weighted;
-        self.comm_count[old] -= 1;
-        self.send[new * p + t.from as usize] += weighted;
-        self.recv[new * p + t.to as usize] += weighted;
-        self.comm_count[new] += 1;
+        self.t.send[old * p + t.from as usize] -= weighted;
+        self.t.recv[old * p + t.to as usize] -= weighted;
+        self.t.comms_in_step[old] -= 1;
+        self.t.send[new * p + t.from as usize] += weighted;
+        self.t.recv[new * p + t.to as usize] += weighted;
+        self.t.comms_in_step[new] += 1;
         self.phase[i] = new_phase;
         for s in [old, new] {
             self.total -= self.step_cost[s];
-            self.step_cost[s] = self.compute_step_cost(s);
+            self.step_cost[s] = self.row(s).total(self.machine.g());
             self.total += self.step_cost[s];
         }
-        self.total
     }
 
     /// Extracts the explicit communication schedule.
     pub fn comm_schedule(&self) -> CommSchedule {
-        CommSchedule::from_entries(
-            self.transfers
-                .iter()
-                .zip(&self.phase)
-                .map(|(t, &s)| CommStep {
-                    node: t.node,
-                    from: t.from,
-                    to: t.to,
-                    step: s,
-                })
-                .collect(),
-        )
+        CommSchedule::from_entries(entries(&self.transfers, &self.phase).collect())
     }
 }
 
@@ -323,7 +291,6 @@ mod tests {
         let machine = BspParams::new(2, 1, 1);
         let sched = BspSchedule::from_parts(vec![0, 0], vec![0, 1]);
         let mut st = CommState::new(&dag, &machine, &sched);
-        assert_eq!(st.n_transfers(), 0);
         assert_eq!(comm_hill_climb(&mut st, &mut Stop::new(None, None)), 0);
     }
 

@@ -519,15 +519,12 @@ impl WindowIlp {
             if self.model.upper(uid) < 0.5 {
                 continue; // fixed to 0
             }
-            let mut nonempty = false;
-            if s >= self.s1 {
-                nonempty |= self.v0.iter().any(|&v| sched.step(v) == s);
-            }
-            nonempty |= self
-                .comm
-                .iter()
-                .any(|(&(_, _, _, sp), &cm)| sp == s && x[cm.index()] > 0.5);
-            x[uid.index()] = if nonempty { 1.0 } else { 0.0 };
+            let used = (s >= self.s1 && self.v0.iter().any(|&v| sched.step(v) == s))
+                || self
+                    .comm
+                    .iter()
+                    .any(|(&(_, _, _, sp), &cm)| sp == s && x[cm.index()] > 0.5);
+            x[uid.index()] = if used { 1.0 } else { 0.0 };
         }
         x
     }

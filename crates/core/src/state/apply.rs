@@ -265,12 +265,9 @@ impl ScheduleState<'_> {
         );
         let m = &mut self.t.meta[s];
         let was = Hotness::of(m.refreshed_nodes, &m.wtop, &m.htop, p);
-        let nonempty = m.nodes > 0 || m.comm > 0;
-        m.cost = wt.vals[0]
-            + self.machine.g() * ht.vals[0]
-            + if nonempty { self.machine.l() } else { 0 };
         m.wtop = wt;
         m.htop = ht;
+        m.cost = m.row(self.machine).total(self.machine.g());
         m.refreshed_nodes = m.nodes;
         Hotness::of(m.nodes, &wt, &ht, p).gained(&was)
     }

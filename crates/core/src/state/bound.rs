@@ -5,9 +5,10 @@
 //! its own processor, the transfers it creates
 //! ([`ScheduleState::move_floor`]).
 
-use super::probe::{Deltas, RowEval};
+use super::probe::Deltas;
 use super::{ProbeScratch, ScheduleState, Slot};
 use bsp_dag::NodeId;
+use bsp_schedule::cost::SuperstepCost;
 use std::ops::ControlFlow;
 
 /// A fold over the cells a move of a node can decrement, as
@@ -69,7 +70,7 @@ impl DecrementFold for CanLower {
 pub(super) struct Fold {
     landed: Deltas,
     /// `floors[i]`: the row of entry `i` of `landed`.
-    floors: Vec<RowEval>,
+    floors: Vec<SuperstepCost>,
     bound: u64,
     /// The node and the state's clock the fold was taken at.
     of: Option<(NodeId, u64)>,
@@ -376,17 +377,7 @@ impl ScheduleState<'_> {
         let s = step as usize;
         let (floor, (dw, ds, dr)) = match f.landed.entry(step) {
             Some(i) => (f.floors[i], f.landed.cell(i, q)),
-            None => match self.t.meta.get(s) {
-                Some(m) => (
-                    RowEval {
-                        work: m.wtop.vals[0],
-                        hrel: m.htop.vals[0],
-                        nonempty: m.nodes > 0 || m.comm > 0,
-                    },
-                    (0, 0, 0),
-                ),
-                None => (RowEval::default(), (0, 0, 0)),
-            },
+            None => (self.row(s), (0, 0, 0)),
         };
         let p = self.machine.p();
         let cell = self
@@ -399,7 +390,7 @@ impl ScheduleState<'_> {
         let w = at(cell.work, dw) + work;
         let h = (at(cell.send, ds) + send).max(at(cell.recv, dr) + recv);
         w.saturating_sub(floor.work)
-            + self.machine.g() * h.saturating_sub(floor.hrel)
-            + if floor.nonempty { 0 } else { self.machine.l() }
+            + self.machine.g() * h.saturating_sub(floor.comm)
+            + (self.machine.l() - floor.latency)
     }
 }

@@ -11,8 +11,14 @@
 //!
 //! # Flat data layout
 //!
-//! The per-superstep tables (`work`, `send`, `recv`, per-step node and
-//! transfer counts, cached step costs) are flat `S·P` arrays. The consumer
+//! The per-superstep tables are flat: one interleaved work / send / receive
+//! slot per `(superstep, processor)`, and per superstep its node and
+//! transfer counts, cached top-`K` row maxima and cached step cost. A row
+//! is costed in one place, [`SuperstepCost`]: [`ScheduleState::row`] reads
+//! it off the cached maxima and counts, the refresh after a move caches
+//! its `total`, and a probe re-costs each touched row as one — the same
+//! rows [`bsp_schedule::cost::schedule_cost`] reports for the snapshot's
+//! lazy schedule, comparable superstep by superstep. The consumer
 //! multisets — for every node `v` and processor `q`, the supersteps at which
 //! `v`'s value is needed on `q`, whose minimum determines the lazy transfer
 //! phase — are a single CSR arena: `cons[cons_off[v]..cons_off[v+1]]` holds
@@ -111,6 +117,7 @@
 use awake::Awake;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
+use bsp_schedule::cost::SuperstepCost;
 use bsp_schedule::BspSchedule;
 use std::sync::Mutex;
 
@@ -208,7 +215,7 @@ struct Slot {
 /// row maxima for work and the h-relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StepMeta {
-    /// Cached `Cwork + g·Ccomm + ℓ·[nonempty]` of this superstep.
+    /// Cached `row().total(g)` of this superstep.
     cost: u64,
     /// Nodes computed in this superstep.
     nodes: u32,
@@ -230,6 +237,13 @@ impl StepMeta {
         wtop: TopK::EMPTY,
         htop: TopK::EMPTY,
     };
+
+    /// The row the cached maxima and counts describe.
+    #[inline]
+    fn row(&self, machine: &BspParams) -> SuperstepCost {
+        let nonempty = self.nodes > 0 || self.comm > 0;
+        SuperstepCost::new(self.wtop.vals[0], self.htop.vals[0], nonempty, machine)
+    }
 }
 /// Everything a [`ScheduleState`] stores that borrows neither the DAG nor
 /// the machine: the assignment, the per-superstep tables, the consumer
@@ -392,6 +406,15 @@ impl<'a> ScheduleState<'a> {
     /// Number of allocated supersteps (including possibly empty ones).
     pub fn n_steps(&self) -> usize {
         self.t.n_steps
+    }
+
+    /// Superstep `s`'s cost components as the tables cache them; the
+    /// empty row past the allocated ones.
+    pub fn row(&self, s: usize) -> SuperstepCost {
+        self.t
+            .meta
+            .get(s)
+            .map_or(SuperstepCost::default(), |m| m.row(self.machine))
     }
 
     /// Snapshot of the current assignment.

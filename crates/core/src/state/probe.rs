@@ -1,10 +1,11 @@
 //! The read-only probe: the scratch a candidate move's deltas accumulate
-//! in, the probe itself, and the row evaluation that turns those deltas
-//! into an exact cost delta.
+//! in, the probe itself, and the row evaluation that re-costs each touched
+//! row as a [`SuperstepCost`] and sums the rows into an exact cost delta.
 
 use super::bound::Fold;
 use super::{ScheduleState, Slot, StepMeta};
 use bsp_dag::NodeId;
+use bsp_schedule::cost::SuperstepCost;
 
 /// One superstep touched by a set of deltas: net count deltas plus the
 /// head of its linked list of per-processor cell deltas.
@@ -179,16 +180,6 @@ impl Deltas {
 pub(super) struct Rescan {
     row: Vec<(u32, i64, i64, i64)>,
     epoch: u32,
-}
-
-/// A superstep row as [`ScheduleState::eval_rows`] re-costs it under a
-/// set of deltas: its work and h-relation maxima, and whether it computes
-/// or carries anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct RowEval {
-    pub(super) work: u64,
-    pub(super) hrel: u64,
-    pub(super) nonempty: bool,
 }
 
 /// Reusable scratch for [`ScheduleState::probe_move`]: the deltas of the
@@ -411,10 +402,9 @@ impl ScheduleState<'_> {
         &self,
         d: &Deltas,
         rescan: &mut Rescan,
-        mut each: impl FnMut(RowEval),
+        mut each: impl FnMut(SuperstepCost),
     ) -> i64 {
         let p = self.machine.p();
-        let (g, l) = (self.machine.g(), self.machine.l());
         let mut delta = 0i64;
         for ei in 0..d.steps.len() {
             let e = d.steps[ei];
@@ -468,13 +458,9 @@ impl ScheduleState<'_> {
                 None => self.rescan_adjusted(d, rescan, e.head, in_range, row, true),
             };
             let nonempty = m.nodes as i64 + e.dnodes > 0 || m.comm as i64 + e.dcomm > 0;
-            let new_cost = w_max + g * c_max + if nonempty { l } else { 0 };
-            delta += new_cost as i64 - m.cost as i64;
-            each(RowEval {
-                work: w_max,
-                hrel: c_max,
-                nonempty,
-            });
+            let row = SuperstepCost::new(w_max, c_max, nonempty, self.machine);
+            delta += row.total(self.machine.g()) as i64 - m.cost as i64;
+            each(row);
         }
         delta
     }

@@ -10,7 +10,7 @@ mod hc_reference;
 mod kernel_reference;
 
 use bsp_core::hc::{best_admissible, hill_climb, hill_climb_from};
-use bsp_core::hccs::optimize_comm_schedule;
+use bsp_core::hccs::{comm_hill_climb, optimize_comm_schedule, CommState};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
 use bsp_core::state::{ProbeScratch, ProcWindow, ScheduleState};
@@ -19,10 +19,10 @@ use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::is_topological_order;
 use bsp_dag::{Dag, DagBuilder, NodeId, TopoInfo};
 use bsp_model::{BspParams, NumaTopology};
-use bsp_schedule::cost::{lazy_cost, total_cost};
+use bsp_schedule::cost::{lazy_cost, schedule_cost, total_cost, CostBreakdown, SuperstepCost};
 use bsp_schedule::solve::{SolveCx, SolveRequest, Stop};
 use bsp_schedule::validity::{validate, validate_lazy};
-use bsp_schedule::BspSchedule;
+use bsp_schedule::{BspSchedule, CommSchedule};
 use hc_reference::hill_climb_reference;
 use kernel_reference::RefScheduleState;
 use proptest::prelude::*;
@@ -59,6 +59,24 @@ fn arb_machine() -> impl Strategy<Value = BspParams> {
 fn arb_erdos_dag() -> impl Strategy<Value = Dag> {
     (0u64..400, 2usize..28, 0.02f64..0.4)
         .prop_map(|(seed, n, q)| random_order_dag(seed, n, q, 7, 5))
+}
+
+/// An incremental state's rows against a full evaluation's, superstep by
+/// superstep, up to one past the longer of the two; a superstep past the
+/// breakdown's end must read as the empty row.
+fn rows_match(
+    row: impl Fn(usize) -> SuperstepCost,
+    n_steps: usize,
+    full: &CostBreakdown,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for s in 0..=n_steps.max(full.per_step.len()) {
+        let (got, want) = (row(s), full.per_step.get(s).copied().unwrap_or_default());
+        prop_assert!(
+            got == want,
+            "superstep {s}: kept {got:?}, recomputed {want:?}"
+        );
+    }
+    Ok(())
 }
 
 fn random_valid_assignment(dag: &Dag, p: u32, seed: u64) -> BspSchedule {
@@ -638,7 +656,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The heart of HC: incremental cost == full re-evaluation after any
-    /// sequence of random valid moves (applied AND reverted).
+    /// sequence of random valid moves (applied AND reverted), in total and
+    /// row by row.
     #[test]
     fn incremental_cost_matches_full_recompute(
         dag in arb_dag(),
@@ -670,6 +689,9 @@ proptest! {
         }
         prop_assert_eq!(st.cost(), st.recomputed_cost());
         prop_assert!(validate_lazy(&dag, machine.p(), &st.snapshot()).is_ok());
+        let sched = st.snapshot();
+        let full = schedule_cost(&dag, &machine, &sched, &CommSchedule::lazy(&dag, &sched));
+        rows_match(|s| st.row(s), st.n_steps(), &full)?;
     }
 
     /// The probe contract on layered DAGs:
@@ -854,7 +876,8 @@ proptest! {
         prop_assert!(validate_lazy(&dag, machine.p(), &b).is_ok());
     }
 
-    /// HCcs: the explicit Γ it returns is valid and costs no more than lazy.
+    /// HCcs: the explicit Γ it returns is valid, costs no more than lazy,
+    /// and its state's rows are the rows of that Γ.
     #[test]
     fn hccs_valid_and_never_worse_than_lazy(
         dag in arb_dag(),
@@ -866,6 +889,11 @@ proptest! {
         prop_assert!(validate(&dag, machine.p(), &sched, &comm).is_ok());
         prop_assert_eq!(cost, total_cost(&dag, &machine, &sched, &comm));
         prop_assert!(cost <= lazy_cost(&dag, &machine, &sched));
+        let mut st = CommState::new(&dag, &machine, &sched);
+        comm_hill_climb(&mut st, &mut Stop::new(None, Some(300)));
+        prop_assert_eq!(st.comm_schedule(), comm);
+        let full = schedule_cost(&dag, &machine, &sched, &comm);
+        rows_match(|s| st.row(s), st.n_steps(), &full)?;
     }
 
     /// Coarsening invariants: acyclic at every prefix, weights conserved.

@@ -103,24 +103,6 @@ impl CommSchedule {
     pub fn max_step(&self) -> Option<u32> {
         self.entries.iter().map(|e| e.step).max()
     }
-
-    /// Replaces the superstep of one entry, keeping the schedule sorted.
-    /// Returns false if `old` was not present.
-    pub fn reschedule(&mut self, old: CommStep, new_step: u32) -> bool {
-        match self.entries.binary_search(&old) {
-            Ok(i) => {
-                self.entries.remove(i);
-                let updated = CommStep {
-                    step: new_step,
-                    ..old
-                };
-                let pos = self.entries.binary_search(&updated).unwrap_or_else(|e| e);
-                self.entries.insert(pos, updated);
-                true
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 /// A *required transfer* under the direct-from-source model used by HCcs and
@@ -247,20 +229,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn reschedule_moves_entry() {
-        let e = CommStep {
-            node: 0,
-            from: 0,
-            to: 1,
-            step: 3,
-        };
-        let mut c = CommSchedule::from_entries(vec![e]);
-        assert!(c.reschedule(e, 1));
-        assert_eq!(c.entries()[0].step, 1);
-        assert!(!c.reschedule(e, 2)); // old entry gone
     }
 
     #[test]

@@ -11,15 +11,22 @@
 //! [`crate::compact`]ion this equals the paper's per-superstep charge, and it
 //! lets local search claim the ℓ saving the moment it empties a superstep.
 //!
+//! [`SuperstepCost::total`] is the one place that formula is computed.
+//! [`schedule_cost`] and the `bsp-core` crate's incremental states —
+//! `ScheduleState` (lazy communication) and `CommState` (explicit phases,
+//! tallied by [`step_tallies`] here) — all build a [`SuperstepCost`] per
+//! row and ask it, so their rows compare one by one, and a disagreement
+//! names its superstep rather than hiding in a total.
+//!
 //! The functions here re-evaluate a whole schedule from scratch in
 //! `O(n + m + S·P)`; they are the ground truth the incremental machinery is
 //! tested against. Local search never calls them per candidate move: the
-//! `bsp-core` crate's `ScheduleState` maintains this exact cost
-//! incrementally and exposes an allocation-free, read-only
-//! `probe_move(v, q, s)` that returns the delta of a single-node move in
-//! `O(degree)` — bit-for-bit equal to applying the move and subtracting.
+//! `ScheduleState` maintains this exact cost incrementally and exposes an
+//! allocation-free, read-only `probe_move(v, q, s)` that returns the delta
+//! of a single-node move in `O(degree)` — bit-for-bit equal to applying the
+//! move and subtracting.
 
-use crate::comm::CommSchedule;
+use crate::comm::{CommSchedule, CommStep};
 use crate::schedule::BspSchedule;
 use bsp_dag::Dag;
 use bsp_model::BspParams;
@@ -44,7 +51,21 @@ pub struct SuperstepCost {
 }
 
 impl SuperstepCost {
+    /// The row of a superstep whose busiest processor works `work` and
+    /// whose h-relation maximum is `hrel`, charged `ℓ` if it computes or
+    /// carries anything (`nonempty`); no re-fetch.
+    #[inline]
+    pub fn new(work: u64, hrel: u64, nonempty: bool, machine: &BspParams) -> Self {
+        SuperstepCost {
+            work,
+            comm: hrel,
+            refetch: 0,
+            latency: if nonempty { machine.l() } else { 0 },
+        }
+    }
+
     /// `Cwork + g·(Ccomm + refetch) + latency` for the machine's `g`.
+    #[inline]
     pub fn total(&self, g: u64) -> u64 {
         self.work + g * (self.comm + self.refetch) + self.latency
     }
@@ -71,8 +92,12 @@ pub struct CostBreakdown {
 /// Per-(superstep, processor) tallies of a schedule — the intermediate
 /// representation [`schedule_cost`] folds into a [`CostBreakdown`], shared
 /// with the memory-bounded evaluation in [`crate::memory`] (which adds
-/// re-fetch traffic on top before taking the h-relation maxima).
-pub(crate) struct StepTallies {
+/// re-fetch traffic on top before taking the h-relation maxima) and kept
+/// up to date by the `bsp-core` crate's HCcs state as it moves transfers.
+#[derive(Debug)]
+pub struct StepTallies {
+    /// Supersteps tallied: past the last computing one and the last phase
+    /// carrying a transfer.
     pub n_steps: usize,
     /// `work[s*P + q]`: work of processor `q` in superstep `s`.
     pub work: Vec<u64>,
@@ -80,19 +105,23 @@ pub(crate) struct StepTallies {
     pub send: Vec<u64>,
     /// λ-weighted units received per `[step][proc]`.
     pub recv: Vec<u64>,
+    /// Nodes computed per superstep.
     pub nodes_in_step: Vec<u32>,
+    /// Transfers carried per communication phase.
     pub comms_in_step: Vec<u32>,
 }
 
-pub(crate) fn step_tallies(
+/// Tallies the assignment `sched` with the transfers `comm` (each in the
+/// phase its `step` names) on `machine`, in `O(n + |comm| + S·P)`.
+pub fn step_tallies(
     dag: &Dag,
     machine: &BspParams,
     sched: &BspSchedule,
-    comm: &CommSchedule,
+    comm: impl Iterator<Item = CommStep> + Clone,
 ) -> StepTallies {
     let p = machine.p();
     let comp_steps = sched.n_supersteps();
-    let comm_steps = comm.max_step().map_or(0, |s| s + 1);
+    let comm_steps = comm.clone().map(|e| e.step + 1).max().unwrap_or(0);
     let n_steps = comp_steps.max(comm_steps) as usize;
 
     let mut work = vec![0u64; n_steps * p];
@@ -104,7 +133,7 @@ pub(crate) fn step_tallies(
     let mut send = vec![0u64; n_steps * p];
     let mut recv = vec![0u64; n_steps * p];
     let mut comms_in_step = vec![0u32; n_steps];
-    for e in comm.entries() {
+    for e in comm {
         let weighted = dag.comm(e.node) * machine.lambda(e.from as usize, e.to as usize);
         send[e.step as usize * p + e.from as usize] += weighted;
         recv[e.step as usize * p + e.to as usize] += weighted;
@@ -150,18 +179,15 @@ pub(crate) fn breakdown_from_tallies(
             }
         };
         let nonempty = t.nodes_in_step[s] > 0 || t.comms_in_step[s] > 0 || has_refetch;
-        let latency = if nonempty { machine.l() } else { 0 };
         let sc = SuperstepCost {
-            work: w,
-            comm: c,
             refetch,
-            latency,
+            ..SuperstepCost::new(w, c, nonempty, machine)
         };
         total += sc.total(machine.g());
         work_total += w;
         comm_total += machine.g() * c;
         refetch_total += machine.g() * refetch;
-        latency_total += latency;
+        latency_total += sc.latency;
         per_step.push(sc);
     }
     CostBreakdown {
@@ -185,7 +211,8 @@ pub fn schedule_cost(
     sched: &BspSchedule,
     comm: &CommSchedule,
 ) -> CostBreakdown {
-    breakdown_from_tallies(machine, &step_tallies(dag, machine, sched, comm), None)
+    let tallies = step_tallies(dag, machine, sched, comm.entries().iter().copied());
+    breakdown_from_tallies(machine, &tallies, None)
 }
 
 /// Total cost only (convenience wrapper around [`schedule_cost`]).

@@ -310,7 +310,7 @@ pub fn memory_cost(
         return schedule_cost(dag, machine, sched, comm);
     }
     let report = simulate_memory(dag, machine, sched, comm);
-    let tallies = step_tallies(dag, machine, sched, comm);
+    let tallies = step_tallies(dag, machine, sched, comm.entries().iter().copied());
     breakdown_from_tallies(
         machine,
         &tallies,

@@ -125,8 +125,8 @@ pub(super) fn worker_loop(shared: Arc<Shared>) {
                 codes::DEADLINE_SHED,
                 "deadline expired while the job was queued",
             );
-            answer_job(&shared, &job, &frame);
             shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+            answer_job(&shared, &job, &frame);
             continue;
         }
         shared.metrics.inflight.inc();
@@ -163,8 +163,10 @@ pub(super) fn worker_loop(shared: Arc<Shared>) {
                 )
             }
         };
-        answer_job(&shared, &job, &frame);
+        // Counted before the answer goes out: a client that asks for
+        // `stats` once it has its answer sees the job done.
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+        answer_job(&shared, &job, &frame);
         shared.metrics.inflight.dec();
         shared.metrics.record(job.method, began);
     }
