@@ -9,7 +9,12 @@
 //! the read-only [`ScheduleState::probe_move_in`] gain kernel, in one
 //! [`ProbeScratch`] the run borrows from the state (no lock per probe, no
 //! warm-up allocation per run); the state is mutated only for accepted
-//! moves.
+//! moves. The scratch also holds the visited node's *view*: its
+//! predecessors' processors and bucket minima, recorded by the walk the
+//! node's gain bound makes anyway, once per visit. Every floor and probe
+//! of the visit reads the minima there, in `O(1)` per predecessor, instead
+//! of looking them up in the consumer slices per candidate; a move
+//! advances the state's clock, which the view is keyed by.
 //!
 //! A sweep costs what can still move. It visits only the *awake* nodes
 //! ([`ScheduleState::is_awake`]), in ascending id, a bitset word at a
@@ -470,12 +475,12 @@ mod tests {
         // back to h = 2: floor −3 + 1 + 2 = 0, and so is the probe. Its
         // work rise alone (1 < 3) would have probed it.
         assert_eq!(st.target_rise(2, 1, 1), 1);
-        assert_eq!(st.move_floor(&sc, 2, 1, 1), 0);
+        assert_eq!(st.move_floor(&mut sc, 2, 1, 1), 0);
         assert_eq!(st.probe_move(2, 1, 1), 0);
         // (p1, 2) likewise lands u's transfer in row 1: floor 0. (p0, 2)
         // creates no transfer (floor −2) and is probed: 0.
-        assert_eq!(st.move_floor(&sc, 2, 1, 2), 0);
-        assert_eq!(st.move_floor(&sc, 2, 0, 2), -2);
+        assert_eq!(st.move_floor(&mut sc, 2, 1, 2), 0);
+        assert_eq!(st.move_floor(&mut sc, 2, 0, 2), -2);
         let mut visits = Visits::default();
         assert!(!try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
         let counts = (visits.bound_skips, visits.floor_skips, visits.probes);
@@ -492,7 +497,7 @@ mod tests {
         let mut sc = ProbeScratch::default();
         let gain = st.gain_bound(&mut sc, 2) as i64;
         assert_eq!(st.target_rise(2, 1, 1) as i64 - gain, -2);
-        assert_eq!(st.move_floor(&sc, 2, 1, 1), 1);
+        assert_eq!(st.move_floor(&mut sc, 2, 1, 1), 1);
         assert_eq!(st.probe_move(2, 1, 1), 1);
         let mut visits = Visits::default();
         assert!(!try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
@@ -504,7 +509,7 @@ mod tests {
         let (dag, machine, sched) = receive_instance(1);
         let mut st = ScheduleState::new(&dag, &machine, &sched);
         st.gain_bound(&mut sc, 2);
-        assert_eq!(st.move_floor(&sc, 2, 1, 1), -1);
+        assert_eq!(st.move_floor(&mut sc, 2, 1, 1), -1);
         let mut visits = Visits::default();
         assert!(try_improve_node(&mut st, &mut sc, 2, 2, 0, &mut visits));
         assert_eq!((st.proc(2), st.step(2)), (1, 1));

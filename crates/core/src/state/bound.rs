@@ -6,6 +6,7 @@
 //! ([`ScheduleState::move_floor`]).
 
 use super::probe::Deltas;
+use super::view::View;
 use super::{ProbeScratch, ScheduleState, Slot};
 use bsp_dag::NodeId;
 use bsp_schedule::cost::SuperstepCost;
@@ -15,17 +16,26 @@ use std::ops::ControlFlow;
 /// [`ScheduleState::decrements`] enumerates them: `work` once for the
 /// node's own work cell and node count, then `transfer` per existing lazy
 /// transfer of `producer`'s value the move may remove, re-source or pull
-/// forward. Breaking stops the enumeration.
-trait DecrementFold {
-    fn work(&mut self, st: &ScheduleState<'_>, step: u32, proc: u32, w: u64) -> ControlFlow<()>;
+/// forward. Breaking stops the enumeration. On the way, `pred` hears of
+/// each predecessor `k` (in `dag.predecessors` order) and `bucket` of each
+/// of its buckets on another processor `q`, which spans `cons[at..end]`:
+/// what the [`View`] records.
+pub(super) trait DecrementFold {
+    fn work(&mut self, _: &ScheduleState<'_>, _step: u32, _proc: u32, _w: u64) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
     fn transfer(
         &mut self,
-        st: &ScheduleState<'_>,
-        producer: NodeId,
-        phase: u32,
-        src: u32,
-        dst: u32,
-    ) -> ControlFlow<()>;
+        _: &ScheduleState<'_>,
+        _producer: NodeId,
+        _phase: u32,
+        _src: u32,
+        _dst: u32,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+    fn pred(&mut self, _k: usize, _pu: u32) {}
+    fn bucket(&mut self, _: &ScheduleState<'_>, _k: usize, _q: u32, _at: usize, _end: usize) {}
 }
 
 /// [`ScheduleState::may_improve`]'s fold: breaks at the first decrement
@@ -72,8 +82,8 @@ pub(super) struct Fold {
     /// `floors[i]`: the row of entry `i` of `landed`.
     floors: Vec<SuperstepCost>,
     bound: u64,
-    /// The node and the state's clock the fold was taken at.
-    of: Option<(NodeId, u64)>,
+    /// The tables, the node and the clock the fold was taken at.
+    of: Option<(u64, NodeId, u64)>,
 }
 
 /// The cells on the target processor `q` a candidate move must raise,
@@ -102,14 +112,24 @@ impl Raises {
 }
 
 /// [`ScheduleState::gain_bound`]'s fold: lands every decrement, at full
-/// volume, in one set of deltas.
-struct AllLanded<'s>(&'s mut Deltas);
+/// volume, in one set of deltas, and fills the node's view on the way.
+struct AllLanded<'s>(&'s mut Deltas, &'s mut View);
 
 impl DecrementFold for AllLanded<'_> {
     #[inline(always)]
     fn work(&mut self, _: &ScheduleState<'_>, step: u32, proc: u32, w: u64) -> ControlFlow<()> {
         self.0.work(step, proc, -(w as i64), -1);
         ControlFlow::Continue(())
+    }
+
+    #[inline(always)]
+    fn pred(&mut self, k: usize, pu: u32) {
+        self.1.pred(k, pu);
+    }
+
+    #[inline(always)]
+    fn bucket(&mut self, st: &ScheduleState<'_>, k: usize, q: u32, at: usize, end: usize) {
+        self.1.bucket(st, k, q, at, end);
     }
 
     #[inline(always)]
@@ -169,7 +189,7 @@ impl ScheduleState<'_> {
     ///    re-sources it (probe step 2), which lowers `π(v)`'s send cell
     ///    and — on NUMA machines, when the new source is closer — `q`'s
     ///    receive cell.
-    /// 3. *Consumer buckets (`pred_mins` remove / insert):* for a
+    /// 3. *Consumer buckets (probe step 3, remove / insert):* for a
     ///    predecessor `u` and a remote bucket `(q ≠ π(u), min step m)` of
     ///    `u` with either `q == π(v)` (taking `v` out of its own bucket,
     ///    or moving it earlier within it, may shift that bucket's minimum:
@@ -183,7 +203,7 @@ impl ScheduleState<'_> {
     /// distinct existing transfer, so the decrements of one cell sum to at
     /// most its value.
     #[inline]
-    fn decrements<F: DecrementFold>(&self, v: NodeId, fold: &mut F) -> ControlFlow<()> {
+    pub(super) fn decrements<F: DecrementFold>(&self, v: NodeId, fold: &mut F) -> ControlFlow<()> {
         let (pv, sv) = (self.t.sched.proc(v), self.t.sched.step(v));
         fold.work(self, sv, pv, self.dag.work(v))?;
         let (lo, hi) = self.cons_range(v);
@@ -195,17 +215,22 @@ impl ScheduleState<'_> {
                 fold.transfer(self, v, m - 1, pv, q)?;
             }
         }
-        for &u in self.dag.predecessors(v) {
+        for (k, &u) in self.dag.predecessors(v).iter().enumerate() {
             let (pu, su) = (self.t.sched.proc(u), self.t.sched.step(u));
+            fold.pred(k, pu);
             let earliest = sv.saturating_sub(1).max(su + 1);
             let (lo, hi) = self.cons_range(u);
             let mut i = lo;
             while i < hi {
                 let (q, m) = self.t.cons[i];
-                i = self.bucket_end(i, hi, q);
-                if q != pu && (q == pv || m > earliest) {
-                    fold.transfer(self, u, m - 1, pu, q)?;
+                let end = self.bucket_end(i, hi, q);
+                if q != pu {
+                    fold.bucket(self, k, q, i, end);
+                    if q == pv || m > earliest {
+                        fold.transfer(self, u, m - 1, pu, q)?;
+                    }
                 }
+                i = end;
             }
         }
         ControlFlow::Continue(())
@@ -257,17 +282,20 @@ impl ScheduleState<'_> {
     /// and its increments only raise cells, so no row ends below this.
     /// Zero whenever `may_improve(v)` is false. The landed decrements and
     /// the re-costed rows stay in `sc`, where probes leave them, for
-    /// [`ScheduleState::move_floor`]. `O(deg)`, allocation-free once `sc`
-    /// is warm, read-only.
+    /// [`ScheduleState::move_floor`]; the walk also fills `sc`'s view of
+    /// `v`, which the probes and floors of `v` then read. `O(deg)`,
+    /// allocation-free once `sc` is warm, read-only.
     pub fn gain_bound(&self, sc: &mut ProbeScratch, v: NodeId) -> u64 {
         let f = &mut sc.fold;
-        f.landed.clear();
+        f.landed.clear(self.machine.p(), self.t.n_steps);
         f.floors.clear();
-        let _ = self.decrements(v, &mut AllLanded(&mut f.landed));
-        let delta = self.eval_rows(&f.landed, &mut sc.rescan, |r| f.floors.push(r));
+        // A view that describes `v` already gets what it holds rewritten.
+        self.view_start(&mut sc.view, v);
+        let _ = self.decrements(v, &mut AllLanded(&mut f.landed, &mut sc.view));
+        let delta = self.eval_rows(&f.landed, |r| f.floors.push(r));
         debug_assert!(delta <= 0, "decrements raised the cost by {delta}");
         f.bound = delta.unsigned_abs();
-        f.of = Some((v, self.t.clock));
+        f.of = Some((self.t.id, v, self.t.clock));
         f.bound
     }
 
@@ -305,8 +333,10 @@ impl ScheduleState<'_> {
     /// a first-improvement scan may skip every candidate whose floor is
     /// `≥ 0`. `sc` must hold `v`'s fold — the last
     /// [`ScheduleState::gain_bound`]`(sc, v)` on the state as it is;
-    /// probes through `sc` in between leave it alone. `O(deg(v))`, no
-    /// allocation.
+    /// probes through `sc` in between leave it alone. `O(deg(v))`, the
+    /// receive rule reading the predecessors' bucket minima from `sc`'s
+    /// view of `v` (walked again only if a probe of another node took the
+    /// view over); no allocation.
     ///
     /// The fold landed every decrement any move of `v` can make, so each
     /// row it touched has a *floor* no move leaves it below, and the
@@ -329,11 +359,11 @@ impl ScheduleState<'_> {
     /// rows carries something. So a raised row ends at least at its floor
     /// with the raised cells so set, and the floor is `−gain_bound` plus
     /// what that lifts each raised row above its floor.
-    pub fn move_floor(&self, sc: &ProbeScratch, v: NodeId, q: u32, s: u32) -> i64 {
-        let f = &sc.fold;
+    pub fn move_floor(&self, sc: &mut ProbeScratch, v: NodeId, q: u32, s: u32) -> i64 {
+        let (f, view) = (&sc.fold, &mut sc.view);
         debug_assert_eq!(
             f.of,
-            Some((v, self.t.clock)),
+            Some((self.t.id, v, self.t.clock)),
             "no fold of {v} in the scratch"
         );
         let pv = self.t.sched.proc(v);
@@ -352,10 +382,11 @@ impl ScheduleState<'_> {
                     raises.add(m - 1, 0, self.weighted(v, q, b), 0);
                 }
             }
+            self.view(view, v);
             let mut recv = None;
-            for &u in self.dag.predecessors(v) {
-                let pu = self.t.sched.proc(u);
-                if pu != q && self.bucket_min(u, q).is_none_or(|m| m > s) {
+            for (k, &u) in self.dag.predecessors(v).iter().enumerate() {
+                let pu = view.proc(k);
+                if pu != q && view.min(k, q).is_none_or(|m| m > s) {
                     *recv.get_or_insert(0) += self.weighted(u, pu, q);
                 }
             }
@@ -376,7 +407,7 @@ impl ScheduleState<'_> {
     fn lift(&self, f: &Fold, q: u32, (step, work, send, recv): (u32, u64, u64, u64)) -> u64 {
         let s = step as usize;
         let (floor, (dw, ds, dr)) = match f.landed.entry(step) {
-            Some(i) => (f.floors[i], f.landed.cell(i, q)),
+            Some(i) => (f.floors[i], f.landed.cell(step, q)),
             None => (self.row(s), (0, 0, 0)),
         };
         let p = self.machine.p();

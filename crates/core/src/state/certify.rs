@@ -52,12 +52,13 @@ impl ScheduleState<'_> {
     /// * step 2 (producer re-sourcing) reads `v`'s consumer slice — stamp
     ///   of `v` — and, per bucket with earliest step `m`, row `m − 1`:
     ///   the rows `s − 1` over the entries `(·, s)` of `v`'s slice.
-    /// * step 3 (`pred_mins`, both halves) reads, per predecessor `u`,
-    ///   `π(u)` and `u`'s consumer slice — stamp of `u` — and moves a
-    ///   transfer between phases `m − 1`, where `m` is a bucket minimum
-    ///   `pred_mins` can return — the rows `s − 1` over the entries of
-    ///   `u`'s slice — or `s_new` itself: rows `τ(v) − 2 ..= τ(v)`.
-    /// * `eval_probe` / `rescan_adjusted` read slots, counts, cached
+    /// * step 3 (remove and insert halves) reads, per predecessor `u`,
+    ///   `π(u)` and `u`'s bucket minima — through the view, which a walk
+    ///   of `u`'s consumer slice fills: stamp of `u` — and moves a
+    ///   transfer between phases `m − 1`, where `m` is such a minimum —
+    ///   the rows `s − 1` over the entries of `u`'s slice — or `s_new`
+    ///   itself: rows `τ(v) − 2 ..= τ(v)`.
+    /// * `eval_rows` / `rescan_adjusted` read slots, counts, cached
     ///   maxima and cost of exactly the rows named above, and rows at or
     ///   beyond the table as empty.
     /// * `weighted`, `g`, `ℓ`, `λ` and the DAG never change.

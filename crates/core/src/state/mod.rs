@@ -38,13 +38,18 @@
 //! their capacity across calls; whole-neighbourhood scans bring their own
 //! [`ProbeScratch`] via [`ScheduleState::probe_move_in`] and skip the
 //! lock). A probe gathers the `O(deg)` changed
-//! `(superstep, processor)` cells, then re-derives each touched step's
-//! `max` work and h-relation from the cells plus cached top-`K` row maxima
-//! — `O(changed)` per step instead of the `O(P)` rescan `apply_move` pays,
-//! with an `O(P + changed)` fallback only when every cached top processor
-//! changed. Total: `O(deg)` expected, independent of `P`, versus
-//! `O(deg + t·P)` twice for an apply/revert pair (`t` = touched steps).
-//! The contract, enforced by proptests against the historical
+//! `(superstep, processor)` cells — each found in `O(1)` through an
+//! epoch-stamped `(step, processor)` index — then re-derives each touched
+//! step's `max` work and h-relation from the cells plus cached top-`K` row
+//! maxima: `O(changed)` per step instead of the `O(P)` rescan `apply_move`
+//! pays, with an `O(P)` fallback only when every cached top processor
+//! changed. The predecessors' bucket minima come from the scratch's
+//! *view* of `v` (`view`): one walk of their consumer slices per node and
+//! clock — a hill-climbing visit's gain bound, or a scan's first probe of
+//! the node — shared by all its candidates. Total: `O(deg)` per probe,
+//! independent of `P`, plus `O(Σ_{u ∈ pred(v)} outdeg(u))` once per node;
+//! versus `O(deg + t·P)` twice for an apply/revert pair (`t` = touched
+//! steps). The contract, enforced by proptests against the historical
 //! implementation (`tests/kernel_reference`), is
 //!
 //! ```text
@@ -70,7 +75,7 @@
 //! the predecessor values `q` now lacks.
 //! [`ScheduleState::target_rise`] is the work part alone;
 //! [`ScheduleState::move_floor`] lifts each raised row above its floor,
-//! cell by cell, so
+//! cell by cell — `O(deg(v))`, the receive rule reading the view — so
 //!
 //! ```text
 //! probe_move(v, q, s) ≥ move_floor(v, q, s) ≥ target_rise(v, q, s) − gain_bound(v)
@@ -109,8 +114,9 @@
 //! file per seam: `tables` (building and re-attaching the tables, the
 //! consumer arena, move validity), `apply` (applying moves, compaction,
 //! row refresh), `probe` (the read-only probe and its row evaluation),
-//! `certify` (stamps and failure certificates), `bound` (the
-//! enumeration of the cells a move can decrement, its folds, and the
+//! `view` (the bucket minima of a node's predecessors, gathered once per
+//! node and clock), `certify` (stamps and failure certificates), `bound`
+//! (the enumeration of the cells a move can decrement, its folds, and the
 //! candidate floors read off them) and `awake` (the awake set, the row
 //! hotness it is woken by, and why the wake rules are complete).
 
@@ -129,6 +135,7 @@ mod probe;
 mod tables;
 #[cfg(test)]
 mod tests;
+mod view;
 
 pub use probe::ProbeScratch;
 pub use tables::ProcWindow;
@@ -180,18 +187,18 @@ impl TopK {
         t
     }
 
-    /// Exact maximum over the processors *not* in `changed`, or `None` if
+    /// Exact maximum over the processors `changed` rejects, or `None` if
     /// every cached entry's processor changed (fallback must rescan).
     /// Correct because entries are descending: the first unchanged entry
     /// dominates all non-cached processors and every cached one below it.
     #[inline]
-    fn unchanged_max(&self, changed: &[u32]) -> Option<u64> {
+    fn unchanged_max(&self, changed: impl Fn(u32) -> bool) -> Option<u64> {
         for k in 0..TOP_K {
             if self.procs[k] == u32::MAX {
                 // Fewer than K processors exist; the rest of the row is empty.
                 return Some(0);
             }
-            if !changed.contains(&self.procs[k]) {
+            if !changed(self.procs[k]) {
                 return Some(self.vals[k]);
             }
         }
@@ -260,6 +267,10 @@ impl StepMeta {
 /// not compared.
 #[derive(Debug, Default)]
 pub struct ScheduleTables {
+    /// Distinct per [`ScheduleState::new`] in the process: with the
+    /// clock it names one state of one set of tables, which is what a
+    /// [`ProbeScratch`] keys what it keeps by.
+    id: u64,
     sched: BspSchedule,
     n_steps: usize,
     /// `slots[s*P + p]`: interleaved work / λ-weighted send / receive of

@@ -3,6 +3,7 @@
 //! row as a [`SuperstepCost`] and sums the rows into an exact cost delta.
 
 use super::bound::Fold;
+use super::view::View;
 use super::{ScheduleState, Slot, StepMeta};
 use bsp_dag::NodeId;
 use bsp_schedule::cost::SuperstepCost;
@@ -33,87 +34,107 @@ struct CellDelta {
 /// probed move's, or every decrement of one node landed at once
 /// ([`ScheduleState::gain_bound`]). Cleared (capacity retained) before
 /// each use, so filling it is allocation-free once the buffers have
-/// warmed up to the working degree. Both vectors stay tiny (at most
-/// `degree + 2` steps), so cell lookups are linear scans.
+/// warmed up to the working degree and the table's size.
 #[derive(Debug, Default)]
 pub(super) struct Deltas {
     steps: Vec<StepDelta>,
     cells: Vec<CellDelta>,
-    /// Epoch-stamped step → entry index so [`Deltas::step_entry`] is
-    /// `O(1)` even when a high-degree move touches many distinct phases:
-    /// `(epoch, index into steps)`, lazily sized to the largest step seen.
-    step_idx: Vec<(u32, u32)>,
-    sepoch: u32,
+    /// Epoch-stamped `(step · (P + 1) + proc)` index, so that finding a
+    /// step's entry or a cell is `O(1)` however many the deltas touch:
+    /// slot `proc < P` of a superstep holds `(epoch, index into cells)`,
+    /// slot `P` `(epoch, index into steps)`. Sized to the table's rows on
+    /// clear, grown past them on demand.
+    idx: Vec<(u32, u32)>,
+    stride: usize,
+    epoch: u32,
 }
 
 impl Deltas {
-    pub(super) fn clear(&mut self) {
+    /// Empties the deltas for a table of `rows` supersteps of `p` slots.
+    pub(super) fn clear(&mut self, p: usize, rows: usize) {
         self.steps.clear();
         self.cells.clear();
-        self.sepoch = self.sepoch.wrapping_add(1);
-        if self.sepoch == 0 {
-            self.step_idx.fill((0, 0));
-            self.sepoch = 1;
+        // Start at a typical move's size rather than double up to it.
+        self.steps.reserve(16);
+        self.cells.reserve(32);
+        self.stride = p + 1;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.idx.fill((0, 0));
+            self.epoch = 1;
+        }
+        if self.idx.len() < rows * self.stride {
+            self.idx.resize(rows * self.stride, (0, 0));
+        }
+    }
+
+    /// The index slot of processor `p` in superstep `s` (`p == P`: the
+    /// step's entry).
+    #[inline]
+    fn slot(&mut self, s: u32, p: usize) -> &mut (u32, u32) {
+        let i = s as usize * self.stride + p;
+        if i >= self.idx.len() {
+            self.idx.resize((s as usize + 1) * self.stride, (0, 0));
+        }
+        &mut self.idx[i]
+    }
+
+    /// What slot `(s, p)` indexes this epoch, if anything.
+    #[inline]
+    fn find(&self, s: u32, p: usize) -> Option<usize> {
+        match self.idx.get(s as usize * self.stride + p) {
+            Some(&(ep, i)) if ep == self.epoch => Some(i as usize),
+            _ => None,
         }
     }
 
     fn step_entry(&mut self, s: u32) -> usize {
-        let si = s as usize;
-        if si >= self.step_idx.len() {
-            self.step_idx.resize(si + 1, (0, 0));
+        let (epoch, next) = (self.epoch, self.steps.len());
+        let e = self.slot(s, self.stride - 1);
+        if e.0 == epoch {
+            return e.1 as usize;
         }
-        let (ep, idx) = self.step_idx[si];
-        if ep == self.sepoch {
-            return idx as usize;
-        }
+        *e = (epoch, next as u32);
         self.steps.push(StepDelta {
             step: s,
             dnodes: 0,
             dcomm: 0,
             head: u32::MAX,
         });
-        let idx = self.steps.len() - 1;
-        self.step_idx[si] = (self.sepoch, idx as u32);
-        idx
+        next
     }
 
     /// The entry of step `s`, if anything landed there: its position in
     /// the order [`ScheduleState::eval_rows`] reports rows in.
     #[inline]
     pub(super) fn entry(&self, s: u32) -> Option<usize> {
-        match self.step_idx.get(s as usize) {
-            Some(&(ep, idx)) if ep == self.sepoch => Some(idx as usize),
-            _ => None,
-        }
+        self.find(s, self.stride - 1)
     }
 
-    /// `(Δwork, Δsend, Δrecv)` of processor `p` in entry `si`.
+    /// `(Δwork, Δsend, Δrecv)` of processor `p` in superstep `s`.
     #[inline]
-    pub(super) fn cell(&self, si: usize, p: u32) -> (i64, i64, i64) {
-        let mut i = self.steps[si].head;
-        while i != u32::MAX {
-            let c = &self.cells[i as usize];
-            if c.proc == p {
-                return (c.dwork, c.dsend, c.drecv);
-            }
-            i = c.next;
-        }
-        (0, 0, 0)
+    pub(super) fn cell(&self, s: u32, p: u32) -> (i64, i64, i64) {
+        self.find(s, p as usize).map_or((0, 0, 0), |i| {
+            let c = &self.cells[i];
+            (c.dwork, c.dsend, c.drecv)
+        })
     }
 
     /// Adds `(dwork, dsend, drecv)` to the cell of processor `p` in the
     /// step entry `si`, merging into an existing cell when present.
+    #[inline]
     fn add_cell(&mut self, si: usize, p: u32, dwork: i64, dsend: i64, drecv: i64) {
-        let mut i = self.steps[si].head;
-        while i != u32::MAX {
+        let (epoch, next) = (self.epoch, self.cells.len());
+        let e = self.slot(self.steps[si].step, p as usize);
+        let (ep, i) = *e;
+        if ep != epoch {
+            *e = (epoch, next as u32);
+        } else {
             let c = &mut self.cells[i as usize];
-            if c.proc == p {
-                c.dwork += dwork;
-                c.dsend += dsend;
-                c.drecv += drecv;
-                return;
-            }
-            i = c.next;
+            c.dwork += dwork;
+            c.dsend += dsend;
+            c.drecv += drecv;
+            return;
         }
         self.cells.push(CellDelta {
             proc: p,
@@ -122,7 +143,7 @@ impl Deltas {
             drecv,
             next: self.steps[si].head,
         });
-        self.steps[si].head = (self.cells.len() - 1) as u32;
+        self.steps[si].head = next as u32;
     }
 
     pub(super) fn work(&mut self, s: u32, p: u32, dwork: i64, dnodes: i64) {
@@ -173,20 +194,12 @@ impl Deltas {
     }
 }
 
-/// Epoch-stamped per-processor accumulator for the fallback row rescan
-/// ([`ScheduleState::eval_rows`]): `(epoch, Δwork, Δsend, Δrecv)`,
-/// lazily sized to `P`.
-#[derive(Debug, Default)]
-pub(super) struct Rescan {
-    row: Vec<(u32, i64, i64, i64)>,
-    epoch: u32,
-}
-
 /// Reusable scratch for [`ScheduleState::probe_move`]: the deltas of the
-/// candidate being probed, the rescan accumulator, and the last
-/// [`ScheduleState::gain_bound`] fold, which probes leave alone so that
-/// [`ScheduleState::move_floor`] can read it between them. Probing is
-/// allocation-free once the buffers have warmed up.
+/// candidate being probed, the last [`ScheduleState::gain_bound`] fold,
+/// which probes leave alone so that [`ScheduleState::move_floor`] can read
+/// it between them, and the view of the node they are about
+/// (`state/view.rs`). Probing is allocation-free once the buffers have
+/// warmed up.
 ///
 /// Single-probe callers never see this type — [`ScheduleState::probe_move`]
 /// keeps one instance internally, behind a mutex. The whole-neighbourhood
@@ -198,81 +211,21 @@ pub(super) struct Rescan {
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     d: Deltas,
-    pub(super) rescan: Rescan,
     pub(super) fold: Fold,
+    pub(super) view: View,
 }
 
 impl ScheduleState<'_> {
-    /// One-walk extraction of everything the consumer-side probe needs from
-    /// `u`'s sorted slice: the minimum of bucket `q_rm` *before* and *after*
-    /// removing one occurrence of `s_rm`, and the minimum of bucket `q_ins`.
-    /// Replaces three independent bucket walks; exits early once the slice
-    /// passes both buckets.
-    #[inline]
-    fn pred_mins(
-        &self,
-        u: NodeId,
-        q_rm: u32,
-        s_rm: u32,
-        q_ins: u32,
-    ) -> (Option<u32>, Option<u32>, Option<u32>) {
-        let (lo, hi) = self.cons_range(u);
-        let (mut rm_head, mut rm_second, mut ins_head) = (None, None, None);
-        if hi - lo > 16 {
-            // Long slice: two binary searches beat walking the whole slice.
-            let i = self.bucket_start(u, q_rm);
-            if i < hi && self.t.cons[i].0 == q_rm {
-                rm_head = Some(self.t.cons[i].1);
-                if i + 1 < hi && self.t.cons[i + 1].0 == q_rm {
-                    rm_second = Some(self.t.cons[i + 1].1);
-                }
-            }
-            if q_ins == q_rm {
-                ins_head = rm_head;
-            } else {
-                let j = self.bucket_start(u, q_ins);
-                if j < hi && self.t.cons[j].0 == q_ins {
-                    ins_head = Some(self.t.cons[j].1);
-                }
-            }
-        } else {
-            let hi_proc = q_rm.max(q_ins);
-            let mut i = lo;
-            while i < hi {
-                let (b, s) = self.t.cons[i];
-                if b > hi_proc {
-                    break;
-                }
-                if b == q_rm {
-                    if rm_head.is_none() {
-                        rm_head = Some(s);
-                    } else if rm_second.is_none() {
-                        rm_second = Some(s);
-                    }
-                }
-                if b == q_ins && ins_head.is_none() {
-                    ins_head = Some(s);
-                }
-                i += 1;
-            }
-        }
-        debug_assert!(rm_head.is_some_and(|m| m <= s_rm));
-        let rm_after = if rm_head != Some(s_rm) {
-            rm_head // the removed step was not the minimum
-        } else {
-            rm_second
-        };
-        (rm_head, rm_after, ins_head)
-    }
-
     /// Computes the **exact** total-cost delta of moving `v` to
     /// `(p_new, s_new)` without mutating the state: no table growth, no
     /// consumer retargeting, no heap allocation. The move must be valid
     /// ([`ScheduleState::is_move_valid`]); the returned delta equals
     /// `apply_move(v, p_new, s_new) − cost()` bit-for-bit, including moves
     /// into supersteps beyond the currently allocated table (probed
-    /// virtually as empty). Runs in `O(deg · log deg + t · P)` for `t ≤
-    /// deg + 2` touched supersteps.
+    /// virtually as empty). Runs in `O(deg)`, plus `O(P)` for each of the
+    /// `t ≤ deg + 2` touched supersteps whose cached top processors all
+    /// changed, after one `O(Σ_{u ∈ pred(v)} outdeg(u))` walk when the
+    /// scratch's view does not describe `v` at this clock yet.
     pub fn probe_move(&self, v: NodeId, p_new: u32, s_new: u32) -> i64 {
         self.probe_move_in(&mut self.scratch(), v, p_new, s_new)
     }
@@ -308,8 +261,8 @@ impl ScheduleState<'_> {
             return 0;
         }
         debug_assert!(self.is_move_valid(v, p_new, s_new));
-        let d = &mut sc.d;
-        d.clear();
+        let (d, view) = (&mut sc.d, &mut sc.view);
+        d.clear(self.machine.p(), self.t.n_steps + 1);
 
         // 1. Work movement and per-step node counts.
         let w = self.dag.work(v) as i64;
@@ -345,18 +298,19 @@ impl ScheduleState<'_> {
         }
 
         // 3. Consumer side: each predecessor's bucket minima may shift,
-        //    moving (or creating / destroying) its lazy transfer.
-        for &u in self.dag.predecessors(v) {
-            let pu = self.t.sched.proc(u);
+        //    moving (or creating / destroying) its lazy transfer. The view
+        //    holds the minima, looked up once per visit of `v`.
+        self.view(view, v);
+        for (i, &u) in self.dag.predecessors(v).iter().enumerate() {
+            let (pu, rm_before, rm_after) = view.own(i);
             if p_old == p_new {
                 if p_old == pu {
                     continue; // local consumer stays local: no transfer
                 }
-                let (before, removed, _) = self.pred_mins(u, p_old, s_old, p_old);
-                let after = Some(removed.map_or(s_new, |m| m.min(s_new)));
-                if before != after {
+                let after = Some(rm_after.map_or(s_new, |m| m.min(s_new)));
+                if rm_before != after {
                     let w = self.weighted(u, pu, p_old);
-                    if let Some(m) = before {
+                    if let Some(m) = rm_before {
                         d.transfer(m - 1, pu, p_old, w, -1);
                     }
                     if let Some(m) = after {
@@ -365,7 +319,6 @@ impl ScheduleState<'_> {
                 }
                 continue;
             }
-            let (rm_before, rm_after, ins_before) = self.pred_mins(u, p_old, s_old, p_new);
             if p_old != pu && rm_before != rm_after {
                 let w = self.weighted(u, pu, p_old);
                 if let Some(m) = rm_before {
@@ -376,6 +329,7 @@ impl ScheduleState<'_> {
                 }
             }
             if p_new != pu {
+                let ins_before = view.min(i, p_new);
                 let after = Some(ins_before.map_or(s_new, |m| m.min(s_new)));
                 if ins_before != after {
                     let w = self.weighted(u, pu, p_new);
@@ -389,21 +343,16 @@ impl ScheduleState<'_> {
             }
         }
 
-        self.eval_rows(&sc.d, &mut sc.rescan, |_| {})
+        self.eval_rows(&sc.d, |_| {})
     }
 
     /// Folds the deltas `d` into a total-cost delta, handing each touched
     /// row to `each` as re-costed, in entry order. Per touched superstep,
     /// the new row maxima are derived from the changed cells and the
     /// cached [`super::TopK`] entries — `O(changed)` per step, falling
-    /// back to an `O(P)` rescan only when both cached top processors
+    /// back to an `O(P)` rescan only when every cached top processor
     /// changed. Steps at or beyond `n_steps` read as empty.
-    pub(super) fn eval_rows(
-        &self,
-        d: &Deltas,
-        rescan: &mut Rescan,
-        mut each: impl FnMut(SuperstepCost),
-    ) -> i64 {
+    pub(super) fn eval_rows(&self, d: &Deltas, mut each: impl FnMut(SuperstepCost)) -> i64 {
         let p = self.machine.p();
         let mut delta = 0i64;
         for ei in 0..d.steps.len() {
@@ -411,17 +360,9 @@ impl ScheduleState<'_> {
             let s = e.step as usize;
             let in_range = s < self.t.n_steps;
             let row = s * p;
-            let m = if in_range {
-                self.t.meta[s]
-            } else {
-                StepMeta::EMPTY
-            };
-            let (wt, ht) = (m.wtop, m.htop);
-            // Maxima over the changed processors (their adjusted values),
-            // recording which processors changed at all.
+            let m = self.t.meta.get(s).unwrap_or(&StepMeta::EMPTY);
+            // Maxima over the changed processors (their adjusted values).
             let (mut wcand, mut hcand) = (0u64, 0u64);
-            let mut changed = [0u32; 32];
-            let mut n_changed = 0usize;
             let mut i = e.head;
             while i != u32::MAX {
                 let c = d.cells[i as usize];
@@ -434,28 +375,19 @@ impl ScheduleState<'_> {
                 wcand = wcand.max((b.work as i64 + c.dwork) as u64);
                 let h = ((b.send as i64 + c.dsend) as u64).max((b.recv as i64 + c.drecv) as u64);
                 hcand = hcand.max(h);
-                if n_changed < changed.len() {
-                    changed[n_changed] = c.proc;
-                }
-                n_changed += 1;
                 i = c.next;
             }
-            // Unchanged side: the first cached top entry on an unchanged
-            // processor is exact; rescan only if all K tops changed (or
-            // the changed set overflowed the inline buffer).
-            let (w_unch, h_unch) = if n_changed <= changed.len() {
-                let ch = &changed[..n_changed];
-                (wt.unchanged_max(ch), ht.unchanged_max(ch))
-            } else {
-                (None, None)
-            };
+            // Unchanged side: the first cached top entry on a processor
+            // without a cell is exact; rescan only if all K tops changed.
+            let changed = |q: u32| d.find(e.step, q as usize).is_some();
+            let (w_unch, h_unch) = (m.wtop.unchanged_max(changed), m.htop.unchanged_max(changed));
             let w_max = match w_unch {
                 Some(u) => wcand.max(u),
-                None => self.rescan_adjusted(d, rescan, e.head, in_range, row, false),
+                None => self.rescan_adjusted(d, e.step, in_range, row, false),
             };
             let c_max = match h_unch {
                 Some(u) => hcand.max(u),
-                None => self.rescan_adjusted(d, rescan, e.head, in_range, row, true),
+                None => self.rescan_adjusted(d, e.step, in_range, row, true),
             };
             let nonempty = m.nodes as i64 + e.dnodes > 0 || m.comm as i64 + e.dcomm > 0;
             let row = SuperstepCost::new(w_max, c_max, nonempty, self.machine);
@@ -466,41 +398,20 @@ impl ScheduleState<'_> {
     }
 
     /// Full adjusted row maximum (work when `hrel` is false, h-relation
-    /// otherwise): the rare probe fallback when every cached top processor
-    /// of a touched step changed. `O(P + cells)` via the epoch-stamped
-    /// per-processor accumulator `acc`.
+    /// otherwise) of superstep `step`: the rare probe fallback when every
+    /// cached top processor of a touched step changed. `O(P)`, each
+    /// processor's delta read through the cell index.
     fn rescan_adjusted(
         &self,
         d: &Deltas,
-        acc: &mut Rescan,
-        head: u32,
+        step: u32,
         in_range: bool,
         row: usize,
         hrel: bool,
     ) -> u64 {
-        let p = self.machine.p();
-        if acc.row.len() < p {
-            acc.row.resize(p, (0, 0, 0, 0));
-        }
-        acc.epoch = acc.epoch.wrapping_add(1);
-        if acc.epoch == 0 {
-            acc.row.fill((0, 0, 0, 0));
-            acc.epoch = 1;
-        }
-        let mut i = head;
-        while i != u32::MAX {
-            let c = d.cells[i as usize];
-            acc.row[c.proc as usize] = (acc.epoch, c.dwork, c.dsend, c.drecv);
-            i = c.next;
-        }
         let mut best = 0u64;
-        for q in 0..p {
-            let (ep, dw, ds, dr) = acc.row[q];
-            let (dw, ds, dr) = if ep == acc.epoch {
-                (dw, ds, dr)
-            } else {
-                (0, 0, 0)
-            };
+        for q in 0..self.machine.p() {
+            let (dw, ds, dr) = d.cell(step, q as u32);
             let b = if in_range {
                 self.t.slots[row + q]
             } else {

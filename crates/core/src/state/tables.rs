@@ -7,7 +7,11 @@ use bsp_dag::graph::append_to_csr;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::BspSchedule;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// The next [`ScheduleTables`] identity; 0 is left to the default tables.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The set of processors onto which a node may validly move within a fixed
 /// superstep (see [`ScheduleState::valid_procs`]).
@@ -67,6 +71,7 @@ impl<'a> ScheduleState<'a> {
             dag,
             machine,
             t: ScheduleTables {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 sched: sched.clone(),
                 n_steps,
                 slots: vec![Slot::default(); n_steps * p],

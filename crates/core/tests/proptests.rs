@@ -391,6 +391,74 @@ fn holds_along_a_walk(
     holds(&st, &mut sc)
 }
 
+/// Every probe of `v` through `shared` equals a fresh scratch's, and so
+/// does every floor after its gain bound.
+fn shared_scratch_agrees(
+    st: &ScheduleState<'_>,
+    shared: &mut ProbeScratch,
+    v: NodeId,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let cur = (st.proc(v), st.step(v));
+    let cands: Vec<(u32, u32)> = (cur.1.saturating_sub(1)..=cur.1 + 1)
+        .flat_map(|s| st.valid_procs(v, s).procs(st.p()).map(move |q| (q, s)))
+        .filter(|&c| c != cur)
+        .collect();
+    for &(q, s) in &cands {
+        let fresh = st.probe_move_in(&mut ProbeScratch::default(), v, q, s);
+        let got = st.probe_move_in(shared, v, q, s);
+        prop_assert_eq!(got, fresh, "probe of {} to ({}, {})", v, q, s);
+    }
+    let mut fresh = ProbeScratch::default();
+    let bound = st.gain_bound(&mut fresh, v);
+    prop_assert_eq!(st.gain_bound(shared, v), bound, "gain bound of {}", v);
+    for &(q, s) in &cands {
+        let want = st.move_floor(&mut fresh, v, q, s);
+        let got = st.move_floor(shared, v, q, s);
+        prop_assert_eq!(got, want, "floor of {} to ({}, {})", v, q, s);
+    }
+    Ok(())
+}
+
+/// One scratch shared by two states of one DAG, kept at the same clock,
+/// across moves and interleaved nodes ([`shared_scratch_agrees`]). Each
+/// round probes one node in both states back to back — a scratch keyed by
+/// node and clock alone would answer the second state from the first —
+/// then moves that node or a neighbour in one state and probes it there
+/// again: one keyed by state and node alone would answer from before the
+/// move.
+fn shared_scratch_is_never_stale(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let p = machine.p() as u32;
+    let mut states = [seed, seed ^ 0x5eed]
+        .map(|s| ScheduleState::new(dag, machine, &random_valid_assignment(dag, p, s)));
+    let mut shared = ProbeScratch::default();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x57a1);
+    for _ in 0..30 {
+        let v = rng.gen_range(0..dag.n() as u32);
+        for st in &states {
+            shared_scratch_agrees(st, &mut shared, v)?;
+        }
+        let i = rng.gen_range(0..2);
+        let near: Vec<NodeId> = [v]
+            .into_iter()
+            .chain(dag.predecessors(v).iter().copied())
+            .collect();
+        let u = near[rng.gen_range(0..near.len())];
+        let q = rng.gen_range(0..p);
+        let s = states[i].step(u).saturating_sub(1) + rng.gen_range(0..3);
+        if states[i].is_move_valid(u, q, s) && (q, s) != (states[i].proc(u), states[i].step(u)) {
+            states[i].apply_move(u, q, s);
+            // The other state's clock keeps pace.
+            states[1 - i].void_certificates();
+        }
+        shared_scratch_agrees(&states[i], &mut shared, v)?;
+    }
+    Ok(())
+}
+
 /// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
 /// neighbourhood, if there is one.
 fn has_improving_probe(st: &ScheduleState<'_>, v: NodeId) -> Option<(u32, u32, i64)> {
@@ -809,6 +877,21 @@ proptest! {
     ) {
         for dag in [layered, erdos] {
             holds_along_a_walk(&dag, &machine, seed, 0x5ca7, first_admitted_minimum_holds)?;
+        }
+    }
+
+    /// A probe scratch shared by two states at the same clock, across
+    /// moves and interleaved nodes, answers every probe and every floor as
+    /// a fresh one does (NUMA machines included).
+    #[test]
+    fn a_shared_scratch_is_never_stale(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_machine(),
+        seed in 0u64..10_000,
+    ) {
+        for dag in [layered, erdos] {
+            shared_scratch_is_never_stale(&dag, &machine, seed)?;
         }
     }
 
