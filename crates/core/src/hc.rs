@@ -6,15 +6,16 @@
 //! cost-decreasing valid move it finds (the paper found greedy
 //! first-improvement as good as steepest-descent and much faster), until a
 //! local minimum or a budget is reached. Candidates are evaluated through
-//! the read-only [`ScheduleState::probe_move_in`] gain kernel, in one
-//! [`ProbeScratch`] the run borrows from the state (no lock per probe, no
-//! warm-up allocation per run); the state is mutated only for accepted
-//! moves. The scratch also holds the visited node's *view*: its
-//! predecessors' processors and bucket minima, recorded by the walk the
-//! node's gain bound makes anyway, once per visit. Every floor and probe
-//! of the visit reads the minima there, in `O(1)` per predecessor, instead
-//! of looking them up in the consumer slices per candidate; a move
-//! advances the state's clock, which the view is keyed by.
+//! the read-only [`ScheduleState::probe_move_in`] gain kernel, in the
+//! thread's [`ProbeScratch`], which the run borrows whole
+//! ([`with_scratch`]: no lock per probe, no warm-up allocation per run or
+//! per state); the state is mutated only for accepted moves. The scratch
+//! also holds the visited node's *view*: its predecessors' processors and
+//! bucket minima, recorded by the walk the node's gain bound makes anyway,
+//! once per visit. Every floor and probe of the visit reads the minima
+//! there, in `O(1)` per predecessor, instead of looking them up in the
+//! consumer slices per candidate; a move advances the state's clock, which
+//! the view is keyed by.
 //!
 //! A sweep costs what can still move. It visits only the *awake* nodes
 //! ([`ScheduleState::is_awake`]), in ascending id, a bitset word at a
@@ -51,7 +52,7 @@
 //! winners are pinned move by move to the historical apply/revert scan
 //! (`tests/kernel_reference`).
 
-use crate::state::{ProbeScratch, ScheduleState};
+use crate::state::{with_scratch, ProbeScratch, ScheduleState};
 use bsp_dag::NodeId;
 use bsp_schedule::solve::Stop;
 use std::time::Duration;
@@ -103,9 +104,7 @@ pub fn hill_climb_from(
     floor: u32,
 ) -> HillClimbStats {
     let mut visits = Visits::default();
-    let mut sc = state.lend_scratch();
-    let stats = hill_climb_from_inner(state, &mut sc, stop, floor, &mut visits);
-    state.return_scratch(sc);
+    let stats = with_scratch(|sc| hill_climb_from_inner(state, sc, stop, floor, &mut visits));
     // One flush per run: the sweeps themselves stay counter-free.
     let m = crate::obs::ls_metrics();
     m.moves.add(stats.accepted as u64);
@@ -304,20 +303,20 @@ fn try_improve_node(
 /// Stops at a local minimum or when `stop` says so (it is asked once per
 /// round). The cost of `state` never increases.
 pub fn hill_climb_steepest(state: &mut ScheduleState<'_>, stop: &mut Stop) -> HillClimbStats {
-    let mut sc = state.lend_scratch();
     let mut accepted = 0usize;
     let mut local_minimum = state.n() == 0;
-    while !local_minimum && stop.moves_left() > 0 && !stop.expired() {
-        match best_admissible(state, &mut sc, |_, _, _, delta| delta < 0) {
-            Some((v, q, s, _)) => {
-                state.apply_move(v, q, s);
-                accepted += 1;
-                stop.spend_move();
+    with_scratch(|sc| {
+        while !local_minimum && stop.moves_left() > 0 && !stop.expired() {
+            match best_admissible(state, sc, |_, _, _, delta| delta < 0) {
+                Some((v, q, s, _)) => {
+                    state.apply_move(v, q, s);
+                    accepted += 1;
+                    stop.spend_move();
+                }
+                None => local_minimum = true,
             }
-            None => local_minimum = true,
         }
-    }
-    state.return_scratch(sc);
+    });
     crate::obs::ls_metrics().moves.add(accepted as u64);
     HillClimbStats {
         accepted,

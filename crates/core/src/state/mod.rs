@@ -34,11 +34,11 @@
 //! [`ScheduleState::probe_move`] computes the exact total-cost delta of a
 //! valid candidate move through `&self`: it never grows the step tables,
 //! never touches the consumer arena, and performs zero heap allocation
-//! (its scratch buffers live behind an uncontended [`Mutex`] and retain
-//! their capacity across calls; whole-neighbourhood scans bring their own
-//! [`ProbeScratch`] via [`ScheduleState::probe_move_in`] and skip the
-//! lock). A probe gathers the `O(deg)` changed
-//! `(superstep, processor)` cells — each found in `O(1)` through an
+//! once warm (its buffers are the thread's [`ProbeScratch`], lent by
+//! [`with_scratch`], which keeps their capacity across probes, states and
+//! solves; whole-neighbourhood scans hold it for the whole scan and probe
+//! through [`ScheduleState::probe_move_in`]). A probe gathers the `O(deg)`
+//! changed `(superstep, processor)` cells — each found in `O(1)` through an
 //! epoch-stamped `(step, processor)` index — then re-derives each touched
 //! step's `max` work and h-relation from the cells plus cached top-`K` row
 //! maxima: `O(changed)` per step instead of the `O(P)` rescan `apply_move`
@@ -113,9 +113,10 @@
 //! [`ScheduleState`] view with its accessors. The operations live in one
 //! file per seam: `tables` (building and re-attaching the tables, the
 //! consumer arena, move validity), `apply` (applying moves, compaction,
-//! row refresh), `probe` (the read-only probe and its row evaluation),
-//! `view` (the bucket minima of a node's predecessors, gathered once per
-//! node and clock), `certify` (stamps and failure certificates), `bound`
+//! row refresh), `probe` (the read-only probe, its row evaluation and the
+//! thread's scratch), `view` (the bucket minima of a node's predecessors,
+//! gathered once per node and clock), `certify` (stamps and failure
+//! certificates), `bound`
 //! (the enumeration of the cells a move can decrement, its folds, and the
 //! candidate floors read off them) and `awake` (the awake set, the row
 //! hotness it is woken by, and why the wake rules are complete).
@@ -125,7 +126,6 @@ use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::cost::SuperstepCost;
 use bsp_schedule::BspSchedule;
-use std::sync::Mutex;
 
 mod apply;
 mod awake;
@@ -137,7 +137,7 @@ mod tables;
 mod tests;
 mod view;
 
-pub use probe::ProbeScratch;
+pub use probe::{with_scratch, ProbeScratch};
 pub use tables::ProcWindow;
 
 /// How many of a row's largest per-processor values are cached. Probed
@@ -254,17 +254,18 @@ impl StepMeta {
 }
 /// Everything a [`ScheduleState`] stores that borrows neither the DAG nor
 /// the machine: the assignment, the per-superstep tables, the consumer
-/// arena, the change stamps and the probe scratch. A caller that has to
-/// *mutate* the DAG between two uses of one state — the online runtime,
-/// which appends every arrival batch to its graph — keeps the tables
-/// across the mutation: [`ScheduleState::detach`], grow the DAG,
+/// arena and the change stamps (the probe scratch is the thread's, see
+/// [`with_scratch`]). A caller that has to *mutate* the DAG between two
+/// uses of one state — the online runtime, which appends every arrival
+/// batch to its graph — keeps the tables across the mutation:
+/// [`ScheduleState::detach`], grow the DAG,
 /// [`ScheduleState::attach_appended`]. Nothing is recomputed for the nodes
 /// that were already there.
 ///
 /// Two tables compare equal when they describe the same schedule state
 /// (assignment, superstep rows with their cached maxima and costs,
-/// consumer arena); stamps, certificates, the awake set and scratch are
-/// not compared.
+/// consumer arena); stamps, certificates and the awake set are not
+/// compared.
 #[derive(Debug, Default)]
 pub struct ScheduleTables {
     /// Distinct per [`ScheduleState::new`] in the process: with the
@@ -302,10 +303,6 @@ pub struct ScheduleTables {
     awake: Awake,
     /// Scratch: steps whose cached cost must be refreshed after a move.
     touched: Vec<u32>,
-    /// Scratch for read-only probing (allocation-free after warm-up). A
-    /// `Mutex` rather than a `RefCell` so `ScheduleState` stays `Sync`;
-    /// probes lock it uncontended.
-    probe: Mutex<ProbeScratch>,
 }
 
 impl PartialEq for ScheduleTables {

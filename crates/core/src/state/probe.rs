@@ -7,6 +7,7 @@ use super::view::View;
 use super::{ScheduleState, Slot, StepMeta};
 use bsp_dag::NodeId;
 use bsp_schedule::cost::SuperstepCost;
+use std::cell::Cell;
 
 /// One superstep touched by a set of deltas: net count deltas plus the
 /// head of its linked list of per-processor cell deltas.
@@ -201,13 +202,13 @@ impl Deltas {
 /// (`state/view.rs`). Probing is allocation-free once the buffers have
 /// warmed up.
 ///
-/// Single-probe callers never see this type — [`ScheduleState::probe_move`]
-/// keeps one instance internally, behind a mutex. The whole-neighbourhood
-/// scan ([`crate::hc::best_admissible`]) probes through
-/// [`ScheduleState::probe_move_in`] with its caller's, which skips the
-/// lock: tabu search owns one (`ProbeScratch::default()`), while both hill
-/// climbs borrow the internal one, warm, for a whole run (greedy's folds
-/// accumulate in it too).
+/// Each thread keeps one, lent out by [`with_scratch`]: both hill climbs
+/// and tabu search borrow it for a whole run, and
+/// [`ScheduleState::probe_move`] for one probe, so it stays warm across
+/// the states and solves a thread works through. What it keeps — the
+/// fold and the view — is keyed by the tables' identity, the node and the
+/// clock, so no state ever reads another's, and a probe's result does not
+/// depend on which scratch it is given.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     d: Deltas,
@@ -215,10 +216,26 @@ pub struct ProbeScratch {
     pub(super) view: View,
 }
 
+thread_local! {
+    static SCRATCH: Cell<ProbeScratch> = Cell::new(ProbeScratch::default());
+}
+
+/// Runs `f` on this thread's [`ProbeScratch`], warm from the thread's last
+/// search. The scratch is taken for the call and put back after it, so a
+/// nested call gets a cold one rather than a borrow panic, and a panic in
+/// `f` only drops the taken buffers.
+pub fn with_scratch<R>(f: impl FnOnce(&mut ProbeScratch) -> R) -> R {
+    let mut sc = SCRATCH.take();
+    let r = f(&mut sc);
+    SCRATCH.set(sc);
+    r
+}
+
 impl ScheduleState<'_> {
     /// Computes the **exact** total-cost delta of moving `v` to
     /// `(p_new, s_new)` without mutating the state: no table growth, no
-    /// consumer retargeting, no heap allocation. The move must be valid
+    /// consumer retargeting, no heap allocation once this thread's
+    /// scratch ([`with_scratch`]) has warmed up. The move must be valid
     /// ([`ScheduleState::is_move_valid`]); the returned delta equals
     /// `apply_move(v, p_new, s_new) − cost()` bit-for-bit, including moves
     /// into supersteps beyond the currently allocated table (probed
@@ -227,34 +244,13 @@ impl ScheduleState<'_> {
     /// changed, after one `O(Σ_{u ∈ pred(v)} outdeg(u))` walk when the
     /// scratch's view does not describe `v` at this clock yet.
     pub fn probe_move(&self, v: NodeId, p_new: u32, s_new: u32) -> i64 {
-        self.probe_move_in(&mut self.scratch(), v, p_new, s_new)
-    }
-
-    /// The internal probe scratch, locked (uncontended).
-    fn scratch(&self) -> std::sync::MutexGuard<'_, ProbeScratch> {
-        self.t
-            .probe
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Lends the internal probe scratch for a whole scan — warm, so the
-    /// scan's first probes allocate nothing either — until
-    /// [`ScheduleState::return_scratch`].
-    pub(crate) fn lend_scratch(&self) -> ProbeScratch {
-        std::mem::take(&mut self.scratch())
-    }
-
-    /// Hands back what [`ScheduleState::lend_scratch`] lent.
-    pub(crate) fn return_scratch(&self, sc: ProbeScratch) {
-        *self.scratch() = sc;
+        with_scratch(|sc| self.probe_move_in(sc, v, p_new, s_new))
     }
 
     /// [`ScheduleState::probe_move`] with caller-supplied scratch: the
-    /// entry point for whole-neighbourhood scans, which own a
-    /// [`ProbeScratch`] and probe without touching the internal mutex. The
-    /// result is a pure function of the state and the move — independent
-    /// of which scratch is passed.
+    /// entry point for whole-neighbourhood scans, which hold a
+    /// [`ProbeScratch`] for the whole scan. The result is a pure function
+    /// of the state and the move — independent of which scratch is passed.
     pub fn probe_move_in(&self, sc: &mut ProbeScratch, v: NodeId, p_new: u32, s_new: u32) -> i64 {
         let (p_old, s_old) = (self.t.sched.proc(v), self.t.sched.step(v));
         if p_old == p_new && s_old == s_new {

@@ -2,13 +2,12 @@
 //! grown DAG — the consumer-arena accessors every other seam reads, and
 //! move validity.
 
-use super::{Awake, ProbeScratch, ScheduleState, ScheduleTables, Slot, StepMeta};
+use super::{Awake, ScheduleState, ScheduleTables, Slot, StepMeta};
 use bsp_dag::graph::append_to_csr;
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::BspSchedule;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// The next [`ScheduleTables`] identity; 0 is left to the default tables.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -86,7 +85,6 @@ impl<'a> ScheduleState<'a> {
                 cert_floor: 1,
                 awake: Awake::new(dag.n()),
                 touched: Vec::new(),
-                probe: Mutex::new(ProbeScratch::default()),
             },
         };
         for v in dag.nodes() {

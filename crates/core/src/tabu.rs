@@ -16,7 +16,7 @@
 //! `bsp_ls_probes_total`.
 
 use crate::hc::best_admissible;
-use crate::state::{ProbeScratch, ScheduleState};
+use crate::state::{with_scratch, ScheduleState};
 use bsp_dag::{Dag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::solve::Stop;
@@ -96,42 +96,42 @@ pub fn tabu_search(
     // (node, proc, step) → iteration index until which the placement is tabu.
     let mut tabu: HashMap<(NodeId, u32, u32), usize> = HashMap::new();
     let mut stall = 0usize;
-    let mut sc = ProbeScratch::default();
-
-    for iter in 0..cfg.max_iters {
-        if stall >= cfg.stall_limit || stop.expired() {
-            break;
+    with_scratch(|sc| {
+        for iter in 0..cfg.max_iters {
+            if stall >= cfg.stall_limit || stop.expired() {
+                break;
+            }
+            let before = state.cost();
+            let is_tabu = |v, q, s| tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
+            // A tabu move qualifies only if it beats the best cost (aspiration).
+            let admit = |v, q, s, d| !is_tabu(v, q, s) || before as i64 + d < best_cost as i64;
+            let Some((v, q, s, _)) = best_admissible(&state, sc, admit) else {
+                break; // no valid move anywhere (degenerate neighbourhood)
+            };
+            // A tabu winner got in by aspiration.
+            stats.aspirated += is_tabu(v, q, s) as usize;
+            let (old_p, old_s) = (state.proc(v), state.step(v));
+            let after = state.apply_move(v, q, s);
+            // Forbid undoing this move for `tenure` iterations.
+            tabu.insert((v, old_p, old_s), iter + cfg.tenure);
+            stats.iterations += 1;
+            if after > before {
+                stats.uphill += 1;
+            }
+            if after < best_cost {
+                best_cost = after;
+                best = state.snapshot();
+                stats.improved_best += 1;
+                stall = 0;
+            } else {
+                stall += 1;
+            }
+            // Keep the tabu map from growing without bound on long runs.
+            if tabu.len() > 4 * dag.n() + 64 {
+                tabu.retain(|_, &mut until| until > iter);
+            }
         }
-        let before = state.cost();
-        let is_tabu = |v, q, s| tabu.get(&(v, q, s)).is_some_and(|&until| until > iter);
-        // A tabu move qualifies only if it beats the best cost (aspiration).
-        let admit = |v, q, s, d| !is_tabu(v, q, s) || before as i64 + d < best_cost as i64;
-        let Some((v, q, s, _)) = best_admissible(&state, &mut sc, admit) else {
-            break; // no valid move anywhere (degenerate neighbourhood)
-        };
-        // A tabu winner got in by aspiration.
-        stats.aspirated += is_tabu(v, q, s) as usize;
-        let (old_p, old_s) = (state.proc(v), state.step(v));
-        let after = state.apply_move(v, q, s);
-        // Forbid undoing this move for `tenure` iterations.
-        tabu.insert((v, old_p, old_s), iter + cfg.tenure);
-        stats.iterations += 1;
-        if after > before {
-            stats.uphill += 1;
-        }
-        if after < best_cost {
-            best_cost = after;
-            best = state.snapshot();
-            stats.improved_best += 1;
-            stall = 0;
-        } else {
-            stall += 1;
-        }
-        // Keep the tabu map from growing without bound on long runs.
-        if tabu.len() > 4 * dag.n() + 64 {
-            tabu.retain(|_, &mut until| until > iter);
-        }
-    }
+    });
     (best, best_cost, stats)
 }
 

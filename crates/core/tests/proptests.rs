@@ -9,11 +9,12 @@
 mod hc_reference;
 mod kernel_reference;
 
-use bsp_core::hc::{best_admissible, hill_climb, hill_climb_from};
+use bsp_core::hc::{best_admissible, hill_climb, hill_climb_from, HillClimbStats};
 use bsp_core::hccs::{comm_hill_climb, optimize_comm_schedule, CommState};
 use bsp_core::init::{bspg_schedule, source_schedule};
 use bsp_core::multilevel::{coarsen, multilevel_schedule, MultilevelConfig, Uncoarsening};
-use bsp_core::state::{ProbeScratch, ProcWindow, ScheduleState};
+use bsp_core::state::{with_scratch, ProbeScratch, ProcWindow, ScheduleState};
+use bsp_core::tabu::{tabu_search, TabuConfig, TabuStats};
 use bsp_core::{place_appended, place_new_nodes, repair_precedence_from};
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
 use bsp_dag::topo::is_topological_order;
@@ -457,6 +458,73 @@ fn shared_scratch_is_never_stale(
         shared_scratch_agrees(&states[i], &mut shared, v)?;
     }
     Ok(())
+}
+
+/// What one start schedule comes to on the calling thread: a climb to a
+/// local minimum, and a short tabu search from the same start.
+type Searched = (
+    (BspSchedule, u64, HillClimbStats),
+    (BspSchedule, u64, TabuStats),
+);
+
+fn climb_and_tabu(dag: &Dag, machine: &BspParams, start: &BspSchedule) -> Searched {
+    let mut st = ScheduleState::new(dag, machine, start);
+    let stats = hill_climb(&mut st, &mut Stop::new(None, None));
+    let cfg = TabuConfig {
+        max_iters: 10,
+        stall_limit: 5,
+        tenure: 4,
+    };
+    let tabu = tabu_search(dag, machine, start, &cfg, &mut Stop::new(None, None));
+    ((st.snapshot(), st.cost(), stats), tabu)
+}
+
+/// The thread's probe scratch leaves no trace in a result. Two instances
+/// are searched one after the other on this thread — a `p = 4` one, then
+/// a `p = 16` NUMA one spread over more supersteps, so the second finds
+/// the scratch warm from another stride and another index size (and the
+/// first, from the previous case's second) — and each ends where it ends
+/// on a new thread, whose scratch starts cold. A probe through a
+/// `with_scratch` nested in another, which gets a cold scratch, answers
+/// as the outer one does.
+fn warm_scratch_is_cold(
+    small: &Dag,
+    deep: &Dag,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let narrow = BspParams::new(4, 2, 5);
+    let wide = BspParams::new(16, 2, 5).with_numa(NumaTopology::two_level(2, 8, 3));
+    let small_start = random_valid_assignment(small, 4, seed);
+    // Raising each node by its topological rank keeps every edge valid
+    // and spreads the schedule over at least n supersteps.
+    let mut deep_start = random_valid_assignment(deep, 16, seed ^ 0xdee9);
+    let rank = TopoInfo::new(deep).position;
+    for v in deep.nodes() {
+        let (q, s) = (deep_start.proc(v), deep_start.step(v));
+        deep_start.set(v, q, s + rank[v as usize]);
+    }
+    prop_assert!(deep_start.n_supersteps() > small_start.n_supersteps());
+    for (dag, machine, start) in [(small, &narrow, &small_start), (deep, &wide, &deep_start)] {
+        let warm = climb_and_tabu(dag, machine, start);
+        let (d, m, st) = (dag.clone(), machine.clone(), start.clone());
+        let cold = std::thread::spawn(move || climb_and_tabu(&d, &m, &st))
+            .join()
+            .expect("the cold search does not panic");
+        prop_assert_eq!(warm, cold);
+    }
+    let st = ScheduleState::new(deep, &wide, &deep_start);
+    with_scratch(|outer| {
+        for v in deep.nodes() {
+            let tau = st.step(v);
+            for s in tau.saturating_sub(1)..=tau + 1 {
+                for q in st.valid_procs(v, s).procs(st.p()) {
+                    let want = st.probe_move_in(outer, v, q, s);
+                    prop_assert_eq!(st.probe_move(v, q, s), want, "{} to ({}, {})", v, q, s);
+                }
+            }
+        }
+        Ok(())
+    })
 }
 
 /// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
@@ -1098,5 +1166,26 @@ proptest! {
         } else {
             prop_assert_eq!(strat, Strategy::Base);
         }
+    }
+}
+
+proptest! {
+    // Each case runs eight searches, four of them on two new threads.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Searches on a thread whose probe scratch an earlier search warmed
+    /// (another stride, another index size) end where they end on a new
+    /// thread, and a nested scratch probes as its outer one does.
+    #[test]
+    fn a_warm_scratch_is_a_cold_one(
+        small in arb_dag(),
+        seed in 0u64..10_000,
+        (deep_seed, layers, width) in (0u64..400, 6usize..10, 2usize..5),
+    ) {
+        let deep = random_layered_dag(
+            deep_seed,
+            LayeredConfig { layers, width, edge_prob: 0.4, max_work: 7, max_comm: 5 },
+        );
+        warm_scratch_is_cold(&small, &deep, seed)?;
     }
 }

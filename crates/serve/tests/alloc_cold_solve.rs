@@ -7,8 +7,8 @@ mod counting_alloc;
 use bsp_sched::prelude::*;
 use counting_alloc::ALLOCS;
 
-/// Read in a debug build (a release build reads 235).
-const MAX_ALLOCS: u64 = 237;
+/// Read in a debug build (a release build reads 225).
+const MAX_ALLOCS: u64 = 226;
 
 #[test]
 fn a_cold_solve_allocates_at_most_the_pinned_count() {
