@@ -35,9 +35,13 @@
 //! would have failed, and first improvement takes a move only when its
 //! delta is `< 0`, so nothing a skip removes could have been taken — the
 //! accepted-move sequence, every move cap and every result are those of
-//! the plain loop. A certificate lives for one [`hill_climb_from`] call:
-//! it was issued under that call's floor, and the call voids all earlier
-//! ones on entry. The [`Stop`] is polled once per awake visit (it reads
+//! the plain loop. A certificate outlives its climb: it was issued under
+//! that climb's floor, and a higher floor only removes candidates, so it
+//! stands until a climb at a lower floor voids them all (as that climb
+//! wakes every sleeper); until then only a mutation that changes what its
+//! probes read voids it. So a re-plan, or the next chunk of a multilevel
+//! walk, re-probes only the neighbourhoods something changed. The
+//! [`Stop`] is polled once per awake visit (it reads
 //! the wall clock and the cancel token on every 64th, the first
 //! included), so a climb that finds nothing awake polls nothing: every
 //! node it may move is proven stuck, and it ends at a local minimum.
@@ -154,8 +158,8 @@ fn hill_climb_from_inner(
         local_minimum: false,
     };
 
-    // Certificates live for this call only: they speak about this floor.
-    state.void_certificates();
+    // Certificates and sleepers from earlier climbs stand unless the
+    // floor dropped below theirs.
     state.prepare_sweeps(floor);
     if n > 0 && stop.moves_left() == 0 {
         return stopped(accepted);
@@ -196,14 +200,15 @@ fn hill_climb_from_inner(
 }
 
 /// The next node at or after `from` a sweep at `floor` visits: the next
-/// awake one. Debug builds check every sleeping node they pass over at or
-/// above the floor, as they probe every candidate a filter skips.
+/// awake one. Debug builds check every present sleeping node they pass
+/// over at or above the floor, as they probe every candidate a filter
+/// skips.
 fn next_visit(state: &ScheduleState<'_>, from: NodeId, floor: u32) -> Option<NodeId> {
     let next = state.next_awake(from);
     if cfg!(debug_assertions) {
         for u in from..next.unwrap_or(state.n() as NodeId) {
             debug_assert!(
-                state.step(u) < floor || !state.may_improve(u),
+                state.step(u) < floor || state.is_absent(u) || !state.may_improve(u),
                 "sleeping node {u} passes may_improve"
             );
         }
@@ -218,8 +223,9 @@ fn next_visit(state: &ScheduleState<'_>, from: NodeId, floor: u32) -> Option<Nod
 /// [`ScheduleState::may_improve`] (nothing in the current tables *can*
 /// improve; the node goes to sleep until a mutation could change that),
 /// then, for a node that passes it, [`ScheduleState::certified`]
-/// (an earlier sweep of this call probed the whole neighbourhood, found
-/// nothing, and nothing those probes read has changed since). The third
+/// (an earlier sweep, of this climb or an earlier one at no lower floor,
+/// probed the whole neighbourhood, found nothing, and nothing those probes
+/// read has changed since). The third
 /// skips one candidate: its [`ScheduleState::move_floor`] is `≥ 0`. The
 /// floor reads the node's [`ScheduleState::gain_bound`] fold, taken once
 /// per visit at the first candidate; the `O(1)` work-only part of it

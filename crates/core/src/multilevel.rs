@@ -19,16 +19,30 @@
 //! and every re-verification before a contraction — and each of those
 //! searches is bounded by the topological order `MutableDag` keeps valid
 //! across contractions, so it costs the region between an edge's endpoints
-//! instead of everything below its tail. [`Uncoarsening`] applies the log
+//! instead of everything below its tail. The un-coarsening applies the log
 //! to one `MutableDag` and then undoes it entry by entry from that graph's
-//! journal (`bsp_dag::contraction` explains why the inverse is exact): a
-//! chunk costs one stage — extract the dense graph, refine, write the
-//! schedule back — where rebuilding each stage from the original DAG cost
-//! the whole log prefix, O(L²) contractions for a log of length L. Memory
-//! is the graph plus its journal; no stage outlives its chunk.
+//! journal (`bsp_dag::contraction` explains why the inverse is exact),
+//! where rebuilding each stage from the original DAG cost the whole log
+//! prefix, O(L²) contractions for a log of length L.
+//!
+//! [`multilevel_with_log`] keeps one schedule state per ratio walk, over
+//! the original ids. The coarsest stage is extracted and scheduled once;
+//! from then on the state's graph is [`MutableDag::stage_by_id`], where a
+//! node merged away is absent from the tables. Each un-contraction is an
+//! edit of the graph and of the tables
+//! ([`crate::state::ScheduleTables::uncontract`]): the revived node takes
+//! its parent's `(π, τ)`, the edges it owns move off the kept node, and
+//! only what changed is stamped and woken. So a chunk's climb starts from
+//! the last one's sleepers and failure certificates and re-probes only the
+//! neighbourhoods the chunk changed, and no chunk builds a graph or a
+//! state. The schedules are the ones a fresh state per chunk gives, bit
+//! for bit. [`Uncoarsening`] is that per-chunk walk — a dense stage and its
+//! projected schedule at every chunk boundary. The kept walk takes its
+//! coarsest stage from it, and its tests hold the kept state to it at
+//! every chunk.
 
 use crate::hc::hill_climb;
-use crate::state::ScheduleState;
+use crate::state::{ScheduleState, ScheduleTables};
 use bsp_dag::{Dag, MutableDag, NodeId};
 use bsp_model::BspParams;
 use bsp_schedule::compact::compact_lazy;
@@ -205,6 +219,60 @@ impl Uncoarsening {
     }
 }
 
+/// The walk [`multilevel_with_log`] refines along: one contraction log
+/// undone on a [`MutableDag`], with one schedule state kept from the
+/// coarsest stage down. The state covers the original ids
+/// ([`MutableDag::stage_by_id`]; merged-away nodes are absent from it), so
+/// an un-contraction is an edit of its tables
+/// ([`ScheduleTables::uncontract`]) and a chunk's climb starts from the
+/// last one's sleepers and failure certificates: it re-probes only what the
+/// chunk's edits changed.
+struct KeptWalk {
+    m: MutableDag,
+    stage: Dag,
+    tables: ScheduleTables,
+}
+
+impl KeptWalk {
+    /// Applies `log` to `dag` and schedules the coarsest stage with `base`.
+    fn new(
+        dag: &Dag,
+        machine: &BspParams,
+        log: &[Contraction],
+        base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
+    ) -> Self {
+        let mut coarsest = Uncoarsening::new(dag, log);
+        let coarse = coarsest.stage();
+        let coarse_sched = base(&coarse, machine);
+        debug_assert!(coarse_sched.respects_precedence_lazy(&coarse));
+        coarsest.adopt(&coarse_sched);
+        let Uncoarsening { m, sched } = coarsest;
+        let stage = m.stage_by_id();
+        let dead = dag.nodes().filter(|&v| !m.is_alive(v));
+        let tables = ScheduleState::with_absent(&stage, machine, &sched, dead).detach();
+        KeptWalk { m, stage, tables }
+    }
+
+    /// Contractions not yet undone.
+    fn remaining(&self) -> usize {
+        self.stage.n() - self.m.n_alive()
+    }
+
+    /// Undoes up to `count` contractions, latest first.
+    fn undo(&mut self, machine: &BspParams, count: usize) {
+        self.tables
+            .uncontract(&mut self.stage, machine, &mut self.m, count);
+    }
+
+    /// Hill-climbs the current stage under `stop`.
+    fn climb(&mut self, machine: &BspParams, stop: &mut Stop) {
+        let tables = std::mem::take(&mut self.tables);
+        let mut st = ScheduleState::attach(&self.stage, machine, tables);
+        hill_climb(&mut st, stop);
+        self.tables = st.detach();
+    }
+}
+
 /// Runs the full multilevel scheme for a single coarsening `log`, given a
 /// base scheduler for the coarse graph. Returns the refined assignment on
 /// the original DAG.
@@ -221,31 +289,20 @@ pub fn multilevel_with_log(
     base: &mut dyn FnMut(&Dag, &BspParams) -> BspSchedule,
     stop: &mut Stop,
 ) -> BspSchedule {
-    // Solve on the fully coarsened graph.
-    let mut walk = Uncoarsening::new(dag, log);
-    let coarse = walk.stage();
-    let coarse_sched = base(&coarse, machine);
-    debug_assert!(coarse_sched.respects_precedence_lazy(&coarse));
-    walk.adopt(&coarse_sched);
-
+    let mut walk = KeptWalk::new(dag, machine, log, base);
     // Walk back towards the original graph, refining every chunk. An
     // interval of 0 would never advance; it means 1.
     let interval = cfg.refine_interval.max(1);
     while walk.remaining() > 0 {
-        walk.undo(interval);
+        walk.undo(machine, interval);
         if stop.expired() {
             // Out of budget: project the rest of the way down, unrefined.
-            walk.undo(walk.remaining());
+            walk.undo(machine, walk.remaining());
             break;
         }
-        let stage = walk.stage();
-        let projected = walk.projected();
-        debug_assert!(projected.respects_precedence_lazy(&stage));
-        let mut st = ScheduleState::new(&stage, machine, &projected);
-        hill_climb(&mut st, &mut stop.with_moves(cfg.refine_moves));
-        walk.adopt(&st.snapshot());
+        walk.climb(machine, &mut stop.with_moves(cfg.refine_moves));
     }
-    compact_lazy(dag, &walk.projected())
+    compact_lazy(dag, walk.tables.schedule())
 }
 
 /// Full multilevel scheduler: tries every configured coarsening ratio and
@@ -337,6 +394,94 @@ mod tests {
             &mut Stop::new(None, None),
         );
         assert!(validate_lazy(&dag, 4, &sched).is_ok());
+    }
+
+    /// `dag` with the work of every third node and the communication
+    /// weight of every fourth set to 0: nodes that often cannot improve,
+    /// so that many sleep.
+    fn with_zeros(dag: &Dag) -> Dag {
+        let mut b = bsp_dag::DagBuilder::new();
+        for v in dag.nodes() {
+            let w = if v % 3 == 0 { 0 } else { dag.work(v) };
+            b.add_node(w, if v % 4 == 0 { 0 } else { dag.comm(v) });
+        }
+        for (u, v) in dag.edges() {
+            b.add_edge(u, v).expect("an edge of a DAG");
+        }
+        b.build().expect("a DAG")
+    }
+
+    /// What an edit must leave true of the kept state: every present
+    /// sleeper is stuck, and every standing certificate is true.
+    fn sleepers_and_certificates_hold(st: &ScheduleState<'_>) -> Result<(), String> {
+        for v in st.dag().nodes().filter(|&v| !st.is_absent(v)) {
+            if !st.is_awake(v) && st.may_improve(v) {
+                return Err(format!("node {v} sleeps but may improve"));
+            }
+            let tau = st.step(v);
+            let window = tau.saturating_sub(1)..=tau + 1;
+            let mut moves =
+                window.flat_map(|s| st.valid_procs(v, s).procs(st.p()).map(move |q| (q, s)));
+            if st.certified(v) && moves.any(|(q, s)| st.probe_move(v, q, s) < 0) {
+                return Err(format!("certified node {v} improves"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        // 256 cases: a kept sleeper whose edit forgot to wake it turns up
+        // within them.
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// After every chunk the kept tables are the ones a state built on
+        /// the compacted stage holds, before and after the chunk's climb:
+        /// an un-contraction batch is an exact edit, and a climb on the
+        /// kept state is the climb on a fresh one. After every batch the
+        /// sleepers are stuck and the standing certificates true.
+        #[test]
+        fn kept_tables_equal_a_fresh_state_at_every_chunk(
+            seed in 0u64..400,
+            layered in proptest::bool::ANY,
+            zeros in proptest::bool::ANY,
+            keep in 0.1f64..0.6,
+            interval in 1usize..8,
+            moves in 0usize..25,
+        ) {
+            let dag = if layered {
+                sample(seed)
+            } else {
+                bsp_dag::random::random_order_dag(seed, 30, 0.15, 7, 5)
+            };
+            let dag = if zeros { with_zeros(&dag) } else { dag };
+            let machine = BspParams::new(4, 3, 5)
+                .with_numa(bsp_model::NumaTopology::binary_tree(4, 3));
+            let log = coarsen(&dag, ((dag.n() as f64 * keep) as usize).max(1), &MultilevelConfig::default());
+            let mut kept = KeptWalk::new(&dag, &machine, &log, &mut bspg);
+            let mut oracle = Uncoarsening::new(&dag, &log);
+            oracle.adopt(&kept.tables.present_only().schedule().clone());
+            while kept.remaining() > 0 {
+                kept.undo(&machine, interval);
+                let st = ScheduleState::attach(&kept.stage, &machine, std::mem::take(&mut kept.tables));
+                let held = sleepers_and_certificates_hold(&st);
+                kept.tables = st.detach();
+                proptest::prop_assert!(held.is_ok(), "after undo: {:?}", held);
+                oracle.undo(interval);
+                let stage = oracle.stage();
+                let mut fresh = ScheduleState::new(&stage, &machine, &oracle.projected());
+                proptest::prop_assert!(kept.tables.present_only() == *fresh.tables(), "after undo");
+                let mut stop = Stop::new(None, Some(moves));
+                kept.climb(&machine, &mut stop);
+                hill_climb(&mut fresh, &mut Stop::new(None, Some(moves)));
+                let climbed = fresh.snapshot();
+                let rebuilt = ScheduleState::new(&stage, &machine, &climbed);
+                let present = kept.tables.present_only();
+                proptest::prop_assert_eq!(present.schedule(), &climbed);
+                proptest::prop_assert!(present == *rebuilt.tables(), "after climb");
+                oracle.adopt(&climbed);
+            }
+            proptest::prop_assert_eq!(&kept.stage, &dag);
+        }
     }
 
     /// `refine_interval: 0` used to leave the walk where it stood forever.

@@ -52,6 +52,9 @@ pub(super) struct Awake {
     awake: Vec<u64>,
     /// Asleep below the floor of the last climb, unless woken since.
     settled: Vec<u64>,
+    /// Left out of the tables (see `reseat`): asleep and settled until
+    /// revived. Empty while no node is.
+    absent: Vec<u64>,
     n: usize,
     /// Floor of the last climb.
     floor: u32,
@@ -72,6 +75,9 @@ impl Awake {
         let old = self.n;
         self.awake.resize(n.div_ceil(64), !0);
         self.settled.resize(n.div_ceil(64), 0);
+        if !self.absent.is_empty() {
+            self.absent.resize(n.div_ceil(64), 0);
+        }
         if let Some(w) = self.awake.get_mut(old / 64) {
             *w |= !0 << (old % 64);
         }
@@ -96,9 +102,32 @@ impl Awake {
     /// Wakes `v`; it may have left the settled rows.
     #[inline]
     fn wake(&mut self, v: NodeId) {
+        debug_assert!(!self.is_absent(v), "waking absent node {v}");
         let (w, bit) = (v as usize / 64, 1 << (v % 64));
         self.awake[w] |= bit;
         self.settled[w] &= !bit;
+    }
+
+    /// Leaves `v` out: asleep and settled until [`Awake::revive`].
+    pub(super) fn leave_out(&mut self, v: NodeId) {
+        if self.absent.is_empty() {
+            self.absent.resize(self.n.div_ceil(64), 0);
+        }
+        self.absent[v as usize / 64] |= 1 << (v % 64);
+        self.sleep(v, true);
+    }
+
+    /// Takes `v` back in, awake.
+    pub(super) fn revive(&mut self, v: NodeId) {
+        self.absent[v as usize / 64] &= !(1 << (v % 64));
+        self.wake(v);
+    }
+
+    #[inline]
+    pub(super) fn is_absent(&self, v: NodeId) -> bool {
+        self.absent
+            .get(v as usize / 64)
+            .is_some_and(|w| w >> (v % 64) & 1 == 1)
     }
 
     #[inline]
@@ -216,16 +245,27 @@ impl ScheduleState<'_> {
         self.t.awake.sleep(v, settled);
     }
 
-    /// Readies the set for sweeps at `floor`. Nodes below an earlier
-    /// climb's floor went to sleep unasked, so a lower floor wakes every
-    /// node first.
+    /// Readies the set and the certificates for sweeps at `floor`. Nodes
+    /// below an earlier climb's floor went to sleep unasked, and a
+    /// certificate issued at a higher floor never probed the steps in
+    /// between, so a lower floor wakes every present node and voids every
+    /// certificate first. A floor at or above the last one keeps both: it
+    /// only removes candidates.
     pub(crate) fn prepare_sweeps(&mut self, floor: u32) {
         let a = &mut self.t.awake;
         if floor < a.floor {
             a.settled.fill(0);
+            a.settled[..a.absent.len()].copy_from_slice(&a.absent);
             a.wake_all();
+            self.void_certificates();
         }
-        a.floor = floor;
+        self.t.awake.floor = floor;
+    }
+
+    /// Whether the tables leave `v` out (see `reseat`): it counts in no
+    /// row and no sweep visits it.
+    pub(crate) fn is_absent(&self, v: NodeId) -> bool {
+        self.t.awake.is_absent(v)
     }
 
     /// Takes the count of row refreshes that gained a hot cell (and woke

@@ -5,8 +5,9 @@ use bsp_dag::NodeId;
 
 impl ScheduleState<'_> {
     /// Voids every certificate issued so far. A certificate speaks about
-    /// the probes of *one* sweep loop — one floor, one neighbourhood — so
-    /// that loop calls this on entry.
+    /// the probes of one floor: a climb at a lower floor than the last
+    /// calls this on entry (`prepare_sweeps`); one at the same floor or
+    /// above keeps them.
     pub fn void_certificates(&mut self) {
         self.t.clock += 1;
         self.t.cert_floor = self.t.clock;
@@ -29,15 +30,16 @@ impl ScheduleState<'_> {
     /// probes of that order each.
     ///
     /// **The stamps.** Every mutation (`apply_move`, a renumbering
-    /// `compact_from`, `attach_appended`) takes the next value of a
-    /// counter and writes it onto what it changed: every superstep row of
-    /// its `touched` list — a row is on that list whenever one of its
-    /// slots or counts changed, which is the only way its cached maxima
-    /// and cost change — and every node whose placement *or consumer
-    /// slice* changed: the moved (or appended) node, and each of its
-    /// predecessors, whose slices hold its `(proc, step)` entry. Growing
-    /// the step table stamps nothing: a fresh row reads as the empty row
-    /// a probe saw in its place before.
+    /// `compact_from`, `attach_appended`, an un-contraction batch of
+    /// `ScheduleTables::uncontract`) takes the next value of a counter and
+    /// writes it onto what it changed: every superstep row of its
+    /// `touched` list — a row is on that list whenever one of its slots or
+    /// counts changed, which is the only way its cached maxima and cost
+    /// change — and every node whose placement, weights, successors *or
+    /// consumer slice* changed: the moved (or appended, or re-seated)
+    /// node, and each of its predecessors, whose slices hold its `(proc,
+    /// step)` entry. Growing the step table stamps nothing: a fresh row
+    /// reads as the empty row a probe saw in its place before.
     ///
     /// **Why the read set is complete.** A certificate issued at clock `c`
     /// holds iff none of the following carries a stamp `> c`; one line
@@ -61,13 +63,18 @@ impl ScheduleState<'_> {
     /// * `eval_rows` / `rescan_adjusted` read slots, counts, cached
     ///   maxima and cost of exactly the rows named above, and rows at or
     ///   beyond the table as empty.
-    /// * `weighted`, `g`, `ℓ`, `λ` and the DAG never change.
+    /// * `weighted` reads `c(v)` and each `c(u)`, and `probe_move_in`
+    ///   reads `w(v)`: an un-contraction that changes a weight stamps the
+    ///   node. `g`, `ℓ` and `λ` never change.
+    /// * The predecessor list itself: an un-contraction that gives `v` a
+    ///   new predecessor stamps that predecessor, which the list now
+    ///   names.
     ///
     /// So: the stamps of `v` and of each predecessor, rows `τ(v) − 2 ..=
     /// τ(v) + 1`, and row `s − 1` for every entry of `v`'s slice and of
     /// each predecessor's slice. A renumbering stamps every row, `τ(v)`
     /// among them. A floor only removes probes, so a certificate issued
-    /// under a floor is good under that floor.
+    /// under a floor is good under that floor and every higher one.
     pub fn certified(&self, v: NodeId) -> bool {
         let t = &self.t;
         let c = t.cert[v as usize];

@@ -88,10 +88,12 @@
 //!
 //! Everything above lives in [`ScheduleTables`], which borrows nothing;
 //! [`ScheduleState`] is a `(&Dag, &BspParams)` view over it. A caller that
-//! grows its DAG between two uses — the online runtime — detaches the
-//! tables, appends to the graph and re-attaches them
-//! ([`ScheduleState::attach_appended`]), paying for the batch instead of a
-//! rebuild.
+//! changes its DAG between two uses detaches the tables, edits the graph
+//! and re-attaches them, paying for the edit instead of a rebuild: the
+//! online runtime appends arrivals ([`ScheduleState::attach_appended`]),
+//! and the multilevel walk undoes contractions
+//! ([`ScheduleTables::uncontract`], over a graph whose merged-away nodes
+//! are absent from the tables).
 //!
 //! Every mutation stamps a counter onto the superstep rows and the nodes
 //! it changed. A sweep that probed a node's whole neighbourhood in vain
@@ -100,12 +102,15 @@
 //! ([`ScheduleState::certified`], which lists the read set branch by
 //! branch), and the next sweep skips it.
 //!
-//! Certificates speak about one climb. The *awake set* outlives climbs,
-//! detaching and compaction: a node whose [`ScheduleState::may_improve`]
-//! came back false sleeps until a mutation changes something that test
-//! reads ([`ScheduleState::is_awake`]). A move wakes the nodes around it;
-//! a row refresh that turns a cold cell hot wakes every node. So a sweep
-//! of a re-plan visits what the batch disturbed, not the whole suffix.
+//! Certificates and the *awake set* both outlive climbs, detaching and
+//! edits. A certificate was issued under its climb's floor and holds at
+//! any higher one; a climb at a lower floor voids them all. A node whose
+//! [`ScheduleState::may_improve`] came back false sleeps until a mutation
+//! changes something that test reads ([`ScheduleState::is_awake`]). A move
+//! wakes the nodes around it; a row refresh that turns a cold cell hot
+//! wakes every node. So a sweep of a re-plan, or of the next multilevel
+//! chunk, visits what the edit disturbed, and probes only the
+//! neighbourhoods whose certificates it voided.
 //!
 //! # Layout
 //!
@@ -118,8 +123,9 @@
 //! gathered once per node and clock), `certify` (stamps and failure
 //! certificates), `bound`
 //! (the enumeration of the cells a move can decrement, its folds, and the
-//! candidate floors read off them) and `awake` (the awake set, the row
-//! hotness it is woken by, and why the wake rules are complete).
+//! candidate floors read off them), `awake` (the awake set, the row
+//! hotness it is woken by, and why the wake rules are complete) and
+//! `reseat` (absent nodes, and un-contractions as table edits).
 
 use awake::Awake;
 use bsp_dag::{Dag, NodeId};
@@ -132,6 +138,7 @@ mod awake;
 mod bound;
 mod certify;
 mod probe;
+mod reseat;
 mod tables;
 #[cfg(test)]
 mod tests;
@@ -339,13 +346,18 @@ impl ScheduleTables {
             .map_or(0, |s| s as u32 + 1)
     }
 
-    /// Work assigned to processor `q` in superstep `s` (0 beyond the
-    /// allocated rows).
-    pub(crate) fn work(&self, s: u32, q: u32) -> u64 {
-        let p = self.slots.len() / self.n_steps.max(1);
-        self.slots
-            .get(s as usize * p + q as usize)
-            .map_or(0, |c| c.work)
+    /// Writes the work of superstep `s` into `row`, one entry per
+    /// processor (all 0 beyond the allocated rows).
+    pub(crate) fn row_work(&self, s: u32, row: &mut [u64]) {
+        let p = row.len();
+        match self.slots.get(s as usize * p..(s as usize + 1) * p) {
+            Some(cells) => {
+                for (w, c) in row.iter_mut().zip(cells) {
+                    *w = c.work;
+                }
+            }
+            None => row.fill(0),
+        }
     }
 }
 
@@ -364,6 +376,19 @@ impl<'a> ScheduleState<'a> {
     /// against (see [`ScheduleTables`]).
     pub fn detach(self) -> ScheduleTables {
         self.t
+    }
+
+    /// Re-attaches released tables to the DAG and machine they describe:
+    /// the same ones, or a DAG [`ScheduleTables::uncontract`] kept up to
+    /// date. (A DAG grown by [`Dag::append`] takes
+    /// [`ScheduleState::attach_appended`].)
+    pub fn attach(dag: &'a Dag, machine: &'a BspParams, tables: ScheduleTables) -> Self {
+        assert_eq!(tables.n(), dag.n());
+        ScheduleState {
+            dag,
+            machine,
+            t: tables,
+        }
     }
 
     /// The lifetime-free half of the state.

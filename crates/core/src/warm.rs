@@ -77,7 +77,6 @@ use bsp_schedule::cost::lazy_cost;
 use bsp_schedule::prefix::PrefixViolation;
 use bsp_schedule::solve::SolveCx;
 use bsp_schedule::BspSchedule;
-use std::collections::BTreeMap;
 
 /// Transplants `base` (a schedule of the *pre-edit* DAG) onto the edited
 /// `dag`: surviving nodes keep their assignment through `node_map`
@@ -113,23 +112,31 @@ pub fn warm_start_from_map(
 /// per-processor work is `row`: the one minimizing a cost-model score —
 /// the NUMA-weighted communication from its predecessors (`g · Σ
 /// c(u)·λ(π(u), q)`, `π(u)` read through `proc_of`) plus the work already
-/// there plus `w(v)` — tie-broken by processor id.
+/// there plus `w(v)` — tie-broken by processor id. `comm` (length `P`) is
+/// scratch: one pass over the predecessors fills the sum for every `q`,
+/// so `proc_of` is read once per predecessor.
 fn cheapest_proc(
     dag: &Dag,
     machine: &BspParams,
     v: NodeId,
     row: &[u64],
+    comm: &mut [u64],
     proc_of: impl Fn(NodeId) -> u32,
 ) -> u32 {
     let numa = machine.numa();
+    comm.fill(0);
+    for &u in dag.predecessors(v) {
+        let (c, pu) = (dag.comm(u), proc_of(u) as usize);
+        for (q, x) in comm.iter_mut().enumerate() {
+            *x += c * numa.lambda(pu, q);
+        }
+    }
     (0..machine.p() as u32)
         .min_by_key(|&q| {
-            let comm: u64 = dag
-                .predecessors(v)
-                .iter()
-                .map(|&u| dag.comm(u) * numa.lambda(proc_of(u) as usize, q as usize))
-                .sum();
-            (row[q as usize] + dag.work(v) + machine.g() * comm, q)
+            (
+                row[q as usize] + dag.work(v) + machine.g() * comm[q as usize],
+                q,
+            )
         })
         .unwrap_or(0)
 }
@@ -169,6 +176,7 @@ pub fn place_new_nodes(
     }
     // work[(q, s)] tracked sparsely: steps grow as insertions demand.
     let mut work: Vec<Vec<u64>> = Vec::new(); // work[s][q]
+    let mut comm = vec![0u64; machine.p()];
     let ensure_step = |work: &mut Vec<Vec<u64>>, s: u32| {
         while work.len() <= s as usize {
             work.push(vec![0u64; p as usize]);
@@ -195,7 +203,9 @@ pub fn place_new_nodes(
             .max()
             .unwrap_or(0);
         ensure_step(&mut work, s);
-        let q = cheapest_proc(dag, machine, v, &work[s as usize], |u| proc[u as usize]);
+        let q = cheapest_proc(dag, machine, v, &work[s as usize], &mut comm, |u| {
+            proc[u as usize]
+        });
         proc[v as usize] = q;
         step[v as usize] = s;
         placed[v as usize] = true;
@@ -230,9 +240,13 @@ pub fn place_appended(
         None => (base.proc(u), base.step(u)),
         Some(i) => placed[i],
     };
-    // Work the batch itself has put into a superstep so far, per processor.
-    let mut added: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut row = vec![0u64; machine.p()];
+    // Work the batch itself has put into a superstep so far, per
+    // processor: `extra[i*P..(i+1)*P]` for superstep `steps[i]`. A batch
+    // touches a handful of supersteps, so a scan finds its row.
+    let p = machine.p();
+    let (mut steps, mut extra): (Vec<u32>, Vec<u64>) = (Vec::new(), Vec::new());
+    let mut scratch = vec![0u64; 2 * p];
+    let (row, comm) = scratch.split_at_mut(p);
     for v in n0 as NodeId..dag.n() as NodeId {
         let s = dag
             .predecessors(v)
@@ -240,11 +254,17 @@ pub fn place_appended(
             .map(|&u| at(&placed, u).1 + 1)
             .max()
             .unwrap_or(0);
-        let extra = added.entry(s).or_insert_with(|| vec![0; machine.p()]);
-        for (q, w) in row.iter_mut().enumerate() {
-            *w = tables.work(s, q as u32) + extra[q];
+        let i = steps.iter().position(|&t| t == s).unwrap_or_else(|| {
+            steps.push(s);
+            extra.resize(extra.len() + p, 0);
+            steps.len() - 1
+        });
+        let extra = &mut extra[i * p..(i + 1) * p];
+        tables.row_work(s, row);
+        for (w, e) in row.iter_mut().zip(extra.iter()) {
+            *w += e;
         }
-        let q = cheapest_proc(dag, machine, v, &row, |u| at(&placed, u).0);
+        let q = cheapest_proc(dag, machine, v, row, comm, |u| at(&placed, u).0);
         extra[q as usize] += dag.work(v);
         placed.push((q, s));
     }

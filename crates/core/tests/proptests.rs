@@ -530,8 +530,18 @@ fn warm_scratch_is_cold(
 /// The first improving probe `(q, s, delta)` of `v`'s hill-climbing
 /// neighbourhood, if there is one.
 fn has_improving_probe(st: &ScheduleState<'_>, v: NodeId) -> Option<(u32, u32, i64)> {
+    has_improving_probe_from(st, v, 0)
+}
+
+/// [`has_improving_probe`] in the neighbourhood a climb at `floor` probes:
+/// no candidate below the floor.
+fn has_improving_probe_from(
+    st: &ScheduleState<'_>,
+    v: NodeId,
+    floor: u32,
+) -> Option<(u32, u32, i64)> {
     let tau = st.step(v);
-    for s in tau.saturating_sub(1)..=tau + 1 {
+    for s in tau.saturating_sub(1).max(floor)..=tau + 1 {
         for q in st.valid_procs(v, s).procs(st.p()) {
             // The null move probes as 0.
             let delta = st.probe_move(v, q, s);
@@ -559,11 +569,21 @@ fn certified_nodes_have_no_improving_move(
     st: &ScheduleState<'_>,
     after: &str,
 ) -> Result<usize, proptest::test_runner::TestCaseError> {
+    certified_nodes_have_no_improving_move_from(st, 0, after)
+}
+
+/// [`certified_nodes_have_no_improving_move`] for certificates issued by
+/// climbs at `floor` or below: no improving probe at or above `floor`.
+fn certified_nodes_have_no_improving_move_from(
+    st: &ScheduleState<'_>,
+    floor: u32,
+    after: &str,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
     let mut standing = 0;
     for v in 0..st.n() as NodeId {
         if st.certified(v) {
             standing += 1;
-            let found = has_improving_probe(st, v);
+            let found = has_improving_probe_from(st, v, floor);
             prop_assert!(
                 found.is_none(),
                 "after {}: certified node {} improves: {:?}",
@@ -612,6 +632,49 @@ fn certificate_soundness(
         }
     }
     prop_assert_eq!(st.cost(), st.recomputed_cost());
+    Ok(())
+}
+
+/// Certificates outlive a climb: two climbs on one state, with an
+/// appended batch and a raised floor between them. The certificates of
+/// the first climb that still stand after the append, and all that stand
+/// after the second climb, are true at that climb's floor; a climb at a
+/// lower floor voids every one of them before it probes anything.
+fn certificates_outlive_a_climb(
+    dag: &Dag,
+    machine: &BspParams,
+    seed: u64,
+    cut: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc11b);
+    let cut = cut.clamp(1, dag.n());
+    let prefix = prefix_of(dag, cut);
+    let start = random_valid_assignment(&prefix, machine.p() as u32, seed);
+    let mut st = ScheduleState::new(&prefix, machine, &start);
+    hill_climb(&mut st, &mut Stop::new(None, Some(rng.gen_range(1..40))));
+    let first = certified_nodes_have_no_improving_move(&st, "the first climb")?;
+
+    let tables = st.detach();
+    let floor = rng.gen_range(1..=tables.n_supersteps().max(1));
+    let placed = place_appended(dag, machine, &tables, floor);
+    let mut st = ScheduleState::attach_appended(dag, machine, tables, &placed);
+    let kept = certified_nodes_have_no_improving_move(&st, "an append")?;
+    prop_assert!(kept <= first);
+
+    hill_climb_from(
+        &mut st,
+        &mut Stop::new(None, Some(rng.gen_range(1..40))),
+        floor,
+    );
+    certified_nodes_have_no_improving_move_from(&st, floor, "a second climb at a raised floor")?;
+
+    // A climb allowed no move still readies its sweeps: at a lower floor
+    // that voids every certificate.
+    hill_climb_from(&mut st, &mut Stop::new(None, Some(0)), floor - 1);
+    prop_assert_eq!(
+        certified_nodes_have_no_improving_move(&st, "a lower floor")?,
+        0
+    );
     Ok(())
 }
 
@@ -976,6 +1039,22 @@ proptest! {
         for dag in [layered, erdos] {
             certificate_soundness(&dag, &machine, seed)?;
             certificate_soundness(&with_zeroed_weights(&dag, seed), &machine, seed)?;
+        }
+    }
+
+    /// Failure certificates outlive a climb, across an append and a
+    /// raised floor, and a lower floor voids them.
+    #[test]
+    fn certificates_outlive_a_climb_until_the_floor_drops(
+        layered in arb_dag(),
+        erdos in arb_erdos_dag(),
+        machine in arb_prune_machine(),
+        seed in 0u64..10_000,
+        cut in 0usize..30,
+    ) {
+        for dag in [layered, erdos] {
+            certificates_outlive_a_climb(&dag, &machine, seed, cut)?;
+            certificates_outlive_a_climb(&with_zeroed_weights(&dag, seed), &machine, seed, cut)?;
         }
     }
 

@@ -472,6 +472,7 @@ impl MutableDag {
     /// `old id -> Some(new id)` (dead nodes map to `None`). Live nodes keep
     /// their relative id order.
     pub fn compact(&self) -> (Dag, Vec<Option<NodeId>>) {
+        crate::calls::note("MutableDag::compact");
         let mut map = vec![None; self.alive.len()];
         let mut work = Vec::with_capacity(self.n_alive);
         let mut comm = Vec::with_capacity(self.n_alive);
@@ -487,6 +488,49 @@ impl MutableDag {
             }
         }
         (Dag::from_parts(self.n_alive, edges, work, comm), map)
+    }
+
+    /// The current graph over the original ids: a live node has its merged
+    /// weights and edges, a dead one stays as an isolated node of weight 0.
+    /// Live nodes in ascending id, with their edges, are
+    /// [`MutableDag::compact`]'s graph. A walk that undoes contractions
+    /// keeps this graph up to date with [`MutableDag::restage`] instead of
+    /// extracting a new one per stage.
+    pub fn stage_by_id(&self) -> Dag {
+        crate::calls::note("MutableDag::stage_by_id");
+        let n = self.alive.len();
+        let edges = self
+            .live_nodes()
+            .flat_map(|u| self.succ[u as usize].iter().map(move |&v| (u, v)))
+            .collect();
+        let (work, comm) = (0..n as NodeId).map(|v| self.stage_weights(v)).unzip();
+        Dag::from_parts(n, edges, work, comm)
+    }
+
+    /// `(w(v), c(v))` in [`MutableDag::stage_by_id`]: 0 for a dead node.
+    fn stage_weights(&self, v: NodeId) -> (u64, u64) {
+        match self.alive[v as usize] {
+            true => (self.work[v as usize], self.comm[v as usize]),
+            false => (0, 0),
+        }
+    }
+
+    /// Brings `stage`, a [`MutableDag::stage_by_id`] of this graph, up to
+    /// date after [`MutableDag::uncontract`] calls. `rows` must hold every
+    /// node whose weights or edges changed since: both nodes of each undone
+    /// contraction and every neighbour of the revived one. It is sorted and
+    /// deduplicated here. Costs the rewritten rows plus one copy of the
+    /// adjacency arrays ([`crate::graph::rewrite_csr_rows`]).
+    pub fn restage(&self, stage: &mut Dag, rows: &mut Vec<NodeId>) {
+        debug_assert_eq!(stage.n(), self.alive.len());
+        rows.sort_unstable();
+        rows.dedup();
+        stage.rewrite_nodes(
+            rows,
+            |v| self.stage_weights(v),
+            |v, out| out.extend(&self.succ[v as usize]),
+            |v, out| out.extend(&self.pred[v as usize]),
+        );
     }
 }
 
@@ -643,6 +687,33 @@ mod tests {
         assert_eq!(m.live_edges(), [(0, 1), (1, 3)]);
         assert_eq!(m.uncontract(), Some((1, 2)));
         assert_eq!(m.compact().0, dag);
+    }
+
+    /// Restaging after every undo keeps the stage by id equal to a fresh
+    /// one, and its live part equal to the compacted graph.
+    #[test]
+    fn restage_follows_every_undo() {
+        let dag = crate::random::random_order_dag(5, 40, 0.15, 7, 5);
+        let mut m = MutableDag::from_dag(&dag);
+        while let Some(&(u, v)) = m.contractable_edges().first() {
+            m.contract_edge(u, v);
+        }
+        let mut stage = m.stage_by_id();
+        let live: Vec<NodeId> = m.live_nodes().collect();
+        assert_eq!(stage.induced_subgraph(&live).0, m.compact().0);
+        let mut rows = Vec::new();
+        for batch in [1, 3, 2, usize::MAX] {
+            for _ in 0..batch {
+                let Some((u, v)) = m.uncontract() else { break };
+                rows.extend([u, v]);
+                rows.extend(&m.pred[v as usize]);
+                rows.extend(&m.succ[v as usize]);
+            }
+            m.restage(&mut stage, &mut rows);
+            rows.clear();
+            assert_eq!(stage, m.stage_by_id());
+        }
+        assert_eq!(stage, dag);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! CSR-backed DAG with node weights: immutable but for [`Dag::append`],
-//! which grows it by nodes that only consume.
+//! which grows it by nodes that only consume, and the row rewrites with
+//! which [`crate::MutableDag::restage`] follows an un-coarsening walk.
 
 use crate::builder::DagError;
 use serde::{Deserialize, Serialize};
@@ -250,6 +251,66 @@ impl Dag {
         }
         (Dag::from_parts(sorted.len(), edges, work, comm), map)
     }
+
+    /// Replaces the weights and both adjacency rows of every node in
+    /// `rows` (ascending, distinct): `weights(v)` is `(w(v), c(v))`, and
+    /// `succ` / `pred` push `v`'s new successors / predecessors, sorted and
+    /// deduplicated. The caller keeps the graph acyclic and the two
+    /// directions in agreement ([`crate::MutableDag::restage`] is the one
+    /// caller). One pass of [`rewrite_csr_rows`] per direction.
+    pub(crate) fn rewrite_nodes(
+        &mut self,
+        rows: &[NodeId],
+        weights: impl Fn(NodeId) -> (u64, u64),
+        succ: impl FnMut(NodeId, &mut Vec<NodeId>),
+        pred: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) {
+        for &v in rows {
+            (self.work[v as usize], self.comm[v as usize]) = weights(v);
+        }
+        rewrite_csr_rows(&mut self.succ_offsets, &mut self.succ, rows, succ);
+        rewrite_csr_rows(&mut self.pred_offsets, &mut self.pred, rows, pred);
+    }
+}
+
+/// Rewrites the rows `rows` (ascending, distinct) of a CSR array: row `r`
+/// gets the entries `fill(r, out)` pushes onto `out`, and every other row
+/// keeps its own, copied over as one block per run of untouched rows.
+/// `O(n + entries)`: one copy into a fresh data array and one pass over the
+/// offsets from the first rewritten row. Like [`append_to_csr`], it is
+/// public for the structures that mirror a successor CSR row for row.
+pub fn rewrite_csr_rows<T: Copy>(
+    offsets: &mut [u32],
+    data: &mut Vec<T>,
+    rows: &[NodeId],
+    mut fill: impl FnMut(NodeId, &mut Vec<T>),
+) {
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    let mut out = Vec::with_capacity(data.len());
+    // `data[..copied]` is in `out`; `offsets[..=fixed]` are new offsets,
+    // the rest still old ones.
+    let (mut copied, mut fixed) = (0, first as usize);
+    for &r in rows {
+        let r = r as usize;
+        let (lo, hi) = (offsets[r] as usize, offsets[r + 1] as usize);
+        out.extend_from_slice(&data[copied..lo]);
+        let start = out.len() as u32;
+        for o in &mut offsets[fixed + 1..=r] {
+            *o = *o + start - lo as u32;
+        }
+        offsets[r] = start;
+        fill(r as NodeId, &mut out);
+        (copied, fixed) = (hi, r);
+    }
+    out.extend_from_slice(&data[copied..]);
+    let end = out.len() as u32;
+    for o in &mut offsets[fixed + 1..] {
+        *o = *o + end - data.len() as u32;
+    }
+    *data = out;
 }
 
 /// Grows a CSR adjacency in place to `n` rows, appending the entries of

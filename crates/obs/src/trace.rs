@@ -80,8 +80,11 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_us() -> u64 {
-    epoch().elapsed().as_micros().min(u64::MAX as u128) as u64
+/// Microseconds from the process trace epoch to `at` (0 before it).
+fn us_since_epoch(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch())
+        .as_micros()
+        .min(u64::MAX as u128) as u64
 }
 
 fn next_span_id() -> u64 {
@@ -117,6 +120,12 @@ impl TraceBuffer {
     /// Opens a span; it closes (and records itself) when the returned
     /// guard drops, or explicitly via [`Span::finish`].
     pub fn span(&self, name: &str, cat: &str) -> Span {
+        self.span_at(name, cat, Instant::now())
+    }
+
+    /// [`span`](Self::span) opened at `start`, a clock reading the caller
+    /// already took (a stage that times itself shares it with its span).
+    pub fn span_at(&self, name: &str, cat: &str, start: Instant) -> Span {
         let id = next_span_id();
         let buf_id = self.buffer_id();
         let parent = PARENTS.with(|p| {
@@ -136,8 +145,8 @@ impl TraceBuffer {
             tid: TID.with(|t| *t),
             name: name.to_string(),
             cat: cat.to_string(),
-            start: Instant::now(),
-            start_us: now_us(),
+            start,
+            start_us: us_since_epoch(start),
         }))
     }
 
@@ -208,7 +217,7 @@ struct SpanHandle {
 }
 
 impl SpanHandle {
-    fn close(self) {
+    fn close(self, end: Instant) {
         PARENTS.with(|p| {
             let mut p = p.borrow_mut();
             // Normally the top of the stack; search from the end to stay
@@ -217,9 +226,11 @@ impl SpanHandle {
                 p.remove(pos);
             }
         });
-        let dur_us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let buf = self.buf.clone();
-        buf.record(SpanRecord {
+        let dur_us = end
+            .saturating_duration_since(self.start)
+            .as_micros()
+            .min(u64::MAX as u128) as u64;
+        self.buf.record(SpanRecord {
             id: self.id,
             parent: self.parent,
             name: self.name,
@@ -236,9 +247,14 @@ pub struct Span(Option<SpanHandle>);
 
 impl Span {
     /// Closes the span now (equivalent to dropping it).
-    pub fn finish(mut self) {
+    pub fn finish(self) {
+        self.finish_at(Instant::now());
+    }
+
+    /// Closes the span at `end`, a clock reading the caller already took.
+    pub fn finish_at(mut self, end: Instant) {
         if let Some(h) = self.0.take() {
-            h.close();
+            h.close(end);
         }
     }
 
@@ -251,7 +267,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(h) = self.0.take() {
-            h.close();
+            h.close(Instant::now());
         }
     }
 }
@@ -298,6 +314,22 @@ mod tests {
         assert_eq!(spans[1].parent, 0);
         assert_eq!(spans[0].tid, spans[1].tid);
         assert!(spans[0].start_us >= spans[1].start_us);
+    }
+
+    #[test]
+    fn a_span_times_the_readings_it_is_given() {
+        let buf = TraceBuffer::new(8);
+        // The trace epoch starts at the first timestamp taken: before `start`.
+        us_since_epoch(Instant::now());
+        let start = Instant::now();
+        let end = start + std::time::Duration::from_micros(1_500);
+        buf.span_at("given", "t", start).finish_at(end);
+        // Closing before the opening reads as zero, not as a wrap.
+        buf.span_at("backwards", "t", end).finish_at(start);
+        let spans = buf.snapshot();
+        assert_eq!(spans[0].dur_us, 1_500);
+        assert_eq!(spans[1].dur_us, 0);
+        assert_eq!(spans[1].start_us - spans[0].start_us, 1_500);
     }
 
     #[test]

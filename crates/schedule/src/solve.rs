@@ -354,8 +354,13 @@ impl Stop {
     /// accepted moves; `None` = unlimited, and a limit too large to be a
     /// representable instant is no limit.
     pub fn new(time_limit: Option<Duration>, max_moves: Option<usize>) -> Self {
+        Stop::starting_at(Instant::now(), time_limit, max_moves)
+    }
+
+    /// [`Stop::new`] whose time limit counts from `start`.
+    fn starting_at(start: Instant, time_limit: Option<Duration>, max_moves: Option<usize>) -> Self {
         Stop {
-            deadline: time_limit.and_then(|t| Instant::now().checked_add(t)),
+            deadline: time_limit.and_then(|t| start.checked_add(t)),
             cancel: None,
             moves_left: max_moves.unwrap_or(usize::MAX),
             until_poll: 0,
@@ -374,9 +379,14 @@ impl Stop {
     }
 
     fn spent(&self) -> bool {
+        self.spent_at(Instant::now())
+    }
+
+    /// [`spent`](Self::spent) with the clock read at `now`.
+    fn spent_at(&self, now: Instant) -> bool {
         self.fired
             || self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.deadline.is_some_and(|d| now >= d)
     }
 
     /// Whether the deadline has passed or the token has been cancelled,
@@ -451,7 +461,7 @@ impl<'a> SolveCx<'a> {
             start,
             limits: Stop {
                 cancel: req.budget.cancel.clone(),
-                ..Stop::new(req.budget.deadline, req.budget.max_stage_moves)
+                ..Stop::starting_at(start, req.budget.deadline, req.budget.max_stage_moves)
             },
             stages: Vec::new(),
             current: None,
@@ -515,8 +525,12 @@ impl<'a> SolveCx<'a> {
 
     /// Begins a named stage (notifies the observer, starts its clock).
     pub fn begin(&mut self, stage: &str) {
+        self.begin_at(stage, Instant::now());
+    }
+
+    fn begin_at(&mut self, stage: &str, now: Instant) {
         self.observer.on_stage_start(&self.scheduler, stage);
-        self.current = Some((stage.to_string(), Instant::now()));
+        self.current = Some((stage.to_string(), now));
     }
 
     /// Reports an incumbent improvement within the current stage.
@@ -534,6 +548,10 @@ impl<'a> SolveCx<'a> {
 
     /// Ends the current stage with its final cost and truncation flag.
     pub fn end(&mut self, cost_after: u64, truncated: bool) {
+        self.end_at(cost_after, truncated, Instant::now());
+    }
+
+    fn end_at(&mut self, cost_after: u64, truncated: bool, now: Instant) {
         let (stage, began) = self
             .current
             .take()
@@ -544,7 +562,7 @@ impl<'a> SolveCx<'a> {
         let report = StageReport {
             stage,
             cost_after,
-            elapsed: began.elapsed(),
+            elapsed: now.saturating_duration_since(began),
             truncated,
         };
         self.observer.on_stage_end(&self.scheduler, &report);
@@ -555,14 +573,17 @@ impl<'a> SolveCx<'a> {
     /// span (category `"pipeline"`), and [`end`](Self::end) with the cost
     /// `run` returns first, truncated if the budget has
     /// [`expired`](Self::expired) by then. Hands back what `run` returns
-    /// second.
+    /// second. One clock read opens the stage and its span, one closes
+    /// both and decides the truncation.
     pub fn stage<R>(&mut self, name: &str, run: impl FnOnce(&mut Self) -> (u64, R)) -> R {
-        self.begin(name);
-        let span = bsp_obs::trace::global().span(name, "pipeline");
+        let began = Instant::now();
+        self.begin_at(name, began);
+        let span = bsp_obs::trace::global().span_at(name, "pipeline", began);
         let (cost, found) = run(self);
-        span.finish();
-        let truncated = self.expired();
-        self.end(cost, truncated);
+        let ended = Instant::now();
+        span.finish_at(ended);
+        let truncated = self.limits.spent_at(ended);
+        self.end_at(cost, truncated, ended);
         found
     }
 

@@ -3,23 +3,26 @@
 //! `layered` instance at n and at 4n on the test's thread, and each
 //! `bsp_dag::calls` tally must read the same at both sizes.
 //!
-//! `pipeline/multilevel` is the named exception: it builds a schedule
-//! state per refinement chunk, so its tallies grow with n and are pinned
-//! at both sizes instead. All ten entries run on the test's thread; a
-//! `race/…` portfolio, which is not an entry, runs its racers on threads
-//! of their own, where these thread-local tallies cannot see them.
+//! No entry is exempt: `pipeline/multilevel` keeps one schedule state and
+//! one stage graph per ratio walk, so neither a state build nor a stage
+//! extraction happens per refinement chunk. All ten entries run on the
+//! test's thread; a `race/…` portfolio, which is not an entry, runs its
+//! racers on threads of their own, where these thread-local tallies
+//! cannot see them.
 #![cfg(debug_assertions)]
 
 use bsp_sched::dag::calls;
 use bsp_sched::prelude::*;
 
-/// The tallied passes, in the order the pins below list them.
-const PASSES: [&str; 5] = [
+/// The tallied passes.
+const PASSES: [&str; 7] = [
     "DagBuilder::build",
     "TopoInfo::new",
     "ScheduleState::new",
     "apply_edits",
     "repair_precedence_from",
+    "MutableDag::compact",
+    "MutableDag::stage_by_id",
 ];
 
 /// One family at n = 40 and at 4n = 160. The machine is uniform with
@@ -28,10 +31,6 @@ const SIZES: [&str; 2] = [
     "layered?layers=5&width=8&q=0.3&seed=3 @ bsp?p=4&g=2&l=5",
     "layered?layers=20&width=8&q=0.3&seed=3 @ bsp?p=4&g=2&l=5",
 ];
-
-/// `pipeline/multilevel?ilp=off`'s tallies at n and at 4n, in `PASSES`
-/// order.
-const MULTILEVEL: [[u64; 5]; 2] = [[0, 3, 17, 0, 0], [0, 3, 55, 0, 0]];
 
 #[test]
 fn whole_input_passes_per_solve_are_constant_in_n() {
@@ -48,7 +47,7 @@ fn whole_input_passes_per_solve_are_constant_in_n() {
         } else {
             d.name.to_string()
         };
-        let counts = insts.each_ref().map(|inst| {
+        let counts: [[u64; PASSES.len()]; 2] = insts.each_ref().map(|inst| {
             let sched = registry.get(&spec).expect("registered");
             let before = PASSES.map(calls::count);
             let out = sched.solve(&SolveRequest::new(&inst.dag, &inst.machine));
@@ -56,13 +55,9 @@ fn whole_input_passes_per_solve_are_constant_in_n() {
             let after = PASSES.map(calls::count);
             std::array::from_fn(|i| after[i] - before[i])
         });
-        if d.name == "pipeline/multilevel" {
-            assert_eq!(counts, MULTILEVEL, "{spec}: passes {PASSES:?} at n, 4n");
-        } else {
-            assert_eq!(
-                counts[0], counts[1],
-                "{spec}: passes {PASSES:?} grow with n"
-            );
-        }
+        assert_eq!(
+            counts[0], counts[1],
+            "{spec}: passes {PASSES:?} grow with n"
+        );
     }
 }
