@@ -1,5 +1,6 @@
-//! Observability overhead guard: the fully instrumented solve pipeline (a
-//! [`TracingObserver`] recording spans and per-stage histograms) must cost
+//! Observability overhead guard: the solve pipeline under an
+//! [`EventObserver`] (the bridge the daemon attaches for `stream: true`
+//! solves, here forwarding every event into a counting closure) must cost
 //! within 2 % of the same pipeline under the default no-op observer.
 //!
 //! Best-of-five interleaved pairs; the bound is `noop_min · 1.02 + 2 ms`.
@@ -12,12 +13,13 @@ use bsp_core::pipeline::{solve_base_pipeline, PipelineConfig};
 use bsp_dagdb::fine::exp_dag;
 use bsp_dagdb::SparsePattern;
 use bsp_model::BspParams;
-use bsp_schedule::obs::TracingObserver;
-use bsp_schedule::solve::{SolveCx, SolveRequest};
+use bsp_schedule::events::{EventObserver, SolveEvent};
+use bsp_schedule::solve::{Observer, SolveCx, SolveRequest};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-fn run_pipeline(observer: Option<&TracingObserver>) -> Duration {
+fn run_pipeline(observer: Option<&dyn Observer>) -> Duration {
     let dag = exp_dag(&SparsePattern::random(24, 0.18, 9), 5);
     let m = BspParams::new(8, 2, 5);
     // Move-capped local search, no ILP: both sides do the same work.
@@ -42,15 +44,21 @@ fn run_pipeline(observer: Option<&TracingObserver>) -> Duration {
 #[test]
 #[ignore = "a timing bound: run in release with --ignored"]
 fn instrumented_pipeline_costs_within_two_percent_of_noop() {
-    let obs = TracingObserver::new();
-    let (mut noop_best, mut traced_best) = (Duration::MAX, Duration::MAX);
+    let events = AtomicU64::new(0);
+    let obs = EventObserver::new(|ev: SolveEvent| {
+        black_box(ev);
+        events.fetch_add(1, Ordering::Relaxed);
+    });
+    let (mut noop_best, mut observed_best) = (Duration::MAX, Duration::MAX);
     for _ in 0..5 {
         noop_best = noop_best.min(run_pipeline(None));
-        traced_best = traced_best.min(run_pipeline(Some(&obs)));
+        observed_best = observed_best.min(run_pipeline(Some(&obs)));
     }
+    // Every run reports at least its stages' starts and ends.
+    assert!(events.load(Ordering::Relaxed) >= 5 * 4);
     let bound = noop_best + noop_best / 50 + Duration::from_millis(2);
     assert!(
-        traced_best <= bound,
-        "instrumented pipeline {traced_best:?} exceeds noop {noop_best:?} + 2% + 2ms"
+        observed_best <= bound,
+        "observed pipeline {observed_best:?} exceeds noop {noop_best:?} + 2% + 2ms"
     );
 }

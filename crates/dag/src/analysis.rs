@@ -1,6 +1,6 @@
 //! Structural statistics over computational DAGs.
 
-use crate::graph::{Dag, NodeId};
+use crate::graph::Dag;
 use crate::topo::TopoInfo;
 
 /// Summary statistics of a DAG, used for dataset reporting and for the
@@ -53,15 +53,6 @@ impl DagStats {
     }
 }
 
-/// Average out-degree of the DAG, `m / n` (0 for the empty DAG).
-pub fn average_degree(dag: &Dag) -> f64 {
-    if dag.n() == 0 {
-        0.0
-    } else {
-        dag.m() as f64 / dag.n() as f64
-    }
-}
-
 /// The generalized CCR of Appendix A.5 for a NUMA machine: multiplies the
 /// plain ratio by `g` and the mean off-diagonal λ coefficient.
 pub fn numa_ccr(dag: &Dag, g: u64, mean_lambda: f64) -> f64 {
@@ -70,14 +61,6 @@ pub fn numa_ccr(dag: &Dag, g: u64, mean_lambda: f64) -> f64 {
         return 0.0;
     }
     dag.total_comm() as f64 * g as f64 * mean_lambda / w as f64
-}
-
-/// Nodes sorted by descending work weight; ties broken by ascending id.
-/// Used by the Source heuristic's round-robin assignment (Algorithm 2).
-pub fn by_descending_work(dag: &Dag, nodes: &[NodeId]) -> Vec<NodeId> {
-    let mut v = nodes.to_vec();
-    v.sort_by_key(|&x| (std::cmp::Reverse(dag.work(x)), x));
-    v
 }
 
 #[cfg(test)]
@@ -115,16 +98,8 @@ mod tests {
     #[test]
     fn degree_and_numa_ccr() {
         let d = sample();
-        assert!((average_degree(&d) - 1.0).abs() < 1e-12);
         // g=3, mean λ = 2 -> ccr = 6*3*2/10 = 3.6
         assert!((numa_ccr(&d, 3, 2.0) - 3.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn descending_work_sort_stable_by_id() {
-        let d = sample();
-        let order = by_descending_work(&d, &[0, 1, 2, 3]);
-        assert_eq!(order, vec![1, 3, 2, 0]);
     }
 
     #[test]
@@ -133,6 +108,5 @@ mod tests {
         let s = DagStats::compute(&d);
         assert_eq!(s.n, 0);
         assert_eq!(s.ccr, 0.0);
-        assert_eq!(average_degree(&d), 0.0);
     }
 }

@@ -106,20 +106,6 @@ pub fn bottom_level(dag: &Dag, topo: &TopoInfo) -> Vec<u64> {
     bl
 }
 
-/// Work-weighted *top level* of each node: the maximum total work along any
-/// path from a source to `v`, excluding `w(v)`. Equals the earliest possible
-/// start time on unbounded processors with free communication.
-pub fn top_level(dag: &Dag, topo: &TopoInfo) -> Vec<u64> {
-    let mut tl = vec![0u64; dag.n()];
-    for &v in topo.order.iter() {
-        let tv = tl[v as usize] + dag.work(v);
-        for &s in dag.successors(v) {
-            tl[s as usize] = tl[s as usize].max(tv);
-        }
-    }
-    tl
-}
-
 /// Length of the critical path in total work (the classic `T_inf`).
 pub fn critical_path_work(dag: &Dag, topo: &TopoInfo) -> u64 {
     bottom_level(dag, topo).into_iter().max().unwrap_or(0)
@@ -167,7 +153,6 @@ mod tests {
         let t = TopoInfo::new(&dag);
         // Critical path a -> y -> d: 1 + 5 + 1 = 7.
         assert_eq!(bottom_level(&dag, &t), vec![7, 3, 6, 1]);
-        assert_eq!(top_level(&dag, &t), vec![0, 1, 1, 6]);
         assert_eq!(critical_path_work(&dag, &t), 7);
     }
 

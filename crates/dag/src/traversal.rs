@@ -1,7 +1,6 @@
 //! Reachability and connectivity queries.
 
 use crate::graph::{Dag, NodeId};
-use crate::topo::TopoInfo;
 
 /// Returns `true` if there is a directed path from `from` to `to`
 /// (including the trivial path when `from == to`).
@@ -18,35 +17,6 @@ pub fn reaches(dag: &Dag, from: NodeId, to: NodeId) -> bool {
                 return true;
             }
             if !visited[v as usize] {
-                visited[v as usize] = true;
-                stack.push(v);
-            }
-        }
-    }
-    false
-}
-
-/// Like [`reaches`] but prunes the search using topological positions:
-/// only nodes whose position is below `position[to]` can lie on a path to
-/// `to`. Used heavily by the contractability test of the multilevel
-/// coarsener (Appendix A.5).
-pub fn reaches_pruned(dag: &Dag, topo: &TopoInfo, from: NodeId, to: NodeId) -> bool {
-    if from == to {
-        return true;
-    }
-    let limit = topo.position[to as usize];
-    if topo.position[from as usize] > limit {
-        return false;
-    }
-    let mut visited = vec![false; dag.n()];
-    let mut stack = vec![from];
-    visited[from as usize] = true;
-    while let Some(u) = stack.pop() {
-        for &v in dag.successors(u) {
-            if v == to {
-                return true;
-            }
-            if topo.position[v as usize] < limit && !visited[v as usize] {
                 visited[v as usize] = true;
                 stack.push(v);
             }
@@ -160,17 +130,6 @@ mod tests {
         assert!(!reaches(&d, 2, 0));
         assert!(!reaches(&d, 0, 4));
         assert!(reaches(&d, 3, 3));
-    }
-
-    #[test]
-    fn pruned_reachability_matches_unpruned() {
-        let d = two_islands();
-        let t = crate::TopoInfo::new(&d);
-        for u in 0..5u32 {
-            for v in 0..5u32 {
-                assert_eq!(reaches(&d, u, v), reaches_pruned(&d, &t, u, v), "{u}->{v}");
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the DAG substrate.
 
 use bsp_dag::random::{random_layered_dag, random_order_dag, LayeredConfig};
-use bsp_dag::topo::{bottom_level, is_topological_order, top_level};
-use bsp_dag::traversal::{reaches, reaches_pruned, weakly_connected_components};
+use bsp_dag::topo::is_topological_order;
+use bsp_dag::traversal::{reaches, weakly_connected_components};
 use bsp_dag::{hyperdag, DagBuilder, MutableDag, NodeId, TopoInfo};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -104,29 +104,6 @@ proptest! {
         let t = TopoInfo::new(&dag);
         for (u, v) in dag.edges() {
             prop_assert!(t.level[u as usize] < t.level[v as usize]);
-        }
-    }
-
-    #[test]
-    fn bottom_plus_top_bounded_by_critical_path(dag in arb_dag()) {
-        let t = TopoInfo::new(&dag);
-        let bl = bottom_level(&dag, &t);
-        let tl = top_level(&dag, &t);
-        let cp = bl.iter().copied().max().unwrap_or(0);
-        for v in dag.nodes() {
-            // Any source-to-sink path through v has length tl(v) + bl(v).
-            prop_assert!(tl[v as usize] + bl[v as usize] <= cp);
-        }
-    }
-
-    #[test]
-    fn pruned_reachability_agrees(dag in arb_dense_dag()) {
-        let t = TopoInfo::new(&dag);
-        let n = dag.n() as u32;
-        for u in 0..n.min(12) {
-            for v in 0..n.min(12) {
-                prop_assert_eq!(reaches(&dag, u, v), reaches_pruned(&dag, &t, u, v));
-            }
         }
     }
 

@@ -239,82 +239,6 @@ impl Vector {
             value,
         }
     }
-
-    /// Element-wise rectified linear unit `max(x, 0)` — the activation of
-    /// sparse neural network inference (Appendix B.1).
-    pub fn relu(&self) -> Vector {
-        let data = self.data.iter().map(|&a| a.max(0.0)).collect();
-        Vector {
-            ctx: self.ctx.clone(),
-            id: self.ctx.record(&[self.id]),
-            data,
-        }
-    }
-
-    /// Element-wise sum with `other`.
-    pub fn plus(&self, other: &Vector) -> Vector {
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Vector {
-            ctx: self.ctx.clone(),
-            id: self.ctx.record(&[self.id, other.id]),
-            data,
-        }
-    }
-
-    /// Per-element index of the nearest value in `centroids` — the
-    /// assignment step of (1-dimensional) k-means.
-    pub fn nearest_centroid(&self, centroids: &Vector) -> Vector {
-        let data = self
-            .data
-            .iter()
-            .map(|&x| {
-                centroids
-                    .data
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| (x - **a).abs().partial_cmp(&(x - **b).abs()).unwrap())
-                    .map(|(i, _)| i as f64)
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        Vector {
-            ctx: self.ctx.clone(),
-            id: self.ctx.record(&[self.id, centroids.id]),
-            data,
-        }
-    }
-
-    /// Mean of the members assigned to each of the `k` centroids — the
-    /// update step of k-means. Empty clusters keep the previous centroid.
-    pub fn centroid_means(&self, assign: &Vector, previous: &Vector) -> Vector {
-        let k = previous.data.len();
-        let mut sum = vec![0.0f64; k];
-        let mut count = vec![0usize; k];
-        for (x, c) in self.data.iter().zip(&assign.data) {
-            let c = *c as usize;
-            sum[c] += x;
-            count[c] += 1;
-        }
-        let data = (0..k)
-            .map(|c| {
-                if count[c] > 0 {
-                    sum[c] / count[c] as f64
-                } else {
-                    previous.data[c]
-                }
-            })
-            .collect();
-        Vector {
-            ctx: self.ctx.clone(),
-            id: self.ctx.record(&[self.id, assign.id, previous.id]),
-            data,
-        }
-    }
 }
 
 impl Scalar {
@@ -522,74 +446,6 @@ pub mod algorithms {
         reach
     }
 
-    /// Random sparse weight layer for [`spnn_inference`]: density `q`,
-    /// weights in `[-1, 1)`.
-    pub fn layer_matrix(ctx: &Ctx, n: usize, q: f64, seed: u64) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::new();
-            for j in 0..n as u32 {
-                if rng.gen_bool(q) {
-                    row.push((j, rng.gen_range(-1.0..1.0)));
-                }
-            }
-            rows.push(row);
-        }
-        ctx.matrix(n, rows)
-    }
-
-    /// Sparse neural network inference (Appendix B.1): per layer,
-    /// `x ← relu(W_l · x + b·1)` with a shared scalar bias.
-    pub fn spnn_inference(ctx: &Ctx, layers: &[Matrix], input: &Vector, bias: f64) -> Vector {
-        let n = input.len();
-        let b = ctx.scalar(bias);
-        let ones = ctx.vector(vec![1.0; n]);
-        let mut x = input.clone();
-        for w in layers {
-            let wx = w.mxv(&x);
-            let biased = wx.plus_scaled(&b, &ones);
-            x = biased.relu();
-        }
-        x
-    }
-
-    /// 1-dimensional k-means (Appendix B.1's "classical methods from
-    /// machine learning"): alternates nearest-centroid assignment and
-    /// centroid-mean update, with the usual convergence test on centroid
-    /// movement. Returns the final centroids.
-    pub fn kmeans(ctx: &Ctx, points: &Vector, k: usize, iters: Iterations) -> Vector {
-        assert!(k >= 1);
-        let init: Vec<f64> = (0..k)
-            .map(|c| {
-                // Spread initial centroids over the point range.
-                let lo = points
-                    .values()
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                let hi = points
-                    .values()
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max);
-                lo + (hi - lo) * (c as f64 + 0.5) / k as f64
-            })
-            .collect();
-        let mut centroids = ctx.vector(init);
-        let (max, tol) = budget(iters);
-        for _ in 0..max {
-            let assign = points.nearest_centroid(&centroids);
-            let next = points.centroid_means(&assign, &centroids);
-            let moved = next.abs_diff(&centroids);
-            centroids = next;
-            if moved.value() <= tol {
-                break;
-            }
-        }
-        centroids
-    }
-
     fn budget(iters: Iterations) -> (usize, f64) {
         match iters {
             Iterations::Fixed(k) => (k, -1.0),
@@ -688,64 +544,6 @@ mod tests {
         let _x = bicgstab(&ctx, &a, &b, Iterations::Fixed(3));
         let d = ctx.extract_dag();
         assert!(d.n() > 20);
-    }
-
-    #[test]
-    fn relu_and_plus_record_and_compute() {
-        let ctx = Ctx::new();
-        let v = ctx.vector(vec![-2.0, 3.0, 0.0]);
-        let r = v.relu();
-        assert_eq!(r.values(), &[0.0, 3.0, 0.0]);
-        let s = r.plus(&v);
-        assert_eq!(s.values(), &[-2.0, 6.0, 0.0]);
-        assert_eq!(ctx.len(), 3);
-    }
-
-    #[test]
-    fn spnn_trace_grows_linearly_with_layers() {
-        let sizes: Vec<usize> = [2usize, 4]
-            .iter()
-            .map(|&depth| {
-                let ctx = Ctx::new();
-                let layers: Vec<Matrix> = (0..depth)
-                    .map(|l| layer_matrix(&ctx, 8, 0.3, l as u64))
-                    .collect();
-                let input = ctx.vector(vec![1.0; 8]);
-                let out = spnn_inference(&ctx, &layers, &input, 0.1);
-                assert_eq!(out.len(), 8);
-                assert!(
-                    out.values().iter().all(|&x| x >= 0.0),
-                    "ReLU output negative"
-                );
-                ctx.len()
-            })
-            .collect();
-        // 3 ops + 1 weight source per layer, constant overhead otherwise.
-        assert_eq!(sizes[1] - sizes[0], 2 * 4);
-    }
-
-    #[test]
-    fn kmeans_separated_clusters_converge() {
-        let ctx = Ctx::new();
-        let pts = ctx.vector(vec![0.0, 0.2, 0.1, 10.0, 10.1, 9.9]);
-        let centroids = kmeans(&ctx, &pts, 2, Iterations::Converge(1e-9, 50));
-        let mut c = centroids.values().to_vec();
-        c.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((c[0] - 0.1).abs() < 1e-6, "{c:?}");
-        assert!((c[1] - 10.0).abs() < 1e-6, "{c:?}");
-        // The trace feeds the database pipeline.
-        let d = ctx.extract_dag();
-        assert!(d.n() >= 5);
-    }
-
-    #[test]
-    fn kmeans_empty_cluster_keeps_previous_centroid() {
-        let ctx = Ctx::new();
-        // All points near 0; second centroid starts far away and never
-        // receives members — it must not become NaN.
-        let pts = ctx.vector(vec![0.0, 0.1, 0.2]);
-        let centroids = kmeans(&ctx, &pts, 3, Iterations::Fixed(4));
-        assert!(centroids.values().iter().all(|x| x.is_finite()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`schedule_to_text`] — a compact per-superstep text table (processor
 //!   loads and transfer counts) for terminal output, used by the examples.
 
-use crate::comm::{required_transfers, CommSchedule};
+use crate::comm::CommSchedule;
 use crate::cost::{lazy_cost, total_cost};
 use crate::BspSchedule;
 use bsp_dag::Dag;
@@ -125,12 +125,6 @@ pub fn schedule_to_text(
         machine.l()
     );
     out
-}
-
-/// Convenience: number of cross-processor transfers demanded by the lazy
-/// model (used in examples to report "communication avoided").
-pub fn lazy_transfer_count(dag: &Dag, sched: &BspSchedule) -> usize {
-    required_transfers(dag, sched).len()
 }
 
 /// ASCII Gantt chart of a classical (time-indexed) schedule: one row per
@@ -251,11 +245,12 @@ mod tests {
 
     #[test]
     fn transfer_count_matches_required_transfers() {
+        use crate::comm::required_transfers;
         let dag = diamond();
         let sched = BspSchedule::from_parts(vec![0, 0, 1, 0], vec![0, 1, 1, 2]);
-        assert_eq!(lazy_transfer_count(&dag, &sched), 2);
+        assert_eq!(required_transfers(&dag, &sched).len(), 2);
         let local = BspSchedule::from_parts(vec![0; 4], vec![0, 1, 1, 2]);
-        assert_eq!(lazy_transfer_count(&dag, &local), 0);
+        assert_eq!(required_transfers(&dag, &local).len(), 0);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod cost;
 pub mod events;
 pub mod export;
 pub mod memory;
-pub mod obs;
 pub mod prefix;
 pub mod schedule;
 pub mod scheduler;
@@ -59,7 +58,6 @@ pub use memory::{
     memory_cost, memory_violations, min_repairable_capacity, node_working_set, simulate_memory,
     MemoryReport, MemoryViolation, RefetchEvent,
 };
-pub use obs::TracingObserver;
 pub use prefix::{split_at, validate_prefix, PrefixViolation};
 pub use schedule::BspSchedule;
 pub use scheduler::{ScheduleResult, Scheduler, SchedulerKind};

@@ -71,11 +71,6 @@ impl BspSchedule {
         self.step.iter().max().map_or(0, |&s| s + 1)
     }
 
-    /// Largest processor index used plus one.
-    pub fn procs_used(&self) -> u32 {
-        self.proc.iter().max().map_or(0, |&p| p + 1)
-    }
-
     /// The raw `π` vector.
     #[inline]
     pub fn procs(&self) -> &[u32] {
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(s.proc(2), 1);
         assert_eq!(s.step(2), 4);
         assert_eq!(s.n_supersteps(), 5);
-        assert_eq!(s.procs_used(), 2);
     }
 
     #[test]
