@@ -60,9 +60,8 @@ impl ScheduleState<'_> {
     ///   transfer between phases `m − 1`, where `m` is such a minimum —
     ///   the rows `s − 1` over the entries of `u`'s slice — or `s_new`
     ///   itself: rows `τ(v) − 2 ..= τ(v)`.
-    /// * `eval_rows` / `rescan_adjusted` read slots, counts, cached
-    ///   maxima and cost of exactly the rows named above, and rows at or
-    ///   beyond the table as empty.
+    /// * `eval_rows` reads slots, counts and cost of exactly the rows
+    ///   named above, and rows at or beyond the table as empty.
     /// * `weighted` reads `c(v)` and each `c(u)`, and `probe_move_in`
     ///   reads `w(v)`: an un-contraction that changes a weight stamps the
     ///   node. `g`, `ℓ` and `λ` never change.

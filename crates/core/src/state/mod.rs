@@ -37,20 +37,23 @@
 //! once warm (its buffers are the thread's [`ProbeScratch`], lent by
 //! [`with_scratch`], which keeps their capacity across probes, states and
 //! solves; whole-neighbourhood scans hold it for the whole scan and probe
-//! through [`ScheduleState::probe_move_in`]). A probe gathers the `O(deg)`
-//! changed `(superstep, processor)` cells — each found in `O(1)` through an
-//! epoch-stamped `(step, processor)` index — then re-derives each touched
-//! step's `max` work and h-relation from the cells plus cached top-`K` row
-//! maxima: `O(changed)` per step instead of the `O(P)` rescan `apply_move`
-//! pays, with an `O(P)` fallback only when every cached top processor
-//! changed. The predecessors' bucket minima come from the scratch's
-//! *view* of `v` (`view`): one walk of their consumer slices per node and
-//! clock — a hill-climbing visit's gain bound, or a scan's first probe of
-//! the node — shared by all its candidates. Total: `O(deg)` per probe,
-//! independent of `P`, plus `O(Σ_{u ∈ pred(v)} outdeg(u))` once per node;
-//! versus `O(deg + t·P)` twice for an apply/revert pair (`t` = touched
-//! steps). The contract, enforced by proptests against the historical
-//! implementation (`tests/kernel_reference`), is
+//! through [`ScheduleState::probe_move_in`]). A probe lands its `O(deg)`
+//! changes in one dense row of `P` `(Δwork, Δsend, Δrecv)` cells per
+//! touched superstep — the row found in `O(1)` through an epoch-stamped
+//! per-step index, the cell by its processor — then re-costs each touched
+//! row in one pass over its `P` slots and cells. That is the `O(t·P)`
+//! (`t ≤ deg + 2` touched steps) the refresh after `apply_move` pays
+//! too, with nothing written and no branch on which processors changed;
+//! on the 4–16 processors every benchmark workload runs, it beats
+//! re-deriving each maximum from cached top-`K` entries with a rescan
+//! fallback (README, "Performance"). The predecessors' bucket minima come
+//! from the scratch's *view* of `v` (`view`): one walk of their consumer
+//! slices per node and clock — a hill-climbing visit's gain bound, or a
+//! scan's first probe of the node — shared by all its candidates. Total:
+//! `O(deg + t·P)` per probe, plus `O(Σ_{u ∈ pred(v)} outdeg(u))` once
+//! per node; versus `O(deg + t·P)` twice, every table edit written and
+//! undone, for an apply/revert pair. The contract, enforced by proptests
+//! against the historical implementation (`tests/kernel_reference`), is
 //!
 //! ```text
 //! probe_move(v, q, s) == apply_move(v, q, s) − cost_before   (bit-for-bit)
@@ -147,18 +150,19 @@ mod view;
 pub use probe::{with_scratch, ProbeScratch};
 pub use tables::ProcWindow;
 
-/// How many of a row's largest per-processor values are cached. Probed
-/// moves change ≤ 3 processors of a touched step in the common case, so
-/// four entries make the `O(P)` fallback rescan vanish even on schedules
-/// full of tied maxima (where any changed processor may be "the" max).
+/// How many of a row's largest per-processor values are cached: the row
+/// hotness the awake set is woken by (`awake::Hotness`) names the
+/// processors tied at the h-relation maximum from them, up to this many.
 const TOP_K: usize = 4;
 
 /// Cached `TOP_K` largest per-processor values of one superstep row (work,
 /// or `max(send, recv)` for the h-relation) in descending order, with the
-/// processors that attain them. Lets a probe re-derive a row maximum after
-/// changing a few cells without rescanning all `P` processors: the first
-/// cached entry whose processor did *not* change still bounds the
-/// unchanged side of the row exactly.
+/// processors that attain them. The row's cost reads the two maxima; the
+/// early-exit and floor tests (`bound`) read whether a cell is the unique
+/// work maximum, the second-largest work and the h-relation maximum; the
+/// row hotness reads which processors tie at the top. Refreshed by the
+/// `O(P)` rescan after each move; a probe re-costs a row from its slots
+/// instead (`probe`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TopK {
     vals: [u64; TOP_K],
@@ -167,8 +171,7 @@ struct TopK {
 
 impl TopK {
     /// An all-zero row (also used for supersteps beyond the allocated
-    /// tables): the sentinel procs match nothing, so the unchanged side
-    /// correctly evaluates to 0.
+    /// tables), its sentinel procs naming no processor.
     const EMPTY: TopK = TopK {
         vals: [0; TOP_K],
         procs: [u32::MAX; TOP_K],
@@ -192,24 +195,6 @@ impl TopK {
             }
         }
         t
-    }
-
-    /// Exact maximum over the processors `changed` rejects, or `None` if
-    /// every cached entry's processor changed (fallback must rescan).
-    /// Correct because entries are descending: the first unchanged entry
-    /// dominates all non-cached processors and every cached one below it.
-    #[inline]
-    fn unchanged_max(&self, changed: impl Fn(u32) -> bool) -> Option<u64> {
-        for k in 0..TOP_K {
-            if self.procs[k] == u32::MAX {
-                // Fewer than K processors exist; the rest of the row is empty.
-                return Some(0);
-            }
-            if !changed(self.procs[k]) {
-                return Some(self.vals[k]);
-            }
-        }
-        None
     }
 }
 

@@ -9,44 +9,35 @@ use bsp_dag::NodeId;
 use bsp_schedule::cost::SuperstepCost;
 use std::cell::Cell;
 
-/// One superstep touched by a set of deltas: net count deltas plus the
-/// head of its linked list of per-processor cell deltas.
+/// One superstep touched by a set of deltas: its net node and transfer
+/// count deltas. Its cells are the entry's row of [`Deltas::cells`].
 #[derive(Debug, Clone, Copy)]
 struct StepDelta {
     step: u32,
     dnodes: i64,
     dcomm: i64,
-    /// Index of the first cell in `Deltas::cells`, `u32::MAX` = none.
-    head: u32,
-}
-
-/// One changed `(superstep, processor)` cell, linked per step.
-#[derive(Debug, Clone, Copy)]
-struct CellDelta {
-    proc: u32,
-    dwork: i64,
-    dsend: i64,
-    drecv: i64,
-    next: u32,
 }
 
 /// The changes a set of table edits would make, gathered per superstep
-/// and per `(superstep, processor)` cell without touching the tables: a
-/// probed move's, or every decrement of one node landed at once
-/// ([`ScheduleState::gain_bound`]). Cleared (capacity retained) before
-/// each use, so filling it is allocation-free once the buffers have
-/// warmed up to the working degree and the table's size.
+/// without touching the tables: a probed move's, or every decrement of one
+/// node landed at once ([`ScheduleState::gain_bound`]). Each touched
+/// superstep gets one dense row of `P` `(Δwork, Δsend, Δrecv)` cells, so
+/// [`ScheduleState::eval_rows`] re-costs it in one pass over the row.
+/// Cleared (capacity retained) before each use, so filling it is
+/// allocation-free once the buffers have warmed up to the working degree
+/// and the table's size.
 #[derive(Debug, Default)]
 pub(super) struct Deltas {
     steps: Vec<StepDelta>,
-    cells: Vec<CellDelta>,
-    /// Epoch-stamped `(step · (P + 1) + proc)` index, so that finding a
-    /// step's entry or a cell is `O(1)` however many the deltas touch:
-    /// slot `proc < P` of a superstep holds `(epoch, index into cells)`,
-    /// slot `P` `(epoch, index into steps)`. Sized to the table's rows on
-    /// clear, grown past them on demand.
+    /// `cells[i·P + q]`: `(Δwork, Δsend, Δrecv)` of processor `q` in the
+    /// superstep of entry `i` of `steps`.
+    cells: Vec<(i64, i64, i64)>,
+    /// Epoch-stamped per-superstep index: `idx[s]` holds `(epoch, entry
+    /// of s in steps)`, so finding a step's row is `O(1)` however many
+    /// the deltas touch. Sized to the table's rows on clear, grown past
+    /// them on demand.
     idx: Vec<(u32, u32)>,
-    stride: usize,
+    p: usize,
     epoch: u32,
 }
 
@@ -57,41 +48,26 @@ impl Deltas {
         self.cells.clear();
         // Start at a typical move's size rather than double up to it.
         self.steps.reserve(16);
-        self.cells.reserve(32);
-        self.stride = p + 1;
+        self.cells.reserve(16 * p);
+        self.p = p;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.idx.fill((0, 0));
             self.epoch = 1;
         }
-        if self.idx.len() < rows * self.stride {
-            self.idx.resize(rows * self.stride, (0, 0));
+        if self.idx.len() < rows {
+            self.idx.resize(rows, (0, 0));
         }
     }
 
-    /// The index slot of processor `p` in superstep `s` (`p == P`: the
-    /// step's entry).
-    #[inline]
-    fn slot(&mut self, s: u32, p: usize) -> &mut (u32, u32) {
-        let i = s as usize * self.stride + p;
-        if i >= self.idx.len() {
-            self.idx.resize((s as usize + 1) * self.stride, (0, 0));
-        }
-        &mut self.idx[i]
-    }
-
-    /// What slot `(s, p)` indexes this epoch, if anything.
-    #[inline]
-    fn find(&self, s: u32, p: usize) -> Option<usize> {
-        match self.idx.get(s as usize * self.stride + p) {
-            Some(&(ep, i)) if ep == self.epoch => Some(i as usize),
-            _ => None,
-        }
-    }
-
+    /// The entry of step `s`, appending an all-zero one (and its row of
+    /// cells) if nothing landed there yet.
     fn step_entry(&mut self, s: u32) -> usize {
         let (epoch, next) = (self.epoch, self.steps.len());
-        let e = self.slot(s, self.stride - 1);
+        if s as usize >= self.idx.len() {
+            self.idx.resize(s as usize + 1, (0, 0));
+        }
+        let e = &mut self.idx[s as usize];
         if e.0 == epoch {
             return e.1 as usize;
         }
@@ -100,8 +76,8 @@ impl Deltas {
             step: s,
             dnodes: 0,
             dcomm: 0,
-            head: u32::MAX,
         });
+        self.cells.resize(self.cells.len() + self.p, (0, 0, 0));
         next
     }
 
@@ -109,42 +85,27 @@ impl Deltas {
     /// the order [`ScheduleState::eval_rows`] reports rows in.
     #[inline]
     pub(super) fn entry(&self, s: u32) -> Option<usize> {
-        self.find(s, self.stride - 1)
+        match self.idx.get(s as usize) {
+            Some(&(ep, i)) if ep == self.epoch => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// `(Δwork, Δsend, Δrecv)` of processor `p` in superstep `s`.
     #[inline]
     pub(super) fn cell(&self, s: u32, p: u32) -> (i64, i64, i64) {
-        self.find(s, p as usize).map_or((0, 0, 0), |i| {
-            let c = &self.cells[i];
-            (c.dwork, c.dsend, c.drecv)
-        })
+        self.entry(s)
+            .map_or((0, 0, 0), |i| self.cells[i * self.p + p as usize])
     }
 
     /// Adds `(dwork, dsend, drecv)` to the cell of processor `p` in the
-    /// step entry `si`, merging into an existing cell when present.
+    /// step entry `si`.
     #[inline]
     fn add_cell(&mut self, si: usize, p: u32, dwork: i64, dsend: i64, drecv: i64) {
-        let (epoch, next) = (self.epoch, self.cells.len());
-        let e = self.slot(self.steps[si].step, p as usize);
-        let (ep, i) = *e;
-        if ep != epoch {
-            *e = (epoch, next as u32);
-        } else {
-            let c = &mut self.cells[i as usize];
-            c.dwork += dwork;
-            c.dsend += dsend;
-            c.drecv += drecv;
-            return;
-        }
-        self.cells.push(CellDelta {
-            proc: p,
-            dwork,
-            dsend,
-            drecv,
-            next: self.steps[si].head,
-        });
-        self.steps[si].head = next as u32;
+        let c = &mut self.cells[si * self.p + p as usize];
+        c.0 += dwork;
+        c.1 += dsend;
+        c.2 += drecv;
     }
 
     pub(super) fn work(&mut self, s: u32, p: u32, dwork: i64, dnodes: i64) {
@@ -240,9 +201,9 @@ impl ScheduleState<'_> {
     /// `apply_move(v, p_new, s_new) − cost()` bit-for-bit, including moves
     /// into supersteps beyond the currently allocated table (probed
     /// virtually as empty). Runs in `O(deg)`, plus `O(P)` for each of the
-    /// `t ≤ deg + 2` touched supersteps whose cached top processors all
-    /// changed, after one `O(Σ_{u ∈ pred(v)} outdeg(u))` walk when the
-    /// scratch's view does not describe `v` at this clock yet.
+    /// `t ≤ deg + 2` touched supersteps, after one `O(Σ_{u ∈ pred(v)}
+    /// outdeg(u))` walk when the scratch's view does not describe `v` at
+    /// this clock yet.
     pub fn probe_move(&self, v: NodeId, p_new: u32, s_new: u32) -> i64 {
         with_scratch(|sc| self.probe_move_in(sc, v, p_new, s_new))
     }
@@ -343,47 +304,21 @@ impl ScheduleState<'_> {
     }
 
     /// Folds the deltas `d` into a total-cost delta, handing each touched
-    /// row to `each` as re-costed, in entry order. Per touched superstep,
-    /// the new row maxima are derived from the changed cells and the
-    /// cached [`super::TopK`] entries — `O(changed)` per step, falling
-    /// back to an `O(P)` rescan only when every cached top processor
-    /// changed. Steps at or beyond `n_steps` read as empty.
+    /// row to `each` as re-costed, in entry order. Each touched superstep
+    /// is re-costed in one pass over its `P` slots and delta cells — `O(P)`
+    /// per touched step, the same pass `apply_move`'s refresh makes, with
+    /// no branch on which processors changed. Steps at or beyond `n_steps`
+    /// read as empty.
     pub(super) fn eval_rows(&self, d: &Deltas, mut each: impl FnMut(SuperstepCost)) -> i64 {
         let p = self.machine.p();
         let mut delta = 0i64;
-        for ei in 0..d.steps.len() {
-            let e = d.steps[ei];
+        for (e, cells) in d.steps.iter().zip(d.cells.chunks_exact(p)) {
             let s = e.step as usize;
-            let in_range = s < self.t.n_steps;
-            let row = s * p;
             let m = self.t.meta.get(s).unwrap_or(&StepMeta::EMPTY);
-            // Maxima over the changed processors (their adjusted values).
-            let (mut wcand, mut hcand) = (0u64, 0u64);
-            let mut i = e.head;
-            while i != u32::MAX {
-                let c = d.cells[i as usize];
-                let q = c.proc as usize;
-                let b = if in_range {
-                    self.t.slots[row + q]
-                } else {
-                    Slot::default()
-                };
-                wcand = wcand.max((b.work as i64 + c.dwork) as u64);
-                let h = ((b.send as i64 + c.dsend) as u64).max((b.recv as i64 + c.drecv) as u64);
-                hcand = hcand.max(h);
-                i = c.next;
-            }
-            // Unchanged side: the first cached top entry on a processor
-            // without a cell is exact; rescan only if all K tops changed.
-            let changed = |q: u32| d.find(e.step, q as usize).is_some();
-            let (w_unch, h_unch) = (m.wtop.unchanged_max(changed), m.htop.unchanged_max(changed));
-            let w_max = match w_unch {
-                Some(u) => wcand.max(u),
-                None => self.rescan_adjusted(d, e.step, in_range, row, false),
-            };
-            let c_max = match h_unch {
-                Some(u) => hcand.max(u),
-                None => self.rescan_adjusted(d, e.step, in_range, row, true),
+            let (w_max, c_max) = if s < self.t.n_steps {
+                row_maxima(self.t.slots[s * p..(s + 1) * p].iter().copied(), cells)
+            } else {
+                row_maxima(std::iter::repeat(Slot::default()), cells)
             };
             let nonempty = m.nodes as i64 + e.dnodes > 0 || m.comm as i64 + e.dcomm > 0;
             let row = SuperstepCost::new(w_max, c_max, nonempty, self.machine);
@@ -392,34 +327,17 @@ impl ScheduleState<'_> {
         }
         delta
     }
+}
 
-    /// Full adjusted row maximum (work when `hrel` is false, h-relation
-    /// otherwise) of superstep `step`: the rare probe fallback when every
-    /// cached top processor of a touched step changed. `O(P)`, each
-    /// processor's delta read through the cell index.
-    fn rescan_adjusted(
-        &self,
-        d: &Deltas,
-        step: u32,
-        in_range: bool,
-        row: usize,
-        hrel: bool,
-    ) -> u64 {
-        let mut best = 0u64;
-        for q in 0..self.machine.p() {
-            let (dw, ds, dr) = d.cell(step, q as u32);
-            let b = if in_range {
-                self.t.slots[row + q]
-            } else {
-                Slot::default()
-            };
-            let val = if hrel {
-                ((b.send as i64 + ds) as u64).max((b.recv as i64 + dr) as u64)
-            } else {
-                (b.work as i64 + dw) as u64
-            };
-            best = best.max(val);
-        }
-        best
-    }
+/// The work and h-relation maxima of one superstep row: the `slots` with
+/// the delta `cells` added, processor by processor.
+#[inline]
+fn row_maxima(slots: impl Iterator<Item = Slot>, cells: &[(i64, i64, i64)]) -> (u64, u64) {
+    let at = |x: u64, d: i64| (x as i64 + d) as u64;
+    slots.zip(cells).fold((0, 0), |(w, h), (b, &(dw, ds, dr))| {
+        (
+            w.max(at(b.work, dw)),
+            h.max(at(b.send, ds).max(at(b.recv, dr))),
+        )
+    })
 }

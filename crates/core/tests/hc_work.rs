@@ -1,9 +1,11 @@
 //! Work-count pin for hill climbing: the exact counter deltas of a climb
 //! to a local minimum from BSPg and from Source, on one NUMA `erdos`
-//! instance and one uniform `spmv` instance. A change to the cost of one
-//! candidate leaves every count alone; a change to what the search visits,
-//! skips or probes moves one. The counters are process-global, so this
-//! binary holds this one test.
+//! instance and one uniform `spmv` instance, and from BSPg on the
+//! `offline-refine` benchmark's largest instance (`erdos` n = 800 on an
+//! 8-processor ring) and on a 64-processor `layered` one. A change to the
+//! cost of one candidate leaves every count alone; a change to what the
+//! search visits, skips or probes moves one. The counters are
+//! process-global, so this binary holds this one test.
 
 use bsp_core::hc::hill_climb;
 use bsp_core::init::{bspg_schedule, source_schedule};
@@ -24,7 +26,7 @@ const COUNTERS: [&str; 7] = [
 ];
 
 /// `(instance, start, counter deltas)`.
-const PINS: [(&str, &str, [u64; 7]); 4] = [
+const PINS: [(&str, &str, [u64; 7]); 6] = [
     (
         "erdos?n=300&q=0.03&seed=20240527 @ bsp?p=16&numa=sockets&sockets=2&delta=4",
         "bspg",
@@ -44,6 +46,16 @@ const PINS: [(&str, &str, [u64; 7]); 4] = [
         "spmv?n=100&q=0.3&seed=20240527 @ bsp?p=8&g=2&l=5",
         "source",
         [0, 3_252, 0, 0, 0, 800, 0],
+    ),
+    (
+        "erdos?n=800&q=0.01&seed=20240527 @ bsp?p=8&numa=ring",
+        "bspg",
+        [179, 6_576, 393, 164, 2_278, 22_766, 190],
+    ),
+    (
+        "layered?layers=20&width=50&q=0.06&seed=3 @ bsp?p=64&g=2&l=5",
+        "bspg",
+        [51, 2_506, 1_281, 414, 1_346, 45_961, 49],
     ),
 ];
 

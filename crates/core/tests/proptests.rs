@@ -45,9 +45,11 @@ fn arb_dag() -> impl Strategy<Value = Dag> {
     })
 }
 
+/// A machine of 2–16 processors, the widest any benchmark workload runs,
+/// uniform or with a binary-tree NUMA hierarchy.
 fn arb_machine() -> impl Strategy<Value = BspParams> {
-    (1usize..3u32 as usize, 1u64..6, 0u64..8, proptest::bool::ANY).prop_map(|(pe, g, l, numa)| {
-        let p = [2usize, 4, 8][pe];
+    (0usize..4, 1u64..6, 0u64..8, proptest::bool::ANY).prop_map(|(pe, g, l, numa)| {
+        let p = [2usize, 4, 8, 16][pe];
         let m = BspParams::new(p, g, l);
         if numa {
             m.with_numa(NumaTopology::binary_tree(p, 2 + g % 3))
@@ -159,12 +161,15 @@ fn probe_contract(
 }
 
 /// Machines for the sweep-pruning properties: `P` from 1 up (so `P = 1`
-/// and `P < TOP_K = 4` rows are covered), uniform or NUMA tree / ring.
+/// and `P < TOP_K = 4` rows are covered) to 32, uniform or NUMA tree /
+/// ring, with `P = 16` drawing the two-socket hierarchy instead of the
+/// tree.
 fn arb_prune_machine() -> impl Strategy<Value = BspParams> {
-    (0usize..5, 1u64..6, 0u64..8, 0usize..3).prop_map(|(pe, g, l, kind)| {
-        let p = [1usize, 2, 3, 4, 8][pe];
+    (0usize..7, 1u64..6, 0u64..8, 0usize..3).prop_map(|(pe, g, l, kind)| {
+        let p = [1usize, 2, 3, 4, 8, 16, 32][pe];
         let m = BspParams::new(p, g, l);
         match kind {
+            1 if p == 16 => m.with_numa(NumaTopology::two_level(2, 8, 2 + g % 3)),
             1 if p.is_power_of_two() && p >= 2 => {
                 m.with_numa(NumaTopology::binary_tree(p, 2 + g % 3))
             }
